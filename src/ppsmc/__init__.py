@@ -9,7 +9,6 @@ oracle (`oracle`), and a symbolic-music event domain (`music`).
 from .models import (PoissonProcessModel, SequenceModel, UniformRenewalModel,
                      WeibullRenewalModel, conditional_intensity, log_probability,
                      sample_restricted, step_log_probabilities)
-from .sequences import concat, partition, restrict, validate_times
 from .smc import (BarrierDiagnostics, ConstraintSet, EnsembleResult,
                   barrier_weight, conditional_sample, effective_sample_size,
                   propose_segment, read_constraint_file, satisfies,
@@ -23,7 +22,6 @@ __all__ = [
     "PoissonProcessModel", "SequenceModel", "UniformRenewalModel",
     "WeibullRenewalModel", "conditional_intensity", "log_probability",
     "sample_restricted", "step_log_probabilities",
-    "concat", "partition", "restrict", "validate_times",
     "BarrierDiagnostics", "ConstraintSet", "EnsembleResult", "barrier_weight",
     "conditional_sample", "effective_sample_size", "propose_segment",
     "read_constraint_file", "satisfies", "systematic_indices", "systematic_resample",

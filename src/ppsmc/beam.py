@@ -14,9 +14,9 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .models import MAX_EVENTS, SequenceModel, step_log_probabilities
-from .rng import KIND_PROPOSAL, stream
-from .smc import ConstraintSet, EnsembleResult, _validate_setup, propose_segment
+from .models import (MAX_EVENTS, SequenceModel, log_probability,
+                     step_log_probabilities)
+from .smc import ConstraintSet, EnsembleResult, run_barriers
 
 
 @dataclass(frozen=True)
@@ -49,62 +49,43 @@ def beam_search_sample(model: SequenceModel, constraints: ConstraintSet,
     """
     if b < 1 or f < 1:
         raise ValueError("b and f must be at least 1")
-    _validate_setup(constraints, horizon, initial_history)
     prefix = list(initial_history)
-    barriers = [*constraints.z, math.inf]
-    flags = [True, *constraints.b]
-    # f copies of the empty continuation so every barrier explores b*f candidates
-    kept: list[tuple[float, list]] = [(0.0, list(prefix)) for _ in range(f)]
+    # scores of the kept paths, which start as f copies of the prefix so that
+    # every barrier explores b*f candidates
+    kept_lps = [0.0] * f
     diagnostics = []
 
-    for i, z in enumerate(barriers):
-        b_prev = flags[i]
-        is_final = math.isinf(z)
-        if is_final:
-            # one completion per kept trajectory; ranking is already fixed
-            samples = []
-            log_probs = []
-            for t, (_, seq) in enumerate(kept):
-                g = stream(seed, KIND_PROPOSAL, i, t)
-                seg, _, _ = propose_segment(model, seq, z, b_prev, g,
-                                            horizon=horizon, max_events=max_events)
-                seq = seq + seg
-                while seq and seq[-1] > horizon:
-                    seq.pop()
-                samples.append(tuple(seq))
-                log_probs.append(_total_logprob(model, seq, prefix))
-            return EnsembleResult(samples=samples, survived=True, failed_barrier=None,
-                                  diagnostics=diagnostics, log_probs=log_probs)
-
-        candidates: list[tuple[float, list]] = []
-        for t, (lp, seq) in enumerate(kept):
-            for j in range(b):
-                g = stream(seed, KIND_PROPOSAL, i, t * b + j)
-                seg, _, _ = propose_segment(model, seq, z, b_prev, g,
-                                            horizon=horizon, max_events=max_events)
-                seg_lp = sum(step_log_probabilities(model, seg, initial_history=seq))
-                candidates.append((lp + seg_lp, seq + seg))
-        order = sorted(range(len(candidates)), key=lambda k: -candidates[k][0])
+    def keep_best(i, b_prev, children):
+        nonlocal kept_lps
+        scores = [kept_lps[t] + sum(step_log_probabilities(model, seq[len(parent):],
+                                                           initial_history=parent))
+                  for t, parent, seq, _ in children]
+        order = sorted(range(len(scores)), key=lambda k: -scores[k])
         # a -inf candidate was forced through a zero-probability event; it is
         # not a viable trajectory, so it never enters the kept set
-        viable = [k for k in order if candidates[k][0] > -math.inf]
+        viable = [k for k in order if scores[k] > -math.inf]
         if not viable:
             diagnostics.append(BeamBarrierDiagnostics(
-                barrier_index=i + 1, explored=len(candidates),
+                barrier_index=i + 1, explored=len(scores),
                 kept_min_logprob=-math.inf, kept_max_logprob=-math.inf,
                 discarded_max_logprob=-math.inf))
-            return EnsembleResult(samples=[], survived=False, failed_barrier=i + 1,
-                                  diagnostics=diagnostics)
-        kept = [candidates[k] for k in viable[:f]]
-        kept_lps = [lp for lp, _ in kept]
-        discarded = [candidates[k][0] for k in viable[f:]]
+            return None
+        kept = viable[:f]
+        kept_lps = [scores[k] for k in kept]
+        discarded = [scores[k] for k in viable[f:]]
         diagnostics.append(BeamBarrierDiagnostics(
-            barrier_index=i + 1, explored=len(candidates),
+            barrier_index=i + 1, explored=len(scores),
             kept_min_logprob=min(kept_lps), kept_max_logprob=max(kept_lps),
             discarded_max_logprob=max(discarded) if discarded else -math.inf))
-    raise AssertionError("unreachable: final segment always returns")
+        return kept
 
-
-def _total_logprob(model: SequenceModel, seq: Sequence[float], prefix: list) -> float:
-    suffix = seq[len(prefix):]
-    return sum(step_log_probabilities(model, suffix, initial_history=prefix))
+    samples = run_barriers(model, constraints, seed, f, keep_best, branching=b,
+                           horizon=horizon, initial_history=prefix, max_events=max_events)
+    if samples is None:
+        return EnsembleResult(samples=[], survived=False,
+                              failed_barrier=diagnostics[-1].barrier_index,
+                              diagnostics=diagnostics)
+    # one completion per kept trajectory; ranking is already fixed
+    log_probs = [log_probability(model, s[len(prefix):], prefix) for s in samples]
+    return EnsembleResult(samples=samples, survived=True, failed_barrier=None,
+                          diagnostics=diagnostics, log_probs=log_probs)

@@ -36,6 +36,8 @@ logger = logging.getLogger("ppsmc")
 EXIT_ERROR = 1
 EXIT_DIED = 3
 
+JOBS_HELP = "accepted for compatibility; has no effect (runs are single-threaded)"
+
 
 def _parse_params(text: str) -> dict[str, float]:
     params = {}
@@ -73,9 +75,11 @@ def build_model(spec: str):
 
 
 def _as_code(value) -> int:
-    if value != int(value):
-        raise ValueError(f"music constraint times must be integer codes, got {value!r}")
-    return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"music constraint fields must hold integer codes, got {value!r}")
+    return value
 
 
 def _load_run_setup(args, music_vocab: Vocabulary | None):
@@ -84,12 +88,15 @@ def _load_run_setup(args, music_vocab: Vocabulary | None):
         return constraints, (), float(args.horizon)
     from .smc import ConstraintSet
     constraints = ConstraintSet(z=tuple(_as_code(z) for z in constraints.z), b=constraints.b)
-    prefix = [_as_code(c) for c in payload.get("prefix", [])]
+    prefix = payload.get("prefix", [])
+    if not isinstance(prefix, list):
+        raise ValueError("constraint field 'prefix' must be a list of codes")
+    prefix = [_as_code(c) for c in prefix]
     acts = music_vocab.actions
     if args.horizon_ticks is not None:
         ticks = args.horizon_ticks
     elif payload.get("horizon_ticks") is not None:
-        ticks = int(payload["horizon_ticks"])
+        ticks = _as_code(payload["horizon_ticks"])
     else:
         top = max([*constraints.z, *prefix], default=acts)
         ticks = -(-top // acts)  # ceil to a tick boundary
@@ -166,7 +173,7 @@ def cmd_sample(args) -> int:
 
     def run(seed):
         return conditional_sample(model, constraints, args.particles, seed,
-                                  horizon=horizon, initial_history=prefix, jobs=args.jobs)
+                                  horizon=horizon, initial_history=prefix)
 
     return _finish_generation(args, run, vocab, constraints)
 
@@ -273,7 +280,7 @@ def cmd_oracle(args) -> int:
     for r in range(args.runs):
         seed_r = run_seed(args.seed, r) if args.runs > 1 else args.seed
         result = conditional_sample(model, constraints, args.particles, seed_r,
-                                    horizon=grid.n, jobs=args.jobs)
+                                    horizon=grid.n)
         if not result.survived:
             raise ValueError(f"oracle run {r} died at barrier {result.failed_barrier}; "
                              "the grid model gives the conditioning event zero mass")
@@ -310,7 +317,7 @@ def _add_generation_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--runs", type=int, default=1, help="independent runs (derived seeds)")
     p.add_argument("--keep", type=int, default=1, help="samples to write per run (<=0: all)")
-    p.add_argument("--jobs", type=int, default=1, help="worker threads (same output regardless)")
+    p.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
     p.add_argument("--horizon", type=float, default=1.0, help="time horizon (continuous models)")
     p.add_argument("--horizon-ticks", type=int, default=None,
                    help="tick horizon (music models; default: from the constraint file)")
@@ -365,7 +372,7 @@ def main(argv=None) -> int:
     p.add_argument("--runs", type=int, default=200)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--threshold", type=float, default=0.05)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_oracle)
 

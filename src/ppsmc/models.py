@@ -40,6 +40,20 @@ class InterArrivalDistribution:
     def sample(self, rng: np.random.Generator):
         raise NotImplementedError
 
+    def hazard(self, d) -> float:
+        """f(d) / P(gap >= d); 0 where the density is 0.
+
+        Raises SaturatedCdfError when the survival probability has underflowed,
+        making the hazard numerically undefined.
+        """
+        p = self.pdf(d)
+        if p == 0:
+            return 0.0
+        s = self.survival(d)
+        if s <= SURVIVAL_FLOOR:
+            raise SaturatedCdfError(f"survival underflowed at gap {d!r}")
+        return p / s
+
 
 class SequenceModel:
     """Maps a history of event times to the distribution of the next gap."""
@@ -222,11 +236,4 @@ def conditional_intensity(model: SequenceModel, history: Sequence[float], t) -> 
     d = t - last
     if d <= 0:
         raise ValueError(f"t={t!r} does not lie beyond the history end {last!r}")
-    dist = model.gap_distribution(history)
-    p = dist.pdf(d)
-    if p == 0:
-        return 0.0
-    s = dist.survival(d)
-    if s <= SURVIVAL_FLOOR:
-        raise SaturatedCdfError(f"survival underflowed at gap {d!r}")
-    return p / s
+    return model.gap_distribution(history).hazard(d)

@@ -130,23 +130,3 @@ class UnrolledMusicModel(SequenceModel):
     def gap_distribution(self, history):
         return _MusicGap(self.step_model, self.vocab, history)
 
-
-def _unwrap(model, vocab: Vocabulary | None):
-    step = model.step_model if isinstance(model, UnrolledMusicModel) else model
-    return step, (vocab if vocab is not None else step.vocab)
-
-
-def next_code_pmf(model, history_codes: Sequence[int], z_code: int,
-                  vocab: Vocabulary | None = None) -> float:
-    """P(next event code == z_code | history)."""
-    step, vocab = _unwrap(model, vocab)
-    gap = _MusicGap(step, vocab, history_codes)
-    return gap.pdf(z_code - gap.last_code)
-
-
-def next_code_cdf(model, history_codes: Sequence[int], z_code: int,
-                  vocab: Vocabulary | None = None) -> float:
-    """P(next event code <= z_code | history)."""
-    step, vocab = _unwrap(model, vocab)
-    gap = _MusicGap(step, vocab, history_codes)
-    return gap.cdf(z_code - gap.last_code)

@@ -186,17 +186,3 @@ def allowed_symbols(prev: int | None, vocab: Vocabulary = Vocabulary()) -> np.nd
         raise ValueError(f"symbol {prev} outside vocabulary of size {vocab.size}")
     return mask
 
-
-def mask_column(prev: int | None, vocab: Vocabulary = Vocabulary()) -> np.ndarray:
-    """Additive mask column: 0 where permitted, -inf where forbidden."""
-    col = np.zeros(vocab.size)
-    col[~allowed_symbols(prev, vocab)] = -np.inf
-    return col
-
-
-def apply_mask(logits, prev: int | None, vocab: Vocabulary = Vocabulary()) -> np.ndarray:
-    """Add the mask column for ``prev`` to a logit vector (index sym-1)."""
-    logits = np.asarray(logits, dtype=float)
-    if logits.shape != (vocab.size,):
-        raise ValueError(f"expected {vocab.size} logits, got shape {logits.shape}")
-    return logits + mask_column(prev, vocab)

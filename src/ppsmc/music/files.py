@@ -36,15 +36,24 @@ def read_events(path) -> tuple[list[MusicEvent], int]:
     if not raw:
         raise ValueError(f"{path}: empty event file")
     header = json.loads(raw[0])
-    if header.get("kind") != "events":
-        raise ValueError(f"{path}: not an event file (kind={header.get('kind')!r})")
+    kind = header.get("kind") if isinstance(header, dict) else None
+    if kind != "events":
+        raise ValueError(f"{path}: not an event file (kind={kind!r})")
     if header.get("version", 1) != FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported event file version {header.get('version')!r}")
-    parts = int(header.get("parts", 1))
+    parts = header.get("parts", 1)
+    if type(parts) is not int:
+        raise ValueError(f"{path}: header field 'parts' must be an integer, got {parts!r}")
     events = []
-    for line in raw[1:]:
+    for k, line in enumerate(raw[1:], start=1):
         d = json.loads(line)
-        events.append(MusicEvent(t=d["t"], a=d["a"], part=d.get("part", 0)))
+        if not isinstance(d, dict):
+            d = {}
+        t, a, part = d.get("t"), d.get("a"), d.get("part", 0)
+        if not (type(t) is int and type(a) is int and type(part) is int):  # bools excluded
+            raise ValueError(f"{path}: event {k} needs integer 't', 'a' and 'part' fields, "
+                             f"got {line.strip()[:80]!r}")
+        events.append(MusicEvent(t=t, a=a, part=part))
     events_to_codes(events, Vocabulary(parts=max(parts, 1)))  # canonical order check
     return events, parts
 

@@ -23,6 +23,8 @@ NOTE_ON_VELOCITY = 64
 def _read_vlq(data: bytes, pos: int) -> tuple[int, int]:
     value = 0
     while True:
+        if pos >= len(data):
+            raise ValueError("truncated variable-length quantity")
         byte = data[pos]
         pos += 1
         value = (value << 7) | (byte & 0x7F)
@@ -48,17 +50,18 @@ def _parse_track(data: bytes) -> list[tuple[int, int, int, bool]]:
     while pos < len(data):
         delta, pos = _read_vlq(data, pos)
         tick += delta
+        if pos >= len(data):
+            raise ValueError("track ends inside an event")
         byte = data[pos]
         if byte >= 0x80:
             pos += 1
-            if byte == 0xFF:  # meta
-                length, pos = _read_vlq(data, pos + 1)
-                pos += length
-                status = None
-                continue
-            if byte in (0xF0, 0xF7):  # sysex
+            if byte == 0xFF:  # meta: a type byte precedes the length
+                pos += 1
+            if byte in (0xFF, 0xF0, 0xF7):  # meta or sysex
                 length, pos = _read_vlq(data, pos)
                 pos += length
+                if pos > len(data):
+                    raise ValueError("truncated meta or sysex event")
                 status = None
                 continue
             status = byte
@@ -67,13 +70,19 @@ def _parse_track(data: bytes) -> list[tuple[int, int, int, bool]]:
         kind = status & 0xF0
         channel = status & 0x0F
         if kind in (0x80, 0x90, 0xA0, 0xB0, 0xE0):
-            d1, d2 = data[pos], data[pos + 1]
-            pos += 2
+            size = 2
         elif kind in (0xC0, 0xD0):
-            d1, d2 = data[pos], 0
-            pos += 1
+            size = 1
         else:
             raise ValueError(f"unsupported status byte 0x{status:02x}")
+        payload = data[pos:pos + size]
+        if len(payload) < size:
+            raise ValueError("truncated channel event")
+        if max(payload) >= 0x80:
+            raise ValueError(f"data byte 0x{max(payload):02x} has its high bit set")
+        d1 = payload[0]
+        d2 = payload[1] if size == 2 else 0
+        pos += size
         if kind == 0x90:
             notes.append((tick, channel, d1, d2 > 0))
         elif kind == 0x80:
@@ -109,6 +118,8 @@ def read_midi(path) -> list[MusicEvent]:
     data = Path(path).read_bytes()
     if data[:4] != b"MThd":
         raise ValueError(f"{path}: not a MIDI file")
+    if len(data) < 14:
+        raise ValueError(f"{path}: truncated MIDI header")
     header_len = int.from_bytes(data[4:8], "big")
     fmt = int.from_bytes(data[8:10], "big")
     ntrks = int.from_bytes(data[10:12], "big")
@@ -123,10 +134,13 @@ def read_midi(path) -> list[MusicEvent]:
     pos = 8 + header_len
     notes = []
     for _ in range(ntrks):
-        if data[pos:pos + 4] != b"MTrk":
+        chunk = data[pos:pos + 8]
+        if len(chunk) < 8 or chunk[:4] != b"MTrk":
             raise ValueError(f"{path}: malformed track chunk at byte {pos}")
-        length = int.from_bytes(data[pos + 4:pos + 8], "big")
+        length = int.from_bytes(chunk[4:], "big")
         body = data[pos + 8:pos + 8 + length]
+        if len(body) < length:
+            raise ValueError(f"{path}: track chunk at byte {pos} is truncated")
         notes.extend(_parse_track(body))
         pos += 8 + length
     if ppq != TICKS_PER_QUARTER:

@@ -2,8 +2,8 @@
 
 Every random draw in a run is made on a Philox stream keyed by
 ``(seed, kind, barrier, particle)``.  Streams are independent of execution
-order, so running particles serially or across worker threads produces
-bit-identical output.  Key packing limits: barrier < 2**16, particle < 2**32.
+order, so the order in which particles are advanced never changes the
+output.  Key packing limits: barrier < 2**16, particle < 2**32.
 """
 
 from __future__ import annotations

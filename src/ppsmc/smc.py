@@ -11,24 +11,24 @@ particle's weight is the hazard f(d)/P(gap >= d) of the clipped gap, which
 corrects for the clip.  In a forbidden segment the barrier is appended
 directly with weight f(d).  After each interior barrier the ensemble is
 systematically resampled.  The final open segment carries unit weights and is
-not resampled.
+not resampled.  The beam baseline (``ppsmc.beam``) runs the same barrier
+loop, ``run_barriers``, and differs only in its selection step.
 
 All randomness is drawn from per-(barrier, particle) Philox streams derived
-from one master seed, so results are bit-identical regardless of the number
-of worker threads.
+from one master seed, so a run is a deterministic function of its seed.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
-from .errors import IterationLimitError, SaturatedCdfError
-from .models import MAX_EVENTS, SURVIVAL_FLOOR, SequenceModel
+from .errors import IterationLimitError
+from .models import MAX_EVENTS, SequenceModel
 from .rng import KIND_PROPOSAL, KIND_RESAMPLE, stream
 
 FORMAT_VERSION = 1
@@ -68,10 +68,19 @@ class ConstraintSet:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ConstraintSet":
+        """Parse a decoded constraint file; ValueError on any malformed field."""
+        if not isinstance(d, dict):
+            raise ValueError(f"constraints must be a JSON object, got {type(d).__name__}")
         version = d.get("version", 1)
         if version != FORMAT_VERSION:
             raise ValueError(f"unsupported constraint file version: {version}")
-        return cls(z=tuple(d["z"]), b=tuple(d["b"]))
+        z, b = d.get("z"), d.get("b")
+        if not isinstance(z, list) or not all(
+                isinstance(t, numbers.Real) and not isinstance(t, bool) for t in z):
+            raise ValueError("constraint field 'z' is missing or not a list of numbers")
+        if not isinstance(b, list) or not all(isinstance(v, bool) for v in b):
+            raise ValueError("constraint field 'b' is missing or not a list of booleans")
+        return cls(z=tuple(z), b=tuple(b))
 
     def save(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), sort_keys=True) + "\n")
@@ -164,26 +173,16 @@ def propose_segment(model: SequenceModel, history: Sequence[float], z: float,
 
 
 def barrier_weight(model: SequenceModel, seq: Sequence[float], gap,
-                   b_prev: bool, is_final: bool = False) -> float:
+                   b_prev: bool) -> float:
     """Importance weight of one particle whose last element is the barrier.
 
     Free segment: f(d)/P(gap >= d) — the hazard at the clipped gap.  Forbidden
-    segment: f(d), the density of the forced append.  Final open segment: 1.
-    A zero density gives weight 0 (a dead particle is legal); an underflowed
-    survival raises SaturatedCdfError.
+    segment: f(d), the density of the forced append.  A zero density gives
+    weight 0 (a dead particle is legal); an underflowed survival raises
+    SaturatedCdfError.
     """
-    if is_final:
-        return 1.0
     dist = model.gap_distribution(seq[:-1])
-    p = dist.pdf(gap)
-    if not b_prev:
-        return p
-    if p == 0:
-        return 0.0
-    s = dist.survival(gap)
-    if s <= SURVIVAL_FLOOR:
-        raise SaturatedCdfError(f"survival underflowed at barrier gap {gap!r}")
-    return p / s
+    return dist.hazard(gap) if b_prev else dist.pdf(gap)
 
 
 def effective_sample_size(weights: Sequence[float]) -> float:
@@ -249,7 +248,23 @@ def systematic_resample(weights: Sequence[float], rng) -> tuple[int, ...]:
     return systematic_indices(weights, u)
 
 
-def _validate_setup(constraints: ConstraintSet, horizon, initial_history) -> None:
+def run_barriers(model: SequenceModel, constraints: ConstraintSet, seed: int,
+                 width: int, select: Callable, *, horizon: float,
+                 initial_history: Sequence[float], max_events: int,
+                 branching: int = 1) -> list[tuple] | None:
+    """Extend ``width`` copies of the history barrier by barrier; the loop
+    shared by the particle filter and the beam baseline.
+
+    At interior barrier i (0-based) path t spawns ``branching`` children;
+    child j proposes its segment on stream (seed, KIND_PROPOSAL, i, t*branching
+    + j).  ``select(i, b_prev, children)`` receives the children as
+    ``(t, parent, seq, gap)`` tuples, ``seq`` being the parent extended by its
+    segment, and returns the indices of the children that become the next
+    paths, or None when none can continue; the run then stops and returns
+    None.  After the last barrier path t draws its open tail on stream
+    (seed, KIND_PROPOSAL, r, t), and the completed paths come back as tuples
+    truncated at the horizon.
+    """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     start = initial_history[-1] if len(initial_history) else 0.0
@@ -259,51 +274,52 @@ def _validate_setup(constraints: ConstraintSet, horizon, initial_history) -> Non
                              f"the history end {start!r}")
         if constraints.z[-1] > horizon:
             raise ValueError(f"constraint {constraints.z[-1]!r} lies beyond the horizon {horizon!r}")
+    flags = [True, *constraints.b]
+    paths = [list(initial_history)] * width
+
+    for i, z in enumerate(constraints.z):
+        children = []
+        for t, parent in enumerate(paths):
+            for j in range(branching):
+                g = stream(seed, KIND_PROPOSAL, i, t * branching + j)
+                seg, gap, _ = propose_segment(model, parent, z, flags[i], g,
+                                              horizon=horizon, max_events=max_events)
+                children.append((t, parent, parent + seg, gap))
+        kept = select(i, flags[i], children)
+        if kept is None:
+            return None
+        paths = [children[k][2] for k in kept]
+
+    samples = []
+    for t, parent in enumerate(paths):
+        g = stream(seed, KIND_PROPOSAL, constraints.r, t)
+        seg, _, _ = propose_segment(model, parent, math.inf, flags[-1], g,
+                                    horizon=horizon, max_events=max_events)
+        seq = parent + seg
+        while seq and seq[-1] > horizon:
+            seq.pop()
+        samples.append(tuple(seq))
+    return samples
 
 
 def conditional_sample(model: SequenceModel, constraints: ConstraintSet,
                        num_particles: int, seed: int, *,
                        horizon: float = 1.0,
                        initial_history: Sequence[float] = (),
-                       jobs: int = 1,
                        max_events: int = MAX_EVENTS) -> EnsembleResult:
     """Run the particle filter; returns S approximate conditional samples.
 
     ``survived`` is False when every particle weighted zero at some barrier;
     ``failed_barrier`` then holds its 1-based index and ``samples`` is empty.
     The result is a deterministic function of (model, constraints, seed,
-    horizon, initial history) — ``jobs`` only adds worker threads.
+    horizon, initial history).
     """
     if num_particles < 1:
         raise ValueError("need at least one particle")
-    _validate_setup(constraints, horizon, initial_history)
-    prefix = list(initial_history)
-    barriers = [*constraints.z, math.inf]
-    flags = [True, *constraints.b]
-    particles = [list(prefix) for _ in range(num_particles)]
     diagnostics = []
 
-    for i, z in enumerate(barriers):
-        b_prev = flags[i]
-        is_final = math.isinf(z)
-
-        def advance(s: int) -> float:
-            g = stream(seed, KIND_PROPOSAL, i, s)
-            seg, gap, _ = propose_segment(model, particles[s], z, b_prev, g,
-                                          horizon=horizon, max_events=max_events)
-            particles[s].extend(seg)
-            if is_final:
-                return 1.0
-            return barrier_weight(model, particles[s], gap, b_prev)
-
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                weights = list(pool.map(advance, range(num_particles)))
-        else:
-            weights = [advance(s) for s in range(num_particles)]
-
-        if is_final:
-            break
+    def resample(i, b_prev, children):
+        weights = [barrier_weight(model, seq, gap, b_prev) for _, _, seq, gap in children]
         dead = sum(1 for w in weights if w == 0)
         all_dead = dead == num_particles
         ess = 0.0 if all_dead else effective_sample_size(weights)
@@ -311,15 +327,15 @@ def conditional_sample(model: SequenceModel, constraints: ConstraintSet,
             barrier_index=i + 1, ess=ess,
             min_weight=min(weights), max_weight=max(weights), dead_count=dead))
         if all_dead:
-            return EnsembleResult(samples=[], survived=False,
-                                  failed_barrier=i + 1, diagnostics=diagnostics)
-        offspring = systematic_resample(weights, stream(seed, KIND_RESAMPLE, i))
-        particles = [list(particles[k]) for k in offspring]
+            return None
+        return systematic_resample(weights, stream(seed, KIND_RESAMPLE, i))
 
-    samples = []
-    for p in particles:
-        while p and p[-1] > horizon:
-            p.pop()
-        samples.append(tuple(p))
+    samples = run_barriers(model, constraints, seed, num_particles, resample,
+                           horizon=horizon, initial_history=initial_history,
+                           max_events=max_events)
+    if samples is None:
+        return EnsembleResult(samples=[], survived=False,
+                              failed_barrier=diagnostics[-1].barrier_index,
+                              diagnostics=diagnostics)
     return EnsembleResult(samples=samples, survived=True,
                           failed_barrier=None, diagnostics=diagnostics)

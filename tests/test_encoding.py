@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from ppsmc.music.encoding import (MusicEvent, Vocabulary, allowed_symbols,
-                                  apply_mask, codes_to_events, decode_event,
-                                  encode_event, events_to_codes,
-                                  events_to_symbols, mask_column,
+                                  codes_to_events, decode_event, encode_event,
+                                  events_to_codes, events_to_symbols,
                                   symbols_to_events)
 
 VOCAB = Vocabulary()  # 256 note actions, shifts up to one whole note at 2400 ticks
@@ -91,20 +90,6 @@ class TestCanonicalMask:
         allowed = allowed_symbols(2, TINY)
         np.testing.assert_array_equal(
             allowed, [False, False, True, True, True, True, True])
-
-    def test_mask_column_marks_blocked_entries(self):
-        col = mask_column(2, TINY)
-        assert col[0] == -np.inf and col[2] == 0.0
-
-    def test_apply_mask_matches_manual_addition(self):
-        rng = np.random.default_rng(0)
-        logits = rng.normal(size=TINY.size)
-        masked = apply_mask(logits, 3, TINY)
-        np.testing.assert_allclose(masked, logits + mask_column(3, TINY))
-
-    def test_apply_mask_checks_shape(self):
-        with pytest.raises(ValueError):
-            apply_mask(np.zeros(5), None, TINY)
 
 
 class TestVocabulary:

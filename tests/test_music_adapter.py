@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from ppsmc.music.adapter import UnrolledMusicModel, next_code_cdf, next_code_pmf
+from ppsmc.music.adapter import UnrolledMusicModel
 from ppsmc.music.encoding import (MusicEvent, Vocabulary, codes_to_events,
                                   encode_event, events_to_codes,
                                   events_to_symbols)
@@ -112,18 +112,6 @@ class TestGapDistribution:
         for d, p in expected.items():
             if p > 0.02:
                 assert draws.count(d) / 20000 == pytest.approx(p, abs=0.015)
-
-
-class TestQueryHelpers:
-    def test_next_code_pmf_and_cdf(self, model):
-        history = HISTORIES[2]
-        expected = enumerate_next_code_pmf(model, history)
-        last = history[-1]
-        for d, p in expected.items():
-            assert next_code_pmf(model, history, last + d) == pytest.approx(p, abs=1e-12)
-        z = last + 5
-        total = sum(p for d, p in expected.items() if d <= 5)
-        assert next_code_cdf(model, history, z) == pytest.approx(total, abs=1e-12)
 
 
 class TestBarrierWeights:

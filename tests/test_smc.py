@@ -125,11 +125,6 @@ class TestBarrierWeight:
         model = UniformRenewalModel(0.01, 0.02)
         assert barrier_weight(model, (0.1, 0.5), gap=0.4, b_prev=False) == 0.0
 
-    def test_final_segment_weight_is_unit(self):
-        model = PoissonProcessModel(rate=3.0)
-        assert barrier_weight(model, (0.2, 0.9), gap=0.7, b_prev=True,
-                              is_final=True) == 1.0
-
     def test_open_gap_weight_equals_conditional_intensity(self):
         # Both routes evaluate f(d)/P(gap >= d) at the barrier.
         model = WeibullRenewalModel(shape=2.0, scale=1.0)
@@ -251,15 +246,6 @@ class TestConditionalSample:
         assert result.samples == []
         last = result.diagnostics[-1]
         assert last.ess == 0.0 and last.dead_count == 20
-
-    def test_thread_count_does_not_change_output(self):
-        model = WeibullRenewalModel(shape=2.0, scale=0.3)
-        cs = ConstraintSet(z=(0.35, 0.7), b=(True, True))
-        serial = conditional_sample(model, cs, 40, seed=77, jobs=1)
-        threaded = conditional_sample(model, cs, 40, seed=77, jobs=4)
-        assert serial.samples == threaded.samples
-        assert [d.to_dict() for d in serial.diagnostics] == \
-               [d.to_dict() for d in threaded.diagnostics]
 
     def test_diagnostics_cover_interior_barriers(self):
         model = PoissonProcessModel(rate=6.0)
