@@ -50,6 +50,7 @@ def beam_search_sample(model: SequenceModel, constraints: ConstraintSet,
     if b < 1 or f < 1:
         raise ValueError("b and f must be at least 1")
     prefix = list(initial_history)
+    prefix_state = model.initial_state(prefix)
     # scores of the kept paths, which start as f copies of the prefix so that
     # every barrier explores b*f candidates
     kept_lps = [0.0] * f
@@ -57,9 +58,9 @@ def beam_search_sample(model: SequenceModel, constraints: ConstraintSet,
 
     def keep_best(i, b_prev, children):
         nonlocal kept_lps
-        scores = [kept_lps[t] + sum(step_log_probabilities(model, seq[len(parent):],
-                                                           initial_history=parent))
-                  for t, parent, seq, _ in children]
+        scores = [kept_lps[t] + sum(step_log_probabilities(model, seq[len(parent_seq):],
+                                                           parent_seq, parent_state))
+                  for t, (parent_seq, parent_state), seq, _, _ in children]
         order = sorted(range(len(scores)), key=lambda k: -scores[k])
         # a -inf candidate was forced through a zero-probability event; it is
         # not a viable trajectory, so it never enters the kept set
@@ -86,6 +87,6 @@ def beam_search_sample(model: SequenceModel, constraints: ConstraintSet,
                               failed_barrier=diagnostics[-1].barrier_index,
                               diagnostics=diagnostics)
     # one completion per kept trajectory; ranking is already fixed
-    log_probs = [log_probability(model, s[len(prefix):], prefix) for s in samples]
+    log_probs = [log_probability(model, s[len(prefix):], prefix, prefix_state) for s in samples]
     return EnsembleResult(samples=samples, survived=True, failed_barrier=None,
                           diagnostics=diagnostics, log_probs=log_probs)

@@ -17,6 +17,7 @@ from collections import Counter
 from pathlib import Path
 
 from .beam import beam_search_sample
+from .errors import IterationLimitError
 from .models import (PoissonProcessModel, UniformRenewalModel,
                      WeibullRenewalModel, step_log_probabilities)
 from .music.adapter import UnrolledMusicModel
@@ -390,7 +391,7 @@ def main(argv=None) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, IterationLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

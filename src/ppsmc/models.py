@@ -5,6 +5,11 @@ A sequence model describes a point process through the recursion
 on the whole history ``x_{<i}``.  Restricting to a horizon T means sampling
 until the first point beyond T and keeping everything up to it.
 
+A model carries what it needs of the history as a state:
+``initial_state(history)`` builds it once, ``advance(state, t)`` extends it by
+one event and ``gap_law(state)`` gives the law of the next gap.  States are
+never mutated, because resampled particles share them.
+
 Gap distributions expose ``pdf``, ``cdf`` (P(gap <= d)), ``survival``
 (P(gap >= d)) and ``sample``.  For continuous laws survival and 1-cdf agree;
 discrete models must override ``survival`` so that the mass at d itself is
@@ -56,10 +61,40 @@ class InterArrivalDistribution:
 
 
 class SequenceModel:
-    """Maps a history of event times to the distribution of the next gap."""
+    """Maps a history of event times to the distribution of the next gap,
+    through an immutable state that is advanced one event at a time."""
+
+    def initial_state(self, history: Sequence[float]):
+        """The state after ``history``."""
+        raise NotImplementedError
+
+    def advance(self, state, t):
+        """The state after appending time ``t`` to the history of ``state``."""
+        raise NotImplementedError
+
+    def gap_law(self, state) -> InterArrivalDistribution:
+        """Law of the gap that follows the history of ``state``."""
+        raise NotImplementedError
 
     def gap_distribution(self, history: Sequence[float]) -> InterArrivalDistribution:
-        raise NotImplementedError
+        """Law of the gap that follows ``history``; models do not override it."""
+        return self.gap_law(self.initial_state(history))
+
+
+class RenewalModel(SequenceModel):
+    """Independent gaps from one fixed law: the state is None."""
+
+    def __init__(self, gap: InterArrivalDistribution):
+        self._gap = gap
+
+    def initial_state(self, history):
+        return None
+
+    def advance(self, state, t):
+        return None
+
+    def gap_law(self, state):
+        return self._gap
 
 
 class ExponentialGap(InterArrivalDistribution):
@@ -138,20 +173,17 @@ class UniformGap(InterArrivalDistribution):
         return rng.uniform(self.low, self.high)
 
 
-class PoissonProcessModel(SequenceModel):
+class PoissonProcessModel(RenewalModel):
     """Homogeneous Poisson process: memoryless exponential gaps."""
 
     def __init__(self, rate: float):
         if rate <= 0:
             raise ValueError("rate must be positive")
         self.rate = rate
-        self._gap = ExponentialGap(rate)
-
-    def gap_distribution(self, history):
-        return self._gap
+        super().__init__(ExponentialGap(rate))
 
 
-class WeibullRenewalModel(SequenceModel):
+class WeibullRenewalModel(RenewalModel):
     """Renewal process with Weibull gaps (hazard k/c * (d/c)^(k-1))."""
 
     def __init__(self, shape: float, scale: float):
@@ -159,22 +191,16 @@ class WeibullRenewalModel(SequenceModel):
             raise ValueError("shape and scale must be positive")
         self.shape = shape
         self.scale = scale
-        self._gap = WeibullGap(shape, scale)
-
-    def gap_distribution(self, history):
-        return self._gap
+        super().__init__(WeibullGap(shape, scale))
 
 
-class UniformRenewalModel(SequenceModel):
+class UniformRenewalModel(RenewalModel):
     """Renewal process with uniform gaps on [low, high]."""
 
     def __init__(self, low: float, high: float):
-        self._gap = UniformGap(low, high)
+        super().__init__(UniformGap(low, high))
         self.low = low
         self.high = high
-
-    def gap_distribution(self, history):
-        return self._gap
 
 
 def sample_restricted(model: SequenceModel, rng: np.random.Generator,
@@ -189,41 +215,48 @@ def sample_restricted(model: SequenceModel, rng: np.random.Generator,
     """
     events = list(initial_history)
     last = events[-1] if events else 0.0
+    state = model.initial_state(events)
     for _ in range(max_events):
-        d = model.gap_distribution(events).sample(rng)
+        d = model.gap_law(state).sample(rng)
         if d <= 0:
             raise ValueError(f"model produced a non-positive gap: {d!r}")
         last = last + d
         if last > horizon:
             return tuple(events)
         events.append(last)
+        state = model.advance(state, last)
     raise IterationLimitError(f"no point beyond horizon {horizon!r} after {max_events} draws")
 
 
 def step_log_probabilities(model: SequenceModel, seq: Sequence[float],
-                           initial_history: Sequence[float] = ()) -> list[float]:
+                           initial_history: Sequence[float] = (), state=None) -> list[float]:
     """Log density/mass of each gap in ``seq`` under the model, in order.
 
-    A zero-density step yields -inf at its index; no exception is raised.
+    ``state`` is the model state after ``initial_history`` if the caller
+    already holds it; None builds it from the history.  A zero-density step
+    yields -inf at its index; no exception is raised.  The state is never
+    advanced past the last time, which may be one the model cannot reach.
     """
+    if state is None:
+        state = model.initial_state(initial_history)
     out = []
-    history = list(initial_history)
-    last = history[-1] if history else 0.0
-    for t in seq:
+    last = initial_history[-1] if len(initial_history) else 0.0
+    for i, t in enumerate(seq):
         d = t - last
         if d <= 0:
             raise ValueError(f"times must strictly increase, got {t!r} after {last!r}")
-        p = model.gap_distribution(history).pdf(d)
+        if i:
+            state = model.advance(state, last)
+        p = model.gap_law(state).pdf(d)
         out.append(math.log(p) if p > 0 else -math.inf)
-        history.append(t)
         last = t
     return out
 
 
 def log_probability(model: SequenceModel, seq: Sequence[float],
-                    initial_history: Sequence[float] = ()) -> float:
+                    initial_history: Sequence[float] = (), state=None) -> float:
     """Total log probability of a sequence: sum of its step log densities."""
-    return sum(step_log_probabilities(model, seq, initial_history), 0.0)
+    return sum(step_log_probabilities(model, seq, initial_history, state), 0.0)
 
 
 def conditional_intensity(model: SequenceModel, history: Sequence[float], t) -> float:

@@ -19,39 +19,43 @@ needs no action factor.
 
 Gaps are integer code differences, so P(gap >= d) = 1 - cdf(d-1) exactly —
 the mass at d itself stays in the denominator of the barrier hazard.
+
+The model state holds all of the history that f and f' depend on: the
+current tick, the last code and the last max(order-1, 1) symbols, whose final
+one is both a_x and the symbol the mask conditions on.  A history is decoded
+once; each further event is one code decoded and one canonical step.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import NamedTuple
 
 from ..models import InterArrivalDistribution, SequenceModel
-from .encoding import Vocabulary, codes_to_events, events_to_symbols
+from .encoding import (Vocabulary, codes_to_events, decode_event, event_symbols,
+                       events_to_symbols)
 from .ngram import NGramModel
 
 
+class MusicState(NamedTuple):
+    cur_t: int         # tick of the last event (0 before any)
+    last_code: int     # its code (0 before any)
+    tail: tuple        # the last max(order-1, 1) symbols; tail[-1] is its action
+
+
 class _MusicGap(InterArrivalDistribution):
-    def __init__(self, model: NGramModel, vocab: Vocabulary, history_codes: Sequence[int]):
+    def __init__(self, model: NGramModel, vocab: Vocabulary, state: MusicState):
         self.model = model
         self.vocab = vocab
-        events = codes_to_events(history_codes, vocab)
-        self.symbols = events_to_symbols(events, vocab)
-        self.last_code = int(history_codes[-1]) if len(history_codes) else 0
-        if events:
-            self.cur_t = events[-1].t
-            self.last_a = self.symbols[-1]  # final symbol is that event's action
-        else:
-            self.cur_t = 0
-            self.last_a = None
-        self.prev = self.symbols[-1] if self.symbols else None
-        self.ctx = model.context_of(self.symbols)
+        self.cur_t, self.last_code, self.tail = state
+        self.last_a = self.tail[-1] if self.tail else None  # also the masking symbol
+        self.ctx = model.context_of(self.tail)
 
     def _step_pmf(self):
-        return self.model.masked_pmf(self.ctx, self.prev)
+        return self.model.masked_pmf(self.ctx, self.last_a)
 
     def _after_shift(self, shift_sym: int):
-        ctx2 = self.model.context_of(self.symbols + [shift_sym])
+        ctx2 = self.model.context_of(self.tail + (shift_sym,))
         return self.model.masked_pmf(ctx2, shift_sym)
 
     def _split(self, d):
@@ -109,12 +113,12 @@ class _MusicGap(InterArrivalDistribution):
         return max(1.0 - self.cdf(math.ceil(d) - 1), 0.0)
 
     def sample(self, rng):
-        sym = self.model.sample_symbol(self.ctx, self.prev, rng)
+        sym = self.model.sample_symbol(self.ctx, self.last_a, rng)
         if self.vocab.is_action(sym):
             code = self.cur_t * self.vocab.actions + sym
         else:
             dt = self.vocab.shift_amount(sym)
-            ctx2 = self.model.context_of(self.symbols + [sym])
+            ctx2 = self.model.context_of(self.tail + (sym,))
             action = self.model.sample_symbol(ctx2, sym, rng)
             code = (self.cur_t + dt) * self.vocab.actions + action
         return code - self.last_code
@@ -126,7 +130,23 @@ class UnrolledMusicModel(SequenceModel):
     def __init__(self, step_model: NGramModel, vocab: Vocabulary | None = None):
         self.step_model = step_model
         self.vocab = vocab if vocab is not None else step_model.vocab
+        self._keep = max(step_model.order - 1, 1)
 
-    def gap_distribution(self, history):
-        return _MusicGap(self.step_model, self.vocab, history)
+    def initial_state(self, history):
+        events = codes_to_events(history, self.vocab)
+        symbols = events_to_symbols(events, self.vocab)
+        if not events:
+            return MusicState(0, 0, ())
+        return MusicState(events[-1].t, int(history[-1]), tuple(symbols[-self._keep:]))
+
+    def advance(self, state, t):
+        """Raises ValueError where decoding the extended history would: a code
+        below 1, an action that does not ascend within its tick, or a tick gap
+        beyond s_max."""
+        ev = decode_event(int(t), self.vocab)
+        step = event_symbols(ev, state.cur_t, state.tail[-1] if state.tail else None, self.vocab)
+        return MusicState(ev.t, int(t), (state.tail + step)[-self._keep:])
+
+    def gap_law(self, state):
+        return _MusicGap(self.step_model, self.vocab, state)
 

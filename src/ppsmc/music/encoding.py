@@ -115,6 +115,29 @@ def codes_to_events(codes, vocab: Vocabulary = Vocabulary()) -> list[MusicEvent]
     return [decode_event(int(c), vocab) for c in codes]
 
 
+def event_symbols(ev: MusicEvent, cur_t: int, last_a: int | None,
+                  vocab: Vocabulary = Vocabulary()) -> tuple[int, ...]:
+    """Symbols that append ``ev`` to a stream at tick ``cur_t`` whose last
+    action there was ``last_a`` (None if none): a shift if the tick moves,
+    then the event's action.
+
+    Rejects an event out of canonical order and a tick gap beyond s_max.
+    """
+    a_prime = expanded_action(ev, vocab)
+    if ev.t < cur_t:
+        raise ValueError(f"event at tick {ev.t} appears after tick {cur_t}")
+    if ev.t == cur_t:
+        if last_a is not None and a_prime <= last_a:
+            raise ValueError(f"actions within tick {cur_t} must strictly ascend "
+                             f"({a_prime} after {last_a})")
+        return (a_prime,)
+    dt = ev.t - cur_t
+    if dt > vocab.s_max:
+        raise ValueError(f"tick gap {dt} exceeds s_max={vocab.s_max}; "
+                         "re-ingest with a larger s_max")
+    return vocab.shift_symbol(dt), a_prime
+
+
 def events_to_symbols(events, vocab: Vocabulary = Vocabulary()) -> list[int]:
     """Canonical symbol stream of an event list (shift-then-action unrolling).
 
@@ -124,22 +147,9 @@ def events_to_symbols(events, vocab: Vocabulary = Vocabulary()) -> list[int]:
     cur_t = 0
     last_a = None  # expanded action of the previous event at cur_t
     for ev in events:
-        a_prime = expanded_action(ev, vocab)
-        if ev.t < cur_t:
-            raise ValueError(f"event at tick {ev.t} appears after tick {cur_t}")
-        if ev.t == cur_t:
-            if last_a is not None and a_prime <= last_a:
-                raise ValueError(f"actions within tick {cur_t} must strictly ascend "
-                                 f"({a_prime} after {last_a})")
-        else:
-            dt = ev.t - cur_t
-            if dt > vocab.s_max:
-                raise ValueError(f"tick gap {dt} exceeds s_max={vocab.s_max}; "
-                                 "re-ingest with a larger s_max")
-            symbols.append(vocab.shift_symbol(dt))
-            cur_t = ev.t
-        symbols.append(a_prime)
-        last_a = a_prime
+        step = event_symbols(ev, cur_t, last_a, vocab)
+        symbols.extend(step)
+        cur_t, last_a = ev.t, step[-1]
     return symbols
 
 

@@ -79,7 +79,7 @@ def enumerate_conditional(model: GridModel, observed: Iterable[int]) -> dict[tup
 class _GridGap(InterArrivalDistribution):
     """Gap law from the current position: geometric-like over remaining cells."""
 
-    def __init__(self, model: GridModel, prefix: list):
+    def __init__(self, model: GridModel, prefix: tuple):
         self.model = model
         self.prefix = prefix  # occupancy bits of all decided cells
 
@@ -138,17 +138,28 @@ class _GridGap(InterArrivalDistribution):
 class GridSequenceModel(SequenceModel):
     """Point-process view of a grid chain: occupied cell i = event at time i+1.
 
-    Integer times keep barrier equality exact; use ``horizon=model.n``.
+    Integer times keep barrier equality exact; use ``horizon=model.n``.  The
+    state is the tuple of occupancy bits of the cells up to the last event.
     """
 
     def __init__(self, model: GridModel):
         self.model = model
 
-    def gap_distribution(self, history):
+    def initial_state(self, history):
         last = int(history[-1]) if len(history) else 0
         present = set(history)
-        prefix = [1 if (j + 1) in present else 0 for j in range(last)]
-        return _GridGap(self.model, prefix)
+        return tuple(1 if (j + 1) in present else 0 for j in range(last))
+
+    def advance(self, state, t):
+        # the cells after the previous event stay vacant up to t's own cell,
+        # which is occupied if t is a cell time
+        skipped = int(t) - len(state)
+        if skipped < 1:
+            return state
+        return state + (0,) * (skipped - 1) + (1 if t == int(t) else 0,)
+
+    def gap_law(self, state):
+        return _GridGap(self.model, state)
 
 
 def observed_constraints(observed: Iterable[int]) -> ConstraintSet:

@@ -136,53 +136,53 @@ class EnsembleResult:
     log_probs: list | None = field(default=None)  # filled by beam search
 
 
-def propose_segment(model: SequenceModel, history: Sequence[float], z: float,
+def propose_segment(model: SequenceModel, state, last: float, z: float,
                     b_prev: bool, rng, horizon: float = 1.0,
-                    max_events: int = MAX_EVENTS) -> tuple[list, float | None, bool]:
-    """Extend one particle up to barrier ``z`` (math.inf for the open tail).
+                    max_events: int = MAX_EVENTS) -> tuple[list, float | None, bool, object]:
+    """Extend one particle, in model state ``state`` with its last event at
+    ``last``, up to barrier ``z`` (math.inf for the open tail).
 
-    Returns ``(segment, gap, clipped)``: the appended times, the final gap
-    (None if nothing was appended), and whether the last element sits exactly
-    on the barrier.  With ``b_prev`` False the barrier is appended directly
-    (or nothing, for the final segment).
+    Returns ``(segment, gap, clipped, state)``: the appended times, the final
+    gap (None if nothing was appended), whether the last element sits exactly
+    on the barrier, and the state the final gap was drawn in (the given state
+    if nothing was appended).  That state is not advanced past the last
+    element: a clipped barrier may be a time the model cannot reach, and only
+    a path that is kept needs the step.  With ``b_prev`` False the barrier is
+    appended directly (or nothing, for the final segment).
     """
-    last = history[-1] if len(history) else 0.0
     if not b_prev:
         if math.isinf(z):
-            return [], None, False
-        return [z], z - last, True
-    working = list(history)
+            return [], None, False, state
+        return [z], z - last, True, state
     segment = []
-    steps = 0
+    prev = last
     while not (last == z or last >= horizon):
-        if steps >= max_events:
+        if len(segment) >= max_events:
             raise IterationLimitError(f"segment did not reach barrier {z!r} within {max_events} draws")
-        d = model.gap_distribution(working).sample(rng)
+        if segment:
+            state = model.advance(state, last)
+        d = model.gap_law(state).sample(rng)
         if d <= 0:
             raise ValueError(f"model produced a non-positive gap: {d!r}")
         candidate = last + d
-        nxt = candidate if candidate < z else z
-        segment.append(nxt)
-        working.append(nxt)
-        last = nxt
-        steps += 1
+        prev, last = last, (candidate if candidate < z else z)
+        segment.append(last)
     if not segment:
-        return [], None, False
-    prev = working[-2] if len(working) >= 2 else 0.0
-    return segment, last - prev, last == z
+        return [], None, False, state
+    return segment, last - prev, last == z, state
 
 
-def barrier_weight(model: SequenceModel, seq: Sequence[float], gap,
-                   b_prev: bool) -> float:
-    """Importance weight of one particle whose last element is the barrier.
+def barrier_weight(model: SequenceModel, state, gap, b_prev: bool) -> float:
+    """Importance weight of one particle whose last element is the barrier,
+    reached by ``gap`` from a history in model state ``state``.
 
     Free segment: f(d)/P(gap >= d) — the hazard at the clipped gap.  Forbidden
     segment: f(d), the density of the forced append.  A zero density gives
     weight 0 (a dead particle is legal); an underflowed survival raises
     SaturatedCdfError.
     """
-    dist = model.gap_distribution(seq[:-1])
-    return dist.hazard(gap) if b_prev else dist.pdf(gap)
+    law = model.gap_law(state)
+    return law.hazard(gap) if b_prev else law.pdf(gap)
 
 
 def effective_sample_size(weights: Sequence[float]) -> float:
@@ -255,15 +255,19 @@ def run_barriers(model: SequenceModel, constraints: ConstraintSet, seed: int,
     """Extend ``width`` copies of the history barrier by barrier; the loop
     shared by the particle filter and the beam baseline.
 
-    At interior barrier i (0-based) path t spawns ``branching`` children;
-    child j proposes its segment on stream (seed, KIND_PROPOSAL, i, t*branching
-    + j).  ``select(i, b_prev, children)`` receives the children as
-    ``(t, parent, seq, gap)`` tuples, ``seq`` being the parent extended by its
-    segment, and returns the indices of the children that become the next
-    paths, or None when none can continue; the run then stops and returns
-    None.  After the last barrier path t draws its open tail on stream
-    (seed, KIND_PROPOSAL, r, t), and the completed paths come back as tuples
-    truncated at the horizon.
+    A path is a pair ``(seq, state)``: its times and the model state after
+    them.  At interior barrier i (0-based) path t spawns ``branching``
+    children; child j proposes its segment on stream (seed, KIND_PROPOSAL, i,
+    t*branching + j).  ``select(i, b_prev, children)`` receives the children
+    as ``(t, parent, seq, gap, state)`` tuples, ``parent`` being path t,
+    ``seq`` its times extended by the segment and ``state`` the model state
+    the final gap was drawn in, and returns the indices of the children that
+    become the next paths, or None when none can continue; the run then
+    stops and returns None.  Only kept children are advanced past the
+    barrier, so a dead child clipped at a time the model cannot reach is
+    never stepped into.  After the last barrier path t draws its open tail on
+    stream (seed, KIND_PROPOSAL, r, t), and the completed paths come back as
+    tuples truncated at the horizon.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
@@ -275,27 +279,30 @@ def run_barriers(model: SequenceModel, constraints: ConstraintSet, seed: int,
         if constraints.z[-1] > horizon:
             raise ValueError(f"constraint {constraints.z[-1]!r} lies beyond the horizon {horizon!r}")
     flags = [True, *constraints.b]
-    paths = [list(initial_history)] * width
+    paths = [(list(initial_history), model.initial_state(initial_history))] * width
+
+    def propose(path, z, b_prev, rng):
+        seq, state = path
+        return propose_segment(model, state, seq[-1] if seq else 0.0, z, b_prev, rng,
+                               horizon=horizon, max_events=max_events)
 
     for i, z in enumerate(constraints.z):
         children = []
         for t, parent in enumerate(paths):
             for j in range(branching):
                 g = stream(seed, KIND_PROPOSAL, i, t * branching + j)
-                seg, gap, _ = propose_segment(model, parent, z, flags[i], g,
-                                              horizon=horizon, max_events=max_events)
-                children.append((t, parent, parent + seg, gap))
+                seg, gap, _, state = propose(parent, z, flags[i], g)
+                children.append((t, parent, parent[0] + seg, gap, state))
         kept = select(i, flags[i], children)
         if kept is None:
             return None
-        paths = [children[k][2] for k in kept]
+        paths = [(children[k][2], model.advance(children[k][4], z)) for k in kept]
 
     samples = []
     for t, parent in enumerate(paths):
         g = stream(seed, KIND_PROPOSAL, constraints.r, t)
-        seg, _, _ = propose_segment(model, parent, math.inf, flags[-1], g,
-                                    horizon=horizon, max_events=max_events)
-        seq = parent + seg
+        seg, _, _, _ = propose(parent, math.inf, flags[-1], g)
+        seq = parent[0] + seg
         while seq and seq[-1] > horizon:
             seq.pop()
         samples.append(tuple(seq))
@@ -319,7 +326,7 @@ def conditional_sample(model: SequenceModel, constraints: ConstraintSet,
     diagnostics = []
 
     def resample(i, b_prev, children):
-        weights = [barrier_weight(model, seq, gap, b_prev) for _, _, seq, gap in children]
+        weights = [barrier_weight(model, state, gap, b_prev) for *_, gap, state in children]
         dead = sum(1 for w in weights if w == 0)
         all_dead = dead == num_particles
         ess = 0.0 if all_dead else effective_sample_size(weights)

@@ -39,7 +39,7 @@ def _report(criterion: str, ok: bool, detail: str) -> None:
     assert ok, f"{criterion}: {detail}"
 
 
-def tiny_music_model() -> UnrolledMusicModel:
+def tiny_music_model(order: int = 2) -> UnrolledMusicModel:
     s1, s2 = TINY.shift_symbol(1), TINY.shift_symbol(2)
     streams = [
         [1, 3, s1, 1, 3, s1, 2, 4, s1, 1, 3],
@@ -48,7 +48,7 @@ def tiny_music_model() -> UnrolledMusicModel:
         [1, 3, s1, 1, 3, s2, 1, 3, s1, 1, 4],
         [1, 2, s1, 1, 3, s1, 1, 3, s1, 3, 4],
     ]
-    return UnrolledMusicModel(train_ngram(streams, TINY, order=2, alpha=0.3))
+    return UnrolledMusicModel(train_ngram(streams, TINY, order=order, alpha=0.3))
 
 
 def test_criterion_1_filter_matches_exact_enumeration():
@@ -119,7 +119,7 @@ def test_criterion_3_weibull_barrier_weight_is_the_hazard():
     worst = 0.0
     for d in rng.uniform(0.0, 1.0, size=100):
         d = float(d) or 1e-9
-        w = barrier_weight(model, (d,), gap=d, b_prev=True)
+        w = barrier_weight(model, model.initial_state(()), gap=d, b_prev=True)
         worst = max(worst, abs(w - 2.0 * d) / (2.0 * d))
     ok = worst < 1e-9
     _report("criterion 3 (weight equals hazard)", ok,

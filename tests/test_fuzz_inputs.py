@@ -1,9 +1,10 @@
 """Seeded fuzzing of the files the command line reads.
 
 Malformed constraint files, event files and MIDI files must end in exit code
-1 with an ``error:`` line on stderr, never in an uncaught exception.  Inputs
-are mangled by a seeded ``numpy.random.default_rng``, as in acceptance
-criterion 4, so every run tries the same cases.
+1 with an ``error:`` line on stderr, never in an uncaught exception; so must a
+model that cannot reach a barrier within the draw limit.  Inputs are mangled
+by a seeded ``numpy.random.default_rng``, as in acceptance criterion 4, so
+every run tries the same cases.
 """
 
 from __future__ import annotations
@@ -92,6 +93,14 @@ class TestConstraintFiles:
             code = main(["sample", "--model", str(model_path), "--constraints", str(path),
                          "--seed", "1", "--particles", "4", "--out", str(tmp_path / "out")])
             assert_error_exit(code, capsys, f"trial {trial}: {payload}")
+
+    def test_segment_over_the_draw_limit_exits_1(self, tmp_path, capsys):
+        """A rate so high that the first barrier needs over a million draws."""
+        path = tmp_path / "cs.json"
+        path.write_text(json.dumps({"z": [0.5], "b": [True]}))
+        code = main(["sample", "--model", "poisson:rate=1e7", "--constraints", str(path),
+                     "--particles", "1", "--seed", "1", "--out", str(tmp_path / "out")])
+        assert_error_exit(code, capsys, "poisson:rate=1e7")
 
 
 PIECE = [(0, 61), (0, 65), (2400, 68), (2400, 189), (2400, 193), (4800, 196)]

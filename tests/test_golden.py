@@ -1,9 +1,12 @@
 """Golden determinism: fixed seeds must keep producing the same bytes.
 
 Each case runs the filter or the beam once and hashes the repr of its
-samples, diagnostics and log-probabilities.  The digests were recorded when
-the filter and the beam still ran separate barrier loops, so any change in
-the order in which random streams are keyed or consumed fails here, even
+samples, diagnostics and log-probabilities; the "steps" cases hash the step
+log-probabilities of a fixed sequence instead.  The first eight digests were
+recorded when the filter and the beam still ran separate barrier loops, the
+long-prefix music digests when every gap law still re-decoded its whole
+history, so any change in the order in which random streams are keyed or
+consumed, or in the model state a gap law is built from, fails here, even
 where the statistical tests would still pass.
 """
 
@@ -15,7 +18,9 @@ import pytest
 from test_acceptance import TINY, tiny_music_model
 
 from ppsmc.beam import beam_search_sample
-from ppsmc.models import PoissonProcessModel, UniformRenewalModel
+from ppsmc.models import (PoissonProcessModel, UniformRenewalModel,
+                          step_log_probabilities)
+from ppsmc.music.encoding import events_to_codes, symbols_to_events
 from ppsmc.oracle import GridModel, GridSequenceModel, observed_constraints
 from ppsmc.smc import ConstraintSet, conditional_sample
 
@@ -46,6 +51,33 @@ def _music():
     return tiny_music_model(), cs, {"horizon": 6 * acts, "initial_history": (1,)}
 
 
+def long_prefix(ticks: int = 60) -> list:
+    """Canonical codes of two actions a tick for ``ticks`` ticks, shifts of 1 and 2
+    (120 codes over 90 ticks by default)."""
+    symbols = []
+    for k in range(ticks):
+        symbols += [1 + k % 3, 4, TINY.shift_symbol(1 + k % 2)]
+    return events_to_codes(symbols_to_events(symbols[:-1], TINY), TINY)
+
+
+def _long_music(order: int):
+    def problem():
+        prefix = long_prefix()
+        acts = TINY.actions
+        end = (prefix[-1] - 1) // acts  # tick of the last prefix event
+        cs = ConstraintSet(z=((end + 2) * acts + 1, (end + 4) * acts + 3, (end + 5) * acts + 2),
+                           b=(True, False, True))
+        return (tiny_music_model(order), cs,
+                {"horizon": (end + 7) * acts, "initial_history": tuple(prefix)})
+
+    return problem
+
+
+def _music_steps():
+    codes = long_prefix()
+    return tiny_music_model(3), codes[40:], {"initial_history": codes[:40]}
+
+
 def _dying():
     cs = ConstraintSet(z=(0.1, 0.5), b=(False, False))
     return UniformRenewalModel(0.01, 0.02), cs, {}
@@ -68,16 +100,29 @@ CASES = {  # name: (problem, sampler, size arguments, seed, digest)
                      "160c5d6c0db3fef0"),
     "dying-beam": (_dying, "beam", (3, 3), 2,
                    "7c2651b037eb0049"),
+    "music-order1-filter": (_long_music(1), "filter", (50,), 71,
+                            "69834ec9c3566820"),
+    "music-order1-beam": (_long_music(1), "beam", (4, 5), 71,
+                          "114e178f103ac810"),
+    "music-order3-filter": (_long_music(3), "filter", (50,), 73,
+                            "ee4d6123a46e17c1"),
+    "music-order3-beam": (_long_music(3), "beam", (4, 5), 73,
+                          "e39643015d1462ce"),
+    "music-steps": (_music_steps, "steps", (), None,
+                    "23670cb63ebf83d7"),
 }
 
 
 def run_digest(name: str) -> str:
     problem, sampler, sizes, seed, _ = CASES[name]
-    model, cs, kwargs = problem()
-    run = conditional_sample if sampler == "filter" else beam_search_sample
-    result = run(model, cs, *sizes, seed, **kwargs)
-    text = repr((result.survived, result.failed_barrier, result.samples,
-                 [d.to_dict() for d in result.diagnostics], result.log_probs))
+    model, task, kwargs = problem()
+    if sampler == "steps":
+        text = repr(step_log_probabilities(model, task, **kwargs))
+    else:
+        run = conditional_sample if sampler == "filter" else beam_search_sample
+        result = run(model, task, *sizes, seed, **kwargs)
+        text = repr((result.survived, result.failed_barrier, result.samples,
+                     [d.to_dict() for d in result.diagnostics], result.log_probs))
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 

@@ -1,0 +1,142 @@
+"""Incremental model state: advancing event by event must match decoding the
+whole history, and must cost one decode of the history per run.
+
+Every model exposes ``initial_state(history)``, ``advance(state, t)`` and
+``gap_law(state)``; ``gap_distribution(history)`` is their composition.  The
+filter and the beam walk the state, so the laws they see must be bit-equal to
+those built from the full history, draw for draw.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from test_acceptance import TINY, tiny_music_model
+from test_golden import ORDER2, long_prefix
+
+from ppsmc.beam import beam_search_sample
+from ppsmc.errors import SaturatedCdfError
+from ppsmc.models import PoissonProcessModel, UniformRenewalModel, WeibullRenewalModel
+from ppsmc.music import adapter
+from ppsmc.oracle import GridModel, GridSequenceModel
+from ppsmc.smc import ConstraintSet, conditional_sample
+
+ACTS = TINY.actions
+
+
+def _grid(n: int = 12) -> GridSequenceModel:
+    def g(bits):
+        return ORDER2[(bits[-2] if len(bits) >= 2 else 0, bits[-1] if bits else 0)]
+
+    return GridSequenceModel(GridModel(n=n, g=g))
+
+
+def _evaluate(fn, d):
+    """fn(d), or the type of the exception it raises."""
+    try:
+        return fn(d)
+    except (ValueError, SaturatedCdfError) as exc:
+        return type(exc)
+
+
+MUSIC_GAPS = [0, 0.5, 2.5, *range(1, (TINY.s_max + 2) * ACTS + 2)]
+CASES = {  # name: (model, history, gaps at which every law is evaluated)
+    "poisson": (PoissonProcessModel(rate=3.0), (0.1, 0.25, 0.7), [0.0, 0.05, 0.3, 1.2]),
+    "weibull": (WeibullRenewalModel(shape=2.0, scale=0.5), (0.2, 0.9), [0.0, 0.1, 0.4, 2.0]),
+    "uniform": (UniformRenewalModel(0.1, 0.3), (0.15, 0.4), [0.05, 0.1, 0.2, 0.3, 0.35]),
+    "grid": (_grid(), (1, 2, 5, 6.5, 9), [0.5, 1, 1.5, 2, 3, 4, 7, 13]),
+    "music-order1": (tiny_music_model(1), tuple(long_prefix(20)), MUSIC_GAPS),
+    "music-order2": (tiny_music_model(2), tuple(long_prefix(20)), MUSIC_GAPS),
+    "music-order3": (tiny_music_model(3), tuple(long_prefix(20)), MUSIC_GAPS),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_advancing_matches_the_full_history(name):
+    model, history, gaps = CASES[name]
+    state = model.initial_state(())
+    for k in range(len(history) + 1):
+        walked = model.gap_law(state)
+        full = model.gap_distribution(history[:k])
+        for method in ("pdf", "cdf", "survival", "hazard"):
+            for d in gaps:
+                assert (_evaluate(getattr(walked, method), d)
+                        == _evaluate(getattr(full, method), d)), (k, method, d)
+        for seed in range(5):
+            assert (walked.sample(np.random.default_rng(seed))
+                    == full.sample(np.random.default_rng(seed))), (k, seed)
+        assert state == model.initial_state(history[:k])
+        if k < len(history):
+            state = model.advance(state, history[k])
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_advance_raises_where_decoding_the_history_raises(order):
+    model = tiny_music_model(order)
+    history = list(long_prefix(5))
+    last = history[-1]
+    state = model.initial_state(history)
+    bad = {"repeated action": last + 0.5,  # decodes to the last code again
+           "tick gap beyond s_max": last + (TINY.s_max + 1) * ACTS}
+    for what, t in bad.items():
+        with pytest.raises(ValueError):
+            model.gap_distribution(history + [t])
+        with pytest.raises(ValueError, match="ascend" if "action" in what else "s_max"):
+            model.advance(state, t)
+    good = last + TINY.s_max * ACTS
+    assert model.advance(state, good) == model.initial_state(history + [good])
+    with pytest.raises(ValueError):
+        model.advance(model.initial_state(()), 0.5)  # decodes to code 0
+
+
+@pytest.mark.parametrize("barrier", ["repeated action", "tick gap beyond s_max"])
+def test_children_clipped_at_unreachable_codes_die_without_raising(barrier):
+    """Every child is clipped at a code the model cannot step into; the run
+    reports the death instead of advancing into the code."""
+    model = tiny_music_model()
+    prefix = long_prefix(5)
+    end = prefix[-1]
+    if barrier == "repeated action":  # free segment, clipped half a code past the prefix
+        cs, failed = ConstraintSet(z=(end + 0.5, end + 3 * ACTS), b=(True, True)), 1
+    else:  # forced append more than s_max ticks after the first barrier
+        z1 = end + ACTS
+        cs, failed = ConstraintSet(z=(z1, z1 + (TINY.s_max + 1) * ACTS), b=(False, True)), 2
+    kwargs = {"horizon": cs.z[-1] + 2 * ACTS, "initial_history": prefix}
+    filt = conditional_sample(model, cs, 20, 3, **kwargs)
+    beam = beam_search_sample(model, cs, 3, 4, 3, **kwargs)
+    assert (filt.survived, filt.failed_barrier) == (False, failed)
+    assert filt.diagnostics[-1].dead_count == 20
+    assert (beam.survived, beam.failed_barrier) == (False, failed)
+
+
+def test_history_is_decoded_once_per_run(monkeypatch):
+    """Codes decoded per filter or beam run are a small multiple of the prefix
+    length and do not grow with particles or proposed events."""
+    decoded = []
+    real = adapter.codes_to_events
+
+    def counting(codes, vocab):
+        decoded.append(len(codes))
+        return real(codes, vocab)
+
+    monkeypatch.setattr(adapter, "codes_to_events", counting)
+    model = tiny_music_model()
+    prefix = long_prefix(100)
+    assert len(prefix) == 200
+    end = (prefix[-1] - 1) // ACTS
+    cs = ConstraintSet(z=((end + 2) * ACTS + 1, (end + 5) * ACTS + 2, (end + 8) * ACTS + 3),
+                       b=(True, True, True))
+    kwargs = {"horizon": (end + 10) * ACTS, "initial_history": prefix}
+
+    def count(run):
+        decoded.clear()
+        result = run()
+        assert result.survived
+        return sum(decoded)
+
+    small = count(lambda: conditional_sample(model, cs, 10, 5, **kwargs))
+    large = count(lambda: conditional_sample(model, cs, 60, 5, **kwargs))
+    assert small == large <= 2 * len(prefix)
+    small = count(lambda: beam_search_sample(model, cs, 2, 3, 5, **kwargs))
+    large = count(lambda: beam_search_sample(model, cs, 6, 8, 5, **kwargs))
+    assert small == large <= 3 * len(prefix)

@@ -197,7 +197,13 @@ class TestLogProbability:
                 return 1.0 / V if d == int(d) and 1 <= d <= V else 0.0
 
         class UniformCodeModel(SequenceModel):
-            def gap_distribution(self, history):
+            def initial_state(self, history):
+                return None
+
+            def advance(self, state, t):
+                return None
+
+            def gap_law(self, state):
                 return UniformCodeGap()
 
         seq = (2.0, 3.0, 8.0, 9.0)

@@ -118,16 +118,15 @@ class TestBarrierWeights:
     def test_clip_weight_is_the_discrete_hazard(self, model):
         history = HISTORIES[1]
         gap = model.gap_distribution(tuple(history))
+        state = model.initial_state(tuple(history))
         for d in (1, 3, 6, 9):
-            seq = tuple(history) + (history[-1] + d,)
-            w = barrier_weight(model, seq, gap=float(d), b_prev=True)
+            w = barrier_weight(model, state, gap=float(d), b_prev=True)
             assert w == pytest.approx(gap.pdf(d) / gap.survival(d), rel=1e-12)
 
     def test_forbidden_gap_weight_is_the_pmf(self, model):
         history = HISTORIES[1]
         gap = model.gap_distribution(tuple(history))
-        seq = tuple(history) + (history[-1] + 4,)
-        w = barrier_weight(model, seq, gap=4.0, b_prev=False)
+        w = barrier_weight(model, model.initial_state(tuple(history)), gap=4.0, b_prev=False)
         assert w == pytest.approx(gap.pdf(4.0), rel=1e-12)
 
 

@@ -110,8 +110,8 @@ class TestGridGapAdapter:
         model = order2_grid(8)
         seq_model = GridSequenceModel(model)
         # History occupies cells 0 and 2 (times 1 and 3); barrier at cell 5.
-        seq = (1.0, 3.0, 6.0)
-        w = barrier_weight(seq_model, seq, gap=3.0, b_prev=True)
+        state = seq_model.initial_state((1.0, 3.0))
+        w = barrier_weight(seq_model, state, gap=3.0, b_prev=True)
         assert w == pytest.approx(model.g((1, 0, 1, 0, 0)), rel=1e-12)
 
     def test_sampled_times_match_pdf(self):

@@ -76,7 +76,8 @@ class TestProposeSegment:
     def test_closed_gap_appends_barrier_directly(self):
         model = PoissonProcessModel(rate=2.0)
         rng = stream(0, KIND_PROPOSAL, 0)
-        seg, gap, clipped = propose_segment(model, [0.2], 0.7, False, rng)
+        seg, gap, clipped, _ = propose_segment(model, model.initial_state([0.2]), 0.2, 0.7,
+                                               False, rng)
         assert seg == [0.7]
         assert gap == pytest.approx(0.5)
         assert clipped
@@ -84,7 +85,7 @@ class TestProposeSegment:
     def test_open_gap_ends_exactly_at_barrier(self):
         model = PoissonProcessModel(rate=50.0)
         rng = stream(1, KIND_PROPOSAL, 0)
-        seg, gap, clipped = propose_segment(model, [], 0.5, True, rng)
+        seg, gap, clipped, _ = propose_segment(model, model.initial_state([]), 0.0, 0.5, True, rng)
         assert seg[-1] == 0.5
         assert all(t < 0.5 for t in seg[:-1])
         assert clipped
@@ -93,8 +94,8 @@ class TestProposeSegment:
     def test_final_segment_stops_after_crossing_horizon(self):
         model = PoissonProcessModel(rate=10.0)
         rng = stream(2, KIND_PROPOSAL, 0)
-        seg, gap, clipped = propose_segment(model, [0.5], math.inf, True, rng,
-                                            horizon=1.0)
+        seg, gap, clipped, _ = propose_segment(model, model.initial_state([0.5]), 0.5, math.inf,
+                                               True, rng, horizon=1.0)
         assert not clipped
         # At most the last point overshoots; the caller trims it.
         assert all(t <= 1.0 for t in seg[:-1])
@@ -105,7 +106,7 @@ class TestBarrierWeight:
     def test_open_gap_weight_is_hazard(self):
         """Clipping an exponential gap weights by its constant rate."""
         model = PoissonProcessModel(rate=3.0)
-        w = barrier_weight(model, (0.2, 0.5), gap=0.3, b_prev=True)
+        w = barrier_weight(model, model.initial_state((0.2,)), gap=0.3, b_prev=True)
         assert w == pytest.approx(3.0, rel=1e-12)
 
     def test_weibull_hazard_form(self):
@@ -113,23 +114,23 @@ class TestBarrierWeight:
         model = WeibullRenewalModel(shape=2.0, scale=1.0)
         rng = np.random.default_rng(17)
         for d in rng.uniform(0.01, 0.99, size=25):
-            w = barrier_weight(model, (d,), gap=d, b_prev=True)
+            w = barrier_weight(model, model.initial_state(()), gap=d, b_prev=True)
             assert w == pytest.approx(2.0 * d, rel=1e-9)
 
     def test_closed_gap_weight_is_density(self):
         model = PoissonProcessModel(rate=3.0)
-        w = barrier_weight(model, (0.2, 0.5), gap=0.3, b_prev=False)
+        w = barrier_weight(model, model.initial_state((0.2,)), gap=0.3, b_prev=False)
         assert w == pytest.approx(3.0 * math.exp(-0.9), rel=1e-12)
 
     def test_unreachable_gap_gets_zero_weight(self):
         model = UniformRenewalModel(0.01, 0.02)
-        assert barrier_weight(model, (0.1, 0.5), gap=0.4, b_prev=False) == 0.0
+        assert barrier_weight(model, model.initial_state((0.1,)), gap=0.4, b_prev=False) == 0.0
 
     def test_open_gap_weight_equals_conditional_intensity(self):
         # Both routes evaluate f(d)/P(gap >= d) at the barrier.
         model = WeibullRenewalModel(shape=2.0, scale=1.0)
         history, z = (0.1, 0.35), 0.8
-        w = barrier_weight(model, history + (z,), gap=z - 0.35, b_prev=True)
+        w = barrier_weight(model, model.initial_state(history), gap=z - 0.35, b_prev=True)
         assert w == conditional_intensity(model, history, z)
 
 
