@@ -21,6 +21,7 @@ the very start nothing is forbidden.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,7 +41,7 @@ class Vocabulary:
         if self.a_max < 1 or self.s_max < 1 or self.parts < 1:
             raise ValueError("a_max, s_max and parts must all be positive")
 
-    @property
+    @cached_property  # read in the adapter's inner loop; not a field, so eq/repr ignore it
     def actions(self) -> int:
         return self.a_max * self.parts
 

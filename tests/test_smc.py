@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from ppsmc.beam import beam_search_sample
 from ppsmc.models import (PoissonProcessModel, UniformRenewalModel,
                           WeibullRenewalModel, conditional_intensity,
                           sample_restricted)
@@ -289,3 +292,79 @@ class TestSeedStreams:
             stream(1, 0, 2 ** 16, 0)
         with pytest.raises(ValueError):
             stream(1, 0, 0, 2 ** 32)
+        with pytest.raises(ValueError):
+            stream(1, -1, 0, 0)
+        with pytest.raises(ValueError):
+            stream(1, 2 ** 16, 0, 0)
+
+    @pytest.mark.parametrize("seed, kind, barrier, particle", [
+        (0, 0, 0, 0),
+        (2 ** 63 + 12345, 1, 7, 3),
+        (-42, 0, 2 ** 16 - 1, 2 ** 32 - 1),
+        (2 ** 64 - 1, 1, 2 ** 16 - 1, 0),
+    ])
+    def test_draws_equal_a_fresh_philox(self, seed, kind, barrier, particle):
+        """A re-keyed stream draws exactly what a newly built Philox would,
+        even after the previous stream was left mid-buffer with a spare
+        32-bit half pending."""
+        def draws(g):
+            return [g.exponential(0.5), g.weibull(1.7), g.uniform(0.2, 0.9),
+                    *g.random(5), g.integers(0, 1000, size=3).tolist(),
+                    g.random(dtype=np.float32)]
+
+        key = np.array([seed % 2 ** 64, (kind << 48) | (barrier << 32) | particle],
+                       dtype=np.uint64)
+        expected = draws(np.random.Generator(np.random.Philox(key=key)))
+        previous = stream(seed + 1, 1 - kind, barrier, particle)
+        previous.random()
+        previous.random(dtype=np.float32)  # leaves has_uint32 set
+        assert previous.bit_generator.state["has_uint32"] == 1
+        assert draws(stream(seed, kind, barrier, particle)) == expected
+
+    def test_threads_match_serial_runs(self):
+        """A filter and a beam running at once on two threads each return
+        exactly their serial result: every thread re-keys its own generator."""
+        model = PoissonProcessModel(rate=30.0)
+        cs = ConstraintSet(z=tuple(k / 100 for k in range(1, 100)), b=(True,) * 99)
+        runs = {"filter": lambda: conditional_sample(model, cs, 200, seed=8),
+                "beam": lambda: beam_search_sample(model, cs, b=10, f=20, seed=8)}
+        serial = {name: run() for name, run in runs.items()}
+        start = threading.Barrier(len(runs))
+        threaded = {}
+
+        def work(name):
+            start.wait()
+            threaded[name] = runs[name]()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, between draws
+        try:
+            threads = [threading.Thread(target=work, args=(name,)) for name in runs]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
+        assert serial["filter"].survived and serial["beam"].log_probs
+
+    def test_a_filter_run_builds_one_generator(self, monkeypatch):
+        """A whole filter run on a fresh thread builds exactly one Philox."""
+        built = []
+        philox = np.random.Philox
+
+        def counting(*args, **kwargs):
+            built.append(1)
+            return philox(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counting)
+        model = PoissonProcessModel(rate=30.0)
+        cs = ConstraintSet(z=(0.2, 0.4, 0.6, 0.8), b=(True,) * 4)
+        results = []
+        th = threading.Thread(
+            target=lambda: results.append(conditional_sample(model, cs, 50, seed=3)))
+        th.start()
+        th.join()
+        assert results and results[0].survived
+        assert len(built) == 1
