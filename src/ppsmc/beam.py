@@ -11,11 +11,10 @@ the conditional law.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
-from .models import (MAX_EVENTS, SequenceModel, log_probability,
-                     step_log_probabilities)
+from .models import SequenceModel, log_probability, step_log_probabilities
 from .smc import ConstraintSet, EnsembleResult, run_barriers
 
 
@@ -27,18 +26,13 @@ class BeamBarrierDiagnostics:
     kept_max_logprob: float
     discarded_max_logprob: float  # -inf when nothing was discarded
 
-    def to_dict(self) -> dict:
-        return {"barrier_index": self.barrier_index, "explored": self.explored,
-                "kept_min_logprob": self.kept_min_logprob,
-                "kept_max_logprob": self.kept_max_logprob,
-                "discarded_max_logprob": self.discarded_max_logprob}
+    to_dict = asdict
 
 
 def beam_search_sample(model: SequenceModel, constraints: ConstraintSet,
                        b: int, f: int, seed: int, *,
                        horizon: float = 1.0,
-                       initial_history: Sequence[float] = (),
-                       max_events: int = MAX_EVENTS) -> EnsembleResult:
+                       initial_history: Sequence[float] = ()) -> EnsembleResult:
     """Sample constraint-satisfying sequences by likelihood-ranked search.
 
     Returns the kept trajectories (f of them, fewer if not that many remained
@@ -54,7 +48,6 @@ def beam_search_sample(model: SequenceModel, constraints: ConstraintSet,
     # scores of the kept paths, which start as f copies of the prefix so that
     # every barrier explores b*f candidates
     kept_lps = [0.0] * f
-    diagnostics = []
 
     def keep_best(i, b_prev, children):
         nonlocal kept_lps
@@ -65,28 +58,18 @@ def beam_search_sample(model: SequenceModel, constraints: ConstraintSet,
         # a -inf candidate was forced through a zero-probability event; it is
         # not a viable trajectory, so it never enters the kept set
         viable = [k for k in order if scores[k] > -math.inf]
-        if not viable:
-            diagnostics.append(BeamBarrierDiagnostics(
-                barrier_index=i + 1, explored=len(scores),
-                kept_min_logprob=-math.inf, kept_max_logprob=-math.inf,
-                discarded_max_logprob=-math.inf))
-            return None
         kept = viable[:f]
         kept_lps = [scores[k] for k in kept]
-        discarded = [scores[k] for k in viable[f:]]
-        diagnostics.append(BeamBarrierDiagnostics(
+        row = BeamBarrierDiagnostics(
             barrier_index=i + 1, explored=len(scores),
-            kept_min_logprob=min(kept_lps), kept_max_logprob=max(kept_lps),
-            discarded_max_logprob=max(discarded) if discarded else -math.inf))
-        return kept
+            kept_min_logprob=min(kept_lps, default=-math.inf),
+            kept_max_logprob=max(kept_lps, default=-math.inf),
+            discarded_max_logprob=max((scores[k] for k in viable[f:]), default=-math.inf))
+        return kept or None, row
 
-    samples = run_barriers(model, constraints, seed, f, keep_best, branching=b,
-                           horizon=horizon, initial_history=prefix, max_events=max_events)
-    if samples is None:
-        return EnsembleResult(samples=[], survived=False,
-                              failed_barrier=diagnostics[-1].barrier_index,
-                              diagnostics=diagnostics)
-    # one completion per kept trajectory; ranking is already fixed
-    log_probs = [log_probability(model, s[len(prefix):], prefix, prefix_state) for s in samples]
-    return EnsembleResult(samples=samples, survived=True, failed_barrier=None,
-                          diagnostics=diagnostics, log_probs=log_probs)
+    result = run_barriers(model, constraints, seed, f, keep_best, branching=b,
+                          horizon=horizon, initial_history=prefix)
+    if result.survived:  # one completion per kept trajectory; ranking is already fixed
+        result.log_probs = [log_probability(model, s[len(prefix):], prefix, prefix_state)
+                            for s in result.samples]
+    return result

@@ -3,7 +3,9 @@
 A sequence model describes a point process through the recursion
 ``x_i = x_{i-1} + d_i`` with ``d_i`` drawn from a distribution that may depend
 on the whole history ``x_{<i}``.  Restricting to a horizon T means sampling
-until the first point beyond T and keeping everything up to it.
+until the first point at or beyond T and keeping everything up to T.
+``propose_segment`` is the one forward walk: it extends a path to a barrier,
+or to the horizon for the filter's open tail and ``sample_restricted``.
 
 A model carries what it needs of the history as a state:
 ``initial_state(history)`` builds it once, ``advance(state, t)`` extends it by
@@ -203,29 +205,67 @@ class UniformRenewalModel(RenewalModel):
         self.high = high
 
 
+def propose_segment(model: SequenceModel, state, last: float, z: float,
+                    b_prev: bool, rng, horizon: float = 1.0,
+                    max_events: int = MAX_EVENTS) -> tuple[list, float | None, object]:
+    """Extend one path, in model state ``state`` with its last event at
+    ``last``, up to barrier ``z`` (math.inf for the open tail, which stops at
+    the first time at or past ``horizon``).
+
+    Returns ``(segment, gap, state)``: the appended times, the final gap
+    (None if nothing was appended) and the state the final gap was drawn in
+    (the given state if nothing was appended).  That state is not advanced
+    past the last element: a clipped barrier may be a time the model cannot
+    reach, and only a path that is kept needs the step.  With ``b_prev``
+    False the barrier is appended directly (or nothing, for the open tail).
+    """
+    if not b_prev:
+        if math.isinf(z):
+            return [], None, state
+        return [z], z - last, state
+    segment = []
+    prev = last
+    while not (last == z or last >= horizon):
+        if len(segment) >= max_events:
+            raise IterationLimitError(f"segment did not reach barrier {z!r} within {max_events} draws")
+        if segment:
+            state = model.advance(state, last)
+        d = model.gap_law(state).sample(rng)
+        if d <= 0:
+            raise ValueError(f"model produced a non-positive gap: {d!r}")
+        candidate = last + d
+        prev, last = last, (candidate if candidate < z else z)
+        segment.append(last)
+    if not segment:
+        return [], None, state
+    return segment, last - prev, state
+
+
+def _extend_to_horizon(model: SequenceModel, state, seq: Sequence[float], rng,
+                       horizon: float, max_events: int = MAX_EVENTS) -> tuple:
+    """``seq``, in model state ``state``, walked forward to the first time at
+    or past the horizon, without the times beyond it."""
+    seq = list(seq)
+    seg, _, _ = propose_segment(model, state, seq[-1] if seq else 0.0, math.inf, True, rng,
+                                horizon=horizon, max_events=max_events)
+    seq += seg
+    while seq and seq[-1] > horizon:
+        seq.pop()
+    return tuple(seq)
+
+
 def sample_restricted(model: SequenceModel, rng: np.random.Generator,
                       horizon: float = 1.0, initial_history: Sequence[float] = (),
                       max_events: int = MAX_EVENTS) -> tuple:
     """Sample the process restricted to (0, horizon].
 
     Draws gaps forward from the end of ``initial_history`` until the first
-    point beyond the horizon, which is discarded.  Returns the full sequence
-    (history included).  Raises IterationLimitError if the horizon is not
-    crossed within ``max_events`` draws.
+    point at or beyond the horizon and, like the filter's open tail, drops
+    every time beyond it, history included.  Raises IterationLimitError if
+    the horizon is not reached within ``max_events`` draws.
     """
-    events = list(initial_history)
-    last = events[-1] if events else 0.0
-    state = model.initial_state(events)
-    for _ in range(max_events):
-        d = model.gap_law(state).sample(rng)
-        if d <= 0:
-            raise ValueError(f"model produced a non-positive gap: {d!r}")
-        last = last + d
-        if last > horizon:
-            return tuple(events)
-        events.append(last)
-        state = model.advance(state, last)
-    raise IterationLimitError(f"no point beyond horizon {horizon!r} after {max_events} draws")
+    return _extend_to_horizon(model, model.initial_state(initial_history), initial_history,
+                              rng, horizon, max_events)
 
 
 def step_log_probabilities(model: SequenceModel, seq: Sequence[float],

@@ -32,8 +32,8 @@ import math
 from typing import NamedTuple
 
 from ..models import InterArrivalDistribution, SequenceModel
-from .encoding import (Vocabulary, codes_to_events, decode_event, event_symbols,
-                       events_to_symbols)
+from .encoding import (Vocabulary, _split_code, codes_to_events, decode_event,
+                       event_symbols, events_to_symbols)
 from .ngram import NGramModel
 
 
@@ -60,12 +60,7 @@ class _MusicGap(InterArrivalDistribution):
 
     def _split(self, d):
         """Decompose a positive integer gap into (tick delta, target action)."""
-        z = self.last_code + int(d)
-        a_prime = z % self.vocab.actions
-        t = z // self.vocab.actions
-        if a_prime == 0:
-            a_prime = self.vocab.actions
-            t -= 1
+        t, a_prime = _split_code(self.last_code + int(d), self.vocab)
         return t - self.cur_t, a_prime
 
     def pdf(self, d):
@@ -127,9 +122,9 @@ class _MusicGap(InterArrivalDistribution):
 class UnrolledMusicModel(SequenceModel):
     """Point process over unrolled codes driven by a symbol step model."""
 
-    def __init__(self, step_model: NGramModel, vocab: Vocabulary | None = None):
+    def __init__(self, step_model: NGramModel):
         self.step_model = step_model
-        self.vocab = vocab if vocab is not None else step_model.vocab
+        self.vocab = step_model.vocab
         self._keep = max(step_model.order - 1, 1)
 
     def initial_state(self, history):

@@ -9,7 +9,7 @@ before part 1's within a tick.  The unrolled code of an event is
 
 so codes order events by (tick, part, action) and strictly increase along a
 piece.  Decoding uses the residue convention: e % A == 0 means a' = A at tick
-e//A - 1.
+e//A - 1; ``_split_code`` is the one place that applies it.
 
 A piece is generated as a symbol stream over a vocabulary of A actions and
 s_max time shifts.  Canonical form: shifts never follow shifts, and within a
@@ -90,16 +90,18 @@ def encode_event(ev: MusicEvent, vocab: Vocabulary = Vocabulary()) -> int:
     return ev.t * vocab.actions + expanded_action(ev, vocab)
 
 
+def _split_code(code: int, vocab: Vocabulary) -> tuple[int, int]:
+    """(tick, expanded action) of a positive code; a residue of 0 means the
+    last action of the previous tick."""
+    t, rest = divmod(code - 1, vocab.actions)
+    return t, rest + 1
+
+
 def decode_event(code: int, vocab: Vocabulary = Vocabulary()) -> MusicEvent:
-    """Inverse of encode_event; a residue of 0 means the last action of the
-    previous tick."""
+    """Inverse of encode_event."""
     if code < 1:
         raise ValueError(f"codes are positive, got {code}")
-    a_prime = code % vocab.actions
-    t = code // vocab.actions
-    if a_prime == 0:
-        a_prime = vocab.actions
-        t -= 1
+    t, a_prime = _split_code(code, vocab)
     part, a = divmod(a_prime - 1, vocab.a_max)
     return MusicEvent(t=t, a=a + 1, part=part)
 

@@ -11,8 +11,10 @@ particle's weight is the hazard f(d)/P(gap >= d) of the clipped gap, which
 corrects for the clip.  In a forbidden segment the barrier is appended
 directly with weight f(d).  After each interior barrier the ensemble is
 systematically resampled.  The final open segment carries unit weights and is
-not resampled.  The beam baseline (``ppsmc.beam``) runs the same barrier
-loop, ``run_barriers``, and differs only in its selection step.
+not resampled.  ``run_barriers`` owns the run: it proposes every segment
+(``models.propose_segment``), draws the open tail, collects each barrier's
+diagnostics row and returns the ``EnsembleResult``.  The filter and the beam
+baseline (``ppsmc.beam``) differ only in the selection step they pass it.
 
 All randomness is drawn from per-(barrier, particle) Philox streams derived
 from one master seed, so a run is a deterministic function of its seed.
@@ -23,12 +25,11 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .errors import IterationLimitError
-from .models import MAX_EVENTS, SequenceModel
+from .models import SequenceModel, _extend_to_horizon, propose_segment
 from .rng import KIND_PROPOSAL, KIND_RESAMPLE, stream
 
 FORMAT_VERSION = 1
@@ -82,13 +83,6 @@ class ConstraintSet:
             raise ValueError("constraint field 'b' is missing or not a list of booleans")
         return cls(z=tuple(z), b=tuple(b))
 
-    def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), sort_keys=True) + "\n")
-
-    @classmethod
-    def load(cls, path) -> "ConstraintSet":
-        return cls.from_dict(json.loads(Path(path).read_text()))
-
 
 def read_constraint_file(path) -> tuple[ConstraintSet, dict]:
     """Load a constraint file, returning the core set plus any extra fields
@@ -121,10 +115,7 @@ class BarrierDiagnostics:
     max_weight: float
     dead_count: int
 
-    def to_dict(self) -> dict:
-        return {"barrier_index": self.barrier_index, "ess": self.ess,
-                "min_weight": self.min_weight, "max_weight": self.max_weight,
-                "dead_count": self.dead_count}
+    to_dict = asdict
 
 
 @dataclass
@@ -134,42 +125,6 @@ class EnsembleResult:
     failed_barrier: int | None
     diagnostics: list
     log_probs: list | None = field(default=None)  # filled by beam search
-
-
-def propose_segment(model: SequenceModel, state, last: float, z: float,
-                    b_prev: bool, rng, horizon: float = 1.0,
-                    max_events: int = MAX_EVENTS) -> tuple[list, float | None, bool, object]:
-    """Extend one particle, in model state ``state`` with its last event at
-    ``last``, up to barrier ``z`` (math.inf for the open tail).
-
-    Returns ``(segment, gap, clipped, state)``: the appended times, the final
-    gap (None if nothing was appended), whether the last element sits exactly
-    on the barrier, and the state the final gap was drawn in (the given state
-    if nothing was appended).  That state is not advanced past the last
-    element: a clipped barrier may be a time the model cannot reach, and only
-    a path that is kept needs the step.  With ``b_prev`` False the barrier is
-    appended directly (or nothing, for the final segment).
-    """
-    if not b_prev:
-        if math.isinf(z):
-            return [], None, False, state
-        return [z], z - last, True, state
-    segment = []
-    prev = last
-    while not (last == z or last >= horizon):
-        if len(segment) >= max_events:
-            raise IterationLimitError(f"segment did not reach barrier {z!r} within {max_events} draws")
-        if segment:
-            state = model.advance(state, last)
-        d = model.gap_law(state).sample(rng)
-        if d <= 0:
-            raise ValueError(f"model produced a non-positive gap: {d!r}")
-        candidate = last + d
-        prev, last = last, (candidate if candidate < z else z)
-        segment.append(last)
-    if not segment:
-        return [], None, False, state
-    return segment, last - prev, last == z, state
 
 
 def barrier_weight(model: SequenceModel, state, gap, b_prev: bool) -> float:
@@ -250,24 +205,23 @@ def systematic_resample(weights: Sequence[float], rng) -> tuple[int, ...]:
 
 def run_barriers(model: SequenceModel, constraints: ConstraintSet, seed: int,
                  width: int, select: Callable, *, horizon: float,
-                 initial_history: Sequence[float], max_events: int,
-                 branching: int = 1) -> list[tuple] | None:
-    """Extend ``width`` copies of the history barrier by barrier; the loop
-    shared by the particle filter and the beam baseline.
+                 initial_history: Sequence[float], branching: int = 1) -> EnsembleResult:
+    """Extend ``width`` copies of the history barrier by barrier and return
+    the run's ``EnsembleResult``; the loop shared by the filter and the beam.
 
     A path is a pair ``(seq, state)``: its times and the model state after
-    them.  At interior barrier i (0-based) path t spawns ``branching``
-    children; child j proposes its segment on stream (seed, KIND_PROPOSAL, i,
+    them.  At barrier i (0-based) path t spawns ``branching`` children;
+    child j proposes its segment on stream (seed, KIND_PROPOSAL, i,
     t*branching + j).  ``select(i, b_prev, children)`` receives the children
     as ``(t, parent, seq, gap, state)`` tuples, ``parent`` being path t,
     ``seq`` its times extended by the segment and ``state`` the model state
-    the final gap was drawn in, and returns the indices of the children that
-    become the next paths, or None when none can continue; the run then
-    stops and returns None.  Only kept children are advanced past the
-    barrier, so a dead child clipped at a time the model cannot reach is
-    never stepped into.  After the last barrier path t draws its open tail on
-    stream (seed, KIND_PROPOSAL, r, t), and the completed paths come back as
-    tuples truncated at the horizon.
+    the final gap was drawn in.  It returns ``(kept, row)``: the indices of
+    the children that become the next paths, or None when none can
+    continue (the run then fails at barrier i + 1), and the barrier's
+    diagnostics row.  Only kept children are advanced past the barrier, so
+    a dead child clipped at a time the model cannot reach is never stepped
+    into.  If b_r is True, path t finally draws its open tail to the horizon
+    on stream (seed, KIND_PROPOSAL, r, t).
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
@@ -280,40 +234,33 @@ def run_barriers(model: SequenceModel, constraints: ConstraintSet, seed: int,
             raise ValueError(f"constraint {constraints.z[-1]!r} lies beyond the horizon {horizon!r}")
     flags = [True, *constraints.b]
     paths = [(list(initial_history), model.initial_state(initial_history))] * width
-
-    def propose(path, z, b_prev, rng):
-        seq, state = path
-        return propose_segment(model, state, seq[-1] if seq else 0.0, z, b_prev, rng,
-                               horizon=horizon, max_events=max_events)
-
+    diagnostics = []
     for i, z in enumerate(constraints.z):
         children = []
-        for t, parent in enumerate(paths):
+        for t, (seq, state) in enumerate(paths):
             for j in range(branching):
                 g = stream(seed, KIND_PROPOSAL, i, t * branching + j)
-                seg, gap, _, state = propose(parent, z, flags[i], g)
-                children.append((t, parent, parent[0] + seg, gap, state))
-        kept = select(i, flags[i], children)
+                seg, gap, child_state = propose_segment(model, state, seq[-1] if seq else 0.0,
+                                                        z, flags[i], g, horizon=horizon)
+                children.append((t, (seq, state), seq + seg, gap, child_state))
+        kept, row = select(i, flags[i], children)
+        diagnostics.append(row)
         if kept is None:
-            return None
+            return EnsembleResult(samples=[], survived=False, failed_barrier=i + 1,
+                                  diagnostics=diagnostics)
         paths = [(children[k][2], model.advance(children[k][4], z)) for k in kept]
 
-    samples = []
-    for t, parent in enumerate(paths):
-        g = stream(seed, KIND_PROPOSAL, constraints.r, t)
-        seg, _, _, _ = propose(parent, math.inf, flags[-1], g)
-        seq = parent[0] + seg
-        while seq and seq[-1] > horizon:
-            seq.pop()
-        samples.append(tuple(seq))
-    return samples
+    r = constraints.r
+    samples = [_extend_to_horizon(model, state, seq, stream(seed, KIND_PROPOSAL, r, t), horizon)
+               if flags[-1] else tuple(seq) for t, (seq, state) in enumerate(paths)]
+    return EnsembleResult(samples=samples, survived=True, failed_barrier=None,
+                          diagnostics=diagnostics)
 
 
 def conditional_sample(model: SequenceModel, constraints: ConstraintSet,
                        num_particles: int, seed: int, *,
                        horizon: float = 1.0,
-                       initial_history: Sequence[float] = (),
-                       max_events: int = MAX_EVENTS) -> EnsembleResult:
+                       initial_history: Sequence[float] = ()) -> EnsembleResult:
     """Run the particle filter; returns S approximate conditional samples.
 
     ``survived`` is False when every particle weighted zero at some barrier;
@@ -323,26 +270,16 @@ def conditional_sample(model: SequenceModel, constraints: ConstraintSet,
     """
     if num_particles < 1:
         raise ValueError("need at least one particle")
-    diagnostics = []
 
     def resample(i, b_prev, children):
         weights = [barrier_weight(model, state, gap, b_prev) for *_, gap, state in children]
         dead = sum(1 for w in weights if w == 0)
-        all_dead = dead == num_particles
-        ess = 0.0 if all_dead else effective_sample_size(weights)
-        diagnostics.append(BarrierDiagnostics(
-            barrier_index=i + 1, ess=ess,
-            min_weight=min(weights), max_weight=max(weights), dead_count=dead))
-        if all_dead:
-            return None
-        return systematic_resample(weights, stream(seed, KIND_RESAMPLE, i))
+        alive = dead < num_particles
+        row = BarrierDiagnostics(
+            barrier_index=i + 1, ess=effective_sample_size(weights) if alive else 0.0,
+            min_weight=min(weights), max_weight=max(weights), dead_count=dead)
+        kept = systematic_resample(weights, stream(seed, KIND_RESAMPLE, i)) if alive else None
+        return kept, row
 
-    samples = run_barriers(model, constraints, seed, num_particles, resample,
-                           horizon=horizon, initial_history=initial_history,
-                           max_events=max_events)
-    if samples is None:
-        return EnsembleResult(samples=[], survived=False,
-                              failed_barrier=diagnostics[-1].barrier_index,
-                              diagnostics=diagnostics)
-    return EnsembleResult(samples=samples, survived=True,
-                          failed_barrier=None, diagnostics=diagnostics)
+    return run_barriers(model, constraints, seed, num_particles, resample,
+                        horizon=horizon, initial_history=initial_history)

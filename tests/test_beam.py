@@ -41,12 +41,12 @@ class TestBeamSearch:
         state = model.initial_state(seq)
         flags = [True, False]
         for i, z in enumerate(cs.z):
-            seg, _, _, state = propose_segment(model, state, seq[-1] if seq else 0.0, z,
-                                               flags[i], stream(21, KIND_PROPOSAL, i, 0))
+            seg, _, state = propose_segment(model, state, seq[-1] if seq else 0.0, z,
+                                            flags[i], stream(21, KIND_PROPOSAL, i, 0))
             seq += seg
             state = model.advance(state, z)
-        seg, _, _, _ = propose_segment(model, state, seq[-1], math.inf, flags[-1],
-                                       stream(21, KIND_PROPOSAL, 2, 0), horizon=1.0)
+        seg, _, _ = propose_segment(model, state, seq[-1], math.inf, flags[-1],
+                                    stream(21, KIND_PROPOSAL, 2, 0), horizon=1.0)
         seq += seg
         while seq and seq[-1] > 1.0:
             seq.pop()

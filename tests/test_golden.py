@@ -2,7 +2,10 @@
 
 Each case runs the filter or the beam once and hashes the repr of its
 samples, diagnostics and log-probabilities; the "steps" cases hash the step
-log-probabilities of a fixed sequence instead.  The first eight digests were
+log-probabilities of a fixed sequence instead.  Every filter and beam case
+has a second digest in ``OUTPUTS`` that leaves the diagnostics out, so a
+change that only adds or reshapes diagnostics re-records the first digest
+while the second still pins the samples.  The first eight digests were
 recorded when the filter and the beam still ran separate barrier loops, the
 long-prefix music digests when every gap law still re-decoded its whole
 history, so any change in the order in which random streams are keyed or
@@ -113,7 +116,23 @@ CASES = {  # name: (problem, sampler, size arguments, seed, digest)
 }
 
 
-def run_digest(name: str) -> str:
+OUTPUTS = {  # name: digest of (survived, failed_barrier, samples, log_probs)
+    "poisson-filter": "4acdf7be61cf5e7a",
+    "poisson-beam": "59b3f8449aff9005",
+    "grid-filter": "b43a05d4aa37940d",
+    "grid-beam": "1d03aed25f1cfa1a",
+    "music-filter": "4742ae702d023fb8",
+    "music-beam": "f69a83492fc1b958",
+    "dying-filter": "8165c5d074b96cdc",
+    "dying-beam": "8165c5d074b96cdc",
+    "music-order1-filter": "6788cb7eae076553",
+    "music-order1-beam": "4219937e7ee62e57",
+    "music-order3-filter": "04bdede6263a7fb9",
+    "music-order3-beam": "a9b4fcfbcdcee7b1",
+}
+
+
+def run_digest(name: str, diagnostics: bool = True) -> str:
     problem, sampler, sizes, seed, _ = CASES[name]
     model, task, kwargs = problem()
     if sampler == "steps":
@@ -121,8 +140,12 @@ def run_digest(name: str) -> str:
     else:
         run = conditional_sample if sampler == "filter" else beam_search_sample
         result = run(model, task, *sizes, seed, **kwargs)
-        text = repr((result.survived, result.failed_barrier, result.samples,
-                     [d.to_dict() for d in result.diagnostics], result.log_probs))
+        if diagnostics:
+            text = repr((result.survived, result.failed_barrier, result.samples,
+                         [d.to_dict() for d in result.diagnostics], result.log_probs))
+        else:
+            text = repr((result.survived, result.failed_barrier, result.samples,
+                         result.log_probs))
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
@@ -131,6 +154,13 @@ def test_fixed_seed_output_is_unchanged(name):
     assert run_digest(name) == CASES[name][4]
 
 
+@pytest.mark.parametrize("name", sorted(OUTPUTS))
+def test_fixed_seed_samples_are_unchanged(name):
+    assert run_digest(name, diagnostics=False) == OUTPUTS[name]
+
+
 if __name__ == "__main__":  # print the current digests
     for case in sorted(CASES):
         print(case, run_digest(case))
+    for case in sorted(OUTPUTS):
+        print(case, "samples only", run_digest(case, diagnostics=False))

@@ -13,10 +13,11 @@ from ppsmc.beam import beam_search_sample
 from ppsmc.models import (PoissonProcessModel, UniformRenewalModel,
                           WeibullRenewalModel, conditional_intensity,
                           sample_restricted)
+from ppsmc.music.files import write_constraint_file
 from ppsmc.rng import KIND_PROPOSAL, run_seed, stream
 from ppsmc.smc import (ConstraintSet, barrier_weight, conditional_sample,
-                       effective_sample_size, propose_segment, satisfies,
-                       systematic_indices, systematic_resample)
+                       effective_sample_size, propose_segment, read_constraint_file,
+                       satisfies, systematic_indices, systematic_resample)
 
 
 class TestConstraintSet:
@@ -27,14 +28,14 @@ class TestConstraintSet:
     def test_file_round_trip(self, tmp_path):
         cs = ConstraintSet(z=(0.3, 0.9), b=(False, False))
         path = tmp_path / "cs.json"
-        cs.save(path)
-        assert ConstraintSet.load(path) == cs
+        write_constraint_file(path, cs)
+        assert read_constraint_file(path)[0] == cs
 
     def test_rejects_unknown_version(self, tmp_path):
         path = tmp_path / "cs.json"
         path.write_text('{"version": 99, "kind": "constraints", "z": [0.5], "b": [true]}')
         with pytest.raises(ValueError, match="version"):
-            ConstraintSet.load(path)
+            read_constraint_file(path)
 
     def test_rejects_unsorted_times(self):
         with pytest.raises(ValueError):
@@ -79,27 +80,23 @@ class TestProposeSegment:
     def test_closed_gap_appends_barrier_directly(self):
         model = PoissonProcessModel(rate=2.0)
         rng = stream(0, KIND_PROPOSAL, 0)
-        seg, gap, clipped, _ = propose_segment(model, model.initial_state([0.2]), 0.2, 0.7,
-                                               False, rng)
+        seg, gap, _ = propose_segment(model, model.initial_state([0.2]), 0.2, 0.7, False, rng)
         assert seg == [0.7]
         assert gap == pytest.approx(0.5)
-        assert clipped
 
     def test_open_gap_ends_exactly_at_barrier(self):
         model = PoissonProcessModel(rate=50.0)
         rng = stream(1, KIND_PROPOSAL, 0)
-        seg, gap, clipped, _ = propose_segment(model, model.initial_state([]), 0.0, 0.5, True, rng)
+        seg, gap, _ = propose_segment(model, model.initial_state([]), 0.0, 0.5, True, rng)
         assert seg[-1] == 0.5
         assert all(t < 0.5 for t in seg[:-1])
-        assert clipped
         assert gap == pytest.approx(0.5 - ([0.0] + seg)[-2])
 
     def test_final_segment_stops_after_crossing_horizon(self):
         model = PoissonProcessModel(rate=10.0)
         rng = stream(2, KIND_PROPOSAL, 0)
-        seg, gap, clipped, _ = propose_segment(model, model.initial_state([0.5]), 0.5, math.inf,
-                                               True, rng, horizon=1.0)
-        assert not clipped
+        seg, gap, _ = propose_segment(model, model.initial_state([0.5]), 0.5, math.inf,
+                                      True, rng, horizon=1.0)
         # At most the last point overshoots; the caller trims it.
         assert all(t <= 1.0 for t in seg[:-1])
         assert seg[-1] >= 1.0
@@ -225,13 +222,15 @@ class TestConditionalSample:
             assert not [t for t in s if 0.3 < t < 0.6]
 
     def test_unconstrained_run_matches_restricted_sampler(self):
-        """With no barriers each particle is a plain restricted-process draw."""
-        model = PoissonProcessModel(rate=4.0)
+        """With no barriers each particle is a plain restricted-process draw,
+        truncated at the horizon the same way even when the history ends past it."""
         empty = ConstraintSet(z=(), b=())
-        result = conditional_sample(model, empty, 5, seed=55)
-        for s in range(5):
-            rng = stream(55, KIND_PROPOSAL, 0, s)
-            assert result.samples[s] == sample_restricted(model, rng)
+        for rate, history in [(4.0, ()), (2.0, (0.5, 1.5))]:
+            model = PoissonProcessModel(rate=rate)
+            result = conditional_sample(model, empty, 5, seed=55, initial_history=history)
+            for s in range(5):
+                rng = stream(55, KIND_PROPOSAL, 0, s)
+                assert result.samples[s] == sample_restricted(model, rng, initial_history=history)
 
     def test_history_prefix_is_preserved(self):
         model = PoissonProcessModel(rate=5.0)
