@@ -5,7 +5,8 @@ sampled continuations per barrier; the b*f candidates are ranked by their
 cumulative model log-probability from the start of the sequence (no length
 normalization) and the top f survive.  Selection maximizes likelihood, so the
 output concentrates on high-probability sequences rather than approximating
-the conditional law.
+the conditional law.  Each candidate is scored in the walk that proposes it
+(``run_barriers`` with ``score``), so no model state is walked twice.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
-from .models import SequenceModel, log_probability, step_log_probabilities
+from .models import SequenceModel
 from .smc import ConstraintSet, EnsembleResult, run_barriers
 
 
@@ -43,17 +44,13 @@ def beam_search_sample(model: SequenceModel, constraints: ConstraintSet,
     """
     if b < 1 or f < 1:
         raise ValueError("b and f must be at least 1")
-    prefix = list(initial_history)
-    prefix_state = model.initial_state(prefix)
     # scores of the kept paths, which start as f copies of the prefix so that
     # every barrier explores b*f candidates
     kept_lps = [0.0] * f
 
     def keep_best(i, b_prev, children):
         nonlocal kept_lps
-        scores = [kept_lps[t] + sum(step_log_probabilities(model, seq[len(parent_seq):],
-                                                           parent_seq, parent_state))
-                  for t, (parent_seq, parent_state), seq, _, _ in children]
+        scores = [kept_lps[t] + sum(steps) for t, _, steps, _, _ in children]
         order = sorted(range(len(scores)), key=lambda k: -scores[k])
         # a -inf candidate was forced through a zero-probability event; it is
         # not a viable trajectory, so it never enters the kept set
@@ -67,9 +64,5 @@ def beam_search_sample(model: SequenceModel, constraints: ConstraintSet,
             discarded_max_logprob=max((scores[k] for k in viable[f:]), default=-math.inf))
         return kept or None, row
 
-    result = run_barriers(model, constraints, seed, f, keep_best, branching=b,
-                          horizon=horizon, initial_history=prefix)
-    if result.survived:  # one completion per kept trajectory; ranking is already fixed
-        result.log_probs = [log_probability(model, s[len(prefix):], prefix, prefix_state)
-                            for s in result.samples]
-    return result
+    return run_barriers(model, constraints, seed, f, keep_best, branching=b, score=True,
+                        horizon=horizon, initial_history=initial_history)

@@ -205,80 +205,83 @@ class UniformRenewalModel(RenewalModel):
         self.high = high
 
 
+def _log_density(law: InterArrivalDistribution, d) -> float:
+    p = law.pdf(d)
+    return math.log(p) if p > 0 else -math.inf
+
+
 def propose_segment(model: SequenceModel, state, last: float, z: float,
                     b_prev: bool, rng, horizon: float = 1.0,
-                    max_events: int = MAX_EVENTS) -> tuple[list, float | None, object]:
+                    score: bool = False) -> tuple[list, float | None, object, list | None]:
     """Extend one path, in model state ``state`` with its last event at
     ``last``, up to barrier ``z`` (math.inf for the open tail, which stops at
     the first time at or past ``horizon``).
 
-    Returns ``(segment, gap, state)``: the appended times, the final gap
-    (None if nothing was appended) and the state the final gap was drawn in
-    (the given state if nothing was appended).  That state is not advanced
-    past the last element: a clipped barrier may be a time the model cannot
-    reach, and only a path that is kept needs the step.  With ``b_prev``
-    False the barrier is appended directly (or nothing, for the open tail).
+    Returns ``(segment, gap, state, steps)``: the appended times, the final
+    gap (None if nothing was appended), the state it was drawn in (the given
+    state if nothing was appended) and, if ``score``, each appended time's
+    log density under the law it was drawn from (else None).  That state is
+    not advanced past the last element: a clipped barrier may be a time the
+    model cannot reach, and only a path that is kept needs the step.  With
+    ``b_prev`` False the barrier is appended directly.
     """
     if not b_prev:
-        if math.isinf(z):
-            return [], None, state
-        return [z], z - last, state
+        return [z], z - last, state, [_log_density(model.gap_law(state), z - last)] if score else None
     segment = []
+    steps = [] if score else None
     prev = last
     while not (last == z or last >= horizon):
-        if len(segment) >= max_events:
-            raise IterationLimitError(f"segment did not reach barrier {z!r} within {max_events} draws")
+        if len(segment) >= MAX_EVENTS:
+            target = f"barrier {z!r}" if z < math.inf else f"horizon {horizon!r}"
+            raise IterationLimitError(f"segment did not reach {target} within {MAX_EVENTS} draws")
         if segment:
             state = model.advance(state, last)
-        d = model.gap_law(state).sample(rng)
+        law = model.gap_law(state)
+        d = law.sample(rng)
         if d <= 0:
             raise ValueError(f"model produced a non-positive gap: {d!r}")
         candidate = last + d
         prev, last = last, (candidate if candidate < z else z)
         segment.append(last)
-    if not segment:
-        return [], None, state
-    return segment, last - prev, state
+        if score:  # the appended time, not d: (last + d) - last may differ from d
+            steps.append(_log_density(law, last - prev))
+    return segment, (last - prev if segment else None), state, steps
 
 
 def _extend_to_horizon(model: SequenceModel, state, seq: Sequence[float], rng,
-                       horizon: float, max_events: int = MAX_EVENTS) -> tuple:
-    """``seq``, in model state ``state``, walked forward to the first time at
-    or past the horizon, without the times beyond it."""
-    seq = list(seq)
-    seg, _, _ = propose_segment(model, state, seq[-1] if seq else 0.0, math.inf, True, rng,
-                                horizon=horizon, max_events=max_events)
-    seq += seg
-    while seq and seq[-1] > horizon:
-        seq.pop()
-    return tuple(seq)
+                       horizon: float, score: bool = False) -> tuple[tuple, list | None]:
+    """``seq``, in model state ``state``, walked to the first time at or past
+    the horizon without the times beyond it, and the steps of the times it keeps."""
+    seg, _, _, steps = propose_segment(model, state, seq[-1] if len(seq) else 0.0, math.inf,
+                                       True, rng, horizon=horizon, score=score)
+    out = [*seq, *seg]
+    while out and out[-1] > horizon:  # a walk that ran started below the horizon,
+        out.pop()                     # so it drops only its own times
+    return tuple(out), steps and steps[:len(out) - len(seq)]
 
 
 def sample_restricted(model: SequenceModel, rng: np.random.Generator,
-                      horizon: float = 1.0, initial_history: Sequence[float] = (),
-                      max_events: int = MAX_EVENTS) -> tuple:
+                      horizon: float = 1.0, initial_history: Sequence[float] = ()) -> tuple:
     """Sample the process restricted to (0, horizon].
 
     Draws gaps forward from the end of ``initial_history`` until the first
     point at or beyond the horizon and, like the filter's open tail, drops
     every time beyond it, history included.  Raises IterationLimitError if
-    the horizon is not reached within ``max_events`` draws.
+    the horizon is not reached within ``MAX_EVENTS`` draws.
     """
     return _extend_to_horizon(model, model.initial_state(initial_history), initial_history,
-                              rng, horizon, max_events)
+                              rng, horizon)[0]
 
 
 def step_log_probabilities(model: SequenceModel, seq: Sequence[float],
-                           initial_history: Sequence[float] = (), state=None) -> list[float]:
+                           initial_history: Sequence[float] = ()) -> list[float]:
     """Log density/mass of each gap in ``seq`` under the model, in order.
 
-    ``state`` is the model state after ``initial_history`` if the caller
-    already holds it; None builds it from the history.  A zero-density step
-    yields -inf at its index; no exception is raised.  The state is never
-    advanced past the last time, which may be one the model cannot reach.
+    A zero-density step yields -inf at its index; no exception is raised.
+    The state is never advanced past the last time, which may be one the
+    model cannot reach.
     """
-    if state is None:
-        state = model.initial_state(initial_history)
+    state = model.initial_state(initial_history)
     out = []
     last = initial_history[-1] if len(initial_history) else 0.0
     for i, t in enumerate(seq):
@@ -287,16 +290,15 @@ def step_log_probabilities(model: SequenceModel, seq: Sequence[float],
             raise ValueError(f"times must strictly increase, got {t!r} after {last!r}")
         if i:
             state = model.advance(state, last)
-        p = model.gap_law(state).pdf(d)
-        out.append(math.log(p) if p > 0 else -math.inf)
+        out.append(_log_density(model.gap_law(state), d))
         last = t
     return out
 
 
 def log_probability(model: SequenceModel, seq: Sequence[float],
-                    initial_history: Sequence[float] = (), state=None) -> float:
+                    initial_history: Sequence[float] = ()) -> float:
     """Total log probability of a sequence: sum of its step log densities."""
-    return sum(step_log_probabilities(model, seq, initial_history, state), 0.0)
+    return sum(step_log_probabilities(model, seq, initial_history), 0.0)
 
 
 def conditional_intensity(model: SequenceModel, history: Sequence[float], t) -> float:

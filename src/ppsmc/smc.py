@@ -14,7 +14,7 @@ systematically resampled.  The final open segment carries unit weights and is
 not resampled.  ``run_barriers`` owns the run: it proposes every segment
 (``models.propose_segment``), draws the open tail, collects each barrier's
 diagnostics row and returns the ``EnsembleResult``.  The filter and the beam
-baseline (``ppsmc.beam``) differ only in the selection step they pass it.
+baseline (``ppsmc.beam``) differ only in their selection step and ``score``.
 
 All randomness is drawn from per-(barrier, particle) Philox streams derived
 from one master seed, so a run is a deterministic function of its seed.
@@ -205,23 +205,25 @@ def systematic_resample(weights: Sequence[float], rng) -> tuple[int, ...]:
 
 def run_barriers(model: SequenceModel, constraints: ConstraintSet, seed: int,
                  width: int, select: Callable, *, horizon: float,
-                 initial_history: Sequence[float], branching: int = 1) -> EnsembleResult:
+                 initial_history: Sequence[float], branching: int = 1,
+                 score: bool = False) -> EnsembleResult:
     """Extend ``width`` copies of the history barrier by barrier and return
     the run's ``EnsembleResult``; the loop shared by the filter and the beam.
 
-    A path is a pair ``(seq, state)``: its times and the model state after
-    them.  At barrier i (0-based) path t spawns ``branching`` children;
-    child j proposes its segment on stream (seed, KIND_PROPOSAL, i,
-    t*branching + j).  ``select(i, b_prev, children)`` receives the children
-    as ``(t, parent, seq, gap, state)`` tuples, ``parent`` being path t,
-    ``seq`` its times extended by the segment and ``state`` the model state
-    the final gap was drawn in.  It returns ``(kept, row)``: the indices of
-    the children that become the next paths, or None when none can
-    continue (the run then fails at barrier i + 1), and the barrier's
-    diagnostics row.  Only kept children are advanced past the barrier, so
-    a dead child clipped at a time the model cannot reach is never stepped
-    into.  If b_r is True, path t finally draws its open tail to the horizon
-    on stream (seed, KIND_PROPOSAL, r, t).
+    A path is its times, the model state after them and, if ``score``, the
+    log probability of the times past the history.  At barrier i (0-based)
+    path t spawns ``branching`` children; child j proposes its segment on
+    stream (seed, KIND_PROPOSAL, i, t*branching + j).  ``select(i, b_prev,
+    children)`` receives ``(t, seq, steps, gap, state)`` tuples: path t's
+    times extended by the segment, the segment's log densities (None unless
+    ``score``), and the final gap and the state it was drawn in.  It returns
+    ``(kept, row)``: the indices of the children that become the next paths,
+    or None when none can continue (the run then fails at barrier i + 1),
+    and the barrier's diagnostics row.  Only kept children are advanced past
+    the barrier, so a dead child clipped at a time the model cannot reach is
+    never stepped into.  If b_r is True, path t finally draws its open tail
+    to the horizon on stream (seed, KIND_PROPOSAL, r, t).  With ``score``,
+    ``log_probs`` holds each sample's log probability past the history.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
@@ -233,28 +235,30 @@ def run_barriers(model: SequenceModel, constraints: ConstraintSet, seed: int,
         if constraints.z[-1] > horizon:
             raise ValueError(f"constraint {constraints.z[-1]!r} lies beyond the horizon {horizon!r}")
     flags = [True, *constraints.b]
-    paths = [(list(initial_history), model.initial_state(initial_history))] * width
+    paths = [(list(initial_history), model.initial_state(initial_history), 0.0)] * width
     diagnostics = []
     for i, z in enumerate(constraints.z):
         children = []
-        for t, (seq, state) in enumerate(paths):
+        for t, (seq, state, _) in enumerate(paths):
             for j in range(branching):
                 g = stream(seed, KIND_PROPOSAL, i, t * branching + j)
-                seg, gap, child_state = propose_segment(model, state, seq[-1] if seq else 0.0,
-                                                        z, flags[i], g, horizon=horizon)
-                children.append((t, (seq, state), seq + seg, gap, child_state))
+                seg, gap, child_state, steps = propose_segment(
+                    model, state, seq[-1] if seq else 0.0, z, flags[i], g, horizon=horizon, score=score)
+                children.append((t, seq + seg, steps, gap, child_state))
         kept, row = select(i, flags[i], children)
         diagnostics.append(row)
         if kept is None:
             return EnsembleResult(samples=[], survived=False, failed_barrier=i + 1,
                                   diagnostics=diagnostics)
-        paths = [(children[k][2], model.advance(children[k][4], z)) for k in kept]
+        paths = [(seq, model.advance(state, z), sum(steps, paths[t][2]) if score else None)
+                 for t, seq, steps, _, state in (children[k] for k in kept)]
 
-    r = constraints.r
-    samples = [_extend_to_horizon(model, state, seq, stream(seed, KIND_PROPOSAL, r, t), horizon)
-               if flags[-1] else tuple(seq) for t, (seq, state) in enumerate(paths)]
-    return EnsembleResult(samples=samples, survived=True, failed_barrier=None,
-                          diagnostics=diagnostics)
+    tails = [_extend_to_horizon(model, state, seq, stream(seed, KIND_PROPOSAL, constraints.r, t),
+                                horizon, score)
+             if flags[-1] else (tuple(seq), ()) for t, (seq, state, _) in enumerate(paths)]
+    log_probs = [sum(steps, fold) for (_, steps), (*_, fold) in zip(tails, paths)] if score else None
+    return EnsembleResult(samples=[seq for seq, _ in tails], survived=True, failed_barrier=None,
+                          diagnostics=diagnostics, log_probs=log_probs)
 
 
 def conditional_sample(model: SequenceModel, constraints: ConstraintSet,

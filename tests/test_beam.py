@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 
 import pytest
+from test_acceptance import TINY, tiny_music_model
+from test_golden import long_prefix
 
 from ppsmc.beam import beam_search_sample
 from ppsmc.models import (PoissonProcessModel, UniformRenewalModel,
@@ -24,12 +26,24 @@ class TestBeamSearch:
         assert all(satisfies(s, cs) for s in result.samples)
 
     def test_reported_scores_match_model_log_probability(self):
-        model = PoissonProcessModel(rate=4.0)
-        cs = ConstraintSet(z=(0.5,), b=(True,))
-        result = beam_search_sample(model, cs, b=5, f=4, seed=3)
-        assert len(result.log_probs) == len(result.samples)
-        for seq, lp in zip(result.samples, result.log_probs):
-            assert lp == pytest.approx(log_probability(model, seq), rel=1e-12)
+        """The scores summed in the proposing walk are exactly the model's
+        log probability of each sample past its prefix."""
+        end = (long_prefix(20)[-1] - 1) // TINY.actions
+        music = (tiny_music_model(), ConstraintSet(z=((end + 2) * TINY.actions + 1,
+                                                      (end + 4) * TINY.actions + 3), b=(True, True)),
+                 {"horizon": (end + 7) * TINY.actions, "initial_history": tuple(long_prefix(20))})
+        cases = [(PoissonProcessModel(rate=4.0), ConstraintSet(z=(0.5,), b=(True,)), {}),
+                 music,
+                 (PoissonProcessModel(rate=6.0),
+                  ConstraintSet(z=(0.25, 0.5, 0.75), b=(True, False, False)), {})]
+        for model, cs, kwargs in cases:
+            result = beam_search_sample(model, cs, b=5, f=4, seed=3, **kwargs)
+            prefix = kwargs.get("initial_history", ())
+            assert result.survived
+            assert len(result.log_probs) == len(result.samples)
+            for seq, lp in zip(result.samples, result.log_probs):
+                assert seq[:len(prefix)] == prefix
+                assert lp == log_probability(model, seq[len(prefix):], prefix)
 
     def test_single_candidate_beam_matches_chained_proposals(self):
         """b=1, f=1 degenerates to one unresampled proposal path."""
@@ -39,15 +53,16 @@ class TestBeamSearch:
 
         seq: list = []
         state = model.initial_state(seq)
-        flags = [True, False]
+        flags = [True, *cs.b]
         for i, z in enumerate(cs.z):
-            seg, _, state = propose_segment(model, state, seq[-1] if seq else 0.0, z,
-                                            flags[i], stream(21, KIND_PROPOSAL, i, 0))
+            seg, _, state, _ = propose_segment(model, state, seq[-1] if seq else 0.0, z,
+                                               flags[i], stream(21, KIND_PROPOSAL, i, 0))
             seq += seg
             state = model.advance(state, z)
-        seg, _, _ = propose_segment(model, state, seq[-1], math.inf, flags[-1],
-                                    stream(21, KIND_PROPOSAL, 2, 0), horizon=1.0)
-        seq += seg
+        if flags[-1]:
+            seg, _, _, _ = propose_segment(model, state, seq[-1], math.inf, True,
+                                           stream(21, KIND_PROPOSAL, 2, 0), horizon=1.0)
+            seq += seg
         while seq and seq[-1] > 1.0:
             seq.pop()
         assert result.samples == [tuple(seq)]

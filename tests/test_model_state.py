@@ -14,6 +14,7 @@ import pytest
 from test_acceptance import TINY, tiny_music_model
 from test_golden import ORDER2, long_prefix
 
+from ppsmc import models, smc
 from ppsmc.beam import beam_search_sample
 from ppsmc.errors import SaturatedCdfError
 from ppsmc.models import PoissonProcessModel, UniformRenewalModel, WeibullRenewalModel
@@ -140,3 +141,37 @@ def test_history_is_decoded_once_per_run(monkeypatch):
     small = count(lambda: beam_search_sample(model, cs, 2, 3, 5, **kwargs))
     large = count(lambda: beam_search_sample(model, cs, 6, 8, 5, **kwargs))
     assert small == large <= 3 * len(prefix)
+
+
+def test_beam_walks_each_proposed_event_once(monkeypatch):
+    """The beam scores candidates in the walk that proposes them: the model
+    state is advanced at most once per proposed event, and no scoring pass
+    re-walks a candidate or a kept sample."""
+    counts = {"advance": 0, "events": 0}
+    real_advance, real_propose = adapter.UnrolledMusicModel.advance, models.propose_segment
+
+    def advance(self, state, t):
+        counts["advance"] += 1
+        return real_advance(self, state, t)
+
+    def propose(*args, **kwargs):
+        result = real_propose(*args, **kwargs)
+        counts["events"] += len(result[0])
+        return result
+
+    def rewalk(*args, **kwargs):
+        raise AssertionError("the beam re-walked a path to score it")
+
+    monkeypatch.setattr(adapter.UnrolledMusicModel, "advance", advance)
+    for module in (models, smc):  # the barrier walks and the open tail
+        monkeypatch.setattr(module, "propose_segment", propose)
+    monkeypatch.setattr(models, "step_log_probabilities", rewalk)
+    model = tiny_music_model(2)
+    prefix = long_prefix(100)
+    assert len(prefix) == 200
+    end = (prefix[-1] - 1) // ACTS
+    cs = ConstraintSet(z=tuple((end + 2 * k) * ACTS + 1 for k in range(1, 7)), b=(True,) * 6)
+    result = beam_search_sample(model, cs, 10, 10, 7, horizon=(end + 14) * ACTS,
+                                initial_history=prefix)
+    assert result.survived
+    assert 0 < counts["advance"] <= counts["events"]

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from ppsmc import models
 from ppsmc.errors import IterationLimitError
 from ppsmc.models import (ExponentialGap, InterArrivalDistribution,
                           PoissonProcessModel, SequenceModel, UniformGap,
@@ -135,11 +136,12 @@ class TestSampleRestricted:
         assert seq[:2] == history
         assert all(t > 0.2 for t in seq[2:])
 
-    def test_iteration_cap(self):
+    def test_iteration_cap(self, monkeypatch):
+        monkeypatch.setattr(models, "MAX_EVENTS", 50)
         model = PoissonProcessModel(rate=1e6)
         rng = np.random.default_rng(0)
-        with pytest.raises(IterationLimitError):
-            sample_restricted(model, rng, max_events=50)
+        with pytest.raises(IterationLimitError, match=r"did not reach horizon 1\.0 within 50 draws"):
+            sample_restricted(model, rng)
 
 
 class TestLogProbability:

@@ -80,14 +80,14 @@ class TestProposeSegment:
     def test_closed_gap_appends_barrier_directly(self):
         model = PoissonProcessModel(rate=2.0)
         rng = stream(0, KIND_PROPOSAL, 0)
-        seg, gap, _ = propose_segment(model, model.initial_state([0.2]), 0.2, 0.7, False, rng)
+        seg, gap, _, _ = propose_segment(model, model.initial_state([0.2]), 0.2, 0.7, False, rng)
         assert seg == [0.7]
         assert gap == pytest.approx(0.5)
 
     def test_open_gap_ends_exactly_at_barrier(self):
         model = PoissonProcessModel(rate=50.0)
         rng = stream(1, KIND_PROPOSAL, 0)
-        seg, gap, _ = propose_segment(model, model.initial_state([]), 0.0, 0.5, True, rng)
+        seg, gap, _, _ = propose_segment(model, model.initial_state([]), 0.0, 0.5, True, rng)
         assert seg[-1] == 0.5
         assert all(t < 0.5 for t in seg[:-1])
         assert gap == pytest.approx(0.5 - ([0.0] + seg)[-2])
@@ -95,8 +95,8 @@ class TestProposeSegment:
     def test_final_segment_stops_after_crossing_horizon(self):
         model = PoissonProcessModel(rate=10.0)
         rng = stream(2, KIND_PROPOSAL, 0)
-        seg, gap, _ = propose_segment(model, model.initial_state([0.5]), 0.5, math.inf,
-                                      True, rng, horizon=1.0)
+        seg, gap, _, _ = propose_segment(model, model.initial_state([0.5]), 0.5, math.inf,
+                                         True, rng, horizon=1.0)
         # At most the last point overshoots; the caller trims it.
         assert all(t <= 1.0 for t in seg[:-1])
         assert seg[-1] >= 1.0
