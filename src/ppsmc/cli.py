@@ -11,6 +11,7 @@ import argparse
 import json
 import logging
 import math
+import numbers
 import os
 import sys
 from collections import Counter
@@ -196,9 +197,13 @@ def _load_times(path: str, step: NGramModel | None) -> list:
         events, _ = read_events(path)
         return events_to_codes(events, step.vocab)
     payload = json.loads(Path(path).read_text())
-    if payload.get("version", 1) != 1 or payload.get("kind") != "times":
+    if not isinstance(payload, dict) or payload.get("version", 1) != 1 or payload.get("kind") != "times":
         raise ValueError(f"{path}: not a times file")
-    return list(payload["times"])
+    times = payload.get("times")
+    if not isinstance(times, list) or not all(
+            isinstance(t, numbers.Real) and not isinstance(t, bool) and math.isfinite(t) for t in times):
+        raise ValueError(f"{path}: field 'times' is missing or not a list of finite numbers")
+    return times
 
 
 def cmd_logprob(args) -> int:
@@ -255,19 +260,22 @@ def cmd_train(args) -> int:
 def _build_grid(spec: str, n: int) -> GridModel:
     name, _, rest = spec.partition(":")
     params = _parse_params(rest)
-    if name == "const":
-        p = params["p"]
-        return GridModel(n=n, g=lambda bits: p)
-    if name == "order2":
-        table = {(0, 0): params["p00"], (0, 1): params["p01"],
-                 (1, 0): params["p10"], (1, 1): params["p11"]}
+    try:
+        if name == "const":
+            p = params["p"]
+            return GridModel(n=n, g=lambda bits: p)
+        if name == "order2":
+            table = {(0, 0): params["p00"], (0, 1): params["p01"],
+                     (1, 0): params["p10"], (1, 1): params["p11"]}
 
-        def g(bits):
-            b1 = bits[-1] if len(bits) >= 1 else 0
-            b2 = bits[-2] if len(bits) >= 2 else 0
-            return table[(b2, b1)]
+            def g(bits):
+                b1 = bits[-1] if len(bits) >= 1 else 0
+                b2 = bits[-2] if len(bits) >= 2 else 0
+                return table[(b2, b1)]
 
-        return GridModel(n=n, g=g)
+            return GridModel(n=n, g=g)
+    except KeyError as missing:
+        raise ValueError(f"grid spec {spec!r} is missing parameter {missing}") from None
     raise ValueError(f"unknown grid spec {name!r}: expected const:p= or order2:p00=,p01=,p10=,p11=")
 
 
@@ -391,7 +399,7 @@ def main(argv=None) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
-    except (ValueError, OSError, IterationLimitError) as exc:
+    except (ValueError, OSError, OverflowError, IterationLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -7,9 +7,9 @@ until the first point at or beyond T and keeping everything up to T.
 ``propose_segment`` is the one forward walk: it extends a path to a barrier,
 or to the horizon for the filter's open tail and ``sample_restricted``.
 
-A model carries what it needs of the history as a state:
-``initial_state(history)`` builds it once, ``advance(state, t)`` extends it by
-one event and ``gap_law(state)`` gives the law of the next gap.  States are
+A model's state is the law of its next gap, an ``InterArrivalDistribution``
+that holds what the model needs of the history: ``initial_state(history)``
+builds it once and ``advance(state, t)`` extends it by one event.  States are
 never mutated, because resampled particles share them.
 
 Gap distributions expose ``pdf``, ``cdf`` (P(gap <= d)), ``survival``
@@ -63,40 +63,29 @@ class InterArrivalDistribution:
 
 
 class SequenceModel:
-    """Maps a history of event times to the distribution of the next gap,
-    through an immutable state that is advanced one event at a time."""
+    """Maps a history of event times to the law of the next gap, which is
+    the model's immutable state and is advanced one event at a time."""
 
-    def initial_state(self, history: Sequence[float]):
-        """The state after ``history``."""
+    def initial_state(self, history: Sequence[float]) -> InterArrivalDistribution:
+        """Law of the gap that follows ``history``."""
         raise NotImplementedError
 
-    def advance(self, state, t):
-        """The state after appending time ``t`` to the history of ``state``."""
+    def advance(self, state: InterArrivalDistribution, t) -> InterArrivalDistribution:
+        """Law of the gap that follows the history of ``state`` and time ``t``."""
         raise NotImplementedError
-
-    def gap_law(self, state) -> InterArrivalDistribution:
-        """Law of the gap that follows the history of ``state``."""
-        raise NotImplementedError
-
-    def gap_distribution(self, history: Sequence[float]) -> InterArrivalDistribution:
-        """Law of the gap that follows ``history``; models do not override it."""
-        return self.gap_law(self.initial_state(history))
 
 
 class RenewalModel(SequenceModel):
-    """Independent gaps from one fixed law: the state is None."""
+    """Independent gaps from one fixed law, which is every state."""
 
     def __init__(self, gap: InterArrivalDistribution):
         self._gap = gap
 
     def initial_state(self, history):
-        return None
+        return self._gap
 
     def advance(self, state, t):
-        return None
-
-    def gap_law(self, state):
-        return self._gap
+        return state
 
 
 class ExponentialGap(InterArrivalDistribution):
@@ -226,7 +215,7 @@ def propose_segment(model: SequenceModel, state, last: float, z: float,
     ``b_prev`` False the barrier is appended directly.
     """
     if not b_prev:
-        return [z], z - last, state, [_log_density(model.gap_law(state), z - last)] if score else None
+        return [z], z - last, state, [_log_density(state, z - last)] if score else None
     segment = []
     steps = [] if score else None
     prev = last
@@ -236,15 +225,14 @@ def propose_segment(model: SequenceModel, state, last: float, z: float,
             raise IterationLimitError(f"segment did not reach {target} within {MAX_EVENTS} draws")
         if segment:
             state = model.advance(state, last)
-        law = model.gap_law(state)
-        d = law.sample(rng)
+        d = state.sample(rng)
         if d <= 0:
             raise ValueError(f"model produced a non-positive gap: {d!r}")
         candidate = last + d
         prev, last = last, (candidate if candidate < z else z)
         segment.append(last)
         if score:  # the appended time, not d: (last + d) - last may differ from d
-            steps.append(_log_density(law, last - prev))
+            steps.append(_log_density(state, last - prev))
     return segment, (last - prev if segment else None), state, steps
 
 
@@ -290,7 +278,7 @@ def step_log_probabilities(model: SequenceModel, seq: Sequence[float],
             raise ValueError(f"times must strictly increase, got {t!r} after {last!r}")
         if i:
             state = model.advance(state, last)
-        out.append(_log_density(model.gap_law(state), d))
+        out.append(_log_density(state, d))
         last = t
     return out
 
@@ -311,4 +299,4 @@ def conditional_intensity(model: SequenceModel, history: Sequence[float], t) -> 
     d = t - last
     if d <= 0:
         raise ValueError(f"t={t!r} does not lie beyond the history end {last!r}")
-    return model.gap_distribution(history).hazard(d)
+    return model.initial_state(history).hazard(d)

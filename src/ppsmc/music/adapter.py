@@ -20,16 +20,17 @@ needs no action factor.
 Gaps are integer code differences, so P(gap >= d) = 1 - cdf(d-1) exactly —
 the mass at d itself stays in the denominator of the barrier hazard.
 
-The model state holds all of the history that f and f' depend on: the
-current tick, the last code and the last max(order-1, 1) symbols, whose final
-one is both a_x and the symbol the mask conditions on.  A history is decoded
-once; each further event is one code decoded and one canonical step.
+The model state is the gap law, which holds all of the history that f and f'
+depend on: the current tick, the last code and the last max(order-1, 1)
+symbols, whose final one is both a_x and the symbol the mask conditions on.
+A history is decoded once; each further event is one code decoded and one
+canonical step.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from dataclasses import dataclass, field
 
 from ..models import InterArrivalDistribution, SequenceModel
 from .encoding import (Vocabulary, _split_code, codes_to_events, decode_event,
@@ -37,19 +38,20 @@ from .encoding import (Vocabulary, _split_code, codes_to_events, decode_event,
 from .ngram import NGramModel
 
 
-class MusicState(NamedTuple):
+@dataclass(frozen=True)
+class _MusicGap(InterArrivalDistribution):
+    model: NGramModel
     cur_t: int         # tick of the last event (0 before any)
     last_code: int     # its code (0 before any)
     tail: tuple        # the last max(order-1, 1) symbols; tail[-1] is its action
+    vocab: Vocabulary = field(init=False, compare=False)
+    last_a: int | None = field(init=False, compare=False)  # also the masking symbol
+    ctx: tuple = field(init=False, compare=False)
 
-
-class _MusicGap(InterArrivalDistribution):
-    def __init__(self, model: NGramModel, vocab: Vocabulary, state: MusicState):
-        self.model = model
-        self.vocab = vocab
-        self.cur_t, self.last_code, self.tail = state
-        self.last_a = self.tail[-1] if self.tail else None  # also the masking symbol
-        self.ctx = model.context_of(self.tail)
+    def __post_init__(self):
+        object.__setattr__(self, "vocab", self.model.vocab)
+        object.__setattr__(self, "last_a", self.tail[-1] if self.tail else None)
+        object.__setattr__(self, "ctx", self.model.context_of(self.tail))
 
     def _step_pmf(self):
         return self.model.masked_pmf(self.ctx, self.last_a)
@@ -131,17 +133,15 @@ class UnrolledMusicModel(SequenceModel):
         events = codes_to_events(history, self.vocab)
         symbols = events_to_symbols(events, self.vocab)
         if not events:
-            return MusicState(0, 0, ())
-        return MusicState(events[-1].t, int(history[-1]), tuple(symbols[-self._keep:]))
+            return _MusicGap(self.step_model, 0, 0, ())
+        return _MusicGap(self.step_model, events[-1].t, int(history[-1]),
+                         tuple(symbols[-self._keep:]))
 
     def advance(self, state, t):
         """Raises ValueError where decoding the extended history would: a code
         below 1, an action that does not ascend within its tick, or a tick gap
         beyond s_max."""
         ev = decode_event(int(t), self.vocab)
-        step = event_symbols(ev, state.cur_t, state.tail[-1] if state.tail else None, self.vocab)
-        return MusicState(ev.t, int(t), (state.tail + step)[-self._keep:])
-
-    def gap_law(self, state):
-        return _MusicGap(self.step_model, self.vocab, state)
+        step = event_symbols(ev, state.cur_t, state.last_a, self.vocab)
+        return _MusicGap(self.step_model, ev.t, int(t), (state.tail + step)[-self._keep:])
 

@@ -9,6 +9,7 @@ renormalize over the rest).
 from __future__ import annotations
 
 import json
+import math
 from collections import defaultdict
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -104,15 +105,33 @@ class NGramModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "NGramModel":
+        """Parse a decoded model file; ValueError on any malformed field."""
+        if not isinstance(d, dict):
+            raise ValueError(f"model file must hold a JSON object, got {type(d).__name__}")
         if d.get("version", 1) != FORMAT_VERSION or d.get("kind") != "ngram":
             raise ValueError(f"unsupported model file (kind={d.get('kind')!r}, "
                              f"version={d.get('version')!r})")
+        for key in ("order", "a_max", "s_max", "parts"):
+            if not _is_int(d.get(key)):
+                raise ValueError(f"model field {key!r} is missing or not an integer")
+        alpha = d.get("alpha")
+        if not isinstance(alpha, (int, float)) or isinstance(alpha, bool) or not math.isfinite(alpha):
+            raise ValueError("model field 'alpha' is missing or not a finite number")
         vocab = Vocabulary(a_max=d["a_max"], s_max=d["s_max"], parts=d["parts"])
+        rows = d.get("counts")
+        if not isinstance(rows, dict) or not all(
+                isinstance(row, dict) and all(_is_int(n) and n >= 0 for n in row.values())
+                for row in rows.values()):
+            raise ValueError("model field 'counts' is missing or not an object of objects "
+                             "of non-negative integers")
         counts = {}
-        for ctx_key, row in d["counts"].items():
+        for ctx_key, row in rows.items():
             ctx = tuple(int(x) for x in ctx_key.split()) if ctx_key else ()
             counts[ctx] = {int(s): n for s, n in row.items()}
-        return cls(vocab, d["order"], d["alpha"], counts)
+            if not all(1 <= sym <= vocab.size for sym in counts[ctx]):
+                raise ValueError(f"model counts after context {ctx_key!r} name a symbol "
+                                 f"outside 1..{vocab.size}")
+        return cls(vocab, d["order"], alpha, counts)
 
     def save(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), sort_keys=True) + "\n")
@@ -120,6 +139,10 @@ class NGramModel:
     @classmethod
     def load(cls, path) -> "NGramModel":
         return cls.from_dict(json.loads(Path(path).read_text()))
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def train_ngram(symbol_seqs: Iterable[Sequence[int]], vocab: Vocabulary,

@@ -76,12 +76,12 @@ def enumerate_conditional(model: GridModel, observed: Iterable[int]) -> dict[tup
     return {bits: p / total for bits, p in table.items()}
 
 
+@dataclass(frozen=True)
 class _GridGap(InterArrivalDistribution):
     """Gap law from the current position: geometric-like over remaining cells."""
 
-    def __init__(self, model: GridModel, prefix: tuple):
-        self.model = model
-        self.prefix = prefix  # occupancy bits of all decided cells
+    model: GridModel
+    prefix: tuple  # occupancy bits of all decided cells
 
     def _occupancy(self, m: int) -> tuple[float, float]:
         # (P(first m-1 cells ahead vacant), g at the m-th cell ahead)
@@ -139,7 +139,8 @@ class GridSequenceModel(SequenceModel):
     """Point-process view of a grid chain: occupied cell i = event at time i+1.
 
     Integer times keep barrier equality exact; use ``horizon=model.n``.  The
-    state is the tuple of occupancy bits of the cells up to the last event.
+    state is the gap law from the occupancy bits of the cells up to the last
+    event.
     """
 
     def __init__(self, model: GridModel):
@@ -148,18 +149,15 @@ class GridSequenceModel(SequenceModel):
     def initial_state(self, history):
         last = int(history[-1]) if len(history) else 0
         present = set(history)
-        return tuple(1 if (j + 1) in present else 0 for j in range(last))
+        return _GridGap(self.model, tuple(1 if (j + 1) in present else 0 for j in range(last)))
 
     def advance(self, state, t):
         # the cells after the previous event stay vacant up to t's own cell,
         # which is occupied if t is a cell time
-        skipped = int(t) - len(state)
+        skipped = int(t) - len(state.prefix)
         if skipped < 1:
             return state
-        return state + (0,) * (skipped - 1) + (1 if t == int(t) else 0,)
-
-    def gap_law(self, state):
-        return _GridGap(self.model, state)
+        return _GridGap(self.model, state.prefix + (0,) * (skipped - 1) + (1 if t == int(t) else 0,))
 
 
 def observed_constraints(observed: Iterable[int]) -> ConstraintSet:

@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .models import SequenceModel, _extend_to_horizon, propose_segment
+from .models import InterArrivalDistribution, SequenceModel, _extend_to_horizon, propose_segment
 from .rng import KIND_PROPOSAL, KIND_RESAMPLE, stream
 
 FORMAT_VERSION = 1
@@ -127,17 +127,17 @@ class EnsembleResult:
     log_probs: list | None = field(default=None)  # filled by beam search
 
 
-def barrier_weight(model: SequenceModel, state, gap, b_prev: bool) -> float:
+def barrier_weight(state: InterArrivalDistribution, gap, b_prev: bool) -> float:
     """Importance weight of one particle whose last element is the barrier,
-    reached by ``gap`` from a history in model state ``state``.
+    reached by ``gap`` drawn from ``state``, the law of the gap after the
+    particle's history.
 
     Free segment: f(d)/P(gap >= d) — the hazard at the clipped gap.  Forbidden
     segment: f(d), the density of the forced append.  A zero density gives
     weight 0 (a dead particle is legal); an underflowed survival raises
     SaturatedCdfError.
     """
-    law = model.gap_law(state)
-    return law.hazard(gap) if b_prev else law.pdf(gap)
+    return state.hazard(gap) if b_prev else state.pdf(gap)
 
 
 def effective_sample_size(weights: Sequence[float]) -> float:
@@ -225,8 +225,8 @@ def run_barriers(model: SequenceModel, constraints: ConstraintSet, seed: int,
     to the horizon on stream (seed, KIND_PROPOSAL, r, t).  With ``score``,
     ``log_probs`` holds each sample's log probability past the history.
     """
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
+    if not horizon > 0:
+        raise ValueError(f"horizon must be positive, got {horizon!r}")
     start = initial_history[-1] if len(initial_history) else 0.0
     if constraints.z:
         if constraints.z[0] <= start:
@@ -276,7 +276,7 @@ def conditional_sample(model: SequenceModel, constraints: ConstraintSet,
         raise ValueError("need at least one particle")
 
     def resample(i, b_prev, children):
-        weights = [barrier_weight(model, state, gap, b_prev) for *_, gap, state in children]
+        weights = [barrier_weight(state, gap, b_prev) for *_, gap, state in children]
         dead = sum(1 for w in weights if w == 0)
         alive = dead < num_particles
         row = BarrierDiagnostics(

@@ -119,7 +119,7 @@ def test_criterion_3_weibull_barrier_weight_is_the_hazard():
     worst = 0.0
     for d in rng.uniform(0.0, 1.0, size=100):
         d = float(d) or 1e-9
-        w = barrier_weight(model, model.initial_state(()), gap=d, b_prev=True)
+        w = barrier_weight(model.initial_state(()), gap=d, b_prev=True)
         worst = max(worst, abs(w - 2.0 * d) / (2.0 * d))
     ok = worst < 1e-9
     _report("criterion 3 (weight equals hazard)", ok,
@@ -188,7 +188,7 @@ def test_criterion_5_encoding_and_canonicality():
     histories = [[], [2], [1, 3], [encode_event(MusicEvent(1, 2), TINY)]]
     max_cdf_err = 0.0
     for history in histories:
-        gap = model.gap_distribution(tuple(history))
+        gap = model.initial_state(tuple(history))
         top = (TINY.s_max + 1) * TINY.actions
         running = 0.0
         for d in range(1, top + 1):

@@ -1,8 +1,9 @@
 """Seeded fuzzing of the files the command line reads.
 
-Malformed constraint files, event files and MIDI files must end in exit code
-1 with an ``error:`` line on stderr, never in an uncaught exception; so must a
-model that cannot reach a barrier within the draw limit.  Inputs are mangled
+Malformed constraint files, times files, event files, MIDI files, trained
+model files and grid specs must end in exit code 1 with an ``error:`` line on
+stderr, never in an uncaught exception; so must a model that cannot reach a
+barrier within the draw limit.  Inputs are mangled
 by a seeded ``numpy.random.default_rng``, as in acceptance criterion 4, so
 every run tries the same cases.
 """
@@ -25,6 +26,9 @@ NOT_A_NUMBER = [None, "ab", True, [], {}, [0.3], float("nan"), float("inf")]
 NOT_A_BOOL = [None, "ab", 0, 1, 0.5, [], {}]
 NOT_AN_INT = [None, "ab", 1.5, True, [], {}, [1], float("inf")]
 NOT_AN_OBJECT = [[0.3, 0.6], "constraints", 3, None]
+NOT_COUNTS = [None, "ab", 3, [], {"1": 3}, {"": [1]}, {"": {"1": 1.5}}, {"": {"1": "a"}},
+              {"": {"1": True}}, {"": {"1": -1}}, {"": {"0": 1}}, {"": {"99999": 1}},
+              {"x": {"1": 1}}]
 
 
 def pick(rng, options):
@@ -101,6 +105,64 @@ class TestConstraintFiles:
         code = main(["sample", "--model", "poisson:rate=1e7", "--constraints", str(path),
                      "--particles", "1", "--seed", "1", "--out", str(tmp_path / "out")])
         assert_error_exit(code, capsys, "poisson:rate=1e7")
+
+
+class TestTimesFiles:
+    def test_mangled_times_exit_1(self, tmp_path, capsys):
+        rng = np.random.default_rng(4105)
+        base = {"version": 1, "kind": "times", "times": [0.2, 0.5, 0.9]}
+        path = tmp_path / "times.json"
+        for trial in range(120):
+            text = mangle_object(rng, base, {"times": [*NOT_A_NUMBER, 10 ** 400]})
+            path.write_text(text)
+            code = main(["logprob", "--model", "poisson:rate=3",
+                         "--out", str(tmp_path / "scores.json"), str(path)])
+            assert_error_exit(code, capsys, f"trial {trial}: {text}")
+
+
+class TestModelFiles:
+    def test_mangled_model_exit_1(self, tmp_path, capsys):
+        """Each required field of a trained model dropped or spoiled, the
+        whole payload replaced, or the text cut short."""
+        rng = np.random.default_rng(4106)
+        base = tiny_music_model().step_model.to_dict()
+        fields = {"order": NOT_AN_INT, "a_max": NOT_AN_INT, "s_max": NOT_AN_INT,
+                  "parts": NOT_AN_INT, "alpha": [*NOT_A_NUMBER, 10 ** 400], "counts": NOT_COUNTS}
+        cs_path = tmp_path / "cs.json"
+        cs_path.write_text(json.dumps({"z": [2 * TINY.actions + 1], "b": [True], "prefix": [1, 3],
+                                       "horizon_ticks": 4}))
+        path = tmp_path / "model.json"
+        for trial in range(120):
+            payload = json.loads(json.dumps(base))
+            key = pick(rng, sorted(fields))
+            how = int(rng.integers(4))
+            if how == 0:
+                del payload[key]
+            elif how == 1:
+                payload[key] = pick(rng, fields[key])
+            elif how == 2:
+                payload = pick(rng, NOT_AN_OBJECT)
+            text = json.dumps(payload)
+            if how == 3:
+                text = text[:int(rng.integers(1, len(text) - 1))]
+            path.write_text(text)
+            code = main(["sample", "--model", str(path), "--constraints", str(cs_path),
+                         "--seed", "1", "--particles", "4", "--out", str(tmp_path / "out")])
+            assert_error_exit(code, capsys, f"trial {trial}: {text[:200]}")
+
+
+GRID_SPECS = {"const": {"p": 0.4}, "order2": {"p00": 0.55, "p01": 0.25, "p10": 0.7, "p11": 0.1}}
+
+
+@pytest.mark.parametrize("name,dropped", [(name, key) for name, params in GRID_SPECS.items()
+                                          for key in params])
+def test_grid_spec_missing_a_parameter_exits_1(tmp_path, capsys, name, dropped):
+    spec = name + ":" + ",".join(f"{k}={v}" for k, v in GRID_SPECS[name].items() if k != dropped)
+    code = main(["oracle", "--grid", spec, "--cells", "4", "--observed", "1", "--particles", "10",
+                 "--runs", "1", "--seed", "1", "--out", str(tmp_path / "report.json")])
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert f"error: grid spec {spec!r} is missing parameter '{dropped}'" in err
 
 
 PIECE = [(0, 61), (0, 65), (2400, 68), (2400, 189), (2400, 193), (4800, 196)]

@@ -1,10 +1,10 @@
 """Incremental model state: advancing event by event must match decoding the
 whole history, and must cost one decode of the history per run.
 
-Every model exposes ``initial_state(history)``, ``advance(state, t)`` and
-``gap_law(state)``; ``gap_distribution(history)`` is their composition.  The
-filter and the beam walk the state, so the laws they see must be bit-equal to
-those built from the full history, draw for draw.
+Every model exposes ``initial_state(history)`` and ``advance(state, t)``; a
+state is the law of the next gap.  The filter and the beam walk the state, so
+the laws they see must be bit-equal to those built from the full history, draw
+for draw.
 """
 
 from __future__ import annotations
@@ -57,8 +57,8 @@ def test_advancing_matches_the_full_history(name):
     model, history, gaps = CASES[name]
     state = model.initial_state(())
     for k in range(len(history) + 1):
-        walked = model.gap_law(state)
-        full = model.gap_distribution(history[:k])
+        walked = state
+        full = model.initial_state(history[:k])
         for method in ("pdf", "cdf", "survival", "hazard"):
             for d in gaps:
                 assert (_evaluate(getattr(walked, method), d)
@@ -81,7 +81,7 @@ def test_advance_raises_where_decoding_the_history_raises(order):
            "tick gap beyond s_max": last + (TINY.s_max + 1) * ACTS}
     for what, t in bad.items():
         with pytest.raises(ValueError):
-            model.gap_distribution(history + [t])
+            model.initial_state(history + [t])
         with pytest.raises(ValueError, match="ascend" if "action" in what else "s_max"):
             model.advance(state, t)
     good = last + TINY.s_max * ACTS
@@ -143,6 +143,17 @@ def test_history_is_decoded_once_per_run(monkeypatch):
     assert small == large <= 3 * len(prefix)
 
 
+def _six_free_barriers():
+    """Order-2 music model, a 200-code prefix and six free barriers two ticks
+    apart: the scenario of the walk-count guards."""
+    model = tiny_music_model(2)
+    prefix = long_prefix(100)
+    assert len(prefix) == 200
+    end = (prefix[-1] - 1) // ACTS
+    cs = ConstraintSet(z=tuple((end + 2 * k) * ACTS + 1 for k in range(1, 7)), b=(True,) * 6)
+    return model, cs, {"horizon": (end + 14) * ACTS, "initial_history": prefix}
+
+
 def test_beam_walks_each_proposed_event_once(monkeypatch):
     """The beam scores candidates in the walk that proposes them: the model
     state is advanced at most once per proposed event, and no scoring pass
@@ -166,12 +177,33 @@ def test_beam_walks_each_proposed_event_once(monkeypatch):
     for module in (models, smc):  # the barrier walks and the open tail
         monkeypatch.setattr(module, "propose_segment", propose)
     monkeypatch.setattr(models, "step_log_probabilities", rewalk)
-    model = tiny_music_model(2)
-    prefix = long_prefix(100)
-    assert len(prefix) == 200
-    end = (prefix[-1] - 1) // ACTS
-    cs = ConstraintSet(z=tuple((end + 2 * k) * ACTS + 1 for k in range(1, 7)), b=(True,) * 6)
-    result = beam_search_sample(model, cs, 10, 10, 7, horizon=(end + 14) * ACTS,
-                                initial_history=prefix)
+    model, cs, kwargs = _six_free_barriers()
+    result = beam_search_sample(model, cs, 10, 10, 7, **kwargs)
     assert result.survived
     assert 0 < counts["advance"] <= counts["events"]
+
+
+@pytest.mark.parametrize("run", ["filter", "beam"])
+def test_each_gap_law_is_built_once(monkeypatch, run):
+    """A state is the law of its next gap: a run builds one law for the
+    prefix and one per advance, and no weight or score rebuilds one."""
+    counts = {"advance": 0, "laws": 0}
+    real_advance, real_init = adapter.UnrolledMusicModel.advance, adapter._MusicGap.__init__
+
+    def advance(self, state, t):
+        counts["advance"] += 1
+        return real_advance(self, state, t)
+
+    def init(self, *args, **kwargs):
+        counts["laws"] += 1
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(adapter.UnrolledMusicModel, "advance", advance)
+    monkeypatch.setattr(adapter._MusicGap, "__init__", init)
+    model, cs, kwargs = _six_free_barriers()
+    if run == "filter":
+        result = conditional_sample(model, cs, 100, 7, **kwargs)
+    else:
+        result = beam_search_sample(model, cs, 10, 10, 7, **kwargs)
+    assert result.survived
+    assert 0 < counts["advance"] and counts["laws"] <= counts["advance"] + 1, counts

@@ -179,14 +179,14 @@ class TestLogProbability:
         by_hand = 0.0
         for i, t in enumerate(seq):
             prev = seq[i - 1] if i else 0.0
-            by_hand += math.log(model.gap_distribution(seq[:i]).pdf(t - prev))
+            by_hand += math.log(model.initial_state(seq[:i]).pdf(t - prev))
         assert log_probability(model, seq) == pytest.approx(by_hand, rel=1e-12)
         # Additivity: each prefix extends the previous one by one factor.
         for i in range(1, 11):
             diff = (log_probability(model, seq[:i])
                     - log_probability(model, seq[:i - 1]))
             prev = seq[i - 2] if i > 1 else 0.0
-            step = math.log(model.gap_distribution(seq[:i - 1]).pdf(seq[i - 1] - prev))
+            step = math.log(model.initial_state(seq[:i - 1]).pdf(seq[i - 1] - prev))
             assert diff == pytest.approx(step, rel=1e-9)
 
     def test_uniform_pmf_model(self):
@@ -200,13 +200,10 @@ class TestLogProbability:
 
         class UniformCodeModel(SequenceModel):
             def initial_state(self, history):
-                return None
+                return UniformCodeGap()
 
             def advance(self, state, t):
-                return None
-
-            def gap_law(self, state):
-                return UniformCodeGap()
+                return state
 
         seq = (2.0, 3.0, 8.0, 9.0)
         expected = 4 * math.log(1.0 / V)

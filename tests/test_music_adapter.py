@@ -66,7 +66,7 @@ class TestGapDistribution:
     @pytest.mark.parametrize("history", HISTORIES)
     def test_pdf_matches_symbol_level_enumeration(self, model, history):
         expected = enumerate_next_code_pmf(model, history)
-        gap = model.gap_distribution(tuple(history))
+        gap = model.initial_state(tuple(history))
         for d in range(1, max(expected) + 3):
             assert gap.pdf(float(d)) == pytest.approx(expected.get(d, 0.0), abs=1e-12)
 
@@ -74,39 +74,39 @@ class TestGapDistribution:
     def test_pdf_sums_to_one(self, model, history):
         expected = enumerate_next_code_pmf(model, history)
         assert sum(expected.values()) == pytest.approx(1.0, abs=1e-12)
-        gap = model.gap_distribution(tuple(history))
+        gap = model.initial_state(tuple(history))
         total = sum(gap.pdf(float(d)) for d in range(1, max(expected) + 1))
         assert total == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("history", HISTORIES)
     def test_cdf_is_the_running_sum(self, model, history):
         expected = enumerate_next_code_pmf(model, history)
-        gap = model.gap_distribution(tuple(history))
+        gap = model.initial_state(tuple(history))
         running = 0.0
         for d in range(1, max(expected) + 3):
             running += expected.get(d, 0.0)
             assert gap.cdf(float(d)) == pytest.approx(running, abs=1e-12)
 
     def test_survival_complements_previous_cdf(self, model):
-        gap = model.gap_distribution(tuple(HISTORIES[1]))
+        gap = model.initial_state(tuple(HISTORIES[1]))
         for d in range(1, 18):
             assert gap.survival(float(d)) == pytest.approx(
                 1.0 - gap.cdf(float(d - 1)), abs=1e-12)
 
     @pytest.mark.parametrize("history", HISTORIES)
     def test_cdf_is_monotone_in_the_target_code(self, model, history):
-        gap = model.gap_distribution(tuple(history))
+        gap = model.initial_state(tuple(history))
         values = [gap.cdf(float(d)) for d in range(1, 20)]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
     def test_fractional_gaps_carry_no_mass(self, model):
-        gap = model.gap_distribution(())
+        gap = model.initial_state(())
         assert gap.pdf(1.5) == 0.0
         assert gap.cdf(1.5) == gap.cdf(1.0)
 
     def test_sampling_frequencies_match_pmf(self, model):
         expected = enumerate_next_code_pmf(model, HISTORIES[1])
-        gap = model.gap_distribution(tuple(HISTORIES[1]))
+        gap = model.initial_state(tuple(HISTORIES[1]))
         rng = np.random.default_rng(31)
         draws = [gap.sample(rng) for _ in range(20000)]
         for d, p in expected.items():
@@ -117,16 +117,16 @@ class TestGapDistribution:
 class TestBarrierWeights:
     def test_clip_weight_is_the_discrete_hazard(self, model):
         history = HISTORIES[1]
-        gap = model.gap_distribution(tuple(history))
+        gap = model.initial_state(tuple(history))
         state = model.initial_state(tuple(history))
         for d in (1, 3, 6, 9):
-            w = barrier_weight(model, state, gap=float(d), b_prev=True)
+            w = barrier_weight(state, gap=float(d), b_prev=True)
             assert w == pytest.approx(gap.pdf(d) / gap.survival(d), rel=1e-12)
 
     def test_forbidden_gap_weight_is_the_pmf(self, model):
         history = HISTORIES[1]
-        gap = model.gap_distribution(tuple(history))
-        w = barrier_weight(model, model.initial_state(tuple(history)), gap=4.0, b_prev=False)
+        gap = model.initial_state(tuple(history))
+        w = barrier_weight(model.initial_state(tuple(history)), gap=4.0, b_prev=False)
         assert w == pytest.approx(gap.pdf(4.0), rel=1e-12)
 
 

@@ -92,7 +92,7 @@ class TestEnumerateConditional:
 class TestGridGapAdapter:
     def test_pdf_only_on_integer_gaps(self):
         seq_model = GridSequenceModel(GridModel(n=5, g=lambda bits: 0.3))
-        gap = seq_model.gap_distribution(())
+        gap = seq_model.initial_state(())
         assert gap.pdf(1.0) == pytest.approx(0.3)
         assert gap.pdf(2.0) == pytest.approx(0.7 * 0.3)
         assert gap.pdf(1.5) == 0.0
@@ -100,7 +100,7 @@ class TestGridGapAdapter:
     def test_survival_counts_the_atom(self):
         # survival(d) = P(gap >= d): at d=2 that is P(first cell vacant).
         seq_model = GridSequenceModel(GridModel(n=5, g=lambda bits: 0.3))
-        gap = seq_model.gap_distribution(())
+        gap = seq_model.initial_state(())
         assert gap.survival(1.0) == 1.0
         assert gap.survival(2.0) == pytest.approx(0.7)
         assert gap.survival(2.5) == pytest.approx(0.49)  # integer gaps: >= 2.5 means >= 3
@@ -111,12 +111,12 @@ class TestGridGapAdapter:
         seq_model = GridSequenceModel(model)
         # History occupies cells 0 and 2 (times 1 and 3); barrier at cell 5.
         state = seq_model.initial_state((1.0, 3.0))
-        w = barrier_weight(seq_model, state, gap=3.0, b_prev=True)
+        w = barrier_weight(state, gap=3.0, b_prev=True)
         assert w == pytest.approx(model.g((1, 0, 1, 0, 0)), rel=1e-12)
 
     def test_sampled_times_match_pdf(self):
         seq_model = GridSequenceModel(GridModel(n=4, g=lambda bits: 0.5))
-        gap = seq_model.gap_distribution(())
+        gap = seq_model.initial_state(())
         rng = np.random.default_rng(9)
         draws = Counter(gap.sample(rng) for _ in range(40000))
         for d in (1.0, 2.0, 3.0, 4.0):

@@ -1,0 +1,15 @@
+"""Every ``python`` block of the README runs as written."""
+
+from __future__ import annotations
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_every_python_block_runs():
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(), flags=re.S | re.M)
+    assert blocks
+    for i, block in enumerate(blocks):
+        exec(compile(block, f"README.md python block {i}", "exec"), {"__name__": "readme"})

@@ -106,7 +106,7 @@ class TestBarrierWeight:
     def test_open_gap_weight_is_hazard(self):
         """Clipping an exponential gap weights by its constant rate."""
         model = PoissonProcessModel(rate=3.0)
-        w = barrier_weight(model, model.initial_state((0.2,)), gap=0.3, b_prev=True)
+        w = barrier_weight(model.initial_state((0.2,)), gap=0.3, b_prev=True)
         assert w == pytest.approx(3.0, rel=1e-12)
 
     def test_weibull_hazard_form(self):
@@ -114,23 +114,23 @@ class TestBarrierWeight:
         model = WeibullRenewalModel(shape=2.0, scale=1.0)
         rng = np.random.default_rng(17)
         for d in rng.uniform(0.01, 0.99, size=25):
-            w = barrier_weight(model, model.initial_state(()), gap=d, b_prev=True)
+            w = barrier_weight(model.initial_state(()), gap=d, b_prev=True)
             assert w == pytest.approx(2.0 * d, rel=1e-9)
 
     def test_closed_gap_weight_is_density(self):
         model = PoissonProcessModel(rate=3.0)
-        w = barrier_weight(model, model.initial_state((0.2,)), gap=0.3, b_prev=False)
+        w = barrier_weight(model.initial_state((0.2,)), gap=0.3, b_prev=False)
         assert w == pytest.approx(3.0 * math.exp(-0.9), rel=1e-12)
 
     def test_unreachable_gap_gets_zero_weight(self):
         model = UniformRenewalModel(0.01, 0.02)
-        assert barrier_weight(model, model.initial_state((0.1,)), gap=0.4, b_prev=False) == 0.0
+        assert barrier_weight(model.initial_state((0.1,)), gap=0.4, b_prev=False) == 0.0
 
     def test_open_gap_weight_equals_conditional_intensity(self):
         # Both routes evaluate f(d)/P(gap >= d) at the barrier.
         model = WeibullRenewalModel(shape=2.0, scale=1.0)
         history, z = (0.1, 0.35), 0.8
-        w = barrier_weight(model, model.initial_state(history), gap=z - 0.35, b_prev=True)
+        w = barrier_weight(model.initial_state(history), gap=z - 0.35, b_prev=True)
         assert w == conditional_intensity(model, history, z)
 
 
@@ -260,6 +260,15 @@ class TestConditionalSample:
         model = PoissonProcessModel(rate=1.0)
         with pytest.raises(ValueError):
             conditional_sample(model, ConstraintSet(z=(1.5,), b=(True,)), 8, seed=1)
+
+    @pytest.mark.parametrize("horizon", [0.0, -1.0, math.nan])
+    def test_rejects_a_horizon_that_is_not_positive(self, horizon):
+        model = PoissonProcessModel(rate=1.0)
+        cs = ConstraintSet(z=(), b=())
+        with pytest.raises(ValueError, match="horizon must be positive"):
+            conditional_sample(model, cs, 8, seed=1, horizon=horizon)
+        with pytest.raises(ValueError, match="horizon must be positive"):
+            beam_search_sample(model, cs, 2, 2, seed=1, horizon=horizon)
 
     def test_rejects_constraint_inside_history(self):
         model = PoissonProcessModel(rate=1.0)
