@@ -197,11 +197,13 @@ def _load_times(path: str, step: NGramModel | None) -> list:
         events, _ = read_events(path)
         return events_to_codes(events, step.vocab)
     payload = json.loads(Path(path).read_text())
-    if not isinstance(payload, dict) or payload.get("version", 1) != 1 or payload.get("kind") != "times":
+    if (not isinstance(payload, dict) or payload.get("version", 1) != 1
+            or payload.get("kind") != "times"):
         raise ValueError(f"{path}: not a times file")
     times = payload.get("times")
     if not isinstance(times, list) or not all(
-            isinstance(t, numbers.Real) and not isinstance(t, bool) and math.isfinite(t) for t in times):
+            isinstance(t, numbers.Real) and not isinstance(t, bool) and math.isfinite(t)
+            for t in times):
         raise ValueError(f"{path}: field 'times' is missing or not a list of finite numbers")
     return times
 

@@ -115,7 +115,8 @@ class NGramModel:
             if not _is_int(d.get(key)):
                 raise ValueError(f"model field {key!r} is missing or not an integer")
         alpha = d.get("alpha")
-        if not isinstance(alpha, (int, float)) or isinstance(alpha, bool) or not math.isfinite(alpha):
+        if (not isinstance(alpha, (int, float)) or isinstance(alpha, bool)
+                or not math.isfinite(alpha)):
             raise ValueError("model field 'alpha' is missing or not a finite number")
         vocab = Vocabulary(a_max=d["a_max"], s_max=d["s_max"], parts=d["parts"])
         rows = d.get("counts")

@@ -157,7 +157,8 @@ class GridSequenceModel(SequenceModel):
         skipped = int(t) - len(state.prefix)
         if skipped < 1:
             return state
-        return _GridGap(self.model, state.prefix + (0,) * (skipped - 1) + (1 if t == int(t) else 0,))
+        bits = state.prefix + (0,) * (skipped - 1) + (1 if t == int(t) else 0,)
+        return _GridGap(self.model, bits)
 
 
 def observed_constraints(observed: Iterable[int]) -> ConstraintSet:
