@@ -400,6 +400,8 @@ def main(argv=None) -> int:
     logging.basicConfig(level=getattr(logging, level, logging.WARNING),
                         format="%(levelname)s %(name)s: %(message)s")
     try:
+        if getattr(args, "runs", 1) < 1:  # sample, beam and oracle
+            raise ValueError(f"--runs must be at least 1, got {args.runs}")
         return args.func(args)
     except (ValueError, OSError, OverflowError, IterationLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,7 +9,10 @@ A counter-based generator needs only a new key per stream (Salmon et al.
 2011, "Parallel Random Numbers: As Easy as 1, 2, 3"), so each thread keeps
 one Philox-backed generator and re-keys it in place rather than building a
 new one: a fresh ``Philox(key=...)`` also seeds an OS-entropy
-``SeedSequence`` it never uses for these draws.
+``SeedSequence`` it never uses for these draws.  The reset state it assigns
+holds plain Python ints, not numpy arrays: numpy's ``Philox.state`` setter
+converts every key, counter and buffer word one by one, and reading a numpy
+scalar out of an array for each of them cost more than the rest of a re-key.
 """
 
 from __future__ import annotations
@@ -30,14 +33,14 @@ _SEED_MASK = (1 << 64) - 1
 _thread = threading.local()
 
 
-def _thread_generator() -> tuple[np.ndarray, dict, np.random.Philox, np.random.Generator]:
-    """The calling thread's key array, reset state, bit generator and generator."""
-    key = np.zeros(2, dtype=np.uint64)
+def _thread_generator() -> tuple[list, dict, np.random.Philox, np.random.Generator]:
+    """The calling thread's key list, reset state, bit generator and generator."""
+    key = [0, 0]
     # the state of a fresh Philox(key=key): counter 0, empty buffer; it holds
-    # the key array itself, so writing the key in place re-keys the state
+    # the key list itself, so writing the key in place re-keys the state
     state = {"bit_generator": "Philox",
-             "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
-             "buffer": np.zeros(4, dtype=np.uint64),
+             "state": {"counter": (0, 0, 0, 0), "key": key},
+             "buffer": (0, 0, 0, 0),
              "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     bits = np.random.Philox(key=key)
     _thread.slot = key, state, bits, np.random.Generator(bits)

@@ -25,9 +25,12 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
+
+import numpy as np
 
 from .models import InterArrivalDistribution, SequenceModel, _extend_to_horizon, propose_segment
 from .rng import KIND_PROPOSAL, KIND_RESAMPLE, stream
@@ -162,24 +165,57 @@ def systematic_indices(weights: Sequence[float], u: float) -> tuple[int, ...]:
     reaches it.  Uniform weights reproduce the identity; every index's
     offspring count differs from S*w_normalized by strictly less than 1.
 
-    The pointer-vs-cumsum comparisons run in exact integer arithmetic
-    (floats decompose losslessly via as_integer_ratio), so neither
-    guarantee can flip on an unlucky rounding boundary — float
-    accumulation absorbs a small enough u into the pointer positions.
+    Each pick is the one exact arithmetic makes, so neither guarantee can
+    flip on an unlucky rounding boundary.  A numpy pass picks index k for
+    pointer p_l = (u + l)·T/S by searching the float cumsum, and its pick is
+    kept only when every pointer clears both neighbouring boundaries by more
+    than B = 2(S + 2)·eps·T̂; otherwise the exact-integer pass decides.  The
+    bound: with unit roundoff eps/2 and nonnegative weights, the sequential
+    cumsum ĉ_j is off its exact c_j by at most j·(eps/2)·c_j/(1 - j·eps/2)
+    (sums that underflow into subnormals are exact), so by at most about
+    S·(eps/2)·T, and so is the float total T̂ from T.  The pointer
+    fl(fl(u + l)·fl(T̂/S)) adds three roundings, under 2·eps·T̂, and, if it
+    underflows, at most (S + 1)·2**-1075, which is below (S + 1)·(eps/2)·T̂
+    once T̂ is a normal float.  So ĉ_j - p̂_l is within (3S/2 + 3)·eps·T̂ of
+    c_j - p_l, and a gap computed above B (itself rounded by at most eps/2)
+    has the sign of the exact one.  A total that is not a finite normal
+    float, and any pointer closer than B to a boundary (uniform weights at
+    u = 1 put every pointer on one), take the exact pass.
     """
-    n = len(weights)
-    for w in weights:
-        if not (w >= 0) or (isinstance(w, float) and not math.isfinite(w)):
-            raise ValueError(f"weights must be finite and non-negative, got {w!r}")
+    w = np.asarray(weights, dtype=float)
+    bad = ~(np.isfinite(w) & (w >= 0))
+    if bad.any():
+        raise ValueError(f"weights must be finite and non-negative, got {float(w[bad.argmax()])!r}")
     if not (0.0 < u <= 1.0):
         raise ValueError(f"offset u must lie in (0, 1], got {u!r}")
+    n = len(w)
+    with np.errstate(over="ignore"):  # an infinite total takes the exact pass
+        cum = np.cumsum(w)
+    if n == 0 or cum[-1] == 0:
+        raise ValueError("all weights are zero")
 
-    ratios = [float(w).as_integer_ratio() for w in weights]
+    total = float(cum[-1])
+    if sys.float_info.min <= total < math.inf:
+        pointers = (u + np.arange(n)) * (total / n)
+        picks = np.minimum(np.searchsorted(cum, pointers), n - 1)
+        # edges[k] and edges[k + 1] bound pick k: the cumsum before it, or
+        # -inf, and its own, or +inf for the last index, which the pass
+        # takes whenever no earlier boundary reaches the pointer
+        edges = np.concatenate(((-math.inf,), cum[:-1], (math.inf,)))
+        bound = 2 * (n + 2) * sys.float_info.epsilon * total
+        if min((pointers - edges[picks]).min(), (edges[picks + 1] - pointers).min()) > bound:
+            return tuple(picks.tolist())
+    return _exact_systematic_indices(w.tolist(), u)
+
+
+def _exact_systematic_indices(weights: list[float], u: float) -> tuple[int, ...]:
+    """``systematic_indices`` for checked weights, compared in exact integer
+    arithmetic: floats decompose losslessly via as_integer_ratio."""
+    n = len(weights)
+    ratios = [w.as_integer_ratio() for w in weights]
     scale = max(den for _, den in ratios)  # dens are powers of two
     scaled = [num * (scale // den) for num, den in ratios]
     total = sum(scaled)
-    if total == 0:
-        raise ValueError("all weights are zero")
 
     # Pointer l sits at mass (u + l) * total / n; with u = p/q the
     # comparison n*cum < (u + l) * total becomes q*n*cum < (p + l*q) * total.
@@ -214,16 +250,19 @@ def run_barriers(model: SequenceModel, constraints: ConstraintSet, seed: int,
     log probability of the times past the history.  At barrier i (0-based)
     path t spawns ``branching`` children; child j proposes its segment on
     stream (seed, KIND_PROPOSAL, i, t*branching + j).  ``select(i, b_prev,
-    children)`` receives ``(t, seq, steps, gap, state)`` tuples: path t's
-    times extended by the segment, the segment's log densities (None unless
-    ``score``), and the final gap and the state it was drawn in.  It returns
-    ``(kept, row)``: the indices of the children that become the next paths,
-    or None when none can continue (the run then fails at barrier i + 1),
-    and the barrier's diagnostics row.  Only kept children are advanced past
-    the barrier, so a dead child clipped at a time the model cannot reach is
-    never stepped into.  If b_r is True, path t finally draws its open tail
-    to the horizon on stream (seed, KIND_PROPOSAL, r, t).  With ``score``,
-    ``log_probs`` holds each sample's log probability past the history.
+    children)`` receives ``(t, segment, steps, gap, state)`` tuples: the
+    times a child of path t appended up to the barrier (not the whole path),
+    the segment's log densities (None unless ``score``), and the final gap
+    and the state it was drawn in.  It returns ``(kept, row)``: the indices
+    of the children that become the next paths, possibly repeated, or None
+    when none can continue (the run then fails at barrier i + 1), and the
+    barrier's diagnostics row.  Only kept children grow into paths, once per
+    distinct index, and the copies of one child share that path: its times,
+    its state advanced past the barrier and its score.  So a dead child
+    clipped at a time the model cannot reach is never stepped into.  If b_r
+    is True, path t finally draws its open tail to the horizon on stream
+    (seed, KIND_PROPOSAL, r, t).  With ``score``, ``log_probs`` holds each
+    sample's log probability past the history.
     """
     if not horizon > 0:
         raise ValueError(f"horizon must be positive, got {horizon!r}")
@@ -240,18 +279,23 @@ def run_barriers(model: SequenceModel, constraints: ConstraintSet, seed: int,
     for i, z in enumerate(constraints.z):
         children = []
         for t, (seq, state, _) in enumerate(paths):
+            last = seq[-1] if seq else 0.0
             for j in range(branching):
                 g = stream(seed, KIND_PROPOSAL, i, t * branching + j)
                 seg, gap, child_state, steps = propose_segment(
-                    model, state, seq[-1] if seq else 0.0, z, flags[i], g, horizon=horizon, score=score)
-                children.append((t, seq + seg, steps, gap, child_state))
+                    model, state, last, z, flags[i], g, horizon=horizon, score=score)
+                children.append((t, seg, steps, gap, child_state))
         kept, row = select(i, flags[i], children)
         diagnostics.append(row)
         if kept is None:
             return EnsembleResult(samples=[], survived=False, failed_barrier=i + 1,
                                   diagnostics=diagnostics)
-        paths = [(seq, model.advance(state, z), sum(steps, paths[t][2]) if score else None)
-                 for t, seq, steps, _, state in (children[k] for k in kept)]
+        grown = {}
+        for k in dict.fromkeys(kept):
+            t, seg, steps, _, state = children[k]
+            seq, _, fold = paths[t]
+            grown[k] = (seq + seg, model.advance(state, z), sum(steps, fold) if score else None)
+        paths = [grown[k] for k in kept]
 
     tails = [_extend_to_horizon(model, state, seq, stream(seed, KIND_PROPOSAL, constraints.r, t),
                                 horizon, score)

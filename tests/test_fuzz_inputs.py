@@ -3,7 +3,7 @@
 Malformed constraint files, times files, event files, MIDI files, trained
 model files and grid specs must end in exit code 1 with an ``error:`` line on
 stderr, never in an uncaught exception; so must a model that cannot reach a
-barrier within the draw limit.  Inputs are mangled
+barrier within the draw limit, and a run count below one.  Inputs are mangled
 by a seeded ``numpy.random.default_rng``, as in acceptance criterion 4, so
 every run tries the same cases.
 """
@@ -35,10 +35,11 @@ def pick(rng, options):
     return options[int(rng.integers(len(options)))]
 
 
-def assert_error_exit(code, capsys, context):
+def assert_error_exit(code, capsys, context) -> str:
     err = capsys.readouterr().err
     assert code == 1, f"{context}: exit {code}, stderr {err!r}"
     assert any(line.startswith("error:") for line in err.splitlines()), f"{context}: {err!r}"
+    return err
 
 
 def mangle_object(rng, payload: dict, fields: dict) -> str:
@@ -149,6 +150,23 @@ class TestModelFiles:
             code = main(["sample", "--model", str(path), "--constraints", str(cs_path),
                          "--seed", "1", "--particles", "4", "--out", str(tmp_path / "out")])
             assert_error_exit(code, capsys, f"trial {trial}: {text[:200]}")
+
+
+@pytest.mark.parametrize("command", ["sample", "beam", "oracle"])
+@pytest.mark.parametrize("runs", ["0", "-2"])
+def test_run_count_below_one_exits_1(tmp_path, capsys, command, runs):
+    """Nothing runs: no ensemble dies, no empty count table, nothing is written."""
+    out = tmp_path / "out"
+    if command == "oracle":
+        argv = ["oracle", "--cells", "4", "--observed", "1", "--particles", "10"]
+    else:
+        path = tmp_path / "cs.json"
+        path.write_text(json.dumps({"z": [0.5], "b": [True]}))
+        argv = [command, "--model", "poisson:rate=3", "--constraints", str(path)]
+    code = main([*argv, "--runs", runs, "--seed", "1", "--out", str(out)])
+    err = assert_error_exit(code, capsys, f"{command} --runs {runs}")
+    assert f"--runs must be at least 1, got {runs}" in err
+    assert not out.exists()
 
 
 GRID_SPECS = {"const": {"p": 0.4}, "order2": {"p00": 0.55, "p01": 0.25, "p10": 0.7, "p11": 0.1}}

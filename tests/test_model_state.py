@@ -183,6 +183,60 @@ def test_beam_walks_each_proposed_event_once(monkeypatch):
     assert 0 < counts["advance"] <= counts["events"]
 
 
+def test_only_kept_children_grow_into_paths(monkeypatch):
+    """``select`` sees each child's segment, not a copy of its whole path;
+    after selection each distinct kept child grows one path (one advance past
+    the barrier), and the resampled copies of a child share it."""
+    seen = {"longest": 0, "distinct": [], "barrier_advances": 0, "proposing": False}
+    real_run, real_propose = smc.run_barriers, models.propose_segment
+    real_advance, real_tail = adapter.UnrolledMusicModel.advance, smc._extend_to_horizon
+    states, tail_paths = [], []
+
+    def run(model, cs, seed, width, select, **kwargs):
+        def spy(i, b_prev, children):
+            seen["longest"] = max(seen["longest"], *(len(child[1]) for child in children))
+            kept, row = select(i, b_prev, children)
+            seen["distinct"].append(len(set(kept)))
+            states.append([])
+            return kept, row
+        return real_run(model, cs, seed, width, spy, **kwargs)
+
+    def propose(model, state, *args, **kwargs):
+        if states:
+            states[-1].append(id(state))
+        seen["proposing"] = True
+        try:
+            return real_propose(model, state, *args, **kwargs)
+        finally:
+            seen["proposing"] = False
+
+    def advance(self, state, t):
+        seen["barrier_advances"] += not seen["proposing"]
+        return real_advance(self, state, t)
+
+    def tail(model, state, seq, *args):
+        tail_paths.append(id(seq))
+        return real_tail(model, state, seq, *args)
+
+    monkeypatch.setattr(smc, "run_barriers", run)
+    for module in (models, smc):  # the barrier walks and the open tail
+        monkeypatch.setattr(module, "propose_segment", propose)
+    monkeypatch.setattr(adapter.UnrolledMusicModel, "advance", advance)
+    monkeypatch.setattr(smc, "_extend_to_horizon", tail)
+    model, cs, kwargs = _six_free_barriers()
+    result = conditional_sample(model, cs, 100, 7, **kwargs)
+    assert result.survived
+    assert seen["longest"] < len(kwargs["initial_history"]) // 4
+    assert seen["barrier_advances"] == sum(seen["distinct"])
+    # resampling kept duplicates, and each kept child's copies share one
+    # state: the next barrier (or the open tail) proposes from as many
+    # states as distinct children were kept, and the tail extends as many
+    # distinct paths
+    assert sum(seen["distinct"]) < 100 * cs.r
+    assert [len(set(ids)) for ids in states] == seen["distinct"]
+    assert len(set(tail_paths)) == seen["distinct"][-1]
+
+
 @pytest.mark.parametrize("run", ["filter", "beam"])
 def test_each_gap_law_is_built_once(monkeypatch, run):
     """A state is the law of its next gap: a run builds one law for the

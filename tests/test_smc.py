@@ -9,6 +9,7 @@ import threading
 import numpy as np
 import pytest
 
+from ppsmc import smc
 from ppsmc.beam import beam_search_sample
 from ppsmc.models import (PoissonProcessModel, UniformRenewalModel,
                           WeibullRenewalModel, conditional_intensity,
@@ -169,6 +170,70 @@ class TestSystematicResampling:
     def test_rejects_all_zero_weights(self):
         with pytest.raises(ValueError):
             systematic_indices((0.0, 0.0), u=0.5)
+
+    @staticmethod
+    def adversarial_weights(rng, n: int, kind: str) -> np.ndarray:
+        """Weights whose cumulative sums sit on or next to the pointers, or
+        whose total leaves the range the float pass trusts."""
+        if kind == "uniform":
+            w = np.ones(n)
+        elif kind == "ulp":  # uniform, some entries one ulp up or down
+            w = np.ones(n)
+            moved = rng.random(n) < 0.3
+            w[moved] = np.nextafter(1.0, np.where(rng.random(moved.sum()) < 0.5, 0.0, 2.0))
+        elif kind == "swamped":  # ones among weights each too small to move the float cumsum
+            w = np.full(n, 2.0 ** -54)
+            w[::max(1, n // 7)] = 1.0
+        elif kind == "integers":  # exact cumsums that many pointers hit
+            w = rng.integers(0, 4, n).astype(float)
+        elif kind == "zeros":
+            w = rng.random(n) * (rng.random(n) < 0.4)
+        elif kind == "huge":
+            w = rng.random(n) * 1e300
+        elif kind == "tiny":
+            w = rng.random(n) * 1e-300
+        elif kind == "mixed":
+            w = rng.random(n) * np.where(rng.random(n) < 0.5, 1e300, 1e-300)
+        elif kind == "overflow":  # the float total is inf once n > 1
+            w = rng.random(n) * 1e308 + 1e307
+        else:  # "subnormal": a total below the smallest normal float
+            w = rng.integers(0, 5, n) * 5e-324
+        if not w.any():
+            w[-1] = 1.0
+        return w
+
+    def test_fast_pass_equals_the_exact_pass(self):
+        """The numpy pass and its fallback pick exactly what the exact-integer
+        reference picks, on near-ties, zeros and extreme magnitudes."""
+        rng = np.random.default_rng(9090)
+        kinds = ("uniform", "ulp", "swamped", "integers", "zeros", "huge", "tiny", "mixed",
+                 "overflow", "subnormal")
+        for n in (1, 2, 7, 1000, 2000):
+            for kind in kinds:
+                for _ in range(2 if n >= 1000 else 12):
+                    w = self.adversarial_weights(rng, n, kind)
+                    # 1 - 2**-40 puts the last pointer between a swamped
+                    # float boundary and the exact one
+                    for u in (1e-15, 1.0, 1.0 - 2.0 ** -40, float(1.0 - rng.random())):
+                        expected = smc._exact_systematic_indices(w.tolist(), u)
+                        assert systematic_indices(tuple(w.tolist()), u) == expected, (n, kind, u)
+
+    def test_pointers_on_a_boundary_take_the_exact_pass(self, monkeypatch):
+        calls = []
+        exact = smc._exact_systematic_indices
+
+        def counting(weights, u):
+            calls.append(u)
+            return exact(weights, u)
+
+        monkeypatch.setattr(smc, "_exact_systematic_indices", counting)
+        # uniform weights at u = 1: pointer l lies on the boundary after index l
+        assert systematic_indices((1.0,) * 1000, u=1.0) == tuple(range(1000))
+        assert calls == [1.0]
+        w = np.random.default_rng(5).random(1000)
+        picks = systematic_indices(tuple(w.tolist()), u=0.37)
+        assert calls == [1.0]  # clear of every boundary: the numpy pass decides
+        assert picks == exact(w.tolist(), 0.37)
 
 
 class TestEffectiveSampleSize:
