@@ -12,22 +12,21 @@ the conditional law.  Each candidate is scored in the walk that proposes it
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .models import SequenceModel
 from .smc import ConstraintSet, EnsembleResult, run_barriers
 
 
-@dataclass(frozen=True)
-class BeamBarrierDiagnostics:
+class BeamBarrierDiagnostics(NamedTuple):
     barrier_index: int  # 1-based
     explored: int       # candidates considered at this barrier (= b*f)
     kept_min_logprob: float
     kept_max_logprob: float
     discarded_max_logprob: float  # -inf when nothing was discarded
 
-    to_dict = asdict
+    def to_dict(self) -> dict:
+        return self._asdict()
 
 
 def beam_search_sample(model: SequenceModel, constraints: ConstraintSet,
@@ -48,9 +47,9 @@ def beam_search_sample(model: SequenceModel, constraints: ConstraintSet,
     # every barrier explores b*f candidates
     kept_lps = [0.0] * f
 
-    def keep_best(i, b_prev, children):
+    def keep_best(i, b_prev, parents, gaps, laws, steps):
         nonlocal kept_lps
-        scores = [kept_lps[t] + sum(steps) for t, _, steps, _, _ in children]
+        scores = [kept_lps[t] + sum(lane) for t, lane in zip(parents, steps)]
         order = sorted(range(len(scores)), key=lambda k: -scores[k])
         # a -inf candidate was forced through a zero-probability event; it is
         # not a viable trajectory, so it never enters the kept set

@@ -16,6 +16,17 @@ Gap distributions expose ``pdf``, ``cdf`` (P(gap <= d)), ``survival``
 (P(gap >= d)) and ``sample``.  For continuous laws survival and 1-cdf agree;
 discrete models must override ``survival`` so that the mass at d itself is
 retained — the importance weight at a clipped barrier divides by P(gap >= d).
+
+A law may instead define ``quantile(u)``, the gap at which its cdf reaches u
+in [0, 1); ``sample(rng)`` is then ``quantile(rng.random())``, one draw of
+one 64-bit word.  The exponential, Weibull and uniform laws do, and a
+``RenewalModel`` whose law samples through ``quantile`` is walked as arrays
+(``ppsmc.smc``), every lane's uniforms taken from Philox blocks, while
+``propose_segment`` walks one path on one stream.  Both walks apply the same
+scalar ``quantile``, so they append the same times.  The exponential is
+-log1p(-u)/rate and the Weibull scale·(-log1p(-u))**(1/shape), inverse cdfs
+of ``random()`` rather than numpy's ziggurat draws; the uniform is
+low + (high - low)·u, bit for bit what ``Generator.uniform`` draws.
 """
 
 from __future__ import annotations
@@ -44,8 +55,12 @@ class InterArrivalDistribution:
         """P(gap >= d).  Default suits continuous laws; floored to avoid 0/0."""
         return max(1.0 - self.cdf(d), SURVIVAL_FLOOR)
 
-    def sample(self, rng: np.random.Generator):
+    def quantile(self, u: float):
+        """The gap at which the cdf reaches u in [0, 1)."""
         raise NotImplementedError
+
+    def sample(self, rng: np.random.Generator):
+        return self.quantile(rng.random())
 
     def hazard(self, d) -> float:
         """f(d) / P(gap >= d); 0 where the density is 0.
@@ -107,8 +122,12 @@ class ExponentialGap(InterArrivalDistribution):
             return 1.0
         return math.exp(-self.rate * d)
 
-    def sample(self, rng):
-        return rng.exponential(1.0 / self.rate)
+    def hazard(self, d):
+        """The rate, also where pdf and survival underflow."""
+        return self.rate if d >= 0 else 0.0
+
+    def quantile(self, u):
+        return -math.log1p(-u) / self.rate
 
 
 class WeibullGap(InterArrivalDistribution):
@@ -134,8 +153,14 @@ class WeibullGap(InterArrivalDistribution):
             return 1.0
         return math.exp(-((d / self.scale) ** self.shape))
 
-    def sample(self, rng):
-        return self.scale * rng.weibull(self.shape)
+    def hazard(self, d):
+        """(k/c)(d/c)^(k-1) for d > 0, also where pdf and survival underflow."""
+        if d <= 0:
+            return super().hazard(d)
+        return (self.shape / self.scale) * (d / self.scale) ** (self.shape - 1)
+
+    def quantile(self, u):
+        return self.scale * (-math.log1p(-u)) ** (1.0 / self.shape)
 
 
 class UniformGap(InterArrivalDistribution):
@@ -160,8 +185,8 @@ class UniformGap(InterArrivalDistribution):
     def survival(self, d):
         return min(max((self.high - d) / (self.high - self.low), 0.0), 1.0)
 
-    def sample(self, rng):
-        return rng.uniform(self.low, self.high)
+    def quantile(self, u):
+        return self.low + (self.high - self.low) * u
 
 
 class PoissonProcessModel(RenewalModel):
@@ -236,18 +261,6 @@ def propose_segment(model: SequenceModel, state, last: float, z: float,
     return segment, (last - prev if segment else None), state, steps
 
 
-def _extend_to_horizon(model: SequenceModel, state, seq: Sequence[float], rng,
-                       horizon: float, score: bool = False) -> tuple[tuple, list | None]:
-    """``seq``, in model state ``state``, walked to the first time at or past
-    the horizon without the times beyond it, and the steps of the times it keeps."""
-    seg, _, _, steps = propose_segment(model, state, seq[-1] if len(seq) else 0.0, math.inf,
-                                       True, rng, horizon=horizon, score=score)
-    out = [*seq, *seg]
-    while out and out[-1] > horizon:  # a walk that ran started below the horizon,
-        out.pop()                     # so it drops only its own times
-    return tuple(out), steps and steps[:len(out) - len(seq)]
-
-
 def sample_restricted(model: SequenceModel, rng: np.random.Generator,
                       horizon: float = 1.0, initial_history: Sequence[float] = ()) -> tuple:
     """Sample the process restricted to (0, horizon].
@@ -257,8 +270,13 @@ def sample_restricted(model: SequenceModel, rng: np.random.Generator,
     every time beyond it, history included.  Raises IterationLimitError if
     the horizon is not reached within ``MAX_EVENTS`` draws.
     """
-    return _extend_to_horizon(model, model.initial_state(initial_history), initial_history,
-                              rng, horizon)[0]
+    seg, *_ = propose_segment(model, model.initial_state(initial_history),
+                              initial_history[-1] if len(initial_history) else 0.0, math.inf,
+                              True, rng, horizon=horizon)
+    out = [*initial_history, *seg]
+    while out and out[-1] > horizon:
+        out.pop()
+    return tuple(out)
 
 
 def step_log_probabilities(model: SequenceModel, seq: Sequence[float],

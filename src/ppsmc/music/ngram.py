@@ -73,7 +73,7 @@ class NGramModel:
 
     def sample_symbol(self, context: tuple, prev: int | None, rng) -> int:
         cum = self._masked(context, prev)[1]
-        idx = int(np.searchsorted(cum, rng.random(), side="right"))
+        idx = int(cum.searchsorted(rng.random(), side="right"))
         return min(idx, self.vocab.size - 1) + 1
 
     def sequence_log_pmf(self, symbols: Sequence[int]) -> float:

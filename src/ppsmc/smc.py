@@ -11,10 +11,21 @@ particle's weight is the hazard f(d)/P(gap >= d) of the clipped gap, which
 corrects for the clip.  In a forbidden segment the barrier is appended
 directly with weight f(d).  After each interior barrier the ensemble is
 systematically resampled.  The final open segment carries unit weights and is
-not resampled.  ``run_barriers`` owns the run: it proposes every segment
-(``models.propose_segment``), draws the open tail, collects each barrier's
-diagnostics row and returns the ``EnsembleResult``.  The filter and the beam
-baseline (``ppsmc.beam``) differ only in their selection step and ``score``.
+not resampled.  ``run_barriers`` owns the run: it proposes every segment,
+draws the open tail, collects each barrier's diagnostics row and returns the
+``EnsembleResult``.  The filter and the beam baseline (``ppsmc.beam``) differ
+only in their selection step and ``score``.
+
+A lane is one child at one barrier: a particle, or a beam candidate.  Lanes
+are walked one of two ways, chosen from the model type.  A renewal model
+whose law samples through its ``quantile`` (Poisson, Weibull, uniform) has
+the free-segment lanes proposed at once as arrays, their uniforms taken from
+Philox blocks (``rng.block``); every other lane, and any lane that needs more
+draws than its block holds, is walked by ``models.propose_segment`` on its
+own ``stream()``.  The two walks append the same times and give the same
+bytes.  Paths are stored as each barrier's segments plus the indices of the
+children kept (Jacob, Murray & Rubenthaler 2015, "Path storage in the
+particle filter"), and each sample is built once, at the end.
 
 All randomness is drawn from per-(barrier, particle) Philox streams derived
 from one master seed, so a run is a deterministic function of its seed.
@@ -27,13 +38,15 @@ import math
 import numbers
 import sys
 from dataclasses import asdict, dataclass, field
+from itertools import repeat
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .models import InterArrivalDistribution, SequenceModel, _extend_to_horizon, propose_segment
-from .rng import KIND_PROPOSAL, KIND_RESAMPLE, stream
+from .models import (InterArrivalDistribution, RenewalModel, SequenceModel, _log_density,
+                     propose_segment)
+from .rng import KIND_PROPOSAL, KIND_RESAMPLE, block, doubles, stream
 
 FORMAT_VERSION = 1
 
@@ -143,17 +156,25 @@ def barrier_weight(state: InterArrivalDistribution, gap, b_prev: bool) -> float:
     return state.hazard(gap) if b_prev else state.pdf(gap)
 
 
+def _checked(weights: Sequence[float]) -> np.ndarray:
+    w = np.asarray(weights, dtype=float)
+    bad = ~(np.isfinite(w) & (w >= 0))
+    if bad.any():
+        raise ValueError(f"weights must be finite and non-negative, got {float(w[bad.argmax()])!r}")
+    return w
+
+
 def effective_sample_size(weights: Sequence[float]) -> float:
-    """(sum w)^2 / sum(w^2); ranges from 1 (degenerate) to len(weights)."""
-    total = 0.0
-    total_sq = 0.0
-    for w in weights:
-        if not (w >= 0) or (isinstance(w, float) and not math.isfinite(w)):
-            raise ValueError(f"weights must be finite and non-negative, got {w!r}")
-        total += w
-        total_sq += w * w
-    if total == 0:
+    """(sum w)^2 / sum(w^2); ranges from 1 (degenerate) to len(weights).
+
+    Both sums are cumulative sums, which add left to right and so round as a
+    Python loop does (``np.sum`` adds pairwise and does not).
+    """
+    w = _checked(weights)
+    if not w.any():
         raise ValueError("all weights are zero")
+    with np.errstate(over="ignore"):  # squares may overflow to inf, as in a loop
+        total, total_sq = float(np.cumsum(w)[-1]), float(np.cumsum(w * w)[-1])
     return total * total / total_sq
 
 
@@ -182,10 +203,7 @@ def systematic_indices(weights: Sequence[float], u: float) -> tuple[int, ...]:
     float, and any pointer closer than B to a boundary (uniform weights at
     u = 1 put every pointer on one), take the exact pass.
     """
-    w = np.asarray(weights, dtype=float)
-    bad = ~(np.isfinite(w) & (w >= 0))
-    if bad.any():
-        raise ValueError(f"weights must be finite and non-negative, got {float(w[bad.argmax()])!r}")
+    w = _checked(weights)
     if not (0.0 < u <= 1.0):
         raise ValueError(f"offset u must lie in (0, 1], got {u!r}")
     n = len(w)
@@ -239,6 +257,130 @@ def systematic_resample(weights: Sequence[float], rng) -> tuple[int, ...]:
     return systematic_indices(weights, u)
 
 
+# keys per Philox block call: a call costs ~0.5 ms however few its keys, so
+# the counter-1 blocks of several barriers are drawn at once
+_BLOCK_KEYS = 4096
+# uniforms a lane takes from its block before it is walked on its stream()
+_BLOCK_DRAWS = 4
+
+
+class _Walk:
+    """The paths of one run, and the times their children appended.
+
+    A renewal model whose one law samples through its ``quantile`` (Poisson,
+    Weibull, uniform) proposes the free segments of all its lanes at once:
+    each lane takes its uniforms from a counter-1 Philox block, as arrays.
+    Every other lane, among them every lane of any other model and every
+    lane the block did not take to the barrier, is walked by
+    ``propose_segment`` on its own ``stream()``, whose first draws are the
+    block's, so a lane goes on exactly where its block stops.
+
+    A level, one barrier or the open tail, is stored as its free times (the
+    times its children appended short of the barrier) in lane order, and
+    where each child's begin, one more entry for the end.  The barrier itself
+    is put back, as the z object, when ``_rows`` builds the samples.
+    """
+
+    def __init__(self, model, law, seed, horizon, score, width, lanes, levels):
+        self.model, self.seed, self.horizon, self.score = model, seed, horizon, score
+        self.states = [law] * width
+        arrays = (isinstance(model, RenewalModel) and type(model).advance is RenewalModel.advance
+                  and type(law).sample is InterArrivalDistribution.sample)
+        self.law = law if arrays else None
+        self.lanes, self.n_levels = lanes, levels
+        self.levels = []
+        self._chunk = {}  # barrier index: its lanes' uniforms
+
+    def _uniforms(self, i: int, n: int) -> np.ndarray:
+        if i not in self._chunk:
+            barriers = np.arange(i, min(i + max(1, _BLOCK_KEYS // self.lanes), self.n_levels))
+            self._chunk = dict(zip(barriers.tolist(), doubles(
+                block(self.seed, KIND_PROPOSAL, barriers[:, None], np.arange(self.lanes)))))
+        return self._chunk[i][:n]
+
+    def propose(self, i, last, z, b_prev, branching) -> tuple:
+        """Every child's segment from ``last`` to barrier ``z`` (math.inf for
+        the open tail); returns the columns ``select`` receives."""
+        law, n = self.law, len(self.states) * branching
+        gaps, counts, times, logs = np.empty(n), np.zeros(n, dtype=np.int32), [], []
+        walked = range(n)
+        if law is not None and b_prev:
+            u = self._uniforms(i, n)
+            stop = min(z, self.horizon)  # a lane walks while its last time is below both
+            pos = np.full(n, float(last))
+            active = np.arange(n)
+            for k in range(_BLOCK_DRAWS):
+                active = active[pos[active] < stop]
+                if not active.size:
+                    break
+                d = np.array(list(map(law.quantile, u[active, k].tolist())), dtype=float)
+                if (d <= 0).any():
+                    raise ValueError(f"model produced a non-positive gap: {float(d[d <= 0][0])!r}")
+                prev = pos[active]
+                cand = prev + d
+                pos[active] = new = np.where(cand < z, cand, float(z))
+                gaps[active] = step = new - prev
+                counts[active] += 1
+                times.append(np.empty(n))
+                times[-1][active] = new
+                if self.score:  # each time's step, as propose_segment scores it
+                    logs.append(np.empty(n))
+                    logs[-1][active] = list(map(_log_density, repeat(law), step.tolist()))
+            walked = np.flatnonzero(pos < stop).tolist()
+        times = np.stack(times, axis=1) if times else np.empty((n, 0), dtype=object)
+        gaps, laws = gaps.tolist(), [law] * n
+        steps = [row[:c] for row, c in zip(np.stack(logs, axis=1).tolist() if logs else [[]] * n,
+                                           counts.tolist())] if self.score else None
+        segments = {lane: propose_segment(self.model, self.states[lane // branching], last, z,
+                                          b_prev, stream(self.seed, KIND_PROPOSAL, i, lane),
+                                          horizon=self.horizon, score=self.score)
+                    for lane in walked}
+        if segments:
+            wide = max(len(seg) for seg, *_ in segments.values())
+            times = np.pad(times, ((0, 0), (0, wide - times.shape[1])))
+            for lane, (seg, gap, lane_law, lane_steps) in segments.items():
+                times[lane, :len(seg)] = seg
+                counts[lane], gaps[lane], laws[lane] = len(seg), gap, lane_law
+                if self.score:
+                    steps[lane] = lane_steps
+        free = counts - (z < math.inf)  # a barrier's segment ends with its z
+        self.levels.append((times[np.arange(times.shape[1]) < free[:, None]],
+                            np.concatenate(([0], np.cumsum(free)))))
+        return (np.arange(n) // branching).tolist(), gaps, laws, steps
+
+    def keep(self, laws, kept, z) -> None:
+        """Advance each distinct kept child past the barrier once; its copies
+        share that state.  A renewal model's one law needs no step."""
+        if self.law is not None:
+            self.states = [self.law] * len(kept)
+            return
+        grown = {k: self.model.advance(laws[k], z) for k in dict.fromkeys(kept)}
+        self.states = [grown[k] for k in kept]
+
+
+def _rows(levels: list, picks: list, history: list, zs: tuple) -> Iterator[list]:
+    """Each path's times: its history, then at every level the free times of
+    the child ``picks`` names there and, at a barrier, the barrier's z."""
+    counts = [begin[k + 1] - begin[k] for (_, begin), k in zip(levels, picks)]
+    sizes = sum(counts) + len(zs)
+    ends = np.cumsum(sizes)
+    at = ends - sizes  # where each path's next time goes
+    out = np.empty(ends[-1], dtype=object)
+    for i, ((values, begin), k, n) in enumerate(zip(levels, picks, counts)):
+        out[_spans(at, n)] = values[_spans(begin[k], n)]
+        at = at + n
+        if i < len(zs):
+            out[at] = zs[i]
+            at = at + 1
+    bounds = [0, *ends.tolist()]
+    return (history + out[a:b].tolist() for a, b in zip(bounds, bounds[1:]))
+
+
+def _spans(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The indices start, start + 1, ..., start + length - 1 of every span, in order."""
+    return np.repeat(starts - (np.cumsum(lengths) - lengths), lengths) + np.arange(lengths.sum())
+
+
 def run_barriers(model: SequenceModel, constraints: ConstraintSet, seed: int,
                  width: int, select: Callable, *, horizon: float,
                  initial_history: Sequence[float], branching: int = 1,
@@ -250,19 +392,20 @@ def run_barriers(model: SequenceModel, constraints: ConstraintSet, seed: int,
     log probability of the times past the history.  At barrier i (0-based)
     path t spawns ``branching`` children; child j proposes its segment on
     stream (seed, KIND_PROPOSAL, i, t*branching + j).  ``select(i, b_prev,
-    children)`` receives ``(t, segment, steps, gap, state)`` tuples: the
-    times a child of path t appended up to the barrier (not the whole path),
-    the segment's log densities (None unless ``score``), and the final gap
-    and the state it was drawn in.  It returns ``(kept, row)``: the indices
-    of the children that become the next paths, possibly repeated, or None
-    when none can continue (the run then fails at barrier i + 1), and the
-    barrier's diagnostics row.  Only kept children grow into paths, once per
-    distinct index, and the copies of one child share that path: its times,
-    its state advanced past the barrier and its score.  So a dead child
-    clipped at a time the model cannot reach is never stepped into.  If b_r
-    is True, path t finally draws its open tail to the horizon on stream
-    (seed, KIND_PROPOSAL, r, t).  With ``score``, ``log_probs`` holds each
-    sample's log probability past the history.
+    parents, gaps, laws, steps)`` receives, for every child in lane order,
+    the index of the path it extends, its final gap, the law that gap was
+    drawn from and, if ``score``, the log densities of the times it appended
+    (else None), but no times.  It returns ``(kept, row)``: the indices of
+    the children that become the next paths, possibly repeated, or None when
+    none can continue (the run then fails at barrier i + 1), and the
+    barrier's diagnostics row.  Only kept children are advanced past the
+    barrier, once per distinct index, and the copies of one child share that
+    state.  So a dead child clipped at a time the model cannot reach is
+    never stepped into.  If b_r is True, path t finally draws its open tail
+    to the horizon on stream (seed, KIND_PROPOSAL, r, t).  Each sample is
+    then built once, by following its kept indices back through the
+    barriers.  With ``score``, ``log_probs`` holds each sample's log
+    probability past the history.
     """
     if not horizon > 0:
         raise ValueError(f"horizon must be positive, got {horizon!r}")
@@ -274,34 +417,45 @@ def run_barriers(model: SequenceModel, constraints: ConstraintSet, seed: int,
         if constraints.z[-1] > horizon:
             raise ValueError(f"constraint {constraints.z[-1]!r} lies beyond the horizon {horizon!r}")
     flags = [True, *constraints.b]
-    paths = [(list(initial_history), model.initial_state(initial_history), 0.0)] * width
+    law = model.initial_state(initial_history)
+    walk = _Walk(model, law, seed, horizon, score, width, width * branching, constraints.r + 1)
+    folds = [0.0] * width
+    lineage = []  # each level's kept child indices and branching
     diagnostics = []
+    last = start
     for i, z in enumerate(constraints.z):
-        children = []
-        for t, (seq, state, _) in enumerate(paths):
-            last = seq[-1] if seq else 0.0
-            for j in range(branching):
-                g = stream(seed, KIND_PROPOSAL, i, t * branching + j)
-                seg, gap, child_state, steps = propose_segment(
-                    model, state, last, z, flags[i], g, horizon=horizon, score=score)
-                children.append((t, seg, steps, gap, child_state))
-        kept, row = select(i, flags[i], children)
+        parents, gaps, laws, steps = walk.propose(i, last, z, flags[i], branching)
+        kept, row = select(i, flags[i], parents, gaps, laws, steps)
         diagnostics.append(row)
         if kept is None:
             return EnsembleResult(samples=[], survived=False, failed_barrier=i + 1,
                                   diagnostics=diagnostics)
-        grown = {}
-        for k in dict.fromkeys(kept):
-            t, seg, steps, _, state = children[k]
-            seq, _, fold = paths[t]
-            grown[k] = (seq + seg, model.advance(state, z), sum(steps, fold) if score else None)
-        paths = [grown[k] for k in kept]
+        walk.keep(laws, kept, z)
+        if score:
+            folds = [sum(steps[k], folds[parents[k]]) for k in kept]
+        lineage.append((np.asarray(kept), branching))
+        last = z
 
-    tails = [_extend_to_horizon(model, state, seq, stream(seed, KIND_PROPOSAL, constraints.r, t),
-                                horizon, score)
-             if flags[-1] else (tuple(seq), ()) for t, (seq, state, _) in enumerate(paths)]
-    log_probs = [sum(steps, fold) for (_, steps), (*_, fold) in zip(tails, paths)] if score else None
-    return EnsembleResult(samples=[seq for seq, _ in tails], survived=True, failed_barrier=None,
+    if flags[-1]:
+        _, gaps, _, steps = walk.propose(constraints.r, last, math.inf, True, 1)
+        lineage.append((np.arange(len(gaps)), 1))
+    paths = np.arange(len(lineage[-1][0]))  # the final paths
+    picks = []
+    for kept, b in reversed(lineage):
+        picks.append(kept[paths])
+        paths = picks[-1] // b
+    samples, log_probs = [], [] if score else None
+    for p, row in enumerate(_rows(walk.levels, picks[::-1], list(initial_history),
+                                  constraints.z)):
+        n = len(row)
+        # a tail that ran started below the horizon, so it drops only its own times
+        while flags[-1] and row and row[-1] > horizon:
+            row.pop()
+        samples.append(tuple(row))
+        if score:
+            tail = steps[p] if flags[-1] else []
+            log_probs.append(sum(tail[:len(tail) - (n - len(row))], folds[p]))
+    return EnsembleResult(samples=samples, survived=True, failed_barrier=None,
                           diagnostics=diagnostics, log_probs=log_probs)
 
 
@@ -319,13 +473,13 @@ def conditional_sample(model: SequenceModel, constraints: ConstraintSet,
     if num_particles < 1:
         raise ValueError("need at least one particle")
 
-    def resample(i, b_prev, children):
-        weights = [barrier_weight(state, gap, b_prev) for *_, gap, state in children]
-        dead = sum(1 for w in weights if w == 0)
+    def resample(i, b_prev, parents, gaps, laws, steps):
+        weights = np.array(list(map(barrier_weight, laws, gaps, repeat(b_prev))), dtype=float)
+        dead = int(np.count_nonzero(weights == 0))
         alive = dead < num_particles
         row = BarrierDiagnostics(
             barrier_index=i + 1, ess=effective_sample_size(weights) if alive else 0.0,
-            min_weight=min(weights), max_weight=max(weights), dead_count=dead)
+            min_weight=float(weights.min()), max_weight=float(weights.max()), dead_count=dead)
         kept = systematic_resample(weights, stream(seed, KIND_RESAMPLE, i)) if alive else None
         return kept, row
 

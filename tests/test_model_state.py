@@ -184,18 +184,18 @@ def test_beam_walks_each_proposed_event_once(monkeypatch):
 
 
 def test_only_kept_children_grow_into_paths(monkeypatch):
-    """``select`` sees each child's segment, not a copy of its whole path;
-    after selection each distinct kept child grows one path (one advance past
-    the barrier), and the resampled copies of a child share it."""
-    seen = {"longest": 0, "distinct": [], "barrier_advances": 0, "proposing": False}
+    """``select`` sees each child's parent, gap, law and steps, not its times;
+    after selection each distinct kept child is advanced past the barrier
+    once, and the resampled copies of a child share that state."""
+    seen = {"distinct": [], "barrier_advances": 0, "proposing": False}
     real_run, real_propose = smc.run_barriers, models.propose_segment
-    real_advance, real_tail = adapter.UnrolledMusicModel.advance, smc._extend_to_horizon
-    states, tail_paths = [], []
+    real_advance = adapter.UnrolledMusicModel.advance
+    states = []
 
     def run(model, cs, seed, width, select, **kwargs):
-        def spy(i, b_prev, children):
-            seen["longest"] = max(seen["longest"], *(len(child[1]) for child in children))
-            kept, row = select(i, b_prev, children)
+        def spy(i, b_prev, parents, gaps, laws, steps):
+            assert len(parents) == len(gaps) == len(laws) == width and steps is None
+            kept, row = select(i, b_prev, parents, gaps, laws, steps)
             seen["distinct"].append(len(set(kept)))
             states.append([])
             return kept, row
@@ -214,27 +214,19 @@ def test_only_kept_children_grow_into_paths(monkeypatch):
         seen["barrier_advances"] += not seen["proposing"]
         return real_advance(self, state, t)
 
-    def tail(model, state, seq, *args):
-        tail_paths.append(id(seq))
-        return real_tail(model, state, seq, *args)
-
     monkeypatch.setattr(smc, "run_barriers", run)
     for module in (models, smc):  # the barrier walks and the open tail
         monkeypatch.setattr(module, "propose_segment", propose)
     monkeypatch.setattr(adapter.UnrolledMusicModel, "advance", advance)
-    monkeypatch.setattr(smc, "_extend_to_horizon", tail)
     model, cs, kwargs = _six_free_barriers()
     result = conditional_sample(model, cs, 100, 7, **kwargs)
     assert result.survived
-    assert seen["longest"] < len(kwargs["initial_history"]) // 4
     assert seen["barrier_advances"] == sum(seen["distinct"])
     # resampling kept duplicates, and each kept child's copies share one
     # state: the next barrier (or the open tail) proposes from as many
-    # states as distinct children were kept, and the tail extends as many
-    # distinct paths
+    # states as distinct children were kept
     assert sum(seen["distinct"]) < 100 * cs.r
     assert [len(set(ids)) for ids in states] == seen["distinct"]
-    assert len(set(tail_paths)) == seen["distinct"][-1]
 
 
 @pytest.mark.parametrize("run", ["filter", "beam"])

@@ -42,6 +42,14 @@ class TestExponentialGap:
         for d in (0.01, 0.5, 3.0):
             assert gap.pdf(d) / gap.survival(d) == pytest.approx(2.5, rel=1e-12)
 
+    def test_hazard_is_the_rate_where_the_density_underflows(self):
+        """pdf(300) = 3e^-900 and survival(300) both underflow to 0; the
+        hazard is still the rate."""
+        gap = ExponentialGap(rate=3.0)
+        assert gap.pdf(300.0) == 0.0
+        assert gap.hazard(300.0) == 3.0
+        assert gap.hazard(-1.0) == 0.0
+
     def test_sampling_mean(self):
         rng = np.random.default_rng(0)
         gap = ExponentialGap(rate=4.0)
@@ -69,6 +77,14 @@ class TestWeibullGap:
         for d in rng.uniform(0.01, 1.0, size=100):
             assert gap.pdf(d) / gap.survival(d) == pytest.approx(2.0 * d, rel=1e-9)
 
+    def test_hazard_is_closed_form_where_the_density_underflows(self):
+        """k=2, scale 1: pdf(40) underflows, the hazard is still 2·40."""
+        gap = WeibullGap(shape=2.0, scale=1.0)
+        assert gap.pdf(40.0) == 0.0
+        assert gap.hazard(40.0) == 80.0
+        assert WeibullGap(shape=0.5, scale=2.0).hazard(0.0) == math.inf
+        assert WeibullGap(shape=1.0, scale=2.0).hazard(0.0) == 0.5
+
     def test_sampling_distribution(self):
         rng = np.random.default_rng(1)
         gap = WeibullGap(shape=2.0, scale=1.0)
@@ -82,6 +98,12 @@ class TestUniformGap:
         assert gap.pdf(0.4) == pytest.approx(2.5)
         assert gap.pdf(0.1) == 0.0
         assert gap.pdf(0.7) == 0.0
+
+    def test_sample_is_numpys_uniform_draw(self):
+        gap = UniformGap(0.01, 0.02)
+        for seed in range(200):
+            assert (gap.sample(np.random.default_rng(seed))
+                    == np.random.default_rng(seed).uniform(0.01, 0.02))
 
     def test_cdf_and_survival(self):
         gap = UniformGap(0.2, 0.6)

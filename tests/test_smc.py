@@ -15,7 +15,7 @@ from ppsmc.models import (PoissonProcessModel, UniformRenewalModel,
                           WeibullRenewalModel, conditional_intensity,
                           sample_restricted)
 from ppsmc.music.files import write_constraint_file
-from ppsmc.rng import KIND_PROPOSAL, run_seed, stream
+from ppsmc.rng import KIND_PROPOSAL, block, doubles, run_seed, stream
 from ppsmc.smc import (ConstraintSet, barrier_weight, conditional_sample,
                        effective_sample_size, propose_segment, read_constraint_file,
                        satisfies, systematic_indices, systematic_resample)
@@ -254,6 +254,44 @@ class TestEffectiveSampleSize:
         with pytest.raises(ValueError):
             effective_sample_size((0.5, -0.1))
 
+    def test_equals_the_loop_definition_bit_for_bit(self):
+        """The numpy sums keep every bit of one left-to-right pass, through
+        zeros, overflowing squares and subnormal weights (whose squares all
+        underflow to 0, so both divide by zero)."""
+        def loop(weights):
+            total = total_sq = 0.0
+            for w in weights:
+                total += w
+                total_sq += w * w
+            return total * total / total_sq
+
+        def outcome(fn, weights):
+            try:
+                return repr(fn(weights))
+            except ZeroDivisionError as exc:
+                return type(exc)
+
+        rng = np.random.default_rng(6217)
+        tiny = math.ulp(0.0)
+        for n in (1, 2, 7, 1000):
+            for kind in ("random", "zeros", "huge", "small", "subnormal", "mixed"):
+                w = rng.random(n)
+                if kind == "zeros":
+                    w[rng.random(n) < 0.5] = 0.0
+                elif kind == "huge":
+                    w *= 1e300
+                elif kind == "small":
+                    w *= 1e-300
+                elif kind == "subnormal":
+                    w = rng.integers(0, 2 ** 20, n) * tiny
+                elif kind == "mixed":
+                    w = rng.choice([0.0, 1e300, 1e-300, 3 * tiny, 1.0, 0.1], n) * rng.random(n)
+                if not w.any():
+                    w[0] = 1.0
+                expected = outcome(loop, w.tolist())
+                assert outcome(effective_sample_size, w) == expected, (n, kind)
+                assert outcome(effective_sample_size, tuple(w.tolist())) == expected, (n, kind)
+
 
 class TestConditionalSample:
     def test_every_survivor_satisfies_constraints(self):
@@ -441,3 +479,43 @@ class TestSeedStreams:
         th.join()
         assert results and results[0].survived
         assert len(built) == 1
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("seed", [0, 2 ** 64 - 1, -42])
+    @pytest.mark.parametrize("kind", [0, 1])
+    @pytest.mark.parametrize("lane", [0, 2 ** 32 - 1])
+    def test_blocks_are_the_words_of_stream(self, seed, kind, lane):
+        """Block c holds raw words 4(c - 1) to 4c - 1 of the stream with the
+        same key, and ``doubles`` makes of them what ``random()`` draws."""
+        barrier = 2 ** 16 - 1
+        raw = stream(seed, kind, barrier, lane).bit_generator.random_raw(12).tolist()
+        g = stream(seed, kind, barrier, lane)
+        drawn = [g.random() for _ in range(12)]
+        for c in (1, 2, 3):
+            words = block(seed, kind, barrier, lane, counter=c)
+            assert words.dtype == np.uint64 and words.shape == (4,)
+            assert words.tolist() == raw[4 * (c - 1):4 * c]
+            assert doubles(words).tolist() == drawn[4 * (c - 1):4 * c]
+
+    def test_broadcasts_barriers_against_lanes(self):
+        words = block(9, 0, np.arange(3)[:, None], np.array([0, 5, 2 ** 32 - 1]))
+        assert words.shape == (3, 3, 4)
+        for i in range(3):
+            for j, lane in enumerate((0, 5, 2 ** 32 - 1)):
+                assert words[i, j].tolist() == block(9, 0, i, lane).tolist()
+
+    @pytest.mark.parametrize("kind, barrier, lane", [
+        (-1, 0, 0), (2 ** 16, 0, 0), (0, -1, 0), (0, 2 ** 16, 0), (0, 0, -1), (0, 0, 2 ** 32),
+        (0, 2 ** 64, 0), (0, 0, [3, 2 ** 32]),
+    ])
+    def test_rejects_what_stream_rejects(self, kind, barrier, lane):
+        with pytest.raises(ValueError):
+            stream(1, kind, barrier, np.max(lane))
+        with pytest.raises(ValueError):
+            block(1, kind, barrier, lane)
+
+    @pytest.mark.parametrize("counter", [0, -1, 2 ** 64])
+    def test_rejects_counters_outside_one_block_word(self, counter):
+        with pytest.raises(ValueError):
+            block(1, 0, 0, 0, counter=counter)
