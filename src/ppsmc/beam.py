@@ -12,21 +12,22 @@ the conditional law.  Each candidate is scored in the walk that proposes it
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
+from dataclasses import asdict, dataclass
+from typing import Sequence
 
 from .models import SequenceModel
 from .smc import ConstraintSet, EnsembleResult, run_barriers
 
 
-class BeamBarrierDiagnostics(NamedTuple):
+@dataclass(frozen=True)
+class BeamBarrierDiagnostics:
     barrier_index: int  # 1-based
     explored: int       # candidates considered at this barrier (= b*f)
     kept_min_logprob: float
     kept_max_logprob: float
     discarded_max_logprob: float  # -inf when nothing was discarded
 
-    def to_dict(self) -> dict:
-        return self._asdict()
+    to_dict = asdict
 
 
 def beam_search_sample(model: SequenceModel, constraints: ConstraintSet,

@@ -273,10 +273,14 @@ def sample_restricted(model: SequenceModel, rng: np.random.Generator,
     seg, *_ = propose_segment(model, model.initial_state(initial_history),
                               initial_history[-1] if len(initial_history) else 0.0, math.inf,
                               True, rng, horizon=horizon)
-    out = [*initial_history, *seg]
-    while out and out[-1] > horizon:
-        out.pop()
-    return tuple(out)
+    return tuple(trim_at_horizon([*initial_history, *seg], horizon))
+
+
+def trim_at_horizon(path: list, horizon: float) -> list:
+    """Drop from the end of a finished path, in place, every time past ``horizon``."""
+    while path and path[-1] > horizon:
+        path.pop()
+    return path
 
 
 def step_log_probabilities(model: SequenceModel, seq: Sequence[float],

@@ -16,13 +16,12 @@ scalar out of an array for each of them cost more than the rest of a re-key.
 
 ``block`` computes the same streams without a generator: it evaluates
 Philox4x64-10 in numpy uint64 arithmetic for many keys at once and returns
-each key's 4 words of one block.  Block counter c holds words 4(c - 1) to
-4c - 1 of the stream ``stream()`` gives for that key, and ``doubles`` turns
-words into the doubles ``Generator.random()`` draws from them,
-(word >> 11)·2**-53.  A lane of the array walk in ``ppsmc.smc`` takes its
-first 4 uniforms from a counter-1 block; a lane that needs more is walked
-again on ``stream()``, whose first 4 ``random()`` draws are those same
-uniforms, so its draws continue exactly where the block stops.
+each key's first block, the 4 words ``stream()`` gives first for that key.
+``doubles`` turns words into the doubles ``Generator.random()`` draws from
+them, (word >> 11)·2**-53.  A lane of the array walk in ``ppsmc.smc`` takes
+its first 4 uniforms from its block; a lane that needs more is walked again
+on ``stream()``, whose first 4 ``random()`` draws are those same uniforms,
+so its draws continue exactly where the block stops.
 """
 
 from __future__ import annotations
@@ -114,23 +113,21 @@ def _coordinate(values, limit: int, what: str) -> np.ndarray:
     return a.astype(np.uint64)
 
 
-def block(seed: int, kind: int, barrier, lanes, counter: int = 1) -> np.ndarray:
-    """Words of block ``counter`` of every stream (seed, kind, barrier, lane).
+def block(seed: int, kind: int, barrier, lanes) -> np.ndarray:
+    """Words of the first block of every stream (seed, kind, barrier, lane).
 
     ``barrier`` and ``lanes`` are integers or integer arrays that broadcast
     together; the result has their broadcast shape plus a last axis of the 4
-    uint64 words.  Block ``counter`` (1-based) holds the words that
-    ``stream(seed, kind, barrier, lane)`` gives as raw draws 4(counter - 1)
-    to 4·counter - 1.  Rejects every coordinate ``stream()`` rejects.
+    uint64 words.  They are the first 4 raw draws of
+    ``stream(seed, kind, barrier, lane)``, whose generator encrypts counter 1
+    first.  Rejects every coordinate ``stream()`` rejects.
     """
     if not 0 <= kind < _MAX_KINDS:
         raise ValueError(f"stream kind {kind} out of range (max {_MAX_KINDS - 1})")
-    if not 1 <= counter <= _SEED_MASK:
-        raise ValueError(f"block counter {counter} out of range (1 to {_SEED_MASK})")
     barrier = _coordinate(barrier, _MAX_BARRIERS, "barrier index")
     lanes = _coordinate(lanes, _MAX_PARTICLES, "lane index")
     k0, k1 = seed & _SEED_MASK, (np.uint64(kind << 48) | (barrier << _SHIFT32)) | lanes
-    x0 = np.full(k1.shape, counter, dtype=np.uint64)
+    x0 = np.ones(k1.shape, dtype=np.uint64)
     x1 = x2 = x3 = np.zeros(k1.shape, dtype=np.uint64)
     with np.errstate(over="ignore"):  # the arithmetic is modulo 2**64 on purpose
         for r in range(_PHILOX_ROUNDS):

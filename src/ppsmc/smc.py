@@ -45,7 +45,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .models import (InterArrivalDistribution, RenewalModel, SequenceModel, _log_density,
-                     propose_segment)
+                     propose_segment, trim_at_horizon)
 from .rng import KIND_PROPOSAL, KIND_RESAMPLE, block, doubles, stream
 
 FORMAT_VERSION = 1
@@ -258,7 +258,7 @@ def systematic_resample(weights: Sequence[float], rng) -> tuple[int, ...]:
 
 
 # keys per Philox block call: a call costs ~0.5 ms however few its keys, so
-# the counter-1 blocks of several barriers are drawn at once
+# the blocks of several barriers are drawn at once
 _BLOCK_KEYS = 4096
 # uniforms a lane takes from its block before it is walked on its stream()
 _BLOCK_DRAWS = 4
@@ -269,7 +269,7 @@ class _Walk:
 
     A renewal model whose one law samples through its ``quantile`` (Poisson,
     Weibull, uniform) proposes the free segments of all its lanes at once:
-    each lane takes its uniforms from a counter-1 Philox block, as arrays.
+    each lane takes its uniforms from its first Philox block, as arrays.
     Every other lane, among them every lane of any other model and every
     lane the block did not take to the barrier, is walked by
     ``propose_segment`` on its own ``stream()``, whose first draws are the
@@ -448,9 +448,8 @@ def run_barriers(model: SequenceModel, constraints: ConstraintSet, seed: int,
     for p, row in enumerate(_rows(walk.levels, picks[::-1], list(initial_history),
                                   constraints.z)):
         n = len(row)
-        # a tail that ran started below the horizon, so it drops only its own times
-        while flags[-1] and row and row[-1] > horizon:
-            row.pop()
+        if flags[-1]:  # the tail started below the horizon, so it drops only its own times
+            trim_at_horizon(row, horizon)
         samples.append(tuple(row))
         if score:
             tail = steps[p] if flags[-1] else []
