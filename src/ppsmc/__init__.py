@@ -8,11 +8,11 @@ oracle (`oracle`), and a symbolic-music event domain (`music`).
 
 from .models import (PoissonProcessModel, SequenceModel, UniformRenewalModel,
                      WeibullRenewalModel, conditional_intensity, log_probability,
-                     sample_restricted, step_log_probabilities)
+                     propose_segment, sample_restricted, step_log_probabilities)
 from .smc import (BarrierDiagnostics, ConstraintSet, EnsembleResult,
                   barrier_weight, conditional_sample, effective_sample_size,
-                  propose_segment, read_constraint_file, satisfies,
-                  systematic_indices, systematic_resample)
+                  read_constraint_file, satisfies, systematic_indices,
+                  systematic_resample)
 from .beam import BeamBarrierDiagnostics, beam_search_sample
 from .errors import IterationLimitError, SaturatedCdfError
 

@@ -48,7 +48,7 @@ def beam_search_sample(model: SequenceModel, constraints: ConstraintSet,
     # every barrier explores b*f candidates
     kept_lps = [0.0] * f
 
-    def keep_best(i, b_prev, parents, gaps, laws, steps):
+    def keep_best(i, b_prev, parents, ends, steps):
         nonlocal kept_lps
         scores = [kept_lps[t] + sum(lane) for t, lane in zip(parents, steps)]
         order = sorted(range(len(scores)), key=lambda k: -scores[k])

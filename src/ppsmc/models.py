@@ -18,21 +18,26 @@ discrete models must override ``survival`` so that the mass at d itself is
 retained — the importance weight at a clipped barrier divides by P(gap >= d).
 
 A law may instead define ``quantile(u)``, the gap at which its cdf reaches u
-in [0, 1); ``sample(rng)`` is then ``quantile(rng.random())``, one draw of
-one 64-bit word.  The exponential, Weibull and uniform laws do, and a
-``RenewalModel`` whose law samples through ``quantile`` is walked as arrays
-(``ppsmc.smc``), every lane's uniforms taken from Philox blocks, while
-``propose_segment`` walks one path on one stream.  Both walks apply the same
-scalar ``quantile``, so they append the same times.  The exponential is
--log1p(-u)/rate and the Weibull scale·(-log1p(-u))**(1/shape), inverse cdfs
-of ``random()`` rather than numpy's ziggurat draws; the uniform is
-low + (high - low)·u, bit for bit what ``Generator.uniform`` draws.
+in [0, 1); ``sample(rng)`` is then ``quantile(rng.random())``.  The
+exponential is -log1p(-u)/rate and the Weibull scale·(-log1p(-u))**(1/shape),
+inverse cdfs of ``random()`` rather than numpy's ziggurat draws; the uniform
+is low + (high - low)·u, bit for bit what ``Generator.uniform`` draws.
+
+``propose_segment`` walks one path on one generator.  The filter and the beam
+walk all their lanes at once (``ppsmc.smc``) and ask each law for the gaps of
+many lanes in one call, ``draws``: given each lane's next ``draw_width``
+uniforms, it returns the gap ``sample`` would draw from them and how many
+uniforms it took.  The default applies ``quantile`` to each uniform, or calls
+``sample`` once per lane on a generator whose ``random()`` returns the lane's
+next uniform, so a law that overrides ``sample`` must draw only through
+``random()``.  The grid and music laws override ``draws`` with array code
+that takes the same uniforms.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -61,6 +66,28 @@ class InterArrivalDistribution:
 
     def sample(self, rng: np.random.Generator):
         return self.quantile(rng.random())
+
+    @property
+    def draw_width(self) -> int:
+        """Uniforms one draw takes at most, handed to ``draws`` up front; 0
+        for a law that draws through ``sample``, which takes them one by one."""
+        return 1 if type(self).sample is InterArrivalDistribution.sample else 0
+
+    def draws(self, u: np.ndarray, lanes: Callable[[], list]) -> tuple[np.ndarray, object]:
+        """Gaps of many lanes in this state, and the uniforms each took.
+
+        Row k of ``u`` holds lane k's next uniforms, ``draw_width`` of them
+        or more; ``lanes()`` returns one generator per lane whose ``random()``
+        draws the lane's uniforms in order.  A law that samples through its
+        quantile takes every column of ``u`` as one gap, a row of gaps per
+        lane when ``u`` has more than one; any other law draws one gap per
+        lane with ``sample``.
+        """
+        if type(self).sample is InterArrivalDistribution.sample:
+            gaps = np.array(list(map(self.quantile, u.ravel().tolist())))
+            return (gaps if u.shape[1] == 1 else gaps.reshape(u.shape)), u.shape[1]
+        rngs = lanes()
+        return np.array([self.sample(rng) for rng in rngs]), np.array([rng.used for rng in rngs])
 
     def hazard(self, d) -> float:
         """f(d) / P(gap >= d); 0 where the density is 0.

@@ -32,6 +32,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from ..models import InterArrivalDistribution, SequenceModel
 from .encoding import (Vocabulary, _split_code, codes_to_events, decode_event,
                        event_symbols, events_to_symbols)
@@ -119,6 +121,26 @@ class _MusicGap(InterArrivalDistribution):
             action = self.model.sample_symbol(ctx2, sym, rng)
             code = (self.cur_t + dt) * self.vocab.actions + action
         return code - self.last_code
+
+
+    draw_width = 2  # a symbol, and an action after a shift
+
+    def draws(self, u, lanes):
+        """Each lane's symbol from its first uniform and, after a shift, its
+        action from its second, as ``sample`` draws them."""
+        acts, model = self.vocab.actions, self.model
+        base = self.cur_t * acts - self.last_code
+        gaps, used = [], []
+        for sym, second in zip(model.symbols(self.ctx, self.last_a, u[:, 0]).tolist(),
+                               u[:, 1].tolist()):
+            if sym <= acts:
+                gaps.append(sym + base)
+                used.append(1)
+            else:
+                action = model.symbol(model.context_of(self.tail + (sym,)), sym, second)
+                gaps.append(action + base + (sym - acts) * acts)
+                used.append(2)
+        return np.array(gaps), np.array(used)
 
 
 class UnrolledMusicModel(SequenceModel):

@@ -72,9 +72,18 @@ class NGramModel:
         return self._masked(context, prev)[0]
 
     def sample_symbol(self, context: tuple, prev: int | None, rng) -> int:
+        return self.symbol(context, prev, rng.random())
+
+    def symbol(self, context: tuple, prev: int | None, u: float) -> int:
+        """The symbol drawn from the uniform ``u``."""
         cum = self._masked(context, prev)[1]
-        idx = int(cum.searchsorted(rng.random(), side="right"))
+        idx = int(cum.searchsorted(u, side="right"))
         return min(idx, self.vocab.size - 1) + 1
+
+    def symbols(self, context: tuple, prev: int | None, u: np.ndarray) -> np.ndarray:
+        """``symbol`` of each uniform in ``u``."""
+        cum = self._masked(context, prev)[1]
+        return np.minimum(cum.searchsorted(u, side="right"), self.vocab.size - 1) + 1
 
     def sequence_log_pmf(self, symbols: Sequence[int]) -> float:
         """Masked log probability of a whole symbol stream (for evaluation)."""

@@ -13,7 +13,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .models import InterArrivalDistribution, SequenceModel
 from .smc import ConstraintSet
@@ -133,6 +136,31 @@ class _GridGap(InterArrivalDistribution):
                 return j - len(self.prefix) + 1
             bits.append(0)
         return self.model.n - len(self.prefix) + 1  # beyond the horizon
+
+    @cached_property
+    def _ahead(self) -> np.ndarray:
+        """g at each cell ahead, the cells before it vacant, as ``sample`` reads it."""
+        bits = list(self.prefix)
+        out = []
+        for _ in range(self.draw_width):
+            out.append(self.model.g(tuple(bits)))
+            bits.append(0)
+        return np.array(out)
+
+    @property
+    def draw_width(self) -> int:
+        return max(self.model.n - len(self.prefix), 0)
+
+    def draws(self, u, lanes):
+        """Each lane's first cell ahead whose uniform falls below its g, one
+        uniform per cell tried, as ``sample`` finds it."""
+        cells = self.draw_width
+        if not cells:
+            return np.full(len(u), self.model.n - len(self.prefix) + 1), 0
+        hit = u[:, :cells] < self._ahead
+        found = hit.any(axis=1)
+        first = hit.argmax(axis=1) + 1
+        return np.where(found, first, cells + 1), np.where(found, first, cells)
 
 
 class GridSequenceModel(SequenceModel):

@@ -15,18 +15,19 @@ converts every key, counter and buffer word one by one, and reading a numpy
 scalar out of an array for each of them cost more than the rest of a re-key.
 
 ``block`` computes the same streams without a generator: it evaluates
-Philox4x64-10 in numpy uint64 arithmetic for many keys at once and returns
-each key's first block, the 4 words ``stream()`` gives first for that key.
-``doubles`` turns words into the doubles ``Generator.random()`` draws from
-them, (word >> 11)·2**-53.  A lane of the array walk in ``ppsmc.smc`` takes
-its first 4 uniforms from its block; a lane that needs more is walked again
-on ``stream()``, whose first 4 ``random()`` draws are those same uniforms,
-so its draws continue exactly where the block stops.
+Philox4x64-10 in numpy uint64 arithmetic for many keys and counters at once.
+Block c of a key holds the 4 words ``stream()`` gives as its draws 4(c-1) to
+4c-1, since the generator encrypts counter 1 first.  ``doubles`` turns words
+into the doubles ``Generator.random()`` draws from them, (word >> 11)·2**-53.
+The walk in ``ppsmc.smc`` draws every uniform this way: a lane's uniforms
+are the doubles of its blocks at counter 1, 2, 3, ... in order, which are
+the ``random()`` draws of its ``stream()``.
 """
 
 from __future__ import annotations
 
 import threading
+from itertools import repeat
 
 import numpy as np
 
@@ -37,6 +38,7 @@ KIND_RESAMPLE = 1
 _MAX_KINDS = 1 << 16
 _MAX_BARRIERS = 1 << 16
 _MAX_PARTICLES = 1 << 32
+_MAX_COUNTERS = 1 << 64
 _SEED_MASK = (1 << 64) - 1
 
 _thread = threading.local()
@@ -93,6 +95,7 @@ _PHILOX_M = ((np.uint64(0xE14C6C93), np.uint64(0xD2E7470E), np.uint64(0xD2E7470E
              (np.uint64(0x95121157), np.uint64(0xCA5A8263), np.uint64(0xCA5A826395121157)))
 _PHILOX_W = (0x9E3779B97F4A7C15, np.uint64(0xBB67AE8584CAA73B))
 _PHILOX_ROUNDS = 10
+_M0, _M1, _W0, _W1 = int(_PHILOX_M[0][2]), int(_PHILOX_M[1][2]), _PHILOX_W[0], int(_PHILOX_W[1])
 _LOW32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
 
@@ -106,29 +109,47 @@ def _mulhilo(m: tuple, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return m_hi * x_hi + (lo_hi >> _SHIFT32) + (hi_lo >> _SHIFT32) + carry, m_all * x
 
 
-def _coordinate(values, limit: int, what: str) -> np.ndarray:
+_FEW_KEYS = 32
+
+
+def _philox(k0: int, k1: int, x0: int) -> tuple[int, int, int, int]:
+    """The block at counter (x0, 0, 0, 0) of key (k0, k1), in Python ints."""
+    x1 = x2 = x3 = 0
+    for r in range(_PHILOX_ROUNDS):
+        if r:
+            k0, k1 = (k0 + _W0) & _SEED_MASK, (k1 + _W1) & _SEED_MASK
+        p0, p1 = _M0 * x0, _M1 * x2
+        x0, x1, x2, x3 = (p1 >> 64) ^ x1 ^ k0, p1 & _SEED_MASK, (p0 >> 64) ^ x3 ^ k1, p0 & _SEED_MASK
+    return x0, x1, x2, x3
+
+
+def _coordinate(values, limit: int, what: str, low: int = 0) -> np.ndarray:
     a = np.asarray(values)  # an object array holds ints beyond 64 bits
-    if a.size and not (a.min() >= 0 and a.max() < limit):
-        raise ValueError(f"{what} out of range (max {limit - 1})")
+    if a.size and not (a.min() >= low and a.max() < limit):
+        raise ValueError(f"{what} out of range ({low} to {limit - 1})")
     return a.astype(np.uint64)
 
 
-def block(seed: int, kind: int, barrier, lanes) -> np.ndarray:
-    """Words of the first block of every stream (seed, kind, barrier, lane).
+def block(seed: int, kind: int, barrier, lanes, counter=1) -> np.ndarray:
+    """Words of block ``counter`` of every stream (seed, kind, barrier, lane).
 
-    ``barrier`` and ``lanes`` are integers or integer arrays that broadcast
-    together; the result has their broadcast shape plus a last axis of the 4
-    uint64 words.  They are the first 4 raw draws of
-    ``stream(seed, kind, barrier, lane)``, whose generator encrypts counter 1
-    first.  Rejects every coordinate ``stream()`` rejects.
+    ``barrier``, ``lanes`` and ``counter`` are integers or integer arrays that
+    broadcast together; the result has their broadcast shape plus a last axis
+    of the 4 uint64 words.  Block c holds raw draws 4(c-1) to 4c-1 of
+    ``stream(seed, kind, barrier, lane)``, for 1 <= c < 2**64.  Rejects every
+    coordinate ``stream()`` rejects.
     """
     if not 0 <= kind < _MAX_KINDS:
         raise ValueError(f"stream kind {kind} out of range (max {_MAX_KINDS - 1})")
     barrier = _coordinate(barrier, _MAX_BARRIERS, "barrier index")
     lanes = _coordinate(lanes, _MAX_PARTICLES, "lane index")
-    k0, k1 = seed & _SEED_MASK, (np.uint64(kind << 48) | (barrier << _SHIFT32)) | lanes
-    x0 = np.ones(k1.shape, dtype=np.uint64)
-    x1 = x2 = x3 = np.zeros(k1.shape, dtype=np.uint64)
+    counter = _coordinate(counter, _MAX_COUNTERS, "block counter", low=1)
+    k0 = seed & _SEED_MASK
+    k1, x0 = np.broadcast_arrays((np.uint64(kind << 48) | (barrier << _SHIFT32)) | lanes, counter)
+    if x0.size <= _FEW_KEYS:  # numpy's per-call cost is that of ~50 keys in Python ints
+        words = list(map(_philox, repeat(k0), k1.ravel().tolist(), x0.ravel().tolist()))
+        return np.array(words, dtype=np.uint64).reshape(*x0.shape, 4)
+    x1 = x2 = x3 = np.zeros(x0.shape, dtype=np.uint64)
     with np.errstate(over="ignore"):  # the arithmetic is modulo 2**64 on purpose
         for r in range(_PHILOX_ROUNDS):
             if r:

@@ -44,9 +44,11 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
+from . import models
+from .errors import IterationLimitError
 from .models import (InterArrivalDistribution, RenewalModel, SequenceModel, _log_density,
-                     propose_segment, trim_at_horizon)
-from .rng import KIND_PROPOSAL, KIND_RESAMPLE, block, doubles, stream
+                     trim_at_horizon)
+from .rng import KIND_PROPOSAL, KIND_RESAMPLE, block, doubles
 
 FORMAT_VERSION = 1
 
@@ -258,104 +260,267 @@ def systematic_resample(weights: Sequence[float], rng) -> tuple[int, ...]:
 
 
 # keys per Philox block call: a call costs ~0.5 ms however few its keys, so
-# the blocks of several barriers are drawn at once
+# the first blocks of several barriers are drawn at once
 _BLOCK_KEYS = 4096
-# uniforms a lane takes from its block before it is walked on its stream()
-_BLOCK_DRAWS = 4
+# steps a lane of a renewal model takes one gap at a time; after them the
+# gaps it draws per step double, up to _MAX_RUN
+_SINGLE_STEPS = 4
+_MAX_RUN = 1 << 16
+
+
+class _Uniforms:
+    """The uniforms of one level's lanes.  Lane l's are the doubles of its
+    Philox blocks (seed, KIND_PROPOSAL, barrier, l) at counters 1, 2, 3, ...
+    in order, the ``random()`` draws of its ``stream()``.  Each lane keeps a
+    window of consecutive blocks and the offset of its next uniform from the
+    window's start."""
+
+    def __init__(self, seed: int, barrier: int, window: np.ndarray):
+        self.seed, self.barrier, self.u = seed, barrier, window
+        self.first = np.zeros(len(window), dtype=np.int64)  # each window's first block, from 0
+        self.off = np.zeros(len(window), dtype=np.int64)
+
+    def _blocks(self, lanes: np.ndarray, first: np.ndarray, k: int) -> np.ndarray:
+        """The doubles of blocks first, ..., first + k - 1 (from 0) of each lane."""
+        words = block(self.seed, KIND_PROPOSAL, self.barrier, lanes[:, None],
+                      first[:, None] + np.arange(1, k + 1))
+        return doubles(words).reshape(len(lanes), 4 * k)
+
+    def peek(self, lanes: np.ndarray, w: int) -> np.ndarray:
+        """Each lane's next ``w`` uniforms, without using them up."""
+        off = self.off[lanes]
+        width = self.u.shape[1]
+        if w > width - 3:  # more than a window may hold: computed for this call only
+            at = 4 * self.first[lanes] + off
+            return self._blocks(lanes, at >> 2, (w + 6) // 4)[
+                np.arange(len(lanes))[:, None], (at & 3)[:, None] + np.arange(w)]
+        stale = off > width - w
+        if np.count_nonzero(stale):  # restart those windows at the block of the next uniform
+            moved = lanes[stale]
+            at = 4 * self.first[moved] + off[stale]
+            self.first[moved] = at >> 2
+            self.off[moved] = off[stale] = at & 3
+            self.u[moved] = self._blocks(moved, at >> 2, width // 4)
+        if w == 1:
+            return self.u[lanes, off][:, None]
+        return self.u[lanes[:, None], off[:, None] + np.arange(w)]
+
+    def lanes(self, lanes: np.ndarray) -> list:
+        at = 4 * self.first[lanes] + self.off[lanes]
+        return [_Lane(self, lane, n) for lane, n in zip(lanes.tolist(), at.tolist())]
+
+
+class _Lane:
+    """One lane as a generator: ``random()`` draws its next uniform."""
+
+    def __init__(self, uniforms: _Uniforms, lane: int, at: int):
+        self.uniforms, self.lane, self.at, self.used = uniforms, lane, at, 0
+        self.block, self.words = -1, []
+
+    def random(self) -> float:
+        n = self.at + self.used
+        self.used += 1
+        if n >> 2 != self.block:
+            self.block = n >> 2
+            self.words = self.uniforms._blocks(np.array([self.lane]), np.array([self.block]), 1)[0].tolist()
+        return self.words[n & 3]
 
 
 class _Walk:
     """The paths of one run, and the times their children appended.
 
-    A renewal model whose one law samples through its ``quantile`` (Poisson,
-    Weibull, uniform) proposes the free segments of all its lanes at once:
-    each lane takes its uniforms from its first Philox block, as arrays.
-    Every other lane, among them every lane of any other model and every
-    lane the block did not take to the barrier, is walked by
-    ``propose_segment`` on its own ``stream()``, whose first draws are the
-    block's, so a lane goes on exactly where its block stops.
+    Every model is walked the same way.  The lanes of a level (one barrier,
+    or the open tail) step together: at each step the lanes still short of
+    the barrier are grouped by state, and each group's law draws one gap per
+    lane from the lanes' next uniforms (``InterArrivalDistribution.draws``).
+    States are interned, so lanes in equal states share one object and one
+    group, and ``advance`` runs once per distinct (state, time) pair.  A
+    model whose ``advance`` is ``RenewalModel``'s keeps its one state, and
+    past ``_SINGLE_STEPS`` steps a lane whose law samples through its
+    quantile draws a run of gaps at once, so a walk of a million events
+    takes a few dozen steps.
 
-    A level, one barrier or the open tail, is stored as its free times (the
-    times its children appended short of the barrier) in lane order, and
-    where each child's begin, one more entry for the end.  The barrier itself
-    is put back, as the z object, when ``_rows`` builds the samples.
+    A level is stored as its free times (the times its children appended
+    short of the barrier) in lane order, and where each child's begin, one
+    more entry for the end.  The barrier itself is put back, as the z
+    object, when ``_rows`` builds the samples.
     """
 
     def __init__(self, model, law, seed, horizon, score, width, lanes, levels):
         self.model, self.seed, self.horizon, self.score = model, seed, horizon, score
-        self.states = [law] * width
-        arrays = (isinstance(model, RenewalModel) and type(model).advance is RenewalModel.advance
-                  and type(law).sample is InterArrivalDistribution.sample)
-        self.law = law if arrays else None
+        self.fixed = type(model).advance is RenewalModel.advance
+        self.table, self.index = [], {}
+        self.sids = np.full(width, self._intern(law))  # each path's state
+        self.runs = (self.fixed and law.draw_width == 1
+                     and type(law).draws is InterArrivalDistribution.draws)
+        self.window = min(4, (law.draw_width + 6) // 4)  # blocks: a draw fits at any offset
         self.lanes, self.n_levels = lanes, levels
         self.levels = []
-        self._chunk = {}  # barrier index: its lanes' uniforms
+        self._chunk = {}  # barrier index: its lanes' first blocks
 
-    def _uniforms(self, i: int, n: int) -> np.ndarray:
+    def _intern(self, state) -> int:
+        """The id of the state equal to ``state`` (the same object if unhashable)."""
+        key = state if type(state).__hash__ is not None else ("id", id(state))
+        sid = self.index.get(key)
+        if sid is None:
+            sid = self.index[key] = len(self.table)
+            self.table.append(state)
+        return sid
+
+    def _uniforms(self, i: int, n: int) -> _Uniforms:
         if i not in self._chunk:
-            barriers = np.arange(i, min(i + max(1, _BLOCK_KEYS // self.lanes), self.n_levels))
-            self._chunk = dict(zip(barriers.tolist(), doubles(
-                block(self.seed, KIND_PROPOSAL, barriers[:, None], np.arange(self.lanes)))))
-        return self._chunk[i][:n]
+            k = self.window
+            barriers = np.arange(i, min(i + max(1, _BLOCK_KEYS // (k * self.lanes)), self.n_levels))
+            words = block(self.seed, KIND_PROPOSAL, barriers[:, None, None],
+                          np.arange(self.lanes)[:, None], np.arange(1, k + 1))
+            self._chunk = dict(zip(barriers.tolist(),
+                                   doubles(words).reshape(len(barriers), self.lanes, 4 * k)))
+        return _Uniforms(self.seed, i, self._chunk[i][:n])
 
     def propose(self, i, last, z, b_prev, branching) -> tuple:
         """Every child's segment from ``last`` to barrier ``z`` (math.inf for
         the open tail); returns the columns ``select`` receives."""
-        law, n = self.law, len(self.states) * branching
-        gaps, counts, times, logs = np.empty(n), np.zeros(n, dtype=np.int32), [], []
-        walked = range(n)
-        if law is not None and b_prev:
-            u = self._uniforms(i, n)
-            stop = min(z, self.horizon)  # a lane walks while its last time is below both
-            pos = np.full(n, float(last))
-            active = np.arange(n)
-            for k in range(_BLOCK_DRAWS):
-                active = active[pos[active] < stop]
-                if not active.size:
-                    break
-                d = np.array(list(map(law.quantile, u[active, k].tolist())), dtype=float)
-                if (d <= 0).any():
-                    raise ValueError(f"model produced a non-positive gap: {float(d[d <= 0][0])!r}")
-                prev = pos[active]
-                cand = prev + d
-                pos[active] = new = np.where(cand < z, cand, float(z))
-                gaps[active] = step = new - prev
-                counts[active] += 1
-                times.append(np.empty(n))
-                times[-1][active] = new
-                if self.score:  # each time's step, as propose_segment scores it
-                    logs.append(np.empty(n))
-                    logs[-1][active] = list(map(_log_density, repeat(law), step.tolist()))
-            walked = np.flatnonzero(pos < stop).tolist()
-        times = np.stack(times, axis=1) if times else np.empty((n, 0), dtype=object)
-        gaps, laws = gaps.tolist(), [law] * n
-        steps = [row[:c] for row, c in zip(np.stack(logs, axis=1).tolist() if logs else [[]] * n,
-                                           counts.tolist())] if self.score else None
-        segments = {lane: propose_segment(self.model, self.states[lane // branching], last, z,
-                                          b_prev, stream(self.seed, KIND_PROPOSAL, i, lane),
-                                          horizon=self.horizon, score=self.score)
-                    for lane in walked}
-        if segments:
-            wide = max(len(seg) for seg, *_ in segments.values())
-            times = np.pad(times, ((0, 0), (0, wide - times.shape[1])))
-            for lane, (seg, gap, lane_law, lane_steps) in segments.items():
-                times[lane, :len(seg)] = seg
-                counts[lane], gaps[lane], laws[lane] = len(seg), gap, lane_law
-                if self.score:
-                    steps[lane] = lane_steps
-        free = counts - (z < math.inf)  # a barrier's segment ends with its z
-        self.levels.append((times[np.arange(times.shape[1]) < free[:, None]],
-                            np.concatenate(([0], np.cumsum(free)))))
-        return (np.arange(n) // branching).tolist(), gaps, laws, steps
+        n = len(self.sids) * branching
+        sids = self.sids.repeat(branching)
+        parents = (np.arange(n) // branching).tolist()
+        self.level_sids = sids
+        if not b_prev:  # the barrier is appended directly
+            self.levels.append((np.empty(0), np.zeros(n + 1, dtype=np.int64)))
+            ends = self._pairs(sids, np.full(n, z - last))
+            if self.score:
+                return parents, None, [[lp] for lp in self._log_densities(*ends).tolist()]
+            return parents, ends, None
+        uniforms = self._uniforms(i, n)
+        stop = min(z, self.horizon)  # a lane walks while its last time is below both
+        clip = z < math.inf
+        pos = np.full(n, last)  # each lane's last time
+        active = np.arange(n) if last < stop else np.arange(0)
+        times, logs = [], []  # what each step appended: (lanes, times), (lanes, states, steps)
+        drawn = 0  # gaps each active lane has drawn
+        while active.size:
+            s_act = sids[active]
+            if self.fixed:
+                groups = [(self.table[s_act[0]], 0, len(active))]
+            else:  # group the lanes by state
+                order = s_act.argsort(kind="stable")
+                active, s_act = active[order], s_act[order]
+                bounds = [0, *((s_act[1:] != s_act[:-1]).nonzero()[0] + 1).tolist(), len(active)]
+                groups = [(self.table[s], a, b)
+                          for s, a, b in zip(s_act[bounds[:-1]].tolist(), bounds, bounds[1:])]
+            count = 1  # gaps each lane draws this step, more in a run
+            if self.runs and drawn >= _SINGLE_STEPS:
+                count = min(drawn, max(1, _MAX_RUN // len(active)), models.MAX_EVENTS - drawn)
+            u = uniforms.peek(active, max(count, *(law.draw_width for law, _, _ in groups)))
+            draws = [law.draws(u[a:b, :count if self.runs else law.draw_width],
+                               lambda a=a, b=b: uniforms.lanes(active[a:b])) for law, a, b in groups]
+            if len(draws) == 1:
+                (d, used), = draws
+            else:  # runs have one group, so each group drew one gap per lane
+                d = np.concatenate([d for d, _ in draws])
+                used = np.empty(len(active), dtype=np.int64)
+                for (_, k), (_, a, b) in zip(draws, groups):
+                    used[a:b] = k
+            uniforms.off[active] += used
+            prev = pos[active]
+            if count == 1:  # one entry per lane
+                t = prev + d
+                going = t < stop  # a nan time ends a lane too
+                end = ~going
+                t_last = t[going]
+                entry_lanes, entry_states = active, s_act
+            else:  # a run: each lane's gaps up to the one that ends it
+                path = np.cumsum(np.hstack((prev[:, None], d)), axis=1)
+                below = path[:, 1:] < stop
+                going = below.all(axis=1)
+                first = np.where(going, count, (~below).argmax(axis=1))
+                stopped = (~going).nonzero()[0]
+                ends_at, t_last = path[stopped, first[stopped]], path[going, -1]
+                rows, k = np.nonzero(np.arange(count) <= first[:, None])
+                d, prev, t, end = d[rows, k], path[rows, k], path[rows, k + 1], k == first[rows]
+                entry_lanes, entry_states = active[rows], s_act[rows]
+            bad = d <= 0
+            if np.count_nonzero(bad):
+                raise ValueError(f"model produced a non-positive gap: {d[bad][0].item()!r}")
+            if t.dtype != pos.dtype:
+                pos = pos.astype(t.dtype)
+            if count > 1:  # a lane's time before its last gives its final gap
+                pos[active[stopped]] = ends_at
+            active = active[going]
+            pos[active] = t_last
+            drawn += count
+            if clip and count == 1:  # the free times are those of the lanes going on
+                times.append((active, t_last))
+            elif clip:
+                times.append((entry_lanes[~end], t[~end]))
+            else:
+                if t.dtype.kind == "f":  # as in propose_segment, a nan time becomes z
+                    t = np.where(t < z, t, z)
+                times.append((entry_lanes, t))
+            if self.score:
+                logs.append((entry_lanes, entry_states,
+                             np.where(end, z - prev, t - prev) if clip else t - prev))
+            if active.size and drawn >= models.MAX_EVENTS:
+                target = f"barrier {z!r}" if clip else f"horizon {self.horizon!r}"
+                raise IterationLimitError(f"segment did not reach {target} within "
+                                          f"{models.MAX_EVENTS} draws")
+            if not self.fixed and active.size:
+                grown, index = {}, []
+                for s, time in zip(s_act[going].tolist(), pos[active].tolist()):
+                    sid = grown.get((s, time))
+                    if sid is None:
+                        sid = grown[(s, time)] = self._intern(self.model.advance(self.table[s], time))
+                    index.append(sid)
+                sids[active] = index
+        self.levels.append(_level(times, n))
+        steps = self._steps(logs, n) if self.score else None
+        # the beam ranks by steps, and the open tail's final gaps are not used
+        return parents, self._pairs(sids, z - pos) if clip and not self.score else None, steps
 
-    def keep(self, laws, kept, z) -> None:
-        """Advance each distinct kept child past the barrier once; its copies
-        share that state.  A renewal model's one law needs no step."""
-        if self.law is not None:
-            self.states = [self.law] * len(kept)
+    def _pairs(self, sids: np.ndarray, values: np.ndarray) -> tuple[list, list, np.ndarray]:
+        """The distinct (state, value) pairs of some lanes, as their laws and
+        values, and the index of each lane's pair."""
+        values, which = np.unique(values, return_inverse=True)
+        if sids.min() != sids.max():
+            _, first, pair = np.unique(sids * len(values) + which, return_index=True,
+                                       return_inverse=True)
+            return [self.table[s] for s in sids[first].tolist()], values[which[first]].tolist(), pair
+        return [self.table[sids[0]]] * len(values), values.tolist(), which
+
+    @staticmethod
+    def _log_densities(laws: list, values: list, which: np.ndarray) -> np.ndarray:
+        return np.array(list(map(_log_density, laws, values)), dtype=float)[which]
+
+    def _steps(self, logs: list, n: int) -> list:
+        """Each lane's log densities of the times it appended, in order, each
+        computed once per distinct (state, step)."""
+        if not logs:
+            return [[] for _ in range(n)]
+        lanes, states, steps = (np.concatenate(column) for column in zip(*logs))
+        order = np.argsort(lanes, kind="stable")  # each lane's steps stay in order
+        flat = self._log_densities(*self._pairs(states[order], steps[order])).tolist()
+        begin = np.concatenate(([0], np.cumsum(np.bincount(lanes, minlength=n)))).tolist()
+        return [flat[a:b] for a, b in zip(begin, begin[1:])]
+
+    def keep(self, kept, z) -> None:
+        """Advance the state of each kept child past the barrier, once per
+        distinct state; the copies of a child share that state."""
+        if self.fixed:  # every lane keeps the first state
+            self.sids = np.zeros(len(kept), dtype=np.int64)
             return
-        grown = {k: self.model.advance(laws[k], z) for k in dict.fromkeys(kept)}
-        self.states = [grown[k] for k in kept]
+        sids = self.level_sids.tolist()
+        grown = {s: self._intern(self.model.advance(self.table[s], z))
+                 for s in dict.fromkeys(sids[k] for k in kept)}
+        self.sids = np.array([grown[sids[k]] for k in kept])
+
+
+def _level(entries: list, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """A level's (values, begin) from the (lanes, values) each step appended."""
+    if not entries:
+        return np.empty(0), np.zeros(n + 1, dtype=np.int64)
+    lanes = np.concatenate([lanes for lanes, _ in entries])
+    values = np.concatenate([values for _, values in entries])
+    order = np.argsort(lanes, kind="stable")  # lane order; each lane's steps stay in order
+    return values[order], np.concatenate(([0], np.cumsum(np.bincount(lanes, minlength=n))))
 
 
 def _rows(levels: list, picks: list, history: list, zs: tuple) -> Iterator[list]:
@@ -424,21 +589,21 @@ def run_barriers(model: SequenceModel, constraints: ConstraintSet, seed: int,
     diagnostics = []
     last = start
     for i, z in enumerate(constraints.z):
-        parents, gaps, laws, steps = walk.propose(i, last, z, flags[i], branching)
-        kept, row = select(i, flags[i], parents, gaps, laws, steps)
+        parents, ends, steps = walk.propose(i, last, z, flags[i], branching)
+        kept, row = select(i, flags[i], parents, ends, steps)
         diagnostics.append(row)
         if kept is None:
             return EnsembleResult(samples=[], survived=False, failed_barrier=i + 1,
                                   diagnostics=diagnostics)
-        walk.keep(laws, kept, z)
+        walk.keep(kept, z)
         if score:
             folds = [sum(steps[k], folds[parents[k]]) for k in kept]
         lineage.append((np.asarray(kept), branching))
         last = z
 
     if flags[-1]:
-        _, gaps, _, steps = walk.propose(constraints.r, last, math.inf, True, 1)
-        lineage.append((np.arange(len(gaps)), 1))
+        parents, _, steps = walk.propose(constraints.r, last, math.inf, True, 1)
+        lineage.append((np.arange(len(parents)), 1))
     paths = np.arange(len(lineage[-1][0]))  # the final paths
     picks = []
     for kept, b in reversed(lineage):
@@ -472,14 +637,18 @@ def conditional_sample(model: SequenceModel, constraints: ConstraintSet,
     if num_particles < 1:
         raise ValueError("need at least one particle")
 
-    def resample(i, b_prev, parents, gaps, laws, steps):
-        weights = np.array(list(map(barrier_weight, laws, gaps, repeat(b_prev))), dtype=float)
+    # each barrier's resampling offset, in (0, 1]: the first uniform of its stream
+    offsets = (1.0 - doubles(block(seed, KIND_RESAMPLE, np.arange(constraints.r), 0))[:, 0]).tolist()
+
+    def resample(i, b_prev, parents, ends, steps):
+        laws, gaps, which = ends
+        weights = np.array(list(map(barrier_weight, laws, gaps, repeat(b_prev))), dtype=float)[which]
         dead = int(np.count_nonzero(weights == 0))
         alive = dead < num_particles
         row = BarrierDiagnostics(
             barrier_index=i + 1, ess=effective_sample_size(weights) if alive else 0.0,
             min_weight=float(weights.min()), max_weight=float(weights.max()), dead_count=dead)
-        kept = systematic_resample(weights, stream(seed, KIND_RESAMPLE, i)) if alive else None
+        kept = systematic_indices(weights, offsets[i]) if alive else None
         return kept, row
 
     return run_barriers(model, constraints, seed, num_particles, resample,

@@ -1,21 +1,31 @@
-"""The array walk of renewal models gives the bytes of the per-lane walk.
+"""The grouped walk gives the bytes of the per-lane reference walk.
 
-A renewal model whose law samples through its ``quantile`` is proposed as
-arrays, its lanes' uniforms taken from Philox blocks; wrapped in a model that
-only delegates to it, the same model is walked one lane at a time by
-``propose_segment`` on ``stream()``.  Every run below is made both ways from
-the same keys and must give the same ``EnsembleResult``, compared through
-its repr so that a 1 that became 1.0 would show.
+``run_barriers`` walks every lane of a level at once, grouped by state, its
+uniforms taken from Philox blocks; ``lane_walk`` walks each lane on its own
+``stream()`` with ``propose_segment``.  Every run below is made both ways
+from the same keys and must give the same ``EnsembleResult``, compared
+through its repr so that a 1 that became 1.0 would show.  The cases cover
+every shipped model family, a model that only delegates to another (so
+that nothing keys on the model type), a law that draws through its own
+``sample``, lanes that need a third Philox block and lanes that draw runs
+of thousands of gaps.
 """
 
 from __future__ import annotations
 
-import pytest
+import math
 
-from ppsmc import smc
+import lane_walk
+import pytest
+from test_acceptance import tiny_music_model
+from test_golden import ORDER2, long_prefix
+
+from ppsmc import models, rng
 from ppsmc.beam import beam_search_sample
-from ppsmc.models import (PoissonProcessModel, SequenceModel, UniformRenewalModel,
-                          WeibullRenewalModel)
+from ppsmc.models import (InterArrivalDistribution, PoissonProcessModel, RenewalModel,
+                          SequenceModel, UniformRenewalModel, WeibullRenewalModel)
+from ppsmc.music.encoding import Vocabulary
+from ppsmc.oracle import GridModel, GridSequenceModel, observed_constraints
 from ppsmc.smc import ConstraintSet, conditional_sample
 
 
@@ -32,6 +42,29 @@ class Delegating(SequenceModel):
         return self.inner.advance(state, t)
 
 
+class MaxOfTwo(InterArrivalDistribution):
+    """A law of its own draw: the larger of two uniforms, scaled."""
+
+    def __init__(self, scale: float):
+        self.scale = scale
+
+    def sample(self, rng):
+        return self.scale * max(rng.random(), rng.random())
+
+    def pdf(self, d):
+        return 2 * d / self.scale ** 2 if 0 <= d <= self.scale else 0.0
+
+    def cdf(self, d):
+        return min(max(d / self.scale, 0.0), 1.0) ** 2
+
+
+def _grid() -> GridSequenceModel:
+    def g(bits):
+        return ORDER2[(bits[-2] if len(bits) >= 2 else 0, bits[-1] if bits else 0)]
+
+    return GridSequenceModel(GridModel(n=8, g=g))
+
+
 MODELS = {
     "poisson": PoissonProcessModel(rate=12.0),
     "weibull": WeibullRenewalModel(shape=1.5, scale=0.08),
@@ -39,7 +72,7 @@ MODELS = {
 }
 # a forbidden segment after 0.3, a free one clipped at the integer barrier
 # 1 and an open tail cut at the horizon; the walk from 0.55 to 1 needs more
-# than 4 draws on many lanes
+# than 8 draws, a third block, on many lanes
 MIXED = ConstraintSet(z=(0.3, 0.55, 1, 1.4), b=(False, True, True, True)), {"horizon": 1.7}
 
 
@@ -50,44 +83,39 @@ def _same(text, other):
     return text == other, f"the walks part at character {at}: {text[at - 40:at + 40]!r}"
 
 
-def _run(model, sampler, size, seed, cs, kwargs):
+def _text(result):
+    return repr((result.survived, result.failed_barrier, result.samples, result.diagnostics,
+                 result.log_probs))
+
+
+def _both(model, sampler, size, seed, cs, kwargs):
+    """The run's result, after checking that the reference walk gives its bytes."""
     if sampler == "filter":
         result = conditional_sample(model, cs, size, seed, **kwargs)
+        reference = lane_walk.conditional_sample(model, cs, size, seed, **kwargs)
     else:
         result = beam_search_sample(model, cs, 2, size, seed, **kwargs)
-    return repr((result.survived, result.failed_barrier, result.samples, result.diagnostics,
-                 result.log_probs)), result
+        reference = lane_walk.beam_search_sample(model, cs, 2, size, seed, **kwargs)
+    same, where = _same(_text(result), _text(reference))
+    assert same, where
+    return result
 
 
 @pytest.mark.parametrize("sampler", ["filter", "beam"])
 @pytest.mark.parametrize("size", [1, 7, 1000])
 @pytest.mark.parametrize("name", sorted(MODELS))
-def test_array_walk_equals_the_lane_walk(monkeypatch, name, size, sampler):
+def test_array_walk_equals_the_lane_walk(name, size, sampler):
     model = MODELS[name]
-    for wrapped, arrays in ((model, True), (Delegating(model), False)):
-        walk = smc._Walk(wrapped, model.initial_state(()), 0, 1.0, False, 1, 1, 1)
-        assert (walk.law is not None) == arrays
-    walked = []  # (model, b_prev) of every lane walked on its stream
-    real_propose = smc.propose_segment
-
-    def propose(*args, **kwargs):
-        walked.append((args[0], args[4]))
-        return real_propose(*args, **kwargs)
-
-    monkeypatch.setattr(smc, "propose_segment", propose)
-    text, result = _run(model, sampler, size, 5 + size, *MIXED)
-    if size == 1000:  # lanes that used up their block on a free segment
-        assert (model, True) in walked
-    walked.clear()
-    same, where = _same(text, _run(Delegating(model), sampler, size, 5 + size, *MIXED)[0])
-    assert same, where
-    assert all(m is not model for m, _ in walked)
+    result = _both(model, sampler, size, 5 + size, *MIXED)
+    _both(Delegating(model), sampler, size, 5 + size, *MIXED)
     assert result.survived
     for sample in result.samples:
         clipped = [t for t in sample if t == 1]
         assert clipped == [1] and type(clipped[0]) is int  # the barrier's own z
         assert sample[-1] <= 1.7
         assert all(not 0.3 < t < 0.55 for t in sample)
+    if size == 1000 and name != "uniform":  # lanes that drew from their third block
+        assert max(sum(0.55 < t < 1 for t in s) for s in result.samples) >= 8
 
 
 @pytest.mark.parametrize("sampler", ["filter", "beam"])
@@ -96,22 +124,86 @@ def test_a_dying_ensemble_dies_the_same_way(sampler, size):
     """Gaps of 0.01 to 0.02 need 5 to 10 draws to reach 0.1, where a
     clipped gap below 0.01 kills a lane, and the forced gap of 0.4 has no
     density, so every lane is dead by barrier 2."""
-    model = UniformRenewalModel(0.01, 0.02)
     cs = ConstraintSet(z=(0.1, 0.5), b=(False, False))
-    text, result = _run(model, sampler, size, 2, cs, {})
+    result = _both(UniformRenewalModel(0.01, 0.02), sampler, size, 2, cs, {})
     assert not result.survived and result.failed_barrier in (1, 2)
-    same, where = _same(text, _run(Delegating(model), sampler, size, 2, cs, {})[0])
-    assert same, where
 
 
 @pytest.mark.parametrize("sampler", ["filter", "beam"])
 def test_an_unconstrained_run_from_a_history_matches(sampler):
     """No barriers: only the open tail, from an integer history end, cut at
     the horizon."""
-    model = PoissonProcessModel(rate=4.0)
-    cs = ConstraintSet(z=(), b=())
     kwargs = {"horizon": 2.5, "initial_history": (1, 2)}
-    text, result = _run(model, sampler, 7, 3, cs, kwargs)
+    result = _both(PoissonProcessModel(rate=4.0), sampler, 7, 3, ConstraintSet(z=(), b=()), kwargs)
     assert all(s[:2] == (1, 2) and s[-1] <= 2.5 for s in result.samples)
-    same, where = _same(text, _run(Delegating(model), sampler, 7, 3, cs, kwargs)[0])
-    assert same, where
+
+
+def _music(order):
+    def problem():
+        prefix = long_prefix(20)
+        acts = Vocabulary(a_max=4, s_max=3).actions
+        end = (prefix[-1] - 1) // acts
+        cs = ConstraintSet(z=((end + 2) * acts + 1, (end + 4) * acts + 3, (end + 5) * acts + 2),
+                           b=(True, False, True))
+        return tiny_music_model(order), cs, {"horizon": (end + 7) * acts,
+                                             "initial_history": tuple(prefix)}
+
+    return problem
+
+
+FAMILIES = {  # name: a model, its constraints and keyword arguments
+    "grid": lambda: (_grid(), observed_constraints([1, 4, 6]), {"horizon": 8}),
+    # a lane whose last cell is occupied draws its beyond-the-cells gap
+    "grid-tail-past-the-cells": lambda: (_grid(), observed_constraints([2]), {"horizon": 9}),
+    "music-order1": _music(1),
+    "music-order2": _music(2),
+    "music-order3": _music(3),
+    "own-sample": lambda: (RenewalModel(MaxOfTwo(0.1)),
+                           ConstraintSet(z=(0.3, 0.55, 1), b=(True,) * 3), {"horizon": 1.3}),
+}
+
+
+@pytest.mark.parametrize("sampler", ["filter", "beam"])
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_every_family_equals_the_lane_walk(name, sampler):
+    model, cs, kwargs = FAMILIES[name]()
+    for size in (1, 60):
+        result = _both(model, sampler, size, 11 + size, cs, kwargs)
+        _both(Delegating(model), sampler, size, 11 + size, cs, kwargs)
+        assert result.survived
+
+
+@pytest.mark.parametrize("sampler", ["filter", "beam"])
+def test_runs_of_gaps_equal_the_lane_walk(sampler):
+    """Thousands of events per lane and barrier: a renewal lane draws runs
+    of gaps at once, whose sums must be the times the lane walk adds one by
+    one."""
+    cs = ConstraintSet(z=(0.5, 1.25), b=(True, True))
+    result = _both(PoissonProcessModel(rate=4000.0), sampler, 3, 8, cs, {"horizon": 1.5})
+    assert min(len(s) for s in result.samples) > 4000
+
+
+def test_the_walk_raises_past_the_draw_limit(monkeypatch):
+    monkeypatch.setattr(models, "MAX_EVENTS", 500)
+    cs = ConstraintSet(z=(0.5,), b=(True,))
+    with pytest.raises(models.IterationLimitError, match=r"did not reach barrier 0\.5 within 500"):
+        conditional_sample(PoissonProcessModel(rate=1e4), cs, 3, 1)
+
+
+@pytest.mark.parametrize("sampler", ["filter", "beam"])
+@pytest.mark.parametrize("name", ["poisson", "weibull", "uniform", "grid", "music-order2"])
+def test_runs_use_neither_propose_segment_nor_stream(monkeypatch, name, sampler):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the walk called a per-lane walk or a stream")
+
+    if name in MODELS:
+        model, (cs, kwargs) = MODELS[name], MIXED
+    else:
+        model, cs, kwargs = FAMILIES[name]()
+    monkeypatch.setattr(rng, "stream", forbidden)
+    monkeypatch.setattr(models, "propose_segment", forbidden)
+    if sampler == "filter":
+        result = conditional_sample(model, cs, 50, 4, **kwargs)
+    else:
+        result = beam_search_sample(model, cs, 3, 4, 4, **kwargs)
+    assert result.survived and not math.isnan(sum(map(len, result.samples)))

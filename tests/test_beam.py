@@ -10,10 +10,10 @@ from test_golden import long_prefix
 
 from ppsmc.beam import beam_search_sample
 from ppsmc.models import (PoissonProcessModel, UniformRenewalModel,
-                          log_probability)
+                          log_probability, propose_segment)
 from ppsmc.oracle import GridModel, GridSequenceModel, observed_constraints
 from ppsmc.rng import KIND_PROPOSAL, stream
-from ppsmc.smc import ConstraintSet, propose_segment, satisfies
+from ppsmc.smc import ConstraintSet, satisfies
 
 
 class TestBeamSearch:

@@ -159,24 +159,23 @@ def test_beam_walks_each_proposed_event_once(monkeypatch):
     state is advanced at most once per proposed event, and no scoring pass
     re-walks a candidate or a kept sample."""
     counts = {"advance": 0, "events": 0}
-    real_advance, real_propose = adapter.UnrolledMusicModel.advance, models.propose_segment
+    real_advance, real_draws = adapter.UnrolledMusicModel.advance, adapter._MusicGap.draws
 
     def advance(self, state, t):
         counts["advance"] += 1
         return real_advance(self, state, t)
 
-    def propose(*args, **kwargs):
-        result = real_propose(*args, **kwargs)
-        counts["events"] += len(result[0])
-        return result
+    def draws(self, u, lanes):  # one gap, one proposed event, per lane
+        counts["events"] += len(u)
+        return real_draws(self, u, lanes)
 
     def rewalk(*args, **kwargs):
         raise AssertionError("the beam re-walked a path to score it")
 
     monkeypatch.setattr(adapter.UnrolledMusicModel, "advance", advance)
-    for module in (models, smc):  # the barrier walks and the open tail
-        monkeypatch.setattr(module, "propose_segment", propose)
-    monkeypatch.setattr(models, "step_log_probabilities", rewalk)
+    monkeypatch.setattr(adapter._MusicGap, "draws", draws)
+    for name in ("step_log_probabilities", "propose_segment"):
+        monkeypatch.setattr(models, name, rewalk)
     model, cs, kwargs = _six_free_barriers()
     result = beam_search_sample(model, cs, 10, 10, 7, **kwargs)
     assert result.survived
@@ -184,49 +183,44 @@ def test_beam_walks_each_proposed_event_once(monkeypatch):
 
 
 def test_only_kept_children_grow_into_paths(monkeypatch):
-    """``select`` sees each child's parent, gap, law and steps, not its times;
-    after selection each distinct kept child is advanced past the barrier
-    once, and the resampled copies of a child share that state."""
-    seen = {"distinct": [], "barrier_advances": 0, "proposing": False}
-    real_run, real_propose = smc.run_barriers, models.propose_segment
+    """``select`` sees each child's parent, its (law, final gap) pair and
+    steps, not its times; after selection the state of each kept child is
+    advanced past the barrier once per distinct law value, and children in
+    equal states share one state object."""
+    seen = {"distinct": [], "barrier_advances": 0, "keeping": False}
+    real_run, real_keep = smc.run_barriers, smc._Walk.keep
     real_advance = adapter.UnrolledMusicModel.advance
-    states = []
 
     def run(model, cs, seed, width, select, **kwargs):
-        def spy(i, b_prev, parents, gaps, laws, steps):
-            assert len(parents) == len(gaps) == len(laws) == width and steps is None
-            kept, row = select(i, b_prev, parents, gaps, laws, steps)
-            seen["distinct"].append(len(set(kept)))
-            states.append([])
+        def spy(i, b_prev, parents, ends, steps):
+            laws, gaps, which = ends
+            assert len(parents) == len(which) == width and steps is None
+            assert len(set(zip(map(id, laws), gaps))) == len(laws) == len(gaps)  # distinct pairs
+            assert len(set(map(id, laws))) == len(set(laws))  # equal laws are one object
+            kept, row = select(i, b_prev, parents, ends, steps)
+            seen["distinct"].append((len(set(kept)), len({laws[which[k]] for k in kept})))
             return kept, row
         return real_run(model, cs, seed, width, spy, **kwargs)
 
-    def propose(model, state, *args, **kwargs):
-        if states:
-            states[-1].append(id(state))
-        seen["proposing"] = True
+    def keep(self, kept, z):
+        seen["keeping"] = True
         try:
-            return real_propose(model, state, *args, **kwargs)
+            return real_keep(self, kept, z)
         finally:
-            seen["proposing"] = False
+            seen["keeping"] = False
 
     def advance(self, state, t):
-        seen["barrier_advances"] += not seen["proposing"]
+        seen["barrier_advances"] += seen["keeping"]
         return real_advance(self, state, t)
 
     monkeypatch.setattr(smc, "run_barriers", run)
-    for module in (models, smc):  # the barrier walks and the open tail
-        monkeypatch.setattr(module, "propose_segment", propose)
+    monkeypatch.setattr(smc._Walk, "keep", keep)
     monkeypatch.setattr(adapter.UnrolledMusicModel, "advance", advance)
     model, cs, kwargs = _six_free_barriers()
     result = conditional_sample(model, cs, 100, 7, **kwargs)
     assert result.survived
-    assert seen["barrier_advances"] == sum(seen["distinct"])
-    # resampling kept duplicates, and each kept child's copies share one
-    # state: the next barrier (or the open tail) proposes from as many
-    # states as distinct children were kept
-    assert sum(seen["distinct"]) < 100 * cs.r
-    assert [len(set(ids)) for ids in states] == seen["distinct"]
+    children, laws = map(sum, zip(*seen["distinct"]))
+    assert seen["barrier_advances"] == laws <= children < 100 * cs.r
 
 
 @pytest.mark.parametrize("run", ["filter", "beam"])

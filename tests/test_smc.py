@@ -13,11 +13,11 @@ from ppsmc import smc
 from ppsmc.beam import beam_search_sample
 from ppsmc.models import (PoissonProcessModel, UniformRenewalModel,
                           WeibullRenewalModel, conditional_intensity,
-                          sample_restricted)
+                          propose_segment, sample_restricted)
 from ppsmc.music.files import write_constraint_file
 from ppsmc.rng import KIND_PROPOSAL, block, doubles, run_seed, stream
 from ppsmc.smc import (ConstraintSet, barrier_weight, conditional_sample,
-                       effective_sample_size, propose_segment, read_constraint_file,
+                       effective_sample_size, read_constraint_file,
                        satisfies, systematic_indices, systematic_resample)
 
 
@@ -460,8 +460,9 @@ class TestSeedStreams:
         assert threaded == serial
         assert serial["filter"].survived and serial["beam"].log_probs
 
-    def test_a_filter_run_builds_one_generator(self, monkeypatch):
-        """A whole filter run on a fresh thread builds exactly one Philox."""
+    def test_a_run_builds_no_generator(self, monkeypatch):
+        """A filter or a beam run draws every uniform from Philox blocks and
+        builds no numpy generator, on any thread."""
         built = []
         philox = np.random.Philox
 
@@ -473,12 +474,12 @@ class TestSeedStreams:
         model = PoissonProcessModel(rate=30.0)
         cs = ConstraintSet(z=(0.2, 0.4, 0.6, 0.8), b=(True,) * 4)
         results = []
-        th = threading.Thread(
-            target=lambda: results.append(conditional_sample(model, cs, 50, seed=3)))
+        th = threading.Thread(target=lambda: results.extend(
+            (conditional_sample(model, cs, 50, seed=3), beam_search_sample(model, cs, 3, 4, 3))))
         th.start()
         th.join()
-        assert results and results[0].survived
-        assert len(built) == 1
+        assert len(results) == 2 and all(r.survived for r in results)
+        assert built == []
 
 
 class TestBlocks:
@@ -497,6 +498,16 @@ class TestBlocks:
         assert words.tolist() == raw
         assert doubles(words).tolist() == drawn
 
+    @pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
+    def test_counters_continue_the_stream(self, seed):
+        """Blocks 1 to 3 hold the stream's first 12 raw words in order, whether
+        the counters are asked for one at a time or as an array."""
+        raw = stream(seed, 0, 7, 3).bit_generator.random_raw(12).tolist()
+        assert [w for c in (1, 2, 3) for w in block(seed, 0, 7, 3, counter=c).tolist()] == raw
+        assert block(seed, 0, 7, 3, counter=np.arange(1, 4)).ravel().tolist() == raw
+        both = block(seed, 0, 7, np.array([[3], [4]]), counter=np.arange(1, 4))
+        assert both.shape == (2, 3, 4) and both[0].ravel().tolist() == raw
+
     def test_broadcasts_barriers_against_lanes(self):
         words = block(9, 0, np.arange(3)[:, None], np.array([0, 5, 2 ** 32 - 1]))
         assert words.shape == (3, 3, 4)
@@ -514,3 +525,7 @@ class TestBlocks:
         with pytest.raises(ValueError):
             block(1, kind, barrier, lane)
 
+    @pytest.mark.parametrize("counter", [0, -1, 2 ** 64])
+    def test_rejects_counters_outside_one_block_word(self, counter):
+        with pytest.raises(ValueError):
+            block(1, 0, 0, 0, counter=counter)
