@@ -4,8 +4,6 @@ A sequence model describes a point process through the recursion
 ``x_i = x_{i-1} + d_i`` with ``d_i`` drawn from a distribution that may depend
 on the whole history ``x_{<i}``.  Restricting to a horizon T means sampling
 until the first point at or beyond T and keeping everything up to T.
-``propose_segment`` is the one forward walk: it extends a path to a barrier,
-or to the horizon for the filter's open tail and ``sample_restricted``.
 
 A model's state is the law of its next gap, an ``InterArrivalDistribution``
 that holds what the model needs of the history: ``initial_state(history)``
@@ -23,15 +21,14 @@ exponential is -log1p(-u)/rate and the Weibull scale·(-log1p(-u))**(1/shape),
 inverse cdfs of ``random()`` rather than numpy's ziggurat draws; the uniform
 is low + (high - low)·u, bit for bit what ``Generator.uniform`` draws.
 
-``propose_segment`` walks one path on one generator.  The filter and the beam
-walk all their lanes at once (``ppsmc.smc``) and ask each law for the gaps of
-many lanes in one call, ``draws``: given each lane's next ``draw_width``
-uniforms, it returns the gap ``sample`` would draw from them and how many
-uniforms it took.  The default applies ``quantile`` to each uniform, or calls
-``sample`` once per lane on a generator whose ``random()`` returns the lane's
-next uniform, so a law that overrides ``sample`` must draw only through
-``random()``.  The grid and music laws override ``draws`` with array code
-that takes the same uniforms.
+``propose_segment`` walks one path on one generator, for
+``sample_restricted``.  The filter and the beam walk many lanes at once
+(``ppsmc.smc``) and ask a law for the gaps of all its lanes in one call,
+``draws``, given each lane's next uniforms.  By default it applies
+``quantile`` to them, or calls ``sample`` once per lane on a generator whose
+``random()`` returns the lane's next uniform: a law that overrides ``sample``
+must draw only through ``random()``.  The grid and music laws override
+``draws`` with array code that takes the same uniforms.
 """
 
 from __future__ import annotations
@@ -76,12 +73,10 @@ class InterArrivalDistribution:
     def draws(self, u: np.ndarray, lanes: Callable[[], list]) -> tuple[np.ndarray, object]:
         """Gaps of many lanes in this state, and the uniforms each took.
 
-        Row k of ``u`` holds lane k's next uniforms, ``draw_width`` of them
-        or more; ``lanes()`` returns one generator per lane whose ``random()``
-        draws the lane's uniforms in order.  A law that samples through its
-        quantile takes every column of ``u`` as one gap, a row of gaps per
-        lane when ``u`` has more than one; any other law draws one gap per
-        lane with ``sample``.
+        Row k of ``u`` holds lane k's next ``draw_width`` (or more) uniforms;
+        ``lanes()`` returns a generator per lane that draws them in order.  A
+        quantile law makes a gap of each column, a row of gaps per lane if
+        ``u`` has several; any other law draws one per lane with ``sample``.
         """
         if type(self).sample is InterArrivalDistribution.sample:
             gaps = np.array(list(map(self.quantile, u.ravel().tolist())))

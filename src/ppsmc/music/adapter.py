@@ -137,7 +137,7 @@ class _MusicGap(InterArrivalDistribution):
                 gaps.append(sym + base)
                 used.append(1)
             else:
-                action = model.symbol(model.context_of(self.tail + (sym,)), sym, second)
+                action = int(model.symbols(model.context_of(self.tail + (sym,)), sym, second))
                 gaps.append(action + base + (sym - acts) * acts)
                 used.append(2)
         return np.array(gaps), np.array(used)

@@ -72,16 +72,10 @@ class NGramModel:
         return self._masked(context, prev)[0]
 
     def sample_symbol(self, context: tuple, prev: int | None, rng) -> int:
-        return self.symbol(context, prev, rng.random())
+        return int(self.symbols(context, prev, rng.random()))
 
-    def symbol(self, context: tuple, prev: int | None, u: float) -> int:
-        """The symbol drawn from the uniform ``u``."""
-        cum = self._masked(context, prev)[1]
-        idx = int(cum.searchsorted(u, side="right"))
-        return min(idx, self.vocab.size - 1) + 1
-
-    def symbols(self, context: tuple, prev: int | None, u: np.ndarray) -> np.ndarray:
-        """``symbol`` of each uniform in ``u``."""
+    def symbols(self, context: tuple, prev: int | None, u):
+        """The symbol drawn from each uniform in ``u``."""
         cum = self._masked(context, prev)[1]
         return np.minimum(cum.searchsorted(u, side="right"), self.vocab.size - 1) + 1
 

@@ -86,34 +86,36 @@ class _GridGap(InterArrivalDistribution):
     model: GridModel
     prefix: tuple  # occupancy bits of all decided cells
 
-    def _occupancy(self, m: int) -> tuple[float, float]:
-        # (P(first m-1 cells ahead vacant), g at the m-th cell ahead)
+    @cached_property
+    def _ahead(self) -> tuple:
+        """g at each cell ahead, the cells before it vacant."""
         bits = list(self.prefix)
-        vacant = 1.0
-        for _ in range(m - 1):
-            vacant *= 1.0 - self.model.g(tuple(bits))
+        out = []
+        for _ in range(self.draw_width):
+            out.append(self.model.g(tuple(bits)))
             bits.append(0)
-        return vacant, self.model.g(tuple(bits))
+        return tuple(out)
+
+    def _vacant(self, m: int) -> float:
+        """P(the first m cells ahead are vacant)."""
+        vacant = 1.0
+        for g in self._ahead[:m]:
+            vacant *= 1.0 - g
+        return vacant
 
     def pdf(self, d):
         m = int(d)
         if m != d or m < 1 or len(self.prefix) + m > self.model.n:
             return 0.0
-        vacant, g = self._occupancy(m)
-        return vacant * g
+        return self._vacant(m - 1) * self._ahead[m - 1]
 
     def cdf(self, d):
         if d < 1:
             return 0.0
-        m = min(int(d), self.model.n - len(self.prefix))
-        total = 0.0
-        bits = list(self.prefix)
-        vacant = 1.0
-        for _ in range(m):
-            g = self.model.g(tuple(bits))
+        total, vacant = 0.0, 1.0
+        for g in self._ahead[:int(d)]:
             total += vacant * g
             vacant *= 1.0 - g
-            bits.append(0)
         return total
 
     def survival(self, d):
@@ -122,30 +124,13 @@ class _GridGap(InterArrivalDistribution):
         m = int(math.ceil(d))
         if m > self.model.n - len(self.prefix) + 1:
             return 0.0  # even the beyond-horizon gap is shorter than d
-        bits = list(self.prefix)
-        vacant = 1.0
-        for _ in range(m - 1):
-            vacant *= 1.0 - self.model.g(tuple(bits))
-            bits.append(0)
-        return vacant
+        return self._vacant(m - 1)
 
     def sample(self, rng):
-        bits = list(self.prefix)
-        for j in range(len(self.prefix), self.model.n):
-            if rng.random() < self.model.g(tuple(bits)):
-                return j - len(self.prefix) + 1
-            bits.append(0)
+        for j, g in enumerate(self._ahead):
+            if rng.random() < g:
+                return j + 1
         return self.model.n - len(self.prefix) + 1  # beyond the horizon
-
-    @cached_property
-    def _ahead(self) -> np.ndarray:
-        """g at each cell ahead, the cells before it vacant, as ``sample`` reads it."""
-        bits = list(self.prefix)
-        out = []
-        for _ in range(self.draw_width):
-            out.append(self.model.g(tuple(bits)))
-            bits.append(0)
-        return np.array(out)
 
     @property
     def draw_width(self) -> int:

@@ -5,14 +5,9 @@ Every random draw in a run is made on a Philox stream keyed by
 order, so the order in which particles are advanced never changes the
 output.  Key packing limits: kind < 2**16, barrier < 2**16, particle < 2**32.
 
-A counter-based generator needs only a new key per stream (Salmon et al.
-2011, "Parallel Random Numbers: As Easy as 1, 2, 3"), so each thread keeps
-one Philox-backed generator and re-keys it in place rather than building a
-new one: a fresh ``Philox(key=...)`` also seeds an OS-entropy
-``SeedSequence`` it never uses for these draws.  The reset state it assigns
-holds plain Python ints, not numpy arrays: numpy's ``Philox.state`` setter
-converts every key, counter and buffer word one by one, and reading a numpy
-scalar out of an array for each of them cost more than the rest of a re-key.
+A counter-based generator needs only a key per stream (Salmon et al. 2011,
+"Parallel Random Numbers: As Easy as 1, 2, 3").  ``stream`` builds one
+numpy generator for one key, for code that wants a generator.
 
 ``block`` computes the same streams without a generator: it evaluates
 Philox4x64-10 in numpy uint64 arithmetic for many keys and counters at once.
@@ -26,7 +21,6 @@ the ``random()`` draws of its ``stream()``.
 
 from __future__ import annotations
 
-import threading
 from itertools import repeat
 
 import numpy as np
@@ -41,45 +35,12 @@ _MAX_PARTICLES = 1 << 32
 _MAX_COUNTERS = 1 << 64
 _SEED_MASK = (1 << 64) - 1
 
-_thread = threading.local()
-
-
-def _thread_generator() -> tuple[list, dict, np.random.Philox, np.random.Generator]:
-    """The calling thread's key list, reset state, bit generator and generator."""
-    key = [0, 0]
-    # the state of a fresh Philox(key=key): counter 0, empty buffer; it holds
-    # the key list itself, so writing the key in place re-keys the state
-    state = {"bit_generator": "Philox",
-             "state": {"counter": (0, 0, 0, 0), "key": key},
-             "buffer": (0, 0, 0, 0),
-             "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    bits = np.random.Philox(key=key)
-    _thread.slot = key, state, bits, np.random.Generator(bits)
-    return _thread.slot
-
 
 def stream(seed: int, kind: int, barrier: int, particle: int = 0) -> np.random.Generator:
-    """Generator for one (kind, barrier, particle) slot of a run.
-
-    Its draws are exactly those of a fresh ``Generator(Philox(key=k))`` with
-    k = (seed mod 2**64, kind << 48 | barrier << 32 | particle).  The object
-    returned is the calling thread's one generator, re-keyed: it is valid
-    only until the thread's next ``stream()`` call, which resets it.
-    """
-    if not 0 <= kind < _MAX_KINDS:
-        raise ValueError(f"stream kind {kind} out of range (max {_MAX_KINDS - 1})")
-    if not 0 <= barrier < _MAX_BARRIERS:
-        raise ValueError(f"barrier index {barrier} out of range (max {_MAX_BARRIERS - 1})")
-    if not 0 <= particle < _MAX_PARTICLES:
-        raise ValueError(f"particle index {particle} out of range")
-    try:
-        key, state, bits, generator = _thread.slot
-    except AttributeError:
-        key, state, bits, generator = _thread_generator()
-    key[0] = seed & _SEED_MASK
-    key[1] = (kind << 48) | (barrier << 32) | particle
-    bits.state = state
-    return generator
+    """A fresh ``Generator(Philox(key=k))`` for one (kind, barrier, particle)
+    slot of a run, k = (seed mod 2**64, kind << 48 | barrier << 32 | particle)."""
+    key = np.array([seed & _SEED_MASK, _key(kind, barrier, particle)], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def run_seed(seed: int, run_index: int) -> int:
@@ -130,6 +91,14 @@ def _coordinate(values, limit: int, what: str, low: int = 0) -> np.ndarray:
     return a.astype(np.uint64)
 
 
+def _key(kind: int, barrier, lanes) -> np.ndarray:
+    """The second key word kind << 48 | barrier << 32 | lane of each stream."""
+    if not 0 <= kind < _MAX_KINDS:
+        raise ValueError(f"stream kind {kind} out of range (max {_MAX_KINDS - 1})")
+    barrier = _coordinate(barrier, _MAX_BARRIERS, "barrier index")
+    return np.uint64(kind << 48) | (barrier << _SHIFT32) | _coordinate(lanes, _MAX_PARTICLES, "lane index")
+
+
 def block(seed: int, kind: int, barrier, lanes, counter=1) -> np.ndarray:
     """Words of block ``counter`` of every stream (seed, kind, barrier, lane).
 
@@ -139,13 +108,9 @@ def block(seed: int, kind: int, barrier, lanes, counter=1) -> np.ndarray:
     ``stream(seed, kind, barrier, lane)``, for 1 <= c < 2**64.  Rejects every
     coordinate ``stream()`` rejects.
     """
-    if not 0 <= kind < _MAX_KINDS:
-        raise ValueError(f"stream kind {kind} out of range (max {_MAX_KINDS - 1})")
-    barrier = _coordinate(barrier, _MAX_BARRIERS, "barrier index")
-    lanes = _coordinate(lanes, _MAX_PARTICLES, "lane index")
     counter = _coordinate(counter, _MAX_COUNTERS, "block counter", low=1)
     k0 = seed & _SEED_MASK
-    k1, x0 = np.broadcast_arrays((np.uint64(kind << 48) | (barrier << _SHIFT32)) | lanes, counter)
+    k1, x0 = np.broadcast_arrays(_key(kind, barrier, lanes), counter)
     if x0.size <= _FEW_KEYS:  # numpy's per-call cost is that of ~50 keys in Python ints
         words = list(map(_philox, repeat(k0), k1.ravel().tolist(), x0.ravel().tolist()))
         return np.array(words, dtype=np.uint64).reshape(*x0.shape, 4)

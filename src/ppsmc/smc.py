@@ -16,15 +16,12 @@ draws the open tail, collects each barrier's diagnostics row and returns the
 ``EnsembleResult``.  The filter and the beam baseline (``ppsmc.beam``) differ
 only in their selection step and ``score``.
 
-A lane is one child at one barrier: a particle, or a beam candidate.  Lanes
-are walked one of two ways, chosen from the model type.  A renewal model
-whose law samples through its ``quantile`` (Poisson, Weibull, uniform) has
-the free-segment lanes proposed at once as arrays, their uniforms taken from
-Philox blocks (``rng.block``); every other lane, and any lane that needs more
-draws than its block holds, is walked by ``models.propose_segment`` on its
-own ``stream()``.  The two walks append the same times and give the same
-bytes.  Paths are stored as each barrier's segments plus the indices of the
-children kept (Jacob, Murray & Rubenthaler 2015, "Path storage in the
+A lane is one child at one barrier: a particle, or a beam candidate.  Every
+model is walked by one grouped walk (``_Walk``): lanes in equal states draw
+their gaps together through their law's ``draws``, from uniforms taken in
+order from their Philox blocks (``rng.block``), the draws their ``stream()``
+would give.  Paths are stored as each barrier's segments plus the indices of
+the children kept (Jacob, Murray & Rubenthaler 2015, "Path storage in the
 particle filter"), and each sample is built once, at the end.
 
 All randomness is drawn from per-(barrier, particle) Philox streams derived
@@ -262,88 +259,43 @@ def systematic_resample(weights: Sequence[float], rng) -> tuple[int, ...]:
 # keys per Philox block call: a call costs ~0.5 ms however few its keys, so
 # the first blocks of several barriers are drawn at once
 _BLOCK_KEYS = 4096
-# steps a lane of a renewal model takes one gap at a time; after them the
-# gaps it draws per step double, up to _MAX_RUN
+# gaps a renewal lane draws one at a time before it draws runs of them,
+# each as long as all before it, up to _MAX_RUN gaps per step in all
 _SINGLE_STEPS = 4
 _MAX_RUN = 1 << 16
-
-
-class _Uniforms:
-    """The uniforms of one level's lanes.  Lane l's are the doubles of its
-    Philox blocks (seed, KIND_PROPOSAL, barrier, l) at counters 1, 2, 3, ...
-    in order, the ``random()`` draws of its ``stream()``.  Each lane keeps a
-    window of consecutive blocks and the offset of its next uniform from the
-    window's start."""
-
-    def __init__(self, seed: int, barrier: int, window: np.ndarray):
-        self.seed, self.barrier, self.u = seed, barrier, window
-        self.first = np.zeros(len(window), dtype=np.int64)  # each window's first block, from 0
-        self.off = np.zeros(len(window), dtype=np.int64)
-
-    def _blocks(self, lanes: np.ndarray, first: np.ndarray, k: int) -> np.ndarray:
-        """The doubles of blocks first, ..., first + k - 1 (from 0) of each lane."""
-        words = block(self.seed, KIND_PROPOSAL, self.barrier, lanes[:, None],
-                      first[:, None] + np.arange(1, k + 1))
-        return doubles(words).reshape(len(lanes), 4 * k)
-
-    def peek(self, lanes: np.ndarray, w: int) -> np.ndarray:
-        """Each lane's next ``w`` uniforms, without using them up."""
-        off = self.off[lanes]
-        width = self.u.shape[1]
-        if w > width - 3:  # more than a window may hold: computed for this call only
-            at = 4 * self.first[lanes] + off
-            return self._blocks(lanes, at >> 2, (w + 6) // 4)[
-                np.arange(len(lanes))[:, None], (at & 3)[:, None] + np.arange(w)]
-        stale = off > width - w
-        if np.count_nonzero(stale):  # restart those windows at the block of the next uniform
-            moved = lanes[stale]
-            at = 4 * self.first[moved] + off[stale]
-            self.first[moved] = at >> 2
-            self.off[moved] = off[stale] = at & 3
-            self.u[moved] = self._blocks(moved, at >> 2, width // 4)
-        if w == 1:
-            return self.u[lanes, off][:, None]
-        return self.u[lanes[:, None], off[:, None] + np.arange(w)]
-
-    def lanes(self, lanes: np.ndarray) -> list:
-        at = 4 * self.first[lanes] + self.off[lanes]
-        return [_Lane(self, lane, n) for lane, n in zip(lanes.tolist(), at.tolist())]
 
 
 class _Lane:
     """One lane as a generator: ``random()`` draws its next uniform."""
 
-    def __init__(self, uniforms: _Uniforms, lane: int, at: int):
-        self.uniforms, self.lane, self.at, self.used = uniforms, lane, at, 0
-        self.block, self.words = -1, []
+    def __init__(self, key: tuple, at: int):
+        self.key, self.at, self.used, self.words = key, at, 0, {}
 
     def random(self) -> float:
-        n = self.at + self.used
-        self.used += 1
-        if n >> 2 != self.block:
-            self.block = n >> 2
-            self.words = self.uniforms._blocks(np.array([self.lane]), np.array([self.block]), 1)[0].tolist()
-        return self.words[n & 3]
+        n, self.used = self.at + self.used, self.used + 1
+        if n >> 2 not in self.words:
+            self.words[n >> 2] = doubles(block(*self.key, (n >> 2) + 1)).tolist()
+        return self.words[n >> 2][n & 3]
 
 
 class _Walk:
     """The paths of one run, and the times their children appended.
 
-    Every model is walked the same way.  The lanes of a level (one barrier,
-    or the open tail) step together: at each step the lanes still short of
-    the barrier are grouped by state, and each group's law draws one gap per
-    lane from the lanes' next uniforms (``InterArrivalDistribution.draws``).
-    States are interned, so lanes in equal states share one object and one
-    group, and ``advance`` runs once per distinct (state, time) pair.  A
-    model whose ``advance`` is ``RenewalModel``'s keeps its one state, and
-    past ``_SINGLE_STEPS`` steps a lane whose law samples through its
-    quantile draws a run of gaps at once, so a walk of a million events
-    takes a few dozen steps.
+    The lanes of a level (a barrier or the open tail) step together: at each
+    step the lanes still short of the barrier are grouped by state, and each
+    group's law draws a gap per lane from the lanes' next uniforms.  Lane l's
+    uniforms at barrier i are the doubles of its blocks (seed, KIND_PROPOSAL,
+    i, l) at counters 1, 2, 3, ...; the first blocks are drawn ahead for
+    several barriers at once, later ones when a lane gets to them.  States
+    are interned, so equal states are one object and one group, and
+    ``advance`` runs once per distinct (state, time) pair.  A model whose
+    ``advance`` is ``RenewalModel``'s keeps its first state, and after
+    ``_SINGLE_STEPS`` gaps a lane whose law samples through its quantile
+    draws runs of gaps, so a million events take a few dozen steps.
 
-    A level is stored as its free times (the times its children appended
-    short of the barrier) in lane order, and where each child's begin, one
-    more entry for the end.  The barrier itself is put back, as the z
-    object, when ``_rows`` builds the samples.
+    A level is stored as its free times (those short of the barrier) in lane
+    order, and where each child's begin, one more entry for the end; the
+    barrier itself, the z object, is put back when ``_rows`` builds samples.
     """
 
     def __init__(self, model, law, seed, horizon, score, width, lanes, levels):
@@ -353,10 +305,10 @@ class _Walk:
         self.sids = np.full(width, self._intern(law))  # each path's state
         self.runs = (self.fixed and law.draw_width == 1
                      and type(law).draws is InterArrivalDistribution.draws)
-        self.window = min(4, (law.draw_width + 6) // 4)  # blocks: a draw fits at any offset
+        self.blocks = min(4, (law.draw_width + 6) // 4)  # drawn ahead: a draw fits at any offset
         self.lanes, self.n_levels = lanes, levels
         self.levels = []
-        self._chunk = {}  # barrier index: its lanes' first blocks
+        self._ahead = {}  # barrier index: its lanes' first blocks
 
     def _intern(self, state) -> int:
         """The id of the state equal to ``state`` (the same object if unhashable)."""
@@ -367,94 +319,86 @@ class _Walk:
             self.table.append(state)
         return sid
 
-    def _uniforms(self, i: int, n: int) -> _Uniforms:
-        if i not in self._chunk:
-            k = self.window
+    def _uniforms(self, i: int, lanes: np.ndarray, at: np.ndarray, w: int) -> np.ndarray:
+        """Each lane's next ``w`` uniforms at barrier i, from uniform ``at`` on."""
+        if i not in self._ahead:
+            k = self.blocks
             barriers = np.arange(i, min(i + max(1, _BLOCK_KEYS // (k * self.lanes)), self.n_levels))
             words = block(self.seed, KIND_PROPOSAL, barriers[:, None, None],
                           np.arange(self.lanes)[:, None], np.arange(1, k + 1))
-            self._chunk = dict(zip(barriers.tolist(),
+            self._ahead = dict(zip(barriers.tolist(),
                                    doubles(words).reshape(len(barriers), self.lanes, 4 * k)))
-        return _Uniforms(self.seed, i, self._chunk[i][:n])
+        u = self._ahead[i]
+        if at.max() + w > u.shape[1]:  # past the blocks drawn ahead: drawn for this step
+            words = block(self.seed, KIND_PROPOSAL, i, lanes[:, None],
+                          (at >> 2)[:, None] + np.arange(1, (w + 6) // 4 + 1))
+            u, lanes, at = doubles(words).reshape(len(lanes), -1), np.arange(len(lanes)), at & 3
+        return u[lanes[:, None], at[:, None] + np.arange(w)]
 
     def propose(self, i, last, z, b_prev, branching) -> tuple:
         """Every child's segment from ``last`` to barrier ``z`` (math.inf for
         the open tail); returns the columns ``select`` receives."""
         n = len(self.sids) * branching
-        sids = self.sids.repeat(branching)
+        sids = self.level_sids = self.sids.repeat(branching)
         parents = (np.arange(n) // branching).tolist()
-        self.level_sids = sids
         if not b_prev:  # the barrier is appended directly
-            self.levels.append((np.empty(0), np.zeros(n + 1, dtype=np.int64)))
+            self.levels.append(_by_lane([], n))
             ends = self._pairs(sids, np.full(n, z - last))
             if self.score:
                 return parents, None, [[lp] for lp in self._log_densities(*ends).tolist()]
             return parents, ends, None
-        uniforms = self._uniforms(i, n)
-        stop = min(z, self.horizon)  # a lane walks while its last time is below both
-        clip = z < math.inf
-        pos = np.full(n, last)  # each lane's last time
-        active = np.arange(n) if last < stop else np.arange(0)
-        times, logs = [], []  # what each step appended: (lanes, times), (lanes, states, steps)
-        drawn = 0  # gaps each active lane has drawn
+        stop, clip = min(z, self.horizon), z < math.inf  # a lane walks while below both
+        pos, at = np.full(n, last), np.zeros(n, dtype=np.int64)  # each lane's last time, next uniform
+        active = np.arange(n if last < stop else 0)
+        times, logs, drawn = [], [], 0  # what each step appended; gaps each active lane drew
         while active.size:
             s_act = sids[active]
-            if self.fixed:
-                groups = [(self.table[s_act[0]], 0, len(active))]
-            else:  # group the lanes by state
+            bounds = [0, len(active)]
+            if not self.fixed:  # group the lanes by state
                 order = s_act.argsort(kind="stable")
                 active, s_act = active[order], s_act[order]
-                bounds = [0, *((s_act[1:] != s_act[:-1]).nonzero()[0] + 1).tolist(), len(active)]
-                groups = [(self.table[s], a, b)
-                          for s, a, b in zip(s_act[bounds[:-1]].tolist(), bounds, bounds[1:])]
-            count = 1  # gaps each lane draws this step, more in a run
+                bounds[1:1] = ((s_act[1:] != s_act[:-1]).nonzero()[0] + 1).tolist()
+            groups = [(self.table[s], a, b)
+                      for s, a, b in zip(s_act[bounds[:-1]].tolist(), bounds, bounds[1:])]
+            count = 1  # gaps each lane draws this step
             if self.runs and drawn >= _SINGLE_STEPS:
                 count = min(drawn, max(1, _MAX_RUN // len(active)), models.MAX_EVENTS - drawn)
-            u = uniforms.peek(active, max(count, *(law.draw_width for law, _, _ in groups)))
-            draws = [law.draws(u[a:b, :count if self.runs else law.draw_width],
-                               lambda a=a, b=b: uniforms.lanes(active[a:b])) for law, a, b in groups]
-            if len(draws) == 1:
-                (d, used), = draws
-            else:  # runs have one group, so each group drew one gap per lane
-                d = np.concatenate([d for d, _ in draws])
-                used = np.empty(len(active), dtype=np.int64)
-                for (_, k), (_, a, b) in zip(draws, groups):
-                    used[a:b] = k
-            uniforms.off[active] += used
-            prev = pos[active]
-            if count == 1:  # one entry per lane
+            u = self._uniforms(i, active, at[active],
+                               max(count, *(law.draw_width for law, _, _ in groups)))
+            parts = []
+            for law, a, b in groups:
+                lanes = active[a:b]
+                d, used = law.draws(u[a:b, :count if self.runs else law.draw_width],
+                                    lambda lanes=lanes: self._lanes(i, lanes, at[lanes]))
+                at[lanes] += used
+                parts.append(d)
+            d, prev = parts[0] if len(parts) == 1 else np.concatenate(parts), pos[active]
+            if count == 1:  # one time per lane
                 t = prev + d
                 going = t < stop  # a nan time ends a lane too
-                end = ~going
-                t_last = t[going]
-                entry_lanes, entry_states = active, s_act
-            else:  # a run: each lane's gaps up to the one that ends it
+                t_last, end, entry_lanes, entry_states = t[going], ~going, active, s_act
+            else:  # a run: each lane's times up to the one that ends it
                 path = np.cumsum(np.hstack((prev[:, None], d)), axis=1)
                 below = path[:, 1:] < stop
                 going = below.all(axis=1)
                 first = np.where(going, count, (~below).argmax(axis=1))
-                stopped = (~going).nonzero()[0]
-                ends_at, t_last = path[stopped, first[stopped]], path[going, -1]
-                rows, k = np.nonzero(np.arange(count) <= first[:, None])
+                rows, k = (np.arange(count) <= first[:, None]).nonzero()
+                stopped, t_last = ~going, path[going, -1]
                 d, prev, t, end = d[rows, k], path[rows, k], path[rows, k + 1], k == first[rows]
                 entry_lanes, entry_states = active[rows], s_act[rows]
-            bad = d <= 0
-            if np.count_nonzero(bad):
-                raise ValueError(f"model produced a non-positive gap: {d[bad][0].item()!r}")
+            if np.count_nonzero(d <= 0):
+                raise ValueError(f"model produced a non-positive gap: {d[d <= 0][0].item()!r}")
             if t.dtype != pos.dtype:
                 pos = pos.astype(t.dtype)
-            if count > 1:  # a lane's time before its last gives its final gap
-                pos[active[stopped]] = ends_at
-            active = active[going]
+            if count > 1:  # the time before its last gives a stopped lane's final gap
+                pos[active[stopped]] = path[stopped, first[stopped]]
+            active, drawn = active[going], drawn + count
             pos[active] = t_last
-            drawn += count
-            if clip and count == 1:  # the free times are those of the lanes going on
-                times.append((active, t_last))
-            elif clip:
-                times.append((entry_lanes[~end], t[~end]))
+            if not clip and t.dtype.kind == "f":  # as in propose_segment, a nan time becomes z
+                t = np.where(t < z, t, z)
+            if clip:  # the free times; with one time per lane, those of the lanes going on
+                times.append((active, t_last) if count == 1 else (entry_lanes[~end], t[~end]))
             else:
-                if t.dtype.kind == "f":  # as in propose_segment, a nan time becomes z
-                    t = np.where(t < z, t, z)
                 times.append((entry_lanes, t))
             if self.score:
                 logs.append((entry_lanes, entry_states,
@@ -465,26 +409,28 @@ class _Walk:
                                           f"{models.MAX_EVENTS} draws")
             if not self.fixed and active.size:
                 grown, index = {}, []
-                for s, time in zip(s_act[going].tolist(), pos[active].tolist()):
-                    sid = grown.get((s, time))
-                    if sid is None:
-                        sid = grown[(s, time)] = self._intern(self.model.advance(self.table[s], time))
-                    index.append(sid)
+                for s, time in zip(s_act[going].tolist(), t_last.tolist()):
+                    if (s, time) not in grown:
+                        grown[s, time] = self._intern(self.model.advance(self.table[s], time))
+                    index.append(grown[s, time])
                 sids[active] = index
-        self.levels.append(_level(times, n))
+        self.levels.append(_by_lane(times, n))
         steps = self._steps(logs, n) if self.score else None
         # the beam ranks by steps, and the open tail's final gaps are not used
         return parents, self._pairs(sids, z - pos) if clip and not self.score else None, steps
+
+    def _lanes(self, i: int, lanes: np.ndarray, at: np.ndarray) -> list:
+        return [_Lane((self.seed, KIND_PROPOSAL, i, lane), n)
+                for lane, n in zip(lanes.tolist(), at.tolist())]
 
     def _pairs(self, sids: np.ndarray, values: np.ndarray) -> tuple[list, list, np.ndarray]:
         """The distinct (state, value) pairs of some lanes, as their laws and
         values, and the index of each lane's pair."""
         values, which = np.unique(values, return_inverse=True)
-        if sids.min() != sids.max():
-            _, first, pair = np.unique(sids * len(values) + which, return_index=True,
-                                       return_inverse=True)
-            return [self.table[s] for s in sids[first].tolist()], values[which[first]].tolist(), pair
-        return [self.table[sids[0]]] * len(values), values.tolist(), which
+        if sids.min() == sids.max():
+            return [self.table[sids[0]]] * len(values), values.tolist(), which
+        _, first, pair = np.unique(sids * len(values) + which, return_index=True, return_inverse=True)
+        return [self.table[s] for s in sids[first].tolist()], values[which[first]].tolist(), pair
 
     @staticmethod
     def _log_densities(laws: list, values: list, which: np.ndarray) -> np.ndarray:
@@ -495,10 +441,8 @@ class _Walk:
         computed once per distinct (state, step)."""
         if not logs:
             return [[] for _ in range(n)]
-        lanes, states, steps = (np.concatenate(column) for column in zip(*logs))
-        order = np.argsort(lanes, kind="stable")  # each lane's steps stay in order
-        flat = self._log_densities(*self._pairs(states[order], steps[order])).tolist()
-        begin = np.concatenate(([0], np.cumsum(np.bincount(lanes, minlength=n)))).tolist()
+        states, steps, begin = _by_lane(logs, n)
+        flat, begin = self._log_densities(*self._pairs(states, steps)).tolist(), begin.tolist()
         return [flat[a:b] for a, b in zip(begin, begin[1:])]
 
     def keep(self, kept, z) -> None:
@@ -513,14 +457,14 @@ class _Walk:
         self.sids = np.array([grown[sids[k]] for k in kept])
 
 
-def _level(entries: list, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """A level's (values, begin) from the (lanes, values) each step appended."""
+def _by_lane(entries: list, n: int) -> tuple:
+    """The columns each step appended after its lanes, in lane order (each
+    lane's steps in order), and where each lane's entries begin."""
     if not entries:
-        return np.empty(0), np.zeros(n + 1, dtype=np.int64)
-    lanes = np.concatenate([lanes for lanes, _ in entries])
-    values = np.concatenate([values for _, values in entries])
-    order = np.argsort(lanes, kind="stable")  # lane order; each lane's steps stay in order
-    return values[order], np.concatenate(([0], np.cumsum(np.bincount(lanes, minlength=n))))
+        entries = [(np.empty(0, dtype=np.int64), np.empty(0))]
+    lanes, *columns = (np.concatenate(column) for column in zip(*entries))
+    order = lanes.argsort(kind="stable")
+    return (*(c[order] for c in columns), np.concatenate(([0], np.bincount(lanes, minlength=n).cumsum())))
 
 
 def _rows(levels: list, picks: list, history: list, zs: tuple) -> Iterator[list]:
@@ -555,22 +499,22 @@ def run_barriers(model: SequenceModel, constraints: ConstraintSet, seed: int,
 
     A path is its times, the model state after them and, if ``score``, the
     log probability of the times past the history.  At barrier i (0-based)
-    path t spawns ``branching`` children; child j proposes its segment on
+    path t spawns ``branching`` children; child j draws its segment from the
     stream (seed, KIND_PROPOSAL, i, t*branching + j).  ``select(i, b_prev,
-    parents, gaps, laws, steps)`` receives, for every child in lane order,
-    the index of the path it extends, its final gap, the law that gap was
-    drawn from and, if ``score``, the log densities of the times it appended
-    (else None), but no times.  It returns ``(kept, row)``: the indices of
-    the children that become the next paths, possibly repeated, or None when
+    parents, ends, steps)`` receives, for every child in lane order, the
+    index of the path it extends and, if ``score``, the log densities of the
+    times it appended; else ``ends`` holds the distinct (law, final gap)
+    pairs of the children, as a list of laws, a list of gaps and each
+    child's pair index.  It returns ``(kept, row)``: the indices of the
+    children that become the next paths, possibly repeated, or None when
     none can continue (the run then fails at barrier i + 1), and the
-    barrier's diagnostics row.  Only kept children are advanced past the
-    barrier, once per distinct index, and the copies of one child share that
-    state.  So a dead child clipped at a time the model cannot reach is
-    never stepped into.  If b_r is True, path t finally draws its open tail
-    to the horizon on stream (seed, KIND_PROPOSAL, r, t).  Each sample is
-    then built once, by following its kept indices back through the
-    barriers.  With ``score``, ``log_probs`` holds each sample's log
-    probability past the history.
+    barrier's diagnostics row.  Only the states of kept children are
+    advanced past the barrier, once per distinct state, so a dead child
+    clipped at a time the model cannot reach is never stepped into.  If b_r
+    is True, path t finally draws its open tail to the horizon from stream
+    (seed, KIND_PROPOSAL, r, t).  Each sample is then built once, by
+    following its kept indices back through the barriers.  With ``score``,
+    ``log_probs`` holds each sample's log probability past the history.
     """
     if not horizon > 0:
         raise ValueError(f"horizon must be positive, got {horizon!r}")
