@@ -287,7 +287,7 @@ def cmd_oracle(args) -> int:
     exact = enumerate_conditional(grid, observed)
     constraints = observed_constraints(observed)
     model = GridSequenceModel(grid)
-    counts = Counter()
+    samples = Counter()  # in first-occurrence order, so the bit vectors come in that order too
     for r in range(args.runs):
         seed_r = run_seed(args.seed, r) if args.runs > 1 else args.seed
         result = conditional_sample(model, constraints, args.particles, seed_r,
@@ -295,7 +295,10 @@ def cmd_oracle(args) -> int:
         if not result.survived:
             raise ValueError(f"oracle run {r} died at barrier {result.failed_barrier}; "
                              "the grid model gives the conditioning event zero mass")
-        counts.update(bits_from_times(s, grid.n) for s in result.samples)
+        samples.update(result.samples)
+    counts = Counter()
+    for s, k in samples.items():
+        counts[bits_from_times(s, grid.n)] += k
     tv = total_variation(exact, normalize_counts(counts))
     ok = tv < args.threshold
     _write_json(Path(args.out), {"version": 1, "kind": "oracle",

@@ -247,24 +247,21 @@ def _log_density(law: InterArrivalDistribution, d) -> float:
 
 
 def propose_segment(model: SequenceModel, state, last: float, z: float,
-                    b_prev: bool, rng, horizon: float = 1.0,
-                    score: bool = False) -> tuple[list, float | None, object, list | None]:
+                    b_prev: bool, rng, horizon: float = 1.0) -> tuple[list, float | None, object]:
     """Extend one path, in model state ``state`` with its last event at
     ``last``, up to barrier ``z`` (math.inf for the open tail, which stops at
     the first time at or past ``horizon``).
 
-    Returns ``(segment, gap, state, steps)``: the appended times, the final
-    gap (None if nothing was appended), the state it was drawn in (the given
-    state if nothing was appended) and, if ``score``, each appended time's
-    log density under the law it was drawn from (else None).  That state is
-    not advanced past the last element: a clipped barrier may be a time the
-    model cannot reach, and only a path that is kept needs the step.  With
-    ``b_prev`` False the barrier is appended directly.
+    Returns ``(segment, gap, state)``: the appended times, the final gap
+    (None if nothing was appended) and the state it was drawn in (the given
+    state if nothing was appended).  That state is not advanced past the last
+    element: a clipped barrier may be a time the model cannot reach, and only
+    a path that is kept needs the step.  With ``b_prev`` False the barrier is
+    appended directly.
     """
     if not b_prev:
-        return [z], z - last, state, [_log_density(state, z - last)] if score else None
+        return [z], z - last, state
     segment = []
-    steps = [] if score else None
     prev = last
     while not (last == z or last >= horizon):
         if len(segment) >= MAX_EVENTS:
@@ -278,9 +275,7 @@ def propose_segment(model: SequenceModel, state, last: float, z: float,
         candidate = last + d
         prev, last = last, (candidate if candidate < z else z)
         segment.append(last)
-        if score:  # the appended time, not d: (last + d) - last may differ from d
-            steps.append(_log_density(state, last - prev))
-    return segment, (last - prev if segment else None), state, steps
+    return segment, (last - prev if segment else None), state
 
 
 def sample_restricted(model: SequenceModel, rng: np.random.Generator,

@@ -80,7 +80,8 @@ def _philox(k0: int, k1: int, x0: int) -> tuple[int, int, int, int]:
         if r:
             k0, k1 = (k0 + _W0) & _SEED_MASK, (k1 + _W1) & _SEED_MASK
         p0, p1 = _M0 * x0, _M1 * x2
-        x0, x1, x2, x3 = (p1 >> 64) ^ x1 ^ k0, p1 & _SEED_MASK, (p0 >> 64) ^ x3 ^ k1, p0 & _SEED_MASK
+        x0, x1 = (p1 >> 64) ^ x1 ^ k0, p1 & _SEED_MASK
+        x2, x3 = (p0 >> 64) ^ x3 ^ k1, p0 & _SEED_MASK
     return x0, x1, x2, x3
 
 
@@ -96,7 +97,8 @@ def _key(kind: int, barrier, lanes) -> np.ndarray:
     if not 0 <= kind < _MAX_KINDS:
         raise ValueError(f"stream kind {kind} out of range (max {_MAX_KINDS - 1})")
     barrier = _coordinate(barrier, _MAX_BARRIERS, "barrier index")
-    return np.uint64(kind << 48) | (barrier << _SHIFT32) | _coordinate(lanes, _MAX_PARTICLES, "lane index")
+    lanes = _coordinate(lanes, _MAX_PARTICLES, "lane index")
+    return np.uint64(kind << 48) | (barrier << _SHIFT32) | lanes
 
 
 def block(seed: int, kind: int, barrier, lanes, counter=1) -> np.ndarray:

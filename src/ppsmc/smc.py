@@ -348,7 +348,8 @@ class _Walk:
                 return parents, None, [[lp] for lp in self._log_densities(*ends).tolist()]
             return parents, ends, None
         stop, clip = min(z, self.horizon), z < math.inf  # a lane walks while below both
-        pos, at = np.full(n, last), np.zeros(n, dtype=np.int64)  # each lane's last time, next uniform
+        pos = np.full(n, last)  # each lane's last time
+        at = np.zeros(n, dtype=np.int64)  # and its next uniform
         active = np.arange(n if last < stop else 0)
         times, logs, drawn = [], [], 0  # what each step appended; gaps each active lane drew
         while active.size:
@@ -429,7 +430,8 @@ class _Walk:
         values, which = np.unique(values, return_inverse=True)
         if sids.min() == sids.max():
             return [self.table[sids[0]]] * len(values), values.tolist(), which
-        _, first, pair = np.unique(sids * len(values) + which, return_index=True, return_inverse=True)
+        _, first, pair = np.unique(sids * len(values) + which, return_index=True,
+                                   return_inverse=True)
         return [self.table[s] for s in sids[first].tolist()], values[which[first]].tolist(), pair
 
     @staticmethod
@@ -464,7 +466,8 @@ def _by_lane(entries: list, n: int) -> tuple:
         entries = [(np.empty(0, dtype=np.int64), np.empty(0))]
     lanes, *columns = (np.concatenate(column) for column in zip(*entries))
     order = lanes.argsort(kind="stable")
-    return (*(c[order] for c in columns), np.concatenate(([0], np.bincount(lanes, minlength=n).cumsum())))
+    begin = np.concatenate(([0], np.bincount(lanes, minlength=n).cumsum()))
+    return (*(c[order] for c in columns), begin)
 
 
 def _rows(levels: list, picks: list, history: list, zs: tuple) -> Iterator[list]:
@@ -582,17 +585,18 @@ def conditional_sample(model: SequenceModel, constraints: ConstraintSet,
         raise ValueError("need at least one particle")
 
     # each barrier's resampling offset, in (0, 1]: the first uniform of its stream
-    offsets = (1.0 - doubles(block(seed, KIND_RESAMPLE, np.arange(constraints.r), 0))[:, 0]).tolist()
+    offsets = 1.0 - doubles(block(seed, KIND_RESAMPLE, np.arange(constraints.r), 0))[:, 0]
 
     def resample(i, b_prev, parents, ends, steps):
         laws, gaps, which = ends
-        weights = np.array(list(map(barrier_weight, laws, gaps, repeat(b_prev))), dtype=float)[which]
+        weights = np.array(list(map(barrier_weight, laws, gaps, repeat(b_prev))),
+                           dtype=float)[which]
         dead = int(np.count_nonzero(weights == 0))
         alive = dead < num_particles
         row = BarrierDiagnostics(
             barrier_index=i + 1, ess=effective_sample_size(weights) if alive else 0.0,
             min_weight=float(weights.min()), max_weight=float(weights.max()), dead_count=dead)
-        kept = systematic_indices(weights, offsets[i]) if alive else None
+        kept = systematic_indices(weights, float(offsets[i])) if alive else None
         return kept, row
 
     return run_barriers(model, constraints, seed, num_particles, resample,

@@ -15,10 +15,23 @@ from __future__ import annotations
 import math
 
 from ppsmc import beam as beam_module
-from ppsmc.models import propose_segment, trim_at_horizon
+from ppsmc.models import _log_density, propose_segment, trim_at_horizon
 from ppsmc.rng import KIND_PROPOSAL, KIND_RESAMPLE, stream
 from ppsmc.smc import (BarrierDiagnostics, EnsembleResult, barrier_weight,
                        effective_sample_size, systematic_resample)
+
+
+def _segment(model, state, last, z, b_prev, rng, horizon, score):
+    """``propose_segment`` and, if ``score``, each appended time's log density
+    under the law it was drawn from: the state before the segment, advanced
+    by every time but the last."""
+    segment, gap, law = propose_segment(model, state, last, z, b_prev, rng, horizon=horizon)
+    steps = []
+    for k, t in enumerate(segment if score else ()):
+        if k:
+            state = model.advance(state, segment[k - 1])
+        steps.append(_log_density(state, t - (segment[k - 1] if k else last)))
+    return segment, gap, law, steps
 
 
 def run_barriers(model, constraints, seed, width, select, *, horizon, initial_history,
@@ -31,8 +44,8 @@ def run_barriers(model, constraints, seed, width, select, *, horizon, initial_hi
         for t, (seq, state, _) in enumerate(paths):
             for j in range(branching):
                 rng = stream(seed, KIND_PROPOSAL, i, t * branching + j)
-                children.append((t, *propose_segment(model, state, seq[-1] if seq else 0.0, z,
-                                                     flags[i], rng, horizon=horizon, score=score)))
+                children.append((t, *_segment(model, state, seq[-1] if seq else 0.0, z, flags[i],
+                                              rng, horizon, score)))
         parents, _, gaps, laws, steps = zip(*children)
         ends = list(laws), list(gaps), range(len(children))  # no pair is shared
         kept, row = select(i, flags[i], list(parents), ends, list(steps) if score else None)
@@ -51,8 +64,8 @@ def run_barriers(model, constraints, seed, width, select, *, horizon, initial_hi
         tail = []
         if flags[-1]:
             rng = stream(seed, KIND_PROPOSAL, constraints.r, t)
-            seg, _, _, tail = propose_segment(model, state, seq[-1] if seq else 0.0, math.inf,
-                                              True, rng, horizon=horizon, score=score)
+            seg, _, _, tail = _segment(model, state, seq[-1] if seq else 0.0, math.inf, True,
+                                       rng, horizon, score)
             n = len(seq) + len(seg)
             seq = trim_at_horizon(seq + seg, horizon)
             tail = tail[:len(tail) - (n - len(seq))] if score else []

@@ -55,12 +55,12 @@ class TestBeamSearch:
         state = model.initial_state(seq)
         flags = [True, *cs.b]
         for i, z in enumerate(cs.z):
-            seg, _, state, _ = propose_segment(model, state, seq[-1] if seq else 0.0, z,
+            seg, _, state = propose_segment(model, state, seq[-1] if seq else 0.0, z,
                                                flags[i], stream(21, KIND_PROPOSAL, i, 0))
             seq += seg
             state = model.advance(state, z)
         if flags[-1]:
-            seg, _, _, _ = propose_segment(model, state, seq[-1], math.inf, True,
+            seg, _, _ = propose_segment(model, state, seq[-1], math.inf, True,
                                            stream(21, KIND_PROPOSAL, 2, 0), horizon=1.0)
             seq += seg
         while seq and seq[-1] > 1.0:

@@ -15,11 +15,15 @@ where the statistical tests would still pass.
 The two Poisson cases were re-recorded, in both tables, when exponential and
 Weibull gaps became the inverse cdf of one ``random()`` draw instead of
 numpy's ziggurat ``exponential``/``weibull``, and the exponential hazard
-became the closed-form rate.  That is the one declared stream change of the
-array walk, which proposes every lane of a renewal model at once; the new
-digests are also what the parent's per-lane walk gives with only those two
-changes, and what the per-lane walk gives now.  Uniform gaps kept their bits,
-so the dying cases did not move.
+became the closed-form rate.  That was a declared stream change; the new
+digests are also what the per-lane walk gives with only those two changes.
+Uniform gaps kept their bits, so the dying cases did not move.
+
+Every model is now walked by one grouped walk: the lanes of a barrier step
+together, grouped by state, each drawing its uniforms in order from its
+Philox blocks, which are the draws of its own stream.  No digest moved when
+that walk replaced the per-lane one; ``test_array_walk.py`` compares it with
+that per-lane walk (``lane_walk.py``) run by run.
 """
 
 from __future__ import annotations

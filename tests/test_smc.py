@@ -81,14 +81,14 @@ class TestProposeSegment:
     def test_closed_gap_appends_barrier_directly(self):
         model = PoissonProcessModel(rate=2.0)
         rng = stream(0, KIND_PROPOSAL, 0)
-        seg, gap, _, _ = propose_segment(model, model.initial_state([0.2]), 0.2, 0.7, False, rng)
+        seg, gap, _ = propose_segment(model, model.initial_state([0.2]), 0.2, 0.7, False, rng)
         assert seg == [0.7]
         assert gap == pytest.approx(0.5)
 
     def test_open_gap_ends_exactly_at_barrier(self):
         model = PoissonProcessModel(rate=50.0)
         rng = stream(1, KIND_PROPOSAL, 0)
-        seg, gap, _, _ = propose_segment(model, model.initial_state([]), 0.0, 0.5, True, rng)
+        seg, gap, _ = propose_segment(model, model.initial_state([]), 0.0, 0.5, True, rng)
         assert seg[-1] == 0.5
         assert all(t < 0.5 for t in seg[:-1])
         assert gap == pytest.approx(0.5 - ([0.0] + seg)[-2])
@@ -96,7 +96,7 @@ class TestProposeSegment:
     def test_final_segment_stops_after_crossing_horizon(self):
         model = PoissonProcessModel(rate=10.0)
         rng = stream(2, KIND_PROPOSAL, 0)
-        seg, gap, _, _ = propose_segment(model, model.initial_state([0.5]), 0.5, math.inf,
+        seg, gap, _ = propose_segment(model, model.initial_state([0.5]), 0.5, math.inf,
                                          True, rng, horizon=1.0)
         # At most the last point overshoots; the caller trims it.
         assert all(t <= 1.0 for t in seg[:-1])
@@ -415,8 +415,8 @@ class TestSeedStreams:
         (2 ** 64 - 1, 1, 2 ** 16 - 1, 0),
     ])
     def test_draws_equal_a_fresh_philox(self, seed, kind, barrier, particle):
-        """A re-keyed stream draws exactly what a newly built Philox would,
-        even after the previous stream was left mid-buffer with a spare
+        """A stream draws exactly what a newly built Philox with its key would,
+        whatever another stream was left doing mid-buffer with a spare
         32-bit half pending."""
         def draws(g):
             return [g.exponential(0.5), g.weibull(1.7), g.uniform(0.2, 0.9),
@@ -434,7 +434,7 @@ class TestSeedStreams:
 
     def test_threads_match_serial_runs(self):
         """A filter and a beam running at once on two threads each return
-        exactly their serial result: every thread re-keys its own generator."""
+        exactly their serial result: no draw depends on shared state."""
         model = PoissonProcessModel(rate=30.0)
         cs = ConstraintSet(z=tuple(k / 100 for k in range(1, 100)), b=(True,) * 99)
         runs = {"filter": lambda: conditional_sample(model, cs, 200, seed=8),
@@ -507,6 +507,14 @@ class TestBlocks:
         assert block(seed, 0, 7, 3, counter=np.arange(1, 4)).ravel().tolist() == raw
         both = block(seed, 0, 7, np.array([[3], [4]]), counter=np.arange(1, 4))
         assert both.shape == (2, 3, 4) and both[0].ravel().tolist() == raw
+
+    def test_few_keys_equal_many(self):
+        """Up to 32 keys are computed in Python ints, more in numpy arrays:
+        both give the same words."""
+        lanes, counters = np.arange(40) * 7919, np.arange(40) % 5 + 1
+        many = block(2 ** 64 - 5, 1, 9, lanes, counters)
+        singles = [block(2 ** 64 - 5, 1, 9, lane, c).tolist() for lane, c in zip(lanes, counters)]
+        assert singles == many.tolist()
 
     def test_broadcasts_barriers_against_lanes(self):
         words = block(9, 0, np.arange(3)[:, None], np.array([0, 5, 2 ** 32 - 1]))
