@@ -11,8 +11,7 @@ from .models import (PoissonProcessModel, SequenceModel, UniformRenewalModel,
                      propose_segment, sample_restricted, step_log_probabilities)
 from .smc import (BarrierDiagnostics, ConstraintSet, EnsembleResult,
                   barrier_weight, conditional_sample, effective_sample_size,
-                  read_constraint_file, satisfies, systematic_indices,
-                  systematic_resample)
+                  read_constraint_file, satisfies, systematic_indices)
 from .beam import BeamBarrierDiagnostics, beam_search_sample
 from .errors import IterationLimitError, SaturatedCdfError
 
@@ -24,7 +23,7 @@ __all__ = [
     "sample_restricted", "step_log_probabilities",
     "BarrierDiagnostics", "ConstraintSet", "EnsembleResult", "barrier_weight",
     "conditional_sample", "effective_sample_size", "propose_segment",
-    "read_constraint_file", "satisfies", "systematic_indices", "systematic_resample",
+    "read_constraint_file", "satisfies", "systematic_indices",
     "BeamBarrierDiagnostics", "beam_search_sample",
     "IterationLimitError", "SaturatedCdfError",
     "__version__",

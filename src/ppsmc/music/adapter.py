@@ -122,7 +122,6 @@ class _MusicGap(InterArrivalDistribution):
             code = (self.cur_t + dt) * self.vocab.actions + action
         return code - self.last_code
 
-
     draw_width = 2  # a symbol, and an action after a shift
 
     def draws(self, u, lanes):

@@ -250,12 +250,6 @@ def _exact_systematic_indices(weights: list[float], u: float) -> tuple[int, ...]
     return tuple(out)
 
 
-def systematic_resample(weights: Sequence[float], rng) -> tuple[int, ...]:
-    """Draw the offset and return offspring indices (ascending)."""
-    u = 1.0 - rng.random()  # in (0, 1]: keeps the offspring-count bound strict
-    return systematic_indices(weights, u)
-
-
 # keys per Philox block call: a call costs ~0.5 ms however few its keys, so
 # the first blocks of several barriers are drawn at once
 _BLOCK_KEYS = 4096

@@ -18,7 +18,7 @@ from ppsmc import beam as beam_module
 from ppsmc.models import _log_density, propose_segment, trim_at_horizon
 from ppsmc.rng import KIND_PROPOSAL, KIND_RESAMPLE, stream
 from ppsmc.smc import (BarrierDiagnostics, EnsembleResult, barrier_weight,
-                       effective_sample_size, systematic_resample)
+                       effective_sample_size, systematic_indices)
 
 
 def _segment(model, state, last, z, b_prev, rng, horizon, score):
@@ -85,7 +85,8 @@ def conditional_sample(model, constraints, num_particles, seed, *, horizon=1.0,
         row = BarrierDiagnostics(
             barrier_index=i + 1, ess=effective_sample_size(weights) if alive else 0.0,
             min_weight=float(min(weights)), max_weight=float(max(weights)), dead_count=dead)
-        kept = systematic_resample(weights, stream(seed, KIND_RESAMPLE, i)) if alive else None
+        u = 1.0 - stream(seed, KIND_RESAMPLE, i).random()
+        kept = systematic_indices(weights, u) if alive else None
         return kept, row
 
     return run_barriers(model, constraints, seed, num_particles, resample,

@@ -18,7 +18,7 @@ from ppsmc.music.files import write_constraint_file
 from ppsmc.rng import KIND_PROPOSAL, block, doubles, run_seed, stream
 from ppsmc.smc import (ConstraintSet, barrier_weight, conditional_sample,
                        effective_sample_size, read_constraint_file,
-                       satisfies, systematic_indices, systematic_resample)
+                       satisfies, systematic_indices)
 
 
 class TestConstraintSet:
@@ -160,12 +160,6 @@ class TestSystematicResampling:
         w = (0.5, 0.0, 0.5)
         for u in (1e-9, 0.25, 0.5, 0.75, 1.0):
             assert 1 not in systematic_indices(w, u=u)
-
-    def test_seeded_wrapper_matches_direct_call(self):
-        rng = np.random.default_rng(99)
-        u = 1.0 - rng.random()
-        again = np.random.default_rng(99)
-        assert systematic_resample((3.0, 1.0), again) == systematic_indices((3.0, 1.0), u)
 
     def test_rejects_all_zero_weights(self):
         with pytest.raises(ValueError):
