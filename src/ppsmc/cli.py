@@ -22,9 +22,9 @@ from .errors import IterationLimitError
 from .models import (PoissonProcessModel, UniformRenewalModel,
                      WeibullRenewalModel, step_log_probabilities)
 from .music.adapter import UnrolledMusicModel
-from .music.encoding import Vocabulary, codes_to_events, events_to_codes
+from .music.encoding import Vocabulary, events_to_codes
 from .music.files import (extract_constraints, read_corpus, read_events,
-                          write_constraint_file, write_events)
+                          write_codes, write_constraint_file, write_events)
 from .music.midi import read_midi, write_midi
 from .music.ngram import NGramModel, train_ngram
 from .oracle import (GridModel, GridSequenceModel, bits_from_times,
@@ -115,7 +115,7 @@ def _write_samples(outdir: Path, samples, vocab: Vocabulary | None) -> list[str]
     for i, times in enumerate(samples):
         if vocab is not None:
             name = f"sample_{i:04d}.jsonl"
-            write_events(outdir / name, codes_to_events(times, vocab), vocab)
+            write_codes(outdir / name, times, vocab)
         else:
             name = f"sample_{i:04d}.json"
             _write_json(outdir / name, {"version": 1, "kind": "times", "times": list(times)})

@@ -7,7 +7,7 @@ from .encoding import (MusicEvent, Vocabulary, allowed_symbols,
 from .ngram import NGramModel, train_ngram
 from .adapter import UnrolledMusicModel
 from .files import (extract_constraints, read_corpus, read_events,
-                    write_constraint_file, write_events)
+                    write_codes, write_constraint_file, write_events)
 from .midi import read_midi, write_midi
 
 __all__ = [
@@ -17,6 +17,6 @@ __all__ = [
     "NGramModel", "train_ngram",
     "UnrolledMusicModel",
     "extract_constraints", "read_corpus", "read_events",
-    "write_constraint_file", "write_events",
+    "write_codes", "write_constraint_file", "write_events",
     "read_midi", "write_midi",
 ]

@@ -14,20 +14,38 @@ from pathlib import Path
 from typing import Sequence
 
 from ..smc import ConstraintSet
-from .encoding import MusicEvent, Vocabulary, events_to_codes
+from .encoding import MusicEvent, Vocabulary, _split_code, events_to_codes
 
 logger = logging.getLogger(__name__)
 
 FORMAT_VERSION = 1
 
 
-def write_events(path, events: Sequence[MusicEvent], vocab: Vocabulary = Vocabulary()) -> None:
-    events_to_codes(events, vocab)  # canonical-order check before writing
+def write_codes(path, codes: Sequence[int], vocab: Vocabulary = Vocabulary()) -> None:
+    """Write the event file of a piece given as codes.
+
+    Raises ValueError on a code below 1 or codes that do not strictly ascend.
+    Each event line is the bytes ``json.dumps`` gives its ``t``, ``a`` and
+    ``part`` with sorted keys.
+    """
     lines = [json.dumps({"version": FORMAT_VERSION, "kind": "events",
                          "ppq": 2400, "parts": vocab.parts}, sort_keys=True)]
-    lines += [json.dumps({"t": ev.t, "a": ev.a, "part": ev.part}, sort_keys=True)
-              for ev in events]
+    a_max, last = vocab.a_max, 0
+    for i, code in enumerate(codes):
+        code = int(code)
+        if code < 1:
+            raise ValueError(f"codes are positive, got {code}")
+        if code <= last:
+            raise ValueError(f"codes are not in strictly ascending order at index {i}")
+        t, a_prime = _split_code(code, vocab)
+        part, a = divmod(a_prime - 1, a_max)
+        lines.append(f'{{"a": {a + 1}, "part": {part}, "t": {t}}}')
+        last = code
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def write_events(path, events: Sequence[MusicEvent], vocab: Vocabulary = Vocabulary()) -> None:
+    write_codes(path, events_to_codes(events, vocab), vocab)
 
 
 def read_events(path) -> tuple[list[MusicEvent], int]:

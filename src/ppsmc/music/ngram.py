@@ -4,6 +4,14 @@ Stands in for a learned sequence model: it exposes exactly the interface the
 adapter needs — a PMF over the next symbol given the last order-1 symbols,
 with the canonical mask applied at query time (zero out forbidden symbols,
 renormalize over the rest).
+
+A model builds each masked PMF, with its cumulative sum, once per pair of
+what it depends on: the context's counts row (keyed by the context, or by
+``None`` for every context the corpus never saw, since their rows are all
+empty) and the mask (keyed by ``prev``, or by the first shift symbol for
+every shift, since all shifts forbid the same symbols).  A second dict maps
+each (context, prev) queried to its shared arrays, so that a repeated query
+is one lookup; it holds references only.
 """
 
 from __future__ import annotations
@@ -33,7 +41,8 @@ class NGramModel:
         self.order = order
         self.alpha = float(alpha)
         self.counts = counts if counts is not None else {}
-        self._cache: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+        self._pmfs: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}  # by (row, mask)
+        self._cache: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}  # by (context, prev)
 
     def context_of(self, symbols: Sequence[int]) -> tuple:
         """Last order-1 symbols, BOS-padded on the left."""
@@ -56,14 +65,19 @@ class NGramModel:
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        pmf = self.raw_pmf(context)
-        pmf = np.where(allowed_symbols(prev, self.vocab), pmf, 0.0)
-        total = pmf.sum()
-        if total == 0:
-            raise ValueError(f"no permitted symbol has positive probability after {prev} "
-                             f"in context {context}; increase alpha")
-        pmf = pmf / total
-        entry = (pmf, np.cumsum(pmf))
+        row = key[0] if key[0] in self.counts else None  # unseen contexts' rows are empty
+        shifted = prev is not None and self.vocab.is_shift(prev)
+        shared = (row, self.vocab.actions + 1 if shifted else prev)
+        entry = self._pmfs.get(shared)
+        if entry is None:
+            pmf = self.raw_pmf(context)
+            pmf = np.where(allowed_symbols(prev, self.vocab), pmf, 0.0)
+            total = pmf.sum()
+            if total == 0:
+                raise ValueError(f"no permitted symbol has positive probability after {prev} "
+                                 f"in context {context}; increase alpha")
+            pmf = pmf / total
+            entry = self._pmfs[shared] = (pmf, np.cumsum(pmf))
         self._cache[key] = entry
         return entry
 

@@ -126,11 +126,19 @@ class _GridGap(InterArrivalDistribution):
             return 0.0  # even the beyond-horizon gap is shorter than d
         return self._vacant(m - 1)
 
+    def _beyond(self) -> int:
+        """The gap to time n + 1, just past the last cell."""
+        gap = self.model.n - len(self.prefix) + 1
+        if gap < 1:
+            raise ValueError(f"a path passed the last of the grid's {self.model.n} cells: "
+                             f"the horizon must not exceed n + 1 = {self.model.n + 1}")
+        return gap
+
     def sample(self, rng):
         for j, g in enumerate(self._ahead):
             if rng.random() < g:
                 return j + 1
-        return self.model.n - len(self.prefix) + 1  # beyond the horizon
+        return self._beyond()
 
     @property
     def draw_width(self) -> int:
@@ -141,7 +149,7 @@ class _GridGap(InterArrivalDistribution):
         uniform per cell tried, as ``sample`` finds it."""
         cells = self.draw_width
         if not cells:
-            return np.full(len(u), self.model.n - len(self.prefix) + 1), 0
+            return np.full(len(u), self._beyond()), 0
         hit = u[:, :cells] < self._ahead
         found = hit.any(axis=1)
         first = hit.argmax(axis=1) + 1

@@ -2,17 +2,20 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import subprocess
 import sys
 
 import pytest
+from test_acceptance import tiny_music_model
 
 from ppsmc.cli import main
 from ppsmc.models import PoissonProcessModel, log_probability
 from ppsmc.music.encoding import MusicEvent, Vocabulary, events_to_codes
-from ppsmc.music.files import write_events
+from ppsmc.music.files import write_constraint_file, write_events
+from ppsmc.smc import ConstraintSet
 
 
 @pytest.fixture()
@@ -74,6 +77,16 @@ class TestSampleCommand:
         assert code == 3
         result = read_json(out / "result.json")
         assert result["survived"] is False and result["failed_barrier"] == 2
+
+    def test_weights_whose_squares_underflow_exit_0(self, tmp_path):
+        cs = tmp_path / "far.json"
+        cs.write_text(json.dumps({"version": 1, "kind": "constraints",
+                                  "z": [0.5, 714.3], "b": [False, False]}))
+        out = tmp_path / "out"
+        assert main(["sample", "--model", "poisson:rate=1", "--constraints", str(cs),
+                     "--seed", "1", "--particles", "5", "--horizon", "715",
+                     "--out", str(out)]) == 0
+        assert read_json(out / "result.json")["survived"] is True
 
     def test_unknown_model_exits_1(self, tmp_path, constraint_file, capsys):
         code = main(["sample", "--model", "cauchy:loc=0", "--constraints",
@@ -210,6 +223,37 @@ class TestMusicPipeline:
                      str(report_path), str(sample_file)]) == 0
         entry = read_json(report_path)["entries"][0]
         assert entry["log_prob"] is not None and entry["log_prob"] < 0.0
+
+
+class TestSampleFileBytes:
+    """Every file `sample` and `beam` write for a trained music model, pinned
+    by one digest per command (recorded when sample files were still written
+    event by event through ``json.dumps``)."""
+
+    DIGESTS = {
+        "sample": "7fae28430220f07f1032acd716159306fc505f2d6f656caabea3a8da8ad875fb",
+        "beam": "94b457ad6013121ea081e467b742294ae21406e8b47e1cf3f38996ed3945b799",
+    }
+
+    @pytest.mark.parametrize("command, sizes", [
+        ("sample", ["--particles", "20"]),
+        ("beam", ["--beam-b", "4", "--beam-f", "3"]),
+    ])
+    def test_written_files_are_unchanged(self, tmp_path, command, sizes):
+        tiny_music_model().step_model.save(tmp_path / "model.json")
+        write_constraint_file(tmp_path / "cs.json", ConstraintSet(z=(13, 19), b=(True, True)),
+                              prefix=(1, 3, 5, 7), horizon_ticks=5)
+        out = tmp_path / "out"
+        assert main([command, "--model", str(tmp_path / "model.json"), "--constraints",
+                     str(tmp_path / "cs.json"), "--seed", "5", "--runs", "2", "--keep", "0",
+                     "--out", str(out), *sizes]) == 0
+        digest = hashlib.sha256()
+        files = sorted(p for p in out.rglob("*") if p.is_file())
+        assert sum(p.suffix == ".jsonl" and p.name.startswith("sample_") for p in files) > 2
+        for path in files:
+            digest.update(path.relative_to(out).as_posix().encode() + b"\0")
+            digest.update(path.read_bytes())
+        assert digest.hexdigest() == self.DIGESTS[command]
 
 
 class TestConvertCommand:

@@ -7,10 +7,13 @@ import struct
 
 import pytest
 
-from ppsmc.music.encoding import MusicEvent, Vocabulary, events_to_codes
+from ppsmc import cli
+from ppsmc.music.encoding import (MusicEvent, Vocabulary, codes_to_events,
+                                  events_to_codes)
 from ppsmc.music.files import (extract_constraints, read_corpus, read_events,
-                               write_constraint_file, write_events)
+                               write_codes, write_constraint_file, write_events)
 from ppsmc.music.midi import read_midi, write_midi
+from ppsmc.music.ngram import train_ngram
 from ppsmc.smc import read_constraint_file
 
 VOCAB = Vocabulary()
@@ -51,6 +54,52 @@ class TestEventFiles:
         path.write_text("\n".join([lines[0], lines[2], lines[1]] + lines[3:]) + "\n")
         with pytest.raises(ValueError):
             read_events(path)
+
+    def test_multi_part_bytes_are_unchanged(self, tmp_path):
+        piece = [MusicEvent(0, 61, 0), MusicEvent(0, 60, 1), MusicEvent(1200, 189, 0),
+                 MusicEvent(1200, 64, 1), MusicEvent(2400, 188, 1), MusicEvent(2400, 192, 1)]
+        path = tmp_path / "piece.jsonl"
+        write_events(path, piece, Vocabulary(parts=2))
+        assert path.read_text() == (
+            '{"kind": "events", "parts": 2, "ppq": 2400, "version": 1}\n'
+            '{"a": 61, "part": 0, "t": 0}\n{"a": 60, "part": 1, "t": 0}\n'
+            '{"a": 189, "part": 0, "t": 1200}\n{"a": 64, "part": 1, "t": 1200}\n'
+            '{"a": 188, "part": 1, "t": 2400}\n{"a": 192, "part": 1, "t": 2400}\n')
+
+    @pytest.mark.parametrize("vocab", [VOCAB, Vocabulary(parts=3), Vocabulary(a_max=4, s_max=3)])
+    def test_codes_read_back_as_their_events(self, tmp_path, vocab):
+        acts = vocab.actions  # codes at multiples of A are the last action of a tick
+        codes = [1, 2, acts - 1, acts, acts + 1, 3 * acts, 3 * acts + 2, 7 * acts]
+        path = tmp_path / "piece.jsonl"
+        write_codes(path, codes, vocab)
+        assert read_events(path) == (codes_to_events(codes, vocab), vocab.parts)
+
+    @pytest.mark.parametrize("codes, message", [
+        ([0, 5], "positive"), ([-3], "positive"), ([5, 5], "ascending"), ([5, 9, 7], "ascending"),
+    ])
+    def test_writer_rejects_bad_codes(self, tmp_path, codes, message):
+        with pytest.raises(ValueError, match=message):
+            write_codes(tmp_path / "bad.jsonl", codes, VOCAB)
+
+    @pytest.mark.parametrize("sample, message", [
+        ((5, 9, 7), "codes are not in strictly ascending order at index 2"),
+        ((0, 5), "codes are positive, got 0"),
+    ])
+    def test_cli_reports_bad_codes_as_an_error_line(self, tmp_path, monkeypatch, capsys,
+                                                    sample, message):
+        model, cs = tmp_path / "model.json", tmp_path / "cs.json"
+        train_ngram([[61, 65]], VOCAB, order=1, alpha=0.1).save(model)
+        write_constraint_file(cs, extract_constraints(PIECE, 2400, 0, VOCAB)[1])
+
+        class Result:
+            survived, failed_barrier, diagnostics, log_probs = True, None, [], None
+            samples = [sample]
+
+        monkeypatch.setattr(cli, "conditional_sample", lambda *args, **kwargs: Result)
+        monkeypatch.setattr(cli, "satisfies", lambda *args: True)
+        assert cli.main(["sample", "--model", str(model), "--constraints", str(cs),
+                         "--seed", "1", "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_corpus_reader_collects_symbol_streams(self, tmp_path):
         write_events(tmp_path / "a.jsonl", PIECE[:2], VOCAB)

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from ppsmc.music.encoding import Vocabulary
+from ppsmc.music.encoding import Vocabulary, allowed_symbols
 from ppsmc.music.ngram import BOS, NGramModel, train_ngram
 
 TINY = Vocabulary(a_max=4, s_max=3)  # 7 symbols
@@ -86,6 +86,56 @@ class TestProbabilities:
             expected += math.log(model.masked_pmf(ctx, prev)[sym - 1])
             history.append(sym)
         assert model.sequence_log_pmf(seq) == pytest.approx(expected, rel=1e-12)
+
+
+class TestMaskedCache:
+    """The masked PMF depends on the context only through its counts row and
+    on the previous symbol only through the mask, and is cached by those."""
+
+    def test_unseen_contexts_after_a_shift_share_one_entry(self, monkeypatch):
+        model = tiny_model(order=3)
+        shifts = [TINY.shift_symbol(d) for d in (1, 2, 3)]
+        unseen = [(a, s) for a in range(1, 5) for s in shifts if (a, s) not in model.counts]
+        assert len(unseen) > 5
+        raw = []
+        monkeypatch.setattr(model, "raw_pmf", lambda ctx: raw.append(ctx) or
+                            NGramModel.raw_pmf(model, ctx))
+        first = model.masked_pmf(unseen[0], unseen[0][-1])
+        assert all(model.masked_pmf(ctx, ctx[-1]) is first for ctx in unseen)
+        assert raw == [unseen[0]]
+
+    def test_every_entry_equals_the_reference_bit_for_bit(self):
+        for order, alpha in ((1, 0.5), (2, 0.5), (3, 0.5), (2, 0.0)):
+            model = tiny_model(order=order, alpha=alpha)
+            contexts = {model.context_of(list(ctx)) for ctx in np.ndindex((8,) * (order - 1))}
+            for ctx in sorted(contexts):
+                for prev in [None, *range(1, TINY.size + 1)]:
+                    try:
+                        pmf = np.where(allowed_symbols(prev, TINY), model.raw_pmf(ctx), 0.0)
+                    except ValueError:  # unseen without smoothing
+                        pmf = np.zeros(1)
+                    if pmf.sum() == 0:
+                        with pytest.raises(ValueError):
+                            model.masked_pmf(ctx, prev)
+                        continue
+                    pmf = pmf / pmf.sum()
+                    got, cum = model._masked(ctx, prev)
+                    assert got.tobytes() == pmf.tobytes(), (order, ctx, prev)
+                    assert cum.tobytes() == np.cumsum(pmf).tobytes(), (order, ctx, prev)
+
+    def test_each_unseen_context_names_itself_without_smoothing(self):
+        model = tiny_model(order=3, alpha=0.0)
+        for ctx in [(4, 4), (4, 3)]:
+            assert ctx not in model.counts
+            with pytest.raises(ValueError, match=rf"context \({ctx[0]}, {ctx[1]}\) unseen"):
+                model.masked_pmf(ctx, ctx[-1])
+
+    def test_rejects_a_previous_symbol_outside_the_vocabulary(self):
+        model = tiny_model()
+        model.masked_pmf((BOS,), TINY.size)  # caches the shift mask
+        for prev in (0, TINY.size + 1):
+            with pytest.raises(ValueError, match="outside vocabulary"):
+                model.masked_pmf((BOS,), prev)
 
 
 class TestSampling:

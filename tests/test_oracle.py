@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from ppsmc.beam import beam_search_sample
 from ppsmc.models import sample_restricted
 from ppsmc.oracle import (GridModel, GridSequenceModel, bits_from_times,
                           chain_probability, enumerate_conditional,
@@ -129,6 +130,18 @@ class TestGridGapAdapter:
                                     observed_constraints([0]), 8, seed=5, horizon=3)
         assert result.survived
         assert all(s == (1.0, 2.0, 3.0) for s in result.samples)
+
+    @pytest.mark.parametrize("sampler", ["filter", "beam"])
+    def test_a_horizon_past_the_grid_is_named(self, sampler):
+        """A path that reaches time n + 1 with the horizon beyond it has no
+        cell left to draw a gap over; the error says what bounds the horizon."""
+        model = GridSequenceModel(GridModel(n=8, g=lambda bits: 0.3))
+        cs = observed_constraints([2])
+        run = {"filter": lambda h: conditional_sample(model, cs, 60, 12, horizon=h),
+               "beam": lambda h: beam_search_sample(model, cs, 4, 4, 12, horizon=h)}[sampler]
+        assert run(9).survived  # n + 1 itself is allowed
+        with pytest.raises(ValueError, match=r"horizon must not exceed n \+ 1 = 9"):
+            run(10)
 
     def test_fair_cells_make_all_sequences_equiprobable(self):
         # g = 1/2 on four cells: each of the 16 occupancy vectors has mass 1/16,

@@ -251,7 +251,8 @@ class TestEffectiveSampleSize:
     def test_equals_the_loop_definition_bit_for_bit(self):
         """The numpy sums keep every bit of one left-to-right pass, through
         zeros, overflowing squares and subnormal weights (whose squares all
-        underflow to 0, so both divide by zero)."""
+        underflow to 0, where the loop divides by zero and the ESS is the
+        loop's value on the weights divided by their maximum)."""
         def loop(weights):
             total = total_sq = 0.0
             for w in weights:
@@ -259,11 +260,12 @@ class TestEffectiveSampleSize:
                 total_sq += w * w
             return total * total / total_sq
 
-        def outcome(fn, weights):
+        def reference(weights):
             try:
-                return repr(fn(weights))
-            except ZeroDivisionError as exc:
-                return type(exc)
+                return repr(loop(weights))
+            except ZeroDivisionError:
+                top = max(weights)
+                return repr(loop([w / top for w in weights]))
 
         rng = np.random.default_rng(6217)
         tiny = math.ulp(0.0)
@@ -282,9 +284,9 @@ class TestEffectiveSampleSize:
                     w = rng.choice([0.0, 1e300, 1e-300, 3 * tiny, 1.0, 0.1], n) * rng.random(n)
                 if not w.any():
                     w[0] = 1.0
-                expected = outcome(loop, w.tolist())
-                assert outcome(effective_sample_size, w) == expected, (n, kind)
-                assert outcome(effective_sample_size, tuple(w.tolist())) == expected, (n, kind)
+                expected = reference(w.tolist())
+                assert repr(effective_sample_size(w)) == expected, (n, kind)
+                assert repr(effective_sample_size(tuple(w.tolist()))) == expected, (n, kind)
 
 
 class TestConditionalSample:
@@ -346,6 +348,14 @@ class TestConditionalSample:
         assert result.samples == []
         last = result.diagnostics[-1]
         assert last.ess == 0.0 and last.dead_count == 20
+
+    def test_weights_whose_squares_underflow_keep_an_ess(self):
+        """Every forced-gap density is 1e-310, whose square underflows to 0."""
+        cs = ConstraintSet(z=(0.5, 714.3), b=(False, False))
+        result = conditional_sample(PoissonProcessModel(1.0), cs, 5, 1, horizon=715)
+        assert result.survived and all(satisfies(s, cs) for s in result.samples)
+        last = result.diagnostics[-1]
+        assert 0.0 < last.max_weight < 1e-300 and last.ess == 5.0
 
     def test_diagnostics_cover_interior_barriers(self):
         model = PoissonProcessModel(rate=6.0)
