@@ -6,7 +6,8 @@ cumulative model log-probability from the start of the sequence (no length
 normalization) and the top f survive.  Selection maximizes likelihood, so the
 output concentrates on high-probability sequences rather than approximating
 the conditional law.  Each candidate is scored in the walk that proposes it
-(``run_barriers`` with ``score``), so no model state is walked twice.
+(``run_barriers`` with ``score``), so no model state is walked twice, and the
+score ranked is the one reported.
 """
 
 from __future__ import annotations
@@ -38,31 +39,30 @@ def beam_search_sample(model: SequenceModel, constraints: ConstraintSet,
 
     Returns the kept trajectories (f of them, fewer if not that many remained
     viable) in rank order, ties broken by lower trajectory index, with their
-    total model log-probabilities in ``log_probs``.  ``survived`` is False
-    when every candidate at some barrier scored -inf, i.e. every trajectory
-    was forced through a zero-probability event.
+    total model log-probabilities in ``log_probs``, each equal to
+    ``log_probability(model, s[len(prefix):], prefix)`` bit for bit.  These
+    are the scores ranked, so without an open tail (b_r False) they come in
+    rank order; an open tail is drawn after the last ranking.  ``survived``
+    is False when every candidate at some barrier scored -inf, i.e. every
+    trajectory was forced through a zero-probability event.
     """
     if b < 1 or f < 1:
         raise ValueError("b and f must be at least 1")
-    # scores of the kept paths, which start as f copies of the prefix so that
-    # every barrier explores b*f candidates
-    kept_lps = [0.0] * f
 
-    def keep_best(i, b_prev, parents, ends, steps):
-        nonlocal kept_lps
-        scores = [kept_lps[t] + sum(lane) for t, lane in zip(parents, steps)]
+    def keep_best(i, scores):
         order = sorted(range(len(scores)), key=lambda k: -scores[k])
         # a -inf candidate was forced through a zero-probability event; it is
         # not a viable trajectory, so it never enters the kept set
         viable = [k for k in order if scores[k] > -math.inf]
         kept = viable[:f]
-        kept_lps = [scores[k] for k in kept]
         row = BeamBarrierDiagnostics(
             barrier_index=i + 1, explored=len(scores),
-            kept_min_logprob=min(kept_lps, default=-math.inf),
-            kept_max_logprob=max(kept_lps, default=-math.inf),
+            kept_min_logprob=min((scores[k] for k in kept), default=-math.inf),
+            kept_max_logprob=max((scores[k] for k in kept), default=-math.inf),
             discarded_max_logprob=max((scores[k] for k in viable[f:]), default=-math.inf))
         return kept or None, row
 
+    # the kept paths start as f copies of the prefix, so that every barrier
+    # explores b*f candidates
     return run_barriers(model, constraints, seed, f, keep_best, branching=b, score=True,
                         horizon=horizon, initial_history=initial_history)

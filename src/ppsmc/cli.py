@@ -31,7 +31,7 @@ from .oracle import (GridModel, GridSequenceModel, bits_from_times,
                      enumerate_conditional, normalize_counts,
                      observed_constraints, total_variation)
 from .rng import run_seed
-from .smc import conditional_sample, read_constraint_file, satisfies
+from .smc import ConstraintSet, conditional_sample, read_constraint_file, satisfies
 
 logger = logging.getLogger("ppsmc")
 
@@ -53,23 +53,22 @@ def _parse_params(text: str) -> dict[str, float]:
 
 
 def build_model(spec: str):
-    """Model spec -> (sequence model, step model or None).
+    """Model spec -> sequence model.
 
     A path to a trained model file loads the music model; otherwise
     poisson:rate=R | weibull:shape=K,scale=C | uniform:low=A,high=B.
     """
     if Path(spec).is_file():
-        step = NGramModel.load(spec)
-        return UnrolledMusicModel(step), step
+        return UnrolledMusicModel(NGramModel.load(spec))
     name, _, rest = spec.partition(":")
     params = _parse_params(rest)
     try:
         if name == "poisson":
-            return PoissonProcessModel(params["rate"]), None
+            return PoissonProcessModel(params["rate"])
         if name == "weibull":
-            return WeibullRenewalModel(params["shape"], params["scale"]), None
+            return WeibullRenewalModel(params["shape"], params["scale"])
         if name == "uniform":
-            return UniformRenewalModel(params["low"], params["high"]), None
+            return UniformRenewalModel(params["low"], params["high"])
     except KeyError as missing:
         raise ValueError(f"model spec {spec!r} is missing parameter {missing}") from None
     raise ValueError(f"unknown model {name!r}: expected poisson:, weibull:, uniform:, "
@@ -88,7 +87,6 @@ def _load_run_setup(args, music_vocab: Vocabulary | None):
     constraints, payload = read_constraint_file(args.constraints)
     if music_vocab is None:
         return constraints, (), float(args.horizon)
-    from .smc import ConstraintSet
     constraints = ConstraintSet(z=tuple(_as_code(z) for z in constraints.z), b=constraints.b)
     prefix = payload.get("prefix", [])
     if not isinstance(prefix, list):
@@ -129,14 +127,22 @@ def _write_diagnostics(path: Path, rows) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _finish_generation(args, run_fn, vocab: Vocabulary | None, constraints) -> int:
-    """Shared tail of `sample` and `beam`: run, verify, write, report."""
+def cmd_generate(args) -> int:
+    """`sample` and `beam`: run the sampler the command names, verify, write, report."""
+    model = build_model(args.model)
+    vocab = model.vocab if isinstance(model, UnrolledMusicModel) else None
+    constraints, prefix, horizon = _load_run_setup(args, vocab)
+    if args.command == "sample":
+        sampler, sizes = conditional_sample, (args.particles,)
+    else:
+        sampler, sizes = beam_search_sample, (args.beam_b, args.beam_f)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     survived = 0
     for r in range(args.runs):
         seed_r = run_seed(args.seed, r) if args.runs > 1 else args.seed
-        result = run_fn(seed_r)
+        result = sampler(model, constraints, *sizes, seed_r,
+                         horizon=horizon, initial_history=prefix)
         rundir = outdir / f"run_{r:03d}" if args.runs > 1 else outdir
         rundir.mkdir(parents=True, exist_ok=True)
         payload = {"version": 1, "kind": "result", "seed": seed_r,
@@ -168,34 +174,10 @@ def _finish_generation(args, run_fn, vocab: Vocabulary | None, constraints) -> i
     return 0
 
 
-def cmd_sample(args) -> int:
-    model, step = build_model(args.model)
-    vocab = step.vocab if step is not None else None
-    constraints, prefix, horizon = _load_run_setup(args, vocab)
-
-    def run(seed):
-        return conditional_sample(model, constraints, args.particles, seed,
-                                  horizon=horizon, initial_history=prefix)
-
-    return _finish_generation(args, run, vocab, constraints)
-
-
-def cmd_beam(args) -> int:
-    model, step = build_model(args.model)
-    vocab = step.vocab if step is not None else None
-    constraints, prefix, horizon = _load_run_setup(args, vocab)
-
-    def run(seed):
-        return beam_search_sample(model, constraints, args.beam_b, args.beam_f, seed,
-                                  horizon=horizon, initial_history=prefix)
-
-    return _finish_generation(args, run, vocab, constraints)
-
-
-def _load_times(path: str, step: NGramModel | None) -> list:
-    if step is not None:
+def _load_times(path: str, vocab: Vocabulary | None) -> list:
+    if vocab is not None:
         events, _ = read_events(path)
-        return events_to_codes(events, step.vocab)
+        return events_to_codes(events, vocab)
     payload = json.loads(Path(path).read_text())
     if (not isinstance(payload, dict) or payload.get("version", 1) != 1
             or payload.get("kind") != "times"):
@@ -209,11 +191,12 @@ def _load_times(path: str, step: NGramModel | None) -> list:
 
 
 def cmd_logprob(args) -> int:
-    model, step = build_model(args.model)
+    model = build_model(args.model)
+    vocab = model.vocab if isinstance(model, UnrolledMusicModel) else None
     entries = []
     finite = []
     for path in args.files:
-        times = _load_times(path, step)
+        times = _load_times(path, vocab)
         steps = step_log_probabilities(model, times)
         total = sum(steps, 0.0)
         offending = next((i for i, lp in enumerate(steps) if lp == -math.inf), None)
@@ -335,6 +318,7 @@ def _add_generation_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--horizon", type=float, default=1.0, help="time horizon (continuous models)")
     p.add_argument("--horizon-ticks", type=int, default=None,
                    help="tick horizon (music models; default: from the constraint file)")
+    p.set_defaults(func=cmd_generate)
 
 
 def main(argv=None) -> int:
@@ -345,13 +329,11 @@ def main(argv=None) -> int:
     p = sub.add_parser("sample", help="particle-filter conditional sampling")
     _add_generation_args(p)
     p.add_argument("--particles", type=int, default=100)
-    p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("beam", help="stochastic beam-search baseline")
     _add_generation_args(p)
     p.add_argument("--beam-b", type=int, default=30, help="proposals per kept trajectory")
     p.add_argument("--beam-f", type=int, default=10, help="trajectories kept")
-    p.set_defaults(func=cmd_beam)
 
     p = sub.add_parser("logprob", help="score event files under a model")
     p.add_argument("--model", required=True)

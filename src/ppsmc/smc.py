@@ -12,9 +12,10 @@ corrects for the clip.  In a forbidden segment the barrier is appended
 directly with weight f(d).  After each interior barrier the ensemble is
 systematically resampled.  The final open segment carries unit weights and is
 not resampled.  ``run_barriers`` owns the run: it proposes every segment,
-draws the open tail, collects each barrier's diagnostics row and returns the
-``EnsembleResult``.  The filter and the beam baseline (``ppsmc.beam``) differ
-only in their selection step and ``score``.
+scores each child, draws the open tail, collects each barrier's diagnostics
+row and returns the ``EnsembleResult``.  The filter and the beam baseline
+(``ppsmc.beam``) differ only in their selection rule: the filter resamples
+by barrier weight, the beam keeps the best path log probabilities.
 
 A lane is one child at one barrier: a particle, or a beam candidate.  Every
 model is walked by one grouped walk (``_Walk``): lanes in equal states draw
@@ -335,18 +336,17 @@ class _Walk:
             u, lanes, at = doubles(words).reshape(len(lanes), -1), np.arange(len(lanes)), at & 3
         return u[lanes[:, None], at[:, None] + np.arange(w)]
 
-    def propose(self, i, last, z, b_prev, branching) -> tuple:
+    def propose(self, i, last, z, b_prev, branching):
         """Every child's segment from ``last`` to barrier ``z`` (math.inf for
-        the open tail); returns the columns ``select`` receives."""
+        the open tail).  With ``score``, returns each child's log densities of
+        the times it appended; else the distinct (state, final gap) pairs of
+        the children, or None for the open tail."""
         n = len(self.sids) * branching
         sids = self.level_sids = self.sids.repeat(branching)
-        parents = (np.arange(n) // branching).tolist()
         if not b_prev:  # the barrier is appended directly
             self.levels.append(_by_lane([], n))
             ends = self._pairs(sids, np.full(n, z - last))
-            if self.score:
-                return parents, None, [[lp] for lp in self._log_densities(*ends).tolist()]
-            return parents, ends, None
+            return [[lp] for lp in self._log_densities(*ends).tolist()] if self.score else ends
         stop, clip = min(z, self.horizon), z < math.inf  # a lane walks while below both
         pos = np.full(n, last)  # each lane's last time
         at = np.zeros(n, dtype=np.int64)  # and its next uniform
@@ -416,9 +416,9 @@ class _Walk:
                     index.append(grown[s, time])
                 sids[active] = index
         self.levels.append(_by_lane(times, n))
-        steps = self._steps(logs, n) if self.score else None
-        # the beam ranks by steps, and the open tail's final gaps are not used
-        return parents, self._pairs(sids, z - pos) if clip and not self.score else None, steps
+        if self.score:
+            return self._steps(logs, n)
+        return self._pairs(sids, z - pos) if clip else None  # the tail's final gaps are not used
 
     def _lanes(self, i: int, lanes: np.ndarray, at: np.ndarray) -> list:
         return [_Lane((self.seed, KIND_PROPOSAL, i, lane), n)
@@ -500,24 +500,24 @@ def run_barriers(model: SequenceModel, constraints: ConstraintSet, seed: int,
     """Extend ``width`` copies of the history barrier by barrier and return
     the run's ``EnsembleResult``; the loop shared by the filter and the beam.
 
-    A path is its times, the model state after them and, if ``score``, the
-    log probability of the times past the history.  At barrier i (0-based)
-    path t spawns ``branching`` children; child j draws its segment from the
-    stream (seed, KIND_PROPOSAL, i, t*branching + j).  ``select(i, b_prev,
-    parents, ends, steps)`` receives, for every child in lane order, the
-    index of the path it extends and, if ``score``, the log densities of the
-    times it appended; else ``ends`` holds the distinct (law, final gap)
-    pairs of the children, as a list of laws, a list of gaps and each
-    child's pair index.  It returns ``(kept, row)``: the indices of the
-    children that become the next paths, possibly repeated, or None when
-    none can continue (the run then fails at barrier i + 1), and the
-    barrier's diagnostics row.  Only the states of kept children are
-    advanced past the barrier, once per distinct state, so a dead child
-    clipped at a time the model cannot reach is never stepped into.  If b_r
-    is True, path t finally draws its open tail to the horizon from stream
-    (seed, KIND_PROPOSAL, r, t).  Each sample is then built once, by
-    following its kept indices back through the barriers.  With ``score``,
-    ``log_probs`` holds each sample's log probability past the history.
+    A path is its times, the model state after them and, if ``score``, its
+    fold: the log probability of its times past the history, added left to
+    right.  At barrier i (0-based) path t spawns ``branching`` children;
+    child j draws its segment from the stream (seed, KIND_PROPOSAL, i,
+    t*branching + j).  ``select(i, values)`` gets one value per child, in
+    lane order: with ``score``, the fold of the child's path (its parent's
+    fold, then the log density of each time it appended); else its
+    ``barrier_weight``, computed once per distinct (law, final gap) pair.  It
+    returns ``(kept, row)``: the indices of the children that become the
+    next paths, possibly repeated, or None when none can continue (the run
+    then fails at barrier i + 1), and the barrier's diagnostics row.  Only
+    the states of kept children are advanced past the barrier, once per
+    distinct state, so a dead child clipped at a time the model cannot reach
+    is never stepped into.  If b_r is True, path t finally draws its open
+    tail to the horizon from stream (seed, KIND_PROPOSAL, r, t).  Each sample
+    is then built once, by following its kept indices back through the
+    barriers.  With ``score``, ``log_probs`` holds each sample's fold,
+    continued through the tail times it keeps.
     """
     if not horizon > 0:
         raise ValueError(f"horizon must be positive, got {horizon!r}")
@@ -536,21 +536,27 @@ def run_barriers(model: SequenceModel, constraints: ConstraintSet, seed: int,
     diagnostics = []
     last = start
     for i, z in enumerate(constraints.z):
-        parents, ends, steps = walk.propose(i, last, z, flags[i], branching)
-        kept, row = select(i, flags[i], parents, ends, steps)
+        proposed = walk.propose(i, last, z, flags[i], branching)
+        if score:
+            values = [sum(steps, folds[k // branching]) for k, steps in enumerate(proposed)]
+        else:
+            laws, gaps, which = proposed
+            values = np.array(list(map(barrier_weight, laws, gaps, repeat(flags[i]))),
+                              dtype=float)[which]
+        kept, row = select(i, values)
         diagnostics.append(row)
         if kept is None:
             return EnsembleResult(samples=[], survived=False, failed_barrier=i + 1,
                                   diagnostics=diagnostics)
         walk.keep(kept, z)
         if score:
-            folds = [sum(steps[k], folds[parents[k]]) for k in kept]
+            folds = [values[k] for k in kept]
         lineage.append((np.asarray(kept), branching))
         last = z
 
     if flags[-1]:
-        parents, _, steps = walk.propose(constraints.r, last, math.inf, True, 1)
-        lineage.append((np.arange(len(parents)), 1))
+        tails = walk.propose(constraints.r, last, math.inf, True, 1)
+        lineage.append((np.arange(len(walk.sids)), 1))
     paths = np.arange(len(lineage[-1][0]))  # the final paths
     picks = []
     for kept, b in reversed(lineage):
@@ -564,7 +570,7 @@ def run_barriers(model: SequenceModel, constraints: ConstraintSet, seed: int,
             trim_at_horizon(row, horizon)
         samples.append(tuple(row))
         if score:
-            tail = steps[p] if flags[-1] else []
+            tail = tails[p] if flags[-1] else []
             log_probs.append(sum(tail[:len(tail) - (n - len(row))], folds[p]))
     return EnsembleResult(samples=samples, survived=True, failed_barrier=None,
                           diagnostics=diagnostics, log_probs=log_probs)
@@ -587,10 +593,7 @@ def conditional_sample(model: SequenceModel, constraints: ConstraintSet,
     # each barrier's resampling offset, in (0, 1]: the first uniform of its stream
     offsets = 1.0 - doubles(block(seed, KIND_RESAMPLE, np.arange(constraints.r), 0))[:, 0]
 
-    def resample(i, b_prev, parents, ends, steps):
-        laws, gaps, which = ends
-        weights = np.array(list(map(barrier_weight, laws, gaps, repeat(b_prev))),
-                           dtype=float)[which]
+    def resample(i, weights):
         dead = int(np.count_nonzero(weights == 0))
         alive = dead < num_particles
         row = BarrierDiagnostics(

@@ -3,7 +3,7 @@
 ``run_barriers`` here is the barrier loop as it was before lanes were
 grouped by state: each child at barrier i proposes its segment on stream
 (seed, KIND_PROPOSAL, i, lane), each kept child is advanced past the barrier
-on its own, and each path carries its whole list of times.
+on its own, and each path carries its whole list of times and its fold.
 ``conditional_sample`` and ``beam_search_sample`` run the two samplers on
 it, the filter drawing its resampling offset from stream (seed,
 KIND_RESAMPLE, i).  The grouped walk of ``ppsmc.smc`` must give the same
@@ -46,18 +46,19 @@ def run_barriers(model, constraints, seed, width, select, *, horizon, initial_hi
                 rng = stream(seed, KIND_PROPOSAL, i, t * branching + j)
                 children.append((t, *_segment(model, state, seq[-1] if seq else 0.0, z, flags[i],
                                               rng, horizon, score)))
-        parents, _, gaps, laws, steps = zip(*children)
-        ends = list(laws), list(gaps), range(len(children))  # no pair is shared
-        kept, row = select(i, flags[i], list(parents), ends, list(steps) if score else None)
+        if score:  # each child's path log probability
+            values = [sum(steps, paths[t][2]) for t, _, _, _, steps in children]
+        else:  # each child's barrier weight
+            values = [barrier_weight(law, gap, flags[i]) for _, _, gap, law, _ in children]
+        kept, row = select(i, values)
         diagnostics.append(row)
         if kept is None:
             return EnsembleResult(samples=[], survived=False, failed_barrier=i + 1,
                                   diagnostics=diagnostics)
         grown = {}
         for k in dict.fromkeys(kept):
-            t, seg, _, law, lane_steps = children[k]
-            seq, _, fold = paths[t]
-            grown[k] = (seq + seg, model.advance(law, z), sum(lane_steps, fold) if score else None)
+            t, seg, _, law, _ = children[k]
+            grown[k] = (paths[t][0] + seg, model.advance(law, z), values[k] if score else None)
         paths = [grown[k] for k in kept]
     samples, log_probs = [], []
     for t, (seq, state, fold) in enumerate(paths):
@@ -77,9 +78,7 @@ def run_barriers(model, constraints, seed, width, select, *, horizon, initial_hi
 
 def conditional_sample(model, constraints, num_particles, seed, *, horizon=1.0,
                        initial_history=()):
-    def resample(i, b_prev, parents, ends, steps):
-        laws, gaps, _ = ends
-        weights = [barrier_weight(law, gap, b_prev) for law, gap in zip(laws, gaps)]
+    def resample(i, weights):
         dead = sum(1 for w in weights if w == 0)
         alive = dead < num_particles
         row = BarrierDiagnostics(

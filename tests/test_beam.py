@@ -45,6 +45,28 @@ class TestBeamSearch:
                 assert seq[:len(prefix)] == prefix
                 assert lp == log_probability(model, seq[len(prefix):], prefix)
 
+    @pytest.mark.parametrize("case", ["poisson", "music"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_log_probs_are_the_ranked_scores(self, case, seed):
+        """With a forbidden last gap nothing is drawn after the last ranking,
+        so the reported log probabilities are the scores the beam ranked:
+        non-increasing, and bounded by the last row's kept scores exactly."""
+        if case == "poisson":
+            z = tuple(round(0.01 * i, 2) for i in range(1, 100))
+            model, cs, kwargs = (PoissonProcessModel(rate=30.0),
+                                 ConstraintSet(z=z, b=(True,) * 98 + (False,)), {})
+        else:
+            end = (long_prefix(20)[-1] - 1) // TINY.actions
+            model, cs = tiny_music_model(), ConstraintSet(
+                z=((end + 2) * TINY.actions + 1, (end + 4) * TINY.actions + 3), b=(True, False))
+            kwargs = {"horizon": (end + 7) * TINY.actions,
+                      "initial_history": tuple(long_prefix(20))}
+        result = beam_search_sample(model, cs, b=10, f=10, seed=seed, **kwargs)
+        lps, last = result.log_probs, result.diagnostics[-1]
+        assert result.survived and len(lps) == len(result.samples) > 1
+        assert all(a >= b for a, b in zip(lps, lps[1:]))
+        assert (last.kept_max_logprob, last.kept_min_logprob) == (lps[0], lps[-1])
+
     def test_single_candidate_beam_matches_chained_proposals(self):
         """b=1, f=1 degenerates to one unresampled proposal path."""
         model = PoissonProcessModel(rate=5.0)

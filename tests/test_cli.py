@@ -228,11 +228,12 @@ class TestMusicPipeline:
 class TestSampleFileBytes:
     """Every file `sample` and `beam` write for a trained music model, pinned
     by one digest per command (recorded when sample files were still written
-    event by event through ``json.dumps``)."""
+    event by event through ``json.dumps``; the beam's re-recorded when it
+    came to rank candidates by the log probability it reports)."""
 
     DIGESTS = {
         "sample": "7fae28430220f07f1032acd716159306fc505f2d6f656caabea3a8da8ad875fb",
-        "beam": "94b457ad6013121ea081e467b742294ae21406e8b47e1cf3f38996ed3945b799",
+        "beam": "99decb6cba21d5ae890296add13144741070a462ce0c42696a547abd80cb1d26",
     }
 
     @pytest.mark.parametrize("command, sizes", [

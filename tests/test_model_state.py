@@ -183,26 +183,30 @@ def test_beam_walks_each_proposed_event_once(monkeypatch):
 
 
 def test_only_kept_children_grow_into_paths(monkeypatch):
-    """``select`` sees each child's parent, its (law, final gap) pair and
-    steps, not its times; after selection the state of each kept child is
+    """``select`` sees one weight per child, each distinct (law, final gap)
+    pair weighted once; after selection the state of each kept child is
     advanced past the barrier once per distinct law value, and children in
     equal states share one state object."""
-    seen = {"distinct": [], "barrier_advances": 0, "keeping": False}
-    real_run, real_keep = smc.run_barriers, smc._Walk.keep
+    seen = {"distinct": [], "pairs": [], "barrier_advances": 0, "keeping": False}
+    real_run, real_keep, real_weight = smc.run_barriers, smc._Walk.keep, smc.barrier_weight
     real_advance = adapter.UnrolledMusicModel.advance
 
     def run(model, cs, seed, width, select, **kwargs):
-        def spy(i, b_prev, parents, ends, steps):
-            laws, gaps, which = ends
-            assert len(parents) == len(which) == width and steps is None
-            assert len(set(zip(map(id, laws), gaps))) == len(laws) == len(gaps)  # distinct pairs
-            assert len(set(map(id, laws))) == len(set(laws))  # equal laws are one object
-            kept, row = select(i, b_prev, parents, ends, steps)
-            seen["distinct"].append((len(set(kept)), len({laws[which[k]] for k in kept})))
-            return kept, row
+        def spy(i, values):
+            assert len(values) == width
+            assert len(set(seen["pairs"])) == len(seen["pairs"]) > 0  # distinct pairs
+            seen["pairs"].clear()
+            return select(i, values)
         return real_run(model, cs, seed, width, spy, **kwargs)
 
+    def weight(state, gap, b_prev):
+        seen["pairs"].append((id(state), gap))
+        return real_weight(state, gap, b_prev)
+
     def keep(self, kept, z):
+        laws = [self.table[s] for s in {self.level_sids[k] for k in kept}]
+        assert len(set(map(id, laws))) == len(set(laws))  # equal laws are one object
+        seen["distinct"].append((len(set(kept)), len(laws)))
         seen["keeping"] = True
         try:
             return real_keep(self, kept, z)
@@ -214,6 +218,7 @@ def test_only_kept_children_grow_into_paths(monkeypatch):
         return real_advance(self, state, t)
 
     monkeypatch.setattr(smc, "run_barriers", run)
+    monkeypatch.setattr(smc, "barrier_weight", weight)
     monkeypatch.setattr(smc._Walk, "keep", keep)
     monkeypatch.setattr(adapter.UnrolledMusicModel, "advance", advance)
     model, cs, kwargs = _six_free_barriers()
