@@ -18,7 +18,7 @@ from collections import Counter
 from pathlib import Path
 
 from .beam import beam_search_sample
-from .errors import IterationLimitError
+from .errors import IterationLimitError, SaturatedCdfError
 from .models import (PoissonProcessModel, UniformRenewalModel,
                      WeibullRenewalModel, step_log_probabilities)
 from .music.adapter import UnrolledMusicModel
@@ -388,7 +388,7 @@ def main(argv=None) -> int:
         if getattr(args, "runs", 1) < 1:  # sample, beam and oracle
             raise ValueError(f"--runs must be at least 1, got {args.runs}")
         return args.func(args)
-    except (ValueError, OSError, OverflowError, IterationLimitError) as exc:
+    except (ValueError, OSError, OverflowError, IterationLimitError, SaturatedCdfError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -11,9 +11,10 @@ particle's weight is the hazard f(d)/P(gap >= d) of the clipped gap, which
 corrects for the clip.  In a forbidden segment the barrier is appended
 directly with weight f(d).  After each interior barrier the ensemble is
 systematically resampled.  The final open segment carries unit weights and is
-not resampled.  ``run_barriers`` owns the run: it proposes every segment,
-scores each child, draws the open tail, collects each barrier's diagnostics
-row and returns the ``EnsembleResult``.  The filter and the beam baseline
+not resampled.  ``run_barriers`` is the barrier loop: the walk proposes
+and values every child, a selection rule picks the children kept, and the
+walk keeps them; the loop collects each barrier's diagnostics row and
+returns the ``EnsembleResult``.  The filter and the beam baseline
 (``ppsmc.beam``) differ only in their selection rule: the filter resamples
 by barrier weight, the beam keeps the best path log probabilities.
 
@@ -21,9 +22,10 @@ A lane is one child at one barrier: a particle, or a beam candidate.  Every
 model is walked by one grouped walk (``_Walk``): lanes in equal states draw
 their gaps together through their law's ``draws``, from uniforms taken in
 order from their Philox blocks (``rng.block``), the draws their ``stream()``
-would give.  Paths are stored as each barrier's segments plus the indices of
-the children kept (Jacob, Murray & Rubenthaler 2015, "Path storage in the
-particle filter"), and each sample is built once, at the end.
+would give.  The walk owns the paths: they are stored as each barrier's
+segments plus the indices of the children kept (Jacob, Murray & Rubenthaler
+2015, "Path storage in the particle filter"), and each sample is built once,
+at the end.
 
 All randomness is drawn from per-(barrier, particle) Philox streams derived
 from one master seed, so a run is a deterministic function of its seed.
@@ -38,14 +40,13 @@ import sys
 from dataclasses import asdict, dataclass, field
 from itertools import repeat
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import models
 from .errors import IterationLimitError
-from .models import (InterArrivalDistribution, RenewalModel, SequenceModel, _log_density,
-                     trim_at_horizon)
+from .models import InterArrivalDistribution, RenewalModel, SequenceModel, _log_density
 from .rng import KIND_PROPOSAL, KIND_RESAMPLE, block, doubles
 
 FORMAT_VERSION = 1
@@ -280,7 +281,10 @@ class _Lane:
 
 
 class _Walk:
-    """The paths of one run, and the times their children appended.
+    """The paths of one run: the times each level's children appended, the
+    children kept at each level, and each path's state and, with ``score``,
+    its fold (the log probability of its times past the history, added left
+    to right).
 
     The lanes of a level (a barrier or the open tail) step together: at each
     step the lanes still short of the barrier are grouped by state, and each
@@ -294,9 +298,11 @@ class _Walk:
     ``_SINGLE_STEPS`` gaps a lane whose law samples through its quantile
     draws runs of gaps, so a million events take a few dozen steps.
 
-    A level is stored as its free times (those short of the barrier) in lane
-    order, and where each child's begin, one more entry for the end; the
-    barrier itself, the z object, is put back when ``_rows`` builds samples.
+    A level is stored as its free times (those short of the barrier; in the
+    open tail, those at or below the horizon) in lane order, and where each
+    child's begin, one more entry for the end, plus the indices of the
+    children kept; the barrier itself, the z object, is put back when
+    ``paths`` builds the samples.
     """
 
     def __init__(self, model, law, seed, horizon, score, width, lanes, levels):
@@ -304,11 +310,12 @@ class _Walk:
         self.fixed = type(model).advance is RenewalModel.advance
         self.table, self.index = [], {}
         self.sids = np.full(width, self._intern(law))  # each path's state
+        self.folds = [0.0] * width  # and its fold
         self.runs = (self.fixed and law.draw_width == 1
                      and type(law).draws is InterArrivalDistribution.draws)
         self.blocks = min(4, (law.draw_width + 6) // 4)  # drawn ahead: a draw fits at any offset
         self.lanes, self.n_levels = lanes, levels
-        self.levels = []
+        self.levels, self.lineage = [], []  # each level's times; its kept children and branching
         self._ahead = {}  # barrier index: its lanes' first blocks
 
     def _intern(self, state) -> int:
@@ -338,20 +345,19 @@ class _Walk:
 
     def propose(self, i, last, z, b_prev, branching):
         """Every child's segment from ``last`` to barrier ``z`` (math.inf for
-        the open tail).  With ``score``, returns each child's log densities of
-        the times it appended; else the distinct (state, final gap) pairs of
-        the children, or None for the open tail."""
-        n = len(self.sids) * branching
+        the open tail), and one value per child for ``select``: with
+        ``score`` its fold, its parent's followed by the log density of each
+        time it appended; else its ``barrier_weight``.  Each weight and log
+        density is computed once per distinct (state, gap) pair.  The open
+        tail selects nothing: each path keeps its one child."""
+        n, self.branching = len(self.sids) * branching, branching
         sids = self.level_sids = self.sids.repeat(branching)
-        if not b_prev:  # the barrier is appended directly
-            self.levels.append(_by_lane([], n))
-            ends = self._pairs(sids, np.full(n, z - last))
-            return [[lp] for lp in self._log_densities(*ends).tolist()] if self.score else ends
         stop, clip = min(z, self.horizon), z < math.inf  # a lane walks while below both
         pos = np.full(n, last)  # each lane's last time
         at = np.zeros(n, dtype=np.int64)  # and its next uniform
-        active = np.arange(n if last < stop else 0)
-        times, logs, drawn = [], [], 0  # what each step appended; gaps each active lane drew
+        active = np.arange(n if b_prev and last < stop else 0)
+        times, drawn = [], 0  # what each step appended; gaps each active lane drew
+        logs = [] if b_prev else [(np.arange(n), sids, z - pos)]  # the gaps scored, in order
         while active.size:
             s_act = sids[active]
             bounds = [0, len(active)]
@@ -395,15 +401,13 @@ class _Walk:
                 pos[active[stopped]] = path[stopped, first[stopped]]
             active, drawn = active[going], drawn + count
             pos[active] = t_last
-            if not clip and t.dtype.kind == "f":  # as in propose_segment, a nan time becomes z
-                t = np.where(t < z, t, z)
-            if clip:  # the free times; with one time per lane, those of the lanes going on
-                times.append((active, t_last) if count == 1 else (entry_lanes[~end], t[~end]))
-            else:
-                times.append((entry_lanes, t))
-            if self.score:
-                logs.append((entry_lanes, entry_states,
-                             np.where(end, z - prev, t - prev) if clip else t - prev))
+            # the times kept: short of the barrier, or in the tail not past the horizon
+            stored = ~end if clip else t <= self.horizon  # a nan time is past both
+            times.append((entry_lanes[stored], t[stored]))
+            if self.score and clip:  # the last gap of a lane is clipped to the barrier
+                logs.append((entry_lanes, entry_states, np.where(end, z - prev, t - prev)))
+            elif self.score:
+                logs.append((entry_lanes[stored], entry_states[stored], (t - prev)[stored]))
             if active.size and drawn >= models.MAX_EVENTS:
                 target = f"barrier {z!r}" if clip else f"horizon {self.horizon!r}"
                 raise IterationLimitError(f"segment did not reach {target} within "
@@ -416,40 +420,43 @@ class _Walk:
                     index.append(grown[s, time])
                 sids[active] = index
         self.levels.append(_by_lane(times, n))
-        if self.score:
-            return self._steps(logs, n)
-        return self._pairs(sids, z - pos) if clip else None  # the tail's final gaps are not used
+        values = None  # the tail's weights are not used
+        if self.score:  # add.at adds a lane's repeated entries in turn, as sum() does
+            values = np.repeat(self.folds, branching)
+            lanes, states, gaps = map(np.concatenate, zip(*logs)) if logs else [()] * 3
+            if len(lanes):  # the tail's last step may keep no time
+                np.add.at(values, lanes, self._each(_log_density, states, gaps))
+            values = values.tolist()
+        elif clip:
+            values = self._each(barrier_weight, sids, z - pos, b_prev)
+        if not clip:
+            self.lineage.append((np.arange(n), 1))
+            self.folds = values
+        return values
 
     def _lanes(self, i: int, lanes: np.ndarray, at: np.ndarray) -> list:
         return [_Lane((self.seed, KIND_PROPOSAL, i, lane), n)
                 for lane, n in zip(lanes.tolist(), at.tolist())]
 
-    def _pairs(self, sids: np.ndarray, values: np.ndarray) -> tuple[list, list, np.ndarray]:
-        """The distinct (state, value) pairs of some lanes, as their laws and
-        values, and the index of each lane's pair."""
+    def _each(self, f: Callable, sids: np.ndarray, values: np.ndarray, *args) -> np.ndarray:
+        """``f(law, value, *args)`` of each lane, in state ``sids`` with
+        ``values``, called once per distinct (state, value) pair."""
         values, which = np.unique(values, return_inverse=True)
-        if sids.min() == sids.max():
-            return [self.table[sids[0]]] * len(values), values.tolist(), which
-        _, first, pair = np.unique(sids * len(values) + which, return_index=True,
-                                   return_inverse=True)
-        return [self.table[s] for s in sids[first].tolist()], values[which[first]].tolist(), pair
+        laws, pair = [self.table[sids[0]]] * len(values), which
+        if sids.min() != sids.max():
+            _, first, pair = np.unique(sids * len(values) + which, return_index=True,
+                                       return_inverse=True)
+            laws, values = [self.table[s] for s in sids[first].tolist()], values[which[first]]
+        return np.array(list(map(f, laws, values.tolist(), *map(repeat, args))), dtype=float)[pair]
 
-    @staticmethod
-    def _log_densities(laws: list, values: list, which: np.ndarray) -> np.ndarray:
-        return np.array(list(map(_log_density, laws, values)), dtype=float)[which]
-
-    def _steps(self, logs: list, n: int) -> list:
-        """Each lane's log densities of the times it appended, in order, each
-        computed once per distinct (state, step)."""
-        if not logs:
-            return [[] for _ in range(n)]
-        states, steps, begin = _by_lane(logs, n)
-        flat, begin = self._log_densities(*self._pairs(states, steps)).tolist(), begin.tolist()
-        return [flat[a:b] for a, b in zip(begin, begin[1:])]
-
-    def keep(self, kept, z) -> None:
-        """Advance the state of each kept child past the barrier, once per
+    def keep(self, kept, z, values) -> None:
+        """Make the children ``kept`` (indices into the level last proposed,
+        possibly repeated) the paths, with ``score`` each with its value as
+        its fold, and advance the state of each past barrier z, once per
         distinct state; the copies of a child share that state."""
+        self.lineage.append((np.asarray(kept), self.branching))
+        if self.score:
+            self.folds = [values[k] for k in kept]
         if self.fixed:  # every lane keeps the first state
             self.sids = np.zeros(len(kept), dtype=np.int64)
             return
@@ -458,34 +465,43 @@ class _Walk:
                  for s in dict.fromkeys(sids[k] for k in kept)}
         self.sids = np.array([grown[sids[k]] for k in kept])
 
+    def paths(self, history: Sequence, zs: tuple) -> tuple[list, list | None]:
+        """Each final path's times, as a tuple: its history, then at every
+        level the free times of the child it descends from there and, at a
+        barrier, the barrier's z; and with ``score`` the paths' folds.  A path
+        is followed back through the kept indices of every level.  After an
+        open tail no time lies past the horizon, history included (only a
+        history without barriers can reach past it)."""
+        paths, picks = np.arange(len(self.lineage[-1][0])), []
+        for kept, b in reversed(self.lineage):
+            picks.insert(0, kept[paths])
+            paths = picks[0] // b
+        sizes = len(zs) + sum(begin[k + 1] - begin[k] for (_, begin), k in zip(self.levels, picks))
+        ends = np.cumsum(sizes)
+        at = ends - sizes  # where each path's next time goes
+        out = np.empty(ends[-1], dtype=object)
+        for i, ((values, begin), k) in enumerate(zip(self.levels, picks)):
+            n = begin[k + 1] - begin[k]
+            out[_spans(at, n)] = values[_spans(begin[k], n)]
+            at = at + n
+            if i < len(zs):
+                out[at] = zs[i]
+                at = at + 1
+        while len(self.levels) > len(zs) and len(history) and history[-1] > self.horizon:
+            history = history[:-1]  # an open tail drops every time past the horizon
+        bounds = [0, *ends.tolist()]
+        samples = [(*history, *out[a:b]) for a, b in zip(bounds, bounds[1:])]
+        return samples, self.folds if self.score else None
+
 
 def _by_lane(entries: list, n: int) -> tuple:
-    """The columns each step appended after its lanes, in lane order (each
-    lane's steps in order), and where each lane's entries begin."""
+    """The times each step appended after its lanes, in lane order (each
+    lane's in order), and where each lane's times begin."""
     if not entries:
         entries = [(np.empty(0, dtype=np.int64), np.empty(0))]
-    lanes, *columns = (np.concatenate(column) for column in zip(*entries))
-    order = lanes.argsort(kind="stable")
+    lanes, times = map(np.concatenate, zip(*entries))
     begin = np.concatenate(([0], np.bincount(lanes, minlength=n).cumsum()))
-    return (*(c[order] for c in columns), begin)
-
-
-def _rows(levels: list, picks: list, history: list, zs: tuple) -> Iterator[list]:
-    """Each path's times: its history, then at every level the free times of
-    the child ``picks`` names there and, at a barrier, the barrier's z."""
-    counts = [begin[k + 1] - begin[k] for (_, begin), k in zip(levels, picks)]
-    sizes = sum(counts) + len(zs)
-    ends = np.cumsum(sizes)
-    at = ends - sizes  # where each path's next time goes
-    out = np.empty(ends[-1], dtype=object)
-    for i, ((values, begin), k, n) in enumerate(zip(levels, picks, counts)):
-        out[_spans(at, n)] = values[_spans(begin[k], n)]
-        at = at + n
-        if i < len(zs):
-            out[at] = zs[i]
-            at = at + 1
-    bounds = [0, *ends.tolist()]
-    return (history + out[a:b].tolist() for a, b in zip(bounds, bounds[1:]))
+    return times[lanes.argsort(kind="stable")], begin
 
 
 def _spans(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -500,24 +516,21 @@ def run_barriers(model: SequenceModel, constraints: ConstraintSet, seed: int,
     """Extend ``width`` copies of the history barrier by barrier and return
     the run's ``EnsembleResult``; the loop shared by the filter and the beam.
 
-    A path is its times, the model state after them and, if ``score``, its
-    fold: the log probability of its times past the history, added left to
-    right.  At barrier i (0-based) path t spawns ``branching`` children;
-    child j draws its segment from the stream (seed, KIND_PROPOSAL, i,
-    t*branching + j).  ``select(i, values)`` gets one value per child, in
-    lane order: with ``score``, the fold of the child's path (its parent's
-    fold, then the log density of each time it appended); else its
-    ``barrier_weight``, computed once per distinct (law, final gap) pair.  It
-    returns ``(kept, row)``: the indices of the children that become the
-    next paths, possibly repeated, or None when none can continue (the run
-    then fails at barrier i + 1), and the barrier's diagnostics row.  Only
-    the states of kept children are advanced past the barrier, once per
-    distinct state, so a dead child clipped at a time the model cannot reach
-    is never stepped into.  If b_r is True, path t finally draws its open
-    tail to the horizon from stream (seed, KIND_PROPOSAL, r, t).  Each sample
-    is then built once, by following its kept indices back through the
-    barriers.  With ``score``, ``log_probs`` holds each sample's fold,
-    continued through the tail times it keeps.
+    The loop is propose, select, keep.  At barrier i (0-based) each path t
+    spawns ``branching`` children, and child j draws its segment from the
+    stream (seed, KIND_PROPOSAL, i, t*branching + j).  ``select(i, values)``
+    gets the walk's one value per child, in lane order: with ``score``, the
+    child's fold, the log probability of its path past the history; else its
+    ``barrier_weight``.  It returns ``(kept, row)``: the indices of the
+    children that become the next paths, possibly repeated, or None when none
+    can continue (the run then fails at barrier i + 1), and the barrier's
+    diagnostics row.  The walk (``_Walk``) holds the paths: it records the
+    kept children and their folds, and advances only their states past the
+    barrier, so a dead child clipped at a time the model cannot reach is
+    never stepped into.  If b_r is True, path t finally draws its open tail
+    to the horizon from stream (seed, KIND_PROPOSAL, r, t), keeping its times
+    at or below the horizon.  The walk then builds each sample once and,
+    with ``score``, reports each sample's fold in ``log_probs``.
     """
     if not horizon > 0:
         raise ValueError(f"horizon must be positive, got {horizon!r}")
@@ -529,49 +542,22 @@ def run_barriers(model: SequenceModel, constraints: ConstraintSet, seed: int,
         if constraints.z[-1] > horizon:
             raise ValueError(f"constraint {constraints.z[-1]!r} lies beyond the horizon {horizon!r}")
     flags = [True, *constraints.b]
-    law = model.initial_state(initial_history)
-    walk = _Walk(model, law, seed, horizon, score, width, width * branching, constraints.r + 1)
-    folds = [0.0] * width
-    lineage = []  # each level's kept child indices and branching
+    walk = _Walk(model, model.initial_state(initial_history), seed, horizon, score, width,
+                 width * branching, constraints.r + 1)
     diagnostics = []
     last = start
     for i, z in enumerate(constraints.z):
-        proposed = walk.propose(i, last, z, flags[i], branching)
-        if score:
-            values = [sum(steps, folds[k // branching]) for k, steps in enumerate(proposed)]
-        else:
-            laws, gaps, which = proposed
-            values = np.array(list(map(barrier_weight, laws, gaps, repeat(flags[i]))),
-                              dtype=float)[which]
+        values = walk.propose(i, last, z, flags[i], branching)
         kept, row = select(i, values)
         diagnostics.append(row)
         if kept is None:
             return EnsembleResult(samples=[], survived=False, failed_barrier=i + 1,
                                   diagnostics=diagnostics)
-        walk.keep(kept, z)
-        if score:
-            folds = [values[k] for k in kept]
-        lineage.append((np.asarray(kept), branching))
+        walk.keep(kept, z, values)
         last = z
-
     if flags[-1]:
-        tails = walk.propose(constraints.r, last, math.inf, True, 1)
-        lineage.append((np.arange(len(walk.sids)), 1))
-    paths = np.arange(len(lineage[-1][0]))  # the final paths
-    picks = []
-    for kept, b in reversed(lineage):
-        picks.append(kept[paths])
-        paths = picks[-1] // b
-    samples, log_probs = [], [] if score else None
-    for p, row in enumerate(_rows(walk.levels, picks[::-1], list(initial_history),
-                                  constraints.z)):
-        n = len(row)
-        if flags[-1]:  # the tail started below the horizon, so it drops only its own times
-            trim_at_horizon(row, horizon)
-        samples.append(tuple(row))
-        if score:
-            tail = tails[p] if flags[-1] else []
-            log_probs.append(sum(tail[:len(tail) - (n - len(row))], folds[p]))
+        walk.propose(constraints.r, last, math.inf, True, 1)
+    samples, log_probs = walk.paths(initial_history, constraints.z)
     return EnsembleResult(samples=samples, survived=True, failed_barrier=None,
                           diagnostics=diagnostics, log_probs=log_probs)
 

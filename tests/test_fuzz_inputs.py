@@ -107,6 +107,16 @@ class TestConstraintFiles:
                      "--particles", "1", "--seed", "1", "--out", str(tmp_path / "out")])
         assert_error_exit(code, capsys, "poisson:rate=1e7")
 
+    def test_saturated_survival_exits_1(self, tmp_path, capsys):
+        """A drawn gap rounds up to ``high``, so the barrier's clipped gap
+        sits where the survival is 0 and its hazard is undefined."""
+        path = tmp_path / "cs.json"
+        path.write_text(json.dumps({"z": [0.5000000000000001], "b": [True]}))
+        code = main(["sample", "--model", "uniform:low=0.5,high=0.5000000000000001",
+                     "--constraints", str(path), "--seed", "1", "--out", str(tmp_path / "out")])
+        err = assert_error_exit(code, capsys, "uniform:low=0.5,high=0.5000000000000001")
+        assert "survival underflowed" in err
+
 
 class TestTimesFiles:
     def test_mangled_times_exit_1(self, tmp_path, capsys):

@@ -203,13 +203,13 @@ def test_only_kept_children_grow_into_paths(monkeypatch):
         seen["pairs"].append((id(state), gap))
         return real_weight(state, gap, b_prev)
 
-    def keep(self, kept, z):
+    def keep(self, kept, z, values):
         laws = [self.table[s] for s in {self.level_sids[k] for k in kept}]
         assert len(set(map(id, laws))) == len(set(laws))  # equal laws are one object
         seen["distinct"].append((len(set(kept)), len(laws)))
         seen["keeping"] = True
         try:
-            return real_keep(self, kept, z)
+            return real_keep(self, kept, z, values)
         finally:
             seen["keeping"] = False
 
