@@ -46,9 +46,12 @@ def _parse_params(text: str) -> dict[str, float]:
     if text:
         for item in text.split(","):
             key, sep, value = item.partition("=")
+            key = key.strip()
             if not sep:
                 raise ValueError(f"malformed parameter {item!r}, expected key=value")
-            params[key.strip()] = float(value)
+            if key in params:
+                raise ValueError(f"parameter {key!r} is given twice")
+            params[key] = float(value)
     return params
 
 

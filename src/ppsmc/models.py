@@ -15,7 +15,7 @@ Gap distributions expose ``pdf``, ``cdf`` (P(gap <= d)), ``survival``
 discrete models must override ``survival`` so that the mass at d itself is
 retained — the importance weight at a clipped barrier divides by P(gap >= d).
 
-A law may instead define ``quantile(u)``, the gap at which its cdf reaches u
+The renewal laws define ``quantile(u)``, the gap at which the cdf reaches u
 in [0, 1); ``sample(rng)`` is then ``quantile(rng.random())``.  The
 exponential is -log1p(-u)/rate and the Weibull scale·(-log1p(-u))**(1/shape),
 inverse cdfs of ``random()`` rather than numpy's ziggurat draws; the uniform
@@ -23,18 +23,17 @@ is low + (high - low)·u, bit for bit what ``Generator.uniform`` draws.
 
 ``propose_segment`` walks one path on one generator, for
 ``sample_restricted``.  The filter and the beam walk many lanes at once
-(``ppsmc.smc``) and ask a law for the gaps of all its lanes in one call,
-``draws``, given each lane's next uniforms.  By default it applies
-``quantile`` to them, or calls ``sample`` once per lane on a generator whose
-``random()`` returns the lane's next uniform: a law that overrides ``sample``
-must draw only through ``random()``.  The grid and music laws override
-``draws`` with array code that takes the same uniforms.
+(``ppsmc.smc``) and ask a law only for ``draws``, the gaps of all its lanes
+in one call, given each lane's next uniforms.  By default it applies
+``quantile`` to them.  A law without a quantile overrides ``draws`` and
+declares ``draw_width``, as the grid and music laws do; their ``sample``
+draws the same gap from the same uniforms, one ``random()`` at a time.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -59,30 +58,22 @@ class InterArrivalDistribution:
 
     def quantile(self, u: float):
         """The gap at which the cdf reaches u in [0, 1)."""
-        raise NotImplementedError
+        raise NotImplementedError(f"{type(self).__name__} needs quantile(u) or its own draws(u)")
 
     def sample(self, rng: np.random.Generator):
         return self.quantile(rng.random())
 
-    @property
-    def draw_width(self) -> int:
-        """Uniforms one draw takes at most, handed to ``draws`` up front; 0
-        for a law that draws through ``sample``, which takes them one by one."""
-        return 1 if type(self).sample is InterArrivalDistribution.sample else 0
+    draw_width = 1  # uniforms one draw takes at most, handed to ``draws`` up front
 
-    def draws(self, u: np.ndarray, lanes: Callable[[], list]) -> tuple[np.ndarray, object]:
+    def draws(self, u: np.ndarray) -> tuple[np.ndarray, object]:
         """Gaps of many lanes in this state, and the uniforms each took.
 
-        Row k of ``u`` holds lane k's next ``draw_width`` (or more) uniforms;
-        ``lanes()`` returns a generator per lane that draws them in order.  A
-        quantile law makes a gap of each column, a row of gaps per lane if
-        ``u`` has several; any other law draws one per lane with ``sample``.
+        Row k of ``u`` holds lane k's next ``draw_width`` (or more) uniforms.
+        The quantile of each column is a gap, a row of gaps per lane if ``u``
+        has several.
         """
-        if type(self).sample is InterArrivalDistribution.sample:
-            gaps = np.array(list(map(self.quantile, u.ravel().tolist())))
-            return (gaps if u.shape[1] == 1 else gaps.reshape(u.shape)), u.shape[1]
-        rngs = lanes()
-        return np.array([self.sample(rng) for rng in rngs]), np.array([rng.used for rng in rngs])
+        gaps = np.array(list(map(self.quantile, u.ravel().tolist())))
+        return (gaps if u.shape[1] == 1 else gaps.reshape(u.shape)), u.shape[1]
 
     def hazard(self, d) -> float:
         """f(d) / P(gap >= d); 0 where the density is 0.
@@ -193,8 +184,8 @@ class UniformGap(InterArrivalDistribution):
     """
 
     def __init__(self, low: float, high: float):
-        if not 0 <= low < high:
-            raise ValueError("need 0 <= low < high")
+        if not 0 <= low < high < math.inf:
+            raise ValueError(f"need finite 0 <= low < high, got low={low!r}, high={high!r}")
         self.low = low
         self.high = high
 
@@ -215,8 +206,8 @@ class PoissonProcessModel(RenewalModel):
     """Homogeneous Poisson process: memoryless exponential gaps."""
 
     def __init__(self, rate: float):
-        if rate <= 0:
-            raise ValueError("rate must be positive")
+        if not 0 < rate < math.inf:
+            raise ValueError(f"rate must be finite and positive, got {rate!r}")
         self.rate = rate
         super().__init__(ExponentialGap(rate))
 
@@ -225,8 +216,9 @@ class WeibullRenewalModel(RenewalModel):
     """Renewal process with Weibull gaps (hazard k/c * (d/c)^(k-1))."""
 
     def __init__(self, shape: float, scale: float):
-        if shape <= 0 or scale <= 0:
-            raise ValueError("shape and scale must be positive")
+        if not (0 < shape < math.inf and 0 < scale < math.inf):
+            raise ValueError(f"shape and scale must be finite and positive, "
+                             f"got shape={shape!r}, scale={scale!r}")
         self.shape = shape
         self.scale = scale
         super().__init__(WeibullGap(shape, scale))

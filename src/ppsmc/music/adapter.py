@@ -124,7 +124,7 @@ class _MusicGap(InterArrivalDistribution):
 
     draw_width = 2  # a symbol, and an action after a shift
 
-    def draws(self, u, lanes):
+    def draws(self, u):
         """Each lane's symbol from its first uniform and, after a shift, its
         action from its second, as ``sample`` draws them."""
         acts, model = self.vocab.actions, self.model

@@ -93,20 +93,6 @@ class NGramModel:
         cum = self._masked(context, prev)[1]
         return np.minimum(cum.searchsorted(u, side="right"), self.vocab.size - 1) + 1
 
-    def sequence_log_pmf(self, symbols: Sequence[int]) -> float:
-        """Masked log probability of a whole symbol stream (for evaluation)."""
-        lp = 0.0
-        history: list[int] = []
-        prev = None
-        for sym in symbols:
-            p = self.masked_pmf(self.context_of(history), prev)[sym - 1]
-            if p <= 0:
-                return -np.inf
-            lp += float(np.log(p))
-            history.append(sym)
-            prev = sym
-        return lp
-
     def to_dict(self) -> dict:
         return {
             "version": FORMAT_VERSION,

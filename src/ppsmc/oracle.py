@@ -144,7 +144,7 @@ class _GridGap(InterArrivalDistribution):
     def draw_width(self) -> int:
         return max(self.model.n - len(self.prefix), 0)
 
-    def draws(self, u, lanes):
+    def draws(self, u):
         """Each lane's first cell ahead whose uniform falls below its g, one
         uniform per cell tried, as ``sample`` finds it."""
         cells = self.draw_width

@@ -267,19 +267,6 @@ _SINGLE_STEPS = 4
 _MAX_RUN = 1 << 16
 
 
-class _Lane:
-    """One lane as a generator: ``random()`` draws its next uniform."""
-
-    def __init__(self, key: tuple, at: int):
-        self.key, self.at, self.used, self.words = key, at, 0, {}
-
-    def random(self) -> float:
-        n, self.used = self.at + self.used, self.used + 1
-        if n >> 2 not in self.words:
-            self.words[n >> 2] = doubles(block(*self.key, (n >> 2) + 1)).tolist()
-        return self.words[n >> 2][n & 3]
-
-
 class _Walk:
     """The paths of one run: the times each level's children appended, the
     children kept at each level, and each path's state and, with ``score``,
@@ -288,14 +275,15 @@ class _Walk:
 
     The lanes of a level (a barrier or the open tail) step together: at each
     step the lanes still short of the barrier are grouped by state, and each
-    group's law draws a gap per lane from the lanes' next uniforms.  Lane l's
-    uniforms at barrier i are the doubles of its blocks (seed, KIND_PROPOSAL,
-    i, l) at counters 1, 2, 3, ...; the first blocks are drawn ahead for
-    several barriers at once, later ones when a lane gets to them.  States
+    group's law draws a gap per lane from the lanes' next uniforms through
+    its ``draws``, the one way the walk draws.  Lane l's uniforms at barrier
+    i are the doubles of its blocks (seed, KIND_PROPOSAL, i, l) at counters
+    1, 2, 3, ...; the first blocks are drawn ahead for several barriers at
+    once, later ones when a lane gets to them.  States
     are interned, so equal states are one object and one group, and
     ``advance`` runs once per distinct (state, time) pair.  A model whose
     ``advance`` is ``RenewalModel``'s keeps its first state, and after
-    ``_SINGLE_STEPS`` gaps a lane whose law samples through its quantile
+    ``_SINGLE_STEPS`` gaps a lane whose law keeps the quantile ``draws``
     draws runs of gaps, so a million events take a few dozen steps.
 
     A level is stored as its free times (those short of the barrier; in the
@@ -311,8 +299,7 @@ class _Walk:
         self.table, self.index = [], {}
         self.sids = np.full(width, self._intern(law))  # each path's state
         self.folds = [0.0] * width  # and its fold
-        self.runs = (self.fixed and law.draw_width == 1
-                     and type(law).draws is InterArrivalDistribution.draws)
+        self.runs = self.fixed and type(law).draws is InterArrivalDistribution.draws
         self.blocks = min(4, (law.draw_width + 6) // 4)  # drawn ahead: a draw fits at any offset
         self.lanes, self.n_levels = lanes, levels
         self.levels, self.lineage = [], []  # each level's times; its kept children and branching
@@ -374,10 +361,8 @@ class _Walk:
                                max(count, *(law.draw_width for law, _, _ in groups)))
             parts = []
             for law, a, b in groups:
-                lanes = active[a:b]
-                d, used = law.draws(u[a:b, :count if self.runs else law.draw_width],
-                                    lambda lanes=lanes: self._lanes(i, lanes, at[lanes]))
-                at[lanes] += used
+                d, used = law.draws(u[a:b, :count if self.runs else law.draw_width])
+                at[active[a:b]] += used
                 parts.append(d)
             d, prev = parts[0] if len(parts) == 1 else np.concatenate(parts), pos[active]
             if count == 1:  # one time per lane
@@ -433,10 +418,6 @@ class _Walk:
             self.lineage.append((np.arange(n), 1))
             self.folds = values
         return values
-
-    def _lanes(self, i: int, lanes: np.ndarray, at: np.ndarray) -> list:
-        return [_Lane((self.seed, KIND_PROPOSAL, i, lane), n)
-                for lane, n in zip(lanes.tolist(), at.tolist())]
 
     def _each(self, f: Callable, sids: np.ndarray, values: np.ndarray, *args) -> np.ndarray:
         """``f(law, value, *args)`` of each lane, in state ``sids`` with

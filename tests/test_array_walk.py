@@ -6,12 +6,15 @@ uniforms taken from Philox blocks; ``lane_walk`` walks each lane on its own
 from the same keys and must give the same ``EnsembleResult``, compared
 through its repr so that a 1 that became 1.0 would show.  The cases cover
 every shipped model family, a model that only delegates to another (so
-that nothing keys on the model type), a law that draws through its own
-``sample``, lanes that need a third Philox block and lanes that draw runs
-of thousands of gaps.
+that nothing keys on the model type), a law with its own ``draws``, an
+unhashable law whose every state is its own group, lanes that need a third
+Philox block and lanes that draw runs of thousands of gaps.  The walk draws
+only through a law's ``draws``; the lane walk draws through its ``sample``.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import lane_walk
 import pytest
@@ -20,8 +23,9 @@ from test_golden import ORDER2, long_prefix
 
 from ppsmc import models, rng
 from ppsmc.beam import beam_search_sample
-from ppsmc.models import (InterArrivalDistribution, PoissonProcessModel, RenewalModel,
-                          SequenceModel, UniformRenewalModel, WeibullRenewalModel)
+from ppsmc.models import (ExponentialGap, InterArrivalDistribution, PoissonProcessModel,
+                          RenewalModel, SequenceModel, UniformRenewalModel,
+                          WeibullRenewalModel)
 from ppsmc.music.encoding import Vocabulary
 from ppsmc.oracle import GridModel, GridSequenceModel, observed_constraints
 from ppsmc.smc import ConstraintSet, conditional_sample
@@ -43,17 +47,39 @@ class Delegating(SequenceModel):
 class MaxOfTwo(InterArrivalDistribution):
     """A law of its own draw: the larger of two uniforms, scaled."""
 
+    draw_width = 2
+
     def __init__(self, scale: float):
         self.scale = scale
 
     def sample(self, rng):
         return self.scale * max(rng.random(), rng.random())
 
+    def draws(self, u):
+        return self.scale * u[:, :2].max(axis=1), 2
+
     def pdf(self, d):
         return 2 * d / self.scale ** 2 if 0 <= d <= self.scale else 0.0
 
     def cdf(self, d):
         return min(max(d / self.scale, 0.0), 1.0) ** 2
+
+
+@dataclass
+class UnhashableGap(ExponentialGap):
+    """An exponential law that is a plain dataclass, so ``__hash__`` is None."""
+
+    rate: float
+
+
+class Quickening(SequenceModel):
+    """Exponential gaps whose rate grows by one with each event."""
+
+    def initial_state(self, history):
+        return UnhashableGap(10.0 + len(history))
+
+    def advance(self, state, t):
+        return UnhashableGap(state.rate + 1.0)
 
 
 def _grid() -> GridSequenceModel:
@@ -158,6 +184,9 @@ FAMILIES = {  # name: a model, its constraints and keyword arguments
     "music-order3": _music(3),
     "own-sample": lambda: (RenewalModel(MaxOfTwo(0.1)),
                            ConstraintSet(z=(0.3, 0.55, 1), b=(True,) * 3), {"horizon": 1.3}),
+    # equal states are distinct objects, interned by identity
+    "unhashable": lambda: (Quickening(), ConstraintSet(z=(0.3, 0.55, 1), b=(True,) * 3),
+                           {"horizon": 1.3}),
 }
 
 
@@ -169,6 +198,17 @@ def test_every_family_equals_the_lane_walk(name, sampler):
         result = _both(model, sampler, size, 11 + size, cs, kwargs)
         _both(Delegating(model), sampler, size, 11 + size, cs, kwargs)
         assert result.survived
+
+
+def test_a_law_with_neither_quantile_nor_draws_is_refused():
+    class SampleOnly(InterArrivalDistribution):
+        def sample(self, rng):
+            return 0.1 * rng.random()
+
+    cs = ConstraintSet(z=(0.5,), b=(True,))
+    with pytest.raises(NotImplementedError, match=r"SampleOnly needs quantile\(u\) or its own "
+                                                   r"draws\(u\)"):
+        conditional_sample(RenewalModel(SampleOnly()), cs, 3, 1)
 
 
 @pytest.mark.parametrize("sampler", ["filter", "beam"])

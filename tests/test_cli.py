@@ -5,8 +5,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from test_acceptance import tiny_music_model
@@ -272,7 +274,9 @@ class TestConvertCommand:
 
 class TestConsoleScript:
     def test_entry_point_is_installed(self):
-        proc = subprocess.run([sys.executable, "-m", "ppsmc.cli", "--help"],
-                              capture_output=True, text=True)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "ppsmc.cli", "--help"], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0
         assert "sample" in proc.stdout

@@ -179,6 +179,21 @@ def test_run_count_below_one_exits_1(tmp_path, capsys, command, runs):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("spec,named", [
+    ("weibull:shape=1,scale=inf", "scale=inf"), ("uniform:low=0,high=inf", "high=inf"),
+    ("poisson:rate=nan", "rate"), ("weibull:shape=nan,scale=1", "shape=nan"),
+    ("poisson:rate=inf", "rate"), ("poisson:rate=3,rate=4", "'rate' is given twice")])
+def test_bad_model_parameter_exits_1(tmp_path, capsys, spec, named):
+    """A non-finite or repeated parameter is a spec error that names it, not
+    a dead ensemble or a weight error."""
+    path, out = tmp_path / "cs.json", tmp_path / "out"
+    path.write_text(json.dumps({"z": [0.5], "b": [True]}))
+    code = main(["sample", "--model", spec, "--constraints", str(path), "--seed", "1",
+                 "--out", str(out)])
+    assert named in assert_error_exit(code, capsys, spec)
+    assert not out.exists()
+
+
 GRID_SPECS = {"const": {"p": 0.4}, "order2": {"p00": 0.55, "p01": 0.25, "p10": 0.7, "p11": 0.1}}
 
 

@@ -165,9 +165,9 @@ def test_beam_walks_each_proposed_event_once(monkeypatch):
         counts["advance"] += 1
         return real_advance(self, state, t)
 
-    def draws(self, u, lanes):  # one gap, one proposed event, per lane
+    def draws(self, u):  # one gap, one proposed event, per lane
         counts["events"] += len(u)
-        return real_draws(self, u, lanes)
+        return real_draws(self, u)
 
     def rewalk(*args, **kwargs):
         raise AssertionError("the beam re-walked a path to score it")
