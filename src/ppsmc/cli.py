@@ -23,7 +23,7 @@ from .models import (PoissonProcessModel, UniformRenewalModel,
                      WeibullRenewalModel, step_log_probabilities)
 from .music.adapter import UnrolledMusicModel
 from .music.encoding import Vocabulary, events_to_codes
-from .music.files import (extract_constraints, read_corpus, read_events,
+from .music.files import (extract_constraints, read_corpus, read_events, read_parts,
                           write_codes, write_constraint_file, write_events)
 from .music.midi import read_midi, write_midi
 from .music.ngram import NGramModel, train_ngram
@@ -236,7 +236,7 @@ def cmd_train(args) -> int:
         raise ValueError(f"no event files (*.jsonl) found in {args.corpus}")
     parts = args.parts
     if parts is None:
-        parts = max(read_events(p)[1] for p in paths)
+        parts = max(map(read_parts, paths))
     vocab = Vocabulary(s_max=args.s_max, parts=parts)
     streams = read_corpus(args.corpus, vocab)
     model = train_ngram(streams, vocab, args.order, args.alpha)

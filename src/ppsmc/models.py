@@ -25,14 +25,19 @@ is low + (high - low)·u, bit for bit what ``Generator.uniform`` draws.
 ``sample_restricted``.  The filter and the beam walk many lanes at once
 (``ppsmc.smc``) and ask a law only for ``draws``, the gaps of all its lanes
 in one call, given each lane's next uniforms.  By default it applies
-``quantile`` to them.  A law without a quantile overrides ``draws`` and
-declares ``draw_width``, as the grid and music laws do; their ``sample``
-draws the same gap from the same uniforms, one ``random()`` at a time.
+``quantiles``, the ``quantile`` of each; the renewal laws map only
+``math.log1p`` and ``pow`` in Python and leave the rest to numpy, which
+rounds each operation as Python does.  A law without a quantile overrides
+``draws`` and declares ``draw_width``, as the grid and music laws do; their
+``sample`` draws the same gap from the same uniforms, one ``random()`` at a
+time.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -72,8 +77,12 @@ class InterArrivalDistribution:
         The quantile of each column is a gap, a row of gaps per lane if ``u``
         has several.
         """
-        gaps = np.array(list(map(self.quantile, u.ravel().tolist())))
+        gaps = self.quantiles(u.ravel())
         return (gaps if u.shape[1] == 1 else gaps.reshape(u.shape)), u.shape[1]
+
+    def quantiles(self, u: np.ndarray) -> np.ndarray:
+        """``quantile`` of each uniform in the 1-d array ``u``, bit for bit."""
+        return np.array(list(map(self.quantile, u.tolist())))
 
     def hazard(self, d) -> float:
         """f(d) / P(gap >= d); 0 where the density is 0.
@@ -142,6 +151,9 @@ class ExponentialGap(InterArrivalDistribution):
     def quantile(self, u):
         return -math.log1p(-u) / self.rate
 
+    def quantiles(self, u):
+        return -np.fromiter(map(math.log1p, (-u).tolist()), float, u.size) / self.rate
+
 
 class WeibullGap(InterArrivalDistribution):
     def __init__(self, shape: float, scale: float):
@@ -175,6 +187,10 @@ class WeibullGap(InterArrivalDistribution):
     def quantile(self, u):
         return self.scale * (-math.log1p(-u)) ** (1.0 / self.shape)
 
+    def quantiles(self, u):
+        e = map(operator.neg, map(math.log1p, (-u).tolist()))
+        return self.scale * np.fromiter(map(pow, e, repeat(1.0 / self.shape)), float, u.size)
+
 
 class UniformGap(InterArrivalDistribution):
     """Gaps uniform on [low, high]; zero density outside.
@@ -200,6 +216,8 @@ class UniformGap(InterArrivalDistribution):
 
     def quantile(self, u):
         return self.low + (self.high - self.low) * u
+
+    quantiles = quantile  # the same affine map, rounded alike, on an array
 
 
 class PoissonProcessModel(RenewalModel):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import logging
+import re
 import warnings
 from pathlib import Path
 from typing import Sequence
@@ -48,12 +49,17 @@ def write_events(path, events: Sequence[MusicEvent], vocab: Vocabulary = Vocabul
     write_codes(path, events_to_codes(events, vocab), vocab)
 
 
-def read_events(path) -> tuple[list[MusicEvent], int]:
-    """Read an event file; returns (events, part count from the header)."""
-    raw = [line for line in Path(path).read_text().splitlines() if line.strip()]
-    if not raw:
+# an event line exactly as ``write_codes`` writes it; any other spelling is
+# read by ``json``
+_EVENT_LINE = re.compile(r'\{"a": (0|[1-9][0-9]*), "part": (0|[1-9][0-9]*), "t": (0|[1-9][0-9]*)\}')
+
+
+def _header_parts(path, line: str | None) -> int:
+    """The part count in the header ``line``, a file's first non-blank line
+    (None if it has none); raises ValueError if it is no event file's header."""
+    if line is None:
         raise ValueError(f"{path}: empty event file")
-    header = json.loads(raw[0])
+    header = json.loads(line)
     kind = header.get("kind") if isinstance(header, dict) else None
     if kind != "events":
         raise ValueError(f"{path}: not an event file (kind={kind!r})")
@@ -62,15 +68,31 @@ def read_events(path) -> tuple[list[MusicEvent], int]:
     parts = header.get("parts", 1)
     if type(parts) is not int:
         raise ValueError(f"{path}: header field 'parts' must be an integer, got {parts!r}")
-    events = []
+    return parts
+
+
+def read_parts(path) -> int:
+    """The part count in an event file's header, parsing no event line."""
+    return _header_parts(path, next(filter(str.strip, Path(path).read_text().splitlines()), None))
+
+
+def read_events(path) -> tuple[list[MusicEvent], int]:
+    """Read an event file; returns (events, part count from the header)."""
+    raw = list(filter(str.strip, Path(path).read_text().splitlines()))  # the non-blank lines
+    parts = _header_parts(path, raw[0] if raw else None)
+    events, exact = [], _EVENT_LINE.fullmatch
     for k, line in enumerate(raw[1:], start=1):
-        d = json.loads(line)
-        if not isinstance(d, dict):
-            d = {}
-        t, a, part = d.get("t"), d.get("a"), d.get("part", 0)
-        if not (type(t) is int and type(a) is int and type(part) is int):  # bools excluded
-            raise ValueError(f"{path}: event {k} needs integer 't', 'a' and 'part' fields, "
-                             f"got {line.strip()[:80]!r}")
+        m = exact(line)
+        if m:
+            a, part, t = map(int, m.groups())
+        else:
+            d = json.loads(line)
+            if not isinstance(d, dict):
+                d = {}
+            t, a, part = d.get("t"), d.get("a"), d.get("part", 0)
+            if not (type(t) is int and type(a) is int and type(part) is int):  # bools excluded
+                raise ValueError(f"{path}: event {k} needs integer 't', 'a' and 'part' fields, "
+                                 f"got {line.strip()[:80]!r}")
         events.append(MusicEvent(t=t, a=a, part=part))
     events_to_codes(events, Vocabulary(parts=max(parts, 1)))  # canonical order check
     return events, parts

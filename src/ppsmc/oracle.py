@@ -47,14 +47,6 @@ def chain_probability(model: GridModel, bits: Sequence[int]) -> float:
     return p
 
 
-def sample_bits(model: GridModel, rng) -> tuple:
-    """Direct forward simulation of the occupancy vector."""
-    bits = []
-    for _ in range(model.n):
-        bits.append(1 if rng.random() < model.g(tuple(bits)) else 0)
-    return tuple(bits)
-
-
 def enumerate_conditional(model: GridModel, observed: Iterable[int]) -> dict[tuple, float]:
     """Exact law of the occupancy vector given 1s at the observed indices.
 

@@ -227,6 +227,39 @@ class TestMusicPipeline:
         assert entry["log_prob"] is not None and entry["log_prob"] < 0.0
 
 
+class TestTrainCommand:
+    """`train`'s model file for a fixed two-part corpus, pinned by digest
+    (recorded while train still decoded every file twice)."""
+
+    PIECES = [
+        (1, [MusicEvent(0, 61), MusicEvent(0, 65), MusicEvent(2, 189), MusicEvent(3, 193)]),
+        (2, [MusicEvent(0, 60), MusicEvent(0, 64, part=1), MusicEvent(1, 188),
+             MusicEvent(1, 67, part=1), MusicEvent(3, 192, part=1), MusicEvent(4, 195, part=1)]),
+        (2, [MusicEvent(0, 62, part=1), MusicEvent(2, 62), MusicEvent(2, 190, part=1),
+             MusicEvent(4, 190)]),
+    ]
+    DIGESTS = {
+        (): "2790a46ed9d80dcaf96cfe4a0b39d693d36a78803732368b6fb7a16601685f38",
+        ("--parts", "3"): "04a0a27b5705f86605ef4bf81d610b6fcf4a6bb4fa660a4b2219f2c4e21cabde",
+    }
+
+    @pytest.mark.parametrize("parts", sorted(DIGESTS))
+    def test_model_file_is_unchanged(self, tmp_path, monkeypatch, parts):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for i, (n_parts, piece) in enumerate(self.PIECES):
+            write_events(corpus / f"p{i}.jsonl", piece, Vocabulary(parts=n_parts))
+        made = []
+        post_init = MusicEvent.__post_init__
+        monkeypatch.setattr(MusicEvent, "__post_init__",
+                            lambda ev: (made.append(ev), post_init(ev))[1])
+        model = tmp_path / "model.json"
+        assert main(["train", "--corpus", str(corpus), "--order", "2", "--alpha", "0.5",
+                     "--s-max", "4", "--out", str(model), *parts]) == 0
+        assert len(made) == sum(len(piece) for _, piece in self.PIECES)
+        assert hashlib.sha256(model.read_bytes()).hexdigest() == self.DIGESTS[parts]
+
+
 class TestSampleFileBytes:
     """Every file `sample` and `beam` write for a trained music model, pinned
     by one digest per command (recorded when sample files were still written

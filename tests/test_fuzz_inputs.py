@@ -3,22 +3,25 @@
 Malformed constraint files, times files, event files, MIDI files, trained
 model files and grid specs must end in exit code 1 with an ``error:`` line on
 stderr, never in an uncaught exception; so must a model that cannot reach a
-barrier within the draw limit, and a run count below one.  Inputs are mangled
-by a seeded ``numpy.random.default_rng``, as in acceptance criterion 4, so
-every run tries the same cases.
+barrier within the draw limit, and a run count below one.  Event lines in
+``write_codes``' form, read without ``json``, must read as ``json`` reads
+them.  Inputs are mangled by a seeded ``numpy.random.default_rng``, as in
+acceptance criterion 4, so every run tries the same cases.
 """
 
 from __future__ import annotations
 
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 from test_acceptance import TINY, tiny_music_model
 
 from ppsmc.cli import main
-from ppsmc.music.encoding import MusicEvent
+from ppsmc.music.encoding import MusicEvent, Vocabulary, codes_to_events, events_to_codes
+from ppsmc.music.files import read_events, read_parts, write_events
 from ppsmc.music.midi import write_midi
 
 NOT_A_LIST = [None, "ab", 1.5, 3, True, {"x": 1}]
@@ -208,6 +211,72 @@ def test_grid_spec_missing_a_parameter_exits_1(tmp_path, capsys, name, dropped):
     assert f"error: grid spec {spec!r} is missing parameter '{dropped}'" in err
 
 
+def read_events_by_json(path) -> tuple[list[MusicEvent], int]:
+    """``read_events`` with every line parsed by ``json.loads``, as it read
+    event files before lines in ``write_codes``' form got a parser of their
+    own."""
+    raw = [line for line in Path(path).read_text().splitlines() if line.strip()]
+    if not raw:
+        raise ValueError(f"{path}: empty event file")
+    header = json.loads(raw[0])
+    kind = header.get("kind") if isinstance(header, dict) else None
+    if kind != "events":
+        raise ValueError(f"{path}: not an event file (kind={kind!r})")
+    if header.get("version", 1) != 1:
+        raise ValueError(f"{path}: unsupported event file version {header.get('version')!r}")
+    parts = header.get("parts", 1)
+    if type(parts) is not int:
+        raise ValueError(f"{path}: header field 'parts' must be an integer, got {parts!r}")
+    events = []
+    for k, line in enumerate(raw[1:], start=1):
+        d = json.loads(line)
+        if not isinstance(d, dict):
+            d = {}
+        t, a, part = d.get("t"), d.get("a"), d.get("part", 0)
+        if not (type(t) is int and type(a) is int and type(part) is int):  # bools excluded
+            raise ValueError(f"{path}: event {k} needs integer 't', 'a' and 'part' fields, "
+                             f"got {line.strip()[:80]!r}")
+        events.append(MusicEvent(t=t, a=a, part=part))
+    events_to_codes(events, Vocabulary(parts=max(parts, 1)))  # canonical order check
+    return events, parts
+
+
+FULLWIDTH = str.maketrans("0123456789", "０１２３４５６７８９")
+
+
+def respell(rng, line: str) -> str:
+    """An event line in ``write_codes``' form, changed in one place."""
+    items = [item.split(": ") for item in line[1:-1].split(", ")]
+    item = pick(rng, items)
+    how = int(rng.integers(9))
+    if how == 0:
+        v = item[1]
+        item[1] = pick(rng, ["0" + v, "00", "-" + v, "-0", "+" + v, v + ".0", "1.0", v + "e0",
+                             "true", "false", "null", f'"{v}"', v + "0" * 25, "1" + "0" * 5000,
+                             v.translate(FULLWIDTH), v + "\u0663", v + " ", " " + v])
+    elif how == 1:
+        rng.shuffle(items)
+    elif how == 2:
+        items.insert(int(rng.integers(4)), pick(rng, [['"x"', "1"], ['"a"', "7"], ['"part"', "1"],
+                                                      ['"t"', "0"], ['"A"', "1"]]))
+    elif how == 3:
+        items.remove(item)
+    text = "{" + ", ".join(f"{k}: {v}" for k, v in items) + "}"
+    if how == 4:
+        at = pick(rng, [i for i, c in enumerate(text) if c == " "])
+        text = text[:at] + pick(rng, [" ", "\t", "\n", "\u00a0"]) + text[at:]
+    elif how == 5:
+        text += pick(rng, [" x", "  ", "\r", "\t", " }", ",", "}", "\u2028", "\x00"])
+    elif how == 6:
+        at = int(rng.integers(len(text) + 1))
+        text = text[:at] + pick(rng, ["\r", "\r\n", "\x1c", "\x85"]) + text[at:]
+    elif how == 7:
+        text = text.replace(", ", ",").replace(": ", ":")
+    elif how == 8:
+        text = pick(rng, [" ", "\t", "\r\n", "\ufeff"]) + text
+    return text
+
+
 PIECE = [(0, 61), (0, 65), (2400, 68), (2400, 189), (2400, 193), (4800, 196)]
 
 
@@ -237,6 +306,37 @@ class TestEventFiles:
             path.write_text("\n".join(lines) + "\n")
             code = main(["convert", "--to-midi", str(path), str(tmp_path / "out.mid")])
             assert_error_exit(code, capsys, f"trial {trial}: {lines}")
+
+    def test_event_lines_read_as_json_reads_them(self, tmp_path):
+        """Lines in ``write_codes``' form, a few respelled: ``read_events``
+        returns what a reader parsing every line with ``json`` returns, or
+        raises the same error, and ``read_parts`` reads its header alike."""
+        rng = np.random.default_rng(1616)
+        path = tmp_path / "piece.jsonl"
+        outcomes = {True: 0, False: 0}
+        for trial in range(1500):
+            vocab = Vocabulary(parts=int(rng.integers(1, 3)))
+            codes = np.sort(rng.choice(np.arange(1, 4 * vocab.actions), int(rng.integers(9)),
+                                       replace=False))
+            write_events(path, codes_to_events(codes.tolist(), vocab), vocab)
+            lines = path.read_text().splitlines()
+            for k in range(1, len(lines)):
+                if rng.random() < 0.15:
+                    lines[k] = respell(rng, lines[k])
+            path.write_text(pick(rng, ["", "\n", " \n"])
+                            + pick(rng, ["\n", "\r\n"]).join(lines) + pick(rng, ["\n", ""]))
+            got, expected = [], []
+            for read, out in ((read_events, got), (read_events_by_json, expected)):
+                try:
+                    out.append(read(path))
+                except ValueError as exc:
+                    out.append((type(exc), str(exc)))
+            assert got == expected, f"trial {trial}: {path.read_text()!r}"
+            accepted = isinstance(expected[0][0], list)
+            if accepted:
+                assert read_parts(path) == expected[0][1]
+            outcomes[accepted] += 1
+        assert min(outcomes.values()) > 300, outcomes
 
 
 def sample_midi() -> bytes:

@@ -119,6 +119,19 @@ class TestUniformGap:
             UniformGap(-0.1, 0.5)
 
 
+@pytest.mark.parametrize("law", [ExponentialGap(rate=3.0), ExponentialGap(rate=0.7),
+                                 WeibullGap(shape=0.6, scale=2.0), WeibullGap(shape=1.5, scale=0.08),
+                                 UniformGap(0.02, 0.3)],
+                         ids=["exp3", "exp0.7", "weibull0.6", "weibull1.5", "uniform"])
+def test_quantiles_are_each_quantile_bit_for_bit(law):
+    u = np.concatenate([[0.0, 2.0 ** -53, 0.5, 1.0 - 2.0 ** -53],
+                        np.random.default_rng(7).random(4000)])
+    expected = [law.quantile(x) for x in u.tolist()]
+    assert law.quantiles(u).tolist() == expected
+    gaps, used = law.draws(u.reshape(-1, 4))
+    assert gaps.ravel().tolist() == expected and used == 4
+
+
 class TestSampleRestricted:
     def test_poisson_count_is_poisson_distributed(self):
         """Events on [0, 1] of a rate-2 process: count ~ Poisson(2)."""

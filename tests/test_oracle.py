@@ -13,10 +13,17 @@ from ppsmc.beam import beam_search_sample
 from ppsmc.models import sample_restricted
 from ppsmc.oracle import (GridModel, GridSequenceModel, bits_from_times,
                           chain_probability, enumerate_conditional,
-                          normalize_counts, observed_constraints, sample_bits,
-                          total_variation)
+                          normalize_counts, observed_constraints, total_variation)
 from ppsmc.rng import run_seed
 from ppsmc.smc import barrier_weight, conditional_sample
+
+
+def sample_bits(model: GridModel, rng) -> tuple:
+    """Direct forward simulation of the occupancy vector."""
+    bits = []
+    for _ in range(model.n):
+        bits.append(1 if rng.random() < model.g(tuple(bits)) else 0)
+    return tuple(bits)
 
 
 def order2_grid(n: int) -> GridModel:
