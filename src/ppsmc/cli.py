@@ -23,15 +23,16 @@ from .models import (PoissonProcessModel, UniformRenewalModel,
                      WeibullRenewalModel, step_log_probabilities)
 from .music.adapter import UnrolledMusicModel
 from .music.encoding import Vocabulary, events_to_codes
-from .music.files import (extract_constraints, read_corpus, read_events, read_parts,
-                          write_codes, write_constraint_file, write_events)
+from .music.files import (_as_code, extract_constraints, read_constraint_file, read_corpus,
+                          read_events, read_parts, write_codes, write_constraint_file,
+                          write_events)
 from .music.midi import read_midi, write_midi
 from .music.ngram import NGramModel, train_ngram
 from .oracle import (GridModel, GridSequenceModel, bits_from_times,
                      enumerate_conditional, normalize_counts,
                      observed_constraints, total_variation)
 from .rng import run_seed
-from .smc import ConstraintSet, conditional_sample, read_constraint_file, satisfies
+from .smc import ConstraintSet, conditional_sample, satisfies
 
 logger = logging.getLogger("ppsmc")
 
@@ -78,33 +79,18 @@ def build_model(spec: str):
                      "or a path to a trained model file")
 
 
-def _as_code(value) -> int:
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"music constraint fields must hold integer codes, got {value!r}")
-    return value
-
-
 def _load_run_setup(args, music_vocab: Vocabulary | None):
-    constraints, payload = read_constraint_file(args.constraints)
+    constraints, prefix, ticks = read_constraint_file(args.constraints)
     if music_vocab is None:
         return constraints, (), float(args.horizon)
     constraints = ConstraintSet(z=tuple(_as_code(z) for z in constraints.z), b=constraints.b)
-    prefix = payload.get("prefix", [])
-    if not isinstance(prefix, list):
-        raise ValueError("constraint field 'prefix' must be a list of codes")
-    prefix = [_as_code(c) for c in prefix]
     acts = music_vocab.actions
     if args.horizon_ticks is not None:
         ticks = args.horizon_ticks
-    elif payload.get("horizon_ticks") is not None:
-        ticks = _as_code(payload["horizon_ticks"])
-    else:
+    elif ticks is None:
         top = max([*constraints.z, *prefix], default=acts)
         ticks = -(-top // acts)  # ceil to a tick boundary
-    horizon = ticks * acts
-    return constraints, prefix, horizon
+    return constraints, prefix, ticks * acts
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -231,12 +217,9 @@ def cmd_extract_constraints(args) -> int:
 
 
 def cmd_train(args) -> int:
-    paths = sorted(Path(args.corpus).glob("*.jsonl"))
-    if not paths:
-        raise ValueError(f"no event files (*.jsonl) found in {args.corpus}")
     parts = args.parts
-    if parts is None:
-        parts = max(map(read_parts, paths))
+    if parts is None:  # an empty corpus is refused by read_corpus
+        parts = max(map(read_parts, sorted(Path(args.corpus).glob("*.jsonl"))), default=1)
     vocab = Vocabulary(s_max=args.s_max, parts=parts)
     streams = read_corpus(args.corpus, vocab)
     model = train_ngram(streams, vocab, args.order, args.alpha)

@@ -1,8 +1,10 @@
-"""Event files, corpora, and constraint extraction.
+"""Event files, corpora, constraint extraction and constraint files.
 
 Event files are JSON lines: a header object, then one object per event in
-canonical code order.  Constraint files extend the generic {z, b} schema with
-the conditioning prefix (codes before the split) and a tick horizon.
+canonical code order.  A constraint file is one JSON object: the required
+times z and their flags b (``smc.ConstraintSet``), and, for music, the
+conditioning prefix (codes before the split) and a tick horizon.  This module
+reads and writes both formats.
 """
 
 from __future__ import annotations
@@ -15,11 +17,12 @@ from pathlib import Path
 from typing import Sequence
 
 from ..smc import ConstraintSet
-from .encoding import MusicEvent, Vocabulary, _split_code, events_to_codes
+from .encoding import (MusicEvent, Vocabulary, _split_code, events_to_codes,
+                       events_to_symbols)
 
 logger = logging.getLogger(__name__)
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 1  # of event files and constraint files
 
 
 def write_codes(path, codes: Sequence[int], vocab: Vocabulary = Vocabulary()) -> None:
@@ -100,15 +103,16 @@ def read_events(path) -> tuple[list[MusicEvent], int]:
 
 def read_corpus(directory, vocab: Vocabulary) -> list[list[int]]:
     """Symbol streams of every event file (*.jsonl) in a directory."""
-    from .encoding import events_to_symbols
-
     paths = sorted(Path(directory).glob("*.jsonl"))
     if not paths:
         raise ValueError(f"no event files (*.jsonl) found in {directory}")
     streams = []
     for p in paths:
         events, _ = read_events(p)
-        streams.append(events_to_symbols(events, vocab))
+        try:
+            streams.append(events_to_symbols(events, vocab))
+        except ValueError as exc:
+            raise ValueError(f"{p}: {exc}") from exc
     logger.info("read %d event files from %s", len(streams), directory)
     return streams
 
@@ -135,8 +139,39 @@ def extract_constraints(events: Sequence[MusicEvent], split_tick: int, part: int
 
 def write_constraint_file(path, constraints: ConstraintSet, prefix: Sequence[int] = (),
                           horizon_ticks: int | None = None) -> None:
-    payload = constraints.to_dict()
-    payload["prefix"] = [int(c) for c in prefix]
+    payload = {"version": FORMAT_VERSION, "z": list(constraints.z), "b": list(constraints.b),
+               "prefix": [int(c) for c in prefix]}
     if horizon_ticks is not None:
         payload["horizon_ticks"] = int(horizon_ticks)
     Path(path).write_text(json.dumps(payload, sort_keys=True) + "\n")
+
+
+def _as_code(value) -> int:
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"music constraint fields must hold integer codes, got {value!r}")
+    return value
+
+
+def read_constraint_file(path) -> tuple[ConstraintSet, list[int], int | None]:
+    """Load a constraint file: the constraint set, the prefix as codes ([] if
+    absent) and the tick horizon (None if absent).  Every field is checked,
+    whatever model reads the file; ValueError on any malformed one."""
+    d = json.loads(Path(path).read_text())
+    if not isinstance(d, dict):
+        raise ValueError(f"constraints must be a JSON object, got {type(d).__name__}")
+    version = d.get("version", 1)
+    if version != FORMAT_VERSION:
+        raise ValueError(f"unsupported constraint file version: {version}")
+    z, b = d.get("z"), d.get("b")
+    if not isinstance(z, list) or not all(
+            isinstance(t, (int, float)) and not isinstance(t, bool) for t in z):
+        raise ValueError("constraint field 'z' is missing or not a list of numbers")
+    if not isinstance(b, list) or not all(isinstance(v, bool) for v in b):
+        raise ValueError("constraint field 'b' is missing or not a list of booleans")
+    constraints = ConstraintSet(z=tuple(z), b=tuple(b))
+    prefix, ticks = d.get("prefix", []), d.get("horizon_ticks")
+    if not isinstance(prefix, list):
+        raise ValueError("constraint field 'prefix' must be a list of codes")
+    return constraints, [_as_code(c) for c in prefix], None if ticks is None else _as_code(ticks)

@@ -33,13 +33,10 @@ from one master seed, so a run is a deterministic function of its seed.
 
 from __future__ import annotations
 
-import json
 import math
-import numbers
 import sys
 from dataclasses import asdict, dataclass, field
 from itertools import repeat
-from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -48,8 +45,6 @@ from . import models
 from .errors import IterationLimitError
 from .models import InterArrivalDistribution, RenewalModel, SequenceModel, _log_density
 from .rng import KIND_PROPOSAL, KIND_RESAMPLE, block, doubles
-
-FORMAT_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -80,32 +75,6 @@ class ConstraintSet:
     @property
     def r(self) -> int:
         return len(self.z)
-
-    def to_dict(self) -> dict:
-        return {"version": FORMAT_VERSION, "z": list(self.z), "b": list(self.b)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ConstraintSet":
-        """Parse a decoded constraint file; ValueError on any malformed field."""
-        if not isinstance(d, dict):
-            raise ValueError(f"constraints must be a JSON object, got {type(d).__name__}")
-        version = d.get("version", 1)
-        if version != FORMAT_VERSION:
-            raise ValueError(f"unsupported constraint file version: {version}")
-        z, b = d.get("z"), d.get("b")
-        if not isinstance(z, list) or not all(
-                isinstance(t, numbers.Real) and not isinstance(t, bool) for t in z):
-            raise ValueError("constraint field 'z' is missing or not a list of numbers")
-        if not isinstance(b, list) or not all(isinstance(v, bool) for v in b):
-            raise ValueError("constraint field 'b' is missing or not a list of booleans")
-        return cls(z=tuple(z), b=tuple(b))
-
-
-def read_constraint_file(path) -> tuple[ConstraintSet, dict]:
-    """Load a constraint file, returning the core set plus any extra fields
-    (e.g. a conditioning prefix or a horizon recorded by extraction)."""
-    payload = json.loads(Path(path).read_text())
-    return ConstraintSet.from_dict(payload), payload
 
 
 def satisfies(seq: Sequence[float], constraints: ConstraintSet) -> bool:

@@ -10,11 +10,10 @@ import pytest
 from ppsmc import cli
 from ppsmc.music.encoding import (MusicEvent, Vocabulary, codes_to_events,
                                   events_to_codes)
-from ppsmc.music.files import (extract_constraints, read_corpus, read_events,
-                               write_codes, write_constraint_file, write_events)
+from ppsmc.music.files import (extract_constraints, read_constraint_file, read_corpus,
+                               read_events, write_codes, write_constraint_file, write_events)
 from ppsmc.music.midi import read_midi, write_midi
 from ppsmc.music.ngram import train_ngram
-from ppsmc.smc import read_constraint_file
 
 VOCAB = Vocabulary()
 
@@ -112,6 +111,24 @@ class TestEventFiles:
         with pytest.raises(ValueError):
             read_corpus(tmp_path, VOCAB)
 
+    def test_corpus_errors_name_the_file(self, tmp_path, capsys):
+        """A piece the vocabulary cannot encode is named in the error, and
+        the corpus's other piece is not."""
+        write_events(tmp_path / "a.jsonl", PIECE[:2], VOCAB)
+        write_events(tmp_path / "b.jsonl", PIECE, VOCAB)
+        with pytest.raises(ValueError, match=r"b\.jsonl: tick gap 2400 exceeds s_max=1000"):
+            read_corpus(tmp_path, Vocabulary(s_max=1000))
+        assert cli.main(["train", "--corpus", str(tmp_path), "--s-max", "1000",
+                         "--out", str(tmp_path / "model.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tmp_path / 'b.jsonl'}: tick gap") and "a.jsonl" not in err
+
+    @pytest.mark.parametrize("parts", [(), ("--parts", "2")])
+    def test_train_on_an_empty_corpus_exits_1(self, tmp_path, capsys, parts):
+        assert cli.main(["train", "--corpus", str(tmp_path), *parts,
+                         "--out", str(tmp_path / "model.json")]) == 1
+        assert capsys.readouterr().err == f"error: no event files (*.jsonl) found in {tmp_path}\n"
+
 
 class TestConstraintExtraction:
     def test_split_separates_prefix_from_required_times(self):
@@ -147,10 +164,10 @@ class TestConstraintExtraction:
         prefix, cs = extract_constraints(PIECE, split_tick=2400, part=0, vocab=VOCAB)
         path = tmp_path / "cs.json"
         write_constraint_file(path, cs, prefix, horizon_ticks=4801)
-        loaded, payload = read_constraint_file(path)
+        loaded, loaded_prefix, horizon_ticks = read_constraint_file(path)
         assert loaded == cs
-        assert payload["prefix"] == prefix
-        assert payload["horizon_ticks"] == 4801
+        assert loaded_prefix == prefix
+        assert horizon_ticks == 4801
 
 
 class TestMidiRoundTrip:

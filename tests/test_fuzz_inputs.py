@@ -82,25 +82,29 @@ class TestConstraintFiles:
             assert_error_exit(code, capsys, f"trial {trial}: {text}")
 
     def test_mangled_music_fields_exit_1(self, tmp_path, capsys):
+        """A music model's file, then a continuous model's, whose z and b are
+        valid at horizon 1: every model refuses a malformed prefix or tick
+        horizon, although only music models use them."""
         rng = np.random.default_rng(4102)
         model_path = tmp_path / "model.json"
         tiny_music_model().step_model.save(model_path)
         acts = TINY.actions
-        base = {"version": 1, "kind": "constraints", "z": [2 * acts + 1], "b": [True],
-                "prefix": [1, 3], "horizon_ticks": 4}
         path = tmp_path / "cs.json"
-        for trial in range(60):
-            payload = json.loads(json.dumps(base))
-            if rng.integers(2):  # a null horizon_ticks means "not given"
-                payload["horizon_ticks"] = pick(rng, NOT_AN_INT[1:])
-            elif rng.integers(2):
-                payload["prefix"] = pick(rng, NOT_A_LIST)
-            else:
-                payload["prefix"][int(rng.integers(2))] = pick(rng, NOT_AN_INT)
-            path.write_text(json.dumps(payload))
-            code = main(["sample", "--model", str(model_path), "--constraints", str(path),
-                         "--seed", "1", "--particles", "4", "--out", str(tmp_path / "out")])
-            assert_error_exit(code, capsys, f"trial {trial}: {payload}")
+        for model, z in [(str(model_path), [2 * acts + 1]), ("poisson:rate=3", [0.5])]:
+            base = {"version": 1, "kind": "constraints", "z": z, "b": [True],
+                    "prefix": [1, 3], "horizon_ticks": 4}
+            for trial in range(60):
+                payload = json.loads(json.dumps(base))
+                if rng.integers(2):  # a null horizon_ticks means "not given"
+                    payload["horizon_ticks"] = pick(rng, NOT_AN_INT[1:])
+                elif rng.integers(2):
+                    payload["prefix"] = pick(rng, NOT_A_LIST)
+                else:
+                    payload["prefix"][int(rng.integers(2))] = pick(rng, NOT_AN_INT)
+                path.write_text(json.dumps(payload))
+                code = main(["sample", "--model", model, "--constraints", str(path),
+                             "--seed", "1", "--particles", "4", "--out", str(tmp_path / "out")])
+                assert_error_exit(code, capsys, f"{model} trial {trial}: {payload}")
 
     def test_segment_over_the_draw_limit_exits_1(self, tmp_path, capsys):
         """A rate so high that the first barrier needs over a million draws."""

@@ -14,18 +14,13 @@ from ppsmc.beam import beam_search_sample
 from ppsmc.models import (PoissonProcessModel, UniformRenewalModel,
                           WeibullRenewalModel, conditional_intensity,
                           propose_segment, sample_restricted)
-from ppsmc.music.files import write_constraint_file
+from ppsmc.music.files import read_constraint_file, write_constraint_file
 from ppsmc.rng import KIND_PROPOSAL, block, doubles, run_seed, stream
 from ppsmc.smc import (ConstraintSet, barrier_weight, conditional_sample,
-                       effective_sample_size, read_constraint_file,
-                       satisfies, systematic_indices)
+                       effective_sample_size, satisfies, systematic_indices)
 
 
 class TestConstraintSet:
-    def test_round_trip_through_dict(self):
-        cs = ConstraintSet(z=(0.25, 0.5, 0.75), b=(True, False, True))
-        assert ConstraintSet.from_dict(cs.to_dict()) == cs
-
     def test_file_round_trip(self, tmp_path):
         cs = ConstraintSet(z=(0.3, 0.9), b=(False, False))
         path = tmp_path / "cs.json"
