@@ -23,9 +23,9 @@ from .models import (PoissonProcessModel, UniformRenewalModel,
                      WeibullRenewalModel, step_log_probabilities)
 from .music.adapter import UnrolledMusicModel
 from .music.encoding import Vocabulary, events_to_codes
-from .music.files import (_as_code, extract_constraints, read_constraint_file, read_corpus,
-                          read_events, read_parts, write_codes, write_constraint_file,
-                          write_events)
+from .music.files import (_as_code, extract_constraints, in_file, read_constraint_file,
+                          read_corpus, read_events, read_parts, write_codes,
+                          write_constraint_file, write_events)
 from .music.midi import read_midi, write_midi
 from .music.ngram import NGramModel, train_ngram
 from .oracle import (GridModel, GridSequenceModel, bits_from_times,
@@ -42,41 +42,55 @@ EXIT_DIED = 3
 JOBS_HELP = "accepted for compatibility; has no effect (runs are single-threaded)"
 
 
-def _parse_params(text: str) -> dict[str, float]:
+# spec name -> (what its parameters build, their names in the order it takes them)
+MODELS = {"poisson": (PoissonProcessModel, ("rate",)),
+          "weibull": (WeibullRenewalModel, ("shape", "scale")),
+          "uniform": (UniformRenewalModel, ("low", "high"))}
+
+
+def _order2(p00, p01, p10, p11):
+    """g of a chain whose cell depends on the last two bits, vacant before the first."""
+    table = {(): p00, (0,): p00, (1,): p01, (0, 0): p00, (0, 1): p01, (1, 0): p10, (1, 1): p11}
+    return lambda bits: table[bits[-2:]]
+
+
+GRIDS = {"const": (lambda p: lambda bits: p, ("p",)),
+         "order2": (_order2, ("p00", "p01", "p10", "p11"))}
+
+
+def _from_spec(spec: str, kind: str, table: dict, unknown: str):
+    """Build what the spec ``name:key=value,...`` names in ``table``; ``unknown``
+    is the error for a name not in it, ``kind`` names the spec in the others."""
+    name, _, rest = spec.partition(":")
     params = {}
-    if text:
-        for item in text.split(","):
-            key, sep, value = item.partition("=")
-            key = key.strip()
-            if not sep:
-                raise ValueError(f"malformed parameter {item!r}, expected key=value")
-            if key in params:
-                raise ValueError(f"parameter {key!r} is given twice")
-            params[key] = float(value)
-    return params
+    for item in rest.split(",") if rest else ():
+        key, sep, value = item.partition("=")
+        key = key.strip()
+        if not sep:
+            raise ValueError(f"malformed parameter {item!r}, expected key=value")
+        if key in params:
+            raise ValueError(f"parameter {key!r} is given twice")
+        params[key] = float(value)
+    if name not in table:
+        raise ValueError(unknown.format(name))
+    build, keys = table[name]
+    try:
+        values = [params.pop(key) for key in keys]
+    except KeyError as missing:
+        raise ValueError(f"{kind} {spec!r} is missing parameter {missing}") from None
+    built = build(*values)
+    if params:
+        raise ValueError(f"{kind} {spec!r} has unknown parameter {next(iter(params))!r}")
+    return built
 
 
 def build_model(spec: str):
-    """Model spec -> sequence model.
-
-    A path to a trained model file loads the music model; otherwise
-    poisson:rate=R | weibull:shape=K,scale=C | uniform:low=A,high=B.
-    """
+    """Model spec -> sequence model: the music model of a trained model file's
+    path, else poisson:rate=R | weibull:shape=K,scale=C | uniform:low=A,high=B."""
     if Path(spec).is_file():
         return UnrolledMusicModel(NGramModel.load(spec))
-    name, _, rest = spec.partition(":")
-    params = _parse_params(rest)
-    try:
-        if name == "poisson":
-            return PoissonProcessModel(params["rate"])
-        if name == "weibull":
-            return WeibullRenewalModel(params["shape"], params["scale"])
-        if name == "uniform":
-            return UniformRenewalModel(params["low"], params["high"])
-    except KeyError as missing:
-        raise ValueError(f"model spec {spec!r} is missing parameter {missing}") from None
-    raise ValueError(f"unknown model {name!r}: expected poisson:, weibull:, uniform:, "
-                     "or a path to a trained model file")
+    return _from_spec(spec, "model spec", MODELS, "unknown model {!r}: expected poisson:, "
+                      "weibull:, uniform:, or a path to a trained model file")
 
 
 def _load_run_setup(args, music_vocab: Vocabulary | None):
@@ -167,7 +181,8 @@ def _load_times(path: str, vocab: Vocabulary | None) -> list:
     if vocab is not None:
         events, _ = read_events(path)
         return events_to_codes(events, vocab)
-    payload = json.loads(Path(path).read_text())
+    with in_file(path):
+        payload = json.loads(Path(path).read_text())
     if (not isinstance(payload, dict) or payload.get("version", 1) != 1
             or payload.get("kind") != "times"):
         raise ValueError(f"{path}: not a times file")
@@ -228,31 +243,10 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _build_grid(spec: str, n: int) -> GridModel:
-    name, _, rest = spec.partition(":")
-    params = _parse_params(rest)
-    try:
-        if name == "const":
-            p = params["p"]
-            return GridModel(n=n, g=lambda bits: p)
-        if name == "order2":
-            table = {(0, 0): params["p00"], (0, 1): params["p01"],
-                     (1, 0): params["p10"], (1, 1): params["p11"]}
-
-            def g(bits):
-                b1 = bits[-1] if len(bits) >= 1 else 0
-                b2 = bits[-2] if len(bits) >= 2 else 0
-                return table[(b2, b1)]
-
-            return GridModel(n=n, g=g)
-    except KeyError as missing:
-        raise ValueError(f"grid spec {spec!r} is missing parameter {missing}") from None
-    raise ValueError(f"unknown grid spec {name!r}: expected const:p= or order2:p00=,p01=,p10=,p11=")
-
-
 def cmd_oracle(args) -> int:
     observed = [int(x) for x in args.observed.split(",") if x != ""]
-    grid = _build_grid(args.grid, args.cells)
+    grid = GridModel(n=args.cells, g=_from_spec(args.grid, "grid spec", GRIDS, "unknown grid "
+                     "spec {!r}: expected const:p= or order2:p00=,p01=,p10=,p11="))
     exact = enumerate_conditional(grid, observed)
     constraints = observed_constraints(observed)
     model = GridSequenceModel(grid)

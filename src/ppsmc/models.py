@@ -127,6 +127,8 @@ class RenewalModel(SequenceModel):
 
 class ExponentialGap(InterArrivalDistribution):
     def __init__(self, rate: float):
+        if not 0 < rate < math.inf:
+            raise ValueError(f"rate must be finite and positive, got {rate!r}")
         self.rate = rate
 
     def pdf(self, d):
@@ -157,6 +159,9 @@ class ExponentialGap(InterArrivalDistribution):
 
 class WeibullGap(InterArrivalDistribution):
     def __init__(self, shape: float, scale: float):
+        if not (0 < shape < math.inf and 0 < scale < math.inf):
+            raise ValueError(f"shape and scale must be finite and positive, "
+                             f"got shape={shape!r}, scale={scale!r}")
         self.shape = shape
         self.scale = scale
 
@@ -224,9 +229,6 @@ class PoissonProcessModel(RenewalModel):
     """Homogeneous Poisson process: memoryless exponential gaps."""
 
     def __init__(self, rate: float):
-        if not 0 < rate < math.inf:
-            raise ValueError(f"rate must be finite and positive, got {rate!r}")
-        self.rate = rate
         super().__init__(ExponentialGap(rate))
 
 
@@ -234,11 +236,6 @@ class WeibullRenewalModel(RenewalModel):
     """Renewal process with Weibull gaps (hazard k/c * (d/c)^(k-1))."""
 
     def __init__(self, shape: float, scale: float):
-        if not (0 < shape < math.inf and 0 < scale < math.inf):
-            raise ValueError(f"shape and scale must be finite and positive, "
-                             f"got shape={shape!r}, scale={scale!r}")
-        self.shape = shape
-        self.scale = scale
         super().__init__(WeibullGap(shape, scale))
 
 
@@ -247,8 +244,6 @@ class UniformRenewalModel(RenewalModel):
 
     def __init__(self, low: float, high: float):
         super().__init__(UniformGap(low, high))
-        self.low = low
-        self.high = high
 
 
 def _log_density(law: InterArrivalDistribution, d) -> float:

@@ -27,6 +27,7 @@ import numpy as np
 
 TICKS_PER_QUARTER = 2400
 NOTE_ACTIONS = 256  # per part: 128 note-ons then 128 note-offs
+MAX_SYMBOLS = 2 ** 20  # a PMF over the vocabulary is an array of this many floats at most
 
 
 @dataclass(frozen=True)
@@ -40,6 +41,9 @@ class Vocabulary:
     def __post_init__(self):
         if self.a_max < 1 or self.s_max < 1 or self.parts < 1:
             raise ValueError("a_max, s_max and parts must all be positive")
+        if self.a_max * self.parts + self.s_max > MAX_SYMBOLS:
+            raise ValueError(f"a vocabulary of a_max*parts + s_max = {self.a_max}*{self.parts} "
+                             f"+ {self.s_max} symbols is over the limit of {MAX_SYMBOLS}")
 
     @cached_property  # read in the adapter's inner loop; not a field, so eq/repr ignore it
     def actions(self) -> int:

@@ -13,6 +13,7 @@ import json
 import logging
 import re
 import warnings
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Sequence
 
@@ -57,47 +58,59 @@ def write_events(path, events: Sequence[MusicEvent], vocab: Vocabulary = Vocabul
 _EVENT_LINE = re.compile(r'\{"a": (0|[1-9][0-9]*), "part": (0|[1-9][0-9]*), "t": (0|[1-9][0-9]*)\}')
 
 
-def _header_parts(path, line: str | None) -> int:
+@contextmanager
+def in_file(path):
+    """Prefix ``{path}: `` to a ValueError raised inside, JSON errors included."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def _header_parts(line: str | None) -> int:
     """The part count in the header ``line``, a file's first non-blank line
     (None if it has none); raises ValueError if it is no event file's header."""
     if line is None:
-        raise ValueError(f"{path}: empty event file")
+        raise ValueError("empty event file")
     header = json.loads(line)
     kind = header.get("kind") if isinstance(header, dict) else None
     if kind != "events":
-        raise ValueError(f"{path}: not an event file (kind={kind!r})")
+        raise ValueError(f"not an event file (kind={kind!r})")
     if header.get("version", 1) != FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported event file version {header.get('version')!r}")
+        raise ValueError(f"unsupported event file version {header.get('version')!r}")
     parts = header.get("parts", 1)
     if type(parts) is not int:
-        raise ValueError(f"{path}: header field 'parts' must be an integer, got {parts!r}")
+        raise ValueError(f"header field 'parts' must be an integer, got {parts!r}")
     return parts
 
 
 def read_parts(path) -> int:
     """The part count in an event file's header, parsing no event line."""
-    return _header_parts(path, next(filter(str.strip, Path(path).read_text().splitlines()), None))
+    with in_file(path):
+        return _header_parts(next(filter(str.strip, Path(path).read_text().splitlines()), None))
 
 
 def read_events(path) -> tuple[list[MusicEvent], int]:
-    """Read an event file; returns (events, part count from the header)."""
-    raw = list(filter(str.strip, Path(path).read_text().splitlines()))  # the non-blank lines
-    parts = _header_parts(path, raw[0] if raw else None)
-    events, exact = [], _EVENT_LINE.fullmatch
-    for k, line in enumerate(raw[1:], start=1):
-        m = exact(line)
-        if m:
-            a, part, t = map(int, m.groups())
-        else:
-            d = json.loads(line)
-            if not isinstance(d, dict):
-                d = {}
-            t, a, part = d.get("t"), d.get("a"), d.get("part", 0)
-            if not (type(t) is int and type(a) is int and type(part) is int):  # bools excluded
-                raise ValueError(f"{path}: event {k} needs integer 't', 'a' and 'part' fields, "
-                                 f"got {line.strip()[:80]!r}")
-        events.append(MusicEvent(t=t, a=a, part=part))
-    events_to_codes(events, Vocabulary(parts=max(parts, 1)))  # canonical order check
+    """Read an event file; returns (events, part count from the header).
+    Every ValueError names the file."""
+    with in_file(path):
+        raw = list(filter(str.strip, Path(path).read_text().splitlines()))  # the non-blank lines
+        parts = _header_parts(raw[0] if raw else None)
+        events, exact = [], _EVENT_LINE.fullmatch
+        for k, line in enumerate(raw[1:], start=1):
+            m = exact(line)
+            if m:
+                a, part, t = map(int, m.groups())
+            else:
+                d = json.loads(line)
+                if not isinstance(d, dict):
+                    d = {}
+                t, a, part = d.get("t"), d.get("a"), d.get("part", 0)
+                if not (type(t) is int and type(a) is int and type(part) is int):  # no bools
+                    raise ValueError(f"event {k} needs integer 't', 'a' and 'part' fields, "
+                                     f"got {line.strip()[:80]!r}")
+            events.append(MusicEvent(t=t, a=a, part=part))
+        events_to_codes(events, Vocabulary(parts=max(parts, 1)))  # canonical order check
     return events, parts
 
 
@@ -109,10 +122,8 @@ def read_corpus(directory, vocab: Vocabulary) -> list[list[int]]:
     streams = []
     for p in paths:
         events, _ = read_events(p)
-        try:
+        with in_file(p):
             streams.append(events_to_symbols(events, vocab))
-        except ValueError as exc:
-            raise ValueError(f"{p}: {exc}") from exc
     logger.info("read %d event files from %s", len(streams), directory)
     return streams
 

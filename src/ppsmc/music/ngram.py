@@ -35,8 +35,8 @@ class NGramModel:
                  counts: dict[tuple, dict[int, int]] | None = None):
         if order < 1:
             raise ValueError("order must be >= 1")
-        if alpha < 0:
-            raise ValueError("alpha must be >= 0")
+        if not 0 <= alpha < math.inf:
+            raise ValueError(f"alpha must be finite and >= 0, got {alpha!r}")
         self.vocab = vocab
         self.order = order
         self.alpha = float(alpha)

@@ -138,7 +138,68 @@ class TestTimesFiles:
             assert_error_exit(code, capsys, f"trial {trial}: {text}")
 
 
+class TestCorpusFiles:
+    HEADER = json.dumps({"version": 1, "kind": "events", "ppq": 2400, "parts": 1})
+    GOOD = [HEADER, '{"a": 61, "part": 0, "t": 0}', '{"a": 189, "part": 0, "t": 2400}']
+
+    def train(self, tmp_path, *files, options=()) -> int:
+        """``ppsmc train`` on a corpus of the given files' lines, a.jsonl, b.jsonl, ..."""
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for name, lines in zip("abc", files):
+            (corpus / f"{name}.jsonl").write_text("\n".join(lines) + "\n")
+        return main(["train", "--corpus", str(corpus), *options,
+                     "--out", str(tmp_path / "model.json")])
+
+    @pytest.mark.parametrize("lines,message", [
+        ([HEADER, '{"a": 189, "part": 0, "t": 2400}', '{"a": 61, "part": 0, "t": 0}'],
+         "events are not in strictly ascending code order at index 1"),
+        ([HEADER, '{"a": 5, "part": 0, "t": -1}'], "invalid event (-1, 5, part=0)"),
+        ([HEADER, '{"a": 300, "part": 0, "t": 0}'], "action 300 exceeds a_max=256"),
+        ([HEADER, '{"a": 61, "part": 0, "t": 0}}'], "Extra data: line 1 column 29 (char 28)")],
+        ids=["order", "tick", "action", "json"])
+    def test_bad_file_is_named_once(self, tmp_path, capsys, lines, message):
+        """The second of two event files is bad: the error names it, once."""
+        code = self.train(tmp_path, self.GOOD, lines)
+        err = assert_error_exit(code, capsys, message)
+        assert err == f"error: {tmp_path / 'corpus' / 'b.jsonl'}: {message}\n"
+        assert not (tmp_path / "model.json").exists()
+
+    def test_event_file_read_as_times_is_named(self, tmp_path, capsys):
+        path = tmp_path / "piece.jsonl"
+        path.write_text("\n".join(self.GOOD) + "\n")
+        code = main(["logprob", "--model", "poisson:rate=3", "--out", str(tmp_path / "r.json"),
+                     str(path)])
+        err = assert_error_exit(code, capsys, "logprob")
+        assert err == f"error: {path}: Extra data: line 2 column 1 (char 58)\n"
+
+    @pytest.mark.parametrize("alpha", ["nan", "inf"])
+    def test_non_finite_alpha_writes_no_model(self, tmp_path, capsys, alpha):
+        code = self.train(tmp_path, self.GOOD, options=["--alpha", alpha])
+        assert "alpha must be finite and >= 0" in assert_error_exit(code, capsys, alpha)
+        assert not (tmp_path / "model.json").exists()
+
+    def test_header_with_too_many_parts_is_refused(self, tmp_path, capsys):
+        """A PMF over a_max·parts + s_max symbols would need terabytes."""
+        header = {"version": 1, "kind": "events", "parts": 10 ** 9}
+        code = self.train(tmp_path, [json.dumps(header)])
+        err = assert_error_exit(code, capsys, "parts 10**9")
+        assert "a_max*parts + s_max = 256*1000000000 + 2400" in err
+        assert not (tmp_path / "model.json").exists()
+
+
 class TestModelFiles:
+    def test_vocabulary_too_large_for_a_pmf_exits_1(self, tmp_path, capsys):
+        payload = {**tiny_music_model().step_model.to_dict(), "s_max": 10 ** 12}
+        path, cs_path = tmp_path / "model.json", tmp_path / "cs.json"
+        path.write_text(json.dumps(payload))
+        cs_path.write_text(json.dumps({"z": [2 * TINY.actions + 1], "b": [True]}))
+        code = main(["sample", "--model", str(path), "--constraints", str(cs_path),
+                     "--seed", "1", "--particles", "4", "--out", str(tmp_path / "out")])
+        err = assert_error_exit(code, capsys, "s_max 10**12")
+        assert "s_max = 4*1 + 1000000000000 symbols" in err
+        assert not (tmp_path / "out").exists()
+
     def test_mangled_model_exit_1(self, tmp_path, capsys):
         """Each required field of a trained model dropped or spoiled, the
         whole payload replaced, or the text cut short."""
@@ -201,6 +262,24 @@ def test_bad_model_parameter_exits_1(tmp_path, capsys, spec, named):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,spec,unknown", [
+    ("sample", "poisson:rate=3,rat=4", "rat"), ("sample", "weibull:shape=2,scale=1,k=1", "k"),
+    ("oracle", "const:p=0.4,q=1", "q")])
+def test_unknown_spec_parameter_exits_1(tmp_path, capsys, command, spec, unknown):
+    """A parameter the model or grid does not take is refused, not dropped."""
+    path, out = tmp_path / "cs.json", tmp_path / "out"
+    path.write_text(json.dumps({"z": [0.5], "b": [True]}))
+    if command == "oracle":
+        argv = ["oracle", "--grid", spec, "--cells", "4", "--observed", "1", "--particles", "10",
+                "--runs", "1"]
+    else:
+        argv = ["sample", "--model", spec, "--constraints", str(path)]
+    code = main([*argv, "--seed", "1", "--out", str(out)])
+    err = assert_error_exit(code, capsys, spec)
+    assert f"{spec!r} has unknown parameter {unknown!r}" in err
+    assert not out.exists()
+
+
 GRID_SPECS = {"const": {"p": 0.4}, "order2": {"p00": 0.55, "p01": 0.25, "p10": 0.7, "p11": 0.1}}
 
 
@@ -218,30 +297,33 @@ def test_grid_spec_missing_a_parameter_exits_1(tmp_path, capsys, name, dropped):
 def read_events_by_json(path) -> tuple[list[MusicEvent], int]:
     """``read_events`` with every line parsed by ``json.loads``, as it read
     event files before lines in ``write_codes``' form got a parser of their
-    own."""
-    raw = [line for line in Path(path).read_text().splitlines() if line.strip()]
-    if not raw:
-        raise ValueError(f"{path}: empty event file")
-    header = json.loads(raw[0])
-    kind = header.get("kind") if isinstance(header, dict) else None
-    if kind != "events":
-        raise ValueError(f"{path}: not an event file (kind={kind!r})")
-    if header.get("version", 1) != 1:
-        raise ValueError(f"{path}: unsupported event file version {header.get('version')!r}")
-    parts = header.get("parts", 1)
-    if type(parts) is not int:
-        raise ValueError(f"{path}: header field 'parts' must be an integer, got {parts!r}")
-    events = []
-    for k, line in enumerate(raw[1:], start=1):
-        d = json.loads(line)
-        if not isinstance(d, dict):
-            d = {}
-        t, a, part = d.get("t"), d.get("a"), d.get("part", 0)
-        if not (type(t) is int and type(a) is int and type(part) is int):  # bools excluded
-            raise ValueError(f"{path}: event {k} needs integer 't', 'a' and 'part' fields, "
-                             f"got {line.strip()[:80]!r}")
-        events.append(MusicEvent(t=t, a=a, part=part))
-    events_to_codes(events, Vocabulary(parts=max(parts, 1)))  # canonical order check
+    own: every ValueError, JSON errors included, is prefixed with the path."""
+    try:
+        raw = [line for line in Path(path).read_text().splitlines() if line.strip()]
+        if not raw:
+            raise ValueError("empty event file")
+        header = json.loads(raw[0])
+        kind = header.get("kind") if isinstance(header, dict) else None
+        if kind != "events":
+            raise ValueError(f"not an event file (kind={kind!r})")
+        if header.get("version", 1) != 1:
+            raise ValueError(f"unsupported event file version {header.get('version')!r}")
+        parts = header.get("parts", 1)
+        if type(parts) is not int:
+            raise ValueError(f"header field 'parts' must be an integer, got {parts!r}")
+        events = []
+        for k, line in enumerate(raw[1:], start=1):
+            d = json.loads(line)
+            if not isinstance(d, dict):
+                d = {}
+            t, a, part = d.get("t"), d.get("a"), d.get("part", 0)
+            if not (type(t) is int and type(a) is int and type(part) is int):  # no bools
+                raise ValueError(f"event {k} needs integer 't', 'a' and 'part' fields, "
+                                 f"got {line.strip()[:80]!r}")
+            events.append(MusicEvent(t=t, a=a, part=part))
+        events_to_codes(events, Vocabulary(parts=max(parts, 1)))  # canonical order check
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     return events, parts
 
 

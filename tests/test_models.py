@@ -119,6 +119,21 @@ class TestUniformGap:
             UniformGap(-0.1, 0.5)
 
 
+NOT_POSITIVE_AND_FINITE = [0.0, -1.0, math.nan, math.inf]
+
+
+@pytest.mark.parametrize("bad", NOT_POSITIVE_AND_FINITE)
+def test_laws_check_their_own_parameters(bad):
+    """Each law refuses a parameter that is not finite and positive, in the
+    words the spec errors of the command line show."""
+    with pytest.raises(ValueError, match=f"rate must be finite and positive, got {bad!r}"):
+        ExponentialGap(rate=bad)
+    for shape, scale in [(bad, 1.0), (1.0, bad)]:
+        with pytest.raises(ValueError, match=(r"shape and scale must be finite and positive, "
+                                              f"got shape={shape!r}, scale={scale!r}")):
+            WeibullGap(shape=shape, scale=scale)
+
+
 @pytest.mark.parametrize("law", [ExponentialGap(rate=3.0), ExponentialGap(rate=0.7),
                                  WeibullGap(shape=0.6, scale=2.0), WeibullGap(shape=1.5, scale=0.08),
                                  UniformGap(0.02, 0.3)],
