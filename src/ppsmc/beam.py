@@ -16,6 +16,8 @@ import math
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .models import SequenceModel
 from .smc import ConstraintSet, EnsembleResult, run_barriers
 
@@ -50,17 +52,18 @@ def beam_search_sample(model: SequenceModel, constraints: ConstraintSet,
         raise ValueError("b and f must be at least 1")
 
     def keep_best(i, scores):
-        order = sorted(range(len(scores)), key=lambda k: -scores[k])
+        scores = np.asarray(scores, dtype=float)
+        order = np.argsort(-scores, kind="stable")  # ties keep the lower index first
         # a -inf candidate was forced through a zero-probability event; it is
         # not a viable trajectory, so it never enters the kept set
-        viable = [k for k in order if scores[k] > -math.inf]
-        kept = viable[:f]
+        viable = int(np.count_nonzero(scores > -math.inf))
+        kept, ranked = order[:min(viable, f)], scores[order[:f + 1]].tolist()
         row = BeamBarrierDiagnostics(
             barrier_index=i + 1, explored=len(scores),
-            kept_min_logprob=min((scores[k] for k in kept), default=-math.inf),
-            kept_max_logprob=max((scores[k] for k in kept), default=-math.inf),
-            discarded_max_logprob=max((scores[k] for k in viable[f:]), default=-math.inf))
-        return kept or None, row
+            kept_min_logprob=min(ranked[:len(kept)], default=-math.inf),
+            kept_max_logprob=max(ranked[:len(kept)], default=-math.inf),
+            discarded_max_logprob=ranked[f] if viable > f else -math.inf)
+        return (kept if len(kept) else None), row
 
     # the kept paths start as f copies of the prefix, so that every barrier
     # explores b*f candidates

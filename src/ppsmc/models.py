@@ -84,6 +84,18 @@ class InterArrivalDistribution:
         """``quantile`` of each uniform in the 1-d array ``u``, bit for bit."""
         return np.array(list(map(self.quantile, u.tolist())))
 
+    def weights(self, d: np.ndarray, b_prev: bool) -> np.ndarray:
+        """``smc.barrier_weight`` of each distinct gap in the 1-d array ``d``, bit for bit."""
+        gaps, which = np.unique(d, return_inverse=True)
+        weight = self.hazard if b_prev else self.pdf
+        return np.array(list(map(weight, gaps.tolist())), dtype=float)[which]
+
+    def log_pdfs(self, d: np.ndarray) -> np.ndarray:
+        """``_log_density`` of each gap in the 1-d array ``d``, bit for bit."""
+        p = self.weights(d, False)
+        logs = np.fromiter(map(math.log, np.where(p > 0, p, 1.0).tolist()), float, p.size)
+        return np.where(p > 0, logs, -math.inf)
+
     def hazard(self, d) -> float:
         """f(d) / P(gap >= d); 0 where the density is 0.
 
@@ -155,6 +167,12 @@ class ExponentialGap(InterArrivalDistribution):
 
     def quantiles(self, u):
         return -np.fromiter(map(math.log1p, (-u).tolist()), float, u.size) / self.rate
+
+    def weights(self, d, b_prev):
+        if b_prev:
+            return np.where(d >= 0, self.rate, 0.0)
+        exps = map(math.exp, (-self.rate * np.maximum(d, 0.0)).tolist())  # no overflow below 0
+        return np.where(d < 0, 0.0, self.rate * np.fromiter(exps, float, d.size))
 
 
 class WeibullGap(InterArrivalDistribution):

@@ -169,7 +169,9 @@ def read_constraint_file(path) -> tuple[ConstraintSet, list[int], int | None]:
     """Load a constraint file: the constraint set, the prefix as codes ([] if
     absent) and the tick horizon (None if absent).  Every field is checked,
     whatever model reads the file; ValueError on any malformed one."""
-    d = json.loads(Path(path).read_text())
+    text = Path(path).read_text()
+    with in_file(path):
+        d = json.loads(text)
     if not isinstance(d, dict):
         raise ValueError(f"constraints must be a JSON object, got {type(d).__name__}")
     version = d.get("version", 1)

@@ -25,6 +25,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .encoding import Vocabulary, allowed_symbols
+from .files import in_file
 
 BOS = 0  # padding token for positions before the start; never emitted
 FORMAT_VERSION = 1
@@ -142,7 +143,10 @@ class NGramModel:
 
     @classmethod
     def load(cls, path) -> "NGramModel":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        text = Path(path).read_text()
+        with in_file(path):
+            payload = json.loads(text)
+        return cls.from_dict(payload)
 
 
 def _is_int(value) -> bool:

@@ -22,10 +22,11 @@ A lane is one child at one barrier: a particle, or a beam candidate.  Every
 model is walked by one grouped walk (``_Walk``): lanes in equal states draw
 their gaps together through their law's ``draws``, from uniforms taken in
 order from their Philox blocks (``rng.block``), the draws their ``stream()``
-would give.  The walk owns the paths: they are stored as each barrier's
-segments plus the indices of the children kept (Jacob, Murray & Rubenthaler
-2015, "Path storage in the particle filter"), and each sample is built once,
-at the end.
+would give; a fixed-law run proposes together the barriers whose first
+blocks are drawn together, and values each when the loop reaches it.  The
+walk owns the paths: they are stored as each barrier's segments plus the
+indices of the children kept (Jacob, Murray & Rubenthaler 2015, "Path
+storage in the particle filter"), and each sample is built once, at the end.
 
 All randomness is drawn from per-(barrier, particle) Philox streams derived
 from one master seed, so a run is a deterministic function of its seed.
@@ -36,7 +37,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import asdict, dataclass, field
-from itertools import repeat
 from typing import Callable, Sequence
 
 import numpy as np
@@ -242,18 +242,20 @@ class _Walk:
     its fold (the log probability of its times past the history, added left
     to right).
 
-    The lanes of a level (a barrier or the open tail) step together: at each
-    step the lanes still short of the barrier are grouped by state, and each
-    group's law draws a gap per lane from the lanes' next uniforms through
-    its ``draws``, the one way the walk draws.  Lane l's uniforms at barrier
-    i are the doubles of its blocks (seed, KIND_PROPOSAL, i, l) at counters
-    1, 2, 3, ...; the first blocks are drawn ahead for several barriers at
-    once, later ones when a lane gets to them.  States
-    are interned, so equal states are one object and one group, and
-    ``advance`` runs once per distinct (state, time) pair.  A model whose
-    ``advance`` is ``RenewalModel``'s keeps its first state, and after
-    ``_SINGLE_STEPS`` gaps a lane whose law keeps the quantile ``draws``
-    draws runs of gaps, so a million events take a few dozen steps.
+    Children are walked as rows that step together: at each step the rows
+    still short of their barrier are grouped by state, and each group's law
+    draws a gap per row from the rows' next uniforms through its ``draws``,
+    the one way the walk draws.  Lane l's uniforms at level i are the doubles
+    of its blocks (seed, KIND_PROPOSAL, i, l) at counters 1, 2, 3, ...; the
+    first blocks are drawn ahead for several levels at once, later ones when
+    a row gets to them.  States are interned, so equal states are one object
+    and one group, and ``advance`` runs once per distinct (state, time) pair.
+    A model whose ``advance`` is ``RenewalModel``'s keeps its first state, so
+    its walk proposes a chunk of barriers as rows (barrier, lane): those
+    whose first blocks are drawn together, at the width of the first.  A
+    chunk ends before the first barrier with a failing row.  After
+    ``_SINGLE_STEPS`` gaps such a row draws runs of gaps if its law keeps
+    the quantile ``draws``, so a million events take a few dozen steps.
 
     A level is stored as its free times (those short of the barrier; in the
     open tail, those at or below the horizon) in lane order, and where each
@@ -262,17 +264,21 @@ class _Walk:
     ``paths`` builds the samples.
     """
 
-    def __init__(self, model, law, seed, horizon, score, width, lanes, levels):
+    def __init__(self, model, law, seed, horizon, score, width, branching, start, constraints):
         self.model, self.seed, self.horizon, self.score = model, seed, horizon, score
         self.fixed = type(model).advance is RenewalModel.advance
         self.table, self.index = [], {}
         self.sids = np.full(width, self._intern(law))  # each path's state
-        self.folds = [0.0] * width  # and its fold
+        self.folds = np.zeros(width)  # and its fold
         self.runs = self.fixed and type(law).draws is InterArrivalDistribution.draws
         self.blocks = min(4, (law.draw_width + 6) // 4)  # drawn ahead: a draw fits at any offset
-        self.lanes, self.n_levels = lanes, levels
+        self.branching, self.lanes = branching, width * branching
+        # each level's barrier (the open tail's is inf), flag and start
+        self.zs, self.flags, self.starts = ((*constraints.z, math.inf), (True, *constraints.b),
+                                            (start, *constraints.z))
         self.levels, self.lineage = [], []  # each level's times; its kept children and branching
-        self._ahead = {}  # barrier index: its lanes' first blocks
+        self._ahead = 0, np.empty((0, self.lanes, 4 * self.blocks))  # first level, first blocks
+        self.chunk = 0, 0, 0  # the levels last walked together and their width
 
     def _intern(self, state) -> int:
         """The id of the state equal to ``state`` (the same object if unhashable)."""
@@ -283,89 +289,125 @@ class _Walk:
             self.table.append(state)
         return sid
 
-    def _uniforms(self, i: int, lanes: np.ndarray, at: np.ndarray, w: int) -> np.ndarray:
-        """Each lane's next ``w`` uniforms at barrier i, from uniform ``at`` on."""
-        if i not in self._ahead:
-            k = self.blocks
-            barriers = np.arange(i, min(i + max(1, _BLOCK_KEYS // (k * self.lanes)), self.n_levels))
-            words = block(self.seed, KIND_PROPOSAL, barriers[:, None, None],
-                          np.arange(self.lanes)[:, None], np.arange(1, k + 1))
-            self._ahead = dict(zip(barriers.tolist(),
-                                   doubles(words).reshape(len(barriers), self.lanes, 4 * k)))
-        u = self._ahead[i]
+    def _uniforms(self, u, rows, at, w, i, n) -> np.ndarray:
+        """Each row's next ``w`` uniforms from uniform ``at`` on, ``u`` holding
+        every row's first blocks; row r is lane r % n of level i + r // n."""
         if at.max() + w > u.shape[1]:  # past the blocks drawn ahead: drawn for this step
-            words = block(self.seed, KIND_PROPOSAL, i, lanes[:, None],
+            level, lane = np.divmod(rows, n)
+            words = block(self.seed, KIND_PROPOSAL, (i + level)[:, None], lane[:, None],
                           (at >> 2)[:, None] + np.arange(1, (w + 6) // 4 + 1))
-            u, lanes, at = doubles(words).reshape(len(lanes), -1), np.arange(len(lanes)), at & 3
-        return u[lanes[:, None], at[:, None] + np.arange(w)]
+            u, rows, at = doubles(words).reshape(len(rows), -1), np.arange(len(rows)), at & 3
+        return u[rows[:, None], at[:, None] + np.arange(w)]
 
-    def propose(self, i, last, z, b_prev, branching):
-        """Every child's segment from ``last`` to barrier ``z`` (math.inf for
-        the open tail), and one value per child for ``select``: with
-        ``score`` its fold, its parent's followed by the log density of each
-        time it appended; else its ``barrier_weight``.  Each weight and log
-        density is computed once per distinct (state, gap) pair.  The open
-        tail selects nothing: each path keeps its one child."""
-        n, self.branching = len(self.sids) * branching, branching
-        sids = self.level_sids = self.sids.repeat(branching)
-        stop, clip = min(z, self.horizon), z < math.inf  # a lane walks while below both
-        pos = np.full(n, last)  # each lane's last time
-        at = np.zeros(n, dtype=np.int64)  # and its next uniform
-        active = np.arange(n if b_prev and last < stop else 0)
-        times, drawn = [], 0  # what each step appended; gaps each active lane drew
-        logs = [] if b_prev else [(np.arange(n), sids, z - pos)]  # the gaps scored, in order
+    def propose(self, i):
+        """Level i's children, walked now or with their chunk, and one value
+        per child for ``select``: with ``score`` its fold, its parent's
+        followed by the log density of each time it appended; else its
+        ``barrier_weight``.  The open tail selects nothing."""
+        z, clip = self.zs[i], self.zs[i] < math.inf
+        branching = self.branching if clip else 1
+        n = len(self.sids) * branching
+        first, end, width = self.chunk[:3]
+        if not (first <= i < end and n <= width):
+            self._walk(i, branching)
+        first, _, width, times, begin, pos, sids, logs = self.chunk
+        a = (i - first) * width  # the level's first row
+        self.levels.append((times, begin[a:a + width + 1]))
+        self.level_sids = sids[a:a + n]
+        values = None  # the tail's weights are not used
+        if self.score:  # add.at adds a lane's repeated entries in turn, as sum() does
+            values = self.folds.repeat(branching)
+            rows, states, gaps, entries = logs
+            span = slice(entries[a], entries[a + n])  # the level's lanes' entries
+            np.add.at(values, rows[span] - a, self._each(states[span], gaps[span]))
+        elif clip:
+            values = self._each(sids[a:a + n], z - pos[a:a + n], self.flags[i])
+        if not clip:
+            self.lineage.append((np.arange(n), 1))
+            self.folds = values
+        return values
+
+    def _walk(self, i, branching, upto=None) -> None:
+        """Walk the children of levels i to upto - 1 (by default, i's chunk) as
+        rows: row r is lane r % n of level i + r // n.  A row that fails at a
+        level k > i ends the chunk before k, and the walk is made again."""
+        b0, ahead = self._ahead
+        if not b0 <= i < b0 + len(ahead):  # the levels whose first blocks share one call
+            k = self.blocks
+            levels = np.arange(i, min(i + max(1, _BLOCK_KEYS // (k * self.lanes)), len(self.zs)))
+            words = block(self.seed, KIND_PROPOSAL, levels[:, None, None],
+                          np.arange(self.lanes)[:, None], np.arange(1, k + 1))
+            b0, ahead = self._ahead = i, doubles(words).reshape(len(levels), self.lanes, 4 * k)
+        z, clip = self.zs[i], self.zs[i] < math.inf
+        upto = upto or (min(b0 + len(ahead), len(self.zs) - 1) if self.fixed and clip else i + 1)
+        n = len(self.sids) * branching
+        u = ahead[i - b0:upto - b0, :n].reshape(-1, ahead.shape[2])  # the rows' first blocks
+        pos = np.repeat(self.starts[i:upto], n)  # each row's last time
+        stop = np.repeat([min(t, self.horizon) for t in self.zs[i:upto]], n)  # walked while below
+        free = np.repeat(self.flags[i:upto], n)
+        sids = np.tile(self.sids.repeat(branching), upto - i)
+        at = np.zeros(len(pos), dtype=np.int64)  # each row's next uniform
+        active = np.flatnonzero(free & (pos < stop))
+        times, drawn = [], 0  # what each step appended; gaps each active row drew
+        forced = np.flatnonzero(~free)  # rows that append their barrier directly
+        logs = [(forced, sids[forced], stop[forced] - pos[forced])] if len(forced) else []
         while active.size:
             s_act = sids[active]
             bounds = [0, len(active)]
-            if not self.fixed:  # group the lanes by state
+            if not self.fixed:  # group the rows by state
                 order = s_act.argsort(kind="stable")
                 active, s_act = active[order], s_act[order]
                 bounds[1:1] = ((s_act[1:] != s_act[:-1]).nonzero()[0] + 1).tolist()
             groups = [(self.table[s], a, b)
                       for s, a, b in zip(s_act[bounds[:-1]].tolist(), bounds, bounds[1:])]
-            count = 1  # gaps each lane draws this step
+            count = 1  # gaps each row draws this step
             if self.runs and drawn >= _SINGLE_STEPS:
                 count = min(drawn, max(1, _MAX_RUN // len(active)), models.MAX_EVENTS - drawn)
-            u = self._uniforms(i, active, at[active],
-                               max(count, *(law.draw_width for law, _, _ in groups)))
+            u_act = self._uniforms(u, active, at[active],
+                                   max(count, *(law.draw_width for law, _, _ in groups)), i, n)
             parts = []
             for law, a, b in groups:
-                d, used = law.draws(u[a:b, :count if self.runs else law.draw_width])
+                d, used = law.draws(u_act[a:b, :count if self.runs else law.draw_width])
                 at[active[a:b]] += used
                 parts.append(d)
-            d, prev = parts[0] if len(parts) == 1 else np.concatenate(parts), pos[active]
-            if count == 1:  # one time per lane
+            d = parts[0] if len(parts) == 1 else np.concatenate(parts)
+            prev, lim = pos[active], stop[active]
+            if count == 1:  # one time per row
                 t = prev + d
-                going = t < stop  # a nan time ends a lane too
-                t_last, end, entry_lanes, entry_states = t[going], ~going, active, s_act
-            else:  # a run: each lane's times up to the one that ends it
+                going = t < lim  # a nan time ends a row too
+                t_last, end, entry_rows, entry_states = t[going], ~going, active, s_act
+            else:  # a run: each row's times up to the one that ends it
                 path = np.cumsum(np.hstack((prev[:, None], d)), axis=1)
-                below = path[:, 1:] < stop
+                below = path[:, 1:] < lim[:, None]
                 going = below.all(axis=1)
                 first = np.where(going, count, (~below).argmax(axis=1))
                 rows, k = (np.arange(count) <= first[:, None]).nonzero()
                 stopped, t_last = ~going, path[going, -1]
                 d, prev, t, end = d[rows, k], path[rows, k], path[rows, k + 1], k == first[rows]
-                entry_lanes, entry_states = active[rows], s_act[rows]
-            if np.count_nonzero(d <= 0):
-                raise ValueError(f"model produced a non-positive gap: {d[d <= 0][0].item()!r}")
+                entry_rows, entry_states, lim = active[rows], s_act[rows], lim[rows]
+            bad = d <= 0
+            if np.count_nonzero(bad) or drawn + count >= models.MAX_EVENTS and going.any():
+                failed = int((entry_rows[bad] if bad.any() else active[going]).min())
+                if failed >= n:  # the chunk ends before the first level with a failing row
+                    return self._walk(i, branching, i + failed // n)
+                if bad.any():
+                    raise ValueError(f"model produced a non-positive gap: {d[bad][0].item()!r}")
+                target = f"barrier {z!r}" if clip else f"horizon {self.horizon!r}"
+                raise IterationLimitError(f"segment did not reach {target} within "
+                                          f"{models.MAX_EVENTS} draws")
             if t.dtype != pos.dtype:
                 pos = pos.astype(t.dtype)
-            if count > 1:  # the time before its last gives a stopped lane's final gap
+            if count > 1:  # the time before its last gives a stopped row's final gap
                 pos[active[stopped]] = path[stopped, first[stopped]]
             active, drawn = active[going], drawn + count
             pos[active] = t_last
             # the times kept: short of the barrier, or in the tail not past the horizon
             stored = ~end if clip else t <= self.horizon  # a nan time is past both
-            times.append((entry_lanes[stored], t[stored]))
-            if self.score and clip:  # the last gap of a lane is clipped to the barrier
-                logs.append((entry_lanes, entry_states, np.where(end, z - prev, t - prev)))
+            times.append((entry_rows[stored], t[stored]))
+            if self.score and clip:  # the last gap of a row is clipped to the barrier
+                logs.append((entry_rows, entry_states, np.where(end, lim - prev, t - prev)))
             elif self.score:
-                logs.append((entry_lanes[stored], entry_states[stored], (t - prev)[stored]))
-            if active.size and drawn >= models.MAX_EVENTS:
-                target = f"barrier {z!r}" if clip else f"horizon {self.horizon!r}"
-                raise IterationLimitError(f"segment did not reach {target} within "
-                                          f"{models.MAX_EVENTS} draws")
+                logs.append((entry_rows[stored], entry_states[stored], (t - prev)[stored]))
             if not self.fixed and active.size:
                 grown, index = {}, []
                 for s, time in zip(s_act[going].tolist(), t_last.tolist()):
@@ -373,40 +415,34 @@ class _Walk:
                         grown[s, time] = self._intern(self.model.advance(self.table[s], time))
                     index.append(grown[s, time])
                 sids[active] = index
-        self.levels.append(_by_lane(times, n))
-        values = None  # the tail's weights are not used
-        if self.score:  # add.at adds a lane's repeated entries in turn, as sum() does
-            values = np.repeat(self.folds, branching)
-            lanes, states, gaps = map(np.concatenate, zip(*logs)) if logs else [()] * 3
-            if len(lanes):  # the tail's last step may keep no time
-                np.add.at(values, lanes, self._each(_log_density, states, gaps))
-            values = values.tolist()
-        elif clip:
-            values = self._each(barrier_weight, sids, z - pos, b_prev)
-        if not clip:
-            self.lineage.append((np.arange(n), 1))
-            self.folds = values
-        return values
+        _, values, begin = _by_row(times or [(np.empty(0, dtype=np.int64), np.empty(0))], len(pos))
+        if self.score:
+            logs = _by_row(logs or [(np.empty(0, dtype=np.int64),) * 3], len(pos))
+        self.chunk = i, upto, n, values, begin, pos, sids, logs
 
-    def _each(self, f: Callable, sids: np.ndarray, values: np.ndarray, *args) -> np.ndarray:
-        """``f(law, value, *args)`` of each lane, in state ``sids`` with
-        ``values``, called once per distinct (state, value) pair."""
-        values, which = np.unique(values, return_inverse=True)
-        laws, pair = [self.table[sids[0]]] * len(values), which
-        if sids.min() != sids.max():
-            _, first, pair = np.unique(sids * len(values) + which, return_index=True,
-                                       return_inverse=True)
-            laws, values = [self.table[s] for s in sids[first].tolist()], values[which[first]]
-        return np.array(list(map(f, laws, values.tolist(), *map(repeat, args))), dtype=float)[pair]
+    def _each(self, sids: np.ndarray, gaps: np.ndarray, b_prev: bool | None = None) -> np.ndarray:
+        """Each lane's log density (``b_prev`` None) or barrier weight of its
+        gap, in state ``sids``: in one call on a fixed law, else by
+        ``_log_density`` or ``barrier_weight`` once per distinct (state, gap)."""
+        if self.fixed:
+            law = self.table[0]
+            return law.log_pdfs(gaps) if b_prev is None else law.weights(gaps, b_prev)
+        f = _log_density if b_prev is None else lambda law, d: barrier_weight(law, d, b_prev)
+        values, which = np.unique(gaps, return_inverse=True)
+        _, first, pair = np.unique(sids * len(values) + which, return_index=True,
+                                   return_inverse=True)
+        laws, values = [self.table[s] for s in sids[first].tolist()], values[which[first]]
+        return np.array(list(map(f, laws, values.tolist())), dtype=float)[pair]
 
     def keep(self, kept, z, values) -> None:
         """Make the children ``kept`` (indices into the level last proposed,
         possibly repeated) the paths, with ``score`` each with its value as
         its fold, and advance the state of each past barrier z, once per
         distinct state; the copies of a child share that state."""
-        self.lineage.append((np.asarray(kept), self.branching))
+        kept = np.asarray(kept)
+        self.lineage.append((kept, self.branching))
         if self.score:
-            self.folds = [values[k] for k in kept]
+            self.folds = values[kept]
         if self.fixed:  # every lane keeps the first state
             self.sids = np.zeros(len(kept), dtype=np.int64)
             return
@@ -441,17 +477,17 @@ class _Walk:
             history = history[:-1]  # an open tail drops every time past the horizon
         bounds = [0, *ends.tolist()]
         samples = [(*history, *out[a:b]) for a, b in zip(bounds, bounds[1:])]
-        return samples, self.folds if self.score else None
+        return samples, self.folds.tolist() if self.score else None
 
 
-def _by_lane(entries: list, n: int) -> tuple:
-    """The times each step appended after its lanes, in lane order (each
-    lane's in order), and where each lane's times begin."""
-    if not entries:
-        entries = [(np.empty(0, dtype=np.int64), np.empty(0))]
-    lanes, times = map(np.concatenate, zip(*entries))
-    begin = np.concatenate(([0], np.bincount(lanes, minlength=n).cumsum()))
-    return times[lanes.argsort(kind="stable")], begin
+def _by_row(entries: list, n: int) -> tuple:
+    """The arrays of each step's ``entries``, the first holding each entry's
+    row, concatenated in row order (each row's in step order), and where
+    each of the n rows' entries begin."""
+    rows, *rest = map(np.concatenate, zip(*entries))
+    order = rows.argsort(kind="stable")
+    begin = np.concatenate(([0], np.bincount(rows, minlength=n).cumsum()))
+    return (*(a[order] for a in (rows, *rest)), begin)
 
 
 def _spans(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -491,22 +527,19 @@ def run_barriers(model: SequenceModel, constraints: ConstraintSet, seed: int,
                              f"the history end {start!r}")
         if constraints.z[-1] > horizon:
             raise ValueError(f"constraint {constraints.z[-1]!r} lies beyond the horizon {horizon!r}")
-    flags = [True, *constraints.b]
     walk = _Walk(model, model.initial_state(initial_history), seed, horizon, score, width,
-                 width * branching, constraints.r + 1)
+                 branching, start, constraints)
     diagnostics = []
-    last = start
     for i, z in enumerate(constraints.z):
-        values = walk.propose(i, last, z, flags[i], branching)
+        values = walk.propose(i)
         kept, row = select(i, values)
         diagnostics.append(row)
         if kept is None:
             return EnsembleResult(samples=[], survived=False, failed_barrier=i + 1,
                                   diagnostics=diagnostics)
         walk.keep(kept, z, values)
-        last = z
-    if flags[-1]:
-        walk.propose(constraints.r, last, math.inf, True, 1)
+    if walk.flags[-1]:
+        walk.propose(constraints.r)
     samples, log_probs = walk.paths(initial_history, constraints.z)
     return EnsembleResult(samples=samples, survived=True, failed_barrier=None,
                           diagnostics=diagnostics, log_probs=log_probs)

@@ -8,8 +8,10 @@ through its repr so that a 1 that became 1.0 would show.  The cases cover
 every shipped model family, a model that only delegates to another (so
 that nothing keys on the model type), a law with its own ``draws``, an
 unhashable law whose every state is its own group, lanes that need a third
-Philox block and lanes that draw runs of thousands of gaps.  The walk draws
-only through a law's ``draws``; the lane walk draws through its ``sample``.
+Philox block, lanes that draw runs of thousands of gaps, and renewal runs
+whose chunk of barriers holds a failing row the run never reaches.  The walk
+draws only through a law's ``draws``; the lane walk draws through its
+``sample``.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from test_golden import ORDER2, long_prefix
 from ppsmc import models, rng
 from ppsmc.beam import beam_search_sample
 from ppsmc.models import (ExponentialGap, InterArrivalDistribution, PoissonProcessModel,
-                          RenewalModel, SequenceModel, UniformRenewalModel,
+                          RenewalModel, SequenceModel, UniformGap, UniformRenewalModel,
                           WeibullRenewalModel)
 from ppsmc.music.encoding import Vocabulary
 from ppsmc.oracle import GridModel, GridSequenceModel, observed_constraints
@@ -245,3 +247,52 @@ def test_runs_use_neither_propose_segment_nor_stream(monkeypatch, name, sampler)
     else:
         result = beam_search_sample(model, cs, 3, 4, 4, **kwargs)
     assert result.survived and len(result.samples) == (50 if sampler == "filter" else 4)
+
+
+class Stalling(UniformGap):
+    """Gaps 0.01 + 0.01u from uniform u, or 0 where u < ``below``; the
+    density is uniform on ``support``, which changes no draw."""
+
+    def __init__(self, support, below):
+        super().__init__(*support)
+        self.below = below
+
+    def quantile(self, u):
+        return 0.0 if u < self.below else 0.01 + 0.01 * u
+
+    quantiles = InterArrivalDistribution.quantiles
+
+
+# the forced gap of 0.4 after 0.1 has no density on (0.01, 0.02); the free
+# segment from 0.5 to 2.5 needs over 100 draws a lane
+CUT = ConstraintSet(z=(0.1, 0.5, 2.5), b=(False, True, False)), {"horizon": 3}
+
+
+@pytest.mark.parametrize("sampler", ["filter", "beam"])
+@pytest.mark.parametrize("limit,below,error", [(50, 0.0, models.IterationLimitError),
+                                               (models.MAX_EVENTS, 0.01, ValueError)],
+                         ids=["draw-limit", "zero-gap"])
+def test_a_run_fails_where_it_dies_whatever_later_barriers_draw(monkeypatch, sampler, limit,
+                                                                 below, error):
+    """Barrier 3, proposed in one chunk with barriers 1 and 2, fails every
+    run that reaches it: past the draw limit, or on a zero gap.  The
+    ensemble dies at barrier 2 first, so the run fails there, as the lane
+    walk does: a chunk ends before its first barrier with a failing row."""
+    monkeypatch.setattr(models, "MAX_EVENTS", limit)
+    with pytest.raises(error):  # a run that reaches barrier 3
+        _both(RenewalModel(Stalling((0.01, 1.0), below)), sampler, 7, 1, *CUT)
+    result = _both(RenewalModel(Stalling((0.01, 0.02), below)), sampler, 7, 1, *CUT)
+    assert (result.survived, result.failed_barrier) == (False, 2)
+
+
+def test_a_beam_of_fewer_paths_ignores_the_rows_past_them():
+    """A clipped gap below 0.01 has no density, so the beam keeps fewer than
+    f paths after barrier 1 and walks fewer candidates at the later barriers
+    of its chunk, which was walked at full width.  Some of the rows past its
+    width draw a zero gap (a beam whose every candidate lives raises on
+    one), and no row past it is valued or raised on."""
+    cs = ConstraintSet(z=(0.1, 0.2, 0.3, 0.4, 0.5), b=(True,) * 4 + (False,))
+    with pytest.raises(ValueError, match="non-positive gap"):
+        beam_search_sample(RenewalModel(Stalling((0.0, 1.0), 0.002)), cs, 2, 7, 0)
+    result = _both(RenewalModel(Stalling((0.01, 0.02), 0.002)), "beam", 7, 0, cs, {})
+    assert result.survived and min(row.explored for row in result.diagnostics) < 2 * 7

@@ -45,6 +45,15 @@ def assert_error_exit(code, capsys, context) -> str:
     return err
 
 
+def json_error(text: str) -> str:
+    """The message ``json`` gives for text it cannot read."""
+    try:
+        json.loads(text)
+    except json.JSONDecodeError as exc:
+        return str(exc)
+    raise AssertionError(f"{text!r} reads as JSON")
+
+
 def mangle_object(rng, payload: dict, fields: dict) -> str:
     """JSON text of ``payload`` with one field made invalid.
 
@@ -80,6 +89,20 @@ class TestConstraintFiles:
             code = main(["sample", "--model", "poisson:rate=3", "--constraints", str(path),
                          "--seed", "1", "--out", str(tmp_path / "out")])
             assert_error_exit(code, capsys, f"trial {trial}: {text}")
+
+    def test_truncated_constraints_name_the_file(self, tmp_path, capsys):
+        """A constraint file cut short prints json's own message after the path."""
+        rng = np.random.default_rng(4107)
+        text = json.dumps({"version": 1, "kind": "constraints", "z": [0.3, 0.6],
+                           "b": [True, False]})
+        path = tmp_path / "cs.json"
+        for trial in range(20):
+            cut = text[:int(rng.integers(0, len(text) - 1))]
+            path.write_text(cut)
+            code = main(["sample", "--model", "poisson:rate=3", "--constraints", str(path),
+                         "--seed", "1", "--out", str(tmp_path / "out")])
+            err = assert_error_exit(code, capsys, f"trial {trial}: {cut}")
+            assert f"error: {path}: {json_error(cut)}" in err.splitlines()
 
     def test_mangled_music_fields_exit_1(self, tmp_path, capsys):
         """A music model's file, then a continuous model's, whose z and b are
@@ -228,6 +251,20 @@ class TestModelFiles:
             code = main(["sample", "--model", str(path), "--constraints", str(cs_path),
                          "--seed", "1", "--particles", "4", "--out", str(tmp_path / "out")])
             assert_error_exit(code, capsys, f"trial {trial}: {text[:200]}")
+
+    def test_truncated_model_names_the_file(self, tmp_path, capsys):
+        """A trained model file cut short prints json's own message after the path."""
+        rng = np.random.default_rng(4108)
+        text = json.dumps(tiny_music_model().step_model.to_dict())
+        cs_path, path = tmp_path / "cs.json", tmp_path / "model.json"
+        cs_path.write_text(json.dumps({"z": [2 * TINY.actions + 1], "b": [True]}))
+        for trial in range(20):
+            cut = text[:int(rng.integers(0, len(text) - 1))]
+            path.write_text(cut)
+            code = main(["sample", "--model", str(path), "--constraints", str(cs_path),
+                         "--seed", "1", "--particles", "4", "--out", str(tmp_path / "out")])
+            err = assert_error_exit(code, capsys, f"trial {trial}: {cut[:200]}")
+            assert f"error: {path}: {json_error(cut)}" in err.splitlines()
 
 
 @pytest.mark.parametrize("command", ["sample", "beam", "oracle"])
