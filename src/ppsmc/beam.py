@@ -5,9 +5,10 @@ sampled continuations per barrier; the b*f candidates are ranked by their
 cumulative model log-probability from the start of the sequence (no length
 normalization) and the top f survive.  Selection maximizes likelihood, so the
 output concentrates on high-probability sequences rather than approximating
-the conditional law.  Each candidate is scored in the walk that proposes it
-(``run_barriers`` with ``score``), so no model state is walked twice, and the
-score ranked is the one reported.
+the conditional law.  The shared walk gives each path one child per barrier,
+so the beam keeps each survivor b times.  Each candidate is scored in the walk
+that proposes it (``run_barriers`` with ``score``), so no model state is
+walked twice, and the score ranked is the one reported.
 """
 
 from __future__ import annotations
@@ -46,7 +47,8 @@ def beam_search_sample(model: SequenceModel, constraints: ConstraintSet,
     are the scores ranked, so without an open tail (b_r False) they come in
     rank order; an open tail is drawn after the last ranking.  ``survived``
     is False when every candidate at some barrier scored -inf, i.e. every
-    trajectory was forced through a zero-probability event.
+    trajectory was forced through a zero-probability event.  The k-th kept
+    path's candidates are the next barrier's paths k*b ... k*b + b - 1.
     """
     if b < 1 or f < 1:
         raise ValueError("b and f must be at least 1")
@@ -63,9 +65,7 @@ def beam_search_sample(model: SequenceModel, constraints: ConstraintSet,
             kept_min_logprob=min(ranked[:len(kept)], default=-math.inf),
             kept_max_logprob=max(ranked[:len(kept)], default=-math.inf),
             discarded_max_logprob=ranked[f] if viable > f else -math.inf)
-        return (kept if len(kept) else None), row
+        return (kept.repeat(b if i + 1 < constraints.r else 1) if len(kept) else None), row
 
-    # the kept paths start as f copies of the prefix, so that every barrier
-    # explores b*f candidates
-    return run_barriers(model, constraints, seed, f, keep_best, branching=b, score=True,
-                        horizon=horizon, initial_history=initial_history)
+    return run_barriers(model, constraints, seed, b * f if constraints.z else f, keep_best,
+                        score=True, horizon=horizon, initial_history=initial_history)

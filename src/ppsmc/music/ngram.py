@@ -129,14 +129,15 @@ class NGramModel:
                 for row in rows.values()):
             raise ValueError("model field 'counts' is missing or not an object of objects "
                              "of non-negative integers")
-        counts = {}
+        model = cls(vocab, d["order"], alpha)
         for ctx_key, row in rows.items():
-            ctx = tuple(int(x) for x in ctx_key.split()) if ctx_key else ()
-            counts[ctx] = {int(s): n for s, n in row.items()}
-            if not all(1 <= sym <= vocab.size for sym in counts[ctx]):
-                raise ValueError(f"model counts after context {ctx_key!r} name a symbol "
-                                 f"outside 1..{vocab.size}")
-        return cls(vocab, d["order"], alpha, counts)
+            ctx = tuple(int(x) for x in ctx_key.split())
+            counts = model.counts[ctx] = {int(s): n for s, n in row.items()}
+            known = len(ctx) == model.order - 1 and all(BOS <= s <= vocab.size for s in ctx)
+            if not known or not all(1 <= s <= vocab.size for s in counts):
+                raise ValueError(f"model counts row {ctx_key!r} needs {model.order - 1} context "
+                                 f"symbols in {BOS}..{vocab.size} and counts of 1..{vocab.size}")
+        return model
 
     def save(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), sort_keys=True) + "\n")

@@ -18,15 +18,17 @@ returns the ``EnsembleResult``.  The filter and the beam baseline
 (``ppsmc.beam``) differ only in their selection rule: the filter resamples
 by barrier weight, the beam keeps the best path log probabilities.
 
-A lane is one child at one barrier: a particle, or a beam candidate.  Every
-model is walked by one grouped walk (``_Walk``): lanes in equal states draw
-their gaps together through their law's ``draws``, from uniforms taken in
-order from their Philox blocks (``rng.block``), the draws their ``stream()``
-would give; a fixed-law run proposes together the barriers whose first
-blocks are drawn together, and values each when the loop reaches it.  The
-walk owns the paths: they are stored as each barrier's segments plus the
-indices of the children kept (Jacob, Murray & Rubenthaler 2015, "Path
-storage in the particle filter"), and each sample is built once, at the end.
+A lane is a path's one child at one level (a barrier, or the open tail): a
+particle, or a beam candidate; a rule that wants more (the beam's b) keeps
+a path that many times.  Every model is walked by one grouped walk
+(``_Walk``): lanes in equal states draw their gaps together through their
+law's ``draws``, from uniforms taken in order from their Philox blocks
+(``rng.block``), the draws their ``stream()`` would give; a fixed-law run
+proposes together the barriers whose first blocks are drawn together, and
+values each when the loop reaches it.  The walk owns the paths: they are
+stored as each barrier's segments plus the indices of the children kept
+(Jacob, Murray & Rubenthaler 2015, "Path storage in the particle filter"),
+and each sample is built once, at the end.
 
 All randomness is drawn from per-(barrier, particle) Philox streams derived
 from one master seed, so a run is a deterministic function of its seed.
@@ -237,10 +239,10 @@ _MAX_RUN = 1 << 16
 
 
 class _Walk:
-    """The paths of one run: the times each level's children appended, the
-    children kept at each level, and each path's state and, with ``score``,
-    its fold (the log probability of its times past the history, added left
-    to right).
+    """The paths of one run: the times each level's children appended (lane t
+    the one child of path t), the children kept at each level, and each path's
+    state and, with ``score``, its fold (the log probability of its times past
+    the history, added left to right).
 
     Children are walked as rows that step together: at each step the rows
     still short of their barrier are grouped by state, and each group's law
@@ -264,20 +266,19 @@ class _Walk:
     ``paths`` builds the samples.
     """
 
-    def __init__(self, model, law, seed, horizon, score, width, branching, start, constraints):
-        self.model, self.seed, self.horizon, self.score = model, seed, horizon, score
+    def __init__(self, model, law, seed, horizon, score, width, start, constraints):
+        self.model, self.seed, self.score, self.lanes = model, seed, score, width
         self.fixed = type(model).advance is RenewalModel.advance
         self.table, self.index = [], {}
         self.sids = np.full(width, self._intern(law))  # each path's state
         self.folds = np.zeros(width)  # and its fold
         self.runs = self.fixed and type(law).draws is InterArrivalDistribution.draws
         self.blocks = min(4, (law.draw_width + 6) // 4)  # drawn ahead: a draw fits at any offset
-        self.branching, self.lanes = branching, width * branching
-        # each level's barrier (the open tail's is inf), flag and start
-        self.zs, self.flags, self.starts = ((*constraints.z, math.inf), (True, *constraints.b),
-                                            (start, *constraints.z))
-        self.levels, self.lineage = [], []  # each level's times; its kept children and branching
-        self._ahead = 0, np.empty((0, self.lanes, 4 * self.blocks))  # first level, first blocks
+        # each level's stop (its barrier, or the horizon for the open tail), flag and start
+        self.stops, self.flags, self.starts = ((*constraints.z, horizon), (True, *constraints.b),
+                                               (start, *constraints.z))
+        self.levels, self.lineage = [], []  # each level's times; its kept children
+        self._ahead = 0, np.empty((0, width, 4 * self.blocks))  # first level, first blocks
         self.chunk = 0, 0, 0  # the levels last walked together and their width
 
     def _intern(self, state) -> int:
@@ -304,48 +305,47 @@ class _Walk:
         per child for ``select``: with ``score`` its fold, its parent's
         followed by the log density of each time it appended; else its
         ``barrier_weight``.  The open tail selects nothing."""
-        z, clip = self.zs[i], self.zs[i] < math.inf
-        branching = self.branching if clip else 1
-        n = len(self.sids) * branching
+        z, clip = self.stops[i], i + 1 < len(self.stops)
+        n = len(self.sids)
         first, end, width = self.chunk[:3]
         if not (first <= i < end and n <= width):
-            self._walk(i, branching)
+            self._walk(i)
         first, _, width, times, begin, pos, sids, logs = self.chunk
         a = (i - first) * width  # the level's first row
         self.levels.append((times, begin[a:a + width + 1]))
         self.level_sids = sids[a:a + n]
         values = None  # the tail's weights are not used
         if self.score:  # add.at adds a lane's repeated entries in turn, as sum() does
-            values = self.folds.repeat(branching)
+            values = self.folds.copy()
             rows, states, gaps, entries = logs
             span = slice(entries[a], entries[a + n])  # the level's lanes' entries
             np.add.at(values, rows[span] - a, self._each(states[span], gaps[span]))
         elif clip:
             values = self._each(sids[a:a + n], z - pos[a:a + n], self.flags[i])
         if not clip:
-            self.lineage.append((np.arange(n), 1))
+            self.lineage.append(np.arange(n))
             self.folds = values
         return values
 
-    def _walk(self, i, branching, upto=None) -> None:
+    def _walk(self, i, upto=None) -> None:
         """Walk the children of levels i to upto - 1 (by default, i's chunk) as
         rows: row r is lane r % n of level i + r // n.  A row that fails at a
         level k > i ends the chunk before k, and the walk is made again."""
         b0, ahead = self._ahead
         if not b0 <= i < b0 + len(ahead):  # the levels whose first blocks share one call
             k = self.blocks
-            levels = np.arange(i, min(i + max(1, _BLOCK_KEYS // (k * self.lanes)), len(self.zs)))
+            levels = np.arange(i, min(i + max(1, _BLOCK_KEYS // (k * self.lanes)), len(self.stops)))
             words = block(self.seed, KIND_PROPOSAL, levels[:, None, None],
                           np.arange(self.lanes)[:, None], np.arange(1, k + 1))
             b0, ahead = self._ahead = i, doubles(words).reshape(len(levels), self.lanes, 4 * k)
-        z, clip = self.zs[i], self.zs[i] < math.inf
-        upto = upto or (min(b0 + len(ahead), len(self.zs) - 1) if self.fixed and clip else i + 1)
-        n = len(self.sids) * branching
+        z, clip = self.stops[i], i + 1 < len(self.stops)
+        upto = upto or (min(b0 + len(ahead), len(self.stops) - 1) if self.fixed and clip else i + 1)
+        n = len(self.sids)
         u = ahead[i - b0:upto - b0, :n].reshape(-1, ahead.shape[2])  # the rows' first blocks
         pos = np.repeat(self.starts[i:upto], n)  # each row's last time
-        stop = np.repeat([min(t, self.horizon) for t in self.zs[i:upto]], n)  # walked while below
+        stop = np.repeat(self.stops[i:upto], n)  # walked while below
         free = np.repeat(self.flags[i:upto], n)
-        sids = np.tile(self.sids.repeat(branching), upto - i)
+        sids = np.tile(self.sids, upto - i)
         at = np.zeros(len(pos), dtype=np.int64)  # each row's next uniform
         active = np.flatnonzero(free & (pos < stop))
         times, drawn = [], 0  # what each step appended; gaps each active row drew
@@ -389,11 +389,11 @@ class _Walk:
             if np.count_nonzero(bad) or drawn + count >= models.MAX_EVENTS and going.any():
                 failed = int((entry_rows[bad] if bad.any() else active[going]).min())
                 if failed >= n:  # the chunk ends before the first level with a failing row
-                    return self._walk(i, branching, i + failed // n)
+                    return self._walk(i, i + failed // n)
                 if bad.any():
                     raise ValueError(f"model produced a non-positive gap: {d[bad][0].item()!r}")
-                target = f"barrier {z!r}" if clip else f"horizon {self.horizon!r}"
-                raise IterationLimitError(f"segment did not reach {target} within "
+                target = "barrier" if clip else "horizon"
+                raise IterationLimitError(f"segment did not reach {target} {z!r} within "
                                           f"{models.MAX_EVENTS} draws")
             if t.dtype != pos.dtype:
                 pos = pos.astype(t.dtype)
@@ -402,7 +402,7 @@ class _Walk:
             active, drawn = active[going], drawn + count
             pos[active] = t_last
             # the times kept: short of the barrier, or in the tail not past the horizon
-            stored = ~end if clip else t <= self.horizon  # a nan time is past both
+            stored = ~end if clip else t <= z  # a nan time is past both
             times.append((entry_rows[stored], t[stored]))
             if self.score and clip:  # the last gap of a row is clipped to the barrier
                 logs.append((entry_rows, entry_states, np.where(end, lim - prev, t - prev)))
@@ -440,7 +440,7 @@ class _Walk:
         its fold, and advance the state of each past barrier z, once per
         distinct state; the copies of a child share that state."""
         kept = np.asarray(kept)
-        self.lineage.append((kept, self.branching))
+        self.lineage.append(kept)
         if self.score:
             self.folds = values[kept]
         if self.fixed:  # every lane keeps the first state
@@ -458,10 +458,10 @@ class _Walk:
         is followed back through the kept indices of every level.  After an
         open tail no time lies past the horizon, history included (only a
         history without barriers can reach past it)."""
-        paths, picks = np.arange(len(self.lineage[-1][0])), []
-        for kept, b in reversed(self.lineage):
-            picks.insert(0, kept[paths])
-            paths = picks[0] // b
+        paths, picks = np.arange(len(self.lineage[-1])), []
+        for kept in reversed(self.lineage):  # a level's children are the paths kept before it
+            paths = kept[paths]
+            picks.insert(0, paths)
         sizes = len(zs) + sum(begin[k + 1] - begin[k] for (_, begin), k in zip(self.levels, picks))
         ends = np.cumsum(sizes)
         at = ends - sizes  # where each path's next time goes
@@ -473,8 +473,8 @@ class _Walk:
             if i < len(zs):
                 out[at] = zs[i]
                 at = at + 1
-        while len(self.levels) > len(zs) and len(history) and history[-1] > self.horizon:
-            history = history[:-1]  # an open tail drops every time past the horizon
+        if self.flags[-1]:  # an open tail drops every time past the horizon
+            history = models.trim_at_horizon(list(history), self.stops[-1])
         bounds = [0, *ends.tolist()]
         samples = [(*history, *out[a:b]) for a, b in zip(bounds, bounds[1:])]
         return samples, self.folds.tolist() if self.score else None
@@ -497,26 +497,25 @@ def _spans(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
 def run_barriers(model: SequenceModel, constraints: ConstraintSet, seed: int,
                  width: int, select: Callable, *, horizon: float,
-                 initial_history: Sequence[float], branching: int = 1,
-                 score: bool = False) -> EnsembleResult:
+                 initial_history: Sequence[float], score: bool = False) -> EnsembleResult:
     """Extend ``width`` copies of the history barrier by barrier and return
     the run's ``EnsembleResult``; the loop shared by the filter and the beam.
 
-    The loop is propose, select, keep.  At barrier i (0-based) each path t
-    spawns ``branching`` children, and child j draws its segment from the
-    stream (seed, KIND_PROPOSAL, i, t*branching + j).  ``select(i, values)``
-    gets the walk's one value per child, in lane order: with ``score``, the
-    child's fold, the log probability of its path past the history; else its
-    ``barrier_weight``.  It returns ``(kept, row)``: the indices of the
-    children that become the next paths, possibly repeated, or None when none
-    can continue (the run then fails at barrier i + 1), and the barrier's
-    diagnostics row.  The walk (``_Walk``) holds the paths: it records the
-    kept children and their folds, and advances only their states past the
-    barrier, so a dead child clipped at a time the model cannot reach is
-    never stepped into.  If b_r is True, path t finally draws its open tail
-    to the horizon from stream (seed, KIND_PROPOSAL, r, t), keeping its times
-    at or below the horizon.  The walk then builds each sample once and,
-    with ``score``, reports each sample's fold in ``log_probs``.
+    The loop is propose, select, keep.  Path t draws its one child at level i
+    (barrier i, 0-based, or the open tail, i = r) from the stream (seed,
+    KIND_PROPOSAL, i, t).  ``select(i, values)`` gets the walk's one value
+    per child, in lane order: with ``score``, the child's fold, the log
+    probability of its path past the history; else its ``barrier_weight``.
+    It returns ``(kept, row)``: the indices of the children that become the
+    next paths, in order, possibly repeated (a child kept twice is two
+    paths), or None when none can continue (the run then fails at barrier
+    i + 1), and the barrier's diagnostics row.  The walk (``_Walk``) holds
+    the paths: it records the kept children and their folds, and advances
+    only their states past the barrier, so a dead child clipped at a time the
+    model cannot reach is never stepped into.  If b_r is True, each path
+    finally draws its open tail to the horizon, keeping its times at or below
+    it.  The walk then builds each sample once and, with ``score``, reports
+    each sample's fold in ``log_probs``.
     """
     if not horizon > 0:
         raise ValueError(f"horizon must be positive, got {horizon!r}")
@@ -528,7 +527,7 @@ def run_barriers(model: SequenceModel, constraints: ConstraintSet, seed: int,
         if constraints.z[-1] > horizon:
             raise ValueError(f"constraint {constraints.z[-1]!r} lies beyond the horizon {horizon!r}")
     walk = _Walk(model, model.initial_state(initial_history), seed, horizon, score, width,
-                 branching, start, constraints)
+                 start, constraints)
     diagnostics = []
     for i, z in enumerate(constraints.z):
         values = walk.propose(i)

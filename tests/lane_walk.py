@@ -1,9 +1,10 @@
 """The per-lane reference walk: every lane walked by ``propose_segment`` on its own ``stream()``.
 
 ``run_barriers`` here is the barrier loop as it was before lanes were
-grouped by state: each child at barrier i proposes its segment on stream
-(seed, KIND_PROPOSAL, i, lane), each kept child is advanced past the barrier
-on its own, and each path carries its whole list of times and its fold.
+grouped by state: path t's one child at barrier i proposes its segment on
+stream (seed, KIND_PROPOSAL, i, t), each kept child is advanced past the
+barrier on its own, and each path carries its whole list of times and its
+fold.
 ``conditional_sample`` and ``beam_search_sample`` run the two samplers on
 it, the filter drawing its resampling offset from stream (seed,
 KIND_RESAMPLE, i).  The grouped walk of ``ppsmc.smc`` must give the same
@@ -35,17 +36,16 @@ def _segment(model, state, last, z, b_prev, rng, horizon, score):
 
 
 def run_barriers(model, constraints, seed, width, select, *, horizon, initial_history,
-                 branching=1, score=False):
+                 score=False):
     flags = [True, *constraints.b]
     paths = [(list(initial_history), model.initial_state(initial_history), 0.0)] * width
     diagnostics = []
     for i, z in enumerate(constraints.z):
         children = []
         for t, (seq, state, _) in enumerate(paths):
-            for j in range(branching):
-                rng = stream(seed, KIND_PROPOSAL, i, t * branching + j)
-                children.append((t, *_segment(model, state, seq[-1] if seq else 0.0, z, flags[i],
-                                              rng, horizon, score)))
+            rng = stream(seed, KIND_PROPOSAL, i, t)
+            children.append((t, *_segment(model, state, seq[-1] if seq else 0.0, z, flags[i],
+                                          rng, horizon, score)))
         if score:  # each child's path log probability
             values = [sum(steps, paths[t][2]) for t, _, _, _, steps in children]
         else:  # each child's barrier weight

@@ -89,6 +89,24 @@ class TestBeamSearch:
             seq.pop()
         assert result.samples == [tuple(seq)]
 
+    @pytest.mark.parametrize("b", [1, 3])
+    @pytest.mark.parametrize("history", [(), (0.1, 0.3)])
+    def test_no_barriers_draws_one_tail_per_kept_path(self, b, history):
+        """Without required times nothing is ranked: the f paths each draw
+        their open tail, path k from stream (seed, KIND_PROPOSAL, 0, k),
+        whatever b is."""
+        model, f = PoissonProcessModel(rate=6.0), 4
+        result = beam_search_sample(model, ConstraintSet(z=(), b=()), b=b, f=f, seed=9,
+                                    initial_history=history)
+        assert result.survived and result.diagnostics == []
+        assert len(result.samples) == len(result.log_probs) == f
+        state = model.initial_state(history)
+        for k, (seq, lp) in enumerate(zip(result.samples, result.log_probs)):
+            seg, _, _ = propose_segment(model, state, history[-1] if history else 0.0, math.inf,
+                                        True, stream(9, KIND_PROPOSAL, 0, k), horizon=1.0)
+            assert seq == (*history, *(t for t in seg if t <= 1.0))
+            assert lp == log_probability(model, seq[len(history):], history)
+
     def test_selection_is_monotone_at_each_barrier(self):
         model = PoissonProcessModel(rate=8.0)
         cs = ConstraintSet(z=(0.2, 0.5, 0.8), b=(True, True, True))

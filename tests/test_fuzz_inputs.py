@@ -266,6 +266,23 @@ class TestModelFiles:
             err = assert_error_exit(code, capsys, f"trial {trial}: {cut[:200]}")
             assert f"error: {path}: {json_error(cut)}" in err.splitlines()
 
+    @pytest.mark.parametrize("context", ["", "1 3", "0 0 0", "-1", str(TINY.size + 1), "99999"],
+                             ids=["none", "two", "three", "negative", "size+1", "99999"])
+    def test_counts_context_off_the_order_or_vocabulary_exits_1(self, tmp_path, capsys, context):
+        """An order-2 model reads contexts of one symbol, BOS (0) or 1..size;
+        counts after any other would never be read, and the model would
+        draw from smoothing alone."""
+        payload = tiny_music_model().step_model.to_dict()
+        payload["counts"][context] = {"1": 5}
+        path, cs_path = tmp_path / "model.json", tmp_path / "cs.json"
+        path.write_text(json.dumps(payload))
+        cs_path.write_text(json.dumps({"z": [2 * TINY.actions + 1], "b": [True]}))
+        code = main(["sample", "--model", str(path), "--constraints", str(cs_path),
+                     "--seed", "1", "--particles", "4", "--out", str(tmp_path / "out")])
+        err = assert_error_exit(code, capsys, repr(context))
+        assert f"model counts row {context!r}" in err
+        assert not (tmp_path / "out").exists()
+
 
 @pytest.mark.parametrize("command", ["sample", "beam", "oracle"])
 @pytest.mark.parametrize("runs", ["0", "-2"])
