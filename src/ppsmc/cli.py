@@ -18,9 +18,8 @@ from collections import Counter
 from pathlib import Path
 
 from .beam import beam_search_sample
-from .errors import IterationLimitError, SaturatedCdfError
-from .models import (PoissonProcessModel, UniformRenewalModel,
-                     WeibullRenewalModel, step_log_probabilities)
+from .models import (IterationLimitError, PoissonProcessModel, SaturatedCdfError,
+                     UniformRenewalModel, WeibullRenewalModel, step_log_probabilities)
 from .music.adapter import UnrolledMusicModel
 from .music.encoding import Vocabulary, events_to_codes
 from .music.files import (_as_code, extract_constraints, in_file, read_constraint_file,
@@ -96,7 +95,11 @@ def build_model(spec: str):
 def _load_run_setup(args, music_vocab: Vocabulary | None):
     constraints, prefix, ticks = read_constraint_file(args.constraints)
     if music_vocab is None:
-        return constraints, (), float(args.horizon)
+        if args.horizon_ticks is not None:
+            raise ValueError("--horizon-ticks is for music models; use --horizon")
+        return constraints, (), 1.0 if args.horizon is None else args.horizon
+    if args.horizon is not None:
+        raise ValueError("--horizon is for continuous models; use --horizon-ticks")
     constraints = ConstraintSet(z=tuple(_as_code(z) for z in constraints.z), b=constraints.b)
     acts = music_vocab.actions
     if args.horizon_ticks is not None:
@@ -295,7 +298,7 @@ def _add_generation_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--runs", type=int, default=1, help="independent runs (derived seeds)")
     p.add_argument("--keep", type=int, default=1, help="samples to write per run (<=0: all)")
     p.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
-    p.add_argument("--horizon", type=float, default=1.0, help="time horizon (continuous models)")
+    p.add_argument("--horizon", type=float, help="time horizon (continuous models; default: 1)")
     p.add_argument("--horizon-ticks", type=int, default=None,
                    help="tick horizon (music models; default: from the constraint file)")
     p.set_defaults(func=cmd_generate)

@@ -21,6 +21,10 @@ exponential is -log1p(-u)/rate and the Weibull scale·(-log1p(-u))**(1/shape),
 inverse cdfs of ``random()`` rather than numpy's ziggurat draws; the uniform
 is low + (high - low)·u, bit for bit what ``Generator.uniform`` draws.
 
+A path clipped at a required time weighs ``barrier_weight`` of its last gap
+(the hazard f(d)/P(gap >= d) in a free segment, the density f(d) in a
+forbidden one); a law's ``weights`` gives it for many gaps at once.
+
 ``propose_segment`` walks one path on one generator, for
 ``sample_restricted``.  The filter and the beam walk many lanes at once
 (``ppsmc.smc``) and ask a law only for ``draws``, the gaps of all its lanes
@@ -42,10 +46,20 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import IterationLimitError, SaturatedCdfError
-
 SURVIVAL_FLOOR = 1e-300
 MAX_EVENTS = 10 ** 6
+
+
+class SaturatedCdfError(ArithmeticError):
+    """1 - F underflowed to zero where a positive density remains.
+
+    The hazard f/(1-F) is undefined past this point; callers should treat the
+    model as numerically exhausted rather than silently producing inf.
+    """
+
+
+class IterationLimitError(RuntimeError):
+    """A sampling loop exceeded its iteration cap without crossing the horizon."""
 
 
 class InterArrivalDistribution:
@@ -85,10 +99,10 @@ class InterArrivalDistribution:
         return np.array(list(map(self.quantile, u.tolist())))
 
     def weights(self, d: np.ndarray, b_prev: bool) -> np.ndarray:
-        """``smc.barrier_weight`` of each distinct gap in the 1-d array ``d``, bit for bit."""
+        """``barrier_weight`` of each gap in the 1-d array ``d``, once per distinct gap."""
         gaps, which = np.unique(d, return_inverse=True)
-        weight = self.hazard if b_prev else self.pdf
-        return np.array(list(map(weight, gaps.tolist())), dtype=float)[which]
+        weights = map(barrier_weight, repeat(self), gaps.tolist(), repeat(b_prev))
+        return np.array(list(weights), dtype=float)[which]
 
     def log_pdfs(self, d: np.ndarray) -> np.ndarray:
         """``_log_density`` of each gap in the 1-d array ``d``, bit for bit."""
@@ -109,6 +123,19 @@ class InterArrivalDistribution:
         if s <= SURVIVAL_FLOOR:
             raise SaturatedCdfError(f"survival underflowed at gap {d!r}")
         return p / s
+
+
+def barrier_weight(state: InterArrivalDistribution, gap, b_prev: bool) -> float:
+    """Importance weight of one particle whose last element is the barrier,
+    reached by ``gap`` drawn from ``state``, the law of the gap after the
+    particle's history.
+
+    Free segment: f(d)/P(gap >= d) — the hazard at the clipped gap.  Forbidden
+    segment: f(d), the density of the forced append.  A zero density gives
+    weight 0 (a dead particle is legal); an underflowed survival raises
+    SaturatedCdfError.
+    """
+    return state.hazard(gap) if b_prev else state.pdf(gap)
 
 
 class SequenceModel:
@@ -349,16 +376,3 @@ def log_probability(model: SequenceModel, seq: Sequence[float],
                     initial_history: Sequence[float] = ()) -> float:
     """Total log probability of a sequence: sum of its step log densities."""
     return sum(step_log_probabilities(model, seq, initial_history), 0.0)
-
-
-def conditional_intensity(model: SequenceModel, history: Sequence[float], t) -> float:
-    """Hazard of the next event at time t given the history: f(d) / P(gap >= d).
-
-    Raises SaturatedCdfError when the survival probability has underflowed,
-    making the hazard numerically undefined.
-    """
-    last = history[-1] if len(history) else 0.0
-    d = t - last
-    if d <= 0:
-        raise ValueError(f"t={t!r} does not lie beyond the history end {last!r}")
-    return model.initial_state(history).hazard(d)

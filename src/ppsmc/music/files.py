@@ -18,8 +18,8 @@ from pathlib import Path
 from typing import Sequence
 
 from ..smc import ConstraintSet
-from .encoding import (MusicEvent, Vocabulary, _split_code, events_to_codes,
-                       events_to_symbols)
+from .encoding import (TICKS_PER_QUARTER, MusicEvent, Vocabulary, _split_code,
+                       events_to_codes, events_to_symbols)
 
 logger = logging.getLogger(__name__)
 
@@ -34,7 +34,7 @@ def write_codes(path, codes: Sequence[int], vocab: Vocabulary = Vocabulary()) ->
     ``part`` with sorted keys.
     """
     lines = [json.dumps({"version": FORMAT_VERSION, "kind": "events",
-                         "ppq": 2400, "parts": vocab.parts}, sort_keys=True)]
+                         "ppq": TICKS_PER_QUARTER, "parts": vocab.parts}, sort_keys=True)]
     a_max, last = vocab.a_max, 0
     for i, code in enumerate(codes):
         code = int(code)

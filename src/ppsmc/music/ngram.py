@@ -131,12 +131,14 @@ class NGramModel:
                              "of non-negative integers")
         model = cls(vocab, d["order"], alpha)
         for ctx_key, row in rows.items():
-            ctx = tuple(int(x) for x in ctx_key.split())
-            counts = model.counts[ctx] = {int(s): n for s, n in row.items()}
+            ctx = tuple(int(x) if x.isdecimal() else -1 for x in ctx_key.split())
+            counts = model.counts[ctx] = {int(s) if s.isdecimal() else -1: n for s, n in row.items()}
+            spelled = [ctx_key, *row] == [" ".join(map(str, ctx)), *map(str, counts)]  # as to_dict
             known = len(ctx) == model.order - 1 and all(BOS <= s <= vocab.size for s in ctx)
-            if not known or not all(1 <= s <= vocab.size for s in counts):
+            if not (spelled and known) or not all(1 <= s <= vocab.size for s in counts):
                 raise ValueError(f"model counts row {ctx_key!r} needs {model.order - 1} context "
-                                 f"symbols in {BOS}..{vocab.size} and counts of 1..{vocab.size}")
+                                 f"symbols in {BOS}..{vocab.size} and counts of 1..{vocab.size}, "
+                                 "each a plain decimal, one space apart")
         return model
 
     def save(self, path) -> None:

@@ -7,10 +7,10 @@ allowed), and b_r = False forces the sequence to end exactly at z_r.
 
 Sampling proceeds barrier to barrier.  In a free segment each particle runs
 the model forward, clipping the first crossing to the barrier itself; the
-particle's weight is the hazard f(d)/P(gap >= d) of the clipped gap, which
-corrects for the clip.  In a forbidden segment the barrier is appended
-directly with weight f(d).  After each interior barrier the ensemble is
-systematically resampled.  The final open segment carries unit weights and is
+particle's weight, ``models.barrier_weight``, is the hazard f(d)/P(gap >= d)
+of the clipped gap, which corrects for the clip.  In a forbidden segment the
+barrier is appended directly with weight f(d).  After each interior barrier
+the ensemble is systematically resampled.  The final open segment carries unit weights and is
 not resampled.  ``run_barriers`` is the barrier loop: the walk proposes
 and values every child, a selection rule picks the children kept, and the
 walk keeps them; the loop collects each barrier's diagnostics row and
@@ -44,8 +44,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import models
-from .errors import IterationLimitError
-from .models import InterArrivalDistribution, RenewalModel, SequenceModel, _log_density
+from .models import (InterArrivalDistribution, IterationLimitError, RenewalModel, SequenceModel,
+                     _log_density, barrier_weight)
 from .rng import KIND_PROPOSAL, KIND_RESAMPLE, block, doubles
 
 
@@ -113,19 +113,6 @@ class EnsembleResult:
     failed_barrier: int | None
     diagnostics: list
     log_probs: list | None = field(default=None)  # filled by beam search
-
-
-def barrier_weight(state: InterArrivalDistribution, gap, b_prev: bool) -> float:
-    """Importance weight of one particle whose last element is the barrier,
-    reached by ``gap`` drawn from ``state``, the law of the gap after the
-    particle's history.
-
-    Free segment: f(d)/P(gap >= d) — the hazard at the clipped gap.  Forbidden
-    segment: f(d), the density of the forced append.  A zero density gives
-    weight 0 (a dead particle is legal); an underflowed survival raises
-    SaturatedCdfError.
-    """
-    return state.hazard(gap) if b_prev else state.pdf(gap)
 
 
 def _checked(weights: Sequence[float]) -> np.ndarray:

@@ -16,10 +16,10 @@ from __future__ import annotations
 import math
 
 from ppsmc import beam as beam_module
-from ppsmc.models import _log_density, propose_segment, trim_at_horizon
+from ppsmc.models import _log_density, barrier_weight, propose_segment, trim_at_horizon
 from ppsmc.rng import KIND_PROPOSAL, KIND_RESAMPLE, stream
-from ppsmc.smc import (BarrierDiagnostics, EnsembleResult, barrier_weight,
-                       effective_sample_size, systematic_indices)
+from ppsmc.smc import (BarrierDiagnostics, EnsembleResult, effective_sample_size,
+                       systematic_indices)
 
 
 def _segment(model, state, last, z, b_prev, rng, horizon, score):

@@ -17,7 +17,7 @@ from scipy import stats
 from ppsmc.beam import beam_search_sample
 from ppsmc.cli import main as cli_main
 from ppsmc.models import (PoissonProcessModel, UniformRenewalModel,
-                          WeibullRenewalModel, log_probability,
+                          WeibullRenewalModel, barrier_weight, log_probability,
                           sample_restricted)
 from ppsmc.music.adapter import UnrolledMusicModel
 from ppsmc.music.encoding import (MusicEvent, Vocabulary, codes_to_events,
@@ -28,8 +28,7 @@ from ppsmc.oracle import (GridModel, GridSequenceModel, bits_from_times,
                           enumerate_conditional, normalize_counts,
                           observed_constraints, total_variation)
 from ppsmc.rng import KIND_PROPOSAL, run_seed, stream
-from ppsmc.smc import (ConstraintSet, barrier_weight, conditional_sample,
-                       satisfies, systematic_indices)
+from ppsmc.smc import ConstraintSet, conditional_sample, satisfies, systematic_indices
 
 TINY = Vocabulary(a_max=4, s_max=3)
 

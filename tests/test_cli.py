@@ -96,6 +96,27 @@ class TestSampleCommand:
         assert code == 1
         assert "unknown model" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["sample", "beam"])
+    def test_horizon_flag_of_the_other_model_kind_exits_1(self, tmp_path, constraint_file,
+                                                          capsys, command):
+        """--horizon is read only for continuous models and --horizon-ticks
+        only for music models; the other flag ends in an error naming the
+        one that applies, before anything is written."""
+        tiny_music_model().step_model.save(tmp_path / "model.json")
+        write_constraint_file(tmp_path / "music.json", ConstraintSet(z=(13,), b=(True,)),
+                              prefix=(1, 3), horizon_ticks=5)
+        for model, constraints, flag, other in [
+                (str(tmp_path / "model.json"), tmp_path / "music.json", "--horizon", "1.5"),
+                ("poisson:rate=3", constraint_file, "--horizon-ticks", "9")]:
+            out = tmp_path / flag
+            code = main([command, "--model", model, "--constraints", str(constraints),
+                         "--seed", "1", "--out", str(out), flag, other])
+            err = capsys.readouterr().err
+            assert code == 1, (flag, err)
+            applies = "--horizon-ticks" if flag == "--horizon" else "--horizon"
+            assert err.startswith(f"error: {flag} is for ") and err.endswith(f"use {applies}\n")
+            assert not out.exists()
+
     def test_missing_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main([])

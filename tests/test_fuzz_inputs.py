@@ -283,6 +283,27 @@ class TestModelFiles:
         assert f"model counts row {context!r}" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("context, row", [("01", {"2": 1000}), (" 1", None), ("+1", None),
+                                              ("1_0", None), ("1", {"02": 999})],
+                             ids=["context-01-beside-1", "context-space-1", "context-plus-1",
+                                  "context-1_0", "symbol-02-beside-2"])
+    def test_counts_key_in_another_spelling_exits_1(self, tmp_path, capsys, context, row):
+        """Counts keys are read only as ``to_dict`` spells them, so two
+        spellings of one context or one symbol cannot overwrite each other.
+        A row of None moves context 1's row to the key; s_max 6 makes the
+        vocabulary 10 symbols, so ``int`` would read "1_0" as one of them."""
+        payload = {**tiny_music_model().step_model.to_dict(), "s_max": 6}
+        counts = payload["counts"]
+        counts[context] = counts.pop("1") if row is None else {**counts.get(context, {}), **row}
+        path, cs_path = tmp_path / "model.json", tmp_path / "cs.json"
+        path.write_text(json.dumps(payload))
+        cs_path.write_text(json.dumps({"z": [2 * TINY.actions + 1], "b": [True]}))
+        code = main(["sample", "--model", str(path), "--constraints", str(cs_path),
+                     "--seed", "1", "--particles", "4", "--out", str(tmp_path / "out")])
+        err = assert_error_exit(code, capsys, repr(context))
+        assert f"model counts row {context!r}" in err
+        assert not (tmp_path / "out").exists()
+
 
 @pytest.mark.parametrize("command", ["sample", "beam", "oracle"])
 @pytest.mark.parametrize("runs", ["0", "-2"])

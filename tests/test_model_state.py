@@ -16,8 +16,8 @@ from test_golden import ORDER2, long_prefix
 
 from ppsmc import models, smc
 from ppsmc.beam import beam_search_sample
-from ppsmc.errors import SaturatedCdfError
-from ppsmc.models import PoissonProcessModel, UniformRenewalModel, WeibullRenewalModel
+from ppsmc.models import (PoissonProcessModel, SaturatedCdfError, UniformRenewalModel,
+                          WeibullRenewalModel)
 from ppsmc.music import adapter
 from ppsmc.oracle import GridModel, GridSequenceModel
 from ppsmc.smc import ConstraintSet, conditional_sample

@@ -9,12 +9,10 @@ import pytest
 from scipy import stats
 
 from ppsmc import models
-from ppsmc.errors import IterationLimitError
-from ppsmc.smc import barrier_weight
-from ppsmc.models import (ExponentialGap, InterArrivalDistribution,
+from ppsmc.models import (ExponentialGap, InterArrivalDistribution, IterationLimitError,
                           PoissonProcessModel, SequenceModel, UniformGap,
                           UniformRenewalModel, WeibullGap, WeibullRenewalModel,
-                          conditional_intensity, log_probability,
+                          barrier_weight, log_probability,
                           sample_restricted, step_log_probabilities)
 
 
@@ -277,20 +275,3 @@ class TestLogProbability:
         seq = (2.0, 3.0, 8.0, 9.0)
         expected = 4 * math.log(1.0 / V)
         assert log_probability(UniformCodeModel(), seq) == pytest.approx(expected)
-
-
-class TestConditionalIntensity:
-    def test_poisson_intensity_is_rate(self):
-        model = PoissonProcessModel(rate=3.0)
-        assert conditional_intensity(model, (0.2,), 0.7) == pytest.approx(3.0, rel=1e-12)
-
-    def test_weibull_intensity_grows_with_elapsed_time(self):
-        model = WeibullRenewalModel(shape=2.0, scale=1.0)
-        lam1 = conditional_intensity(model, (), 0.1)
-        lam2 = conditional_intensity(model, (), 0.9)
-        assert lam2 > lam1
-        assert lam2 == pytest.approx(1.8, rel=1e-9)
-
-    def test_rejects_time_before_history(self):
-        with pytest.raises(ValueError):
-            conditional_intensity(PoissonProcessModel(rate=1.0), (0.5,), 0.5)

@@ -7,12 +7,13 @@ import math
 import numpy as np
 import pytest
 
+from ppsmc.models import barrier_weight
 from ppsmc.music.adapter import UnrolledMusicModel
 from ppsmc.music.encoding import (MusicEvent, Vocabulary, codes_to_events,
                                   encode_event, events_to_codes,
                                   events_to_symbols)
 from ppsmc.music.ngram import train_ngram
-from ppsmc.smc import ConstraintSet, barrier_weight, conditional_sample, satisfies
+from ppsmc.smc import ConstraintSet, conditional_sample, satisfies
 
 TINY = Vocabulary(a_max=4, s_max=3)
 

@@ -10,12 +10,12 @@ import pytest
 from scipy import stats
 
 from ppsmc.beam import beam_search_sample
-from ppsmc.models import sample_restricted
+from ppsmc.models import barrier_weight, sample_restricted
 from ppsmc.oracle import (GridModel, GridSequenceModel, bits_from_times,
                           chain_probability, enumerate_conditional,
                           normalize_counts, observed_constraints, total_variation)
 from ppsmc.rng import run_seed
-from ppsmc.smc import barrier_weight, conditional_sample
+from ppsmc.smc import conditional_sample
 
 
 def sample_bits(model: GridModel, rng) -> tuple:

@@ -12,11 +12,11 @@ import pytest
 from ppsmc import smc
 from ppsmc.beam import beam_search_sample
 from ppsmc.models import (PoissonProcessModel, UniformRenewalModel,
-                          WeibullRenewalModel, conditional_intensity,
+                          WeibullRenewalModel, barrier_weight,
                           propose_segment, sample_restricted)
 from ppsmc.music.files import read_constraint_file, write_constraint_file
 from ppsmc.rng import KIND_PROPOSAL, block, doubles, run_seed, stream
-from ppsmc.smc import (ConstraintSet, barrier_weight, conditional_sample,
+from ppsmc.smc import (ConstraintSet, conditional_sample,
                        effective_sample_size, satisfies, systematic_indices)
 
 
@@ -121,13 +121,6 @@ class TestBarrierWeight:
     def test_unreachable_gap_gets_zero_weight(self):
         model = UniformRenewalModel(0.01, 0.02)
         assert barrier_weight(model.initial_state((0.1,)), gap=0.4, b_prev=False) == 0.0
-
-    def test_open_gap_weight_equals_conditional_intensity(self):
-        # Both routes evaluate f(d)/P(gap >= d) at the barrier.
-        model = WeibullRenewalModel(shape=2.0, scale=1.0)
-        history, z = (0.1, 0.35), 0.8
-        w = barrier_weight(model.initial_state(history), gap=z - 0.35, b_prev=True)
-        assert w == conditional_intensity(model, history, z)
 
 
 class TestSystematicResampling:
