@@ -22,7 +22,7 @@ from .models import (IterationLimitError, PoissonProcessModel, SaturatedCdfError
                      UniformRenewalModel, WeibullRenewalModel, step_log_probabilities)
 from .music.adapter import UnrolledMusicModel
 from .music.encoding import Vocabulary, events_to_codes
-from .music.files import (_as_code, extract_constraints, in_file, read_constraint_file,
+from .music.files import (_as_code, extract_constraints, in_file, loads, read_constraint_file,
                           read_corpus, read_events, read_parts, write_codes,
                           write_constraint_file, write_events)
 from .music.midi import read_midi, write_midi
@@ -185,7 +185,7 @@ def _load_times(path: str, vocab: Vocabulary | None) -> list:
         events, _ = read_events(path)
         return events_to_codes(events, vocab)
     with in_file(path):
-        payload = json.loads(Path(path).read_text())
+        payload = loads(Path(path).read_text())
     if (not isinstance(payload, dict) or payload.get("version", 1) != 1
             or payload.get("kind") != "times"):
         raise ValueError(f"{path}: not a times file")

@@ -23,8 +23,8 @@ the mass at d itself stays in the denominator of the barrier hazard.
 The model state is the gap law, which holds all of the history that f and f'
 depend on: the current tick, the last code and the last max(order-1, 1)
 symbols, whose final one is both a_x and the symbol the mask conditions on.
-A history is decoded once; each further event is one code decoded and one
-canonical step.
+A history is stepped once, code by code; each further event is one canonical
+step of its code (``encoding.code_symbols``), so no event object is built.
 """
 
 from __future__ import annotations
@@ -35,8 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..models import InterArrivalDistribution, SequenceModel
-from .encoding import (Vocabulary, _split_code, codes_to_events, decode_event,
-                       event_symbols, events_to_symbols)
+from .encoding import Vocabulary, _split_code, code_symbols, codes_to_symbols
 from .ngram import NGramModel
 
 
@@ -151,18 +150,15 @@ class UnrolledMusicModel(SequenceModel):
         self._keep = max(step_model.order - 1, 1)
 
     def initial_state(self, history):
-        events = codes_to_events(history, self.vocab)
-        symbols = events_to_symbols(events, self.vocab)
-        if not events:
+        tail = tuple(codes_to_symbols(history, self.vocab)[-self._keep:])
+        if not tail:
             return _MusicGap(self.step_model, 0, 0, ())
-        return _MusicGap(self.step_model, events[-1].t, int(history[-1]),
-                         tuple(symbols[-self._keep:]))
+        last = int(history[-1])
+        return _MusicGap(self.step_model, _split_code(last, self.vocab)[0], last, tail)
 
     def advance(self, state, t):
-        """Raises ValueError where decoding the extended history would: a code
+        """Raises ValueError where stepping the extended history would: a code
         below 1, an action that does not ascend within its tick, or a tick gap
         beyond s_max."""
-        ev = decode_event(int(t), self.vocab)
-        step = event_symbols(ev, state.cur_t, state.last_a, self.vocab)
-        return _MusicGap(self.step_model, ev.t, int(t), (state.tail + step)[-self._keep:])
-
+        tick, step = code_symbols(int(t), state.cur_t, state.last_a, self.vocab)
+        return _MusicGap(self.step_model, tick, int(t), (state.tail + step)[-self._keep:])

@@ -81,17 +81,13 @@ class MusicEvent:
             raise ValueError(f"invalid event ({self.t}, {self.a}, part={self.part})")
 
 
-def expanded_action(ev: MusicEvent, vocab: Vocabulary) -> int:
+def encode_event(ev: MusicEvent, vocab: Vocabulary) -> int:
+    """Unrolled code e = t*A + a' (always >= 1)."""
     if ev.a > vocab.a_max:
         raise ValueError(f"action {ev.a} exceeds a_max={vocab.a_max}")
     if ev.part >= vocab.parts:
         raise ValueError(f"part {ev.part} exceeds part count {vocab.parts}")
-    return ev.part * vocab.a_max + ev.a
-
-
-def encode_event(ev: MusicEvent, vocab: Vocabulary = Vocabulary()) -> int:
-    """Unrolled code e = t*A + a' (always >= 1)."""
-    return ev.t * vocab.actions + expanded_action(ev, vocab)
+    return ev.t * vocab.actions + ev.part * vocab.a_max + ev.a
 
 
 def _split_code(code: int, vocab: Vocabulary) -> tuple[int, int]:
@@ -101,7 +97,7 @@ def _split_code(code: int, vocab: Vocabulary) -> tuple[int, int]:
     return t, rest + 1
 
 
-def decode_event(code: int, vocab: Vocabulary = Vocabulary()) -> MusicEvent:
+def decode_event(code: int, vocab: Vocabulary) -> MusicEvent:
     """Inverse of encode_event."""
     if code < 1:
         raise ValueError(f"codes are positive, got {code}")
@@ -110,7 +106,7 @@ def decode_event(code: int, vocab: Vocabulary = Vocabulary()) -> MusicEvent:
     return MusicEvent(t=t, a=a + 1, part=part)
 
 
-def events_to_codes(events, vocab: Vocabulary = Vocabulary()) -> list[int]:
+def events_to_codes(events, vocab: Vocabulary) -> list[int]:
     codes = [encode_event(ev, vocab) for ev in events]
     for i in range(1, len(codes)):
         if codes[i] <= codes[i - 1]:
@@ -118,49 +114,52 @@ def events_to_codes(events, vocab: Vocabulary = Vocabulary()) -> list[int]:
     return codes
 
 
-def codes_to_events(codes, vocab: Vocabulary = Vocabulary()) -> list[MusicEvent]:
+def codes_to_events(codes, vocab: Vocabulary) -> list[MusicEvent]:
     return [decode_event(int(c), vocab) for c in codes]
 
 
-def event_symbols(ev: MusicEvent, cur_t: int, last_a: int | None,
-                  vocab: Vocabulary = Vocabulary()) -> tuple[int, ...]:
-    """Symbols that append ``ev`` to a stream at tick ``cur_t`` whose last
-    action there was ``last_a`` (None if none): a shift if the tick moves,
-    then the event's action.
+def code_symbols(code: int, cur_t: int, last_a: int | None,
+                 vocab: Vocabulary) -> tuple[int, tuple[int, ...]]:
+    """The canonical step: the tick of ``code`` and the symbols that append it
+    to a stream at tick ``cur_t`` whose last action there was ``last_a`` (None
+    if none), a shift if the tick moves, then the action.
 
-    Rejects an event out of canonical order and a tick gap beyond s_max.
+    Rejects a code below 1 or out of canonical order and a tick gap beyond s_max.
     """
-    a_prime = expanded_action(ev, vocab)
-    if ev.t < cur_t:
-        raise ValueError(f"event at tick {ev.t} appears after tick {cur_t}")
-    if ev.t == cur_t:
+    if code < 1:
+        raise ValueError(f"codes are positive, got {code}")
+    t, a_prime = _split_code(code, vocab)
+    if t < cur_t:
+        raise ValueError(f"event at tick {t} appears after tick {cur_t}")
+    if t == cur_t:
         if last_a is not None and a_prime <= last_a:
             raise ValueError(f"actions within tick {cur_t} must strictly ascend "
                              f"({a_prime} after {last_a})")
-        return (a_prime,)
-    dt = ev.t - cur_t
+        return t, (a_prime,)
+    dt = t - cur_t
     if dt > vocab.s_max:
         raise ValueError(f"tick gap {dt} exceeds s_max={vocab.s_max}; "
                          "re-ingest with a larger s_max")
-    return vocab.shift_symbol(dt), a_prime
+    return t, (vocab.shift_symbol(dt), a_prime)
 
 
-def events_to_symbols(events, vocab: Vocabulary = Vocabulary()) -> list[int]:
-    """Canonical symbol stream of an event list (shift-then-action unrolling).
-
-    Rejects events out of canonical order and tick gaps beyond s_max.
-    """
-    symbols = []
-    cur_t = 0
-    last_a = None  # expanded action of the previous event at cur_t
-    for ev in events:
-        step = event_symbols(ev, cur_t, last_a, vocab)
+def codes_to_symbols(codes, vocab: Vocabulary) -> list[int]:
+    """Canonical symbol stream of a code sequence (shift-then-action unrolling)."""
+    symbols, cur_t, last_a = [], 0, None  # last_a: the last action at cur_t
+    for code in codes:
+        cur_t, step = code_symbols(int(code), cur_t, last_a, vocab)
         symbols.extend(step)
-        cur_t, last_a = ev.t, step[-1]
+        last_a = step[-1]
     return symbols
 
 
-def symbols_to_events(symbols, vocab: Vocabulary = Vocabulary()) -> list[MusicEvent]:
+def events_to_symbols(events, vocab: Vocabulary) -> list[int]:
+    """Canonical symbol stream of an event list, encoded lazily so that errors
+    come in stream order."""
+    return codes_to_symbols((encode_event(ev, vocab) for ev in events), vocab)
+
+
+def symbols_to_events(symbols, vocab: Vocabulary) -> list[MusicEvent]:
     """Decode a symbol stream, enforcing the canonical-order rules."""
     events = []
     cur_t = 0
@@ -187,7 +186,7 @@ def symbols_to_events(symbols, vocab: Vocabulary = Vocabulary()) -> list[MusicEv
     return events
 
 
-def allowed_symbols(prev: int | None, vocab: Vocabulary = Vocabulary()) -> np.ndarray:
+def allowed_symbols(prev: int | None, vocab: Vocabulary) -> np.ndarray:
     """Boolean mask (index sym-1) of symbols permitted after ``prev``.
 
     None (start of stream) permits everything.

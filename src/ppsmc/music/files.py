@@ -26,7 +26,7 @@ logger = logging.getLogger(__name__)
 FORMAT_VERSION = 1  # of event files and constraint files
 
 
-def write_codes(path, codes: Sequence[int], vocab: Vocabulary = Vocabulary()) -> None:
+def write_codes(path, codes: Sequence[int], vocab: Vocabulary) -> None:
     """Write the event file of a piece given as codes.
 
     Raises ValueError on a code below 1 or codes that do not strictly ascend.
@@ -49,13 +49,28 @@ def write_codes(path, codes: Sequence[int], vocab: Vocabulary = Vocabulary()) ->
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def write_events(path, events: Sequence[MusicEvent], vocab: Vocabulary = Vocabulary()) -> None:
+def write_events(path, events: Sequence[MusicEvent], vocab: Vocabulary) -> None:
     write_codes(path, events_to_codes(events, vocab), vocab)
 
 
 # an event line exactly as ``write_codes`` writes it; any other spelling is
 # read by ``json``
 _EVENT_LINE = re.compile(r'\{"a": (0|[1-9][0-9]*), "part": (0|[1-9][0-9]*), "t": (0|[1-9][0-9]*)\}')
+
+
+def _unique_keys(pairs: list) -> dict:
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"JSON object repeats key {key!r}")
+        obj[key] = value
+    return obj
+
+
+def loads(text: str):
+    """``json.loads``, but an object that repeats a key raises ValueError
+    instead of keeping the last value; every JSON input is read through it."""
+    return json.loads(text, object_pairs_hook=_unique_keys)
 
 
 @contextmanager
@@ -72,7 +87,7 @@ def _header_parts(line: str | None) -> int:
     (None if it has none); raises ValueError if it is no event file's header."""
     if line is None:
         raise ValueError("empty event file")
-    header = json.loads(line)
+    header = loads(line)
     kind = header.get("kind") if isinstance(header, dict) else None
     if kind != "events":
         raise ValueError(f"not an event file (kind={kind!r})")
@@ -102,7 +117,7 @@ def read_events(path) -> tuple[list[MusicEvent], int]:
             if m:
                 a, part, t = map(int, m.groups())
             else:
-                d = json.loads(line)
+                d = loads(line)
                 if not isinstance(d, dict):
                     d = {}
                 t, a, part = d.get("t"), d.get("a"), d.get("part", 0)
@@ -129,7 +144,7 @@ def read_corpus(directory, vocab: Vocabulary) -> list[list[int]]:
 
 
 def extract_constraints(events: Sequence[MusicEvent], split_tick: int, part: int,
-                        vocab: Vocabulary = Vocabulary(),
+                        vocab: Vocabulary,
                         hold_fixed: bool = False) -> tuple[list[int], ConstraintSet]:
     """Conditioning data from a reference piece.
 
@@ -171,7 +186,7 @@ def read_constraint_file(path) -> tuple[ConstraintSet, list[int], int | None]:
     whatever model reads the file; ValueError on any malformed one."""
     text = Path(path).read_text()
     with in_file(path):
-        d = json.loads(text)
+        d = loads(text)
     if not isinstance(d, dict):
         raise ValueError(f"constraints must be a JSON object, got {type(d).__name__}")
     version = d.get("version", 1)

@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .encoding import Vocabulary, allowed_symbols
-from .files import in_file
+from .files import in_file, loads
 
 BOS = 0  # padding token for positions before the start; never emitted
 FORMAT_VERSION = 1
@@ -148,7 +148,7 @@ class NGramModel:
     def load(cls, path) -> "NGramModel":
         text = Path(path).read_text()
         with in_file(path):
-            payload = json.loads(text)
+            payload = loads(text)
         return cls.from_dict(payload)
 
 

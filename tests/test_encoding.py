@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from ppsmc.music.encoding import (MusicEvent, Vocabulary, allowed_symbols,
+from ppsmc.music.encoding import (MusicEvent, Vocabulary, allowed_symbols, code_symbols,
                                   codes_to_events, decode_event, encode_event,
                                   events_to_codes, events_to_symbols,
                                   symbols_to_events)
@@ -66,6 +66,25 @@ class TestSymbolStreams:
         events = [MusicEvent(0, 3), MusicEvent(0, 1)]
         with pytest.raises(ValueError):
             events_to_symbols(events, TINY)
+
+    def test_rejects_an_event_before_the_current_tick(self):
+        events = [MusicEvent(2, 1), MusicEvent(1, 4)]
+        with pytest.raises(ValueError, match="^event at tick 1 appears after tick 2$"):
+            events_to_symbols(events, TINY)
+
+    def test_the_step_rejects_a_code_below_1(self):
+        for code in (0, -3):
+            with pytest.raises(ValueError, match=f"^codes are positive, got {code}$"):
+                code_symbols(code, 0, None, TINY)
+
+    def test_the_step_rejects_a_repeated_code(self):
+        """A code equal to the last one is its action again at the same tick."""
+        code = encode_event(MusicEvent(1, 3), TINY)
+        tick, step = code_symbols(code, 0, None, TINY)
+        assert (tick, step) == (1, (TINY.shift_symbol(1), 3))
+        with pytest.raises(ValueError, match=r"^actions within tick 1 must strictly ascend "
+                                             r"\(3 after 3\)$"):
+            code_symbols(code, tick, step[-1], TINY)
 
     def test_rejects_consecutive_shifts(self):
         shift = TINY.shift_symbol(1)

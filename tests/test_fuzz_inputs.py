@@ -21,7 +21,7 @@ from test_acceptance import TINY, tiny_music_model
 
 from ppsmc.cli import main
 from ppsmc.music.encoding import MusicEvent, Vocabulary, codes_to_events, events_to_codes
-from ppsmc.music.files import read_events, read_parts, write_events
+from ppsmc.music.files import loads, read_events, read_parts, write_events
 from ppsmc.music.midi import write_midi
 
 NOT_A_LIST = [None, "ab", 1.5, 3, True, {"x": 1}]
@@ -305,6 +305,70 @@ class TestModelFiles:
         assert not (tmp_path / "out").exists()
 
 
+def repeated_key_inputs() -> dict:
+    """Per JSON input: (file name, text giving one key twice, the command
+    reading it, the key)."""
+    model = tiny_music_model().step_model.to_dict()
+    model["counts"] = model.pop("counts")  # last, so its object closes the text
+    header = '{"version": 1, "kind": "events", "parts": 1}'
+    return {
+        "model": ("model.json", json.dumps(model)[:-2] + ', "1": {"2": 1000}}}',
+                  ["sample", "--model", "model.json", "--constraints", "music.json",
+                   "--particles", "4", "--seed", "1", "--out", "out"], "1"),
+        "constraints": ("cs.json", '{"z": [0.5], "b": [true], "z": [0.7]}',
+                        ["sample", "--model", "poisson:rate=3", "--constraints", "cs.json",
+                         "--seed", "1", "--out", "out"], "z"),
+        "event-line": ("piece.jsonl", header + '\n{"a": 61, "part": 0, "t": 0, "a": 62}\n',
+                       ["convert", "--to-midi", "piece.jsonl", "out"], "a"),
+        "event-header": ("piece.jsonl", header[:-1] + ', "parts": 2}\n',
+                         ["convert", "--to-midi", "piece.jsonl", "out"], "parts"),
+        "times": ("times.json", '{"version": 1, "kind": "times", "times": [0.2], "times": [0.5]}',
+                  ["logprob", "--model", "poisson:rate=3", "--out", "out", "times.json"],
+                  "times"),
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(repeated_key_inputs()))
+def test_repeated_json_key_exits_1(tmp_path, capsys, monkeypatch, kind):
+    """A key given twice in one object is refused wherever JSON is read, not
+    read as its last value."""
+    name, text, argv, key = repeated_key_inputs()[kind]
+    monkeypatch.chdir(tmp_path)
+    Path("music.json").write_text(json.dumps({"z": [2 * TINY.actions + 1], "b": [True]}))
+    Path(name).write_text(text)
+    err = assert_error_exit(main(argv), capsys, kind)
+    assert err.splitlines()[-1] == f"error: {name}: JSON object repeats key {key!r}"
+    assert not Path("out").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("oracle --cells 0", "need at least one cell"),
+    ("oracle --cells 8 --observed 9", "observed indices out of range for n=8"),
+    ("oracle --grid const:p=1.5", "g returned 1.5, not a probability"),
+    ("sample --model poisson:rate", "malformed parameter 'rate', expected key=value"),
+    ("train --order 0", "order must be >= 1"),
+    ("train --s-max 0", "a_max, s_max and parts must all be positive"),
+    ("convert --to-midi empty.jsonl", "empty.jsonl: empty event file"),
+    ("convert --to-midi part16.jsonl", "part 16 exceeds the 16 MIDI channels"),
+], ids=["no-cells", "observed-past-the-cells", "grid-p-over-1", "spec-without-equals",
+        "order-0", "s-max-0", "empty-event-file", "part-16-to-midi"])
+def test_malformed_option_or_piece_exits_1(tmp_path, capsys, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    Path("cs.json").write_text(json.dumps({"z": [0.5], "b": [True]}))
+    Path("corpus").mkdir()
+    Path("corpus/a.jsonl").write_text("\n".join(TestCorpusFiles.GOOD) + "\n")
+    Path("empty.jsonl").write_text("")
+    write_events("part16.jsonl", [MusicEvent(0, 61, 16), MusicEvent(10, 189, 16)],
+                 Vocabulary(parts=17))
+    command = argv.split()[0]
+    rest = {"oracle": ["--particles", "10", "--runs", "1", "--seed", "1", "--out", "out"],
+            "sample": ["--constraints", "cs.json", "--seed", "1", "--out", "out"],
+            "train": ["--corpus", "corpus", "--out", "out"], "convert": ["out"]}[command]
+    err = assert_error_exit(main([*argv.split(), *rest]), capsys, argv)
+    assert err == f"error: {message}\n"
+    assert not Path("out").exists()
+
+
 @pytest.mark.parametrize("command", ["sample", "beam", "oracle"])
 @pytest.mark.parametrize("runs", ["0", "-2"])
 def test_run_count_below_one_exits_1(tmp_path, capsys, command, runs):
@@ -370,14 +434,15 @@ def test_grid_spec_missing_a_parameter_exits_1(tmp_path, capsys, name, dropped):
 
 
 def read_events_by_json(path) -> tuple[list[MusicEvent], int]:
-    """``read_events`` with every line parsed by ``json.loads``, as it read
-    event files before lines in ``write_codes``' form got a parser of their
-    own: every ValueError, JSON errors included, is prefixed with the path."""
+    """``read_events`` with every line parsed by ``files.loads`` (``json.loads``
+    refusing repeated keys), as it read event files before lines in
+    ``write_codes``' form got a parser of their own: every ValueError, JSON
+    errors included, is prefixed with the path."""
     try:
         raw = [line for line in Path(path).read_text().splitlines() if line.strip()]
         if not raw:
             raise ValueError("empty event file")
-        header = json.loads(raw[0])
+        header = loads(raw[0])
         kind = header.get("kind") if isinstance(header, dict) else None
         if kind != "events":
             raise ValueError(f"not an event file (kind={kind!r})")
@@ -388,7 +453,7 @@ def read_events_by_json(path) -> tuple[list[MusicEvent], int]:
             raise ValueError(f"header field 'parts' must be an integer, got {parts!r}")
         events = []
         for k, line in enumerate(raw[1:], start=1):
-            d = json.loads(line)
+            d = loads(line)
             if not isinstance(d, dict):
                 d = {}
             t, a, part = d.get("t"), d.get("a"), d.get("part", 0)

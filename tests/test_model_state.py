@@ -19,6 +19,7 @@ from ppsmc.beam import beam_search_sample
 from ppsmc.models import (PoissonProcessModel, SaturatedCdfError, UniformRenewalModel,
                           WeibullRenewalModel)
 from ppsmc.music import adapter
+from ppsmc.music.encoding import MusicEvent
 from ppsmc.oracle import GridModel, GridSequenceModel
 from ppsmc.smc import ConstraintSet, conditional_sample
 
@@ -114,13 +115,13 @@ def test_history_is_decoded_once_per_run(monkeypatch):
     """Codes decoded per filter or beam run are a small multiple of the prefix
     length and do not grow with particles or proposed events."""
     decoded = []
-    real = adapter.codes_to_events
+    real = adapter.codes_to_symbols
 
     def counting(codes, vocab):
         decoded.append(len(codes))
         return real(codes, vocab)
 
-    monkeypatch.setattr(adapter, "codes_to_events", counting)
+    monkeypatch.setattr(adapter, "codes_to_symbols", counting)
     model = tiny_music_model()
     prefix = long_prefix(100)
     assert len(prefix) == 200
@@ -152,6 +153,19 @@ def _six_free_barriers():
     end = (prefix[-1] - 1) // ACTS
     cs = ConstraintSet(z=tuple((end + 2 * k) * ACTS + 1 for k in range(1, 7)), b=(True,) * 6)
     return model, cs, {"horizon": (end + 14) * ACTS, "initial_history": prefix}
+
+
+def test_music_runs_build_no_event_objects(monkeypatch):
+    """The music model steps on codes: a filter run and a beam run from a
+    200-code prefix construct no ``MusicEvent``."""
+    model, cs, kwargs = _six_free_barriers()
+    made = []
+    post_init = MusicEvent.__post_init__
+    monkeypatch.setattr(MusicEvent, "__post_init__",
+                        lambda ev: (made.append(ev), post_init(ev))[1])
+    assert conditional_sample(model, cs, 20, 5, **kwargs).survived
+    assert beam_search_sample(model, cs, 3, 4, 5, **kwargs).survived
+    assert made == []
 
 
 def test_beam_walks_each_proposed_event_once(monkeypatch):

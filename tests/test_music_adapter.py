@@ -160,3 +160,10 @@ class TestConditionalMusicSampling:
                                     horizon=3 * TINY.actions, initial_history=prefix)
         assert result.survived
         assert all(s[0] == prefix[0] and s[-1] == z[0] for s in result.samples)
+
+
+def test_a_history_with_two_faults_reports_the_first(model):
+    """A history is stepped code by code, as ``advance`` steps one more code,
+    so a descending code is reported before a later code below 1."""
+    with pytest.raises(ValueError, match="^event at tick 0 appears after tick 1$"):
+        model.initial_state((TINY.actions + 1, 3, 0))
