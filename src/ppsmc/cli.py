@@ -1,18 +1,15 @@
 """Command line interface.
 
 Exit codes: 0 success, 1 runtime/config error, 2 usage error (argparse),
-3 ensemble or beam death on a single run.  Set PPSMC_LOG=debug|info|... to
-control logging.
+3 ensemble or beam death on a single run.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import logging
 import math
 import numbers
-import os
 import sys
 from collections import Counter
 from pathlib import Path
@@ -22,7 +19,7 @@ from .models import (IterationLimitError, PoissonProcessModel, SaturatedCdfError
                      UniformRenewalModel, WeibullRenewalModel, step_log_probabilities)
 from .music.adapter import UnrolledMusicModel
 from .music.encoding import Vocabulary, events_to_codes
-from .music.files import (_as_code, extract_constraints, in_file, loads, read_constraint_file,
+from .music.files import (extract_constraints, in_file, loads, read_constraint_file,
                           read_corpus, read_events, read_parts, write_codes,
                           write_constraint_file, write_events)
 from .music.midi import read_midi, write_midi
@@ -31,9 +28,7 @@ from .oracle import (GridModel, GridSequenceModel, bits_from_times,
                      enumerate_conditional, normalize_counts,
                      observed_constraints, total_variation)
 from .rng import run_seed
-from .smc import ConstraintSet, conditional_sample, satisfies
-
-logger = logging.getLogger("ppsmc")
+from .smc import conditional_sample, satisfies
 
 EXIT_ERROR = 1
 EXIT_DIED = 3
@@ -93,14 +88,13 @@ def build_model(spec: str):
 
 
 def _load_run_setup(args, music_vocab: Vocabulary | None):
-    constraints, prefix, ticks = read_constraint_file(args.constraints)
+    constraints, prefix, ticks = read_constraint_file(args.constraints, music_vocab)
     if music_vocab is None:
         if args.horizon_ticks is not None:
             raise ValueError("--horizon-ticks is for music models; use --horizon")
         return constraints, (), 1.0 if args.horizon is None else args.horizon
     if args.horizon is not None:
         raise ValueError("--horizon is for continuous models; use --horizon-ticks")
-    constraints = ConstraintSet(z=tuple(_as_code(z) for z in constraints.z), b=constraints.b)
     acts = music_vocab.actions
     if args.horizon_ticks is not None:
         ticks = args.horizon_ticks
@@ -167,7 +161,7 @@ def cmd_generate(args) -> int:
         _write_diagnostics(rundir / "diagnostics.jsonl", result.diagnostics)
         _write_json(rundir / "result.json", payload)
         if result.failed_barrier is not None:
-            logger.warning("run %d died at barrier %d", r, result.failed_barrier)
+            print(f"run {r} died at barrier {result.failed_barrier}", file=sys.stderr)
     if args.runs > 1:
         _write_json(outdir / "summary.json",
                     {"version": 1, "kind": "summary", "runs": args.runs,
@@ -181,19 +175,22 @@ def cmd_generate(args) -> int:
 
 
 def _load_times(path: str, vocab: Vocabulary | None) -> list:
+    """The times in a times file, or for a music model the codes of an event
+    file; every ValueError names the file."""
     if vocab is not None:
         events, _ = read_events(path)
-        return events_to_codes(events, vocab)
+        with in_file(path):
+            return events_to_codes(events, vocab)
     with in_file(path):
         payload = loads(Path(path).read_text())
-    if (not isinstance(payload, dict) or payload.get("version", 1) != 1
-            or payload.get("kind") != "times"):
-        raise ValueError(f"{path}: not a times file")
-    times = payload.get("times")
-    if not isinstance(times, list) or not all(
-            isinstance(t, numbers.Real) and not isinstance(t, bool) and math.isfinite(t)
-            for t in times):
-        raise ValueError(f"{path}: field 'times' is missing or not a list of finite numbers")
+        if (not isinstance(payload, dict) or payload.get("version", 1) != 1
+                or payload.get("kind") != "times"):
+            raise ValueError("not a times file")
+        times = payload.get("times")
+        if not isinstance(times, list) or not all(  # finite as floats: no huge integers
+                isinstance(t, numbers.Real) and not isinstance(t, bool)
+                and abs(t) <= sys.float_info.max for t in times):
+            raise ValueError("field 'times' is missing or not a list of finite numbers")
     return times
 
 
@@ -204,7 +201,8 @@ def cmd_logprob(args) -> int:
     finite = []
     for path in args.files:
         times = _load_times(path, vocab)
-        steps = step_log_probabilities(model, times)
+        with in_file(path):
+            steps = step_log_probabilities(model, times)
         total = sum(steps, 0.0)
         offending = next((i for i, lp in enumerate(steps) if lp == -math.inf), None)
         entries.append({"path": path, "num_events": len(times),
@@ -225,11 +223,14 @@ def cmd_logprob(args) -> int:
 
 def cmd_extract_constraints(args) -> int:
     events, parts = read_events(args.events)
-    vocab = Vocabulary(parts=max(parts, args.part + 1))
+    if not 0 <= args.part < parts:
+        raise ValueError(f"--part {args.part} is outside the parts 0..{parts - 1} "
+                         f"of {args.events}")
+    vocab = Vocabulary(parts=parts)
     prefix, constraints = extract_constraints(events, args.split_tick, args.part,
                                               vocab, hold_fixed=args.hold_fixed)
     horizon_ticks = max(ev.t for ev in events) + 1 if events else args.split_tick
-    write_constraint_file(args.out, constraints, prefix, horizon_ticks)
+    write_constraint_file(args.out, constraints, prefix, horizon_ticks, vocab)
     print(f"{len(constraints.z)} constraints, {len(prefix)} prefix events -> {args.out}")
     return 0
 
@@ -364,9 +365,6 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_convert)
 
     args = parser.parse_args(argv)
-    level = os.environ.get("PPSMC_LOG", "warning").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
-                        format="%(levelname)s %(name)s: %(message)s")
     try:
         if getattr(args, "runs", 1) < 1:  # sample, beam and oracle
             raise ValueError(f"--runs must be at least 1, got {args.runs}")

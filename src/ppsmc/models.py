@@ -354,20 +354,23 @@ def step_log_probabilities(model: SequenceModel, seq: Sequence[float],
                            initial_history: Sequence[float] = ()) -> list[float]:
     """Log density/mass of each gap in ``seq`` under the model, in order.
 
-    A zero-density step yields -inf at its index; no exception is raised.
-    The state is never advanced past the last time, which may be one the
-    model cannot reach.
+    A zero-density step yields -inf at its index, and so does every later
+    step; no exception is raised.  The state is never advanced past a time
+    the model cannot reach, nor past the last time.
     """
     state = model.initial_state(initial_history)
     out = []
     last = initial_history[-1] if len(initial_history) else 0.0
-    for i, t in enumerate(seq):
+    for t in seq:
         d = t - last
         if d <= 0:
             raise ValueError(f"times must strictly increase, got {t!r} after {last!r}")
-        if i:
-            state = model.advance(state, last)
-        out.append(_log_density(state, d))
+        if out and out[-1] == -math.inf:
+            out.append(-math.inf)
+        else:
+            if out:
+                state = model.advance(state, last)
+            out.append(_log_density(state, d))
         last = t
     return out
 

@@ -70,8 +70,6 @@ class _MusicGap(InterArrivalDistribution):
         if d < 1 or d != int(d):
             return 0.0
         dt, a_z = self._split(d)
-        if dt < 0:
-            return 0.0
         pmf = self._step_pmf()
         if dt == 0:
             return float(pmf[a_z - 1])
@@ -88,8 +86,6 @@ class _MusicGap(InterArrivalDistribution):
         if d < 1:
             return 0.0
         dt, a_z = self._split(d)
-        if dt < 0:
-            return 0.0
         pmf = self._step_pmf()
         lo = self.last_a if self.last_a is not None else 0  # exclusive lower bound
         if dt == 0:

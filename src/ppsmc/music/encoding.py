@@ -160,30 +160,19 @@ def events_to_symbols(events, vocab: Vocabulary) -> list[int]:
 
 
 def symbols_to_events(symbols, vocab: Vocabulary) -> list[MusicEvent]:
-    """Decode a symbol stream, enforcing the canonical-order rules."""
-    events = []
-    cur_t = 0
-    last_a = None
-    prev_shift = False
+    """Decode a symbol stream; ValueError unless it is the canonical stream
+    of the events it decodes to."""
+    symbols, codes, t = list(symbols), [], 0
     for sym in symbols:
         if vocab.is_shift(sym):
-            if prev_shift:
-                raise ValueError("shift after shift is not canonical")
-            cur_t += vocab.shift_amount(sym)
-            last_a = None
-            prev_shift = True
+            t += sym - vocab.actions
         elif vocab.is_action(sym):
-            if last_a is not None and sym <= last_a:
-                raise ValueError(f"action {sym} does not ascend past {last_a} within tick {cur_t}")
-            part, a = divmod(sym - 1, vocab.a_max)
-            events.append(MusicEvent(t=cur_t, a=a + 1, part=part))
-            last_a = sym
-            prev_shift = False
+            codes.append(t * vocab.actions + sym)
         else:
             raise ValueError(f"symbol {sym} outside vocabulary of size {vocab.size}")
-    if prev_shift:
-        raise ValueError("dangling shift: a symbol stream may not end on a shift")
-    return events
+    if codes_to_symbols(codes, vocab) != symbols:
+        raise ValueError("symbol stream is not canonical: a shift after a shift or at the end")
+    return codes_to_events(codes, vocab)
 
 
 def allowed_symbols(prev: int | None, vocab: Vocabulary) -> np.ndarray:

@@ -10,7 +10,6 @@ reads and writes both formats.
 from __future__ import annotations
 
 import json
-import logging
 import re
 import warnings
 from contextlib import contextmanager
@@ -19,9 +18,7 @@ from typing import Sequence
 
 from ..smc import ConstraintSet
 from .encoding import (TICKS_PER_QUARTER, MusicEvent, Vocabulary, _split_code,
-                       events_to_codes, events_to_symbols)
-
-logger = logging.getLogger(__name__)
+                       codes_to_events, events_to_codes, events_to_symbols)
 
 FORMAT_VERSION = 1  # of event files and constraint files
 
@@ -139,7 +136,6 @@ def read_corpus(directory, vocab: Vocabulary) -> list[list[int]]:
         events, _ = read_events(p)
         with in_file(p):
             streams.append(events_to_symbols(events, vocab))
-    logger.info("read %d event files from %s", len(streams), directory)
     return streams
 
 
@@ -164,11 +160,16 @@ def extract_constraints(events: Sequence[MusicEvent], split_tick: int, part: int
 
 
 def write_constraint_file(path, constraints: ConstraintSet, prefix: Sequence[int] = (),
-                          horizon_ticks: int | None = None) -> None:
+                          horizon_ticks: int | None = None,
+                          vocab: Vocabulary | None = None) -> None:
+    """Write a constraint file; with the ``vocab`` its codes are in, the file
+    records their layout, ``a_max`` and ``parts``."""
     payload = {"version": FORMAT_VERSION, "z": list(constraints.z), "b": list(constraints.b),
                "prefix": [int(c) for c in prefix]}
     if horizon_ticks is not None:
         payload["horizon_ticks"] = int(horizon_ticks)
+    if vocab is not None:
+        payload.update(a_max=vocab.a_max, parts=vocab.parts)
     Path(path).write_text(json.dumps(payload, sort_keys=True) + "\n")
 
 
@@ -180,10 +181,16 @@ def _as_code(value) -> int:
     return value
 
 
-def read_constraint_file(path) -> tuple[ConstraintSet, list[int], int | None]:
+def read_constraint_file(path, vocab: Vocabulary | None = None
+                         ) -> tuple[ConstraintSet, list[int], int | None]:
     """Load a constraint file: the constraint set, the prefix as codes ([] if
     absent) and the tick horizon (None if absent).  Every field is checked,
-    whatever model reads the file; ValueError on any malformed one."""
+    whatever model reads the file; ValueError on any malformed one.
+
+    With the ``vocab`` of a music model, z holds codes too, and codes written
+    under another layout (the file's ``a_max`` and ``parts``) are re-encoded
+    into ``vocab``'s; a file without them is read in ``vocab``'s.
+    """
     text = Path(path).read_text()
     with in_file(path):
         d = loads(text)
@@ -202,4 +209,14 @@ def read_constraint_file(path) -> tuple[ConstraintSet, list[int], int | None]:
     prefix, ticks = d.get("prefix", []), d.get("horizon_ticks")
     if not isinstance(prefix, list):
         raise ValueError("constraint field 'prefix' must be a list of codes")
-    return constraints, [_as_code(c) for c in prefix], None if ticks is None else _as_code(ticks)
+    prefix, ticks = [_as_code(c) for c in prefix], None if ticks is None else _as_code(ticks)
+    layout = d.get("a_max"), d.get("parts")
+    if layout != (None, None) and not all(type(v) is int and v > 0 for v in layout):
+        raise ValueError("constraint fields 'a_max' and 'parts' must both be positive integers")
+    if vocab is not None:
+        z = [_as_code(t) for t in z]
+        if None not in layout and layout != (vocab.a_max, vocab.parts):
+            written = Vocabulary(a_max=layout[0], parts=layout[1])
+            prefix, z = (events_to_codes(codes_to_events(c, written), vocab) for c in (prefix, z))
+        constraints = ConstraintSet(z=tuple(z), b=constraints.b)
+    return constraints, prefix, ticks

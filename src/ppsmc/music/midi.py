@@ -9,13 +9,10 @@ on one channel, and dangling note-ons/offs.  Export writes a format-0 file at
 
 from __future__ import annotations
 
-import logging
 from pathlib import Path
 from typing import Sequence
 
 from .encoding import TICKS_PER_QUARTER, MusicEvent
-
-logger = logging.getLogger(__name__)
 
 NOTE_ON_VELOCITY = 64
 
@@ -143,8 +140,6 @@ def read_midi(path) -> list[MusicEvent]:
             raise ValueError(f"{path}: track chunk at byte {pos} is truncated")
         notes.extend(_parse_track(body))
         pos += 8 + length
-    if ppq != TICKS_PER_QUARTER:
-        logger.info("rescaling %s from %d to %d ticks per quarter", path, ppq, TICKS_PER_QUARTER)
     events = []
     for tick, channel, pitch, is_on in notes:
         t = int(round(tick * TICKS_PER_QUARTER / ppq))

@@ -11,12 +11,12 @@ import sys
 from pathlib import Path
 
 import pytest
-from test_acceptance import tiny_music_model
+from test_acceptance import TINY, tiny_music_model
 
 from ppsmc.cli import main
 from ppsmc.models import PoissonProcessModel, log_probability
 from ppsmc.music.encoding import MusicEvent, Vocabulary, events_to_codes
-from ppsmc.music.files import write_constraint_file, write_events
+from ppsmc.music.files import read_events, write_constraint_file, write_events
 from ppsmc.smc import ConstraintSet
 
 
@@ -79,6 +79,46 @@ class TestSampleCommand:
         assert code == 3
         result = read_json(out / "result.json")
         assert result["survived"] is False and result["failed_barrier"] == 2
+
+    def test_dead_run_is_reported_on_stderr(self, tmp_path, capsys):
+        cs = tmp_path / "dead.json"
+        cs.write_text(json.dumps({"z": [0.3, 0.6], "b": [False, False]}))
+        assert main(["sample", "--model", "uniform:low=0.01,high=0.02", "--constraints",
+                     str(cs), "--seed", "1", "--particles", "10", "--runs", "2",
+                     "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == ("run 0 died at barrier 2\n"
+                                           "run 1 died at barrier 2\n")
+
+    def test_horizon_ticks_bounds_music_samples(self, tmp_path, capsys):
+        """--horizon-ticks T replaces the file's tick horizon: every sample
+        code stays at or below T*A, and a T short of the last constraint is
+        refused."""
+        tiny_music_model().step_model.save(tmp_path / "model.json")
+        write_constraint_file(tmp_path / "cs.json", ConstraintSet(z=(13, 19), b=(True, True)),
+                              prefix=(1, 3), horizon_ticks=5)
+        args = ["sample", "--model", str(tmp_path / "model.json"), "--constraints",
+                str(tmp_path / "cs.json"), "--seed", "3", "--particles", "20", "--keep", "0"]
+        assert main(args + ["--horizon-ticks", "9", "--out", str(tmp_path / "out")]) == 0
+        codes = [events_to_codes(read_events(path)[0], TINY)
+                 for path in sorted((tmp_path / "out").glob("sample_*.jsonl"))]
+        assert len(codes) == 20 and all(c[-1] <= 9 * TINY.actions for c in codes)
+        assert max(c[-1] for c in codes) > 5 * TINY.actions  # past the file's horizon
+        assert main(args + ["--horizon-ticks", "4", "--out", str(tmp_path / "short")]) == 1
+        assert capsys.readouterr().err == "error: constraint 19 lies beyond the horizon 16\n"
+
+    def test_integral_float_codes_read_as_integers(self, tmp_path):
+        """Codes written as 13.0 in a music constraint file read as 13."""
+        tiny_music_model().step_model.save(tmp_path / "model.json")
+        (tmp_path / "float.json").write_text(json.dumps(
+            {"z": [13.0, 19.0], "b": [True, True], "prefix": [1.0, 3.0], "horizon_ticks": 5.0}))
+        write_constraint_file(tmp_path / "int.json", ConstraintSet(z=(13, 19), b=(True, True)),
+                              prefix=(1, 3), horizon_ticks=5)
+        for name in ("float", "int"):
+            assert main(["sample", "--model", str(tmp_path / "model.json"), "--constraints",
+                         str(tmp_path / f"{name}.json"), "--seed", "2", "--particles", "10",
+                         "--keep", "0", "--out", str(tmp_path / name)]) == 0
+        for path in sorted((tmp_path / "int").iterdir()):
+            assert (tmp_path / "float" / path.name).read_bytes() == path.read_bytes()
 
     def test_weights_whose_squares_underflow_exit_0(self, tmp_path):
         cs = tmp_path / "far.json"
@@ -246,6 +286,46 @@ class TestMusicPipeline:
                      str(report_path), str(sample_file)]) == 0
         entry = read_json(report_path)["entries"][0]
         assert entry["log_prob"] is not None and entry["log_prob"] < 0.0
+
+
+    def test_part_outside_the_header_is_refused(self, tmp_path, capsys):
+        """A 1-part piece has no part 1: its codes would be written under a
+        2-part layout that no 1-part model reads."""
+        corpus = tmp_path / "corpus"
+        self.make_corpus(corpus, Vocabulary())
+        piece = corpus / "p0.jsonl"
+        assert main(["extract-constraints", "--events", str(piece), "--split-tick", "1",
+                     "--part", "1", "--out", str(tmp_path / "cs.json")]) == 1
+        assert capsys.readouterr().err == (f"error: --part 1 is outside the parts 0..0 "
+                                           f"of {piece}\n")
+        assert not (tmp_path / "cs.json").exists()
+
+    def test_constraints_are_re_encoded_into_the_model_layout(self, tmp_path):
+        """A 2-part model samples a 1-part piece's constraints at the piece's
+        ticks: the file records the layout its codes are in."""
+        corpus = tmp_path / "corpus"
+        self.make_corpus(corpus, Vocabulary())
+        model, cs = tmp_path / "model.json", tmp_path / "cs.json"
+        assert main(["train", "--corpus", str(corpus), "--alpha", "0.5", "--s-max", "4",
+                     "--parts", "2", "--out", str(model)]) == 0
+        assert main(["extract-constraints", "--events", str(corpus / "p2.jsonl"),
+                     "--split-tick", "3", "--out", str(cs)]) == 0
+        assert main(["sample", "--model", str(model), "--constraints", str(cs), "--seed", "6",
+                     "--particles", "30", "--out", str(tmp_path / "out")]) == 0
+        events, parts = read_events(tmp_path / "out" / "sample_0000.jsonl")
+        assert parts == 2
+        assert events[:3] == [MusicEvent(0, 61), MusicEvent(2, 65), MusicEvent(2, 189)]
+        assert MusicEvent(4, 193) in events
+        assert (read_json(cs)["a_max"], read_json(cs)["parts"]) == (256, 1)
+
+    def test_constraint_part_the_model_lacks_exits_1(self, tmp_path, capsys):
+        two = Vocabulary(parts=2)
+        write_constraint_file(tmp_path / "cs.json", ConstraintSet(z=events_to_codes(
+            [MusicEvent(1, 1, part=1)], two), b=(True,)), vocab=two)
+        tiny_music_model().step_model.save(tmp_path / "model.json")
+        assert main(["sample", "--model", str(tmp_path / "model.json"), "--constraints",
+                     str(tmp_path / "cs.json"), "--seed", "1", "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "error: part 1 exceeds part count 1\n"
 
 
 class TestTrainCommand:

@@ -95,6 +95,12 @@ class TestSymbolStreams:
         with pytest.raises(ValueError):
             symbols_to_events([1, TINY.shift_symbol(2)], TINY)
 
+    def test_rejects_a_symbol_outside_the_vocabulary_or_a_descending_action(self):
+        for symbols, message in [([1, TINY.size + 1], f"symbol {TINY.size + 1} outside"),
+                                 ([3, 1], r"actions within tick 0 must strictly ascend")]:
+            with pytest.raises(ValueError, match=message):
+                symbols_to_events(symbols, TINY)
+
 
 class TestCanonicalMask:
     def test_start_allows_everything(self):

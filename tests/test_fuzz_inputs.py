@@ -129,6 +129,27 @@ class TestConstraintFiles:
                              "--seed", "1", "--particles", "4", "--out", str(tmp_path / "out")])
                 assert_error_exit(code, capsys, f"{model} trial {trial}: {payload}")
 
+    def test_mangled_layout_fields_exit_1(self, tmp_path, capsys):
+        """Every model refuses an 'a_max' or 'parts' that is not a positive
+        integer, or one without the other."""
+        model_path = tmp_path / "model.json"
+        tiny_music_model().step_model.save(model_path)
+        path = tmp_path / "cs.json"
+        for model, z in [(str(model_path), [2 * TINY.actions + 1]), ("poisson:rate=3", [0.5])]:
+            for field in ("a_max", "parts"):
+                for value in [*NOT_AN_INT[1:], 0, -1, "drop"]:
+                    payload = {"z": z, "b": [True], "a_max": TINY.a_max, "parts": 1}
+                    if value == "drop":
+                        del payload[field]
+                    else:
+                        payload[field] = value
+                    path.write_text(json.dumps(payload))
+                    code = main(["sample", "--model", model, "--constraints", str(path),
+                                 "--seed", "1", "--particles", "4", "--out", str(tmp_path / "o")])
+                    err = assert_error_exit(code, capsys, f"{model}: {payload}")
+                    assert err == ("error: constraint fields 'a_max' and 'parts' must both "
+                                   "be positive integers\n")
+
     def test_segment_over_the_draw_limit_exits_1(self, tmp_path, capsys):
         """A rate so high that the first barrier needs over a million draws."""
         path = tmp_path / "cs.json"
@@ -159,6 +180,36 @@ class TestTimesFiles:
             code = main(["logprob", "--model", "poisson:rate=3",
                          "--out", str(tmp_path / "scores.json"), str(path)])
             assert_error_exit(code, capsys, f"trial {trial}: {text}")
+
+
+    @pytest.mark.parametrize("name, text, message", [
+        ("times.json", '{"kind": "times", "times": [0.5, 0.2]}',
+         "times must strictly increase, got 0.2 after 0.5"),
+        ("times.json", '{"kind": "times", "times": [1%s]}' % ("0" * 400),
+         "field 'times' is missing or not a list of finite numbers"),
+        ("piece.jsonl", '{"kind": "events", "parts": 2}\n{"a": 1, "part": 1, "t": 0}\n',
+         "part 1 exceeds part count 1"),
+    ], ids=["decreasing", "huge-integer", "part-the-model-lacks"])
+    def test_scoring_error_names_the_file_once(self, tmp_path, capsys, name, text, message):
+        model = tmp_path / "model.json"
+        tiny_music_model().step_model.save(model)
+        (tmp_path / name).write_text(text)
+        code = main(["logprob", "--model", "poisson:rate=3" if name == "times.json" else str(model),
+                     "--out", str(tmp_path / "scores.json"), str(tmp_path / name)])
+        err = assert_error_exit(code, capsys, name)
+        assert err == f"error: {tmp_path / name}: {message}\n"
+
+    def test_step_past_an_unreachable_one_scores_minus_inf(self, tmp_path):
+        """A rest longer than s_max mid-piece is the offending step, as it is
+        at the end of a piece; the steps after it are not taken."""
+        tiny_music_model().step_model.save(tmp_path / "model.json")
+        for name, ticks in [("end", (0, 5)), ("mid", (0, 5, 6))]:
+            write_events(tmp_path / f"{name}.jsonl", [MusicEvent(t, 1) for t in ticks], TINY)
+        assert main(["logprob", "--model", str(tmp_path / "model.json"), "--out",
+                     str(tmp_path / "scores.json"), str(tmp_path / "end.jsonl"),
+                     str(tmp_path / "mid.jsonl")]) == 0
+        entries = json.loads((tmp_path / "scores.json").read_text())["entries"]
+        assert [(e["log_prob"], e["offending_step"]) for e in entries] == [(None, 1)] * 2
 
 
 class TestCorpusFiles:
@@ -590,6 +641,12 @@ class TestMidiFiles:
     def test_sample_file_is_readable(self, tmp_path, capsys):
         assert self.convert(tmp_path, sample_midi()) == 0
         assert "6 events" in capsys.readouterr().out
+
+    def test_zero_division_exits_1(self, tmp_path, capsys):
+        data = sample_midi()
+        err = assert_error_exit(self.convert(tmp_path, data[:12] + b"\0\0" + data[14:]),
+                                capsys, "division 0")
+        assert err == f"error: {tmp_path / 'in.mid'}: zero ticks-per-quarter division\n"
 
     @pytest.mark.parametrize("cut", [6, 1])
     def test_file_written_by_the_program_cut_short_exits_1(self, tmp_path, capsys, cut):

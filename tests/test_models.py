@@ -228,6 +228,12 @@ class TestLogProbability:
         assert steps[0] > -math.inf
         assert steps[1] == -math.inf
 
+    def test_no_step_after_a_zero_density_step(self):
+        """The state is not advanced past an unreachable time, so every later
+        step is -inf too, even a gap the model could draw."""
+        steps = step_log_probabilities(UniformRenewalModel(0.4, 0.6), (0.5, 0.6, 1.1))
+        assert steps[0] > -math.inf and steps[1:] == [-math.inf, -math.inf]
+
     def test_stepwise_sums_to_total(self):
         model = WeibullRenewalModel(shape=2.0, scale=1.0)
         seq = (0.3, 0.55, 1.2)
