@@ -191,32 +191,32 @@ def read_constraint_file(path, vocab: Vocabulary | None = None
     under another layout (the file's ``a_max`` and ``parts``) are re-encoded
     into ``vocab``'s; a file without them is read in ``vocab``'s.
     """
-    text = Path(path).read_text()
     with in_file(path):
-        d = loads(text)
-    if not isinstance(d, dict):
-        raise ValueError(f"constraints must be a JSON object, got {type(d).__name__}")
-    version = d.get("version", 1)
-    if version != FORMAT_VERSION:
-        raise ValueError(f"unsupported constraint file version: {version}")
-    z, b = d.get("z"), d.get("b")
-    if not isinstance(z, list) or not all(
-            isinstance(t, (int, float)) and not isinstance(t, bool) for t in z):
-        raise ValueError("constraint field 'z' is missing or not a list of numbers")
-    if not isinstance(b, list) or not all(isinstance(v, bool) for v in b):
-        raise ValueError("constraint field 'b' is missing or not a list of booleans")
-    constraints = ConstraintSet(z=tuple(z), b=tuple(b))
-    prefix, ticks = d.get("prefix", []), d.get("horizon_ticks")
-    if not isinstance(prefix, list):
-        raise ValueError("constraint field 'prefix' must be a list of codes")
-    prefix, ticks = [_as_code(c) for c in prefix], None if ticks is None else _as_code(ticks)
-    layout = d.get("a_max"), d.get("parts")
-    if layout != (None, None) and not all(type(v) is int and v > 0 for v in layout):
-        raise ValueError("constraint fields 'a_max' and 'parts' must both be positive integers")
-    if vocab is not None:
-        z = [_as_code(t) for t in z]
-        if None not in layout and layout != (vocab.a_max, vocab.parts):
-            written = Vocabulary(a_max=layout[0], parts=layout[1])
-            prefix, z = (events_to_codes(codes_to_events(c, written), vocab) for c in (prefix, z))
-        constraints = ConstraintSet(z=tuple(z), b=constraints.b)
-    return constraints, prefix, ticks
+        d = loads(Path(path).read_text())
+        if not isinstance(d, dict):
+            raise ValueError(f"constraints must be a JSON object, got {type(d).__name__}")
+        version = d.get("version", 1)
+        if version != FORMAT_VERSION:
+            raise ValueError(f"unsupported constraint file version: {version}")
+        z, b = d.get("z"), d.get("b")
+        if not isinstance(z, list) or not all(
+                isinstance(t, (int, float)) and not isinstance(t, bool) for t in z):
+            raise ValueError("constraint field 'z' is missing or not a list of numbers")
+        if not isinstance(b, list) or not all(isinstance(v, bool) for v in b):
+            raise ValueError("constraint field 'b' is missing or not a list of booleans")
+        constraints = ConstraintSet(z=tuple(z), b=tuple(b))
+        prefix, ticks = d.get("prefix", []), d.get("horizon_ticks")
+        if not isinstance(prefix, list):
+            raise ValueError("constraint field 'prefix' must be a list of codes")
+        prefix, ticks = [_as_code(c) for c in prefix], None if ticks is None else _as_code(ticks)
+        layout = d.get("a_max"), d.get("parts")
+        if layout != (None, None) and not all(type(v) is int and v > 0 for v in layout):
+            raise ValueError("constraint fields 'a_max' and 'parts' must both be positive integers")
+        if vocab is not None:
+            z = [_as_code(t) for t in z]
+            if None not in layout and layout != (vocab.a_max, vocab.parts):
+                written = Vocabulary(a_max=layout[0], parts=layout[1])
+                prefix, z = (events_to_codes(codes_to_events(c, written), vocab)
+                             for c in (prefix, z))
+            constraints = ConstraintSet(z=tuple(z), b=constraints.b)
+        return constraints, prefix, ticks

@@ -13,6 +13,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .encoding import TICKS_PER_QUARTER, MusicEvent
+from .files import in_file
 
 NOTE_ON_VELOCITY = 64
 
@@ -112,42 +113,43 @@ def _check_note_pairing(events: Sequence[MusicEvent]) -> None:
 
 def read_midi(path) -> list[MusicEvent]:
     """Parse the note on/off content of a MIDI file into canonical events."""
-    data = Path(path).read_bytes()
-    if data[:4] != b"MThd":
-        raise ValueError(f"{path}: not a MIDI file")
-    if len(data) < 14:
-        raise ValueError(f"{path}: truncated MIDI header")
-    header_len = int.from_bytes(data[4:8], "big")
-    fmt = int.from_bytes(data[8:10], "big")
-    ntrks = int.from_bytes(data[10:12], "big")
-    division = int.from_bytes(data[12:14], "big")
-    if fmt not in (0, 1):
-        raise ValueError(f"{path}: unsupported MIDI format {fmt}")
-    if division & 0x8000:
-        raise ValueError(f"{path}: SMPTE time division is not supported")
-    ppq = division
-    if ppq == 0:
-        raise ValueError(f"{path}: zero ticks-per-quarter division")
-    pos = 8 + header_len
-    notes = []
-    for _ in range(ntrks):
-        chunk = data[pos:pos + 8]
-        if len(chunk) < 8 or chunk[:4] != b"MTrk":
-            raise ValueError(f"{path}: malformed track chunk at byte {pos}")
-        length = int.from_bytes(chunk[4:], "big")
-        body = data[pos + 8:pos + 8 + length]
-        if len(body) < length:
-            raise ValueError(f"{path}: track chunk at byte {pos} is truncated")
-        notes.extend(_parse_track(body))
-        pos += 8 + length
-    events = []
-    for tick, channel, pitch, is_on in notes:
-        t = int(round(tick * TICKS_PER_QUARTER / ppq))
-        a = pitch + 1 if is_on else pitch + 129
-        events.append(MusicEvent(t=t, a=a, part=channel))
-    events.sort(key=lambda ev: (ev.t, ev.part, ev.a))
-    _check_note_pairing(events)
-    return events
+    with in_file(path):
+        data = Path(path).read_bytes()
+        if data[:4] != b"MThd":
+            raise ValueError("not a MIDI file")
+        if len(data) < 14:
+            raise ValueError("truncated MIDI header")
+        header_len = int.from_bytes(data[4:8], "big")
+        fmt = int.from_bytes(data[8:10], "big")
+        ntrks = int.from_bytes(data[10:12], "big")
+        division = int.from_bytes(data[12:14], "big")
+        if fmt not in (0, 1):
+            raise ValueError(f"unsupported MIDI format {fmt}")
+        if division & 0x8000:
+            raise ValueError("SMPTE time division is not supported")
+        ppq = division
+        if ppq == 0:
+            raise ValueError("zero ticks-per-quarter division")
+        pos = 8 + header_len
+        notes = []
+        for _ in range(ntrks):
+            chunk = data[pos:pos + 8]
+            if len(chunk) < 8 or chunk[:4] != b"MTrk":
+                raise ValueError(f"malformed track chunk at byte {pos}")
+            length = int.from_bytes(chunk[4:], "big")
+            body = data[pos + 8:pos + 8 + length]
+            if len(body) < length:
+                raise ValueError(f"track chunk at byte {pos} is truncated")
+            notes.extend(_parse_track(body))
+            pos += 8 + length
+        events = []
+        for tick, channel, pitch, is_on in notes:
+            t = int(round(tick * TICKS_PER_QUARTER / ppq))
+            a = pitch + 1 if is_on else pitch + 129
+            events.append(MusicEvent(t=t, a=a, part=channel))
+        events.sort(key=lambda ev: (ev.t, ev.part, ev.a))
+        _check_note_pairing(events)
+        return events
 
 
 def write_midi(path, events: Sequence[MusicEvent]) -> None:
@@ -160,8 +162,6 @@ def write_midi(path, events: Sequence[MusicEvent]) -> None:
     track = bytearray()
     prev_t = 0
     for ev in events:
-        if ev.a > 256:
-            raise ValueError(f"action {ev.a} has no MIDI note representation")
         if ev.part > 15:
             raise ValueError(f"part {ev.part} exceeds the 16 MIDI channels")
         if ev.t < prev_t:

@@ -132,7 +132,8 @@ class NGramModel:
         model = cls(vocab, d["order"], alpha)
         for ctx_key, row in rows.items():
             ctx = tuple(int(x) if x.isdecimal() else -1 for x in ctx_key.split())
-            counts = model.counts[ctx] = {int(s) if s.isdecimal() else -1: n for s, n in row.items()}
+            counts = model.counts[ctx] = {int(s) if s.isdecimal() else -1: n
+                                          for s, n in row.items()}
             spelled = [ctx_key, *row] == [" ".join(map(str, ctx)), *map(str, counts)]  # as to_dict
             known = len(ctx) == model.order - 1 and all(BOS <= s <= vocab.size for s in ctx)
             if not (spelled and known) or not all(1 <= s <= vocab.size for s in counts):
@@ -146,10 +147,8 @@ class NGramModel:
 
     @classmethod
     def load(cls, path) -> "NGramModel":
-        text = Path(path).read_text()
         with in_file(path):
-            payload = loads(text)
-        return cls.from_dict(payload)
+            return cls.from_dict(loads(Path(path).read_text()))
 
 
 def _is_int(value) -> bool:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -88,35 +88,26 @@ class _GridGap(InterArrivalDistribution):
             bits.append(0)
         return tuple(out)
 
-    def _vacant(self, m: int) -> float:
-        """P(the first m cells ahead are vacant)."""
-        vacant = 1.0
-        for g in self._ahead[:m]:
-            vacant *= 1.0 - g
-        return vacant
+    @cached_property
+    def _vacant(self) -> tuple:
+        """P(the first m cells ahead are vacant), for m = 0 ... cells ahead."""
+        out = [1.0]
+        for g in self._ahead:
+            out.append(out[-1] * (1.0 - g))
+        return tuple(out)
 
     def pdf(self, d):
         m = int(d)
-        if m != d or m < 1 or len(self.prefix) + m > self.model.n:
+        if m != d or not 1 <= m <= self.draw_width:
             return 0.0
-        return self._vacant(m - 1) * self._ahead[m - 1]
+        return self._vacant[m - 1] * self._ahead[m - 1]
 
     def cdf(self, d):
-        if d < 1:
-            return 0.0
-        total, vacant = 0.0, 1.0
-        for g in self._ahead[:int(d)]:
-            total += vacant * g
-            vacant *= 1.0 - g
-        return total
+        return 1.0 - self._vacant[min(max(math.floor(d), 0), self.draw_width)]
 
     def survival(self, d):
-        if d <= 1:
-            return 1.0
-        m = int(math.ceil(d))
-        if m > self.model.n - len(self.prefix) + 1:
-            return 0.0  # even the beyond-horizon gap is shorter than d
-        return self._vacant(m - 1)
+        m = max(math.ceil(d), 1)  # past the table even the beyond-horizon gap is shorter than d
+        return self._vacant[m - 1] if m <= len(self._vacant) else 0.0
 
     def _beyond(self) -> int:
         """The gap to time n + 1, just past the last cell."""
@@ -160,9 +151,7 @@ class GridSequenceModel(SequenceModel):
         self.model = model
 
     def initial_state(self, history):
-        last = int(history[-1]) if len(history) else 0
-        present = set(history)
-        return _GridGap(self.model, tuple(1 if (j + 1) in present else 0 for j in range(last)))
+        return reduce(self.advance, history, _GridGap(self.model, ()))
 
     def advance(self, state, t):
         # the cells after the previous event stay vacant up to t's own cell,

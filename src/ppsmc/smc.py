@@ -67,7 +67,8 @@ class ConstraintSet:
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "b", b)
         if len(z) != len(b):
-            raise ValueError(f"expected one flag per constraint, got {len(z)} times and {len(b)} flags")
+            raise ValueError(f"expected one flag per constraint, got {len(z)} times and "
+                             f"{len(b)} flags")
         for i, t in enumerate(z):
             if isinstance(t, float) and not math.isfinite(t):
                 raise ValueError(f"constraint time must be finite, got {t!r}")
@@ -512,7 +513,8 @@ def run_barriers(model: SequenceModel, constraints: ConstraintSet, seed: int,
             raise ValueError(f"first constraint {constraints.z[0]!r} does not lie beyond "
                              f"the history end {start!r}")
         if constraints.z[-1] > horizon:
-            raise ValueError(f"constraint {constraints.z[-1]!r} lies beyond the horizon {horizon!r}")
+            raise ValueError(f"constraint {constraints.z[-1]!r} lies beyond the horizon "
+                             f"{horizon!r}")
     walk = _Walk(model, model.initial_state(initial_history), seed, horizon, score, width,
                  start, constraints)
     diagnostics = []

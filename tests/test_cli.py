@@ -89,6 +89,18 @@ class TestSampleCommand:
         assert capsys.readouterr().err == ("run 0 died at barrier 2\n"
                                            "run 1 died at barrier 2\n")
 
+    def test_forbidden_gap_longer_than_s_max_exits_3(self, tmp_path, capsys):
+        tiny_music_model().step_model.save(tmp_path / "model.json")
+        z = events_to_codes([MusicEvent(0, 1), MusicEvent(TINY.s_max + 2, 1)], TINY)
+        write_constraint_file(tmp_path / "cs.json", ConstraintSet(z=z, b=(False, True)),
+                              horizon_ticks=TINY.s_max + 3, vocab=TINY)
+        assert main(["sample", "--model", str(tmp_path / "model.json"), "--constraints",
+                     str(tmp_path / "cs.json"), "--seed", "1", "--particles", "8",
+                     "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err.endswith("ensemble died: no run survived its "
+                                                "constraints\n")
+        assert read_json(tmp_path / "out" / "result.json")["failed_barrier"] == 2
+
     def test_horizon_ticks_bounds_music_samples(self, tmp_path, capsys):
         """--horizon-ticks T replaces the file's tick horizon: every sample
         code stays at or below T*A, and a T short of the last constraint is
@@ -325,7 +337,8 @@ class TestMusicPipeline:
         tiny_music_model().step_model.save(tmp_path / "model.json")
         assert main(["sample", "--model", str(tmp_path / "model.json"), "--constraints",
                      str(tmp_path / "cs.json"), "--seed", "1", "--out", str(tmp_path / "out")]) == 1
-        assert capsys.readouterr().err == "error: part 1 exceeds part count 1\n"
+        assert capsys.readouterr().err == (f"error: {tmp_path / 'cs.json'}: "
+                                           "part 1 exceeds part count 1\n")
 
 
 class TestTrainCommand:

@@ -205,6 +205,15 @@ class TestMidiRoundTrip:
         path.write_bytes(data)
         assert read_midi(path) == [MusicEvent(0, 61), MusicEvent(96, 189)]
 
+    @pytest.mark.parametrize("events, message", [
+        # action 257 would be the off of pitch 128, and no note-on opens that pitch
+        ([MusicEvent(0, 257)], "pitch 128 on part 0 released at tick 0 without a matching note-on"),
+        ([MusicEvent(5, 61), MusicEvent(2, 189)], "events must be in canonical order"),
+    ], ids=["action-257", "ticks-backwards"])
+    def test_writer_rejects_what_no_track_can_hold(self, tmp_path, events, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            write_midi(tmp_path / "bad.mid", events)
+
     def test_rejects_smpte_division(self, tmp_path):
         data = (b"MThd" + struct.pack(">IHH", 6, 0, 1) + b"\xe2\x50"
                 + b"MTrk" + struct.pack(">I", 4) + b"\x00\xff\x2f\x00")

@@ -147,8 +147,21 @@ class TestConstraintFiles:
                     code = main(["sample", "--model", model, "--constraints", str(path),
                                  "--seed", "1", "--particles", "4", "--out", str(tmp_path / "o")])
                     err = assert_error_exit(code, capsys, f"{model}: {payload}")
-                    assert err == ("error: constraint fields 'a_max' and 'parts' must both "
-                                   "be positive integers\n")
+                    assert err == (f"error: {path}: constraint fields 'a_max' and 'parts' "
+                                   "must both be positive integers\n")
+
+    @pytest.mark.parametrize("data, message", [
+        (b'{"z": [0.5, 0.2], "b": [true, true]}',
+         "constraint times must be strictly increasing and positive\n"),
+        (b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff in position 0"),
+    ], ids=["descending-z", "utf-16-mark"])
+    def test_errors_past_the_json_name_the_file(self, tmp_path, capsys, data, message):
+        """Not only json's own errors: every check on the file names it."""
+        path = tmp_path / "cs.json"
+        path.write_bytes(data)
+        code = main(["sample", "--model", "poisson:rate=3", "--constraints", str(path),
+                     "--seed", "1", "--out", str(tmp_path / "out")])
+        assert assert_error_exit(code, capsys, data).startswith(f"error: {path}: {message}")
 
     def test_segment_over_the_draw_limit_exits_1(self, tmp_path, capsys):
         """A rate so high that the first barrier needs over a million draws."""
@@ -302,6 +315,15 @@ class TestModelFiles:
             code = main(["sample", "--model", str(path), "--constraints", str(cs_path),
                          "--seed", "1", "--particles", "4", "--out", str(tmp_path / "out")])
             assert_error_exit(code, capsys, f"trial {trial}: {text[:200]}")
+
+    def test_field_error_names_the_file(self, tmp_path, capsys):
+        path, cs_path = tmp_path / "model.json", tmp_path / "cs.json"
+        path.write_text(json.dumps({**tiny_music_model().step_model.to_dict(), "order": "two"}))
+        cs_path.write_text(json.dumps({"z": [2 * TINY.actions + 1], "b": [True]}))
+        code = main(["sample", "--model", str(path), "--constraints", str(cs_path),
+                     "--seed", "1", "--particles", "4", "--out", str(tmp_path / "out")])
+        err = assert_error_exit(code, capsys, "order 'two'")
+        assert err == f"error: {path}: model field 'order' is missing or not an integer\n"
 
     def test_truncated_model_names_the_file(self, tmp_path, capsys):
         """A trained model file cut short prints json's own message after the path."""
@@ -647,6 +669,19 @@ class TestMidiFiles:
         err = assert_error_exit(self.convert(tmp_path, data[:12] + b"\0\0" + data[14:]),
                                 capsys, "division 0")
         assert err == f"error: {tmp_path / 'in.mid'}: zero ticks-per-quarter division\n"
+
+    @pytest.mark.parametrize("event, message", [
+        (b"\x00\x3c\x40", "running status without a prior status byte"),
+        (b"\x00\x80\x3c\x40",
+         "pitch 60 on part 0 released at tick 0 without a matching note-on"),
+    ], ids=["running-status", "lone-note-off"])
+    def test_track_errors_name_the_file(self, tmp_path, capsys, event, message):
+        """A one-track file whose first event the reader refuses."""
+        track = event + b"\x00\xff\x2f\x00"
+        data = (b"MThd" + struct.pack(">IHHH", 6, 0, 1, 480)
+                + b"MTrk" + struct.pack(">I", len(track)) + track)
+        err = assert_error_exit(self.convert(tmp_path, data), capsys, message)
+        assert err == f"error: {tmp_path / 'in.mid'}: {message}\n"
 
     @pytest.mark.parametrize("cut", [6, 1])
     def test_file_written_by_the_program_cut_short_exits_1(self, tmp_path, capsys, cut):

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from ppsmc.beam import beam_search_sample
 from ppsmc.models import barrier_weight
 from ppsmc.music.adapter import UnrolledMusicModel
 from ppsmc.music.encoding import (MusicEvent, Vocabulary, codes_to_events,
@@ -161,6 +162,17 @@ class TestConditionalMusicSampling:
         assert result.survived
         assert all(s[0] == prefix[0] and s[-1] == z[0] for s in result.samples)
 
+
+    def test_forbidden_gap_longer_than_s_max_kills_both_samplers(self, model):
+        """No single shift spans the closed gap, so its density is 0 and every
+        path dies at the barrier after it."""
+        z = tuple(events_to_codes([MusicEvent(0, 1), MusicEvent(TINY.s_max + 2, 1)], TINY))
+        cs = ConstraintSet(z=z, b=(False, True))
+        assert model.initial_state(z[:1]).pdf(z[1] - z[0]) == 0.0
+        horizon = (TINY.s_max + 3) * TINY.actions
+        for result in (conditional_sample(model, cs, 8, seed=43, horizon=horizon),
+                       beam_search_sample(model, cs, 3, 2, seed=43, horizon=horizon)):
+            assert not result.survived and result.failed_barrier == 2
 
 def test_a_history_with_two_faults_reports_the_first(model):
     """A history is stepped code by code, as ``advance`` steps one more code,
