@@ -160,14 +160,14 @@ def write_midi(path, events: Sequence[MusicEvent]) -> None:
     """
     _check_note_pairing(events)
     track = bytearray()
-    prev_t = 0
+    prev = (0,)  # the last event's (t, part, a): canonical order ascends strictly
     for ev in events:
         if ev.part > 15:
             raise ValueError(f"part {ev.part} exceeds the 16 MIDI channels")
-        if ev.t < prev_t:
+        if (ev.t, ev.part, ev.a) <= prev:
             raise ValueError("events must be in canonical order")
-        track += _write_vlq(ev.t - prev_t)
-        prev_t = ev.t
+        track += _write_vlq(ev.t - prev[0])
+        prev = (ev.t, ev.part, ev.a)
         if ev.a <= 128:
             track += bytes([0x90 | ev.part, ev.a - 1, NOTE_ON_VELOCITY])
         else:

@@ -10,7 +10,9 @@ A counter-based generator needs only a key per stream (Salmon et al. 2011,
 numpy generator for one key, for code that wants a generator.
 
 ``block`` computes the same streams without a generator: it evaluates
-Philox4x64-10 in numpy uint64 arithmetic for many keys and counters at once.
+Philox4x64-10 for many keys and counters at once, in numpy uint64 buffers made
+once per call that hold a round's two 128-bit products as rows, each high word
+by a carry over 32-bit halves (a few keys go through Python ints instead).
 Block c of a key holds the 4 words ``stream()`` gives as its draws 4(c-1) to
 4c-1, since the generator encrypts counter 1 first.  ``doubles`` turns words
 into the doubles ``Generator.random()`` draws from them, (word >> 11)·2**-53.
@@ -50,24 +52,32 @@ def run_seed(seed: int, run_index: int) -> int:
 
 
 # Philox4x64-10 (Salmon et al. 2011): each round multiplies two counter words
-# by these constants, kept as 32-bit halves and whole, and between rounds
-# the key takes a Weyl step
-_PHILOX_M = ((np.uint64(0xE14C6C93), np.uint64(0xD2E7470E), np.uint64(0xD2E7470EE14C6C93)),
-             (np.uint64(0x95121157), np.uint64(0xCA5A8263), np.uint64(0xCA5A826395121157)))
-_PHILOX_W = (0x9E3779B97F4A7C15, np.uint64(0xBB67AE8584CAA73B))
+# by these constants, and between rounds the key takes a Weyl step
+_M0, _M1, _W0, _W1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157, 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
 _PHILOX_ROUNDS = 10
-_M0, _M1, _W0, _W1 = int(_PHILOX_M[0][2]), int(_PHILOX_M[1][2]), _PHILOX_W[0], int(_PHILOX_W[1])
-_LOW32 = np.uint64(0xFFFFFFFF)
-_SHIFT32 = np.uint64(32)
+# the numpy kernel's operands for the rows of a round's two products: the
+# multipliers, their 32-bit halves, the Weyl step, and the 32-bit mask and shift
+_ROUND = np.array([(_M0, _M1), (_M0 & 0xFFFFFFFF, _M1 & 0xFFFFFFFF), (_M0 >> 32, _M1 >> 32),
+                   (_W0, _W1), (0xFFFFFFFF,) * 2, (32, 32)], dtype=np.uint64)[:, :, None]
 
 
-def _mulhilo(m: tuple, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low words of the 128-bit product m·x, built from 32-bit halves."""
-    m_lo, m_hi, m_all = m
-    x_lo, x_hi = x & _LOW32, x >> _SHIFT32
-    lo_lo, lo_hi, hi_lo = m_lo * x_lo, m_lo * x_hi, m_hi * x_lo
-    carry = ((lo_lo >> _SHIFT32) + (lo_hi & _LOW32) + (hi_lo & _LOW32)) >> _SHIFT32
-    return m_hi * x_hi + (lo_hi >> _SHIFT32) + (hi_lo >> _SHIFT32) + carry, m_all * x
+def _mulhi(x, hi, m_lo, m_hi, low, shift, a, t, s) -> None:
+    """hi = the high words of m·x by the carry form t = m_lo·x_hi + (m_lo·x_lo >> 32),
+    u = m_hi·x_lo + (t & low), hi = m_hi·x_hi + (t >> 32) + (u >> 32); a, t, s: scratch."""
+    np.bitwise_and(x, low, out=a)
+    np.right_shift(x, shift, out=hi)
+    np.multiply(a, m_lo, out=t)
+    np.right_shift(t, shift, out=t)
+    np.multiply(hi, m_lo, out=s)
+    np.add(t, s, out=t)
+    np.multiply(a, m_hi, out=a)
+    np.bitwise_and(t, low, out=s)
+    np.add(a, s, out=a)  # u
+    np.multiply(hi, m_hi, out=hi)
+    np.right_shift(t, shift, out=t)
+    np.add(hi, t, out=hi)
+    np.right_shift(a, shift, out=a)
+    np.add(hi, a, out=hi)
 
 
 _FEW_KEYS = 32
@@ -98,7 +108,7 @@ def _key(kind: int, barrier, lanes) -> np.ndarray:
         raise ValueError(f"stream kind {kind} out of range (max {_MAX_KINDS - 1})")
     barrier = _coordinate(barrier, _MAX_BARRIERS, "barrier index")
     lanes = _coordinate(lanes, _MAX_PARTICLES, "lane index")
-    return np.uint64(kind << 48) | (barrier << _SHIFT32) | lanes
+    return np.uint64(kind << 48) | (barrier << np.uint64(32)) | lanes
 
 
 def block(seed: int, kind: int, barrier, lanes, counter=1) -> np.ndarray:
@@ -113,19 +123,28 @@ def block(seed: int, kind: int, barrier, lanes, counter=1) -> np.ndarray:
     counter = _coordinate(counter, _MAX_COUNTERS, "block counter", low=1)
     k0 = seed & _SEED_MASK
     k1, x0 = np.broadcast_arrays(_key(kind, barrier, lanes), counter)
-    if x0.size <= _FEW_KEYS:  # numpy's per-call cost is that of ~50 keys in Python ints
+    if x0.size <= _FEW_KEYS:  # numpy's per-call cost is that of ~30 keys in Python ints
         words = list(map(_philox, repeat(k0), k1.ravel().tolist(), x0.ravel().tolist()))
         return np.array(words, dtype=np.uint64).reshape(*x0.shape, 4)
-    x1 = x2 = x3 = np.zeros(x0.shape, dtype=np.uint64)
-    with np.errstate(over="ignore"):  # the arithmetic is modulo 2**64 on purpose
-        for r in range(_PHILOX_ROUNDS):
-            if r:
-                k0 = (k0 + _PHILOX_W[0]) & _SEED_MASK
-                k1 = k1 + _PHILOX_W[1]
-            hi0, lo0 = _mulhilo(_PHILOX_M[0], x0)
-            hi1, lo1 = _mulhilo(_PHILOX_M[1], x2)
-            x0, x1, x2, x3 = hi1 ^ x1 ^ np.uint64(k0), lo1, hi0 ^ x3 ^ k1, lo0
-    return np.stack((x0, x1, x2, x3), axis=-1)
+    # rows x = (x0, x2), y = (x3, x1) and the key k; operands n columns wide (a ufunc
+    # that broadcasts a column costs twice); round 1 has x1 = x2 = x3 = 0: one product
+    n = x0.size
+    m, m_lo, m_hi, w, low, shift = np.repeat(_ROUND, n, axis=2)
+    x, y, k, hi, a, t, s = np.zeros((7, 2, n), dtype=np.uint64)
+    c, k[1] = x0.ravel(), k1.ravel()
+    _mulhi(c, x[1], *(v[0] for v in (m_lo, m_hi, low, shift, a, t, s)))
+    np.bitwise_xor(x[1], k[1], out=x[1])
+    np.multiply(c, m[0], out=y[0])
+    x[0] = k[0] = k0
+    for _ in range(1, _PHILOX_ROUNDS):  # (x0, x1, x2, x3) <- (hi1^x1^k0, lo1, hi0^x3^k1, lo0)
+        np.add(k, w, out=k)
+        _mulhi(x, hi, m_lo, m_hi, low, shift, a, t, s)
+        np.multiply(x, m, out=x)  # (lo0, lo1): the next y
+        np.bitwise_xor(hi, y, out=hi)
+        np.bitwise_xor(hi[1], k[0], out=y[0])
+        np.bitwise_xor(hi[0], k[1], out=y[1])
+        x, y = y, x
+    return np.stack((x[0], y[1], x[1], y[0]), axis=-1).reshape(*x0.shape, 4)
 
 
 def doubles(words: np.ndarray) -> np.ndarray:

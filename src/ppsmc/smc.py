@@ -169,7 +169,11 @@ def systematic_indices(weights: Sequence[float], u: float) -> tuple[int, ...]:
     float, and any pointer closer than B to a boundary (uniform weights at
     u = 1 put every pointer on one), take the exact pass.
     """
-    w = _checked(weights)
+    return tuple(_picks(_checked(weights), u).tolist())
+
+
+def _picks(w: np.ndarray, u: float) -> np.ndarray:
+    """``systematic_indices`` of checked weights, as an index array."""
     if not (0.0 < u <= 1.0):
         raise ValueError(f"offset u must lie in (0, 1], got {u!r}")
     n = len(w)
@@ -188,8 +192,8 @@ def systematic_indices(weights: Sequence[float], u: float) -> tuple[int, ...]:
         edges = np.concatenate(((-math.inf,), cum[:-1], (math.inf,)))
         bound = 2 * (n + 2) * sys.float_info.epsilon * total
         if min((pointers - edges[picks]).min(), (edges[picks + 1] - pointers).min()) > bound:
-            return tuple(picks.tolist())
-    return _exact_systematic_indices(w.tolist(), u)
+            return picks
+    return np.array(_exact_systematic_indices(w.tolist(), u))
 
 
 def _exact_systematic_indices(weights: list[float], u: float) -> tuple[int, ...]:
@@ -397,12 +401,8 @@ class _Walk:
             elif self.score:
                 logs.append((entry_rows[stored], entry_states[stored], (t - prev)[stored]))
             if not self.fixed and active.size:
-                grown, index = {}, []
-                for s, time in zip(s_act[going].tolist(), t_last.tolist()):
-                    if (s, time) not in grown:
-                        grown[s, time] = self._intern(self.model.advance(self.table[s], time))
-                    index.append(grown[s, time])
-                sids[active] = index
+                sids[active] = self._once(lambda state, t: self._intern(self.model.advance(
+                    state, t)), s_act[going], t_last, np.int64)
         _, values, begin = _by_row(times or [(np.empty(0, dtype=np.int64), np.empty(0))], len(pos))
         if self.score:
             logs = _by_row(logs or [(np.empty(0, dtype=np.int64),) * 3], len(pos))
@@ -416,11 +416,19 @@ class _Walk:
             law = self.table[0]
             return law.log_pdfs(gaps) if b_prev is None else law.weights(gaps, b_prev)
         f = _log_density if b_prev is None else lambda law, d: barrier_weight(law, d, b_prev)
-        values, which = np.unique(gaps, return_inverse=True)
-        _, first, pair = np.unique(sids * len(values) + which, return_index=True,
-                                   return_inverse=True)
-        laws, values = [self.table[s] for s in sids[first].tolist()], values[which[first]]
-        return np.array(list(map(f, laws, values.tolist())), dtype=float)[pair]
+        return self._once(f, sids, gaps, float)
+
+    def _once(self, f: Callable, sids: np.ndarray, values: np.ndarray, dtype) -> np.ndarray:
+        """f(state, value) of each entry, called once per distinct (sid, value) pair in
+        order of first appearance: it interns and raises as a call per entry would."""
+        order = np.lexsort((values, sids))  # stable: a pair's entries stay in turn
+        s, v, new = sids[order], values[order], np.ones(len(order), dtype=bool)
+        new[1:] = (s[1:] != s[:-1]) | (v[1:] != v[:-1])  # a pair's first entry
+        first, pair = order[new], np.empty_like(order)  # pairs in sorted order
+        pair[order] = first.argsort().argsort()[new.cumsum() - 1]  # by first appearance
+        first.sort()
+        done = [f(self.table[s], v) for s, v in zip(sids[first].tolist(), values[first].tolist())]
+        return np.array(done, dtype=dtype)[pair]
 
     def keep(self, kept, z, values) -> None:
         """Make the children ``kept`` (indices into the level last proposed,
@@ -431,13 +439,9 @@ class _Walk:
         self.lineage.append(kept)
         if self.score:
             self.folds = values[kept]
-        if self.fixed:  # every lane keeps the first state
-            self.sids = np.zeros(len(kept), dtype=np.int64)
-            return
-        sids = self.level_sids.tolist()
-        grown = {s: self._intern(self.model.advance(self.table[s], z))
-                 for s in dict.fromkeys(sids[k] for k in kept)}
-        self.sids = np.array([grown[sids[k]] for k in kept])
+        self.sids = (np.zeros(len(kept), dtype=np.int64) if self.fixed  # the first state
+                     else self._once(lambda state, _: self._intern(self.model.advance(state, z)),
+                                     self.level_sids[kept], np.zeros(len(kept)), np.int64))
 
     def paths(self, history: Sequence, zs: tuple) -> tuple[list, list | None]:
         """Each final path's times, as a tuple: its history, then at every
@@ -463,7 +467,7 @@ class _Walk:
                 at = at + 1
         if self.flags[-1]:  # an open tail drops every time past the horizon
             history = models.trim_at_horizon(list(history), self.stops[-1])
-        bounds = [0, *ends.tolist()]
+        bounds, out = [0, *ends.tolist()], out.tolist()
         samples = [(*history, *out[a:b]) for a, b in zip(bounds, bounds[1:])]
         return samples, self.folds.tolist() if self.score else None
 
@@ -550,13 +554,13 @@ def conditional_sample(model: SequenceModel, constraints: ConstraintSet,
     # each barrier's resampling offset, in (0, 1]: the first uniform of its stream
     offsets = 1.0 - doubles(block(seed, KIND_RESAMPLE, np.arange(constraints.r), 0))[:, 0]
 
-    def resample(i, weights):
+    def resample(i, weights):  # the ESS checks the weights it picks from
         dead = int(np.count_nonzero(weights == 0))
         alive = dead < num_particles
         row = BarrierDiagnostics(
             barrier_index=i + 1, ess=effective_sample_size(weights) if alive else 0.0,
             min_weight=float(weights.min()), max_weight=float(weights.max()), dead_count=dead)
-        kept = systematic_indices(weights, float(offsets[i])) if alive else None
+        kept = _picks(weights, float(offsets[i])) if alive else None
         return kept, row
 
     return run_barriers(model, constraints, seed, num_particles, resample,

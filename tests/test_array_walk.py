@@ -181,6 +181,9 @@ FAMILIES = {  # name: a model, its constraints and keyword arguments
     "grid": lambda: (_grid(), observed_constraints([1, 4, 6]), {"horizon": 8}),
     # a lane whose last cell is occupied draws its beyond-the-cells gap
     "grid-tail-past-the-cells": lambda: (_grid(), observed_constraints([2]), {"horizon": 9}),
+    # the open tail holds no cell time, so no lane appends a time there
+    "grid-tail-without-cells": lambda: (_grid(), ConstraintSet(z=(8,), b=(True,)),
+                                        {"horizon": 8.5}),
     "music-order1": _music(1),
     "music-order2": _music(2),
     "music-order3": _music(3),

@@ -209,7 +209,13 @@ class TestMidiRoundTrip:
         # action 257 would be the off of pitch 128, and no note-on opens that pitch
         ([MusicEvent(0, 257)], "pitch 128 on part 0 released at tick 0 without a matching note-on"),
         ([MusicEvent(5, 61), MusicEvent(2, 189)], "events must be in canonical order"),
-    ], ids=["action-257", "ticks-backwards"])
+        # ticks never go backwards, but a tick's actions or parts do: the reader
+        # would return these events re-sorted
+        ([MusicEvent(0, 62), MusicEvent(0, 61), MusicEvent(5, 190), MusicEvent(5, 189)],
+         "events must be in canonical order"),
+        ([MusicEvent(0, 61, 1), MusicEvent(0, 61, 0), MusicEvent(5, 189, 0),
+          MusicEvent(5, 189, 1)], "events must be in canonical order"),
+    ], ids=["action-257", "ticks-backwards", "actions-descend", "parts-descend"])
     def test_writer_rejects_what_no_track_can_hold(self, tmp_path, events, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             write_midi(tmp_path / "bad.mid", events)

@@ -14,13 +14,13 @@ import pytest
 from test_acceptance import TINY, tiny_music_model
 from test_golden import ORDER2, long_prefix
 
-from ppsmc import models, smc
+from ppsmc import models, oracle, smc
 from ppsmc.beam import beam_search_sample
 from ppsmc.models import (PoissonProcessModel, SaturatedCdfError, UniformRenewalModel,
                           WeibullRenewalModel)
 from ppsmc.music import adapter
 from ppsmc.music.encoding import MusicEvent
-from ppsmc.oracle import GridModel, GridSequenceModel
+from ppsmc.oracle import GridModel, GridSequenceModel, observed_constraints
 from ppsmc.smc import ConstraintSet, conditional_sample
 
 ACTS = TINY.actions
@@ -240,6 +240,45 @@ def test_only_kept_children_grow_into_paths(monkeypatch):
     assert result.survived
     children, laws = map(sum, zip(*seen["distinct"]))
     assert seen["barrier_advances"] == laws <= children < 100 * cs.r
+
+
+@pytest.mark.parametrize("run", ["filter", "beam"])
+def test_a_grid_run_advances_each_distinct_pair_once(monkeypatch, run):
+    """A grid run advances each distinct (state, time) pair once per walk
+    step, and each distinct state of the kept children once at ``keep``.
+    States are interned, so equal states are one object and a pair is
+    (id(state), t).  A walk step draws its gaps before it advances."""
+    batches = [("history", [])]  # the advances of each walk step or keep, in turn
+    kept_states = []  # each keep's distinct states
+    real_advance, real_draws = GridSequenceModel.advance, oracle._GridGap.draws
+    real_keep = smc._Walk.keep
+
+    def advance(self, state, t):
+        batches[-1][1].append((id(state), t))
+        return real_advance(self, state, t)
+
+    def draws(self, u):
+        if batches[-1][0] != "step" or batches[-1][1]:  # the first draws of a step
+            batches.append(("step", []))
+        return real_draws(self, u)
+
+    def keep(self, kept, z, values):
+        kept_states.append(len({self.level_sids[k] for k in kept}))
+        batches.append(("keep", []))
+        return real_keep(self, kept, z, values)
+
+    monkeypatch.setattr(GridSequenceModel, "advance", advance)
+    monkeypatch.setattr(oracle._GridGap, "draws", draws)
+    monkeypatch.setattr(smc._Walk, "keep", keep)
+    model, cs = _grid(), observed_constraints([3, 7])
+    result = (conditional_sample(model, cs, 400, 5, horizon=12) if run == "filter"
+              else beam_search_sample(model, cs, 4, 50, 5, horizon=12))
+    assert result.survived
+    steps = [pairs for kind, pairs in batches if kind == "step"]
+    keeps = [pairs for kind, pairs in batches if kind == "keep"]
+    assert all(len(set(pairs)) == len(pairs) for pairs in steps + keeps)
+    assert [len(pairs) for pairs in keeps] == kept_states and len(keeps) == cs.r
+    assert sum(map(len, steps)) > 0
 
 
 @pytest.mark.parametrize("run", ["filter", "beam"])

@@ -9,7 +9,7 @@ import threading
 import numpy as np
 import pytest
 
-from ppsmc import smc
+from ppsmc import rng, smc
 from ppsmc.beam import beam_search_sample
 from ppsmc.models import (PoissonProcessModel, UniformRenewalModel,
                           WeibullRenewalModel, barrier_weight,
@@ -216,6 +216,49 @@ class TestSystematicResampling:
         picks = systematic_indices(tuple(w.tolist()), u=0.37)
         assert calls == [1.0]  # clear of every boundary: the numpy pass decides
         assert picks == exact(w.tolist(), 0.37)
+
+    @pytest.mark.parametrize("kind", ["random", "uniform", "subnormal"])
+    def test_the_filters_array_picks_are_the_systematic_indices(self, monkeypatch, kind):
+        """The index array the filter resamples with holds what
+        ``systematic_indices`` returns, on seeded random weights and on the
+        two cases that take the exact-integer pass: uniform weights at u = 1
+        and a total below the smallest normal float."""
+        calls = []
+        exact = smc._exact_systematic_indices
+        monkeypatch.setattr(smc, "_exact_systematic_indices",
+                            lambda weights, u: calls.append(u) or exact(weights, u))
+        gen = np.random.default_rng(4242)
+        for n in (1, 2, 7, 1000):
+            for u in (1.0, float(1.0 - gen.random())):
+                w = {"random": gen.random(n) * (gen.random(n) < 0.8),
+                     "uniform": np.ones(n),
+                     "subnormal": gen.integers(0, 5, n) * 5e-324}[kind]
+                w[-1] = w[-1] or w.max() or 5e-324  # not all zero
+                before = len(calls)
+                picks = smc._picks(w, u)
+                exact_pass = len(calls) > before
+                assert picks.dtype.kind == "i"
+                assert tuple(picks.tolist()) == systematic_indices(tuple(w.tolist()), u)
+                if kind == "subnormal" or kind == "uniform" and u == 1.0 and n > 1:
+                    assert exact_pass, (kind, n, u)
+
+    def test_a_filter_keeps_the_systematic_indices_of_its_weights(self, monkeypatch):
+        """Each barrier's kept children are an index array equal to
+        ``systematic_indices`` of its weights at the barrier's offset."""
+        kept_seen, real_keep = [], smc._Walk.keep
+
+        def keep(self, kept, z, values):
+            kept_seen.append((kept, values.copy()))
+            return real_keep(self, kept, z, values)
+
+        monkeypatch.setattr(smc._Walk, "keep", keep)
+        cs = ConstraintSet(z=(0.2, 0.4, 0.6), b=(True, True, True))
+        assert conditional_sample(WeibullRenewalModel(shape=2.0, scale=0.3), cs, 300, 17).survived
+        offsets = 1.0 - doubles(block(17, smc.KIND_RESAMPLE, np.arange(3), 0))[:, 0]
+        assert len(kept_seen) == 3
+        for (kept, weights), u in zip(kept_seen, offsets.tolist()):
+            assert isinstance(kept, np.ndarray)
+            assert tuple(kept.tolist()) == systematic_indices(tuple(weights.tolist()), u)
 
 
 class TestEffectiveSampleSize:
@@ -507,6 +550,26 @@ class TestBlocks:
         many = block(2 ** 64 - 5, 1, 9, lanes, counters)
         singles = [block(2 ** 64 - 5, 1, 9, lane, c).tolist() for lane, c in zip(lanes, counters)]
         assert singles == many.tolist()
+
+    @pytest.mark.parametrize("seed", [0, 2 ** 64 - 1, -42])
+    def test_many_keys_are_the_words_of_stream(self, seed):
+        """More keys than ``_FEW_KEYS``, computed in numpy arrays, hold the raw
+        words of their streams at counters 1 to 3."""
+        lanes = [0, 1, 2 ** 32 - 1, *range(7919, 7919 * 40, 7919)]
+        words = block(seed, 1, 2 ** 16 - 1, np.array(lanes)[:, None], np.arange(1, 4))
+        assert words.shape == (len(lanes), 3, 4) and words[..., 0].size > rng._FEW_KEYS
+        for lane, got in zip(lanes, words):
+            raw = stream(seed, 1, 2 ** 16 - 1, lane).bit_generator.random_raw(12)
+            assert got.ravel().tolist() == raw.tolist()
+
+    def test_a_batch_past_block_keys_is_the_words_of_stream(self):
+        """One call on more keys than the walk asks for at once."""
+        lanes = np.arange(smc._BLOCK_KEYS // 3 + 2)
+        words = block(-42, 0, 3, lanes[:, None], np.arange(1, 4))
+        assert words[..., 0].size > smc._BLOCK_KEYS
+        for lane, got in zip(lanes.tolist(), words):
+            raw = stream(-42, 0, 3, lane).bit_generator.random_raw(12)
+            assert got.ravel().tolist() == raw.tolist()
 
     def test_broadcasts_barriers_against_lanes(self):
         words = block(9, 0, np.arange(3)[:, None], np.array([0, 5, 2 ** 32 - 1]))
