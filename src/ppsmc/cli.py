@@ -260,8 +260,8 @@ def cmd_oracle(args) -> int:
         result = conditional_sample(model, constraints, args.particles, seed_r,
                                     horizon=grid.n)
         if not result.survived:
-            raise ValueError(f"oracle run {r} died at barrier {result.failed_barrier}; "
-                             "the grid model gives the conditioning event zero mass")
+            raise ValueError(f"oracle run {r} died at barrier {result.failed_barrier}: "
+                             "every particle of that run weighed zero")
         samples.update(result.samples)
     counts = Counter()
     for s, k in samples.items():

@@ -328,6 +328,14 @@ def propose_segment(model: SequenceModel, state, last: float, z: float,
     return segment, (last - prev if segment else None), state
 
 
+def history_end(times: Sequence[float]) -> float:
+    """The last of ``times``, 0.0 if there are none; raises unless they strictly increase."""
+    for a, b in zip(times, times[1:]):
+        if b <= a:
+            raise ValueError(f"times must strictly increase, got {b!r} after {a!r}")
+    return times[-1] if len(times) else 0.0
+
+
 def sample_restricted(model: SequenceModel, rng: np.random.Generator,
                       horizon: float = 1.0, initial_history: Sequence[float] = ()) -> tuple:
     """Sample the process restricted to (0, horizon].
@@ -338,8 +346,7 @@ def sample_restricted(model: SequenceModel, rng: np.random.Generator,
     the horizon is not reached within ``MAX_EVENTS`` draws.
     """
     seg, *_ = propose_segment(model, model.initial_state(initial_history),
-                              initial_history[-1] if len(initial_history) else 0.0, math.inf,
-                              True, rng, horizon=horizon)
+                              history_end(initial_history), math.inf, True, rng, horizon=horizon)
     return tuple(trim_at_horizon([*initial_history, *seg], horizon))
 
 
@@ -360,17 +367,15 @@ def step_log_probabilities(model: SequenceModel, seq: Sequence[float],
     """
     state = model.initial_state(initial_history)
     out = []
-    last = initial_history[-1] if len(initial_history) else 0.0
+    last = history_end(initial_history)
+    history_end((last, *seq))  # seq goes on from the history's end
     for t in seq:
-        d = t - last
-        if d <= 0:
-            raise ValueError(f"times must strictly increase, got {t!r} after {last!r}")
         if out and out[-1] == -math.inf:
             out.append(-math.inf)
         else:
             if out:
                 state = model.advance(state, last)
-            out.append(_log_density(state, d))
+            out.append(_log_density(state, t - last))
         last = t
     return out
 

@@ -55,6 +55,7 @@ def run_seed(seed: int, run_index: int) -> int:
 # by these constants, and between rounds the key takes a Weyl step
 _M0, _M1, _W0, _W1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157, 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
 _PHILOX_ROUNDS = 10
+_FEW_KEYS = 20  # block() in Python ints up to here: below 20-24 keys numpy's call costs more
 # the numpy kernel's operands for the rows of a round's two products: the
 # multipliers, their 32-bit halves, the Weyl step, and the 32-bit mask and shift
 _ROUND = np.array([(_M0, _M1), (_M0 & 0xFFFFFFFF, _M1 & 0xFFFFFFFF), (_M0 >> 32, _M1 >> 32),
@@ -78,9 +79,6 @@ def _mulhi(x, hi, m_lo, m_hi, low, shift, a, t, s) -> None:
     np.add(hi, t, out=hi)
     np.right_shift(a, shift, out=a)
     np.add(hi, a, out=hi)
-
-
-_FEW_KEYS = 32
 
 
 def _philox(k0: int, k1: int, x0: int) -> tuple[int, int, int, int]:
@@ -123,7 +121,7 @@ def block(seed: int, kind: int, barrier, lanes, counter=1) -> np.ndarray:
     counter = _coordinate(counter, _MAX_COUNTERS, "block counter", low=1)
     k0 = seed & _SEED_MASK
     k1, x0 = np.broadcast_arrays(_key(kind, barrier, lanes), counter)
-    if x0.size <= _FEW_KEYS:  # numpy's per-call cost is that of ~30 keys in Python ints
+    if x0.size <= _FEW_KEYS:
         words = list(map(_philox, repeat(k0), k1.ravel().tolist(), x0.ravel().tolist()))
         return np.array(words, dtype=np.uint64).reshape(*x0.shape, 4)
     # rows x = (x0, x2), y = (x3, x1) and the key k; operands n columns wide (a ufunc

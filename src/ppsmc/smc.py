@@ -45,7 +45,7 @@ import numpy as np
 
 from . import models
 from .models import (InterArrivalDistribution, IterationLimitError, RenewalModel, SequenceModel,
-                     _log_density, barrier_weight)
+                     _log_density, barrier_weight, history_end)
 from .rng import KIND_PROPOSAL, KIND_RESAMPLE, block, doubles
 
 
@@ -221,7 +221,7 @@ def _exact_systematic_indices(weights: list[float], u: float) -> tuple[int, ...]
     return tuple(out)
 
 
-# keys per Philox block call: a call costs ~0.5 ms however few its keys, so
+# keys per Philox block call (~0.12 ms with a few keys, ~1 ms with 4,096, on 2 cores):
 # the first blocks of several barriers are drawn at once
 _BLOCK_KEYS = 4096
 # gaps a renewal lane draws one at a time before it draws runs of them,
@@ -511,7 +511,7 @@ def run_barriers(model: SequenceModel, constraints: ConstraintSet, seed: int,
     """
     if not horizon > 0:
         raise ValueError(f"horizon must be positive, got {horizon!r}")
-    start = initial_history[-1] if len(initial_history) else 0.0
+    start = history_end(initial_history)
     if constraints.z:
         if constraints.z[0] <= start:
             raise ValueError(f"first constraint {constraints.z[0]!r} does not lie beyond "

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import json
 import time
-from collections import Counter
 
 import numpy as np
+from exact import grid_bits, grid_problem, pooled_tv
 from scipy import stats
 
 from ppsmc.beam import beam_search_sample
@@ -24,9 +24,6 @@ from ppsmc.music.encoding import (MusicEvent, Vocabulary, codes_to_events,
                                   decode_event, encode_event,
                                   events_to_symbols)
 from ppsmc.music.ngram import train_ngram
-from ppsmc.oracle import (GridModel, GridSequenceModel, bits_from_times,
-                          enumerate_conditional, normalize_counts,
-                          observed_constraints, total_variation)
 from ppsmc.rng import KIND_PROPOSAL, run_seed, stream
 from ppsmc.smc import ConstraintSet, conditional_sample, satisfies, systematic_indices
 
@@ -52,29 +49,12 @@ def tiny_music_model(order: int = 2) -> UnrolledMusicModel:
 
 def test_criterion_1_filter_matches_exact_enumeration():
     """Pooled filter samples against brute-force conditionals, TV < 0.05."""
-    table = {(0, 0): 0.55, (0, 1): 0.25, (1, 0): 0.7, (1, 1): 0.1}
-
-    def g(bits):
-        b1 = bits[-1] if len(bits) >= 1 else 0
-        b2 = bits[-2] if len(bits) >= 2 else 0
-        return table[(b2, b1)]
-
-    grid = GridModel(n=8, g=g)
-    observed = [4]
-    exact = enumerate_conditional(grid, observed)
-    seq_model = GridSequenceModel(grid)
-    constraints = observed_constraints(observed)
-
+    exact, model, constraints = grid_problem(8, [4])
     t0 = time.perf_counter()
-    counts: Counter = Counter()
-    for r in range(200):
-        result = conditional_sample(seq_model, constraints, 2000,
-                                    run_seed(1234, r), horizon=8)
-        assert result.survived
-        counts.update(bits_from_times(s, 8) for s in result.samples)
+    runs = (conditional_sample(model, constraints, 2000, run_seed(1234, r), horizon=8)
+            for r in range(200))
+    tv = pooled_tv(exact, grid_bits(runs, 8))
     elapsed = time.perf_counter() - t0
-
-    tv = total_variation(exact, normalize_counts(counts))
     ok = tv < 0.05 and elapsed < 60.0
     _report("criterion 1 (exact-conditional agreement)", ok,
             f"TV {tv:.4f} < 0.05 over 400000 samples in {elapsed:.1f}s")

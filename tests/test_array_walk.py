@@ -20,8 +20,9 @@ from dataclasses import dataclass
 
 import lane_walk
 import pytest
+from exact import order2_grid
 from test_acceptance import tiny_music_model
-from test_golden import ORDER2, long_prefix
+from test_golden import long_prefix
 
 from ppsmc import models, rng
 from ppsmc.beam import beam_search_sample
@@ -29,7 +30,7 @@ from ppsmc.models import (ExponentialGap, InterArrivalDistribution, PoissonProce
                           RenewalModel, SequenceModel, UniformGap, UniformRenewalModel,
                           WeibullRenewalModel)
 from ppsmc.music.encoding import Vocabulary
-from ppsmc.oracle import GridModel, GridSequenceModel, observed_constraints
+from ppsmc.oracle import GridSequenceModel, observed_constraints
 from ppsmc.smc import ConstraintSet, conditional_sample
 
 
@@ -82,13 +83,6 @@ class Quickening(SequenceModel):
 
     def advance(self, state, t):
         return UnhashableGap(state.rate + 1.0)
-
-
-def _grid() -> GridSequenceModel:
-    def g(bits):
-        return ORDER2[(bits[-2] if len(bits) >= 2 else 0, bits[-1] if bits else 0)]
-
-    return GridSequenceModel(GridModel(n=8, g=g))
 
 
 MODELS = {
@@ -178,12 +172,14 @@ def _music(order):
 
 
 FAMILIES = {  # name: a model, its constraints and keyword arguments
-    "grid": lambda: (_grid(), observed_constraints([1, 4, 6]), {"horizon": 8}),
+    "grid": lambda: (GridSequenceModel(order2_grid(8)), observed_constraints([1, 4, 6]),
+                     {"horizon": 8}),
     # a lane whose last cell is occupied draws its beyond-the-cells gap
-    "grid-tail-past-the-cells": lambda: (_grid(), observed_constraints([2]), {"horizon": 9}),
+    "grid-tail-past-the-cells": lambda: (GridSequenceModel(order2_grid(8)),
+                                         observed_constraints([2]), {"horizon": 9}),
     # the open tail holds no cell time, so no lane appends a time there
-    "grid-tail-without-cells": lambda: (_grid(), ConstraintSet(z=(8,), b=(True,)),
-                                        {"horizon": 8.5}),
+    "grid-tail-without-cells": lambda: (GridSequenceModel(order2_grid(8)),
+                                        ConstraintSet(z=(8,), b=(True,)), {"horizon": 8.5}),
     "music-order1": _music(1),
     "music-order2": _music(2),
     "music-order3": _music(3),

@@ -4,20 +4,21 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from exact import grid_bits, grid_problem, pooled_tv
 from test_acceptance import TINY, tiny_music_model
 
 from ppsmc.cli import main
 from ppsmc.models import PoissonProcessModel, log_probability
 from ppsmc.music.encoding import MusicEvent, Vocabulary, events_to_codes
 from ppsmc.music.files import read_events, write_constraint_file, write_events
-from ppsmc.smc import ConstraintSet
+from ppsmc.rng import run_seed
+from ppsmc.smc import ConstraintSet, conditional_sample
 
 
 @pytest.fixture()
@@ -231,29 +232,15 @@ class TestOracleCommand:
     def test_report_counts_every_sample(self, tmp_path):
         """The report's TV is the one of one bit vector per sample, counted
         in sample order, to the last bit."""
-        from collections import Counter
-
-        from ppsmc.oracle import (GridModel, GridSequenceModel, bits_from_times,
-                                  enumerate_conditional, normalize_counts,
-                                  observed_constraints, total_variation)
-        from ppsmc.rng import run_seed
-        from ppsmc.smc import conditional_sample
-
         report_path = tmp_path / "oracle.json"
         assert main(["oracle", "--cells", "7", "--observed", "1,4", "--grid",
                      "order2:p00=0.55,p01=0.25,p10=0.7,p11=0.1", "--particles", "300",
                      "--runs", "3", "--seed", "9", "--threshold", "1",
                      "--out", str(report_path)]) == 0
-        table = {(0, 0): 0.55, (0, 1): 0.25, (1, 0): 0.7, (1, 1): 0.1}
-        grid = GridModel(n=7, g=lambda bits: table[(bits[-2] if len(bits) >= 2 else 0,
-                                                    bits[-1] if bits else 0)])
-        counts = Counter()
-        for r in range(3):
-            result = conditional_sample(GridSequenceModel(grid), observed_constraints([1, 4]),
-                                        300, run_seed(9, r), horizon=7)
-            counts.update(bits_from_times(s, 7) for s in result.samples)
-        tv = total_variation(enumerate_conditional(grid, [1, 4]), normalize_counts(counts))
-        assert read_json(report_path)["tv"] == tv
+        exact, model, constraints = grid_problem(7, [1, 4])
+        runs = (conditional_sample(model, constraints, 300, run_seed(9, r), horizon=7)
+                for r in range(3))
+        assert read_json(report_path)["tv"] == pooled_tv(exact, grid_bits(runs, 7))
 
 
 class TestMusicPipeline:

@@ -124,6 +124,13 @@ class TestVocabulary:
         assert TINY.is_shift(5) and TINY.is_shift(7)
         assert TINY.shift_amount(TINY.shift_symbol(3)) == 3
 
+    def test_rejects_a_shift_out_of_range(self):
+        for dt in (0, TINY.s_max + 1):
+            with pytest.raises(ValueError, match=rf"^shift of {dt} ticks outside \[1, 3\]$"):
+                TINY.shift_symbol(dt)
+        with pytest.raises(ValueError, match="^symbol 4 is not a shift$"):
+            TINY.shift_amount(4)
+
     def test_rejects_invalid_event_fields(self):
         with pytest.raises(ValueError):
             MusicEvent(t=-1, a=1)

@@ -418,13 +418,17 @@ def test_repeated_json_key_exits_1(tmp_path, capsys, monkeypatch, kind):
     ("oracle --cells 0", "need at least one cell"),
     ("oracle --cells 8 --observed 9", "observed indices out of range for n=8"),
     ("oracle --grid const:p=1.5", "g returned 1.5, not a probability"),
+    # the event has mass, but a path whose first cell is occupied, as nearly
+    # every path is here, weighs 0 at the observed cell
+    ("oracle --cells 3 --observed 2 --grid order2:p00=0.9999,p01=0.5,p10=0,p11=0",
+     "oracle run 0 died at barrier 1: every particle of that run weighed zero"),
     ("sample --model poisson:rate", "malformed parameter 'rate', expected key=value"),
     ("train --order 0", "order must be >= 1"),
     ("train --s-max 0", "a_max, s_max and parts must all be positive"),
     ("convert --to-midi empty.jsonl", "empty.jsonl: empty event file"),
     ("convert --to-midi part16.jsonl", "part 16 exceeds the 16 MIDI channels"),
-], ids=["no-cells", "observed-past-the-cells", "grid-p-over-1", "spec-without-equals",
-        "order-0", "s-max-0", "empty-event-file", "part-16-to-midi"])
+], ids=["no-cells", "observed-past-the-cells", "grid-p-over-1", "oracle-run-dies",
+        "spec-without-equals", "order-0", "s-max-0", "empty-event-file", "part-16-to-midi"])
 def test_malformed_option_or_piece_exits_1(tmp_path, capsys, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)
     Path("cs.json").write_text(json.dumps({"z": [0.5], "b": [True]}))

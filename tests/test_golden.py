@@ -39,25 +39,15 @@ from __future__ import annotations
 import hashlib
 
 import pytest
+from exact import order2_grid
 from test_acceptance import TINY, tiny_music_model
 
 from ppsmc.beam import beam_search_sample
 from ppsmc.models import (PoissonProcessModel, UniformRenewalModel,
                           step_log_probabilities)
 from ppsmc.music.encoding import events_to_codes, symbols_to_events
-from ppsmc.oracle import GridModel, GridSequenceModel, observed_constraints
+from ppsmc.oracle import GridSequenceModel, observed_constraints
 from ppsmc.smc import ConstraintSet, conditional_sample
-
-ORDER2 = {(0, 0): 0.55, (0, 1): 0.25, (1, 0): 0.7, (1, 1): 0.1}
-
-
-def _order2_grid() -> GridSequenceModel:
-    def g(bits):
-        b1 = bits[-1] if len(bits) >= 1 else 0
-        b2 = bits[-2] if len(bits) >= 2 else 0
-        return ORDER2[(b2, b1)]
-
-    return GridSequenceModel(GridModel(n=8, g=g))
 
 
 def _poisson():
@@ -66,7 +56,7 @@ def _poisson():
 
 
 def _grid():
-    return _order2_grid(), observed_constraints([1, 4, 6]), {"horizon": 8}
+    return GridSequenceModel(order2_grid(8)), observed_constraints([1, 4, 6]), {"horizon": 8}
 
 
 def _music():

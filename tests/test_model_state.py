@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from exact import order2_grid
 from test_acceptance import TINY, tiny_music_model
-from test_golden import ORDER2, long_prefix
+from test_golden import long_prefix
 
 from ppsmc import models, oracle, smc
 from ppsmc.beam import beam_search_sample
@@ -20,17 +21,10 @@ from ppsmc.models import (PoissonProcessModel, SaturatedCdfError, UniformRenewal
                           WeibullRenewalModel)
 from ppsmc.music import adapter
 from ppsmc.music.encoding import MusicEvent
-from ppsmc.oracle import GridModel, GridSequenceModel, observed_constraints
+from ppsmc.oracle import GridSequenceModel, observed_constraints
 from ppsmc.smc import ConstraintSet, conditional_sample
 
 ACTS = TINY.actions
-
-
-def _grid(n: int = 12) -> GridSequenceModel:
-    def g(bits):
-        return ORDER2[(bits[-2] if len(bits) >= 2 else 0, bits[-1] if bits else 0)]
-
-    return GridSequenceModel(GridModel(n=n, g=g))
 
 
 def _evaluate(fn, d):
@@ -46,7 +40,7 @@ CASES = {  # name: (model, history, gaps at which every law is evaluated)
     "poisson": (PoissonProcessModel(rate=3.0), (0.1, 0.25, 0.7), [0.0, 0.05, 0.3, 1.2]),
     "weibull": (WeibullRenewalModel(shape=2.0, scale=0.5), (0.2, 0.9), [0.0, 0.1, 0.4, 2.0]),
     "uniform": (UniformRenewalModel(0.1, 0.3), (0.15, 0.4), [0.05, 0.1, 0.2, 0.3, 0.35]),
-    "grid": (_grid(), (1, 2, 5, 6.5, 9), [0.5, 1, 1.5, 2, 3, 4, 7, 13]),
+    "grid": (GridSequenceModel(order2_grid(12)), (1, 2, 5, 6.5, 9), [0.5, 1, 1.5, 2, 3, 4, 7, 13]),
     "music-order1": (tiny_music_model(1), tuple(long_prefix(20)), MUSIC_GAPS),
     "music-order2": (tiny_music_model(2), tuple(long_prefix(20)), MUSIC_GAPS),
     "music-order3": (tiny_music_model(3), tuple(long_prefix(20)), MUSIC_GAPS),
@@ -270,7 +264,7 @@ def test_a_grid_run_advances_each_distinct_pair_once(monkeypatch, run):
     monkeypatch.setattr(GridSequenceModel, "advance", advance)
     monkeypatch.setattr(oracle._GridGap, "draws", draws)
     monkeypatch.setattr(smc._Walk, "keep", keep)
-    model, cs = _grid(), observed_constraints([3, 7])
+    model, cs = GridSequenceModel(order2_grid(12)), observed_constraints([3, 7])
     result = (conditional_sample(model, cs, 400, 5, horizon=12) if run == "filter"
               else beam_search_sample(model, cs, 4, 50, 5, horizon=12))
     assert result.survived

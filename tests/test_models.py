@@ -36,6 +36,10 @@ class TestExponentialGap:
         for d in (0.1, 1.0, 5.0):
             assert gap.survival(d) == pytest.approx(1.0 - gap.cdf(d), rel=1e-12)
 
+    def test_no_mass_below_zero(self):
+        gap = ExponentialGap(rate=3.0)
+        assert (gap.pdf(-1.0), gap.cdf(-1.0), gap.survival(-1.0)) == (0.0, 0.0, 1.0)
+
     def test_hazard_is_constant_rate(self):
         gap = ExponentialGap(rate=2.5)
         for d in (0.01, 0.5, 3.0):

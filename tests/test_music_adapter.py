@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 
@@ -100,6 +98,17 @@ class TestGapDistribution:
         gap = model.initial_state(tuple(history))
         values = [gap.cdf(float(d)) for d in range(1, 20)]
         assert all(b >= a for a, b in zip(values, values[1:]))
+
+    def test_a_shift_never_seen_unsmoothed_carries_no_mass(self):
+        """With alpha = 0 the corpus's one shift is the only one with mass, so
+        a code two ticks ahead has none, as the symbol-level walk says."""
+        bare = UnrolledMusicModel(train_ngram([[1, 2, TINY.shift_symbol(1), 3]], TINY,
+                                              order=1, alpha=0.0))
+        gap = bare.initial_state([])
+        exact = enumerate_next_code_pmf(bare, [])
+        assert exact[encode_event(MusicEvent(2, 1), TINY)] == 0.0
+        for d, p in exact.items():
+            assert gap.pdf(d) == pytest.approx(p, rel=1e-12)
 
     def test_fractional_gaps_carry_no_mass(self, model):
         gap = model.initial_state(())

@@ -7,6 +7,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from exact import grid_bits, grid_problem, order2_grid, pooled_tv
 from scipy import stats
 
 from ppsmc.beam import beam_search_sample
@@ -24,18 +25,6 @@ def sample_bits(model: GridModel, rng) -> tuple:
     for _ in range(model.n):
         bits.append(1 if rng.random() < model.g(tuple(bits)) else 0)
     return tuple(bits)
-
-
-def order2_grid(n: int) -> GridModel:
-    """Occupancy depends on the two previous cells."""
-    table = {(0, 0): 0.55, (0, 1): 0.25, (1, 0): 0.7, (1, 1): 0.1}
-
-    def g(bits):
-        b1 = bits[-1] if len(bits) >= 1 else 0
-        b2 = bits[-2] if len(bits) >= 2 else 0
-        return table[(b2, b1)]
-
-    return GridModel(n=n, g=g)
 
 
 class TestChainProbability:
@@ -75,16 +64,10 @@ class TestEnumerateConditional:
 
     def test_matches_rejection_sampling(self):
         """Independent check: filter raw chain draws on the conditioning event."""
-        model = order2_grid(6)
-        observed = [2, 4]
-        exact = enumerate_conditional(model, observed)
+        exact, model, _ = grid_problem(6, [2, 4])
         rng = np.random.default_rng(2024)
-        counts = Counter()
-        for _ in range(200000):
-            bits = sample_bits(model, rng)
-            if bits[2] == 1 and bits[4] == 1:
-                counts[bits] += 1
-        assert total_variation(exact, normalize_counts(counts)) < 0.02
+        draws = (sample_bits(model.model, rng) for _ in range(200000))
+        assert pooled_tv(exact, (bits for bits in draws if bits[2] == 1 and bits[4] == 1)) < 0.02
 
     def test_impossible_event_raises(self):
         model = GridModel(n=4, g=lambda bits: 0.0)
@@ -168,19 +151,14 @@ class TestGridGapAdapter:
 class TestFilterConvergence:
     def test_tv_shrinks_as_particles_grow(self):
         """Mean distance to the exact conditional is monotone in ensemble size."""
-        model = order2_grid(6)
-        exact = enumerate_conditional(model, observed=[3])
-        seq_model = GridSequenceModel(model)
-        constraints = observed_constraints([3])
+        exact, model, constraints = grid_problem(6, [3])
         means = []
         for si, size in enumerate((50, 200, 2000)):
             tvs = []
             for rep in range(50):
-                result = conditional_sample(seq_model, constraints, size,
-                                            run_seed(911, 1000 * si + rep), horizon=6)
-                assert result.survived
-                counts = Counter(bits_from_times(s, 6) for s in result.samples)
-                tvs.append(total_variation(exact, normalize_counts(counts)))
+                seed = run_seed(911, 1000 * si + rep)
+                run = conditional_sample(model, constraints, size, seed, horizon=6)
+                tvs.append(pooled_tv(exact, grid_bits([run], 6)))
             means.append(np.mean(tvs))
         assert means[0] > means[1] > means[2]
 
@@ -192,23 +170,14 @@ class TestFilterConvergence:
         grows, the filter's falls from S = 10 to S = 100, and every filter
         distance lies below every beam distance.  The base seed was fixed
         before the first run."""
-        grid = order2_grid(8)
-        exact = enumerate_conditional(grid, observed)
-        model, constraints = GridSequenceModel(grid), observed_constraints(observed)
+        exact, model, constraints = grid_problem(8, observed)
 
-        def pooled_tv(sample):
-            counts = Counter()
-            for r in range(100):
-                result = sample(run_seed(2019, r))
-                assert result.survived
-                counts.update(bits_from_times(s, 8) for s in result.samples)
-            return total_variation(exact, normalize_counts(counts))
+        def tv(sample):
+            return pooled_tv(exact, grid_bits((sample(run_seed(2019, r)) for r in range(100)), 8))
 
-        beam = [pooled_tv(lambda seed: beam_search_sample(model, constraints, w, w, seed,
-                                                          horizon=8))
+        beam = [tv(lambda seed: beam_search_sample(model, constraints, w, w, seed, horizon=8))
                 for w in (3, 10, 30)]
-        filt = [pooled_tv(lambda seed: conditional_sample(model, constraints, size, seed,
-                                                          horizon=8))
+        filt = [tv(lambda seed: conditional_sample(model, constraints, size, seed, horizon=8))
                 for size in (10, 100)]
         # at b = f = 10 and 30 every beam sample lies on cells where the exact
         # law has less mass, so both distances are one minus that mass, but each
@@ -243,3 +212,7 @@ class TestTotalVariation:
     def test_identical_distributions(self):
         p = {"a": 0.5, "b": 0.5}
         assert total_variation(p, p) == 0.0
+
+    def test_refuses_empty_counts(self):
+        with pytest.raises(ValueError, match="^empty count table$"):
+            normalize_counts({})

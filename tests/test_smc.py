@@ -8,13 +8,15 @@ import threading
 
 import numpy as np
 import pytest
+from exact import order2_grid
 
 from ppsmc import rng, smc
 from ppsmc.beam import beam_search_sample
-from ppsmc.models import (PoissonProcessModel, UniformRenewalModel,
+from ppsmc.models import (PoissonProcessModel, RenewalModel, UniformGap, UniformRenewalModel,
                           WeibullRenewalModel, barrier_weight,
-                          propose_segment, sample_restricted)
+                          propose_segment, sample_restricted, step_log_probabilities)
 from ppsmc.music.files import read_constraint_file, write_constraint_file
+from ppsmc.oracle import GridSequenceModel
 from ppsmc.rng import KIND_PROPOSAL, block, doubles, run_seed, stream
 from ppsmc.smc import (ConstraintSet, conditional_sample,
                        effective_sample_size, satisfies, systematic_indices)
@@ -97,6 +99,12 @@ class TestProposeSegment:
         assert all(t <= 1.0 for t in seg[:-1])
         assert seg[-1] >= 1.0
 
+    def test_rejects_a_non_positive_gap(self):
+        law = UniformGap(0.0, 1.0)
+        zeros = type("Zeros", (), {"random": lambda self: 0.0})()  # draws the gap 0.0
+        with pytest.raises(ValueError, match=r"^model produced a non-positive gap: 0\.0$"):
+            propose_segment(RenewalModel(law), law, 0.0, 0.5, True, zeros)
+
 
 class TestBarrierWeight:
     def test_open_gap_weight_is_hazard(self):
@@ -152,6 +160,11 @@ class TestSystematicResampling:
     def test_rejects_all_zero_weights(self):
         with pytest.raises(ValueError):
             systematic_indices((0.0, 0.0), u=0.5)
+
+    @pytest.mark.parametrize("u", [0.0, -0.5, 1.5, math.nan])
+    def test_rejects_an_offset_outside_0_1(self, u):
+        with pytest.raises(ValueError, match=r"^offset u must lie in \(0, 1\], got "):
+            systematic_indices((1.0, 2.0), u=u)
 
     @staticmethod
     def adversarial_weights(rng, n: int, kind: str) -> np.ndarray:
@@ -278,6 +291,10 @@ class TestEffectiveSampleSize:
     def test_rejects_negative_weights(self):
         with pytest.raises(ValueError):
             effective_sample_size((0.5, -0.1))
+
+    def test_rejects_all_zero_weights(self):
+        with pytest.raises(ValueError, match="^all weights are zero$"):
+            effective_sample_size((0.0, 0.0))
 
     def test_equals_the_loop_definition_bit_for_bit(self):
         """The numpy sums keep every bit of one left-to-right pass, through
@@ -414,6 +431,28 @@ class TestConditionalSample:
             conditional_sample(model, ConstraintSet(z=(0.2,), b=(True,)), 8,
                                seed=1, initial_history=(0.3,))
 
+    @pytest.mark.parametrize("model, history, z, horizon", [
+        (PoissonProcessModel(rate=3.0), (0.9, 0.4), 0.95, 1.0),
+        (GridSequenceModel(order2_grid(8)), (3, 2), 5, 8),
+        (GridSequenceModel(order2_grid(8)), (3, 3), 5, 8),
+    ], ids=["poisson", "grid", "grid-repeated-cell"])
+    def test_rejects_a_history_that_does_not_strictly_increase(self, model, history, z, horizon):
+        """The samplers, ``sample_restricted`` and the scorer go on from the
+        history's last time, so a history out of order would be walked as if
+        its earlier times were not there."""
+        cs = ConstraintSet(z=(z,), b=(True,))
+        runs = [lambda: conditional_sample(model, cs, 3, 1, horizon=horizon,
+                                           initial_history=history),
+                lambda: beam_search_sample(model, cs, 2, 2, 1, horizon=horizon,
+                                           initial_history=history),
+                lambda: sample_restricted(model, stream(1, KIND_PROPOSAL, 0), horizon=horizon,
+                                          initial_history=history),
+                lambda: step_log_probabilities(model, (z,), history)]
+        for run in runs:
+            with pytest.raises(ValueError, match=f"^times must strictly increase, "
+                                                 f"got {history[1]} after {history[0]}$"):
+                run()
+
     def test_rejects_nonpositive_particle_count(self):
         model = PoissonProcessModel(rate=1.0)
         with pytest.raises(ValueError):
@@ -544,12 +583,12 @@ class TestBlocks:
         assert both.shape == (2, 3, 4) and both[0].ravel().tolist() == raw
 
     def test_few_keys_equal_many(self):
-        """Up to 32 keys are computed in Python ints, more in numpy arrays:
-        both give the same words."""
+        """Up to ``_FEW_KEYS`` keys are computed in Python ints, more in numpy
+        arrays: both give the same words, on either side of that count."""
         lanes, counters = np.arange(40) * 7919, np.arange(40) % 5 + 1
-        many = block(2 ** 64 - 5, 1, 9, lanes, counters)
         singles = [block(2 ** 64 - 5, 1, 9, lane, c).tolist() for lane, c in zip(lanes, counters)]
-        assert singles == many.tolist()
+        for n in (rng._FEW_KEYS, rng._FEW_KEYS + 1, 40):
+            assert block(2 ** 64 - 5, 1, 9, lanes[:n], counters[:n]).tolist() == singles[:n]
 
     @pytest.mark.parametrize("seed", [0, 2 ** 64 - 1, -42])
     def test_many_keys_are_the_words_of_stream(self, seed):
