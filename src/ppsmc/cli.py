@@ -136,8 +136,7 @@ def cmd_generate(args) -> int:
         sampler, sizes = conditional_sample, (args.particles,)
     else:
         sampler, sizes = beam_search_sample, (args.beam_b, args.beam_f)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = Path(args.out)  # made only once a run has finished
     survived = 0
     for r in range(args.runs):
         seed_r = run_seed(args.seed, r) if args.runs > 1 else args.seed
@@ -283,11 +282,10 @@ def cmd_convert(args) -> int:
         events = read_midi(args.infile)
         parts = max((ev.part for ev in events), default=0) + 1
         write_events(args.out, events, Vocabulary(parts=parts))
-        print(f"{len(events)} events -> {args.out}")
     else:
         events, _ = read_events(args.infile)
         write_midi(args.out, events)
-        print(f"{len(events)} events -> {args.out}")
+    print(f"{len(events)} events -> {args.out}")
     return 0
 
 

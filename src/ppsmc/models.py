@@ -23,15 +23,15 @@ is low + (high - low)·u, bit for bit what ``Generator.uniform`` draws.
 
 A path clipped at a required time weighs ``barrier_weight`` of its last gap
 (the hazard f(d)/P(gap >= d) in a free segment, the density f(d) in a
-forbidden one); a law's ``weights`` gives it for many gaps at once.
+forbidden one); the exponential's own ``weights`` gives it for many gaps at once.
 
 ``propose_segment`` walks one path on one generator, for
 ``sample_restricted``.  The filter and the beam walk many lanes at once
 (``ppsmc.smc``) and ask a law only for ``draws``, the gaps of all its lanes
 in one call, given each lane's next uniforms.  By default it applies
-``quantiles``, the ``quantile`` of each; the renewal laws map only
-``math.log1p`` and ``pow`` in Python and leave the rest to numpy, which
-rounds each operation as Python does.  A law without a quantile overrides
+``quantiles``, the ``quantile`` of each; the exponential's own maps only
+``math.log1p`` in Python and leaves the rest to numpy, which rounds each
+operation as Python does.  A law without a quantile overrides
 ``draws`` and declares ``draw_width``, as the grid and music laws do; their
 ``sample`` draws the same gap from the same uniforms, one ``random()`` at a
 time.
@@ -40,8 +40,6 @@ time.
 from __future__ import annotations
 
 import math
-import operator
-from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -97,18 +95,6 @@ class InterArrivalDistribution:
     def quantiles(self, u: np.ndarray) -> np.ndarray:
         """``quantile`` of each uniform in the 1-d array ``u``, bit for bit."""
         return np.array(list(map(self.quantile, u.tolist())))
-
-    def weights(self, d: np.ndarray, b_prev: bool) -> np.ndarray:
-        """``barrier_weight`` of each gap in the 1-d array ``d``, once per distinct gap."""
-        gaps, which = np.unique(d, return_inverse=True)
-        weights = map(barrier_weight, repeat(self), gaps.tolist(), repeat(b_prev))
-        return np.array(list(weights), dtype=float)[which]
-
-    def log_pdfs(self, d: np.ndarray) -> np.ndarray:
-        """``_log_density`` of each gap in the 1-d array ``d``, bit for bit."""
-        p = self.weights(d, False)
-        logs = np.fromiter(map(math.log, np.where(p > 0, p, 1.0).tolist()), float, p.size)
-        return np.where(p > 0, logs, -math.inf)
 
     def hazard(self, d) -> float:
         """f(d) / P(gap >= d); 0 where the density is 0.
@@ -237,10 +223,6 @@ class WeibullGap(InterArrivalDistribution):
     def quantile(self, u):
         return self.scale * (-math.log1p(-u)) ** (1.0 / self.shape)
 
-    def quantiles(self, u):
-        e = map(operator.neg, map(math.log1p, (-u).tolist()))
-        return self.scale * np.fromiter(map(pow, e, repeat(1.0 / self.shape)), float, u.size)
-
 
 class UniformGap(InterArrivalDistribution):
     """Gaps uniform on [low, high]; zero density outside.
@@ -267,8 +249,6 @@ class UniformGap(InterArrivalDistribution):
     def quantile(self, u):
         return self.low + (self.high - self.low) * u
 
-    quantiles = quantile  # the same affine map, rounded alike, on an array
-
 
 class PoissonProcessModel(RenewalModel):
     """Homogeneous Poisson process: memoryless exponential gaps."""
@@ -294,6 +274,12 @@ class UniformRenewalModel(RenewalModel):
 def _log_density(law: InterArrivalDistribution, d) -> float:
     p = law.pdf(d)
     return math.log(p) if p > 0 else -math.inf
+
+
+def _log_densities(p: np.ndarray) -> np.ndarray:
+    """``_log_density``'s rule on each density in ``p``, bit for bit: its log, or -inf at 0."""
+    logs = np.fromiter(map(math.log, np.where(p > 0, p, 1.0).tolist()), float, p.size)
+    return np.where(p > 0, logs, -math.inf)
 
 
 def propose_segment(model: SequenceModel, state, last: float, z: float,

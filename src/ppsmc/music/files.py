@@ -16,7 +16,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Sequence
 
-from ..smc import ConstraintSet
+from ..smc import ConstraintSet, check_span
 from .encoding import (TICKS_PER_QUARTER, MusicEvent, Vocabulary, _split_code,
                        codes_to_events, events_to_codes, events_to_symbols)
 
@@ -185,11 +185,13 @@ def read_constraint_file(path, vocab: Vocabulary | None = None
                          ) -> tuple[ConstraintSet, list[int], int | None]:
     """Load a constraint file: the constraint set, the prefix as codes ([] if
     absent) and the tick horizon (None if absent).  Every field is checked,
-    whatever model reads the file; ValueError on any malformed one.
+    whatever model reads the file; ValueError on any malformed one, or on a
+    prefix that does not strictly increase.
 
-    With the ``vocab`` of a music model, z holds codes too, and codes written
-    under another layout (the file's ``a_max`` and ``parts``) are re-encoded
-    into ``vocab``'s; a file without them is read in ``vocab``'s.
+    With the ``vocab`` of a music model, z holds codes too, which must begin
+    after the prefix, and codes written under another layout (the file's
+    ``a_max`` and ``parts``) are re-encoded into ``vocab``'s; a file without
+    them is read in ``vocab``'s.
     """
     with in_file(path):
         d = loads(Path(path).read_text())
@@ -219,4 +221,5 @@ def read_constraint_file(path, vocab: Vocabulary | None = None
                 prefix, z = (events_to_codes(codes_to_events(c, written), vocab)
                              for c in (prefix, z))
             constraints = ConstraintSet(z=tuple(z), b=constraints.b)
+        check_span(constraints.z if vocab is not None else (), prefix)
         return constraints, prefix, ticks

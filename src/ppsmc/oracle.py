@@ -36,15 +36,18 @@ class GridModel:
             raise ValueError("need at least one cell")
 
 
+def _occupied(model: GridModel, prefix: tuple) -> float:
+    """g of ``prefix``; raises ValueError unless it is a probability."""
+    q = model.g(prefix)
+    if not 0.0 <= q <= 1.0:
+        raise ValueError(f"g returned {q!r}, not a probability")
+    return q
+
+
 def chain_probability(model: GridModel, bits: Sequence[int]) -> float:
     """Probability of one full occupancy vector under the chain."""
-    p = 1.0
-    for i, v in enumerate(bits):
-        q = model.g(tuple(bits[:i]))
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"g returned {q!r}, not a probability")
-        p *= q if v else 1.0 - q
-    return p
+    qs = (_occupied(model, tuple(bits[:i])) for i in range(len(bits)))
+    return math.prod((q if v else 1.0 - q for q, v in zip(qs, bits)), start=1.0)
 
 
 def enumerate_conditional(model: GridModel, observed: Iterable[int]) -> dict[tuple, float]:
@@ -81,12 +84,7 @@ class _GridGap(InterArrivalDistribution):
     @cached_property
     def _ahead(self) -> tuple:
         """g at each cell ahead, the cells before it vacant."""
-        bits = list(self.prefix)
-        out = []
-        for _ in range(self.draw_width):
-            out.append(self.model.g(tuple(bits)))
-            bits.append(0)
-        return tuple(out)
+        return tuple(_occupied(self.model, self.prefix + (0,) * k) for k in range(self.draw_width))
 
     @cached_property
     def _vacant(self) -> tuple:

@@ -45,7 +45,7 @@ import numpy as np
 
 from . import models
 from .models import (InterArrivalDistribution, IterationLimitError, RenewalModel, SequenceModel,
-                     _log_density, barrier_weight, history_end)
+                     _log_densities, _log_density, barrier_weight, history_end)
 from .rng import KIND_PROPOSAL, KIND_RESAMPLE, block, doubles
 
 
@@ -265,6 +265,7 @@ class _Walk:
         self.sids = np.full(width, self._intern(law))  # each path's state
         self.folds = np.zeros(width)  # and its fold
         self.runs = self.fixed and type(law).draws is InterArrivalDistribution.draws
+        self.weights = self.fixed and getattr(law, "weights", None)  # the law's own array form
         self.blocks = min(4, (law.draw_width + 6) // 4)  # drawn ahead: a draw fits at any offset
         # each level's stop (its barrier, or the horizon for the open tail), flag and start
         self.stops, self.flags, self.starts = ((*constraints.z, horizon), (True, *constraints.b),
@@ -409,12 +410,12 @@ class _Walk:
         self.chunk = i, upto, n, values, begin, pos, sids, logs
 
     def _each(self, sids: np.ndarray, gaps: np.ndarray, b_prev: bool | None = None) -> np.ndarray:
-        """Each lane's log density (``b_prev`` None) or barrier weight of its
-        gap, in state ``sids``: in one call on a fixed law, else by
-        ``_log_density`` or ``barrier_weight`` once per distinct (state, gap)."""
-        if self.fixed:
-            law = self.table[0]
-            return law.log_pdfs(gaps) if b_prev is None else law.weights(gaps, b_prev)
+        """Each lane's log density (``b_prev`` None) or barrier weight of its gap, in state
+        ``sids``: by one call of a fixed law's own ``weights`` (the logs of its densities), else
+        by ``_log_density`` or ``barrier_weight`` once per distinct (state, gap)."""
+        if self.weights:
+            w = self.weights(gaps, bool(b_prev))
+            return w if b_prev is not None else _log_densities(w)
         f = _log_density if b_prev is None else lambda law, d: barrier_weight(law, d, b_prev)
         return self._once(f, sids, gaps, float)
 
@@ -487,6 +488,17 @@ def _spans(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.repeat(starts - (np.cumsum(lengths) - lengths), lengths) + np.arange(lengths.sum())
 
 
+def check_span(z: Sequence, initial_history: Sequence, horizon: float = math.inf) -> float:
+    """The end of ``initial_history``; raises ValueError unless the history
+    strictly increases and the constraint times ``z`` lie past its end, not past ``horizon``."""
+    start = history_end(initial_history)
+    if z and z[0] <= start:
+        raise ValueError(f"first constraint {z[0]!r} does not lie beyond the history end {start!r}")
+    if z and z[-1] > horizon:
+        raise ValueError(f"constraint {z[-1]!r} lies beyond the horizon {horizon!r}")
+    return start
+
+
 def run_barriers(model: SequenceModel, constraints: ConstraintSet, seed: int,
                  width: int, select: Callable, *, horizon: float,
                  initial_history: Sequence[float], score: bool = False) -> EnsembleResult:
@@ -511,14 +523,7 @@ def run_barriers(model: SequenceModel, constraints: ConstraintSet, seed: int,
     """
     if not horizon > 0:
         raise ValueError(f"horizon must be positive, got {horizon!r}")
-    start = history_end(initial_history)
-    if constraints.z:
-        if constraints.z[0] <= start:
-            raise ValueError(f"first constraint {constraints.z[0]!r} does not lie beyond "
-                             f"the history end {start!r}")
-        if constraints.z[-1] > horizon:
-            raise ValueError(f"constraint {constraints.z[-1]!r} lies beyond the horizon "
-                             f"{horizon!r}")
+    start = check_span(constraints.z, initial_history, horizon)
     walk = _Walk(model, model.initial_state(initial_history), seed, horizon, score, width,
                  start, constraints)
     diagnostics = []

@@ -163,6 +163,28 @@ class TestConstraintFiles:
                      "--seed", "1", "--out", str(tmp_path / "out")])
         assert assert_error_exit(code, capsys, data).startswith(f"error: {path}: {message}")
 
+    @pytest.mark.parametrize("model, payload, message", [
+        ("music", {"z": [13], "b": [True], "prefix": [5, 3]},
+         "cs.json: times must strictly increase, got 3 after 5"),
+        ("music", {"z": [13], "b": [True], "prefix": [5, 14]},
+         "cs.json: first constraint 13 does not lie beyond the history end 14"),
+        ("poisson:rate=3", {"z": [0.5, 3.0], "b": [True, True]},
+         "constraint 3.0 lies beyond the horizon 1.0"),
+    ], ids=["prefix-descends", "z-inside-the-prefix", "z-past-the-horizon"])
+    def test_constraints_the_run_cannot_reach_write_nothing(self, tmp_path, capsys,
+                                                            monkeypatch, model, payload,
+                                                            message):
+        """The file's own errors name it, and no run leaves an empty --out."""
+        monkeypatch.chdir(tmp_path)
+        if model == "music":
+            model = "model.json"
+            tiny_music_model().step_model.save(model)
+        Path("cs.json").write_text(json.dumps(payload))
+        code = main(["sample", "--model", model, "--constraints", "cs.json",
+                     "--seed", "1", "--particles", "4", "--out", "out"])
+        assert assert_error_exit(code, capsys, payload) == f"error: {message}\n"
+        assert not Path("out").exists()
+
     def test_segment_over_the_draw_limit_exits_1(self, tmp_path, capsys):
         """A rate so high that the first barrier needs over a million draws."""
         path = tmp_path / "cs.json"

@@ -16,7 +16,7 @@ from ppsmc.oracle import (GridModel, GridSequenceModel, bits_from_times,
                           chain_probability, enumerate_conditional,
                           normalize_counts, observed_constraints, total_variation)
 from ppsmc.rng import run_seed
-from ppsmc.smc import conditional_sample
+from ppsmc.smc import ConstraintSet, conditional_sample
 
 
 def sample_bits(model: GridModel, rng) -> tuple:
@@ -132,6 +132,13 @@ class TestGridGapAdapter:
         assert run(9).survived  # n + 1 itself is allowed
         with pytest.raises(ValueError, match=r"horizon must not exceed n \+ 1 = 9"):
             run(10)
+
+    @pytest.mark.parametrize("g", [1.5, -0.5])
+    def test_a_g_outside_0_1_is_refused(self, g):
+        """The sampler refuses such a g as the exact chain does."""
+        model = GridSequenceModel(GridModel(6, lambda bits: g))
+        with pytest.raises(ValueError, match=rf"^g returned {g}, not a probability$"):
+            conditional_sample(model, ConstraintSet((3,), (True,)), 4, 1, horizon=6)
 
     def test_fair_cells_make_all_sequences_equiprobable(self):
         # g = 1/2 on four cells: each of the 16 occupancy vectors has mass 1/16,

@@ -130,6 +130,36 @@ class TestBarrierWeight:
         model = UniformRenewalModel(0.01, 0.02)
         assert barrier_weight(model.initial_state((0.1,)), gap=0.4, b_prev=False) == 0.0
 
+    def test_a_law_without_array_weights_is_valued_once_per_distinct_gap(self, monkeypatch):
+        """A Weibull law has no ``weights`` of its own, so the walk calls
+        ``barrier_weight`` once per distinct gap at each barrier: once at a
+        forced one, and at a free one fewer times than there are particles,
+        as every lane with no event since the last barrier has the same gap.
+        The weights ``select`` sees are those calls' values."""
+        model, calls, seen = WeibullRenewalModel(shape=2.0, scale=1.0), [], []
+        cs = ConstraintSet(z=(0.5, 1.0, 1.5), b=(False, True, True))
+        real_run, real_weight = smc.run_barriers, smc.barrier_weight
+
+        def weight(state, gap, b_prev):
+            calls.append((gap, b_prev))
+            return real_weight(state, gap, b_prev)
+
+        def run(model, cs, seed, width, select, **kwargs):
+            def spy(i, values):
+                assert len(set(calls)) == len(calls)
+                assert {b_prev for _, b_prev in calls} == {(True, *cs.b)[i]}
+                law = model.initial_state(())
+                assert set(values.tolist()) == {real_weight(law, *call) for call in calls}
+                seen.append(len(calls))
+                calls.clear()
+                return select(i, values)
+            return real_run(model, cs, seed, width, spy, **kwargs)
+
+        monkeypatch.setattr(smc, "run_barriers", run)
+        monkeypatch.setattr(smc, "barrier_weight", weight)
+        assert conditional_sample(model, cs, 200, 5, horizon=2.0).survived
+        assert seen[1] == 1 and 1 < seen[0] < 200 and 1 < seen[2] < 200
+
 
 class TestSystematicResampling:
     def test_pointer_walk_on_frozen_weights(self):
