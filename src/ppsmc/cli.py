@@ -24,8 +24,7 @@ from .music.files import (extract_constraints, in_file, loads, read_constraint_f
                           write_constraint_file, write_events)
 from .music.midi import read_midi, write_midi
 from .music.ngram import NGramModel, train_ngram
-from .oracle import (GridModel, GridSequenceModel, bits_from_times,
-                     enumerate_conditional, normalize_counts,
+from .oracle import (GridModel, bits_from_times, enumerate_conditional, normalize_counts,
                      observed_constraints, total_variation)
 from .rng import run_seed
 from .smc import conditional_sample, satisfies
@@ -105,7 +104,7 @@ def _load_run_setup(args, music_vocab: Vocabulary | None):
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True) + "\n")
+    path.write_text(json.dumps(payload, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _write_samples(outdir: Path, samples, vocab: Vocabulary | None) -> list[str]:
@@ -123,7 +122,9 @@ def _write_samples(outdir: Path, samples, vocab: Vocabulary | None) -> list[str]
 
 def _write_diagnostics(path: Path, rows) -> None:
     lines = [json.dumps({"version": 1, "kind": "diagnostics"}, sort_keys=True)]
-    lines += [json.dumps(row.to_dict(), sort_keys=True) for row in rows]
+    lines += [json.dumps({k: None if isinstance(v, float) and not math.isfinite(v) else v
+                          for k, v in row.to_dict().items()}, sort_keys=True, allow_nan=False)
+              for row in rows]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -252,12 +253,10 @@ def cmd_oracle(args) -> int:
                      "spec {!r}: expected const:p= or order2:p00=,p01=,p10=,p11="))
     exact = enumerate_conditional(grid, observed)
     constraints = observed_constraints(observed)
-    model = GridSequenceModel(grid)
     samples = Counter()  # in first-occurrence order, so the bit vectors come in that order too
     for r in range(args.runs):
         seed_r = run_seed(args.seed, r) if args.runs > 1 else args.seed
-        result = conditional_sample(model, constraints, args.particles, seed_r,
-                                    horizon=grid.n)
+        result = conditional_sample(grid, constraints, args.particles, seed_r, horizon=grid.n)
         if not result.survived:
             raise ValueError(f"oracle run {r} died at barrier {result.failed_barrier}: "
                              "every particle of that run weighed zero")

@@ -10,6 +10,7 @@ reads and writes both formats.
 from __future__ import annotations
 
 import json
+import math
 import re
 import warnings
 from contextlib import contextmanager
@@ -184,12 +185,13 @@ def _as_code(value) -> int:
 def read_constraint_file(path, vocab: Vocabulary | None = None
                          ) -> tuple[ConstraintSet, list[int], int | None]:
     """Load a constraint file: the constraint set, the prefix as codes ([] if
-    absent) and the tick horizon (None if absent).  Every field is checked,
-    whatever model reads the file; ValueError on any malformed one, or on a
-    prefix that does not strictly increase.
+    absent) and the tick horizon, positive (None if absent).  Every field is
+    checked, whatever model reads the file; ValueError on any malformed one,
+    or on a prefix that does not strictly increase.
 
     With the ``vocab`` of a music model, z holds codes too, which must begin
-    after the prefix, and codes written under another layout (the file's
+    after the prefix and end by the file's tick horizon (if any, even when a
+    run overrides it), and codes written under another layout (the file's
     ``a_max`` and ``parts``) are re-encoded into ``vocab``'s; a file without
     them is read in ``vocab``'s.
     """
@@ -211,6 +213,8 @@ def read_constraint_file(path, vocab: Vocabulary | None = None
         if not isinstance(prefix, list):
             raise ValueError("constraint field 'prefix' must be a list of codes")
         prefix, ticks = [_as_code(c) for c in prefix], None if ticks is None else _as_code(ticks)
+        if ticks is not None and ticks < 1:
+            raise ValueError(f"constraint field 'horizon_ticks' must be positive, got {ticks}")
         layout = d.get("a_max"), d.get("parts")
         if layout != (None, None) and not all(type(v) is int and v > 0 for v in layout):
             raise ValueError("constraint fields 'a_max' and 'parts' must both be positive integers")
@@ -221,5 +225,6 @@ def read_constraint_file(path, vocab: Vocabulary | None = None
                 prefix, z = (events_to_codes(codes_to_events(c, written), vocab)
                              for c in (prefix, z))
             constraints = ConstraintSet(z=tuple(z), b=constraints.b)
-        check_span(constraints.z if vocab is not None else (), prefix)
+        horizon = math.inf if vocab is None or ticks is None else ticks * vocab.actions
+        check_span(constraints.z if vocab is not None else (), prefix, horizon)
         return constraints, prefix, ticks

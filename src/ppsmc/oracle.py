@@ -3,9 +3,9 @@
 Divide (0, 1] into N cells; cell i is occupied with probability
 g(v_{<i}) given the occupancy bits of all earlier cells.  For N <= 20 the
 conditional law given "these cells are occupied" can be enumerated exactly,
-which gives an independent check of the particle filter: view each occupied
-cell i as an event at integer time i+1 and each observed index as a required
-event, run the filter with horizon N, and compare distributions.
+which gives an independent check of the particle filter.  The chain is itself
+the sequence model the filter runs (occupied cell i = event at integer time
+i+1, observed index = required event, horizon N), and the laws are compared.
 """
 
 from __future__ import annotations
@@ -25,8 +25,12 @@ MAX_ENUMERABLE_CELLS = 20
 
 
 @dataclass(frozen=True)
-class GridModel:
-    """Occupancy-grid chain: n cells, g maps a bit prefix to P(next occupied)."""
+class GridModel(SequenceModel):
+    """Occupancy-grid chain: n cells, g maps a bit prefix to P(next occupied).
+
+    As a sequence model, occupied cell i is an event at integer time i+1, which
+    keeps barrier equality exact (use ``horizon=n``); the state is the gap law
+    after the occupancy bits of the cells up to the last event."""
 
     n: int
     g: Callable[[tuple], float]
@@ -34,6 +38,18 @@ class GridModel:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("need at least one cell")
+
+    def initial_state(self, history):
+        return reduce(self.advance, history, _GridGap(self, ()))
+
+    def advance(self, state, t):
+        # the cells after the previous event stay vacant up to t's own cell,
+        # which is occupied if t is a cell time
+        skipped = int(t) - len(state.prefix)
+        if skipped < 1:
+            return state
+        bits = state.prefix + (0,) * (skipped - 1) + (1 if t == int(t) else 0,)
+        return _GridGap(self, bits)
 
 
 def _occupied(model: GridModel, prefix: tuple) -> float:
@@ -135,30 +151,6 @@ class _GridGap(InterArrivalDistribution):
         found = hit.any(axis=1)
         first = hit.argmax(axis=1) + 1
         return np.where(found, first, cells + 1), np.where(found, first, cells)
-
-
-class GridSequenceModel(SequenceModel):
-    """Point-process view of a grid chain: occupied cell i = event at time i+1.
-
-    Integer times keep barrier equality exact; use ``horizon=model.n``.  The
-    state is the gap law from the occupancy bits of the cells up to the last
-    event.
-    """
-
-    def __init__(self, model: GridModel):
-        self.model = model
-
-    def initial_state(self, history):
-        return reduce(self.advance, history, _GridGap(self.model, ()))
-
-    def advance(self, state, t):
-        # the cells after the previous event stay vacant up to t's own cell,
-        # which is occupied if t is a cell time
-        skipped = int(t) - len(state.prefix)
-        if skipped < 1:
-            return state
-        bits = state.prefix + (0,) * (skipped - 1) + (1 if t == int(t) else 0,)
-        return _GridGap(self.model, bits)
 
 
 def observed_constraints(observed: Iterable[int]) -> ConstraintSet:

@@ -127,21 +127,16 @@ def _checked(weights: Sequence[float]) -> np.ndarray:
 def effective_sample_size(weights: Sequence[float]) -> float:
     """(sum w)^2 / sum(w^2); ranges from 1 (degenerate) to len(weights).
 
-    Both sums are cumulative sums, which add left to right and so round as a
-    Python loop does (``np.sum`` adds pairwise and does not).  When every
-    square underflows to 0 the ratio is taken on ``w / max(w)`` instead, which
-    it does not depend on in exact arithmetic.
+    Taken on ``w / max(w)``, the same in exact arithmetic: no square overflows
+    and the sum of squares is at least 1.  Both sums are cumulative sums, which
+    add left to right and so round as a Python loop does (``np.sum`` does not).
     """
     w = _checked(weights)
     if not w.any():
         raise ValueError("all weights are zero")
-    with np.errstate(over="ignore"):  # squares may overflow to inf, as in a loop
-        total_sq = float(np.cumsum(w * w)[-1])
-        if total_sq == 0.0:
-            w = w / w.max()
-            total_sq = float(np.cumsum(w * w)[-1])
-        total = float(np.cumsum(w)[-1])
-    return total * total / total_sq
+    w = w / w.max()
+    total = float(np.cumsum(w)[-1])
+    return total * total / float(np.cumsum(w * w)[-1])
 
 
 def systematic_indices(weights: Sequence[float], u: float) -> tuple[int, ...]:

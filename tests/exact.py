@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from ppsmc.oracle import (GridModel, GridSequenceModel, bits_from_times, enumerate_conditional,
+from ppsmc.oracle import (GridModel, bits_from_times, enumerate_conditional,
                           normalize_counts, observed_constraints, total_variation)
 
 # (cell i - 2, cell i - 1): P(cell i occupied)
@@ -33,8 +33,7 @@ def grid_problem(n: int, observed: list) -> tuple:
     bits given 1s at ``observed``, and the sequence model and constraints whose
     conditional samples follow it at ``horizon=n``."""
     grid = order2_grid(n)
-    return (enumerate_conditional(grid, observed), GridSequenceModel(grid),
-            observed_constraints(observed))
+    return enumerate_conditional(grid, observed), grid, observed_constraints(observed)
 
 
 def grid_bits(runs, n: int):

@@ -30,7 +30,7 @@ from ppsmc.models import (ExponentialGap, InterArrivalDistribution, PoissonProce
                           RenewalModel, SequenceModel, UniformGap, UniformRenewalModel,
                           WeibullRenewalModel)
 from ppsmc.music.encoding import Vocabulary
-from ppsmc.oracle import GridSequenceModel, observed_constraints
+from ppsmc.oracle import observed_constraints
 from ppsmc.smc import ConstraintSet, conditional_sample
 
 
@@ -99,7 +99,8 @@ MIXED = ConstraintSet(z=(0.3, 0.55, 1, 1.4), b=(False, True, True, True)), {"hor
 def _same(text, other):
     """Whether two reprs are equal; the message names where they part, not a
     diff of megabyte strings."""
-    at = next((k for k, (a, b) in enumerate(zip(text, other)) if a != b), min(len(text), len(other)))
+    at = next((k for k, (a, b) in enumerate(zip(text, other)) if a != b),
+              min(len(text), len(other)))
     return text == other, f"the walks part at character {at}: {text[at - 40:at + 40]!r}"
 
 
@@ -172,13 +173,12 @@ def _music(order):
 
 
 FAMILIES = {  # name: a model, its constraints and keyword arguments
-    "grid": lambda: (GridSequenceModel(order2_grid(8)), observed_constraints([1, 4, 6]),
-                     {"horizon": 8}),
+    "grid": lambda: (order2_grid(8), observed_constraints([1, 4, 6]), {"horizon": 8}),
     # a lane whose last cell is occupied draws its beyond-the-cells gap
-    "grid-tail-past-the-cells": lambda: (GridSequenceModel(order2_grid(8)),
-                                         observed_constraints([2]), {"horizon": 9}),
+    "grid-tail-past-the-cells": lambda: (order2_grid(8), observed_constraints([2]),
+                                         {"horizon": 9}),
     # the open tail holds no cell time, so no lane appends a time there
-    "grid-tail-without-cells": lambda: (GridSequenceModel(order2_grid(8)),
+    "grid-tail-without-cells": lambda: (order2_grid(8),
                                         ConstraintSet(z=(8,), b=(True,)), {"horizon": 8.5}),
     "music-order1": _music(1),
     "music-order2": _music(2),

@@ -11,7 +11,7 @@ from test_golden import long_prefix
 from ppsmc.beam import beam_search_sample
 from ppsmc.models import (PoissonProcessModel, UniformRenewalModel,
                           log_probability, propose_segment)
-from ppsmc.oracle import GridModel, GridSequenceModel, observed_constraints
+from ppsmc.oracle import GridModel, observed_constraints
 from ppsmc.rng import KIND_PROPOSAL, stream
 from ppsmc.smc import ConstraintSet, satisfies
 
@@ -29,8 +29,8 @@ class TestBeamSearch:
         """The scores summed in the proposing walk are exactly the model's
         log probability of each sample past its prefix."""
         end = (long_prefix(20)[-1] - 1) // TINY.actions
-        music = (tiny_music_model(), ConstraintSet(z=((end + 2) * TINY.actions + 1,
-                                                      (end + 4) * TINY.actions + 3), b=(True, True)),
+        z = ((end + 2) * TINY.actions + 1, (end + 4) * TINY.actions + 3)
+        music = (tiny_music_model(), ConstraintSet(z=z, b=(True, True)),
                  {"horizon": (end + 7) * TINY.actions, "initial_history": tuple(long_prefix(20))})
         cases = [(PoissonProcessModel(rate=4.0), ConstraintSet(z=(0.5,), b=(True,)), {}),
                  music,
@@ -119,7 +119,7 @@ class TestBeamSearch:
 
     def test_fully_deterministic_grid_ties_keep_everything_equal(self):
         # Every cell occupied with probability one: all candidates identical.
-        grid = GridSequenceModel(GridModel(n=4, g=lambda bits: 1.0))
+        grid = GridModel(n=4, g=lambda bits: 1.0)
         cs = observed_constraints([1])
         result = beam_search_sample(grid, cs, b=3, f=2, seed=4, horizon=4)
         assert result.survived

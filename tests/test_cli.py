@@ -133,6 +133,25 @@ class TestSampleCommand:
         for path in sorted((tmp_path / "int").iterdir()):
             assert (tmp_path / "float" / path.name).read_bytes() == path.read_bytes()
 
+    @pytest.mark.parametrize("ticks, message", [
+        (4, "constraint 19 lies beyond the horizon 16"),
+        (0, "constraint field 'horizon_ticks' must be positive, got 0"),
+        (-2, "constraint field 'horizon_ticks' must be positive, got -2"),
+    ], ids=["short", "zero", "negative"])
+    def test_a_bad_horizon_ticks_names_the_file(self, tmp_path, capsys, ticks, message):
+        """The file's own tick horizon is checked as the file is read, even
+        when --horizon-ticks overrides it, and nothing is written."""
+        tiny_music_model().step_model.save(tmp_path / "model.json")
+        cs = tmp_path / "cs.json"
+        cs.write_text(json.dumps({"z": [13, 19], "b": [True, True], "prefix": [1, 3],
+                                  "horizon_ticks": ticks}))
+        args = ["sample", "--model", str(tmp_path / "model.json"), "--constraints", str(cs),
+                "--seed", "1", "--particles", "4", "--out", str(tmp_path / "out")]
+        for override in ([], ["--horizon-ticks", "9"]):
+            assert main(args + override) == 1
+            assert capsys.readouterr().err == f"error: {cs}: {message}\n"
+            assert not (tmp_path / "out").exists()
+
     def test_weights_whose_squares_underflow_exit_0(self, tmp_path):
         cs = tmp_path / "far.json"
         cs.write_text(json.dumps({"version": 1, "kind": "constraints",
@@ -174,6 +193,26 @@ class TestSampleCommand:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command, model, z, b, sizes", [
+    ("sample", "weibull:shape=0.5,scale=1", [1e-310], [True], ["--particles", "10"]),
+    ("beam", "poisson:rate=3", [0.3, 0.6], [False, False], ["--beam-b", "1", "--beam-f", "4"]),
+], ids=["sample", "beam"])
+def test_every_written_file_is_strict_json(tmp_path, command, model, z, b, sizes):
+    """An ESS whose squares would overflow, or a beam barrier that discards
+    nothing (-inf), is written as a number or null, never NaN or Infinity."""
+    cs = tmp_path / "cs.json"
+    cs.write_text(json.dumps({"z": z, "b": b}))
+    out = tmp_path / "out"
+    assert main([command, "--model", model, "--constraints", str(cs), "--seed", "1",
+                 "--keep", "0", "--out", str(out), *sizes]) == 0
+
+    def refuse(name):
+        raise AssertionError(f"{name} is not JSON")
+    for path in sorted(out.iterdir()):
+        for line in path.read_text().splitlines():
+            json.loads(line, parse_constant=refuse)
 
 
 class TestBeamCommand:
@@ -365,10 +404,12 @@ class TestSampleFileBytes:
     """Every file `sample` and `beam` write for a trained music model, pinned
     by one digest per command (recorded when sample files were still written
     event by event through ``json.dumps``; the beam's re-recorded when it
-    came to rank candidates by the log probability it reports)."""
+    came to rank candidates by the log probability it reports, the sample's
+    when the ESS in its diagnostics came to be taken on the weights over
+    their maximum)."""
 
     DIGESTS = {
-        "sample": "7fae28430220f07f1032acd716159306fc505f2d6f656caabea3a8da8ad875fb",
+        "sample": "ba68488c9efd8ef16e7d28455d2f7bc8fe4d0bfaeb990e3e3d6297b1731c7bb3",
         "beam": "99decb6cba21d5ae890296add13144741070a462ce0c42696a547abd80cb1d26",
     }
 

@@ -32,6 +32,12 @@ fold, the log probability it reports, instead of the parent's score plus
 the sum of the child's steps, which can differ in the last bits.  That was
 a declared output change; the new digests are what the old code gives with
 only the ranking sum patched so.  No filter digest moved.
+
+The five filter cases whose barriers have unequal weights were re-recorded
+in ``CASES`` (dying-filter, grid-filter, music-filter, music-order1-filter,
+music-order3-filter) when the ESS came to be taken on the weights over their
+maximum, which moves a barrier's ESS in its last bits.  Only the
+diagnostics changed: every ``OUTPUTS`` digest held.
 """
 
 from __future__ import annotations
@@ -46,7 +52,7 @@ from ppsmc.beam import beam_search_sample
 from ppsmc.models import (PoissonProcessModel, UniformRenewalModel,
                           step_log_probabilities)
 from ppsmc.music.encoding import events_to_codes, symbols_to_events
-from ppsmc.oracle import GridSequenceModel, observed_constraints
+from ppsmc.oracle import observed_constraints
 from ppsmc.smc import ConstraintSet, conditional_sample
 
 
@@ -56,7 +62,7 @@ def _poisson():
 
 
 def _grid():
-    return GridSequenceModel(order2_grid(8)), observed_constraints([1, 4, 6]), {"horizon": 8}
+    return order2_grid(8), observed_constraints([1, 4, 6]), {"horizon": 8}
 
 
 def _music():
@@ -103,23 +109,23 @@ CASES = {  # name: (problem, sampler, size arguments, seed, digest)
     "poisson-beam": (_poisson, "beam", (3, 4), 5,
                      "ae2e6c4df4b15503"),
     "grid-filter": (_grid, "filter", (300,), 17,
-                    "ce14f498dd01502a"),
+                    "bd51cee73a07ca74"),
     "grid-beam": (_grid, "beam", (5, 6), 17,
                   "d5b04d3b967a7932"),
     "music-filter": (_music, "filter", (64,), 313,
-                     "e2b28a0259d49ac4"),
+                     "cf19873262711f39"),
     "music-beam": (_music, "beam", (4, 5), 313,
                    "59cabe00308b17ff"),
     "dying-filter": (_dying, "filter", (20,), 2,
-                     "160c5d6c0db3fef0"),
+                     "6a5722ff31b53086"),
     "dying-beam": (_dying, "beam", (3, 3), 2,
                    "7c2651b037eb0049"),
     "music-order1-filter": (_long_music(1), "filter", (50,), 71,
-                            "69834ec9c3566820"),
+                            "fce8534115cbdd2c"),
     "music-order1-beam": (_long_music(1), "beam", (4, 5), 71,
                           "d03ea762853cc1b2"),
     "music-order3-filter": (_long_music(3), "filter", (50,), 73,
-                            "ee4d6123a46e17c1"),
+                            "9216968f80233c49"),
     "music-order3-beam": (_long_music(3), "beam", (4, 5), 73,
                           "719e0c97c865a6cb"),
     "music-steps": (_music_steps, "steps", (), None,

@@ -21,7 +21,7 @@ from ppsmc.models import (PoissonProcessModel, SaturatedCdfError, UniformRenewal
                           WeibullRenewalModel)
 from ppsmc.music import adapter
 from ppsmc.music.encoding import MusicEvent
-from ppsmc.oracle import GridSequenceModel, observed_constraints
+from ppsmc.oracle import GridModel, observed_constraints
 from ppsmc.smc import ConstraintSet, conditional_sample
 
 ACTS = TINY.actions
@@ -40,7 +40,7 @@ CASES = {  # name: (model, history, gaps at which every law is evaluated)
     "poisson": (PoissonProcessModel(rate=3.0), (0.1, 0.25, 0.7), [0.0, 0.05, 0.3, 1.2]),
     "weibull": (WeibullRenewalModel(shape=2.0, scale=0.5), (0.2, 0.9), [0.0, 0.1, 0.4, 2.0]),
     "uniform": (UniformRenewalModel(0.1, 0.3), (0.15, 0.4), [0.05, 0.1, 0.2, 0.3, 0.35]),
-    "grid": (GridSequenceModel(order2_grid(12)), (1, 2, 5, 6.5, 9), [0.5, 1, 1.5, 2, 3, 4, 7, 13]),
+    "grid": (order2_grid(12), (1, 2, 5, 6.5, 9), [0.5, 1, 1.5, 2, 3, 4, 7, 13]),
     "music-order1": (tiny_music_model(1), tuple(long_prefix(20)), MUSIC_GAPS),
     "music-order2": (tiny_music_model(2), tuple(long_prefix(20)), MUSIC_GAPS),
     "music-order3": (tiny_music_model(3), tuple(long_prefix(20)), MUSIC_GAPS),
@@ -244,7 +244,7 @@ def test_a_grid_run_advances_each_distinct_pair_once(monkeypatch, run):
     (id(state), t).  A walk step draws its gaps before it advances."""
     batches = [("history", [])]  # the advances of each walk step or keep, in turn
     kept_states = []  # each keep's distinct states
-    real_advance, real_draws = GridSequenceModel.advance, oracle._GridGap.draws
+    real_advance, real_draws = GridModel.advance, oracle._GridGap.draws
     real_keep = smc._Walk.keep
 
     def advance(self, state, t):
@@ -261,10 +261,10 @@ def test_a_grid_run_advances_each_distinct_pair_once(monkeypatch, run):
         batches.append(("keep", []))
         return real_keep(self, kept, z, values)
 
-    monkeypatch.setattr(GridSequenceModel, "advance", advance)
+    monkeypatch.setattr(GridModel, "advance", advance)
     monkeypatch.setattr(oracle._GridGap, "draws", draws)
     monkeypatch.setattr(smc._Walk, "keep", keep)
-    model, cs = GridSequenceModel(order2_grid(12)), observed_constraints([3, 7])
+    model, cs = order2_grid(12), observed_constraints([3, 7])
     result = (conditional_sample(model, cs, 400, 5, horizon=12) if run == "filter"
               else beam_search_sample(model, cs, 4, 50, 5, horizon=12))
     assert result.survived

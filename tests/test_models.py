@@ -138,8 +138,8 @@ def test_laws_check_their_own_parameters(bad):
 
 
 @pytest.mark.parametrize("law", [ExponentialGap(rate=3.0), ExponentialGap(rate=0.7),
-                                 WeibullGap(shape=0.6, scale=2.0), WeibullGap(shape=1.5, scale=0.08),
-                                 UniformGap(0.02, 0.3)],
+                                 WeibullGap(shape=0.6, scale=2.0),
+                                 WeibullGap(shape=1.5, scale=0.08), UniformGap(0.02, 0.3)],
                          ids=["exp3", "exp0.7", "weibull0.6", "weibull1.5", "uniform"])
 def test_quantiles_are_each_quantile_bit_for_bit(law):
     u = np.concatenate([[0.0, 2.0 ** -53, 0.5, 1.0 - 2.0 ** -53],
@@ -213,7 +213,8 @@ class TestSampleRestricted:
         monkeypatch.setattr(models, "MAX_EVENTS", 50)
         model = PoissonProcessModel(rate=1e6)
         rng = np.random.default_rng(0)
-        with pytest.raises(IterationLimitError, match=r"did not reach horizon 1\.0 within 50 draws"):
+        with pytest.raises(IterationLimitError,
+                           match=r"did not reach horizon 1\.0 within 50 draws"):
             sample_restricted(model, rng)
 
 

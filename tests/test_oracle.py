@@ -12,7 +12,7 @@ from scipy import stats
 
 from ppsmc.beam import beam_search_sample
 from ppsmc.models import barrier_weight, sample_restricted
-from ppsmc.oracle import (GridModel, GridSequenceModel, bits_from_times,
+from ppsmc.oracle import (GridModel, bits_from_times,
                           chain_probability, enumerate_conditional,
                           normalize_counts, observed_constraints, total_variation)
 from ppsmc.rng import run_seed
@@ -66,7 +66,7 @@ class TestEnumerateConditional:
         """Independent check: filter raw chain draws on the conditioning event."""
         exact, model, _ = grid_problem(6, [2, 4])
         rng = np.random.default_rng(2024)
-        draws = (sample_bits(model.model, rng) for _ in range(200000))
+        draws = (sample_bits(model, rng) for _ in range(200000))
         assert pooled_tv(exact, (bits for bits in draws if bits[2] == 1 and bits[4] == 1)) < 0.02
 
     def test_impossible_event_raises(self):
@@ -82,16 +82,14 @@ class TestEnumerateConditional:
 
 class TestGridGapAdapter:
     def test_pdf_only_on_integer_gaps(self):
-        seq_model = GridSequenceModel(GridModel(n=5, g=lambda bits: 0.3))
-        gap = seq_model.initial_state(())
+        gap = GridModel(n=5, g=lambda bits: 0.3).initial_state(())
         assert gap.pdf(1.0) == pytest.approx(0.3)
         assert gap.pdf(2.0) == pytest.approx(0.7 * 0.3)
         assert gap.pdf(1.5) == 0.0
 
     def test_survival_counts_the_atom(self):
         # survival(d) = P(gap >= d): at d=2 that is P(first cell vacant).
-        seq_model = GridSequenceModel(GridModel(n=5, g=lambda bits: 0.3))
-        gap = seq_model.initial_state(())
+        gap = GridModel(n=5, g=lambda bits: 0.3).initial_state(())
         assert gap.survival(1.0) == 1.0
         assert gap.survival(2.0) == pytest.approx(0.7)
         assert gap.survival(2.5) == pytest.approx(0.49)  # integer gaps: >= 2.5 means >= 3
@@ -99,15 +97,13 @@ class TestGridGapAdapter:
     def test_barrier_weight_equals_occupancy_probability(self):
         """Clipping to an occupied cell must weight by that cell's g value."""
         model = order2_grid(8)
-        seq_model = GridSequenceModel(model)
         # History occupies cells 0 and 2 (times 1 and 3); barrier at cell 5.
-        state = seq_model.initial_state((1.0, 3.0))
+        state = model.initial_state((1.0, 3.0))
         w = barrier_weight(state, gap=3.0, b_prev=True)
         assert w == pytest.approx(model.g((1, 0, 1, 0, 0)), rel=1e-12)
 
     def test_sampled_times_match_pdf(self):
-        seq_model = GridSequenceModel(GridModel(n=4, g=lambda bits: 0.5))
-        gap = seq_model.initial_state(())
+        gap = GridModel(n=4, g=lambda bits: 0.5).initial_state(())
         rng = np.random.default_rng(9)
         draws = Counter(gap.sample(rng) for _ in range(40000))
         for d in (1.0, 2.0, 3.0, 4.0):
@@ -116,8 +112,7 @@ class TestGridGapAdapter:
     def test_exact_horizon_time_is_kept(self):
         """A point landing exactly on the integer horizon stays in the sample."""
         model = GridModel(n=3, g=lambda bits: 1.0)  # every cell occupied
-        result = conditional_sample(GridSequenceModel(model),
-                                    observed_constraints([0]), 8, seed=5, horizon=3)
+        result = conditional_sample(model, observed_constraints([0]), 8, seed=5, horizon=3)
         assert result.survived
         assert all(s == (1.0, 2.0, 3.0) for s in result.samples)
 
@@ -125,7 +120,7 @@ class TestGridGapAdapter:
     def test_a_horizon_past_the_grid_is_named(self, sampler):
         """A path that reaches time n + 1 with the horizon beyond it has no
         cell left to draw a gap over; the error says what bounds the horizon."""
-        model = GridSequenceModel(GridModel(n=8, g=lambda bits: 0.3))
+        model = GridModel(n=8, g=lambda bits: 0.3)
         cs = observed_constraints([2])
         run = {"filter": lambda h: conditional_sample(model, cs, 60, 12, horizon=h),
                "beam": lambda h: beam_search_sample(model, cs, 4, 4, 12, horizon=h)}[sampler]
@@ -136,7 +131,7 @@ class TestGridGapAdapter:
     @pytest.mark.parametrize("g", [1.5, -0.5])
     def test_a_g_outside_0_1_is_refused(self, g):
         """The sampler refuses such a g as the exact chain does."""
-        model = GridSequenceModel(GridModel(6, lambda bits: g))
+        model = GridModel(6, lambda bits: g)
         with pytest.raises(ValueError, match=rf"^g returned {g}, not a probability$"):
             conditional_sample(model, ConstraintSet((3,), (True,)), 4, 1, horizon=6)
 
@@ -146,10 +141,9 @@ class TestGridGapAdapter:
         model = GridModel(n=4, g=lambda bits: 0.5)
         for bits in np.ndindex(2, 2, 2, 2):
             assert chain_probability(model, bits) == pytest.approx(1 / 16)
-        seq_model = GridSequenceModel(model)
         rng = np.random.default_rng(41)
         draws = 16000
-        counts = Counter(bits_from_times(sample_restricted(seq_model, rng, horizon=4), 4)
+        counts = Counter(bits_from_times(sample_restricted(model, rng, horizon=4), 4)
                          for _ in range(draws))
         observed = [counts[bits] for bits in np.ndindex(2, 2, 2, 2)]
         assert stats.chisquare(observed).pvalue > 0.01

@@ -16,7 +16,6 @@ from ppsmc.models import (PoissonProcessModel, RenewalModel, UniformGap, Uniform
                           WeibullRenewalModel, barrier_weight,
                           propose_segment, sample_restricted, step_log_probabilities)
 from ppsmc.music.files import read_constraint_file, write_constraint_file
-from ppsmc.oracle import GridSequenceModel
 from ppsmc.rng import KIND_PROPOSAL, block, doubles, run_seed, stream
 from ppsmc.smc import (ConstraintSet, conditional_sample,
                        effective_sample_size, satisfies, systematic_indices)
@@ -326,24 +325,24 @@ class TestEffectiveSampleSize:
         with pytest.raises(ValueError, match="^all weights are zero$"):
             effective_sample_size((0.0, 0.0))
 
+    @pytest.mark.parametrize("weight", [1e-310, 1.0, 1e160])
+    def test_equal_weights_give_their_count(self, weight):
+        """Subnormal weights, whose squares underflow, and huge ones, whose
+        squares overflow, give exactly the count as unit weights do."""
+        for n in (1, 7, 1000):
+            assert effective_sample_size((weight,) * n) == n
+
     def test_equals_the_loop_definition_bit_for_bit(self):
-        """The numpy sums keep every bit of one left-to-right pass, through
-        zeros, overflowing squares and subnormal weights (whose squares all
-        underflow to 0, where the loop divides by zero and the ESS is the
-        loop's value on the weights divided by their maximum)."""
-        def loop(weights):
+        """The numpy sums keep every bit of one left-to-right pass over the
+        weights divided by their maximum, through zeros, huge weights and
+        subnormal ones."""
+        def reference(weights):
+            top = max(weights)
             total = total_sq = 0.0
             for w in weights:
-                total += w
-                total_sq += w * w
-            return total * total / total_sq
-
-        def reference(weights):
-            try:
-                return repr(loop(weights))
-            except ZeroDivisionError:
-                top = max(weights)
-                return repr(loop([w / top for w in weights]))
+                total += w / top
+                total_sq += (w / top) * (w / top)
+            return repr(total * total / total_sq)
 
         rng = np.random.default_rng(6217)
         tiny = math.ulp(0.0)
@@ -435,6 +434,14 @@ class TestConditionalSample:
         last = result.diagnostics[-1]
         assert 0.0 < last.max_weight < 1e-300 and last.ess == 5.0
 
+    def test_weights_whose_squares_overflow_keep_an_ess(self):
+        """A Weibull law of shape 0.5 has a density near 5e154 at a gap of
+        1e-310, whose square overflows: equal weights still give S."""
+        cs = ConstraintSet(z=(1e-310,), b=(True,))
+        result = conditional_sample(WeibullRenewalModel(0.5, 1.0), cs, 10, 1)
+        last = result.diagnostics[-1]
+        assert last.min_weight == last.max_weight > 1e154 and last.ess == 10.0
+
     def test_diagnostics_cover_interior_barriers(self):
         model = PoissonProcessModel(rate=6.0)
         cs = ConstraintSet(z=(0.2, 0.4, 0.6), b=(True, True, True))
@@ -463,8 +470,8 @@ class TestConditionalSample:
 
     @pytest.mark.parametrize("model, history, z, horizon", [
         (PoissonProcessModel(rate=3.0), (0.9, 0.4), 0.95, 1.0),
-        (GridSequenceModel(order2_grid(8)), (3, 2), 5, 8),
-        (GridSequenceModel(order2_grid(8)), (3, 3), 5, 8),
+        (order2_grid(8), (3, 2), 5, 8),
+        (order2_grid(8), (3, 3), 5, 8),
     ], ids=["poisson", "grid", "grid-repeated-cell"])
     def test_rejects_a_history_that_does_not_strictly_increase(self, model, history, z, horizon):
         """The samplers, ``sample_restricted`` and the scorer go on from the
