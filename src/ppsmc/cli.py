@@ -96,6 +96,8 @@ def _load_run_setup(args, music_vocab: Vocabulary | None):
         raise ValueError("--horizon is for continuous models; use --horizon-ticks")
     acts = music_vocab.actions
     if args.horizon_ticks is not None:
+        if args.horizon_ticks < 1:
+            raise ValueError(f"--horizon-ticks must be at least 1, got {args.horizon_ticks}")
         ticks = args.horizon_ticks
     elif ticks is None:
         top = max([*constraints.z, *prefix], default=acts)

@@ -144,7 +144,18 @@ def code_symbols(code: int, cur_t: int, last_a: int | None,
 
 
 def codes_to_symbols(codes, vocab: Vocabulary) -> list[int]:
-    """Canonical symbol stream of a code sequence (shift-then-action unrolling)."""
+    """Canonical symbol stream of a code sequence (shift-then-action unrolling):
+    one array pass over an integer sequence, every check of ``code_symbols`` a
+    mask; any other input (a generator is 0-d) or a failed check steps code by
+    code, so that the first failed check raises its error."""
+    e = np.asarray(codes)
+    if e.ndim == 1 and e.dtype.kind == "i":
+        t, a = np.divmod(e - 1, vocab.actions)  # a: the expanded action less 1
+        dt = np.diff(t, prepend=0)  # the first code below 1 has a tick below the one before
+        if not (((dt < 0) | (dt > vocab.s_max)).any()
+                or ((dt[1:] == 0) & (a[1:] <= a[:-1])).any()):
+            step = np.column_stack((vocab.actions + dt, a + 1)).ravel()
+            return step[np.column_stack((dt > 0, np.ones_like(a, dtype=bool))).ravel()].tolist()
     symbols, cur_t, last_a = [], 0, None  # last_a: the last action at cur_t
     for code in codes:
         cur_t, step = code_symbols(int(code), cur_t, last_a, vocab)

@@ -17,9 +17,11 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from ..smc import ConstraintSet, check_span
-from .encoding import (TICKS_PER_QUARTER, MusicEvent, Vocabulary, _split_code,
-                       codes_to_events, events_to_codes, events_to_symbols)
+from .encoding import (NOTE_ACTIONS, TICKS_PER_QUARTER, MusicEvent, Vocabulary, _split_code,
+                       codes_to_events, codes_to_symbols, events_to_codes, events_to_symbols)
 
 FORMAT_VERSION = 1  # of event files and constraint files
 
@@ -51,9 +53,11 @@ def write_events(path, events: Sequence[MusicEvent], vocab: Vocabulary) -> None:
     write_codes(path, events_to_codes(events, vocab), vocab)
 
 
-# an event line exactly as ``write_codes`` writes it; any other spelling is
-# read by ``json``
-_EVENT_LINE = re.compile(r'\{"a": (0|[1-9][0-9]*), "part": (0|[1-9][0-9]*), "t": (0|[1-9][0-9]*)\}')
+# an event line exactly as ``write_codes`` writes it, with values of at most 12
+# digits, so that no valid event's code overflows int64; json reads any other
+_EVENT = r'\{"a": N, "part": N, "t": N\}'.replace("N", "(?:0|[1-9][0-9]{0,11})")
+_EVENT_LINE, _EVENT_LINES = re.compile(_EVENT), re.compile(f"(?:{_EVENT}\n)*")
+_NOT_DIGITS = str.maketrans('{}":,aprt', " " * 9)  # all such a line holds but digits
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -111,9 +115,8 @@ def read_events(path) -> tuple[list[MusicEvent], int]:
         parts = _header_parts(raw[0] if raw else None)
         events, exact = [], _EVENT_LINE.fullmatch
         for k, line in enumerate(raw[1:], start=1):
-            m = exact(line)
-            if m:
-                a, part, t = map(int, m.groups())
+            if exact(line):
+                a, part, t = map(int, line.translate(_NOT_DIGITS).split())
             else:
                 d = loads(line)
                 if not isinstance(d, dict):
@@ -127,13 +130,39 @@ def read_events(path) -> tuple[list[MusicEvent], int]:
     return events, parts
 
 
+def _exact_codes(text: str, vocab: Vocabulary) -> np.ndarray | None:
+    """The codes in ``vocab`` of an event file in ``write_codes``' spelling that
+    passes every check of ``read_events`` and ``vocab``, else None."""
+    raw = list(filter(str.strip, text.splitlines()))  # the non-blank lines, as read_events
+    parts = _header_parts(raw[0] if raw else None)
+    body = "\n".join([*raw[1:], ""])
+    if not _EVENT_LINES.fullmatch(body):
+        return None
+    a, part, t = np.fromstring(body.translate(_NOT_DIGITS), np.int64, sep=" ").reshape(-1, 3).T
+    codes = t * vocab.actions + part * vocab.a_max + a
+    # MusicEvent's a >= 1 and both layouts' ranges; codes then order events as both do
+    fits = ((a >= 1) & (a <= min(NOTE_ACTIONS, vocab.a_max))
+            & (part < min(max(parts, 1), vocab.parts)))
+    if not fits.all() or (codes[1:] <= codes[:-1]).any():
+        return None
+    Vocabulary(parts=max(parts, 1))  # raises as read_events does on too many parts
+    return codes
+
+
 def read_corpus(directory, vocab: Vocabulary) -> list[list[int]]:
-    """Symbol streams of every event file (*.jsonl) in a directory."""
+    """Symbol streams of every event file (*.jsonl) in a directory.  A file in
+    ``write_codes``' spelling is read as arrays, building no ``MusicEvent``;
+    any other, or one that fails a check, is read by ``read_events``."""
     paths = sorted(Path(directory).glob("*.jsonl"))
     if not paths:
         raise ValueError(f"no event files (*.jsonl) found in {directory}")
     streams = []
     for p in paths:
+        with in_file(p):
+            codes = _exact_codes(Path(p).read_text(), vocab)
+            if codes is not None:
+                streams.append(codes_to_symbols(codes, vocab))
+                continue
         events, _ = read_events(p)
         with in_file(p):
             streams.append(events_to_symbols(events, vocab))

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections import defaultdict
+from collections import Counter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -157,15 +157,18 @@ def _is_int(value) -> bool:
 
 def train_ngram(symbol_seqs: Iterable[Sequence[int]], vocab: Vocabulary,
                 order: int, alpha: float) -> NGramModel:
-    """Count k-grams over symbol streams and wrap them in a model."""
-    counts: dict[tuple, dict[int, int]] = defaultdict(lambda: defaultdict(int))
-    need = order - 1
+    """Count k-grams over symbol streams and wrap them in a model: each
+    stream's windows, zipped from its BOS-padded shifted copies, in one
+    ``Counter``.  Every symbol is checked before ``order`` and ``alpha``."""
+    windows = Counter()
     for seq in symbol_seqs:
-        for sym in seq:
-            if not 1 <= sym <= vocab.size:
-                raise ValueError(f"symbol {sym} outside vocabulary of size {vocab.size}")
-        padded = (BOS,) * need + tuple(seq)
-        for i, sym in enumerate(seq):
-            counts[padded[i:i + need]][sym] += 1
-    frozen = {ctx: dict(row) for ctx, row in counts.items()}
-    return NGramModel(vocab, order, alpha, frozen)
+        seq = tuple(seq)
+        if seq and not 1 <= min(seq) <= max(seq) <= vocab.size:
+            bad = next(sym for sym in seq if not 1 <= sym <= vocab.size)
+            raise ValueError(f"symbol {bad} outside vocabulary of size {vocab.size}")
+        padded = (BOS,) * (order - 1) + seq
+        windows.update(zip(*(padded[i:] for i in range(order))))
+    model = NGramModel(vocab, order, alpha)
+    for (*ctx, sym), n in windows.items():
+        model.counts.setdefault(tuple(ctx), {})[sym] = n
+    return model

@@ -369,7 +369,7 @@ class TestMusicPipeline:
 
 class TestTrainCommand:
     """`train`'s model file for a fixed two-part corpus, pinned by digest
-    (recorded while train still decoded every file twice)."""
+    (recorded while train still decoded every file twice, event by event)."""
 
     PIECES = [
         (1, [MusicEvent(0, 61), MusicEvent(0, 65), MusicEvent(2, 189), MusicEvent(3, 193)]),
@@ -396,7 +396,7 @@ class TestTrainCommand:
         model = tmp_path / "model.json"
         assert main(["train", "--corpus", str(corpus), "--order", "2", "--alpha", "0.5",
                      "--s-max", "4", "--out", str(model), *parts]) == 0
-        assert len(made) == sum(len(piece) for _, piece in self.PIECES)
+        assert made == []  # every file is in write_codes' spelling: no MusicEvent is built
         assert hashlib.sha256(model.read_bytes()).hexdigest() == self.DIGESTS[parts]
 
 

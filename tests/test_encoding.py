@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from ppsmc.music.encoding import (MusicEvent, Vocabulary, allowed_symbols, code_symbols,
-                                  codes_to_events, decode_event, encode_event,
-                                  events_to_codes, events_to_symbols,
+                                  codes_to_events, codes_to_symbols, decode_event,
+                                  encode_event, events_to_codes, events_to_symbols,
                                   symbols_to_events)
 
 VOCAB = Vocabulary()  # 256 note actions, shifts up to one whole note at 2400 ticks
@@ -100,6 +100,59 @@ class TestSymbolStreams:
                                  ([3, 1], r"actions within tick 0 must strictly ascend")]:
             with pytest.raises(ValueError, match=message):
                 symbols_to_events(symbols, TINY)
+
+
+    @pytest.mark.parametrize("fault", ["none", "below-1", "repeat", "earlier-tick",
+                                       "descending", "gap-over-s-max"])
+    def test_array_pass_equals_the_step_loop(self, fault):
+        """Seeded code sequences, as lists and int64 arrays, give the stream
+        or the error that stepping them one code at a time gives."""
+        rng = np.random.default_rng(len(fault))
+        for _ in range(50):
+            ticks = np.cumsum(rng.choice([0, 0, 1, 2, 3], size=int(rng.integers(1, 12))))
+            codes = sorted({int(t) * TINY.actions + int(rng.integers(1, 5)) for t in ticks})
+            k = int(rng.integers(len(codes)))
+            if fault == "below-1":
+                codes[k] = int(rng.choice([0, -1, -2 ** 62]))
+            elif fault == "repeat" and k:
+                codes[k] = codes[k - 1]
+            elif fault == "earlier-tick" and k:
+                codes[k] = codes[k - 1] - TINY.actions
+            elif fault == "descending" and k:
+                codes[k] = codes[k - 1] - 1
+            elif fault == "gap-over-s-max":
+                codes[k:] = [c + TINY.s_max * TINY.actions for c in codes[k:]]
+            expected = step_by_step(codes, TINY)
+            for given in (codes, np.array(codes, dtype=np.int64)):
+                try:
+                    got = codes_to_symbols(given, TINY)
+                except ValueError as exc:
+                    got = str(exc)
+                assert got == expected and type(got) is type(expected)
+                assert all(type(s) is int for s in got) if isinstance(got, list) else True
+
+    def test_other_sequences_are_stepped(self):
+        """Codes past int64, floats and generators take the step loop."""
+        with pytest.raises(ValueError) as exc:
+            codes_to_symbols([2 ** 70], TINY)
+        assert str(exc.value) == step_by_step([2 ** 70], TINY)
+        assert codes_to_symbols([1.0, 6.0], TINY) == [1, TINY.shift_symbol(1), 2]
+        assert codes_to_symbols((c for c in [1, 6]), TINY) == [1, TINY.shift_symbol(1), 2]
+        assert codes_to_symbols([], TINY) == []
+
+
+def step_by_step(codes, vocab: Vocabulary):
+    """The stream of ``codes``, one ``code_symbols`` step each, or the error
+    text of the first step that fails."""
+    symbols, cur_t, last_a = [], 0, None
+    try:
+        for code in codes:
+            cur_t, step = code_symbols(int(code), cur_t, last_a, vocab)
+            symbols.extend(step)
+            last_a = step[-1]
+    except ValueError as exc:
+        return str(exc)
+    return symbols
 
 
 class TestCanonicalMask:

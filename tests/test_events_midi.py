@@ -5,12 +5,13 @@ from __future__ import annotations
 import json
 import struct
 
+import numpy as np
 import pytest
 
 from ppsmc import cli
-from ppsmc.music.encoding import (MusicEvent, Vocabulary, codes_to_events,
-                                  events_to_codes)
-from ppsmc.music.files import (extract_constraints, read_constraint_file, read_corpus,
+from ppsmc.music.encoding import (MusicEvent, Vocabulary, codes_to_events, events_to_codes,
+                                  events_to_symbols)
+from ppsmc.music.files import (extract_constraints, in_file, read_constraint_file, read_corpus,
                                read_events, write_codes, write_constraint_file, write_events)
 from ppsmc.music.midi import read_midi, write_midi
 from ppsmc.music.ngram import train_ngram
@@ -128,6 +129,101 @@ class TestEventFiles:
         assert cli.main(["train", "--corpus", str(tmp_path), *parts,
                          "--out", str(tmp_path / "model.json")]) == 1
         assert capsys.readouterr().err == f"error: no event files (*.jsonl) found in {tmp_path}\n"
+
+
+WRITTEN = Vocabulary(parts=2)  # the layout of the corpus files below
+# the files' layout, then models with a smaller a_max, fewer parts and a shorter
+# s_max; with a larger a_max and fewer parts; with a larger a_max and more parts
+LAYOUTS = [WRITTEN, Vocabulary(a_max=200, s_max=600), Vocabulary(a_max=300),
+           Vocabulary(a_max=300, parts=3)]
+MUTATIONS = ["none", "swap", "tick-minus-1", "action-0", "action-over-a-max", "part",
+             "gap-over-s-max", "descending-actions", "19-digit-tick", "18-digit-ticks",
+             "13-digit-tick", "12-digit-tick", "json-respelled", "blank-lines",
+             "huge-header-parts"]
+
+
+def mutated_piece(rng, path, kind: str) -> None:
+    """A seeded piece in ``write_codes``' spelling, written to ``path`` with
+    one fault of the given kind."""
+    ticks = np.cumsum(rng.choice([0, 0, 1, 300, 1200], size=30))
+    write_codes(path, sorted({int(t) * WRITTEN.actions + int(rng.integers(1, 513))
+                              for t in ticks}), WRITTEN)
+    header, *lines = path.read_text().splitlines()
+    events = [json.loads(line) for line in lines]
+    k = int(rng.integers(1, len(events)))
+    event, before = events[k], events[k - 1]
+    if kind == "swap":
+        events[k - 1], events[k] = event, before
+    elif kind == "tick-minus-1":
+        event["t"] = -1
+    elif kind == "action-0":
+        event["a"] = 0
+    elif kind == "action-over-a-max":
+        event["a"] = int(rng.choice([201, 256, 257, 1000]))
+    elif kind == "part":
+        event["part"] = int(rng.choice([1, 2, 7]))
+    elif kind == "gap-over-s-max":
+        gap = int(rng.choice([601, 2401]))
+        for later in events[k:]:
+            later["t"] += gap
+    elif kind == "descending-actions":
+        event.update(t=before["t"], part=before["part"], a=max(before["a"] - 1, 1))
+    elif kind.endswith("-digit-tick"):
+        for later in events[k:]:
+            later["t"] += 10 ** (int(kind.split("-")[0]) - 1)
+    elif kind == "18-digit-ticks":  # every code past int64
+        for later in events:
+            later["t"] += 10 ** 17
+    elif kind == "huge-header-parts":
+        header = json.dumps({"kind": "events", "parts": 5000, "ppq": 2400, "version": 1})
+    lines = ['{"a": %(a)s, "part": %(part)s, "t": %(t)s}' % e for e in events]
+    if kind == "json-respelled":
+        lines[k] = json.dumps({"t": event["t"], "a": event["a"], "part": event["part"]})
+    if kind == "blank-lines":
+        for i in rng.choice(len(lines), size=3):
+            lines.insert(int(i), str(rng.choice(["", " ", "\t "])))
+    path.write_text("\n".join([header, *lines]) + "\n")
+
+
+def stream_or_error(read, *args):
+    try:
+        return read(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def read_by_events(path, vocab: Vocabulary) -> list[int]:
+    """A corpus file's stream read event by event, as ``read_corpus`` reads
+    any file it cannot read as arrays."""
+    events, _ = read_events(path)
+    with in_file(path):
+        return events_to_symbols(events, vocab)
+
+
+@pytest.mark.parametrize("kind", MUTATIONS)
+def test_corpus_arrays_read_as_events_do(tmp_path, monkeypatch, kind):
+    """Each file of a corpus gives the stream, or the error, that reading
+    its events one by one gives, under each model layout; a well-formed file
+    builds no MusicEvent."""
+    made = []
+    post_init = MusicEvent.__post_init__
+    monkeypatch.setattr(MusicEvent, "__post_init__",
+                        lambda ev: (made.append(ev), post_init(ev))[1])
+    rng = np.random.default_rng(MUTATIONS.index(kind))
+    read = set()  # whether a stream was read, over every file and layout
+    for i in range(8):
+        corpus = tmp_path / f"{i}"
+        corpus.mkdir()
+        mutated_piece(rng, corpus / "p.jsonl", kind)
+        for vocab in LAYOUTS:
+            made.clear()
+            got = stream_or_error(read_corpus, corpus, vocab)
+            if kind in ("none", "blank-lines") and vocab == WRITTEN:
+                assert made == []
+            expected = stream_or_error(read_by_events, corpus / "p.jsonl", vocab)
+            assert got == ([expected] if isinstance(expected, list) else expected)
+            read.add(isinstance(expected, list))
+    assert (True in read) if kind in ("none", "blank-lines", "json-respelled") else (False in read)
 
 
 class TestConstraintExtraction:

@@ -485,6 +485,19 @@ def test_run_count_below_one_exits_1(tmp_path, capsys, command, runs):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("ticks", ["0", "-2"])
+def test_horizon_ticks_below_one_exits_1(tmp_path, capsys, ticks):
+    """The flag is refused by name and in ticks, not as a horizon in codes."""
+    tiny_music_model().step_model.save(tmp_path / "model.json")
+    path, out = tmp_path / "cs.json", tmp_path / "out"
+    path.write_text(json.dumps({"z": [13], "b": [True], "prefix": [1, 3], "horizon_ticks": 5}))
+    code = main(["sample", "--model", str(tmp_path / "model.json"), "--constraints", str(path),
+                 "--horizon-ticks", ticks, "--seed", "1", "--out", str(out)])
+    err = assert_error_exit(code, capsys, f"--horizon-ticks {ticks}")
+    assert err == f"error: --horizon-ticks must be at least 1, got {ticks}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("spec,named", [
     ("weibull:shape=1,scale=inf", "scale=inf"), ("uniform:low=0,high=inf", "high=inf"),
     ("poisson:rate=nan", "rate"), ("weibull:shape=nan,scale=1", "shape=nan"),

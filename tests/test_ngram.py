@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -40,6 +41,45 @@ class TestTraining:
             train_ngram([[0]], TINY, order=1, alpha=0.1)
         with pytest.raises(ValueError):
             train_ngram([[8]], TINY, order=1, alpha=0.1)
+
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_counts_equal_the_loop_over_windows(self, order):
+        """Seeded streams, with empty ones and ones shorter than the context."""
+        rng = np.random.default_rng(order)
+        streams = [rng.integers(1, TINY.size + 1, size=n).tolist()
+                   for n in [0, 1, 2, 5, 40, 0, 300, 1, 17]]
+        model = train_ngram(streams, TINY, order=order, alpha=0.5)
+        assert model.counts == reference_counts(streams, TINY, order)
+        assert all(type(s) is int for ctx, row in model.counts.items()
+                   for s in (*ctx, *row, *row.values()))
+        assert train_ngram([[], []], TINY, order=order, alpha=0.5).counts == {}
+
+    @pytest.mark.parametrize("bad", [0, TINY.size + 1, 2 ** 70])
+    def test_a_bad_symbol_raises_as_the_loop_does(self, bad):
+        """The first bad symbol is named, and before a bad order or alpha."""
+        streams = [[1, 2, 3], [4, TINY.size, 1, bad, 2], [0]]
+        with pytest.raises(ValueError) as expected:
+            reference_counts(streams, TINY, 2)
+        for order, alpha in [(2, 0.5), (0, 0.5), (2, -1.0)]:
+            with pytest.raises(ValueError) as got:
+                train_ngram(streams, TINY, order=order, alpha=alpha)
+            assert str(got.value) == str(expected.value)
+
+
+def reference_counts(symbol_seqs, vocab: Vocabulary, order: int) -> dict:
+    """The counts of the loop ``train_ngram`` once was: each window of each
+    stream added to nested dicts, after the stream's symbols are checked."""
+    counts = defaultdict(lambda: defaultdict(int))
+    need = order - 1
+    for seq in symbol_seqs:
+        for sym in seq:
+            if not 1 <= sym <= vocab.size:
+                raise ValueError(f"symbol {sym} outside vocabulary of size {vocab.size}")
+        padded = (BOS,) * need + tuple(seq)
+        for i, sym in enumerate(seq):
+            counts[padded[i:i + need]][sym] += 1
+    return {ctx: dict(row) for ctx, row in counts.items()}
 
 
 class TestProbabilities:
