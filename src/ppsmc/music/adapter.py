@@ -24,7 +24,8 @@ The model state is the gap law, which holds all of the history that f and f'
 depend on: the current tick, the last code and the last max(order-1, 1)
 symbols, whose final one is both a_x and the symbol the mask conditions on.
 A history is stepped once, code by code; each further event is one canonical
-step of its code (``encoding.code_symbols``), so no event object is built.
+step from the last code (``encoding.code_symbols``), which raises the one order
+rule's error unless the codes strictly increase; no event object is built.
 """
 
 from __future__ import annotations
@@ -154,7 +155,6 @@ class UnrolledMusicModel(SequenceModel):
 
     def advance(self, state, t):
         """Raises ValueError where stepping the extended history would: a code
-        below 1, an action that does not ascend within its tick, or a tick gap
-        beyond s_max."""
-        tick, step = code_symbols(int(t), state.cur_t, state.last_a, self.vocab)
+        not above the last one, or a tick gap beyond s_max."""
+        tick, step = code_symbols(int(t), state.last_code, self.vocab)
         return _MusicGap(self.step_model, tick, int(t), (state.tail + step)[-self._keep:])

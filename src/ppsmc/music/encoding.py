@@ -7,9 +7,12 @@ before part 1's within a tick.  The unrolled code of an event is
 
     e = t*A + a'        (a' the expanded action, 1-based)
 
-so codes order events by (tick, part, action) and strictly increase along a
-piece.  Decoding uses the residue convention: e % A == 0 means a' = A at tick
-e//A - 1; ``_split_code`` is the one place that applies it.
+so codes order events by (tick, part, action), and the one order rule is that
+a piece's codes strictly increase from 0: as a' lies in 1..A, codes are then
+positive, ticks never go back and actions within a tick strictly ascend, and
+``models.history_end`` raises the one error of codes that do not.  Decoding
+uses the residue convention: e % A == 0 means a' = A at tick e//A - 1;
+``_split_code`` is the one place that applies it.
 
 A piece is generated as a symbol stream over a vocabulary of A actions and
 s_max time shifts.  Canonical form: shifts never follow shifts, and within a
@@ -24,6 +27,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+
+from ..models import history_end
 
 TICKS_PER_QUARTER = 2400
 NOTE_ACTIONS = 256  # per part: 128 note-ons then 128 note-offs
@@ -108,9 +113,7 @@ def decode_event(code: int, vocab: Vocabulary) -> MusicEvent:
 
 def events_to_codes(events, vocab: Vocabulary) -> list[int]:
     codes = [encode_event(ev, vocab) for ev in events]
-    for i in range(1, len(codes)):
-        if codes[i] <= codes[i - 1]:
-            raise ValueError(f"events are not in strictly ascending code order at index {i}")
+    history_end(codes)
     return codes
 
 
@@ -118,25 +121,17 @@ def codes_to_events(codes, vocab: Vocabulary) -> list[MusicEvent]:
     return [decode_event(int(c), vocab) for c in codes]
 
 
-def code_symbols(code: int, cur_t: int, last_a: int | None,
-                 vocab: Vocabulary) -> tuple[int, tuple[int, ...]]:
+def code_symbols(code: int, last: int, vocab: Vocabulary) -> tuple[int, tuple[int, ...]]:
     """The canonical step: the tick of ``code`` and the symbols that append it
-    to a stream at tick ``cur_t`` whose last action there was ``last_a`` (None
-    if none), a shift if the tick moves, then the action.
-
-    Rejects a code below 1 or out of canonical order and a tick gap beyond s_max.
-    """
-    if code < 1:
-        raise ValueError(f"codes are positive, got {code}")
+    to a stream whose last code is ``last`` (0 before any), a shift if the tick
+    moves, then the action.  Rejects a code not above ``last`` and a tick gap
+    beyond s_max."""
+    if code <= last:
+        history_end((last, code))  # raises the one order rule's error
     t, a_prime = _split_code(code, vocab)
-    if t < cur_t:
-        raise ValueError(f"event at tick {t} appears after tick {cur_t}")
-    if t == cur_t:
-        if last_a is not None and a_prime <= last_a:
-            raise ValueError(f"actions within tick {cur_t} must strictly ascend "
-                             f"({a_prime} after {last_a})")
+    dt = t - (_split_code(last, vocab)[0] if last else 0)  # a stream starts at tick 0
+    if dt == 0:
         return t, (a_prime,)
-    dt = t - cur_t
     if dt > vocab.s_max:
         raise ValueError(f"tick gap {dt} exceeds s_max={vocab.s_max}; "
                          "re-ingest with a larger s_max")
@@ -151,16 +146,15 @@ def codes_to_symbols(codes, vocab: Vocabulary) -> list[int]:
     e = np.asarray(codes)
     if e.ndim == 1 and e.dtype.kind == "i":
         t, a = np.divmod(e - 1, vocab.actions)  # a: the expanded action less 1
-        dt = np.diff(t, prepend=0)  # the first code below 1 has a tick below the one before
-        if not (((dt < 0) | (dt > vocab.s_max)).any()
-                or ((dt[1:] == 0) & (a[1:] <= a[:-1])).any()):
+        dt = np.diff(t, prepend=0)
+        # codes are compared, not subtracted, so that no difference overflows
+        if not ((e <= np.concatenate(([0], e[:-1]))) | (dt > vocab.s_max)).any():
             step = np.column_stack((vocab.actions + dt, a + 1)).ravel()
             return step[np.column_stack((dt > 0, np.ones_like(a, dtype=bool))).ravel()].tolist()
-    symbols, cur_t, last_a = [], 0, None  # last_a: the last action at cur_t
-    for code in codes:
-        cur_t, step = code_symbols(int(code), cur_t, last_a, vocab)
-        symbols.extend(step)
-        last_a = step[-1]
+    symbols, last = [], 0
+    for code in map(int, codes):
+        symbols.extend(code_symbols(code, last, vocab)[1])
+        last = code
     return symbols
 
 

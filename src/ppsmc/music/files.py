@@ -19,6 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ..models import history_end
 from ..smc import ConstraintSet, check_span
 from .encoding import (NOTE_ACTIONS, TICKS_PER_QUARTER, MusicEvent, Vocabulary, _split_code,
                        codes_to_events, codes_to_symbols, events_to_codes, events_to_symbols)
@@ -29,23 +30,18 @@ FORMAT_VERSION = 1  # of event files and constraint files
 def write_codes(path, codes: Sequence[int], vocab: Vocabulary) -> None:
     """Write the event file of a piece given as codes.
 
-    Raises ValueError on a code below 1 or codes that do not strictly ascend.
-    Each event line is the bytes ``json.dumps`` gives its ``t``, ``a`` and
-    ``part`` with sorted keys.
+    Raises ValueError unless the codes strictly increase from 0.  Each event
+    line is the bytes ``json.dumps`` gives its ``t``, ``a`` and ``part`` with
+    sorted keys.
     """
+    codes = [int(code) for code in codes]
+    history_end((0, *codes))
     lines = [json.dumps({"version": FORMAT_VERSION, "kind": "events",
                          "ppq": TICKS_PER_QUARTER, "parts": vocab.parts}, sort_keys=True)]
-    a_max, last = vocab.a_max, 0
-    for i, code in enumerate(codes):
-        code = int(code)
-        if code < 1:
-            raise ValueError(f"codes are positive, got {code}")
-        if code <= last:
-            raise ValueError(f"codes are not in strictly ascending order at index {i}")
+    for code in codes:
         t, a_prime = _split_code(code, vocab)
-        part, a = divmod(a_prime - 1, a_max)
+        part, a = divmod(a_prime - 1, vocab.a_max)
         lines.append(f'{{"a": {a + 1}, "part": {part}, "t": {t}}}')
-        last = code
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -102,9 +98,10 @@ def _header_parts(line: str | None) -> int:
 
 
 def read_parts(path) -> int:
-    """The part count in an event file's header, parsing no event line."""
-    with in_file(path):
-        return _header_parts(next(filter(str.strip, Path(path).read_text().splitlines()), None))
+    """The part count in an event file's header, reading no line past it."""
+    with in_file(path), open(path) as lines:  # split as read_events splits the whole text
+        pieces = (piece for line in lines for piece in line.splitlines())
+        return _header_parts(next(filter(str.strip, pieces), None))
 
 
 def read_events(path) -> tuple[list[MusicEvent], int]:
@@ -197,6 +194,9 @@ def write_constraint_file(path, constraints: ConstraintSet, prefix: Sequence[int
     payload = {"version": FORMAT_VERSION, "z": list(constraints.z), "b": list(constraints.b),
                "prefix": [int(c) for c in prefix]}
     if horizon_ticks is not None:
+        if horizon_ticks < 1:  # every reader refuses it
+            raise ValueError(f"constraint field 'horizon_ticks' must be positive, "
+                             f"got {horizon_ticks}")
         payload["horizon_ticks"] = int(horizon_ticks)
     if vocab is not None:
         payload.update(a_max=vocab.a_max, parts=vocab.parts)

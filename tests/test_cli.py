@@ -13,6 +13,7 @@ import pytest
 from exact import grid_bits, grid_problem, pooled_tv
 from test_acceptance import TINY, tiny_music_model
 
+from ppsmc import cli
 from ppsmc.cli import main
 from ppsmc.models import PoissonProcessModel, log_probability
 from ppsmc.music.encoding import MusicEvent, Vocabulary, events_to_codes
@@ -67,6 +68,22 @@ class TestSampleCommand:
         summary = read_json(out / "summary.json")
         assert summary["runs"] == 3 and summary["survived"] == 3
         assert (out / "run_002" / "result.json").exists()
+
+    def test_a_sample_that_misses_a_required_time_is_an_internal_error(
+            self, tmp_path, constraint_file, monkeypatch, capsys):
+        """The command checks every sample before writing it: one without the
+        required 0.3 ends the run with exit 1 and writes no sample file."""
+        class Result:
+            survived, failed_barrier, diagnostics, log_probs = True, None, [], None
+            samples = [(0.2, 0.6)]
+
+        monkeypatch.setattr(cli, "conditional_sample", lambda *args, **kwargs: Result)
+        out = tmp_path / "out"
+        code = main(["sample", "--model", "poisson:rate=5", "--constraints",
+                     str(constraint_file), "--seed", "1", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == "internal error: a sample violates its constraints\n"
+        assert not (out / "sample_0000.json").exists()
 
     def test_dead_ensemble_exits_3(self, tmp_path):
         # A closed 0.3-wide gap can never be one hop for gaps capped at 0.02.

@@ -69,22 +69,44 @@ class TestSymbolStreams:
 
     def test_rejects_an_event_before_the_current_tick(self):
         events = [MusicEvent(2, 1), MusicEvent(1, 4)]
-        with pytest.raises(ValueError, match="^event at tick 1 appears after tick 2$"):
+        with pytest.raises(ValueError, match="^times must strictly increase, got 8 after 9$"):
             events_to_symbols(events, TINY)
 
     def test_the_step_rejects_a_code_below_1(self):
         for code in (0, -3):
-            with pytest.raises(ValueError, match=f"^codes are positive, got {code}$"):
-                code_symbols(code, 0, None, TINY)
+            with pytest.raises(ValueError,
+                               match=f"^times must strictly increase, got {code} after 0$"):
+                code_symbols(code, 0, TINY)
 
     def test_the_step_rejects_a_repeated_code(self):
         """A code equal to the last one is its action again at the same tick."""
         code = encode_event(MusicEvent(1, 3), TINY)
-        tick, step = code_symbols(code, 0, None, TINY)
-        assert (tick, step) == (1, (TINY.shift_symbol(1), 3))
-        with pytest.raises(ValueError, match=r"^actions within tick 1 must strictly ascend "
-                                             r"\(3 after 3\)$"):
-            code_symbols(code, tick, step[-1], TINY)
+        assert code_symbols(code, 0, TINY) == (1, (TINY.shift_symbol(1), 3))
+        with pytest.raises(ValueError, match=r"^times must strictly increase, got 7 after 7$"):
+            code_symbols(code, code, TINY)
+
+    def test_the_one_order_rule(self):
+        """For seeded (last, code) pairs the step raises the order error exactly
+        when code <= last; otherwise, after the stream of ``last``, its symbols
+        decode back to the code."""
+        rng = np.random.default_rng(30)
+        top = (TINY.s_max + 1) * TINY.actions  # the stream of any last code below top is one step
+        for last, code in zip(rng.integers(0, top, 400).tolist(),
+                              rng.integers(-3, 2 * top, 400).tolist()):
+            if code <= last:
+                with pytest.raises(ValueError, match=f"^times must strictly increase, "
+                                                     f"got {code} after {last}$"):
+                    code_symbols(code, last, TINY)
+                continue
+            head = [last] if last else []
+            dt = (code - 1) // TINY.actions - (last - 1) // TINY.actions * bool(last)
+            if dt > TINY.s_max:
+                with pytest.raises(ValueError, match=f"^tick gap {dt} exceeds s_max=3"):
+                    code_symbols(code, last, TINY)
+                continue
+            tick, step = code_symbols(code, last, TINY)
+            events = symbols_to_events(codes_to_symbols(head, TINY) + list(step), TINY)
+            assert events_to_codes(events, TINY) == [*head, code] and events[-1].t == tick
 
     def test_rejects_consecutive_shifts(self):
         shift = TINY.shift_symbol(1)
@@ -97,7 +119,7 @@ class TestSymbolStreams:
 
     def test_rejects_a_symbol_outside_the_vocabulary_or_a_descending_action(self):
         for symbols, message in [([1, TINY.size + 1], f"symbol {TINY.size + 1} outside"),
-                                 ([3, 1], r"actions within tick 0 must strictly ascend")]:
+                                 ([3, 1], "times must strictly increase, got 1 after 3")]:
             with pytest.raises(ValueError, match=message):
                 symbols_to_events(symbols, TINY)
 
@@ -144,12 +166,11 @@ class TestSymbolStreams:
 def step_by_step(codes, vocab: Vocabulary):
     """The stream of ``codes``, one ``code_symbols`` step each, or the error
     text of the first step that fails."""
-    symbols, cur_t, last_a = [], 0, None
+    symbols, last = [], 0
     try:
-        for code in codes:
-            cur_t, step = code_symbols(int(code), cur_t, last_a, vocab)
-            symbols.extend(step)
-            last_a = step[-1]
+        for code in map(int, codes):
+            symbols.extend(code_symbols(code, last, vocab)[1])
+            last = code
     except ValueError as exc:
         return str(exc)
     return symbols

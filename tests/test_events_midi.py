@@ -74,17 +74,21 @@ class TestEventFiles:
         write_codes(path, codes, vocab)
         assert read_events(path) == (codes_to_events(codes, vocab), vocab.parts)
 
-    @pytest.mark.parametrize("codes, message", [
+    @pytest.mark.parametrize("codes, fault", [
         ([0, 5], "positive"), ([-3], "positive"), ([5, 5], "ascending"), ([5, 9, 7], "ascending"),
     ])
-    def test_writer_rejects_bad_codes(self, tmp_path, codes, message):
-        with pytest.raises(ValueError, match=message):
+    def test_writer_rejects_bad_codes(self, tmp_path, codes, fault):
+        """A code below 1 and a code that does not ascend break the one rule:
+        0 and the codes must strictly increase; the first pair that does not is named."""
+        last, code = next((a, b) for a, b in zip([0, *codes], codes) if b <= a)
+        with pytest.raises(ValueError, match=f"^times must strictly increase, "
+                                             f"got {code} after {last}$"):
             write_codes(tmp_path / "bad.jsonl", codes, VOCAB)
 
     @pytest.mark.parametrize("sample, message", [
-        ((5, 9, 7), "codes are not in strictly ascending order at index 2"),
-        ((0, 5), "codes are positive, got 0"),
-    ])
+        ((5, 9, 7), "times must strictly increase, got 7 after 9"),
+        ((0, 5), "times must strictly increase, got 0 after 0"),
+    ], ids=["sample0-descending", "sample1-code-0"])
     def test_cli_reports_bad_codes_as_an_error_line(self, tmp_path, monkeypatch, capsys,
                                                     sample, message):
         model, cs = tmp_path / "model.json", tmp_path / "cs.json"

@@ -262,7 +262,7 @@ class TestCorpusFiles:
 
     @pytest.mark.parametrize("lines,message", [
         ([HEADER, '{"a": 189, "part": 0, "t": 2400}', '{"a": 61, "part": 0, "t": 0}'],
-         "events are not in strictly ascending code order at index 1"),
+         "times must strictly increase, got 61 after 614589"),
         ([HEADER, '{"a": 5, "part": 0, "t": -1}'], "invalid event (-1, 5, part=0)"),
         ([HEADER, '{"a": 300, "part": 0, "t": 0}'], "action 300 exceeds a_max=256"),
         ([HEADER, '{"a": 61, "part": 0, "t": 0}}'], "Extra data: line 1 column 29 (char 28)")],
@@ -498,6 +498,21 @@ def test_horizon_ticks_below_one_exits_1(tmp_path, capsys, ticks):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("split", ["0", "-3"])
+def test_constraints_of_an_empty_piece_split_before_tick_1_are_not_written(tmp_path, capsys,
+                                                                          split):
+    """An empty piece's tick horizon is the split tick; below 1, no reader
+    would take the file, so none is written."""
+    piece, out = tmp_path / "empty.jsonl", tmp_path / "cs.json"
+    write_events(piece, [], Vocabulary())
+    with pytest.warns(UserWarning, match="constraint set is empty"):
+        code = main(["extract-constraints", "--events", str(piece), "--split-tick", split,
+                     "--out", str(out)])
+    err = assert_error_exit(code, capsys, f"--split-tick {split}")
+    assert err == f"error: constraint field 'horizon_ticks' must be positive, got {split}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("spec,named", [
     ("weibull:shape=1,scale=inf", "scale=inf"), ("uniform:low=0,high=inf", "high=inf"),
     ("poisson:rate=nan", "rate"), ("weibull:shape=nan,scale=1", "shape=nan"),
@@ -675,6 +690,24 @@ class TestEventFiles:
                 assert read_parts(path) == expected[0][1]
             outcomes[accepted] += 1
         assert min(outcomes.values()) > 300, outcomes
+
+
+    @pytest.mark.parametrize("text", [
+        "\x0cH\nE\n", "H\u2028E\n", " \u2028\n\rH\x0cE", '{"kind":\x0c "events"}\nE\n',
+        "\u2028\x0c\n \n", "E\x0cH\n"])
+    def test_header_lines_split_at_other_boundaries_read_alike(self, tmp_path, text):
+        """``read_parts`` reads no line past the header, yet finds the header
+        that ``read_events`` finds when ``\\x0c`` or ``\\u2028`` splits a line."""
+        header = json.dumps({"version": 1, "kind": "events", "ppq": 2400, "parts": 2})
+        path = tmp_path / "piece.jsonl"
+        path.write_text(text.replace("H", header).replace("E", '{"a": 61, "part": 1, "t": 0}'))
+        outcomes = []
+        for read in (read_parts, lambda p: read_events(p)[1]):
+            try:
+                outcomes.append(read(path))
+            except ValueError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
 
 
 def sample_midi() -> bytes:

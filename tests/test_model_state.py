@@ -77,7 +77,7 @@ def test_advance_raises_where_decoding_the_history_raises(order):
     for what, t in bad.items():
         with pytest.raises(ValueError):
             model.initial_state(history + [t])
-        with pytest.raises(ValueError, match="ascend" if "action" in what else "s_max"):
+        with pytest.raises(ValueError, match="strictly increase" if "action" in what else "s_max"):
             model.advance(state, t)
     good = last + TINY.s_max * ACTS
     assert model.advance(state, good) == model.initial_state(history + [good])

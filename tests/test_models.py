@@ -73,6 +73,10 @@ class TestWeibullGap:
         d = np.linspace(0.05, 3.0, 40)
         np.testing.assert_allclose([gap.survival(x) for x in d], ref.sf(d), rtol=1e-10)
 
+    def test_pdf_is_zero_below_zero(self):
+        for shape in (0.5, 1.0, 2.0):
+            assert WeibullGap(shape=shape, scale=1.0).pdf(-0.1) == 0.0
+
     def test_hazard_is_linear_for_shape_two(self):
         # k=2, scale 1: hazard k d^{k-1} = 2d.
         gap = WeibullGap(shape=2.0, scale=1.0)

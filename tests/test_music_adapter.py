@@ -186,5 +186,5 @@ class TestConditionalMusicSampling:
 def test_a_history_with_two_faults_reports_the_first(model):
     """A history is stepped code by code, as ``advance`` steps one more code,
     so a descending code is reported before a later code below 1."""
-    with pytest.raises(ValueError, match="^event at tick 0 appears after tick 1$"):
+    with pytest.raises(ValueError, match="^times must strictly increase, got 3 after 5$"):
         model.initial_state((TINY.actions + 1, 3, 0))
