@@ -250,6 +250,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    if not 0 < args.threshold <= 1:  # also refuses nan; a TV is never below 0
+        raise ValueError(f"--threshold must be a number in (0, 1], got {args.threshold}")
     observed = [int(x) for x in args.observed.split(",") if x != ""]
     grid = GridModel(n=args.cells, g=_from_spec(args.grid, "grid spec", GRIDS, "unknown grid "
                      "spec {!r}: expected const:p= or order2:p00=,p01=,p10=,p11="))

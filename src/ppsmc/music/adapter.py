@@ -12,10 +12,12 @@ either by another action at t_x (one symbol) or by one shift then an action
                       + f(shift dt) * sum of f'(a) over a <= a_z
 
 where f is the masked next-symbol PMF at the history and f' the one after
-appending the shift.  Sums over a <= a_x contribute nothing because the mask
-zeroes them; the lower bounds are exclusive of a_x.  Because a shift must be
-followed by an action, summing a full f' gives 1 and the earlier-tick term
-needs no action factor.
+appending the shift.  Because a shift must be followed by an action, summing a
+full f' gives 1 and the earlier-tick term needs no action factor.  Each sum is
+read off F or F', the running sums kept beside f and f' that ``draws`` search:
+the mask zeroes every action up to a_x and symbols run actions, then shifts by
+size, so the sums are F(a_z); F(shift dt - 1) for the first two together; and
+F'(a_z).  So a uniform at cdf(d) draws a gap above d, and one just below it not.
 
 Gaps are integer code differences, so P(gap >= d) = 1 - cdf(d-1) exactly —
 the mass at d itself stays in the denominator of the barrier hazard.
@@ -87,19 +89,14 @@ class _MusicGap(InterArrivalDistribution):
         if d < 1:
             return 0.0
         dt, a_z = self._split(d)
-        pmf = self._step_pmf()
-        lo = self.last_a if self.last_a is not None else 0  # exclusive lower bound
+        pmf, cum = self.model._masked(self.ctx, self.last_a)
         if dt == 0:
-            return float(pmf[lo:a_z].sum())
-        total = float(pmf[lo:self.vocab.actions].sum())  # rest of the current tick
-        acts = self.vocab.actions
-        full = min(dt - 1, self.vocab.s_max)  # shifts landing strictly earlier
-        total += float(pmf[acts:acts + full].sum())
-        if dt <= self.vocab.s_max:
-            shift_sym = self.vocab.shift_symbol(dt)
-            p_shift = float(pmf[shift_sym - 1])
-            if p_shift > 0.0:
-                total += p_shift * float(self._after_shift(shift_sym)[:a_z].sum())
+            return float(cum[a_z - 1])
+        shift = self.vocab.actions + dt  # the symbol of a dt-tick shift
+        total = float(cum[min(shift - 1, self.vocab.size) - 1])  # rest of t_x, earlier ticks
+        if dt <= self.vocab.s_max and pmf[shift - 1] > 0.0:
+            after = self.model._masked(self.model.context_of(self.tail + (shift,)), shift)[1]
+            total += float(pmf[shift - 1]) * float(after[a_z - 1])
         return total
 
     def survival(self, d):

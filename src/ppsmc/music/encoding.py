@@ -164,22 +164,6 @@ def events_to_symbols(events, vocab: Vocabulary) -> list[int]:
     return codes_to_symbols((encode_event(ev, vocab) for ev in events), vocab)
 
 
-def symbols_to_events(symbols, vocab: Vocabulary) -> list[MusicEvent]:
-    """Decode a symbol stream; ValueError unless it is the canonical stream
-    of the events it decodes to."""
-    symbols, codes, t = list(symbols), [], 0
-    for sym in symbols:
-        if vocab.is_shift(sym):
-            t += sym - vocab.actions
-        elif vocab.is_action(sym):
-            codes.append(t * vocab.actions + sym)
-        else:
-            raise ValueError(f"symbol {sym} outside vocabulary of size {vocab.size}")
-    if codes_to_symbols(codes, vocab) != symbols:
-        raise ValueError("symbol stream is not canonical: a shift after a shift or at the end")
-    return codes_to_events(codes, vocab)
-
-
 def allowed_symbols(prev: int | None, vocab: Vocabulary) -> np.ndarray:
     """Boolean mask (index sym-1) of symbols permitted after ``prev``.
 

@@ -11,7 +11,9 @@ what it depends on: the context's counts row (keyed by the context, or by
 empty) and the mask (keyed by ``prev``, or by the first shift symbol for
 every shift, since all shifts forbid the same symbols).  A second dict maps
 each (context, prev) queried to its shared arrays, so that a repeated query
-is one lookup; it holds references only.
+is one lookup; it holds references only.  The cumulative sum serves both the
+draws, which ``symbols`` searches it for, and the adapter's gap law, which
+reads its cdf off it.
 """
 
 from __future__ import annotations

@@ -69,11 +69,10 @@ class ConstraintSet:
         if len(z) != len(b):
             raise ValueError(f"expected one flag per constraint, got {len(z)} times and "
                              f"{len(b)} flags")
-        for i, t in enumerate(z):
+        for t in z:
             if isinstance(t, float) and not math.isfinite(t):
                 raise ValueError(f"constraint time must be finite, got {t!r}")
-            if t <= (z[i - 1] if i else 0):
-                raise ValueError("constraint times must be strictly increasing and positive")
+        models.history_end((0, *z))  # positive and strictly increasing
 
     @property
     def r(self) -> int:

@@ -7,11 +7,26 @@ import pytest
 
 from ppsmc.music.encoding import (MusicEvent, Vocabulary, allowed_symbols, code_symbols,
                                   codes_to_events, codes_to_symbols, decode_event,
-                                  encode_event, events_to_codes, events_to_symbols,
-                                  symbols_to_events)
+                                  encode_event, events_to_codes, events_to_symbols)
 
 VOCAB = Vocabulary()  # 256 note actions, shifts up to one whole note at 2400 ticks
 TINY = Vocabulary(a_max=4, s_max=3)
+
+
+def symbols_to_events(symbols, vocab: Vocabulary) -> list[MusicEvent]:
+    """Decode a symbol stream; ValueError unless it is the canonical stream
+    of the events it decodes to."""
+    symbols, codes, t = list(symbols), [], 0
+    for sym in symbols:
+        if vocab.is_shift(sym):
+            t += sym - vocab.actions
+        elif vocab.is_action(sym):
+            codes.append(t * vocab.actions + sym)
+        else:
+            raise ValueError(f"symbol {sym} outside vocabulary of size {vocab.size}")
+    if codes_to_symbols(codes, vocab) != symbols:
+        raise ValueError("symbol stream is not canonical: a shift after a shift or at the end")
+    return codes_to_events(codes, vocab)
 
 
 class TestEventCodes:

@@ -3,10 +3,11 @@
 Malformed constraint files, times files, event files, MIDI files, trained
 model files and grid specs must end in exit code 1 with an ``error:`` line on
 stderr, never in an uncaught exception; so must a model that cannot reach a
-barrier within the draw limit, and a run count below one.  Event lines in
-``write_codes``' form, read without ``json``, must read as ``json`` reads
-them.  Inputs are mangled by a seeded ``numpy.random.default_rng``, as in
-acceptance criterion 4, so every run tries the same cases.
+barrier within the draw limit, a run count below one and an oracle threshold
+outside (0, 1].  Event lines in ``write_codes``' form, read without ``json``,
+must read as ``json`` reads them.  Inputs are mangled by a seeded
+``numpy.random.default_rng``, as in acceptance criterion 4, so every run tries
+the same cases.
 """
 
 from __future__ import annotations
@@ -152,7 +153,7 @@ class TestConstraintFiles:
 
     @pytest.mark.parametrize("data, message", [
         (b'{"z": [0.5, 0.2], "b": [true, true]}',
-         "constraint times must be strictly increasing and positive\n"),
+         "times must strictly increase, got 0.2 after 0.5\n"),
         (b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff in position 0"),
     ], ids=["descending-z", "utf-16-mark"])
     def test_errors_past_the_json_name_the_file(self, tmp_path, capsys, data, message):
@@ -444,12 +445,17 @@ def test_repeated_json_key_exits_1(tmp_path, capsys, monkeypatch, kind):
     # every path is here, weighs 0 at the observed cell
     ("oracle --cells 3 --observed 2 --grid order2:p00=0.9999,p01=0.5,p10=0,p11=0",
      "oracle run 0 died at barrier 1: every particle of that run weighed zero"),
+    # refused before the first run: a TV is at least 0, and a threshold that is
+    # not a finite number cannot be written to the report
+    *((f"oracle --threshold {t}", f"--threshold must be a number in (0, 1], got {float(t)}")
+      for t in ("nan", "inf", "0", "-1")),
     ("sample --model poisson:rate", "malformed parameter 'rate', expected key=value"),
     ("train --order 0", "order must be >= 1"),
     ("train --s-max 0", "a_max, s_max and parts must all be positive"),
     ("convert --to-midi empty.jsonl", "empty.jsonl: empty event file"),
     ("convert --to-midi part16.jsonl", "part 16 exceeds the 16 MIDI channels"),
 ], ids=["no-cells", "observed-past-the-cells", "grid-p-over-1", "oracle-run-dies",
+        "threshold-nan", "threshold-inf", "threshold-0", "threshold-below-0",
         "spec-without-equals", "order-0", "s-max-0", "empty-event-file", "part-16-to-midi"])
 def test_malformed_option_or_piece_exits_1(tmp_path, capsys, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)

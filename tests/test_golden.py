@@ -38,6 +38,12 @@ in ``CASES`` (dying-filter, grid-filter, music-filter, music-order1-filter,
 music-order3-filter) when the ESS came to be taken on the weights over their
 maximum, which moves a barrier's ESS in its last bits.  Only the
 diagnostics changed: every ``OUTPUTS`` digest held.
+
+The music-mid-filter case, over 16 actions and 40 shifts, was added when the
+music gap law came to read its cdf off the n-gram's running sums instead of
+summing PMF slices.  At that size the two round apart, so summed slices give
+the same ``OUTPUTS`` digest but not the same ``CASES`` digest; over ``TINY``
+they round alike, and no other digest moved.
 """
 
 from __future__ import annotations
@@ -47,11 +53,14 @@ import hashlib
 import pytest
 from exact import order2_grid
 from test_acceptance import TINY, tiny_music_model
+from test_encoding import symbols_to_events
 
 from ppsmc.beam import beam_search_sample
 from ppsmc.models import (PoissonProcessModel, UniformRenewalModel,
                           step_log_probabilities)
-from ppsmc.music.encoding import events_to_codes, symbols_to_events
+from ppsmc.music.adapter import UnrolledMusicModel
+from ppsmc.music.encoding import Vocabulary, events_to_codes
+from ppsmc.music.ngram import train_ngram
 from ppsmc.oracle import observed_constraints
 from ppsmc.smc import ConstraintSet, conditional_sample
 
@@ -93,6 +102,28 @@ def _long_music(order: int):
     return problem
 
 
+MID = Vocabulary(a_max=16, s_max=40)
+
+
+def _mid_music():
+    """An order-2 model over 16 actions and 40 shifts, where a PMF's slice
+    sums and its running sums round apart, unlike in ``TINY``."""
+    pieces = []
+    for j in range(6):
+        symbols = []
+        for k in range(80):
+            symbols += sorted({1 + (7 * k + 3 * j) % 16, 1 + (11 * k + j) % 16})
+            symbols.append(MID.shift_symbol(1 + (k * k + j) % 40))
+        pieces.append(symbols[:-1])
+    model = UnrolledMusicModel(train_ngram(pieces, MID, order=2, alpha=0.3))
+    prefix = events_to_codes(symbols_to_events(pieces[0], MID), MID)[:40]
+    acts = MID.actions
+    end = (prefix[-1] - 1) // acts  # tick of the last prefix event
+    cs = ConstraintSet(z=((end + 3) * acts + 5, (end + 9) * acts + 2, (end + 12) * acts + 7),
+                       b=(True, False, True))
+    return model, cs, {"horizon": (end + 20) * acts, "initial_history": tuple(prefix)}
+
+
 def _music_steps():
     codes = long_prefix()
     return tiny_music_model(3), codes[40:], {"initial_history": codes[:40]}
@@ -128,6 +159,8 @@ CASES = {  # name: (problem, sampler, size arguments, seed, digest)
                             "9216968f80233c49"),
     "music-order3-beam": (_long_music(3), "beam", (4, 5), 73,
                           "719e0c97c865a6cb"),
+    "music-mid-filter": (_mid_music, "filter", (50,), 32,
+                         "ab543f739c47e822"),
     "music-steps": (_music_steps, "steps", (), None,
                     "23670cb63ebf83d7"),
 }
@@ -146,6 +179,7 @@ OUTPUTS = {  # name: digest of (survived, failed_barrier, samples, log_probs)
     "music-order1-beam": "4219937e7ee62e57",
     "music-order3-filter": "04bdede6263a7fb9",
     "music-order3-beam": "a9b4fcfbcdcee7b1",
+    "music-mid-filter": "3f065720d3bcb1eb",
 }
 
 

@@ -9,7 +9,7 @@ from ppsmc.beam import beam_search_sample
 from ppsmc.models import barrier_weight
 from ppsmc.music.adapter import UnrolledMusicModel
 from ppsmc.music.encoding import (MusicEvent, Vocabulary, codes_to_events,
-                                  encode_event, events_to_codes,
+                                  codes_to_symbols, encode_event, events_to_codes,
                                   events_to_symbols)
 from ppsmc.music.ngram import train_ngram
 from ppsmc.smc import ConstraintSet, conditional_sample, satisfies
@@ -114,6 +114,26 @@ class TestGapDistribution:
         gap = model.initial_state(())
         assert gap.pdf(1.5) == 0.0
         assert gap.cdf(1.5) == gap.cdf(1.0)
+
+    def test_cdf_is_the_boundary_of_the_draws_at_full_size(self):
+        """At the default vocabulary a PMF's sums round apart with summation
+        order, so the cdf must read the cumulative table that ``draws``
+        searches: a uniform just below cdf(d) draws a gap <= d, and cdf(d)
+        itself a larger one, for every gap d inside the current tick."""
+        vocab = Vocabulary()
+        rng = np.random.default_rng(32)
+        pieces = [np.cumsum(rng.integers(1, 3 * vocab.actions, 300)) for _ in range(8)]
+        step = train_ngram([codes_to_symbols(p, vocab) for p in pieces], vocab, 2, alpha=0.05)
+        model = UnrolledMusicModel(step)
+        checked = 0
+        for history in [(), *(tuple(p[:k]) for p in pieces[:3] for k in (1, 40, 299))]:
+            gap = model.initial_state(history)
+            for d in range(1, vocab.actions - (gap.last_a or 0) + 1):
+                c = gap.cdf(d)
+                below, at = gap.draws(np.array([[np.nextafter(c, 0.0), 0.5], [c, 0.5]]))[0]
+                assert below <= d < at, (history[-1:], d)
+                checked += 1
+        assert checked > 500
 
     def test_sampling_frequencies_match_pmf(self, model):
         expected = enumerate_next_code_pmf(model, HISTORIES[1])
