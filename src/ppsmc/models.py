@@ -27,14 +27,15 @@ forbidden one); the exponential's own ``weights`` gives it for many gaps at once
 
 ``propose_segment`` walks one path on one generator, for
 ``sample_restricted``.  The filter and the beam walk many lanes at once
-(``ppsmc.smc``) and ask a law only for ``draws``, the gaps of all its lanes
-in one call, given each lane's next uniforms.  By default it applies
+(``ppsmc.smc``) and ask laws only for ``draws_many``, the gaps of every lane
+of a walk step in one call, given each lane's next uniforms; by default it
+calls each law's ``draws``, the gaps of all its lanes.  That applies
 ``quantiles``, the ``quantile`` of each; the exponential's own maps only
 ``math.log1p`` in Python and leaves the rest to numpy, which rounds each
 operation as Python does.  A law without a quantile overrides
-``draws`` and declares ``draw_width``, as the grid and music laws do; their
-``sample`` draws the same gap from the same uniforms, one ``random()`` at a
-time.
+``draws`` and declares ``draw_width``, as the grid and music laws do (the
+music law overrides ``draws_many`` too); their ``sample`` draws the same
+gap from the same uniforms, one ``random()`` at a time.
 """
 
 from __future__ import annotations
@@ -91,6 +92,19 @@ class InterArrivalDistribution:
         """
         gaps = self.quantiles(u.ravel())
         return (gaps if u.shape[1] == 1 else gaps.reshape(u.shape)), u.shape[1]
+
+    @staticmethod
+    def draws_many(groups, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``draws`` of every group of a walk step, the gaps in row order, and
+        the uniforms each row took: rows a:b of ``u`` are the lanes of
+        ``law`` for each (law, a, b) of ``groups``.  By default each law draws
+        its rows, cut to its ``draw_width`` columns where other laws share the
+        step; a law alone takes every column (a renewal law draws runs)."""
+        gaps, used = [], np.empty(len(u), dtype=np.int64)
+        for law, a, b in groups:
+            d, used[a:b] = law.draws(u[a:b] if len(groups) == 1 else u[a:b, :law.draw_width])
+            gaps.append(d)
+        return (gaps[0] if len(gaps) == 1 else np.concatenate(gaps)), used
 
     def quantiles(self, u: np.ndarray) -> np.ndarray:
         """``quantile`` of each uniform in the 1-d array ``u``, bit for bit."""

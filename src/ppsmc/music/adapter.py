@@ -14,10 +14,12 @@ either by another action at t_x (one symbol) or by one shift then an action
 where f is the masked next-symbol PMF at the history and f' the one after
 appending the shift.  Because a shift must be followed by an action, summing a
 full f' gives 1 and the earlier-tick term needs no action factor.  Each sum is
-read off F or F', the running sums kept beside f and f' that ``draws`` search:
+read off F or F', the running sums kept beside f and f' that the draws search:
 the mask zeroes every action up to a_x and symbols run actions, then shifts by
 size, so the sums are F(a_z); F(shift dt - 1) for the first two together; and
 F'(a_z).  So a uniform at cdf(d) draws a gap above d, and one just below it not.
+A walk step draws all its lanes in one ``draws_many`` call, one search of F
+per state and one of each F' however many states' lanes shifted into it.
 
 Gaps are integer code differences, so P(gap >= d) = 1 - cdf(d-1) exactly —
 the mass at d itself stays in the denominator of the barrier hazard.
@@ -39,7 +41,7 @@ import numpy as np
 
 from ..models import InterArrivalDistribution, SequenceModel
 from .encoding import Vocabulary, _split_code, code_symbols, codes_to_symbols
-from .ngram import NGramModel
+from .ngram import NGramModel, search
 
 
 @dataclass(frozen=True)
@@ -118,21 +120,28 @@ class _MusicGap(InterArrivalDistribution):
     draw_width = 2  # a symbol, and an action after a shift
 
     def draws(self, u):
+        return self.draws_many([(self, 0, len(u))], u)
+
+    @staticmethod
+    def draws_many(groups, u):
         """Each lane's symbol from its first uniform and, after a shift, its
-        action from its second, as ``sample`` draws them."""
-        acts, model = self.vocab.actions, self.model
-        base = self.cur_t * acts - self.last_code
-        gaps, used = [], []
-        for sym, second in zip(model.symbols(self.ctx, self.last_a, u[:, 0]).tolist(),
-                               u[:, 1].tolist()):
-            if sym <= acts:
-                gaps.append(sym + base)
-                used.append(1)
-            else:
-                action = int(model.symbols(model.context_of(self.tail + (sym,)), sym, second))
-                gaps.append(action + base + (sym - acts) * acts)
-                used.append(2)
-        return np.array(gaps), np.array(used)
+        action from its second, as ``sample`` draws them; the lanes whose
+        shifts lead to one table (all unseen contexts share one) search it together."""
+        gaps, tables = [], {}  # each after-shift table, by identity: it and its lanes
+        for law, a, b in groups:
+            acts, model = law.vocab.actions, law.model
+            base = law.cur_t * acts - law.last_code
+            for row, sym in enumerate(model.symbols(law.ctx, law.last_a, u[a:b, 0]).tolist(), a):
+                if sym > acts:  # a shift: the action drawn after it is added below
+                    cum = model._masked(model.context_of(law.tail + (sym,)), sym)[1]
+                    tables.setdefault(id(cum), (cum, []))[1].append(row)
+                    sym = (sym - acts) * acts
+                gaps.append(base + sym)
+        gaps, used = np.array(gaps), np.ones(len(u), dtype=np.int64)
+        for cum, rows in tables.values():
+            gaps[rows] += search(cum, u[rows, 1])
+            used[rows] = 2
+        return gaps, used
 
 
 class UnrolledMusicModel(SequenceModel):

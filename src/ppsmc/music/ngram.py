@@ -12,8 +12,8 @@ empty) and the mask (keyed by ``prev``, or by the first shift symbol for
 every shift, since all shifts forbid the same symbols).  A second dict maps
 each (context, prev) queried to its shared arrays, so that a repeated query
 is one lookup; it holds references only.  The cumulative sum serves both the
-draws, which ``symbols`` searches it for, and the adapter's gap law, which
-reads its cdf off it.
+draws, which ``search`` finds in it, and the adapter's gap law, which reads
+its cdf off it.
 """
 
 from __future__ import annotations
@@ -93,8 +93,7 @@ class NGramModel:
 
     def symbols(self, context: tuple, prev: int | None, u):
         """The symbol drawn from each uniform in ``u``."""
-        cum = self._masked(context, prev)[1]
-        return np.minimum(cum.searchsorted(u, side="right"), self.vocab.size - 1) + 1
+        return search(self._masked(context, prev)[1], u)
 
     def to_dict(self) -> dict:
         return {
@@ -151,6 +150,14 @@ class NGramModel:
     def load(cls, path) -> "NGramModel":
         with in_file(path):
             return cls.from_dict(loads(Path(path).read_text()))
+
+
+def search(cum: np.ndarray, u):
+    """The symbol each uniform in ``u`` draws from the running sums ``cum``:
+    the first whose sum exceeds it.  A uniform at or above the last sum,
+    which may round below 1, draws the last symbol with mass, the first
+    whose sum reaches the last one."""
+    return np.minimum(cum.searchsorted(u, side="right"), cum.searchsorted(cum[-1])) + 1
 
 
 def _is_int(value) -> bool:

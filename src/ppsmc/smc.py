@@ -21,14 +21,14 @@ by barrier weight, the beam keeps the best path log probabilities.
 A lane is a path's one child at one level (a barrier, or the open tail): a
 particle, or a beam candidate; a rule that wants more (the beam's b) keeps
 a path that many times.  Every model is walked by one grouped walk
-(``_Walk``): lanes in equal states draw their gaps together through their
-law's ``draws``, from uniforms taken in order from their Philox blocks
-(``rng.block``), the draws their ``stream()`` would give; a fixed-law run
-proposes together the barriers whose first blocks are drawn together, and
-values each when the loop reaches it.  The walk owns the paths: they are
-stored as each barrier's segments plus the indices of the children kept
-(Jacob, Murray & Rubenthaler 2015, "Path storage in the particle filter"),
-and each sample is built once, at the end.
+(``_Walk``): lanes in equal states form a group, and a step draws every
+group's gaps in one ``draws_many`` call, from uniforms taken in order from
+their Philox blocks (``rng.block``), the draws their ``stream()`` would
+give; a fixed-law run proposes together the barriers whose first blocks
+are drawn together, and values each when the loop reaches it.  The walk
+owns the paths: they are stored as each barrier's segments plus the
+indices of the children kept (Jacob, Murray & Rubenthaler 2015, "Path
+storage in the particle filter"), and each sample is built once, at the end.
 
 All randomness is drawn from per-(barrier, particle) Philox streams derived
 from one master seed, so a run is a deterministic function of its seed.
@@ -231,12 +231,13 @@ class _Walk:
     the history, added left to right).
 
     Children are walked as rows that step together: at each step the rows
-    still short of their barrier are grouped by state, and each group's law
-    draws a gap per row from the rows' next uniforms through its ``draws``,
-    the one way the walk draws.  Lane l's uniforms at level i are the doubles
-    of its blocks (seed, KIND_PROPOSAL, i, l) at counters 1, 2, 3, ...; the
-    first blocks are drawn ahead for several levels at once, later ones when
-    a row gets to them.  States are interned, so equal states are one object
+    still short of their barrier are grouped by state, and one call of the
+    laws' ``draws_many`` (the default's, if laws of several classes share the
+    step) draws a gap per row from the rows' next uniforms, the one way the
+    walk draws.  Lane l's uniforms at level i are the doubles of its blocks
+    (seed, KIND_PROPOSAL, i, l) at counters 1, 2, 3, ...; the first blocks
+    are drawn ahead for several levels at once, later ones when a row gets
+    to them.  States are interned, so equal states are one object
     and one group, and ``advance`` runs once per distinct (state, time) pair.
     A model whose ``advance`` is ``RenewalModel``'s keeps its first state, so
     its walk proposes a chunk of barriers as rows (barrier, lane): those
@@ -350,14 +351,12 @@ class _Walk:
             count = 1  # gaps each row draws this step
             if self.runs and drawn >= _SINGLE_STEPS:
                 count = min(drawn, max(1, _MAX_RUN // len(active)), models.MAX_EVENTS - drawn)
-            u_act = self._uniforms(u, active, at[active],
-                                   max(count, *(law.draw_width for law, _, _ in groups)), i, n)
-            parts = []
-            for law, a, b in groups:
-                d, used = law.draws(u_act[a:b, :count if self.runs else law.draw_width])
-                at[active[a:b]] += used
-                parts.append(d)
-            d = parts[0] if len(parts) == 1 else np.concatenate(parts)
+            u_act = self._uniforms(u, active, at[active], count if self.runs else
+                                   max(law.draw_width for law, _, _ in groups), i, n)
+            kinds = {type(law) for law, _, _ in groups}
+            d, used = (kinds.pop() if len(kinds) == 1 else InterArrivalDistribution).draws_many(
+                groups, u_act)
+            at[active] += used
             prev, lim = pos[active], stop[active]
             if count == 1:  # one time per row
                 t = prev + d

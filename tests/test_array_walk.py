@@ -5,12 +5,13 @@ uniforms taken from Philox blocks; ``lane_walk`` walks each lane on its own
 ``stream()`` with ``propose_segment``.  Every run below is made both ways
 from the same keys and must give the same ``EnsembleResult``, compared
 through its repr so that a 1 that became 1.0 would show.  The cases cover
-every shipped model family, a model that only delegates to another (so
-that nothing keys on the model type), a law with its own ``draws``, an
+every shipped model family, the music model at its full vocabulary too, a
+model that only delegates to another (so that nothing keys on the model
+type), a law with its own ``draws``, laws of two classes in one step, an
 unhashable law whose every state is its own group, lanes that need a third
 Philox block, lanes that draw runs of thousands of gaps, and renewal runs
 whose chunk of barriers holds a failing row the run never reaches.  The walk
-draws only through a law's ``draws``; the lane walk draws through its
+draws only through ``draws_many``; the lane walk draws through each law's
 ``sample``.
 """
 
@@ -23,6 +24,7 @@ import pytest
 from exact import order2_grid
 from test_acceptance import tiny_music_model
 from test_golden import long_prefix
+from test_music_adapter import full_size_model
 
 from ppsmc import models, rng
 from ppsmc.beam import beam_search_sample
@@ -83,6 +85,17 @@ class Quickening(SequenceModel):
 
     def advance(self, state, t):
         return UnhashableGap(state.rate + 1.0)
+
+
+class Alternating(SequenceModel):
+    """Laws of two classes, as the hundredths of the last time are odd or
+    even, so a walk step holds lanes of both, of draw widths 2 and 1."""
+
+    def initial_state(self, history):
+        return UnhashableGap(10.0)
+
+    def advance(self, state, t):
+        return MaxOfTwo(0.1) if int(t * 100) % 2 else UnhashableGap(10.0)
 
 
 MODELS = {
@@ -172,6 +185,18 @@ def _music(order):
     return problem
 
 
+def _music_full_size():
+    """An order-2 model at the default vocabulary: 256 actions and shifts of
+    up to 2400 ticks, most of which the corpus never saw, so the contexts
+    after them share one table, which lanes of many states search together."""
+    model, pieces = full_size_model(33)
+    prefix, acts = pieces[0][:40].tolist(), model.vocab.actions
+    end = (prefix[-1] - 1) // acts
+    cs = ConstraintSet(z=((end + 2) * acts + 1, (end + 4) * acts + 3, (end + 5) * acts + 2),
+                       b=(True, False, True))
+    return model, cs, {"horizon": (end + 9) * acts, "initial_history": tuple(prefix)}
+
+
 FAMILIES = {  # name: a model, its constraints and keyword arguments
     "grid": lambda: (order2_grid(8), observed_constraints([1, 4, 6]), {"horizon": 8}),
     # a lane whose last cell is occupied draws its beyond-the-cells gap
@@ -183,8 +208,11 @@ FAMILIES = {  # name: a model, its constraints and keyword arguments
     "music-order1": _music(1),
     "music-order2": _music(2),
     "music-order3": _music(3),
+    "music-full-size": _music_full_size,
     "own-sample": lambda: (RenewalModel(MaxOfTwo(0.1)),
                            ConstraintSet(z=(0.3, 0.55, 1), b=(True,) * 3), {"horizon": 1.3}),
+    "two-classes": lambda: (Alternating(), ConstraintSet(z=(0.3, 0.55, 1), b=(True,) * 3),
+                            {"horizon": 1.3}),
     # equal states are distinct objects, interned by identity
     "unhashable": lambda: (Quickening(), ConstraintSet(z=(0.3, 0.55, 1), b=(True,) * 3),
                            {"horizon": 1.3}),

@@ -167,21 +167,21 @@ def test_beam_walks_each_proposed_event_once(monkeypatch):
     state is advanced at most once per proposed event, and no scoring pass
     re-walks a candidate or a kept sample."""
     counts = {"advance": 0, "events": 0}
-    real_advance, real_draws = adapter.UnrolledMusicModel.advance, adapter._MusicGap.draws
+    real_advance, real_draws = adapter.UnrolledMusicModel.advance, adapter._MusicGap.draws_many
 
     def advance(self, state, t):
         counts["advance"] += 1
         return real_advance(self, state, t)
 
-    def draws(self, u):  # one gap, one proposed event, per lane
-        counts["events"] += len(u)
-        return real_draws(self, u)
+    def draws_many(groups, u):  # one gap, one proposed event, per lane
+        counts["events"] += sum(b - a for _, a, b in groups)
+        return real_draws(groups, u)
 
     def rewalk(*args, **kwargs):
         raise AssertionError("the beam re-walked a path to score it")
 
     monkeypatch.setattr(adapter.UnrolledMusicModel, "advance", advance)
-    monkeypatch.setattr(adapter._MusicGap, "draws", draws)
+    monkeypatch.setattr(adapter._MusicGap, "draws_many", staticmethod(draws_many))
     for name in ("step_log_probabilities", "propose_segment"):
         monkeypatch.setattr(models, name, rewalk)
     model, cs, kwargs = _six_free_barriers()

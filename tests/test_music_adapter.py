@@ -7,6 +7,7 @@ import pytest
 
 from ppsmc.beam import beam_search_sample
 from ppsmc.models import barrier_weight
+from ppsmc.music import adapter
 from ppsmc.music.adapter import UnrolledMusicModel
 from ppsmc.music.encoding import (MusicEvent, Vocabulary, codes_to_events,
                                   codes_to_symbols, encode_event, events_to_codes,
@@ -52,6 +53,16 @@ def enumerate_next_code_pmf(model: UnrolledMusicModel, history: list[int]) -> di
             code = (cur_t + dt) * vocab.actions + a
             out[code - last_code] = p_shift * float(after[a - 1])
     return out
+
+
+def full_size_model(seed: int) -> tuple[UnrolledMusicModel, list]:
+    """An order-2 model at the default vocabulary, trained on eight seeded
+    pieces of 300 codes a few ticks apart, and the pieces."""
+    vocab = Vocabulary()
+    rng = np.random.default_rng(seed)
+    pieces = [np.cumsum(rng.integers(1, 3 * vocab.actions, 300)) for _ in range(8)]
+    step = train_ngram([codes_to_symbols(p, vocab) for p in pieces], vocab, 2, alpha=0.05)
+    return UnrolledMusicModel(step), pieces
 
 
 HISTORIES = [
@@ -134,6 +145,25 @@ class TestGapDistribution:
                 assert below <= d < at, (history[-1:], d)
                 checked += 1
         assert checked > 500
+
+    def test_lanes_of_many_states_search_one_table_after_unseen_shifts(self, monkeypatch):
+        """At the default vocabulary the corpus sees few of the 2400 shifts,
+        and every context after one it never saw shares one table: the lanes
+        of a step that drew such shifts, from six states, search it once, and
+        each lane draws the gap that ``sample`` draws from its uniforms."""
+        model, pieces = full_size_model(34)
+        laws = [model.initial_state(tuple(p[:k])) for p in pieces[:3] for k in (10, 20)]
+        u = np.column_stack((np.linspace(0.999, 0.9999, 12),  # the longest shifts
+                             np.linspace(0.05, 0.95, 12)))
+        groups = [(law, 2 * k, 2 * k + 2) for k, law in enumerate(laws)]
+        alone = [law.sample(type("Lane", (), {"random": iter(u[r].tolist()).__next__})())
+                 for law, a, b in groups for r in range(a, b)]
+        searched, search = [], adapter.search
+        monkeypatch.setattr(adapter, "search",
+                            lambda cum, v: (searched.append(cum), search(cum, v))[1])
+        gaps, used = adapter._MusicGap.draws_many(groups, u)
+        assert (gaps.tolist(), used.tolist()) == (alone, [2] * 12)
+        assert len(searched) == 1
 
     def test_sampling_frequencies_match_pmf(self, model):
         expected = enumerate_next_code_pmf(model, HISTORIES[1])

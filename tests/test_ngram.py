@@ -8,6 +8,7 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
+from ppsmc.music.adapter import UnrolledMusicModel
 from ppsmc.music.encoding import Vocabulary, allowed_symbols
 from ppsmc.music.ngram import BOS, NGramModel, train_ngram
 
@@ -173,6 +174,22 @@ class TestSampling:
         for _ in range(500):
             sym = model.sample_symbol((1,), prev=2, rng=rng)
             assert sym > 2 or TINY.is_shift(sym)
+
+    def test_a_uniform_above_the_last_sum_draws_a_symbol_with_mass(self):
+        """The running sums of 4/13, 3/13, 3/13, 2/13 and 1/13 end at
+        0.9999999999999998, so a uniform just below 1 lies above them all.  It
+        draws the last symbol with mass, the 2-tick shift, not the 3-tick shift
+        after it, which has none; the gap law then draws the action after it."""
+        model = NGramModel(TINY, 2, 0.0, {(1,): {2: 4, 3: 3, 4: 3, 5: 2, 6: 1}, (6,): {1: 1}})
+        u = np.nextafter(1.0, 0.0)
+        assert model._masked((1,), 1)[1][-1] < u
+        assert model.symbols((1,), 1, u) == 6 == TINY.shift_symbol(2)
+        top = type("Top", (), {"random": lambda self: u})()
+        assert model.sample_symbol((1,), 1, top) == 6
+        gap = UnrolledMusicModel(model).initial_state([1])  # tick 0, action 1
+        gaps, used = gap.draws(np.array([[u, 0.5]]))
+        assert (gaps.tolist(), used.tolist()) == ([8], [2])  # to code 2·4 + 1, tick 2
+        assert gap.pdf(8) == pytest.approx(1 / 13)
 
     def test_sampling_frequencies_match_pmf(self):
         model = tiny_model()
