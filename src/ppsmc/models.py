@@ -24,6 +24,9 @@ is low + (high - low)·u, bit for bit what ``Generator.uniform`` draws.
 A path clipped at a required time weighs ``barrier_weight`` of its last gap
 (the hazard f(d)/P(gap >= d) in a free segment, the density f(d) in a
 forbidden one); the exponential's own ``weights`` gives it for many gaps at once.
+The walk values and advances the distinct pairs of a step or a barrier in one
+call of the hooks ``values_many`` and ``advance_many``, which map the scalar
+rules unless a class gives its own, bit for bit the same.
 
 ``propose_segment`` walks one path on one generator, for
 ``sample_restricted``.  The filter and the beam walk many lanes at once
@@ -106,17 +109,24 @@ class InterArrivalDistribution:
             gaps.append(d)
         return (gaps[0] if len(gaps) == 1 else np.concatenate(gaps)), used
 
+    @staticmethod
+    def values_many(laws, gaps, b_prev: bool | None) -> list:
+        """Each law's ``barrier_weight`` at its gap, or ``_log_density`` when
+        ``b_prev`` is None, in order; a law's own hook gives the same bits."""
+        f = _log_density if b_prev is None else lambda law, d: barrier_weight(law, d, b_prev)
+        return list(map(f, laws, gaps))
+
     def quantiles(self, u: np.ndarray) -> np.ndarray:
         """``quantile`` of each uniform in the 1-d array ``u``, bit for bit."""
         return np.array(list(map(self.quantile, u.tolist())))
 
-    def hazard(self, d) -> float:
-        """f(d) / P(gap >= d); 0 where the density is 0.
+    def hazard(self, d, p=None) -> float:
+        """f(d) / P(gap >= d); 0 where the density is 0.  ``p``, if given, is f(d).
 
         Raises SaturatedCdfError when the survival probability has underflowed,
         making the hazard numerically undefined.
         """
-        p = self.pdf(d)
+        p = self.pdf(d) if p is None else p
         if p == 0:
             return 0.0
         s = self.survival(d)
@@ -149,6 +159,11 @@ class SequenceModel:
     def advance(self, state: InterArrivalDistribution, t) -> InterArrivalDistribution:
         """Law of the gap that follows the history of ``state`` and time ``t``."""
         raise NotImplementedError
+
+    def advance_many(self, states, times) -> list:
+        """``advance`` of each (state, time) pair, in order; a model's own hook
+        gives equal states and raises the first failing pair's error."""
+        return [self.advance(state, t) for state, t in zip(states, times)]
 
 
 class RenewalModel(SequenceModel):

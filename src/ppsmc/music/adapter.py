@@ -19,7 +19,8 @@ the mask zeroes every action up to a_x and symbols run actions, then shifts by
 size, so the sums are F(a_z); F(shift dt - 1) for the first two together; and
 F'(a_z).  So a uniform at cdf(d) draws a gap above d, and one just below it not.
 A walk step draws all its lanes in one ``draws_many`` call, one search of F
-per state and one of each F' however many states' lanes shifted into it.
+per state and one of each F' however many states' lanes shifted into it;
+one ``values_many`` call applies the rules above to a barrier's pairs.
 
 Gaps are integer code differences, so P(gap >= d) = 1 - cdf(d-1) exactly —
 the mass at d itself stays in the denominator of the barrier hazard.
@@ -27,9 +28,12 @@ the mass at d itself stays in the denominator of the barrier hazard.
 The model state is the gap law, which holds all of the history that f and f'
 depend on: the current tick, the last code and the last max(order-1, 1)
 symbols, whose final one is both a_x and the symbol the mask conditions on.
-A history is stepped once, code by code; each further event is one canonical
-step from the last code (``encoding.code_symbols``), which raises the one order
-rule's error unless the codes strictly increase; no event object is built.
+It holds f and F, read once from the n-gram's memo keyed by those symbols,
+which also holds f' and F' by them and the shift.  A history is stepped once,
+code by code; each further event is one canonical step from the last code
+(``encoding.code_symbols``, applied inline by ``advance_many``), which raises
+the one order rule's error unless the codes strictly increase; no event
+object is built.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..models import InterArrivalDistribution, SequenceModel
-from .encoding import Vocabulary, _split_code, code_symbols, codes_to_symbols
+from .encoding import _split_code, code_symbols, codes_to_symbols
 from .ngram import NGramModel, search
 
 
@@ -50,55 +54,26 @@ class _MusicGap(InterArrivalDistribution):
     cur_t: int         # tick of the last event (0 before any)
     last_code: int     # its code (0 before any)
     tail: tuple        # the last max(order-1, 1) symbols; tail[-1] is its action
-    vocab: Vocabulary = field(init=False, compare=False)
-    last_a: int | None = field(init=False, compare=False)  # also the masking symbol
-    ctx: tuple = field(init=False, compare=False)
+    table: tuple = field(init=False, compare=False, repr=False)  # its masked table
 
     def __post_init__(self):
-        object.__setattr__(self, "vocab", self.model.vocab)
-        object.__setattr__(self, "last_a", self.tail[-1] if self.tail else None)
-        object.__setattr__(self, "ctx", self.model.context_of(self.tail))
-
-    def _step_pmf(self):
-        return self.model.masked_pmf(self.ctx, self.last_a)
-
-    def _after_shift(self, shift_sym: int):
-        ctx2 = self.model.context_of(self.tail + (shift_sym,))
-        return self.model.masked_pmf(ctx2, shift_sym)
-
-    def _split(self, d):
-        """Decompose a positive integer gap into (tick delta, target action)."""
-        t, a_prime = _split_code(self.last_code + int(d), self.vocab)
-        return t - self.cur_t, a_prime
+        object.__setattr__(self, "table", self.model.table(self.tail))
 
     def pdf(self, d):
-        if d < 1 or d != int(d):
-            return 0.0
-        dt, a_z = self._split(d)
-        pmf = self._step_pmf()
-        if dt == 0:
-            return float(pmf[a_z - 1])
-        if dt > self.vocab.s_max:
-            return 0.0
-        shift_sym = self.vocab.shift_symbol(dt)
-        p_shift = float(pmf[shift_sym - 1])
-        if p_shift == 0.0:
-            return 0.0
-        return p_shift * float(self._after_shift(shift_sym)[a_z - 1])
+        return self.values_many([self], [d], False)[0]
 
     def cdf(self, d):
         d = int(d)
         if d < 1:
             return 0.0
-        dt, a_z = self._split(d)
-        pmf, cum = self.model._masked(self.ctx, self.last_a)
-        if dt == 0:
+        vocab, (pmf, cum, _) = self.model.vocab, self.table
+        t, a_z = _split_code(self.last_code + d, vocab)
+        if t == self.cur_t:
             return float(cum[a_z - 1])
-        shift = self.vocab.actions + dt  # the symbol of a dt-tick shift
-        total = float(cum[min(shift - 1, self.vocab.size) - 1])  # rest of t_x, earlier ticks
-        if dt <= self.vocab.s_max and pmf[shift - 1] > 0.0:
-            after = self.model._masked(self.model.context_of(self.tail + (shift,)), shift)[1]
-            total += float(pmf[shift - 1]) * float(after[a_z - 1])
+        shift = vocab.actions + t - self.cur_t  # the symbol of the shift to tick t
+        total = float(cum[min(shift - 1, vocab.size) - 1])  # rest of t_x, earlier ticks
+        if shift <= vocab.size and pmf[shift - 1] > 0.0:
+            total += float(pmf[shift - 1]) * float(self.model.table(self.tail, shift)[1][a_z - 1])
         return total
 
     def survival(self, d):
@@ -106,16 +81,30 @@ class _MusicGap(InterArrivalDistribution):
             return 1.0
         return max(1.0 - self.cdf(math.ceil(d) - 1), 0.0)
 
+    @staticmethod
+    def values_many(laws, gaps, b_prev):
+        """Each law's ``barrier_weight`` at its gap, or its log density when
+        ``b_prev`` is None, bit for bit: the pdf read off the held tables, then
+        the hazard (whose survival reads F) or the log."""
+        out = []
+        for law, d in zip(laws, gaps):
+            p, vocab, (pmf, _, _) = 0.0, law.model.vocab, law.table
+            if not (d < 1 or d != int(d)):  # an integer gap of 1 or more
+                t, a = divmod(law.last_code + int(d) - 1, vocab.actions)  # _split_code
+                shift = vocab.actions + t - law.cur_t  # the symbol of the shift to tick t
+                if t == law.cur_t:
+                    p = float(pmf[a])
+                elif shift <= vocab.size and pmf[shift - 1] > 0.0:
+                    p = float(pmf[shift - 1]) * float(law.model.table(law.tail, shift)[0][a])
+            out.append((math.log(p) if p > 0 else -math.inf) if b_prev is None
+                       else law.hazard(d, p) if b_prev else p)
+        return out
+
     def sample(self, rng):
-        sym = self.model.sample_symbol(self.ctx, self.last_a, rng)
-        if self.vocab.is_action(sym):
-            code = self.cur_t * self.vocab.actions + sym
-        else:
-            dt = self.vocab.shift_amount(sym)
-            ctx2 = self.model.context_of(self.tail + (sym,))
-            action = self.model.sample_symbol(ctx2, sym, rng)
-            code = (self.cur_t + dt) * self.vocab.actions + action
-        return code - self.last_code
+        acts, sym = self.model.vocab.actions, int(search(self.table, rng.random()))
+        if sym > acts:  # a shift, then an action
+            sym = (sym - acts) * acts + int(search(self.model.table(self.tail, sym), rng.random()))
+        return self.cur_t * acts + sym - self.last_code
 
     draw_width = 2  # a symbol, and an action after a shift
 
@@ -124,24 +113,26 @@ class _MusicGap(InterArrivalDistribution):
 
     @staticmethod
     def draws_many(groups, u):
-        """Each lane's symbol from its first uniform and, after a shift, its
-        action from its second, as ``sample`` draws them; the lanes whose
-        shifts lead to one table (all unseen contexts share one) search it together."""
-        gaps, tables = [], {}  # each after-shift table, by identity: it and its lanes
-        for law, a, b in groups:
-            acts, model = law.vocab.actions, law.model
-            base = law.cur_t * acts - law.last_code
-            for row, sym in enumerate(model.symbols(law.ctx, law.last_a, u[a:b, 0]).tolist(), a):
-                if sym > acts:  # a shift: the action drawn after it is added below
-                    cum = model._masked(model.context_of(law.tail + (sym,)), sym)[1]
-                    tables.setdefault(id(cum), (cum, []))[1].append(row)
-                    sym = (sym - acts) * acts
-                gaps.append(base + sym)
-        gaps, used = np.array(gaps), np.ones(len(u), dtype=np.int64)
-        for cum, rows in tables.values():
-            gaps[rows] += search(cum, u[rows, 1])
-            used[rows] = 2
-        return gaps, used
+        """Each lane's symbol from its first uniform, one search of its law's
+        table per group, and, after a shift, its action from its second, as
+        ``sample`` draws them; the lanes whose shifts lead to one table (all
+        unseen contexts share one) search it together.  The laws share a model."""
+        laws, sizes = [law for law, _, _ in groups], [b - a for _, a, b in groups]
+        acts = laws[0].model.vocab.actions
+        found = [law.table[1].searchsorted(u[a:b, 0], side="right") for law, a, b in groups]
+        last = np.repeat([law.table[2] for law in laws], sizes)
+        sym = np.minimum(np.concatenate(found), last) + 1  # ``search``'s rule, per row
+        base = np.repeat([law.cur_t * acts - law.last_code for law in laws], sizes)
+        shifted = sym > acts  # the action drawn after a shift is added below
+        gaps, tables = base + np.where(shifted, (sym - acts) * acts, sym), {}
+        rows = shifted.nonzero()[0]
+        owners = np.repeat(np.arange(len(laws)), sizes)[rows].tolist()
+        for row, k, s in zip(rows.tolist(), owners, sym[rows].tolist()):
+            table = laws[k].model.table(laws[k].tail, s)
+            tables.setdefault(id(table), (table, []))[1].append(row)
+        for table, rows in tables.values():
+            gaps[rows] += search(table, u[rows, 1])
+        return gaps, 1 + shifted
 
 
 class UnrolledMusicModel(SequenceModel):
@@ -162,5 +153,18 @@ class UnrolledMusicModel(SequenceModel):
     def advance(self, state, t):
         """Raises ValueError where stepping the extended history would: a code
         not above the last one, or a tick gap beyond s_max."""
-        tick, step = code_symbols(int(t), state.last_code, self.vocab)
-        return _MusicGap(self.step_model, tick, int(t), (state.tail + step)[-self._keep:])
+        return self.advance_many([state], [t])[0]
+
+    def advance_many(self, states, times):
+        """``advance`` of each pair, ``code_symbols``' checks and step inline; a
+        pair that fails a check goes to ``code_symbols``, which raises its error."""
+        acts, s_max, keep, out = self.vocab.actions, self.vocab.s_max, self._keep, []
+        for state, t in zip(states, times):
+            code = int(t)
+            tick, a = divmod(code - 1, acts)  # _split_code
+            dt = tick - state.cur_t
+            if code <= state.last_code or dt > s_max:
+                code_symbols(code, state.last_code, self.vocab)
+            step = (a + 1,) if dt == 0 else (acts + dt, a + 1)
+            out.append(_MusicGap(self.step_model, tick, code, (state.tail + step)[-keep:]))
+        return out

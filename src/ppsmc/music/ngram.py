@@ -5,15 +5,15 @@ adapter needs — a PMF over the next symbol given the last order-1 symbols,
 with the canonical mask applied at query time (zero out forbidden symbols,
 renormalize over the rest).
 
-A model builds each masked PMF, with its cumulative sum, once per pair of
-what it depends on: the context's counts row (keyed by the context, or by
-``None`` for every context the corpus never saw, since their rows are all
-empty) and the mask (keyed by ``prev``, or by the first shift symbol for
-every shift, since all shifts forbid the same symbols).  A second dict maps
-each (context, prev) queried to its shared arrays, so that a repeated query
-is one lookup; it holds references only.  The cumulative sum serves both the
-draws, which ``search`` finds in it, and the adapter's gap law, which reads
-its cdf off it.
+A model builds each masked table (the PMF, its cumulative sum and its last
+symbol with mass) once per pair of what it depends on: the context's counts
+row (keyed by the context, or by ``None`` for every context the corpus never
+saw, since their rows are all empty) and the mask (keyed by ``prev``, or by
+the first shift symbol for every shift, since all shifts forbid the same
+symbols).  ``table`` maps the symbols a gap law ends with, and those and a
+shift, to their shared table in one lookup; its memo holds references only.
+The cumulative sum serves both the draws, which ``search`` finds in it, and
+the adapter's gap law, which reads its cdf off it.
 """
 
 from __future__ import annotations
@@ -31,21 +31,29 @@ from .files import in_file, loads
 
 BOS = 0  # padding token for positions before the start; never emitted
 FORMAT_VERSION = 1
+MAX_ORDER = 64
 
 
 class NGramModel:
     def __init__(self, vocab: Vocabulary, order: int, alpha: float,
                  counts: dict[tuple, dict[int, int]] | None = None):
+        """Refuses an order outside 1..MAX_ORDER.  Training counts one
+        ``order``-tuple per corpus symbol and each lookup builds an
+        ``order - 1``-tuple, so memory grows as order times corpus length and an
+        unbounded order exhausts it.  64 is a chosen cap, not a derived limit:
+        far above the orders an additively smoothed n-gram is used at."""
         if order < 1:
             raise ValueError("order must be >= 1")
+        if order > MAX_ORDER:
+            raise ValueError(f"order must be at most {MAX_ORDER}, got {order}")
         if not 0 <= alpha < math.inf:
             raise ValueError(f"alpha must be finite and >= 0, got {alpha!r}")
         self.vocab = vocab
         self.order = order
         self.alpha = float(alpha)
         self.counts = counts if counts is not None else {}
-        self._pmfs: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}  # by (row, mask)
-        self._cache: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}  # by (context, prev)
+        self._pmfs: dict[tuple, tuple] = {}  # by (row, mask)
+        self._tables: dict[tuple, tuple] = {}  # by symbols: a tail, or a tail and a shift
 
     def context_of(self, symbols: Sequence[int]) -> tuple:
         """Last order-1 symbols, BOS-padded on the left."""
@@ -63,12 +71,9 @@ class NGramModel:
             raise ValueError(f"context {context} unseen and alpha=0: PMF undefined")
         return pmf / total
 
-    def _masked(self, context: tuple, prev: int | None) -> tuple[np.ndarray, np.ndarray]:
-        key = (tuple(context), prev)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        row = key[0] if key[0] in self.counts else None  # unseen contexts' rows are empty
+    def _masked(self, context: tuple, prev: int | None) -> tuple:
+        context = tuple(context)
+        row = context if context in self.counts else None  # unseen contexts' rows are empty
         shifted = prev is not None and self.vocab.is_shift(prev)
         shared = (row, self.vocab.actions + 1 if shifted else prev)
         entry = self._pmfs.get(shared)
@@ -80,20 +85,21 @@ class NGramModel:
                 raise ValueError(f"no permitted symbol has positive probability after {prev} "
                                  f"in context {context}; increase alpha")
             pmf = pmf / total
-            entry = self._pmfs[shared] = (pmf, np.cumsum(pmf))
-        self._cache[key] = entry
+            cum = np.cumsum(pmf)
+            entry = self._pmfs[shared] = (pmf, cum, int(cum.searchsorted(cum[-1])))
+        return entry
+
+    def table(self, tail: tuple, shift: int | None = None) -> tuple:
+        """``_masked`` after the symbols ``tail``, then ``shift`` if given."""
+        key = tail if shift is None else (*tail, shift)
+        entry = self._tables.get(key)
+        if entry is None:
+            entry = self._tables[key] = self._masked(self.context_of(key), key[-1] if key else None)
         return entry
 
     def masked_pmf(self, context: tuple, prev: int | None) -> np.ndarray:
         """Next-symbol PMF with the canonical mask: forbidden entries exactly 0."""
         return self._masked(context, prev)[0]
-
-    def sample_symbol(self, context: tuple, prev: int | None, rng) -> int:
-        return int(self.symbols(context, prev, rng.random()))
-
-    def symbols(self, context: tuple, prev: int | None, u):
-        """The symbol drawn from each uniform in ``u``."""
-        return search(self._masked(context, prev)[1], u)
 
     def to_dict(self) -> dict:
         return {
@@ -152,12 +158,12 @@ class NGramModel:
             return cls.from_dict(loads(Path(path).read_text()))
 
 
-def search(cum: np.ndarray, u):
-    """The symbol each uniform in ``u`` draws from the running sums ``cum``:
-    the first whose sum exceeds it.  A uniform at or above the last sum,
-    which may round below 1, draws the last symbol with mass, the first
-    whose sum reaches the last one."""
-    return np.minimum(cum.searchsorted(u, side="right"), cum.searchsorted(cum[-1])) + 1
+def search(table: tuple, u):
+    """The symbol each uniform in ``u`` draws from a masked ``table``: the
+    first whose running sum exceeds it.  A uniform at or above the last sum,
+    which may round below 1, draws the last symbol with mass."""
+    _, cum, last = table
+    return np.minimum(cum.searchsorted(u, side="right"), last) + 1
 
 
 def _is_int(value) -> bool:
@@ -169,15 +175,16 @@ def train_ngram(symbol_seqs: Iterable[Sequence[int]], vocab: Vocabulary,
     """Count k-grams over symbol streams and wrap them in a model: each
     stream's windows, zipped from its BOS-padded shifted copies, in one
     ``Counter``.  Every symbol is checked before ``order`` and ``alpha``."""
-    windows = Counter()
-    for seq in symbol_seqs:
-        seq = tuple(seq)
+    seqs = [tuple(seq) for seq in symbol_seqs]
+    for seq in seqs:
         if seq and not 1 <= min(seq) <= max(seq) <= vocab.size:
             bad = next(sym for sym in seq if not 1 <= sym <= vocab.size)
             raise ValueError(f"symbol {bad} outside vocabulary of size {vocab.size}")
+    model = NGramModel(vocab, order, alpha)
+    windows = Counter()
+    for seq in seqs:
         padded = (BOS,) * (order - 1) + seq
         windows.update(zip(*(padded[i:] for i in range(order))))
-    model = NGramModel(vocab, order, alpha)
     for (*ctx, sym), n in windows.items():
         model.counts.setdefault(tuple(ctx), {})[sym] = n
     return model

@@ -24,7 +24,9 @@ a path that many times.  Every model is walked by one grouped walk
 (``_Walk``): lanes in equal states form a group, and a step draws every
 group's gaps in one ``draws_many`` call, from uniforms taken in order from
 their Philox blocks (``rng.block``), the draws their ``stream()`` would
-give; a fixed-law run proposes together the barriers whose first blocks
+give; the distinct (state, time) and (law, gap) pairs of a step or a
+barrier are advanced or valued in one ``advance_many`` or ``values_many``
+call; a fixed-law run proposes together the barriers whose first blocks
 are drawn together, and values each when the loop reaches it.  The walk
 owns the paths: they are stored as each barrier's segments plus the
 indices of the children kept (Jacob, Murray & Rubenthaler 2015, "Path
@@ -45,7 +47,7 @@ import numpy as np
 
 from . import models
 from .models import (InterArrivalDistribution, IterationLimitError, RenewalModel, SequenceModel,
-                     _log_densities, _log_density, barrier_weight, history_end)
+                     _log_densities, barrier_weight, history_end)  # barrier_weight: traced by name
 from .rng import KIND_PROPOSAL, KIND_RESAMPLE, block, doubles
 
 
@@ -238,7 +240,8 @@ class _Walk:
     (seed, KIND_PROPOSAL, i, l) at counters 1, 2, 3, ...; the first blocks
     are drawn ahead for several levels at once, later ones when a row gets
     to them.  States are interned, so equal states are one object
-    and one group, and ``advance`` runs once per distinct (state, time) pair.
+    and one group, and one ``advance_many`` call takes each distinct (state,
+    time) pair of a step once.
     A model whose ``advance`` is ``RenewalModel``'s keeps its first state, so
     its walk proposes a chunk of barriers as rows (barrier, lane): those
     whose first blocks are drawn together, at the width of the first.  A
@@ -272,9 +275,8 @@ class _Walk:
     def _intern(self, state) -> int:
         """The id of the state equal to ``state`` (the same object if unhashable)."""
         key = state if type(state).__hash__ is not None else ("id", id(state))
-        sid = self.index.get(key)
-        if sid is None:
-            sid = self.index[key] = len(self.table)
+        sid = self.index.setdefault(key, len(self.table))
+        if sid == len(self.table):
             self.table.append(state)
         return sid
 
@@ -353,9 +355,7 @@ class _Walk:
                 count = min(drawn, max(1, _MAX_RUN // len(active)), models.MAX_EVENTS - drawn)
             u_act = self._uniforms(u, active, at[active], count if self.runs else
                                    max(law.draw_width for law, _, _ in groups), i, n)
-            kinds = {type(law) for law, _, _ in groups}
-            d, used = (kinds.pop() if len(kinds) == 1 else InterArrivalDistribution).draws_many(
-                groups, u_act)
+            d, used = _hooks([law for law, _, _ in groups]).draws_many(groups, u_act)
             at[active] += used
             prev, lim = pos[active], stop[active]
             if count == 1:  # one time per row
@@ -395,8 +395,7 @@ class _Walk:
             elif self.score:
                 logs.append((entry_rows[stored], entry_states[stored], (t - prev)[stored]))
             if not self.fixed and active.size:
-                sids[active] = self._once(lambda state, t: self._intern(self.model.advance(
-                    state, t)), s_act[going], t_last, np.int64)
+                sids[active] = self._once(self._advance, s_act[going], t_last, np.int64)
         _, values, begin = _by_row(times or [(np.empty(0, dtype=np.int64), np.empty(0))], len(pos))
         if self.score:
             logs = _by_row(logs or [(np.empty(0, dtype=np.int64),) * 3], len(pos))
@@ -405,23 +404,27 @@ class _Walk:
     def _each(self, sids: np.ndarray, gaps: np.ndarray, b_prev: bool | None = None) -> np.ndarray:
         """Each lane's log density (``b_prev`` None) or barrier weight of its gap, in state
         ``sids``: by one call of a fixed law's own ``weights`` (the logs of its densities), else
-        by ``_log_density`` or ``barrier_weight`` once per distinct (state, gap)."""
+        by one ``values_many`` call over the distinct (state, gap) pairs."""
         if self.weights:
             w = self.weights(gaps, bool(b_prev))
             return w if b_prev is not None else _log_densities(w)
-        f = _log_density if b_prev is None else lambda law, d: barrier_weight(law, d, b_prev)
-        return self._once(f, sids, gaps, float)
+        return self._once(lambda laws, d: _hooks(laws).values_many(laws, d, b_prev),
+                          sids, gaps, float)
+
+    def _advance(self, states: list, times: list) -> list:
+        """The ids of the interned states after each (state, time) pair."""
+        return [self._intern(state) for state in self.model.advance_many(states, times)]
 
     def _once(self, f: Callable, sids: np.ndarray, values: np.ndarray, dtype) -> np.ndarray:
-        """f(state, value) of each entry, called once per distinct (sid, value) pair in
-        order of first appearance: it interns and raises as a call per entry would."""
+        """f(states, values) over every distinct (sid, value) pair at once, in order
+        of first appearance, one result per pair: each entry gets its pair's."""
         order = np.lexsort((values, sids))  # stable: a pair's entries stay in turn
         s, v, new = sids[order], values[order], np.ones(len(order), dtype=bool)
         new[1:] = (s[1:] != s[:-1]) | (v[1:] != v[:-1])  # a pair's first entry
         first, pair = order[new], np.empty_like(order)  # pairs in sorted order
         pair[order] = first.argsort().argsort()[new.cumsum() - 1]  # by first appearance
         first.sort()
-        done = [f(self.table[s], v) for s, v in zip(sids[first].tolist(), values[first].tolist())]
+        done = f([self.table[s] for s in sids[first].tolist()], values[first].tolist())
         return np.array(done, dtype=dtype)[pair]
 
     def keep(self, kept, z, values) -> None:
@@ -434,7 +437,7 @@ class _Walk:
         if self.score:
             self.folds = values[kept]
         self.sids = (np.zeros(len(kept), dtype=np.int64) if self.fixed  # the first state
-                     else self._once(lambda state, _: self._intern(self.model.advance(state, z)),
+                     else self._once(lambda states, _: self._advance(states, [z] * len(states)),
                                      self.level_sids[kept], np.zeros(len(kept)), np.int64))
 
     def paths(self, history: Sequence, zs: tuple) -> tuple[list, list | None]:
@@ -464,6 +467,12 @@ class _Walk:
         bounds, out = [0, *ends.tolist()], out.tolist()
         samples = [(*history, *out[a:b]) for a, b in zip(bounds, bounds[1:])]
         return samples, self.folds.tolist() if self.score else None
+
+
+def _hooks(laws: list) -> type:
+    """The class whose batch hooks serve ``laws``: theirs if one, else the default's."""
+    kinds = {type(law) for law in laws}
+    return kinds.pop() if len(kinds) == 1 else InterArrivalDistribution
 
 
 def _by_row(entries: list, n: int) -> tuple:

@@ -310,6 +310,19 @@ class TestModelFiles:
         assert "s_max = 4*1 + 1000000000000 symbols" in err
         assert not (tmp_path / "out").exists()
 
+    def test_an_absurd_order_exits_1(self, tmp_path, capsys):
+        """Refused when the file is read, not when the first gap law pads its
+        context with order - 1 BOS symbols, which used to end in a MemoryError."""
+        payload = {**tiny_music_model().step_model.to_dict(), "order": 10 ** 12, "counts": {}}
+        path, cs_path = tmp_path / "model.json", tmp_path / "cs.json"
+        path.write_text(json.dumps(payload))
+        cs_path.write_text(json.dumps({"z": [2 * TINY.actions + 1], "b": [True]}))
+        code = main(["sample", "--model", str(path), "--constraints", str(cs_path),
+                     "--seed", "1", "--particles", "4", "--out", str(tmp_path / "out")])
+        err = assert_error_exit(code, capsys, "order 10**12")
+        assert err == f"error: {path}: order must be at most 64, got {10 ** 12}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_mangled_model_exit_1(self, tmp_path, capsys):
         """Each required field of a trained model dropped or spoiled, the
         whole payload replaced, or the text cut short."""
@@ -451,12 +464,16 @@ def test_repeated_json_key_exits_1(tmp_path, capsys, monkeypatch, kind):
       for t in ("nan", "inf", "0", "-1")),
     ("sample --model poisson:rate", "malformed parameter 'rate', expected key=value"),
     ("train --order 0", "order must be >= 1"),
+    # refused before a stream is padded with order - 1 BOS symbols, which
+    # used to end in a MemoryError
+    ("train --order 1000000000000", "order must be at most 64, got 1000000000000"),
     ("train --s-max 0", "a_max, s_max and parts must all be positive"),
     ("convert --to-midi empty.jsonl", "empty.jsonl: empty event file"),
     ("convert --to-midi part16.jsonl", "part 16 exceeds the 16 MIDI channels"),
 ], ids=["no-cells", "observed-past-the-cells", "grid-p-over-1", "oracle-run-dies",
         "threshold-nan", "threshold-inf", "threshold-0", "threshold-below-0",
-        "spec-without-equals", "order-0", "s-max-0", "empty-event-file", "part-16-to-midi"])
+        "spec-without-equals", "order-0", "order-10**12", "s-max-0", "empty-event-file",
+        "part-16-to-midi"])
 def test_malformed_option_or_piece_exits_1(tmp_path, capsys, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)
     Path("cs.json").write_text(json.dumps({"z": [0.5], "b": [True]}))

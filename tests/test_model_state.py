@@ -167,11 +167,11 @@ def test_beam_walks_each_proposed_event_once(monkeypatch):
     state is advanced at most once per proposed event, and no scoring pass
     re-walks a candidate or a kept sample."""
     counts = {"advance": 0, "events": 0}
-    real_advance, real_draws = adapter.UnrolledMusicModel.advance, adapter._MusicGap.draws_many
+    real_advance, real_draws = adapter.UnrolledMusicModel.advance_many, adapter._MusicGap.draws_many
 
-    def advance(self, state, t):
-        counts["advance"] += 1
-        return real_advance(self, state, t)
+    def advance_many(self, states, times):  # one advance per pair
+        counts["advance"] += len(states)
+        return real_advance(self, states, times)
 
     def draws_many(groups, u):  # one gap, one proposed event, per lane
         counts["events"] += sum(b - a for _, a, b in groups)
@@ -180,7 +180,7 @@ def test_beam_walks_each_proposed_event_once(monkeypatch):
     def rewalk(*args, **kwargs):
         raise AssertionError("the beam re-walked a path to score it")
 
-    monkeypatch.setattr(adapter.UnrolledMusicModel, "advance", advance)
+    monkeypatch.setattr(adapter.UnrolledMusicModel, "advance_many", advance_many)
     monkeypatch.setattr(adapter._MusicGap, "draws_many", staticmethod(draws_many))
     for name in ("step_log_probabilities", "propose_segment"):
         monkeypatch.setattr(models, name, rewalk)
@@ -196,8 +196,9 @@ def test_only_kept_children_grow_into_paths(monkeypatch):
     advanced past the barrier once per distinct law value, and children in
     equal states share one state object."""
     seen = {"distinct": [], "pairs": [], "barrier_advances": 0, "keeping": False}
-    real_run, real_keep, real_weight = smc.run_barriers, smc._Walk.keep, smc.barrier_weight
-    real_advance = adapter.UnrolledMusicModel.advance
+    real_run, real_keep = smc.run_barriers, smc._Walk.keep
+    real_values = adapter._MusicGap.values_many
+    real_advance = adapter.UnrolledMusicModel.advance_many
 
     def run(model, cs, seed, width, select, **kwargs):
         def spy(i, values):
@@ -207,9 +208,9 @@ def test_only_kept_children_grow_into_paths(monkeypatch):
             return select(i, values)
         return real_run(model, cs, seed, width, spy, **kwargs)
 
-    def weight(state, gap, b_prev):
-        seen["pairs"].append((id(state), gap))
-        return real_weight(state, gap, b_prev)
+    def values_many(laws, gaps, b_prev):  # the weights of many pairs in one call
+        seen["pairs"].extend(zip(map(id, laws), gaps))
+        return real_values(laws, gaps, b_prev)
 
     def keep(self, kept, z, values):
         laws = [self.table[s] for s in {self.level_sids[k] for k in kept}]
@@ -221,14 +222,14 @@ def test_only_kept_children_grow_into_paths(monkeypatch):
         finally:
             seen["keeping"] = False
 
-    def advance(self, state, t):
-        seen["barrier_advances"] += seen["keeping"]
-        return real_advance(self, state, t)
+    def advance_many(self, states, times):
+        seen["barrier_advances"] += seen["keeping"] * len(states)
+        return real_advance(self, states, times)
 
     monkeypatch.setattr(smc, "run_barriers", run)
-    monkeypatch.setattr(smc, "barrier_weight", weight)
+    monkeypatch.setattr(adapter._MusicGap, "values_many", staticmethod(values_many))
     monkeypatch.setattr(smc._Walk, "keep", keep)
-    monkeypatch.setattr(adapter.UnrolledMusicModel, "advance", advance)
+    monkeypatch.setattr(adapter.UnrolledMusicModel, "advance_many", advance_many)
     model, cs, kwargs = _six_free_barriers()
     result = conditional_sample(model, cs, 100, 7, **kwargs)
     assert result.survived
@@ -280,17 +281,17 @@ def test_each_gap_law_is_built_once(monkeypatch, run):
     """A state is the law of its next gap: a run builds one law for the
     prefix and one per advance, and no weight or score rebuilds one."""
     counts = {"advance": 0, "laws": 0}
-    real_advance, real_init = adapter.UnrolledMusicModel.advance, adapter._MusicGap.__init__
+    real_advance, real_init = adapter.UnrolledMusicModel.advance_many, adapter._MusicGap.__init__
 
-    def advance(self, state, t):
-        counts["advance"] += 1
-        return real_advance(self, state, t)
+    def advance_many(self, states, times):  # one advance per pair
+        counts["advance"] += len(states)
+        return real_advance(self, states, times)
 
     def init(self, *args, **kwargs):
         counts["laws"] += 1
         real_init(self, *args, **kwargs)
 
-    monkeypatch.setattr(adapter.UnrolledMusicModel, "advance", advance)
+    monkeypatch.setattr(adapter.UnrolledMusicModel, "advance_many", advance_many)
     monkeypatch.setattr(adapter._MusicGap, "__init__", init)
     model, cs, kwargs = _six_free_barriers()
     if run == "filter":

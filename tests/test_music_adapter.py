@@ -2,17 +2,19 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from ppsmc.beam import beam_search_sample
-from ppsmc.models import barrier_weight
+from ppsmc.models import SaturatedCdfError, barrier_weight
 from ppsmc.music import adapter
 from ppsmc.music.adapter import UnrolledMusicModel
 from ppsmc.music.encoding import (MusicEvent, Vocabulary, codes_to_events,
                                   codes_to_symbols, encode_event, events_to_codes,
                                   events_to_symbols)
-from ppsmc.music.ngram import train_ngram
+from ppsmc.music.ngram import NGramModel, train_ngram
 from ppsmc.smc import ConstraintSet, conditional_sample, satisfies
 
 TINY = Vocabulary(a_max=4, s_max=3)
@@ -55,13 +57,14 @@ def enumerate_next_code_pmf(model: UnrolledMusicModel, history: list[int]) -> di
     return out
 
 
-def full_size_model(seed: int) -> tuple[UnrolledMusicModel, list]:
-    """An order-2 model at the default vocabulary, trained on eight seeded
-    pieces of 300 codes a few ticks apart, and the pieces."""
+def full_size_model(seed: int, alpha: float = 0.05,
+                    order: int = 2) -> tuple[UnrolledMusicModel, list]:
+    """A model at the default vocabulary, of order 2 by default, trained on
+    eight seeded pieces of 300 codes a few ticks apart, and the pieces."""
     vocab = Vocabulary()
     rng = np.random.default_rng(seed)
     pieces = [np.cumsum(rng.integers(1, 3 * vocab.actions, 300)) for _ in range(8)]
-    step = train_ngram([codes_to_symbols(p, vocab) for p in pieces], vocab, 2, alpha=0.05)
+    step = train_ngram([codes_to_symbols(p, vocab) for p in pieces], vocab, order, alpha=alpha)
     return UnrolledMusicModel(step), pieces
 
 
@@ -139,7 +142,7 @@ class TestGapDistribution:
         checked = 0
         for history in [(), *(tuple(p[:k]) for p in pieces[:3] for k in (1, 40, 299))]:
             gap = model.initial_state(history)
-            for d in range(1, vocab.actions - (gap.last_a or 0) + 1):
+            for d in range(1, vocab.actions - (gap.tail or (0,))[-1] + 1):  # inside the tick
                 c = gap.cdf(d)
                 below, at = gap.draws(np.array([[np.nextafter(c, 0.0), 0.5], [c, 0.5]]))[0]
                 assert below <= d < at, (history[-1:], d)
@@ -173,6 +176,96 @@ class TestGapDistribution:
         for d, p in expected.items():
             if p > 0.02:
                 assert draws.count(d) / 20000 == pytest.approx(p, abs=0.015)
+
+
+def reference_pdf(law, d) -> float:
+    """The per-event pdf of the module docstring, read off ``masked_pmf``."""
+    step, vocab = law.model, law.model.vocab
+    if d < 1 or d != int(d):
+        return 0.0
+    t, a_z = divmod(law.last_code + int(d) - 1, vocab.actions)
+    pmf, dt = step.masked_pmf(step.context_of(law.tail), (law.tail or (None,))[-1]), t - law.cur_t
+    if dt == 0:
+        return float(pmf[a_z])
+    if dt > vocab.s_max or pmf[vocab.actions + dt - 1] == 0:
+        return 0.0
+    shift = vocab.shift_symbol(dt)
+    after = step.masked_pmf(step.context_of(law.tail + (shift,)), shift)
+    return float(pmf[shift - 1]) * float(after[a_z])
+
+
+class TestBatchHooks:
+    """The music law's ``values_many`` and the model's ``advance_many`` give
+    the scalar rules bit for bit, and a batch raises its first failing pair's error."""
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.0])  # unsmoothed, most shifts carry no mass
+    def test_values_many_gives_the_scalar_weights_and_log_densities(self, alpha):
+        model, pieces = full_size_model(35, alpha)
+        acts, s_max = model.vocab.actions, model.vocab.s_max
+        laws = [model.initial_state(()),  # the first event: last code 0, empty tail
+                *(model.initial_state(tuple(p[:k])) for p in pieces[:3] for k in (1, 40, 299))]
+        gaps = [-3, 0, 0.5, 1, 2, 2.5, 7, 40, acts - 1,  # below 1, fractional, inside the tick
+                *(dt * acts + k for dt in (1, 2, 3, 11, 600, s_max) for k in (-5, 0, 1, 9)),
+                (s_max + 1) * acts + 1, (s_max + 3) * acts]  # past s_max
+        pairs = [(law, d) for law in laws for d in gaps]
+        pdfs = [reference_pdf(law, d) for law, d in pairs]
+
+        def kind(law, d):
+            dt = (law.last_code + int(d) - 1) // acts - law.cur_t
+            step = model.step_model
+            pmf = step.masked_pmf(step.context_of(law.tail), (law.tail or (None,))[-1])
+            return ("below 1" if d < 1 or d != int(d) else "in the tick" if dt == 0
+                    else "past s_max" if dt > s_max else "zero-mass shift"
+                    if pmf[acts + dt - 1] == 0 else "shift")
+        kinds = {kind(law, d) for law, d in pairs}
+        assert kinds == {"below 1", "in the tick", "past s_max", "shift",
+                         *(["zero-mass shift"] if alpha == 0 else [])}
+        assert sum(p > 0 for p in pdfs[:len(gaps)]) > 5  # from the first-event state
+        laws, gaps = zip(*pairs)  # int and float gaps
+        hooks = adapter._MusicGap.values_many
+        bits = lambda values: [float(v).hex() for v in values]  # noqa: E731
+        assert bits(hooks(laws, gaps, False)) == bits(pdfs) == bits(
+            barrier_weight(law, d, False) for law, d in zip(laws, gaps))
+        assert bits(hooks(laws, gaps, True)) == bits(
+            barrier_weight(law, d, True) for law, d in zip(laws, gaps))
+        assert bits(hooks(laws, gaps, None)) == bits(
+            math.log(p) if p > 0 else -math.inf for p in pdfs)
+
+    def test_values_many_raises_where_the_hazard_does(self):
+        """The mass after the last action sums to 1 before the rarest symbol,
+        so the survival at that symbol's gap underflows."""
+        law = UnrolledMusicModel(NGramModel(TINY, 2, 0.0, {(1,): {2: 10 ** 20, 3: 1}})
+                                 ).initial_state([1])
+        with pytest.raises(SaturatedCdfError) as scalar:
+            barrier_weight(law, 2, True)
+        with pytest.raises(SaturatedCdfError) as batch:
+            adapter._MusicGap.values_many([law, law], [1, 2], True)
+        assert str(batch.value) == str(scalar.value) == "survival underflowed at gap 2"
+
+    @pytest.mark.parametrize("order", [2, 3])  # order 3 keeps the shift in the tail
+    def test_advance_many_gives_advance_state_for_state(self, order):
+        model, pieces = full_size_model(35, order=order)
+        acts, s_max = model.vocab.actions, model.vocab.s_max
+        states = [model.initial_state(()),
+                  *(model.initial_state(tuple(p[:k])) for p in pieces[:3] for k in (1, 40, 299))]
+        pairs = [(state, t) for state in states for t in (
+            state.last_code + 1, float(state.last_code + 2), state.last_code + 3 * acts + 5,
+            (state.cur_t + s_max) * acts + 1)]
+        got = model.advance_many(*zip(*pairs))
+        want = [model.advance(state, t) for state, t in pairs]
+        assert list(map(repr, got)) == list(map(repr, want))
+        assert all(a.table is b.table for a, b in zip(got, want))
+
+    def test_advance_many_raises_the_first_failing_pairs_error(self):
+        model, pieces = full_size_model(35)
+        state = model.initial_state(tuple(pieces[0][:40]))
+        last, far = state.last_code, (state.cur_t + model.vocab.s_max + 1) * model.vocab.actions
+        times = [last + 1, last, last + 2, far + 1]  # an order error, then a tick gap over s_max
+        with pytest.raises(ValueError, match=f"^times must strictly increase, got {last} after "
+                                             f"{last}$"):
+            model.advance_many([state] * 4, times)
+        with pytest.raises(ValueError, match="^tick gap 2401 exceeds s_max=2400"):
+            model.advance_many([state] * 2, times[2:])
 
 
 class TestBarrierWeights:

@@ -10,7 +10,7 @@ import pytest
 
 from ppsmc.music.adapter import UnrolledMusicModel
 from ppsmc.music.encoding import Vocabulary, allowed_symbols
-from ppsmc.music.ngram import BOS, NGramModel, train_ngram
+from ppsmc.music.ngram import BOS, NGramModel, search, train_ngram
 
 TINY = Vocabulary(a_max=4, s_max=3)  # 7 symbols
 
@@ -148,7 +148,7 @@ class TestMaskedCache:
                             model.masked_pmf(ctx, prev)
                         continue
                     pmf = pmf / pmf.sum()
-                    got, cum = model._masked(ctx, prev)
+                    got, cum, _ = model._masked(ctx, prev)
                     assert got.tobytes() == pmf.tobytes(), (order, ctx, prev)
                     assert cum.tobytes() == np.cumsum(pmf).tobytes(), (order, ctx, prev)
 
@@ -172,7 +172,7 @@ class TestSampling:
         model = tiny_model()
         rng = np.random.default_rng(14)
         for _ in range(500):
-            sym = model.sample_symbol((1,), prev=2, rng=rng)
+            sym = search(model._masked((1,), 2), rng.random())  # after action 2
             assert sym > 2 or TINY.is_shift(sym)
 
     def test_a_uniform_above_the_last_sum_draws_a_symbol_with_mass(self):
@@ -183,19 +183,19 @@ class TestSampling:
         model = NGramModel(TINY, 2, 0.0, {(1,): {2: 4, 3: 3, 4: 3, 5: 2, 6: 1}, (6,): {1: 1}})
         u = np.nextafter(1.0, 0.0)
         assert model._masked((1,), 1)[1][-1] < u
-        assert model.symbols((1,), 1, u) == 6 == TINY.shift_symbol(2)
-        top = type("Top", (), {"random": lambda self: u})()
-        assert model.sample_symbol((1,), 1, top) == 6
+        assert search(model.table((1,)), u) == 6 == TINY.shift_symbol(2)
         gap = UnrolledMusicModel(model).initial_state([1])  # tick 0, action 1
         gaps, used = gap.draws(np.array([[u, 0.5]]))
         assert (gaps.tolist(), used.tolist()) == ([8], [2])  # to code 2·4 + 1, tick 2
+        top = type("Top", (), {"random": lambda self: u})()
+        assert gap.sample(top) == 8
         assert gap.pdf(8) == pytest.approx(1 / 13)
 
     def test_sampling_frequencies_match_pmf(self):
         model = tiny_model()
         rng = np.random.default_rng(5)
         pmf = model.masked_pmf((BOS,), prev=None)
-        draws = np.array([model.sample_symbol((BOS,), None, rng) for _ in range(20000)])
+        draws = search(model.table(()), rng.random(20000))  # the first symbol's table
         freq = np.bincount(draws - 1, minlength=7) / 20000
         np.testing.assert_allclose(freq, pmf, atol=0.015)
 

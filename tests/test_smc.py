@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from exact import order2_grid
 
-from ppsmc import rng, smc
+from ppsmc import models, rng, smc
 from ppsmc.beam import beam_search_sample
 from ppsmc.models import (PoissonProcessModel, RenewalModel, UniformGap, UniformRenewalModel,
                           WeibullRenewalModel, barrier_weight,
@@ -137,7 +137,7 @@ class TestBarrierWeight:
         The weights ``select`` sees are those calls' values."""
         model, calls, seen = WeibullRenewalModel(shape=2.0, scale=1.0), [], []
         cs = ConstraintSet(z=(0.5, 1.0, 1.5), b=(False, True, True))
-        real_run, real_weight = smc.run_barriers, smc.barrier_weight
+        real_run, real_weight = smc.run_barriers, models.barrier_weight
 
         def weight(state, gap, b_prev):
             calls.append((gap, b_prev))
@@ -155,7 +155,7 @@ class TestBarrierWeight:
             return real_run(model, cs, seed, width, spy, **kwargs)
 
         monkeypatch.setattr(smc, "run_barriers", run)
-        monkeypatch.setattr(smc, "barrier_weight", weight)
+        monkeypatch.setattr(models, "barrier_weight", weight)  # the default values_many's
         assert conditional_sample(model, cs, 200, 5, horizon=2.0).survived
         assert seen[1] == 1 and 1 < seen[0] < 200 and 1 < seen[2] < 200
 
