@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -34,6 +34,31 @@ class BeamBarrierDiagnostics:
     to_dict = asdict
 
 
+def beam_search_runs(model: SequenceModel, constraints: ConstraintSet, b: int, f: int,
+                     seeds: Sequence[int], *, horizon: float = 1.0,
+                     initial_history: Sequence[float] = ()) -> Iterator[EnsembleResult]:
+    """An iterator of each seed's ``beam_search_sample``, the runs walked together."""
+    if b < 1 or f < 1:
+        raise ValueError("b and f must be at least 1")
+
+    def keep_best(k, i, scores):
+        scores = np.asarray(scores, dtype=float)
+        order = np.argsort(-scores, kind="stable")  # ties keep the lower index first
+        # a -inf candidate was forced through a zero-probability event; it is
+        # not a viable trajectory, so it never enters the kept set
+        viable = int(np.count_nonzero(scores > -math.inf))
+        kept, ranked = order[:min(viable, f)], scores[order[:f + 1]].tolist()
+        row = BeamBarrierDiagnostics(
+            barrier_index=i + 1, explored=len(scores),
+            kept_min_logprob=min(ranked[:len(kept)], default=-math.inf),
+            kept_max_logprob=max(ranked[:len(kept)], default=-math.inf),
+            discarded_max_logprob=ranked[f] if viable > f else -math.inf)
+        return (kept.repeat(b if i + 1 < constraints.r else 1) if len(kept) else None), row
+
+    return run_barriers(model, constraints, seeds, b * f if constraints.z else f, keep_best,
+                        score=True, horizon=horizon, initial_history=initial_history)
+
+
 def beam_search_sample(model: SequenceModel, constraints: ConstraintSet,
                        b: int, f: int, seed: int, *,
                        horizon: float = 1.0,
@@ -50,22 +75,5 @@ def beam_search_sample(model: SequenceModel, constraints: ConstraintSet,
     trajectory was forced through a zero-probability event.  The k-th kept
     path's candidates are the next barrier's paths k*b ... k*b + b - 1.
     """
-    if b < 1 or f < 1:
-        raise ValueError("b and f must be at least 1")
-
-    def keep_best(i, scores):
-        scores = np.asarray(scores, dtype=float)
-        order = np.argsort(-scores, kind="stable")  # ties keep the lower index first
-        # a -inf candidate was forced through a zero-probability event; it is
-        # not a viable trajectory, so it never enters the kept set
-        viable = int(np.count_nonzero(scores > -math.inf))
-        kept, ranked = order[:min(viable, f)], scores[order[:f + 1]].tolist()
-        row = BeamBarrierDiagnostics(
-            barrier_index=i + 1, explored=len(scores),
-            kept_min_logprob=min(ranked[:len(kept)], default=-math.inf),
-            kept_max_logprob=max(ranked[:len(kept)], default=-math.inf),
-            discarded_max_logprob=ranked[f] if viable > f else -math.inf)
-        return (kept.repeat(b if i + 1 < constraints.r else 1) if len(kept) else None), row
-
-    return run_barriers(model, constraints, seed, b * f if constraints.z else f, keep_best,
-                        score=True, horizon=horizon, initial_history=initial_history)
+    return next(beam_search_runs(model, constraints, b, f, [seed], horizon=horizon,
+                                 initial_history=initial_history))

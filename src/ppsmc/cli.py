@@ -14,20 +14,20 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from .beam import beam_search_sample
+from .beam import beam_search_runs
 from .models import (IterationLimitError, PoissonProcessModel, SaturatedCdfError,
                      UniformRenewalModel, WeibullRenewalModel, step_log_probabilities)
 from .music.adapter import UnrolledMusicModel
 from .music.encoding import Vocabulary, events_to_codes
-from .music.files import (extract_constraints, in_file, loads, read_constraint_file,
-                          read_corpus, read_events, read_parts, write_codes,
+from .music.files import (code_writer, extract_constraints, in_file, loads,
+                          read_constraint_file, read_corpus, read_events, read_parts,
                           write_constraint_file, write_events)
 from .music.midi import read_midi, write_midi
 from .music.ngram import NGramModel, train_ngram
 from .oracle import (GridModel, bits_from_times, enumerate_conditional, normalize_counts,
                      observed_constraints, total_variation)
 from .rng import run_seed
-from .smc import conditional_sample, satisfies
+from .smc import conditional_runs, satisfies
 
 EXIT_ERROR = 1
 EXIT_DIED = 3
@@ -109,17 +109,8 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, allow_nan=False) + "\n")
 
 
-def _write_samples(outdir: Path, samples, vocab: Vocabulary | None) -> list[str]:
-    names = []
-    for i, times in enumerate(samples):
-        if vocab is not None:
-            name = f"sample_{i:04d}.jsonl"
-            write_codes(outdir / name, times, vocab)
-        else:
-            name = f"sample_{i:04d}.json"
-            _write_json(outdir / name, {"version": 1, "kind": "times", "times": list(times)})
-        names.append(name)
-    return names
+def _write_times(path: Path, times) -> None:
+    _write_json(path, {"version": 1, "kind": "times", "times": list(times)})
 
 
 def _write_diagnostics(path: Path, rows) -> None:
@@ -136,15 +127,16 @@ def cmd_generate(args) -> int:
     vocab = model.vocab if isinstance(model, UnrolledMusicModel) else None
     constraints, prefix, horizon = _load_run_setup(args, vocab)
     if args.command == "sample":
-        sampler, sizes = conditional_sample, (args.particles,)
+        sampler, sizes = conditional_runs, (args.particles,)
     else:
-        sampler, sizes = beam_search_sample, (args.beam_b, args.beam_f)
+        sampler, sizes = beam_search_runs, (args.beam_b, args.beam_f)
+    seeds = [run_seed(args.seed, r) for r in range(args.runs)] if args.runs > 1 else [args.seed]
+    results = sampler(model, constraints, *sizes, seeds, horizon=horizon, initial_history=prefix)
+    # a music model's samples are event files, every run's through one writer
+    write, ext = (code_writer(vocab), "jsonl") if vocab is not None else (_write_times, "json")
     outdir = Path(args.out)  # made only once a run has finished
     survived = 0
-    for r in range(args.runs):
-        seed_r = run_seed(args.seed, r) if args.runs > 1 else args.seed
-        result = sampler(model, constraints, *sizes, seed_r,
-                         horizon=horizon, initial_history=prefix)
+    for r, (seed_r, result) in enumerate(zip(seeds, results)):
         rundir = outdir / f"run_{r:03d}" if args.runs > 1 else outdir
         rundir.mkdir(parents=True, exist_ok=True)
         payload = {"version": 1, "kind": "result", "seed": seed_r,
@@ -155,10 +147,12 @@ def cmd_generate(args) -> int:
                 if not satisfies(s, constraints):
                     print("internal error: a sample violates its constraints", file=sys.stderr)
                     return EXIT_ERROR
-            keep = len(result.samples) if args.keep <= 0 else min(args.keep, len(result.samples))
-            payload["samples"] = _write_samples(rundir, result.samples[:keep], vocab)
+            kept = result.samples[:args.keep] if args.keep > 0 else result.samples
+            payload["samples"] = [f"sample_{i:04d}.{ext}" for i in range(len(kept))]
+            for name, times in zip(payload["samples"], kept):
+                write(rundir / name, times)
             if result.log_probs is not None:
-                finite = [lp if math.isfinite(lp) else None for lp in result.log_probs[:keep]]
+                finite = [lp if math.isfinite(lp) else None for lp in result.log_probs[:len(kept)]]
                 payload["log_probs"] = finite
         _write_diagnostics(rundir / "diagnostics.jsonl", result.diagnostics)
         _write_json(rundir / "result.json", payload)
@@ -258,9 +252,9 @@ def cmd_oracle(args) -> int:
     exact = enumerate_conditional(grid, observed)
     constraints = observed_constraints(observed)
     samples = Counter()  # in first-occurrence order, so the bit vectors come in that order too
-    for r in range(args.runs):
-        seed_r = run_seed(args.seed, r) if args.runs > 1 else args.seed
-        result = conditional_sample(grid, constraints, args.particles, seed_r, horizon=grid.n)
+    seeds = [run_seed(args.seed, r) for r in range(args.runs)] if args.runs > 1 else [args.seed]
+    for r, result in enumerate(conditional_runs(grid, constraints, args.particles, seeds,
+                                                horizon=grid.n)):
         if not result.survived:
             raise ValueError(f"oracle run {r} died at barrier {result.failed_barrier}: "
                              "every particle of that run weighed zero")

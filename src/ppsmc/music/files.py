@@ -4,7 +4,8 @@ Event files are JSON lines: a header object, then one object per event in
 canonical code order.  A constraint file is one JSON object: the required
 times z and their flags b (``smc.ConstraintSet``), and, for music, the
 conditioning prefix (codes before the split) and a tick horizon.  This module
-reads and writes both formats.
+reads and writes both formats; ``code_writer`` writes many pieces' event
+files, formatting each distinct code's line once.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import re
 import warnings
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -27,6 +28,25 @@ from .encoding import (NOTE_ACTIONS, TICKS_PER_QUARTER, MusicEvent, Vocabulary, 
 FORMAT_VERSION = 1  # of event files and constraint files
 
 
+def code_writer(vocab: Vocabulary) -> Callable[[object, Sequence[int]], None]:
+    """``write_codes`` in ``vocab`` as ``write(path, codes)``, which formats
+    each distinct code's event line once, however many pieces it writes."""
+    header = json.dumps({"version": FORMAT_VERSION, "kind": "events",
+                         "ppq": TICKS_PER_QUARTER, "parts": vocab.parts}, sort_keys=True)
+    lines = {}  # each code's event line
+
+    def write(path, codes: Sequence[int]) -> None:
+        codes = [int(code) for code in codes]
+        history_end((0, *codes))
+        for code in set(codes).difference(lines):
+            t, a_prime = _split_code(code, vocab)
+            part, a = divmod(a_prime - 1, vocab.a_max)
+            lines[code] = f'{{"a": {a + 1}, "part": {part}, "t": {t}}}'
+        Path(path).write_text("\n".join([header, *map(lines.__getitem__, codes)]) + "\n")
+
+    return write
+
+
 def write_codes(path, codes: Sequence[int], vocab: Vocabulary) -> None:
     """Write the event file of a piece given as codes.
 
@@ -34,15 +54,7 @@ def write_codes(path, codes: Sequence[int], vocab: Vocabulary) -> None:
     line is the bytes ``json.dumps`` gives its ``t``, ``a`` and ``part`` with
     sorted keys.
     """
-    codes = [int(code) for code in codes]
-    history_end((0, *codes))
-    lines = [json.dumps({"version": FORMAT_VERSION, "kind": "events",
-                         "ppq": TICKS_PER_QUARTER, "parts": vocab.parts}, sort_keys=True)]
-    for code in codes:
-        t, a_prime = _split_code(code, vocab)
-        part, a = divmod(a_prime - 1, vocab.a_max)
-        lines.append(f'{{"a": {a + 1}, "part": {part}, "t": {t}}}')
-    Path(path).write_text("\n".join(lines) + "\n")
+    code_writer(vocab)(path, codes)
 
 
 def write_events(path, events: Sequence[MusicEvent], vocab: Vocabulary) -> None:

@@ -64,12 +64,12 @@ class NGramModel:
     def raw_pmf(self, context: tuple) -> np.ndarray:
         """Smoothed next-symbol PMF before masking; sums to 1."""
         pmf = np.full(self.vocab.size, self.alpha)
-        for sym, n in self.counts.get(tuple(context), {}).items():
-            pmf[sym - 1] += n
+        row = self.counts.get(tuple(context), {})
+        pmf[np.fromiter(row, np.intp, len(row)) - 1] += np.fromiter(row.values(), float, len(row))
         total = pmf.sum()
         if total == 0:
             raise ValueError(f"context {context} unseen and alpha=0: PMF undefined")
-        return pmf / total
+        return np.divide(pmf, total, out=pmf)
 
     def _masked(self, context: tuple, prev: int | None) -> tuple:
         context = tuple(context)
@@ -79,12 +79,17 @@ class NGramModel:
         entry = self._pmfs.get(shared)
         if entry is None:
             pmf = self.raw_pmf(context)
-            pmf = np.where(allowed_symbols(prev, self.vocab), pmf, 0.0)
+            if shifted:  # the symbols ``allowed_symbols`` forbids, zeroed in place
+                pmf[self.vocab.actions:] = 0.0
+            elif prev is not None:
+                if not self.vocab.is_action(prev):
+                    allowed_symbols(prev, self.vocab)  # raises: a symbol outside the vocabulary
+                pmf[:prev] = 0.0
             total = pmf.sum()
             if total == 0:
                 raise ValueError(f"no permitted symbol has positive probability after {prev} "
                                  f"in context {context}; increase alpha")
-            pmf = pmf / total
+            pmf /= total
             cum = np.cumsum(pmf)
             entry = self._pmfs[shared] = (pmf, cum, int(cum.searchsorted(cum[-1])))
         return entry

@@ -18,12 +18,11 @@ Block c of a key holds the 4 words ``stream()`` gives as its draws 4(c-1) to
 into the doubles ``Generator.random()`` draws from them, (word >> 11)·2**-53.
 The walk in ``ppsmc.smc`` draws every uniform this way: a lane's uniforms
 are the doubles of its blocks at counter 1, 2, 3, ... in order, which are
-the ``random()`` draws of its ``stream()``.
+the ``random()`` draws of its ``stream()``.  The seed is a coordinate like
+the others, so the lanes of many runs share one call.
 """
 
 from __future__ import annotations
-
-from itertools import repeat
 
 import numpy as np
 
@@ -109,31 +108,39 @@ def _key(kind: int, barrier, lanes) -> np.ndarray:
     return np.uint64(kind << 48) | (barrier << np.uint64(32)) | lanes
 
 
-def block(seed: int, kind: int, barrier, lanes, counter=1) -> np.ndarray:
+def seed_words(seed) -> np.ndarray:
+    """Each seed mod 2**64, the first key word of its streams, as ``stream()``
+    reduces it: an integer array wraps, any other seed is reduced as Python ints."""
+    if isinstance(seed, np.ndarray) and seed.dtype.kind in "iu":
+        return seed.astype(np.uint64, copy=False)
+    return np.array(np.array(seed, dtype=object) & _SEED_MASK, dtype=np.uint64)
+
+
+def block(seed, kind: int, barrier, lanes, counter=1) -> np.ndarray:
     """Words of block ``counter`` of every stream (seed, kind, barrier, lane).
 
-    ``barrier``, ``lanes`` and ``counter`` are integers or integer arrays that
-    broadcast together; the result has their broadcast shape plus a last axis
-    of the 4 uint64 words.  Block c holds raw draws 4(c-1) to 4c-1 of
+    ``seed``, ``barrier``, ``lanes`` and ``counter`` are integers or integer
+    arrays that broadcast together (seeds of any size, as ``stream()`` takes
+    them); the result has their broadcast shape plus a last axis of the 4
+    uint64 words.  Block c holds raw draws 4(c-1) to 4c-1 of
     ``stream(seed, kind, barrier, lane)``, for 1 <= c < 2**64.  Rejects every
     coordinate ``stream()`` rejects.
     """
     counter = _coordinate(counter, _MAX_COUNTERS, "block counter", low=1)
-    k0 = seed & _SEED_MASK
-    k1, x0 = np.broadcast_arrays(_key(kind, barrier, lanes), counter)
+    k0, k1, x0 = np.broadcast_arrays(seed_words(seed), _key(kind, barrier, lanes), counter)
     if x0.size <= _FEW_KEYS:
-        words = list(map(_philox, repeat(k0), k1.ravel().tolist(), x0.ravel().tolist()))
+        words = list(map(_philox, k0.ravel().tolist(), k1.ravel().tolist(), x0.ravel().tolist()))
         return np.array(words, dtype=np.uint64).reshape(*x0.shape, 4)
     # rows x = (x0, x2), y = (x3, x1) and the key k; operands n columns wide (a ufunc
     # that broadcasts a column costs twice); round 1 has x1 = x2 = x3 = 0: one product
     n = x0.size
     m, m_lo, m_hi, w, low, shift = np.repeat(_ROUND, n, axis=2)
     x, y, k, hi, a, t, s = np.zeros((7, 2, n), dtype=np.uint64)
-    c, k[1] = x0.ravel(), k1.ravel()
+    c, k[0], k[1] = x0.ravel(), k0.ravel(), k1.ravel()
     _mulhi(c, x[1], *(v[0] for v in (m_lo, m_hi, low, shift, a, t, s)))
     np.bitwise_xor(x[1], k[1], out=x[1])
     np.multiply(c, m[0], out=y[0])
-    x[0] = k[0] = k0
+    x[0] = k[0]
     for _ in range(1, _PHILOX_ROUNDS):  # (x0, x1, x2, x3) <- (hi1^x1^k0, lo1, hi0^x3^k1, lo0)
         np.add(k, w, out=k)
         _mulhi(x, hi, m_lo, m_hi, low, shift, a, t, s)

@@ -31,6 +31,9 @@ are drawn together, and values each when the loop reaches it.  The walk
 owns the paths: they are stored as each barrier's segments plus the
 indices of the children kept (Jacob, Murray & Rubenthaler 2015, "Path
 storage in the particle filter"), and each sample is built once, at the end.
+The runs of many seeds are one walk (``conditional_runs``, and the beam's
+``beam_search_runs``): their lanes are rows (run, lane), each run selects
+from its own slice, and each gets the bytes it gets alone.
 
 All randomness is drawn from per-(barrier, particle) Philox streams derived
 from one master seed, so a run is a deterministic function of its seed.
@@ -41,14 +44,14 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from . import models
 from .models import (InterArrivalDistribution, IterationLimitError, RenewalModel, SequenceModel,
                      _log_densities, barrier_weight, history_end)  # barrier_weight: traced by name
-from .rng import KIND_PROPOSAL, KIND_RESAMPLE, block, doubles
+from .rng import KIND_PROPOSAL, KIND_RESAMPLE, block, doubles, seed_words
 
 
 @dataclass(frozen=True)
@@ -224,28 +227,32 @@ _BLOCK_KEYS = 4096
 # each as long as all before it, up to _MAX_RUN gaps per step in all
 _SINGLE_STEPS = 4
 _MAX_RUN = 1 << 16
+# paths a batch of runs walks together (at least one run): a walk's peak memory grows
+# with its paths, about 1 KB each on the grid, and past a few thousand no faster
+_BATCH_ROWS = 4096
 
 
 class _Walk:
-    """The paths of one run: the times each level's children appended (lane t
-    the one child of path t), the children kept at each level, and each path's
-    state and, with ``score``, its fold (the log probability of its times past
-    the history, added left to right).
+    """The paths of a batch of runs, run by run (``sizes``, each run's count):
+    the times each level's children appended (lane t of a run the one child
+    of its path t), the children kept at each level, and each path's state
+    and, with ``score``, its fold (the log probability of its times past the
+    history, added left to right).
 
     Children are walked as rows that step together: at each step the rows
     still short of their barrier are grouped by state, and one call of the
     laws' ``draws_many`` (the default's, if laws of several classes share the
     step) draws a gap per row from the rows' next uniforms, the one way the
     walk draws.  Lane l's uniforms at level i are the doubles of its blocks
-    (seed, KIND_PROPOSAL, i, l) at counters 1, 2, 3, ...; the first blocks
-    are drawn ahead for several levels at once, later ones when a row gets
-    to them.  States are interned, so equal states are one object
-    and one group, and one ``advance_many`` call takes each distinct (state,
-    time) pair of a step once.
+    (its run's seed, KIND_PROPOSAL, i, l) at counters 1, 2, 3, ...; the first
+    blocks, of every lane of every run, are drawn ahead for several levels at
+    once, later ones when a row gets to them.  States are interned across
+    runs, so equal states are one object and one group, and one
+    ``advance_many`` call takes each distinct (state, time) pair of a step once.
     A model whose ``advance`` is ``RenewalModel``'s keeps its first state, so
     its walk proposes a chunk of barriers as rows (barrier, lane): those
-    whose first blocks are drawn together, at the width of the first.  A
-    chunk ends before the first barrier with a failing row.  After
+    whose first blocks are drawn together, while the runs' sizes stay those
+    of the first.  A chunk ends before the first barrier with a failing row.  After
     ``_SINGLE_STEPS`` gaps such a row draws runs of gaps if its law keeps
     the quantile ``draws``, so a million events take a few dozen steps.
 
@@ -256,12 +263,13 @@ class _Walk:
     ``paths`` builds the samples.
     """
 
-    def __init__(self, model, law, seed, horizon, score, width, start, constraints):
-        self.model, self.seed, self.score, self.lanes = model, seed, score, width
+    def __init__(self, model, law, seeds, horizon, score, width, start, constraints):
+        self.model, self.seeds, self.score, self.lanes = model, seeds, score, width
         self.fixed = type(model).advance is RenewalModel.advance
         self.table, self.index = [], {}
-        self.sids = np.full(width, self._intern(law))  # each path's state
-        self.folds = np.zeros(width)  # and its fold
+        self.sizes = (width,) * len(seeds)  # each run's paths, run by run, set by the loop
+        self.sids = np.full(len(seeds) * width, self._intern(law))  # each path's state
+        self.folds = np.zeros(len(self.sids))  # and its fold
         self.runs = self.fixed and type(law).draws is InterArrivalDistribution.draws
         self.weights = self.fixed and getattr(law, "weights", None)  # the law's own array form
         self.blocks = min(4, (law.draw_width + 6) // 4)  # drawn ahead: a draw fits at any offset
@@ -269,8 +277,8 @@ class _Walk:
         self.stops, self.flags, self.starts = ((*constraints.z, horizon), (True, *constraints.b),
                                                (start, *constraints.z))
         self.levels, self.lineage = [], []  # each level's times; its kept children
-        self._ahead = 0, np.empty((0, width, 4 * self.blocks))  # first level, first blocks
-        self.chunk = 0, 0, 0  # the levels last walked together and their width
+        self._ahead = 0, np.empty((0, len(self.sids), 4 * self.blocks))  # first level, blocks
+        self.chunk = 0, 0, self.sizes  # the levels last walked together and their runs' sizes
 
     def _intern(self, state) -> int:
         """The id of the state equal to ``state`` (the same object if unhashable)."""
@@ -282,11 +290,12 @@ class _Walk:
 
     def _uniforms(self, u, rows, at, w, i, n) -> np.ndarray:
         """Each row's next ``w`` uniforms from uniform ``at`` on, ``u`` holding
-        every row's first blocks; row r is lane r % n of level i + r // n."""
+        every row's first blocks; row r is path r % n's child at level i + r // n."""
         if at.max() + w > u.shape[1]:  # past the blocks drawn ahead: drawn for this step
-            level, lane = np.divmod(rows, n)
-            words = block(self.seed, KIND_PROPOSAL, (i + level)[:, None], lane[:, None],
-                          (at >> 2)[:, None] + np.arange(1, (w + 6) // 4 + 1))
+            level, path = np.divmod(rows, n)
+            run, lane = np.divmod(self.slots[path], self.lanes)
+            words = block(self.seeds[run][:, None], KIND_PROPOSAL, (i + level)[:, None],
+                          lane[:, None], (at >> 2)[:, None] + np.arange(1, (w + 6) // 4 + 1))
             u, rows, at = doubles(words).reshape(len(rows), -1), np.arange(len(rows)), at & 3
         return u[rows[:, None], at[:, None] + np.arange(w)]
 
@@ -297,12 +306,12 @@ class _Walk:
         ``barrier_weight``.  The open tail selects nothing."""
         z, clip = self.stops[i], i + 1 < len(self.stops)
         n = len(self.sids)
-        first, end, width = self.chunk[:3]
-        if not (first <= i < end and n <= width):
+        first, end, sizes = self.chunk[:3]
+        if not (first <= i < end and sizes == self.sizes):
             self._walk(i)
-        first, _, width, times, begin, pos, sids, logs = self.chunk
-        a = (i - first) * width  # the level's first row
-        self.levels.append((times, begin[a:a + width + 1]))
+        first, _, _, times, begin, pos, sids, logs = self.chunk
+        a = (i - first) * n  # the level's first row
+        self.levels.append((times, begin[a:a + n + 1]))
         self.level_sids = sids[a:a + n]
         values = None  # the tail's weights are not used
         if self.score:  # add.at adds a lane's repeated entries in turn, as sum() does
@@ -319,19 +328,23 @@ class _Walk:
 
     def _walk(self, i, upto=None) -> None:
         """Walk the children of levels i to upto - 1 (by default, i's chunk) as
-        rows: row r is lane r % n of level i + r // n.  A row that fails at a
-        level k > i ends the chunk before k, and the walk is made again."""
+        rows: row r is path r % n's child at level i + r // n.  A row that fails
+        at a level k > i ends the chunk before k, and the walk is made again."""
         b0, ahead = self._ahead
-        if not b0 <= i < b0 + len(ahead):  # the levels whose first blocks share one call
-            k = self.blocks
-            levels = np.arange(i, min(i + max(1, _BLOCK_KEYS // (k * self.lanes)), len(self.stops)))
-            words = block(self.seed, KIND_PROPOSAL, levels[:, None, None],
+        if not b0 <= i < b0 + len(ahead):  # every lane's first blocks, for levels sharing a call
+            k, runs = self.blocks, len(self.seeds)
+            levels = np.arange(i, min(i + max(1, _BLOCK_KEYS // (k * runs * self.lanes)),
+                                      len(self.stops)))
+            words = block(self.seeds[:, None, None], KIND_PROPOSAL, levels[:, None, None, None],
                           np.arange(self.lanes)[:, None], np.arange(1, k + 1))
-            b0, ahead = self._ahead = i, doubles(words).reshape(len(levels), self.lanes, 4 * k)
+            b0, ahead = self._ahead = i, doubles(words).reshape(len(levels), -1, 4 * k)
         z, clip = self.stops[i], i + 1 < len(self.stops)
         upto = upto or (min(b0 + len(ahead), len(self.stops) - 1) if self.fixed and clip else i + 1)
         n = len(self.sids)
-        u = ahead[i - b0:upto - b0, :n].reshape(-1, ahead.shape[2])  # the rows' first blocks
+        # each path's run * width + lane, its lanes' column in the blocks drawn ahead
+        self.slots = _spans(np.arange(len(self.sizes)) * self.lanes, np.array(self.sizes))
+        u = ahead[i - b0:upto - b0]  # the rows' first blocks: every lane's, unless some are gone
+        u = (u if n == u.shape[1] else u[:, self.slots]).reshape(-1, ahead.shape[2])
         pos = np.repeat(self.starts[i:upto], n)  # each row's last time
         stop = np.repeat(self.stops[i:upto], n)  # walked while below
         free = np.repeat(self.flags[i:upto], n)
@@ -399,7 +412,7 @@ class _Walk:
         _, values, begin = _by_row(times or [(np.empty(0, dtype=np.int64), np.empty(0))], len(pos))
         if self.score:
             logs = _by_row(logs or [(np.empty(0, dtype=np.int64),) * 3], len(pos))
-        self.chunk = i, upto, n, values, begin, pos, sids, logs
+        self.chunk = i, upto, self.sizes, values, begin, pos, sids, logs
 
     def _each(self, sids: np.ndarray, gaps: np.ndarray, b_prev: bool | None = None) -> np.ndarray:
         """Each lane's log density (``b_prev`` None) or barrier weight of its gap, in state
@@ -501,47 +514,99 @@ def check_span(z: Sequence, initial_history: Sequence, horizon: float = math.inf
     return start
 
 
-def run_barriers(model: SequenceModel, constraints: ConstraintSet, seed: int,
+def run_barriers(model: SequenceModel, constraints: ConstraintSet, seeds: Sequence[int],
                  width: int, select: Callable, *, horizon: float,
-                 initial_history: Sequence[float], score: bool = False) -> EnsembleResult:
-    """Extend ``width`` copies of the history barrier by barrier and return
-    the run's ``EnsembleResult``; the loop shared by the filter and the beam.
+                 initial_history: Sequence[float], score: bool = False) -> Iterator[EnsembleResult]:
+    """Extend ``width`` copies of the history barrier by barrier for each seed
+    and yield each run's ``EnsembleResult``; the loop shared by the filter and
+    the beam.  Runs are walked together, up to ``_BATCH_ROWS`` paths at once.
 
-    The loop is propose, select, keep.  Path t draws its one child at level i
-    (barrier i, 0-based, or the open tail, i = r) from the stream (seed,
-    KIND_PROPOSAL, i, t).  ``select(i, values)`` gets the walk's one value
-    per child, in lane order: with ``score``, the child's fold, the log
-    probability of its path past the history; else its ``barrier_weight``.
-    It returns ``(kept, row)``: the indices of the children that become the
-    next paths, in order, possibly repeated (a child kept twice is two
-    paths), or None when none can continue (the run then fails at barrier
-    i + 1), and the barrier's diagnostics row.  The walk (``_Walk``) holds
-    the paths: it records the kept children and their folds, and advances
-    only their states past the barrier, so a dead child clipped at a time the
-    model cannot reach is never stepped into.  If b_r is True, each path
-    finally draws its open tail to the horizon, keeping its times at or below
-    it.  The walk then builds each sample once and, with ``score``, reports
-    each sample's fold in ``log_probs``.
+    The loop is propose, select, keep.  Path t of seed s's run draws its one
+    child at level i (barrier i, 0-based, or the open tail, i = r) from the
+    stream (s, KIND_PROPOSAL, i, t).  ``select(k, i, values)`` gets the walk's
+    one value per child of the run of ``seeds[k]``, in lane order: with
+    ``score``, the child's fold, the log probability of its path past the
+    history; else its ``barrier_weight``.  It returns ``(kept, row)``: the
+    indices of the children that become the next paths, in order, possibly
+    repeated (a child kept twice is two paths), or None when none can
+    continue (the run then fails at barrier i + 1), and the barrier's
+    diagnostics row.  The walk (``_Walk``) holds the paths: it records the
+    kept children and their folds, and advances only their states past the
+    barrier, so a dead child clipped at a time the model cannot reach is
+    never stepped into.  If b_r is True, each path finally draws its open
+    tail to the horizon, keeping its times at or below it.  The walk then
+    builds each sample once and, with ``score``, reports each sample's fold
+    in ``log_probs``.  A walk that raises is made again one run at a time, so
+    what is yielded and raised is what running the seeds in turn would give.
     """
     if not horizon > 0:
         raise ValueError(f"horizon must be positive, got {horizon!r}")
     start = check_span(constraints.z, initial_history, horizon)
-    walk = _Walk(model, model.initial_state(initial_history), seed, horizon, score, width,
-                 start, constraints)
-    diagnostics = []
-    for i, z in enumerate(constraints.z):
-        values = walk.propose(i)
-        kept, row = select(i, values)
-        diagnostics.append(row)
-        if kept is None:
-            return EnsembleResult(samples=[], survived=False, failed_barrier=i + 1,
-                                  diagnostics=diagnostics)
-        walk.keep(kept, z, values)
-    if walk.flags[-1]:
-        walk.propose(constraints.r)
-    samples, log_probs = walk.paths(initial_history, constraints.z)
-    return EnsembleResult(samples=samples, survived=True, failed_barrier=None,
-                          diagnostics=diagnostics, log_probs=log_probs)
+
+    def batch(runs) -> list:  # the runs of seeds[runs], walked together
+        walk = _Walk(model, model.initial_state(initial_history), words[runs], horizon, score,
+                     width, start, constraints)
+        results = [EnsembleResult(samples=[], survived=True, failed_barrier=None, diagnostics=[])
+                   for _ in runs]
+        for i, z in enumerate(constraints.z):
+            values, kept, a = walk.propose(i), [], 0
+            for result, k, n in zip(results, runs, walk.sizes):
+                keep = ()  # a dead run keeps nothing
+                if n:
+                    keep, row = select(k, i, values[a:a + n])
+                    result.diagnostics.append(row)
+                    if keep is None:
+                        keep, result.survived, result.failed_barrier = (), False, i + 1
+                kept.append(a + np.asarray(keep, dtype=np.int64))
+                a += n
+            walk.sizes = tuple(map(len, kept))
+            if not any(walk.sizes):
+                return results
+            walk.keep(np.concatenate(kept), z, values)
+        if walk.flags[-1]:
+            walk.propose(constraints.r)
+        samples, log_probs = walk.paths(initial_history, constraints.z)
+        for result, a, n in zip(results, np.cumsum((0, *walk.sizes)).tolist(), walk.sizes):
+            if n:  # a run that survived
+                result.samples = samples[a:a + n]
+                result.log_probs = log_probs and log_probs[a:a + n]
+        return results
+
+    words, per = seed_words(list(seeds)), max(1, _BATCH_ROWS // width)
+    for g in range(0, len(words), per):
+        runs = range(g, min(g + per, len(words)))
+        try:
+            results = batch(runs)
+        except Exception:  # one run at a time, the first that fails raises its error
+            if len(runs) == 1:
+                raise
+            results = (batch(range(k, k + 1))[0] for k in runs)
+        yield from results
+
+
+def conditional_runs(model: SequenceModel, constraints: ConstraintSet, num_particles: int,
+                     seeds: Sequence[int], *, horizon: float = 1.0,
+                     initial_history: Sequence[float] = ()) -> Iterator[EnsembleResult]:
+    """An iterator of each seed's ``conditional_sample``, the runs walked together."""
+    if num_particles < 1:
+        raise ValueError("need at least one particle")
+
+    # each run's offset at each barrier, in (0, 1]: the first uniform of its stream
+    seeds = list(seeds)
+    offsets = 1.0 - doubles(block(seed_words(seeds)[:, None], KIND_RESAMPLE,
+                                  np.arange(constraints.r), 0))[..., 0]
+
+    def resample(k, i, weights):  # the ESS checks the weights it picks from
+        dead = int(np.count_nonzero(weights == 0))
+        alive = dead < num_particles
+        row = BarrierDiagnostics(
+            barrier_index=i + 1, ess=effective_sample_size(weights) if alive else 0.0,
+            min_weight=float(weights.min()), max_weight=float(weights.max()), dead_count=dead)
+        kept = _picks(weights, float(offsets[k, i])) if alive else None
+        return kept, row
+
+    return run_barriers(model, constraints, seeds, num_particles, resample,
+                        horizon=horizon, initial_history=initial_history)
 
 
 def conditional_sample(model: SequenceModel, constraints: ConstraintSet,
@@ -555,20 +620,5 @@ def conditional_sample(model: SequenceModel, constraints: ConstraintSet,
     The result is a deterministic function of (model, constraints, seed,
     horizon, initial history).
     """
-    if num_particles < 1:
-        raise ValueError("need at least one particle")
-
-    # each barrier's resampling offset, in (0, 1]: the first uniform of its stream
-    offsets = 1.0 - doubles(block(seed, KIND_RESAMPLE, np.arange(constraints.r), 0))[:, 0]
-
-    def resample(i, weights):  # the ESS checks the weights it picks from
-        dead = int(np.count_nonzero(weights == 0))
-        alive = dead < num_particles
-        row = BarrierDiagnostics(
-            barrier_index=i + 1, ess=effective_sample_size(weights) if alive else 0.0,
-            min_weight=float(weights.min()), max_weight=float(weights.max()), dead_count=dead)
-        kept = _picks(weights, float(offsets[i])) if alive else None
-        return kept, row
-
-    return run_barriers(model, constraints, seed, num_particles, resample,
-                        horizon=horizon, initial_history=initial_history)
+    return next(conditional_runs(model, constraints, num_particles, [seed], horizon=horizon,
+                                 initial_history=initial_history))

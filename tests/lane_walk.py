@@ -1,10 +1,11 @@
 """The per-lane reference walk: every lane walked by ``propose_segment`` on its own ``stream()``.
 
-``run_barriers`` here is the barrier loop as it was before lanes were
-grouped by state: path t's one child at barrier i proposes its segment on
-stream (seed, KIND_PROPOSAL, i, t), each kept child is advanced past the
-barrier on its own, and each path carries its whole list of times and its
-fold.
+``_run`` here is the barrier loop of one run as it was before lanes were
+grouped by state and runs walked together (``run_barriers`` makes each
+seed's run with it in turn): path t's one child at barrier i proposes its
+segment on stream (seed, KIND_PROPOSAL, i, t), each kept child is advanced
+past the barrier on its own, and each path carries its whole list of times
+and its fold.
 ``conditional_sample`` and ``beam_search_sample`` run the two samplers on
 it, the filter drawing its resampling offset from stream (seed,
 KIND_RESAMPLE, i).  The grouped walk of ``ppsmc.smc`` must give the same
@@ -14,6 +15,7 @@ bytes.
 from __future__ import annotations
 
 import math
+from functools import partial
 
 from ppsmc import beam as beam_module
 from ppsmc.models import _log_density, barrier_weight, propose_segment, trim_at_horizon
@@ -35,8 +37,13 @@ def _segment(model, state, last, z, b_prev, rng, horizon, score):
     return segment, gap, law, steps
 
 
-def run_barriers(model, constraints, seed, width, select, *, horizon, initial_history,
-                 score=False):
+def run_barriers(model, constraints, seeds, width, select, **kwargs):
+    """Each seed's run on its own, its ``select`` told the seed's index."""
+    return (_run(model, constraints, seed, width, partial(select, k), **kwargs)
+            for k, seed in enumerate(seeds))
+
+
+def _run(model, constraints, seed, width, select, *, horizon, initial_history, score=False):
     flags = [True, *constraints.b]
     paths = [(list(initial_history), model.initial_state(initial_history), 0.0)] * width
     diagnostics = []
@@ -88,7 +95,7 @@ def conditional_sample(model, constraints, num_particles, seed, *, horizon=1.0,
         kept = systematic_indices(weights, u) if alive else None
         return kept, row
 
-    return run_barriers(model, constraints, seed, num_particles, resample,
+    return _run(model, constraints, seed, num_particles, resample,
                         horizon=horizon, initial_history=initial_history)
 
 

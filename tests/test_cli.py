@@ -77,7 +77,7 @@ class TestSampleCommand:
             survived, failed_barrier, diagnostics, log_probs = True, None, [], None
             samples = [(0.2, 0.6)]
 
-        monkeypatch.setattr(cli, "conditional_sample", lambda *args, **kwargs: Result)
+        monkeypatch.setattr(cli, "conditional_runs", lambda *args, **kwargs: [Result])
         out = tmp_path / "out"
         code = main(["sample", "--model", "poisson:rate=5", "--constraints",
                      str(constraint_file), "--seed", "1", "--out", str(out)])

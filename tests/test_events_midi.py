@@ -99,7 +99,7 @@ class TestEventFiles:
             survived, failed_barrier, diagnostics, log_probs = True, None, [], None
             samples = [sample]
 
-        monkeypatch.setattr(cli, "conditional_sample", lambda *args, **kwargs: Result)
+        monkeypatch.setattr(cli, "conditional_runs", lambda *args, **kwargs: [Result])
         monkeypatch.setattr(cli, "satisfies", lambda *args: True)
         assert cli.main(["sample", "--model", str(model), "--constraints", str(cs),
                          "--seed", "1", "--out", str(tmp_path / "out")]) == 1

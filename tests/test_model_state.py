@@ -200,13 +200,13 @@ def test_only_kept_children_grow_into_paths(monkeypatch):
     real_values = adapter._MusicGap.values_many
     real_advance = adapter.UnrolledMusicModel.advance_many
 
-    def run(model, cs, seed, width, select, **kwargs):
-        def spy(i, values):
+    def run(model, cs, seeds, width, select, **kwargs):
+        def spy(k, i, values):
             assert len(values) == width
             assert len(set(seen["pairs"])) == len(seen["pairs"]) > 0  # distinct pairs
             seen["pairs"].clear()
-            return select(i, values)
-        return real_run(model, cs, seed, width, spy, **kwargs)
+            return select(k, i, values)
+        return real_run(model, cs, seeds, width, spy, **kwargs)
 
     def values_many(laws, gaps, b_prev):  # the weights of many pairs in one call
         seen["pairs"].extend(zip(map(id, laws), gaps))

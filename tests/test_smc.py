@@ -143,16 +143,16 @@ class TestBarrierWeight:
             calls.append((gap, b_prev))
             return real_weight(state, gap, b_prev)
 
-        def run(model, cs, seed, width, select, **kwargs):
-            def spy(i, values):
+        def run(model, cs, seeds, width, select, **kwargs):
+            def spy(k, i, values):
                 assert len(set(calls)) == len(calls)
                 assert {b_prev for _, b_prev in calls} == {(True, *cs.b)[i]}
                 law = model.initial_state(())
                 assert set(values.tolist()) == {real_weight(law, *call) for call in calls}
                 seen.append(len(calls))
                 calls.clear()
-                return select(i, values)
-            return real_run(model, cs, seed, width, spy, **kwargs)
+                return select(k, i, values)
+            return real_run(model, cs, seeds, width, spy, **kwargs)
 
         monkeypatch.setattr(smc, "run_barriers", run)
         monkeypatch.setattr(models, "barrier_weight", weight)  # the default values_many's
