@@ -18,10 +18,10 @@ from .beam import beam_search_runs
 from .models import (IterationLimitError, PoissonProcessModel, SaturatedCdfError,
                      UniformRenewalModel, WeibullRenewalModel, step_log_probabilities)
 from .music.adapter import UnrolledMusicModel
-from .music.encoding import Vocabulary, events_to_codes
-from .music.files import (code_writer, extract_constraints, in_file, loads,
+from .music.encoding import Vocabulary, columns_to_codes
+from .music.files import (code_writer, extract_constraints, in_file, loads, read_columns,
                           read_constraint_file, read_corpus, read_events, read_parts,
-                          write_constraint_file, write_events)
+                          write_codes, write_constraint_file)
 from .music.midi import read_midi, write_midi
 from .music.ngram import NGramModel, train_ngram
 from .oracle import (GridModel, bits_from_times, enumerate_conditional, normalize_counts,
@@ -174,9 +174,9 @@ def _load_times(path: str, vocab: Vocabulary | None) -> list:
     """The times in a times file, or for a music model the codes of an event
     file; every ValueError names the file."""
     if vocab is not None:
-        events, _ = read_events(path)
+        rows, _ = read_columns(path)
         with in_file(path):
-            return events_to_codes(events, vocab)
+            return columns_to_codes(rows, vocab).tolist()
     with in_file(path):
         payload = loads(Path(path).read_text())
         if (not isinstance(payload, dict) or payload.get("version", 1) != 1
@@ -218,15 +218,18 @@ def cmd_logprob(args) -> int:
 
 
 def cmd_extract_constraints(args) -> int:
-    events, parts = read_events(args.events)
+    rows, parts = read_columns(args.events)
     if not 0 <= args.part < parts:
         raise ValueError(f"--part {args.part} is outside the parts 0..{parts - 1} "
                          f"of {args.events}")
     vocab = Vocabulary(parts=parts)
-    prefix, constraints = extract_constraints(events, args.split_tick, args.part,
+    prefix, constraints = extract_constraints(rows, args.split_tick, args.part,
                                               vocab, hold_fixed=args.hold_fixed)
-    horizon_ticks = max(ev.t for ev in events) + 1 if events else args.split_tick
+    horizon_ticks = int(rows[-1, 0]) + 1 if len(rows) else args.split_tick
     write_constraint_file(args.out, constraints, prefix, horizon_ticks, vocab)
+    if not constraints.z:
+        print(f"warning: part {args.part} has no events at or after tick {args.split_tick}; "
+              "constraint set is empty", file=sys.stderr)
     print(f"{len(constraints.z)} constraints, {len(prefix)} prefix events -> {args.out}")
     return 0
 
@@ -277,8 +280,8 @@ def cmd_oracle(args) -> int:
 def cmd_convert(args) -> int:
     if args.to_events:
         events = read_midi(args.infile)
-        parts = max((ev.part for ev in events), default=0) + 1
-        write_events(args.out, events, Vocabulary(parts=parts))
+        vocab = Vocabulary(parts=max((ev.part for ev in events), default=0) + 1)
+        write_codes(args.out, columns_to_codes(events, vocab), vocab)
     else:
         events, _ = read_events(args.infile)
         write_midi(args.out, events)

@@ -11,8 +11,12 @@ so codes order events by (tick, part, action), and the one order rule is that
 a piece's codes strictly increase from 0: as a' lies in 1..A, codes are then
 positive, ticks never go back and actions within a tick strictly ascend, and
 ``models.history_end`` raises the one error of codes that do not.  Decoding
-uses the residue convention: e % A == 0 means a' = A at tick e//A - 1;
-``_split_code`` is the one place that applies it.
+uses the residue convention: e % A == 0 means a' = A at tick e//A - 1, as
+``_split_code`` applies it to one code.
+
+A piece in memory is one integer array of (t, a, part) rows, one per event
+(``MusicEvent`` names a row).  ``columns_to_codes`` and ``codes_to_columns``
+convert a whole piece in one array pass each.
 
 A piece is generated as a symbol stream over a vocabulary of A actions and
 s_max time shifts.  Canonical form: shifts never follow shifts, and within a
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,24 +80,11 @@ class Vocabulary:
         return sym - self.actions
 
 
-@dataclass(frozen=True)
-class MusicEvent:
+class MusicEvent(NamedTuple):
+    """One row of a piece: tick, action (1..256 within its part) and part."""
     t: int
     a: int
     part: int = 0
-
-    def __post_init__(self):
-        if self.t < 0 or self.a < 1 or self.part < 0:
-            raise ValueError(f"invalid event ({self.t}, {self.a}, part={self.part})")
-
-
-def encode_event(ev: MusicEvent, vocab: Vocabulary) -> int:
-    """Unrolled code e = t*A + a' (always >= 1)."""
-    if ev.a > vocab.a_max:
-        raise ValueError(f"action {ev.a} exceeds a_max={vocab.a_max}")
-    if ev.part >= vocab.parts:
-        raise ValueError(f"part {ev.part} exceeds part count {vocab.parts}")
-    return ev.t * vocab.actions + ev.part * vocab.a_max + ev.a
 
 
 def _split_code(code: int, vocab: Vocabulary) -> tuple[int, int]:
@@ -102,23 +94,43 @@ def _split_code(code: int, vocab: Vocabulary) -> tuple[int, int]:
     return t, rest + 1
 
 
-def decode_event(code: int, vocab: Vocabulary) -> MusicEvent:
-    """Inverse of encode_event."""
-    if code < 1:
-        raise ValueError(f"codes are positive, got {code}")
-    t, a_prime = _split_code(code, vocab)
-    part, a = divmod(a_prime - 1, vocab.a_max)
-    return MusicEvent(t=t, a=a + 1, part=part)
+def _check_events(t, a, part) -> None:
+    """Raise on the first event with t < 0, a < 1 or part < 0."""
+    bad = (t < 0) | (a < 1) | (part < 0)
+    if bad.any():
+        i = bad.argmax()
+        raise ValueError(f"invalid event ({t[i]}, {a[i]}, part={part[i]})")
 
 
-def events_to_codes(events, vocab: Vocabulary) -> list[int]:
-    codes = [encode_event(ev, vocab) for ev in events]
-    history_end(codes)
+def columns_to_codes(rows, vocab: Vocabulary) -> np.ndarray:
+    """The codes in ``vocab`` of a piece's (t, a, part) rows, in one array pass:
+    an int64 array's in int64 (its ticks must keep them in range), any other
+    rows' as Python ints, which never overflow.  Raises the first row's invalid
+    event, then the first row's action over a_max or part past the part count,
+    then the order rule's error."""
+    rows = rows if isinstance(rows, np.ndarray) else np.array(rows, dtype=object)
+    t, a, part = rows.reshape(-1, 3).T
+    _check_events(t, a, part)
+    over = (a > vocab.a_max) | (part >= vocab.parts)
+    if over.any():
+        i = over.argmax()
+        if a[i] > vocab.a_max:
+            raise ValueError(f"action {a[i]} exceeds a_max={vocab.a_max}")
+        raise ValueError(f"part {part[i]} exceeds part count {vocab.parts}")
+    codes = t * vocab.actions + part * vocab.a_max + a
+    if (codes[1:] <= codes[:-1]).any():
+        history_end(codes.tolist())  # raises the one order rule's error
     return codes
 
 
-def codes_to_events(codes, vocab: Vocabulary) -> list[MusicEvent]:
-    return [decode_event(int(c), vocab) for c in codes]
+def codes_to_columns(codes, vocab: Vocabulary) -> np.ndarray:
+    """The (t, a, part) rows of positive codes in ``vocab``, by ``_split_code``'s
+    residue rule in one array pass; other than an int64 array, as Python ints."""
+    e = codes if isinstance(codes, np.ndarray) else np.array(codes, dtype=object)
+    if (e < 1).any():
+        raise ValueError(f"codes are positive, got {e[(e < 1).argmax()]}")
+    t, rest = (e - 1) // vocab.actions, (e - 1) % vocab.actions
+    return np.column_stack((t, rest % vocab.a_max + 1, rest // vocab.a_max))
 
 
 def code_symbols(code: int, last: int, vocab: Vocabulary) -> tuple[int, tuple[int, ...]]:
@@ -156,12 +168,6 @@ def codes_to_symbols(codes, vocab: Vocabulary) -> list[int]:
         symbols.extend(code_symbols(code, last, vocab)[1])
         last = code
     return symbols
-
-
-def events_to_symbols(events, vocab: Vocabulary) -> list[int]:
-    """Canonical symbol stream of an event list, encoded lazily so that errors
-    come in stream order."""
-    return codes_to_symbols((encode_event(ev, vocab) for ev in events), vocab)
 
 
 def allowed_symbols(prev: int | None, vocab: Vocabulary) -> np.ndarray:

@@ -4,8 +4,9 @@ Event files are JSON lines: a header object, then one object per event in
 canonical code order.  A constraint file is one JSON object: the required
 times z and their flags b (``smc.ConstraintSet``), and, for music, the
 conditioning prefix (codes before the split) and a tick horizon.  This module
-reads and writes both formats; ``code_writer`` writes many pieces' event
-files, formatting each distinct code's line once.
+reads and writes both formats.  ``read_columns`` is the one reader of event
+files, into a piece's (t, a, part) rows; ``code_writer`` writes many pieces'
+event files from codes, formatting each distinct code's line once.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import json
 import math
 import re
-import warnings
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable, Sequence
@@ -22,8 +22,8 @@ import numpy as np
 
 from ..models import history_end
 from ..smc import ConstraintSet, check_span
-from .encoding import (NOTE_ACTIONS, TICKS_PER_QUARTER, MusicEvent, Vocabulary, _split_code,
-                       codes_to_events, codes_to_symbols, events_to_codes, events_to_symbols)
+from .encoding import (TICKS_PER_QUARTER, MusicEvent, Vocabulary, _check_events, _split_code,
+                       codes_to_columns, codes_to_symbols, columns_to_codes)
 
 FORMAT_VERSION = 1  # of event files and constraint files
 
@@ -57,14 +57,11 @@ def write_codes(path, codes: Sequence[int], vocab: Vocabulary) -> None:
     code_writer(vocab)(path, codes)
 
 
-def write_events(path, events: Sequence[MusicEvent], vocab: Vocabulary) -> None:
-    write_codes(path, events_to_codes(events, vocab), vocab)
-
-
 # an event line exactly as ``write_codes`` writes it, with values of at most 12
-# digits, so that no valid event's code overflows int64; json reads any other
-_EVENT = r'\{"a": N, "part": N, "t": N\}'.replace("N", "(?:0|[1-9][0-9]{0,11})")
-_EVENT_LINE, _EVENT_LINES = re.compile(_EVENT), re.compile(f"(?:{_EVENT}\n)*")
+# digits, so that no valid event's code overflows int64, and an action from 1,
+# so that no such event is invalid; json reads any other
+_EVENT = r'\{"a": A, "part": N, "t": N\}'.replace("N", "(?:0|A)").replace("A", "[1-9][0-9]{0,11}")
+_EVENT_LINES = re.compile(f"(?:{_EVENT}\n)*")
 _NOT_DIGITS = str.maketrans('{}":,aprt', " " * 9)  # all such a line holds but digits
 
 
@@ -106,96 +103,92 @@ def _header_parts(line: str | None) -> int:
     parts = header.get("parts", 1)
     if type(parts) is not int:
         raise ValueError(f"header field 'parts' must be an integer, got {parts!r}")
+    if parts < 1:
+        raise ValueError(f"header field 'parts' must be a positive integer, got {parts}")
     return parts
 
 
 def read_parts(path) -> int:
     """The part count in an event file's header, reading no line past it."""
-    with in_file(path), open(path) as lines:  # split as read_events splits the whole text
+    with in_file(path), open(path) as lines:  # split as read_columns splits the whole text
         pieces = (piece for line in lines for piece in line.splitlines())
         return _header_parts(next(filter(str.strip, pieces), None))
 
 
-def read_events(path) -> tuple[list[MusicEvent], int]:
-    """Read an event file; returns (events, part count from the header).
-    Every ValueError names the file."""
+def read_columns(path) -> tuple[np.ndarray, int]:
+    """Read an event file: its (t, a, part) rows as an (n, 3) array and the
+    part count in its header.  A body in ``write_codes``' spelling is read by
+    one regular expression and one ``np.fromstring``, as int64; any other line
+    by line with ``loads``, as Python ints.  The rows are then checked as
+    arrays: the first line's parse error or invalid event comes first, then
+    ``columns_to_codes``' errors in the header's layout.  Every error names the file."""
     with in_file(path):
         raw = list(filter(str.strip, Path(path).read_text().splitlines()))  # the non-blank lines
         parts = _header_parts(raw[0] if raw else None)
-        events, exact = [], _EVENT_LINE.fullmatch
-        for k, line in enumerate(raw[1:], start=1):
-            if exact(line):
-                a, part, t = map(int, line.translate(_NOT_DIGITS).split())
-            else:
-                d = loads(line)
-                if not isinstance(d, dict):
-                    d = {}
-                t, a, part = d.get("t"), d.get("a"), d.get("part", 0)
-                if not (type(t) is int and type(a) is int and type(part) is int):  # no bools
-                    raise ValueError(f"event {k} needs integer 't', 'a' and 'part' fields, "
-                                     f"got {line.strip()[:80]!r}")
-            events.append(MusicEvent(t=t, a=a, part=part))
-        events_to_codes(events, Vocabulary(parts=max(parts, 1)))  # canonical order check
-    return events, parts
+        body, rows, error = "\n".join([*raw[1:], ""]), [], None
+        if _EVENT_LINES.fullmatch(body):  # each line holds a, part and t, in that order
+            rows = np.fromstring(body.translate(_NOT_DIGITS), np.int64, sep=" ").reshape(-1, 3)
+            rows = rows[:, [2, 0, 1]]
+        else:
+            try:
+                for k, line in enumerate(raw[1:], start=1):
+                    d = loads(line)
+                    d = d if isinstance(d, dict) else {}
+                    row = (d.get("t"), d.get("a"), d.get("part", 0))
+                    if not all(type(v) is int for v in row):  # no bools
+                        raise ValueError(f"event {k} needs integer 't', 'a' and 'part' fields, "
+                                         f"got {line.strip()[:80]!r}")
+                    rows.append(row)
+            except ValueError as exc:
+                error = exc
+            rows = np.array(rows, dtype=object).reshape(-1, 3)
+            _check_events(*rows.T)  # before a later line's error and the layout's (too many parts)
+            if error is not None:
+                raise error
+        columns_to_codes(rows, Vocabulary(parts=parts))
+    return rows, parts
 
 
-def _exact_codes(text: str, vocab: Vocabulary) -> np.ndarray | None:
-    """The codes in ``vocab`` of an event file in ``write_codes``' spelling that
-    passes every check of ``read_events`` and ``vocab``, else None."""
-    raw = list(filter(str.strip, text.splitlines()))  # the non-blank lines, as read_events
-    parts = _header_parts(raw[0] if raw else None)
-    body = "\n".join([*raw[1:], ""])
-    if not _EVENT_LINES.fullmatch(body):
-        return None
-    a, part, t = np.fromstring(body.translate(_NOT_DIGITS), np.int64, sep=" ").reshape(-1, 3).T
-    codes = t * vocab.actions + part * vocab.a_max + a
-    # MusicEvent's a >= 1 and both layouts' ranges; codes then order events as both do
-    fits = ((a >= 1) & (a <= min(NOTE_ACTIONS, vocab.a_max))
-            & (part < min(max(parts, 1), vocab.parts)))
-    if not fits.all() or (codes[1:] <= codes[:-1]).any():
-        return None
-    Vocabulary(parts=max(parts, 1))  # raises as read_events does on too many parts
-    return codes
+def read_events(path) -> tuple[list[MusicEvent], int]:
+    """``read_columns`` with each row a ``MusicEvent``."""
+    rows, parts = read_columns(path)
+    return [MusicEvent(*row) for row in rows.tolist()], parts
 
 
 def read_corpus(directory, vocab: Vocabulary) -> list[list[int]]:
-    """Symbol streams of every event file (*.jsonl) in a directory.  A file in
-    ``write_codes``' spelling is read as arrays, building no ``MusicEvent``;
-    any other, or one that fails a check, is read by ``read_events``."""
+    """Symbol streams of every event file (*.jsonl) in a directory: each file
+    read by ``read_columns``, encoded in ``vocab`` and unrolled by
+    ``codes_to_symbols``.  A file's range errors in ``vocab`` and its tick gaps
+    over s_max come in line order, as stepping it event by event raises them."""
     paths = sorted(Path(directory).glob("*.jsonl"))
     if not paths:
         raise ValueError(f"no event files (*.jsonl) found in {directory}")
     streams = []
     for p in paths:
+        rows, _ = read_columns(p)
         with in_file(p):
-            codes = _exact_codes(Path(p).read_text(), vocab)
-            if codes is not None:
-                streams.append(codes_to_symbols(codes, vocab))
-                continue
-        events, _ = read_events(p)
-        with in_file(p):
-            streams.append(events_to_symbols(events, vocab))
+            try:
+                codes = columns_to_codes(rows, vocab)
+            except ValueError:  # unless a tick gap comes first: encode up to the first one
+                gap = np.flatnonzero(np.diff(rows[:, 0], prepend=0) > vocab.s_max)[:1]
+                codes = columns_to_codes(rows[:int(gap[0]) + 1] if len(gap) else rows, vocab)
+            streams.append(codes_to_symbols(codes, vocab))
     return streams
 
 
-def extract_constraints(events: Sequence[MusicEvent], split_tick: int, part: int,
-                        vocab: Vocabulary,
+def extract_constraints(rows, split_tick: int, part: int, vocab: Vocabulary,
                         hold_fixed: bool = False) -> tuple[list[int], ConstraintSet]:
-    """Conditioning data from a reference piece.
+    """Conditioning data from a reference piece's (t, a, part) rows.
 
-    Events before ``split_tick`` become the prefix (as codes); the chosen
-    part's events from the split onward become required times.  Other parts'
-    events after the split are discarded — they are what sampling regenerates.
+    Codes before ``split_tick`` become the prefix; the chosen part's codes
+    from the split onward become required times.  Other parts' events after
+    the split are discarded — they are what sampling regenerates.
     ``hold_fixed`` forbids free events between (and after) the constraints.
     """
-    prefix = events_to_codes([ev for ev in events if ev.t < split_tick], vocab)
-    kept = [ev for ev in events if ev.t >= split_tick and ev.part == part]
-    if not kept:
-        warnings.warn(f"part {part} has no events at or after tick {split_tick}; "
-                      "constraint set is empty", stacklevel=2)
-    z = tuple(events_to_codes(kept, vocab))
-    b = (not hold_fixed,) * len(z)
-    return prefix, ConstraintSet(z=z, b=b)
+    codes = columns_to_codes(rows, vocab)
+    after = codes > split_tick * vocab.actions  # a code's tick is at or after the split
+    z = codes[after & ((codes - 1) % vocab.actions // vocab.a_max == part)].tolist()
+    return codes[~after].tolist(), ConstraintSet(z=tuple(z), b=(not hold_fixed,) * len(z))
 
 
 def write_constraint_file(path, constraints: ConstraintSet, prefix: Sequence[int] = (),
@@ -263,7 +256,7 @@ def read_constraint_file(path, vocab: Vocabulary | None = None
             z = [_as_code(t) for t in z]
             if None not in layout and layout != (vocab.a_max, vocab.parts):
                 written = Vocabulary(a_max=layout[0], parts=layout[1])
-                prefix, z = (events_to_codes(codes_to_events(c, written), vocab)
+                prefix, z = (columns_to_codes(codes_to_columns(c, written), vocab).tolist()
                              for c in (prefix, z))
             constraints = ConstraintSet(z=tuple(z), b=constraints.b)
         horizon = math.inf if vocab is None or ticks is None else ticks * vocab.actions

@@ -5,9 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from exact import codes_to_events, events_to_codes
+
 from ppsmc.music.encoding import (MusicEvent, Vocabulary, allowed_symbols, code_symbols,
-                                  codes_to_events, codes_to_symbols, decode_event,
-                                  encode_event, events_to_codes, events_to_symbols)
+                                  codes_to_columns, codes_to_symbols, columns_to_codes)
 
 VOCAB = Vocabulary()  # 256 note actions, shifts up to one whole note at 2400 ticks
 TINY = Vocabulary(a_max=4, s_max=3)
@@ -29,26 +30,41 @@ def symbols_to_events(symbols, vocab: Vocabulary) -> list[MusicEvent]:
     return codes_to_events(codes, vocab)
 
 
+def events_to_symbols(events, vocab: Vocabulary) -> list[int]:
+    return codes_to_symbols(columns_to_codes(events, vocab), vocab)
+
+
 class TestEventCodes:
     def test_frozen_example(self):
-        assert encode_event(MusicEvent(t=3, a=5), VOCAB) == 773
+        assert events_to_codes([MusicEvent(t=3, a=5)], VOCAB) == [773]
 
     def test_decode_at_block_boundary(self):
         # Code 512 is the last action of tick 1, not the zeroth of tick 2.
-        assert decode_event(512, VOCAB) == MusicEvent(t=1, a=256)
+        assert codes_to_events([512], VOCAB) == [MusicEvent(t=1, a=256)]
 
     def test_round_trip_random_events(self):
+        """Seeded events, in code order as a piece holds them, through int64
+        arrays and through Python ints."""
         rng = np.random.default_rng(8)
-        for _ in range(3000):
-            ev = MusicEvent(t=int(rng.integers(0, 10000)),
-                            a=int(rng.integers(1, 257)))
-            assert decode_event(encode_event(ev, VOCAB), VOCAB) == ev
+        events = sorted({MusicEvent(t=int(rng.integers(0, 10000)), a=int(rng.integers(1, 257)))
+                         for _ in range(3000)})
+        assert codes_to_events(events_to_codes(events, VOCAB), VOCAB) == events
+        codes = columns_to_codes(np.array(events, dtype=np.int64), VOCAB)
+        assert codes.dtype == np.int64 and codes.tolist() == events_to_codes(events, VOCAB)
+        assert codes_to_columns(codes, VOCAB).tolist() == [list(ev) for ev in events]
 
     def test_multi_part_offsets(self):
         vocab = Vocabulary(parts=2)
         ev = MusicEvent(t=1, a=10, part=1)
-        assert encode_event(ev, vocab) == 512 + 256 + 10
-        assert decode_event(778, vocab) == ev
+        assert events_to_codes([ev], vocab) == [512 + 256 + 10]
+        assert codes_to_events([778], vocab) == [ev]
+
+    def test_codes_past_int64_are_exact(self):
+        """Rows and codes given as Python ints stay Python ints."""
+        events = [MusicEvent(0, 1), MusicEvent(10 ** 30, 2, part=1)]
+        vocab = Vocabulary(parts=2)
+        assert events_to_codes(events, vocab) == [1, 10 ** 30 * 512 + 258]
+        assert codes_to_events([1, 10 ** 30 * 512 + 258], vocab) == events
 
     def test_codes_are_strictly_increasing_in_time_and_action(self):
         events = [MusicEvent(0, 3), MusicEvent(0, 7), MusicEvent(2, 1)]
@@ -57,8 +73,23 @@ class TestEventCodes:
         assert codes_to_events(codes, VOCAB) == events
 
     def test_rejects_code_zero(self):
-        with pytest.raises(ValueError):
-            decode_event(0, VOCAB)
+        with pytest.raises(ValueError, match="^codes are positive, got 0$"):
+            codes_to_columns([5, 0], VOCAB)
+
+    @pytest.mark.parametrize("events, message", [
+        ([(0, 300), (0, 0)], "invalid event (0, 0, part=0)"),
+        ([(0, 2), (0, 300), (0, 1, 1)], "action 300 exceeds a_max=256"),
+        ([(0, 2), (0, 1, 1), (0, 300)], "part 1 exceeds part count 1"),
+        ([(0, 300, 1), (1, 1)], "action 300 exceeds a_max=256"),
+        ([(1, 3), (1, 2), (0, 300)], "action 300 exceeds a_max=256"),
+        ([(1, 3), (1, 2)], "times must strictly increase, got 258 after 259"),
+    ], ids=["invalid-before-range", "action", "part", "action-before-part",
+            "range-before-order", "order"])
+    def test_checks_come_in_their_order(self, events, message):
+        """Every row's invalid event, then the first range error, then the order."""
+        with pytest.raises(ValueError) as exc:
+            columns_to_codes([MusicEvent(*ev) for ev in events], VOCAB)
+        assert str(exc.value) == message
 
 
 class TestSymbolStreams:
@@ -95,7 +126,7 @@ class TestSymbolStreams:
 
     def test_the_step_rejects_a_repeated_code(self):
         """A code equal to the last one is its action again at the same tick."""
-        code = encode_event(MusicEvent(1, 3), TINY)
+        [code] = events_to_codes([MusicEvent(1, 3)], TINY)
         assert code_symbols(code, 0, TINY) == (1, (TINY.shift_symbol(1), 3))
         with pytest.raises(ValueError, match=r"^times must strictly increase, got 7 after 7$"):
             code_symbols(code, code, TINY)
@@ -221,7 +252,7 @@ class TestVocabulary:
             TINY.shift_amount(4)
 
     def test_rejects_invalid_event_fields(self):
-        with pytest.raises(ValueError):
-            MusicEvent(t=-1, a=1)
-        with pytest.raises(ValueError):
-            MusicEvent(t=0, a=0)
+        with pytest.raises(ValueError, match=r"^invalid event \(-1, 1, part=0\)$"):
+            columns_to_codes([MusicEvent(t=-1, a=1)], VOCAB)
+        with pytest.raises(ValueError, match=r"^invalid event \(0, 0, part=0\)$"):
+            columns_to_codes([MusicEvent(t=0, a=0)], VOCAB)

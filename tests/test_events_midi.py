@@ -7,12 +7,14 @@ import struct
 
 import numpy as np
 import pytest
+from exact import (codes_to_events, events_to_codes, read_events_by_json, stream_by_events,
+                   write_events)
 
 from ppsmc import cli
-from ppsmc.music.encoding import (MusicEvent, Vocabulary, codes_to_events, events_to_codes,
-                                  events_to_symbols)
+from ppsmc.music import files
+from ppsmc.music.encoding import MusicEvent, Vocabulary
 from ppsmc.music.files import (extract_constraints, in_file, read_constraint_file, read_corpus,
-                               read_events, write_codes, write_constraint_file, write_events)
+                               read_events, write_codes, write_constraint_file)
 from ppsmc.music.midi import read_midi, write_midi
 from ppsmc.music.ngram import train_ngram
 
@@ -197,22 +199,23 @@ def stream_or_error(read, *args):
 
 
 def read_by_events(path, vocab: Vocabulary) -> list[int]:
-    """A corpus file's stream read event by event, as ``read_corpus`` reads
-    any file it cannot read as arrays."""
-    events, _ = read_events(path)
+    """A corpus file's stream read by the reference reader and stepped event
+    by event."""
+    events, _ = read_events_by_json(path)
     with in_file(path):
-        return events_to_symbols(events, vocab)
+        return stream_by_events(events, vocab)
 
 
 @pytest.mark.parametrize("kind", MUTATIONS)
 def test_corpus_arrays_read_as_events_do(tmp_path, monkeypatch, kind):
     """Each file of a corpus gives the stream, or the error, that reading
-    its events one by one gives, under each model layout; a well-formed file
-    builds no MusicEvent."""
-    made = []
-    post_init = MusicEvent.__post_init__
-    monkeypatch.setattr(MusicEvent, "__post_init__",
-                        lambda ev: (made.append(ev), post_init(ev))[1])
+    its events one by one gives, under each model layout, and ``read_events``
+    gives the events or the error of the reference reader; a well-formed file
+    puts no event line through ``files.loads``."""
+    made = []  # the lines files.loads reads, but for the headers
+    loads = files.loads
+    monkeypatch.setattr(files, "loads", lambda text: ('"kind"' in text or made.append(text),
+                                                      loads(text))[1])
     rng = np.random.default_rng(MUTATIONS.index(kind))
     read = set()  # whether a stream was read, over every file and layout
     for i in range(8):
@@ -227,6 +230,8 @@ def test_corpus_arrays_read_as_events_do(tmp_path, monkeypatch, kind):
             expected = stream_or_error(read_by_events, corpus / "p.jsonl", vocab)
             assert got == ([expected] if isinstance(expected, list) else expected)
             read.add(isinstance(expected, list))
+        path = corpus / "p.jsonl"
+        assert stream_or_error(read_events, path) == stream_or_error(read_events_by_json, path)
     assert (True in read) if kind in ("none", "blank-lines", "json-respelled") else (False in read)
 
 
@@ -252,11 +257,17 @@ class TestConstraintExtraction:
                                 vocab)
         assert cs.z == tuple(codes)
 
+    def test_a_piece_the_layout_cannot_encode_is_refused(self):
+        """Every event is encoded before the split, so one the vocabulary
+        lacks is an error even where it would be discarded."""
+        events = [MusicEvent(0, 10, 0), MusicEvent(1200, 20, 1)]
+        with pytest.raises(ValueError, match="^part 1 exceeds part count 1$"):
+            extract_constraints(events, split_tick=600, part=0, vocab=VOCAB)
+
     def test_part_with_no_events_yields_empty_constraints(self):
         vocab = Vocabulary(parts=2)
         events = [MusicEvent(0, 10, 0), MusicEvent(1200, 30, 0)]
-        with pytest.warns(UserWarning, match="no events"):
-            _, cs = extract_constraints(events, split_tick=600, part=1, vocab=vocab)
+        _, cs = extract_constraints(events, split_tick=600, part=1, vocab=vocab)
         assert cs.z == ()
         assert cs.b == ()
 

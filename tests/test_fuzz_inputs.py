@@ -18,11 +18,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from exact import codes_to_events, read_events_by_json, write_events
 from test_acceptance import TINY, tiny_music_model
 
 from ppsmc.cli import main
-from ppsmc.music.encoding import MusicEvent, Vocabulary, codes_to_events, events_to_codes
-from ppsmc.music.files import loads, read_events, read_parts, write_events
+from ppsmc.music.encoding import MusicEvent, Vocabulary
+from ppsmc.music.files import read_events, read_parts
 from ppsmc.music.midi import write_midi
 
 NOT_A_LIST = [None, "ab", 1.5, 3, True, {"x": 1}]
@@ -528,9 +529,8 @@ def test_constraints_of_an_empty_piece_split_before_tick_1_are_not_written(tmp_p
     would take the file, so none is written."""
     piece, out = tmp_path / "empty.jsonl", tmp_path / "cs.json"
     write_events(piece, [], Vocabulary())
-    with pytest.warns(UserWarning, match="constraint set is empty"):
-        code = main(["extract-constraints", "--events", str(piece), "--split-tick", split,
-                     "--out", str(out)])
+    code = main(["extract-constraints", "--events", str(piece), "--split-tick", split,
+                 "--out", str(out)])
     err = assert_error_exit(code, capsys, f"--split-tick {split}")
     assert err == f"error: constraint field 'horizon_ticks' must be positive, got {split}\n"
     assert not out.exists()
@@ -581,40 +581,6 @@ def test_grid_spec_missing_a_parameter_exits_1(tmp_path, capsys, name, dropped):
     err = capsys.readouterr().err
     assert code == 1, err
     assert f"error: grid spec {spec!r} is missing parameter '{dropped}'" in err
-
-
-def read_events_by_json(path) -> tuple[list[MusicEvent], int]:
-    """``read_events`` with every line parsed by ``files.loads`` (``json.loads``
-    refusing repeated keys), as it read event files before lines in
-    ``write_codes``' form got a parser of their own: every ValueError, JSON
-    errors included, is prefixed with the path."""
-    try:
-        raw = [line for line in Path(path).read_text().splitlines() if line.strip()]
-        if not raw:
-            raise ValueError("empty event file")
-        header = loads(raw[0])
-        kind = header.get("kind") if isinstance(header, dict) else None
-        if kind != "events":
-            raise ValueError(f"not an event file (kind={kind!r})")
-        if header.get("version", 1) != 1:
-            raise ValueError(f"unsupported event file version {header.get('version')!r}")
-        parts = header.get("parts", 1)
-        if type(parts) is not int:
-            raise ValueError(f"header field 'parts' must be an integer, got {parts!r}")
-        events = []
-        for k, line in enumerate(raw[1:], start=1):
-            d = loads(line)
-            if not isinstance(d, dict):
-                d = {}
-            t, a, part = d.get("t"), d.get("a"), d.get("part", 0)
-            if not (type(t) is int and type(a) is int and type(part) is int):  # no bools
-                raise ValueError(f"event {k} needs integer 't', 'a' and 'part' fields, "
-                                 f"got {line.strip()[:80]!r}")
-            events.append(MusicEvent(t=t, a=a, part=part))
-        events_to_codes(events, Vocabulary(parts=max(parts, 1)))  # canonical order check
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-    return events, parts
 
 
 FULLWIDTH = str.maketrans("0123456789", "０１２３４５６７８９")
@@ -731,6 +697,29 @@ class TestEventFiles:
             except ValueError as exc:
                 outcomes.append(str(exc))
         assert outcomes[0] == outcomes[1]
+
+    @pytest.mark.parametrize("parts", [0, -3])
+    @pytest.mark.parametrize("command", ["extract-constraints", "train", "train --parts 1",
+                                         "logprob", "convert --to-midi"])
+    def test_header_with_parts_below_1_is_refused(self, tmp_path, capsys, monkeypatch,
+                                                  command, parts):
+        """Every command that reads an event file refuses the header by name,
+        and no reader takes it as a one-part file."""
+        monkeypatch.chdir(tmp_path)
+        tiny_music_model().step_model.save("model.json")
+        Path("corpus").mkdir()
+        path = Path("corpus/piece.jsonl")
+        path.write_text(json.dumps({"version": 1, "kind": "events", "ppq": 2400, "parts": parts})
+                        + '\n{"a": 1, "part": 0, "t": 0}\n')
+        argv = {"extract-constraints": ["--events", str(path), "--split-tick", "1",
+                                        "--out", "out"],
+                "train": ["--corpus", "corpus", "--out", "out"],
+                "logprob": ["--model", "model.json", "--out", "out", str(path)],
+                "convert": [str(path), "out"]}[command.split()[0]]
+        err = assert_error_exit(main([*command.split(), *argv]), capsys, command)
+        assert err == (f"error: {path}: header field 'parts' must be a positive integer, "
+                       f"got {parts}\n")
+        assert not Path("out").exists()
 
 
 def sample_midi() -> bytes:

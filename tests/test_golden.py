@@ -52,6 +52,7 @@ import hashlib
 
 import pytest
 from exact import order2_grid
+from exact import events_to_codes
 from test_acceptance import TINY, tiny_music_model
 from test_encoding import symbols_to_events
 
@@ -59,7 +60,7 @@ from ppsmc.beam import beam_search_sample
 from ppsmc.models import (PoissonProcessModel, UniformRenewalModel,
                           step_log_probabilities)
 from ppsmc.music.adapter import UnrolledMusicModel
-from ppsmc.music.encoding import Vocabulary, events_to_codes
+from ppsmc.music.encoding import Vocabulary
 from ppsmc.music.ngram import train_ngram
 from ppsmc.oracle import observed_constraints
 from ppsmc.smc import ConstraintSet, conditional_sample

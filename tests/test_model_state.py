@@ -154,9 +154,9 @@ def test_music_runs_build_no_event_objects(monkeypatch):
     200-code prefix construct no ``MusicEvent``."""
     model, cs, kwargs = _six_free_barriers()
     made = []
-    post_init = MusicEvent.__post_init__
-    monkeypatch.setattr(MusicEvent, "__post_init__",
-                        lambda ev: (made.append(ev), post_init(ev))[1])
+    new = MusicEvent.__new__
+    monkeypatch.setattr(MusicEvent, "__new__",
+                        lambda cls, *args, **kw: (made.append(args), new(cls, *args, **kw))[1])
     assert conditional_sample(model, cs, 20, 5, **kwargs).survived
     assert beam_search_sample(model, cs, 3, 4, 5, **kwargs).survived
     assert made == []

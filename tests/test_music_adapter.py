@@ -6,14 +6,13 @@ import math
 
 import numpy as np
 import pytest
+from exact import codes_to_events, events_to_codes
 
 from ppsmc.beam import beam_search_sample
 from ppsmc.models import SaturatedCdfError, barrier_weight
 from ppsmc.music import adapter
 from ppsmc.music.adapter import UnrolledMusicModel
-from ppsmc.music.encoding import (MusicEvent, Vocabulary, codes_to_events,
-                                  codes_to_symbols, encode_event, events_to_codes,
-                                  events_to_symbols)
+from ppsmc.music.encoding import MusicEvent, Vocabulary, codes_to_symbols
 from ppsmc.music.ngram import NGramModel, train_ngram
 from ppsmc.smc import ConstraintSet, conditional_sample, satisfies
 
@@ -36,7 +35,7 @@ def enumerate_next_code_pmf(model: UnrolledMusicModel, history: list[int]) -> di
     step = model.step_model
     vocab = step.vocab
     events = codes_to_events(history, vocab)
-    symbols = events_to_symbols(events, vocab)
+    symbols = codes_to_symbols(events_to_codes(events, vocab), vocab)
     prev = symbols[-1] if symbols else None
     ctx = step.context_of(symbols)
     pmf = step.masked_pmf(ctx, prev)
@@ -70,8 +69,8 @@ def full_size_model(seed: int, alpha: float = 0.05,
 
 HISTORIES = [
     [],
-    [encode_event(MusicEvent(0, 2), TINY)],
-    [encode_event(MusicEvent(0, 1), TINY), encode_event(MusicEvent(1, 3), TINY)],
+    events_to_codes([MusicEvent(0, 2)], TINY),
+    events_to_codes([MusicEvent(0, 1), MusicEvent(1, 3)], TINY),
     events_to_codes([MusicEvent(0, 4), MusicEvent(2, 1), MusicEvent(2, 2)], TINY),
 ]
 
@@ -120,7 +119,7 @@ class TestGapDistribution:
                                               order=1, alpha=0.0))
         gap = bare.initial_state([])
         exact = enumerate_next_code_pmf(bare, [])
-        assert exact[encode_event(MusicEvent(2, 1), TINY)] == 0.0
+        assert exact[events_to_codes([MusicEvent(2, 1)], TINY)[0]] == 0.0
         for d, p in exact.items():
             assert gap.pdf(d) == pytest.approx(p, rel=1e-12)
 
@@ -296,18 +295,18 @@ class TestConditionalMusicSampling:
         assert all(s == tuple(target) for s in result.samples)
 
     def test_survivors_decode_to_canonical_event_lists(self, model):
-        z = (encode_event(MusicEvent(1, 2), TINY), encode_event(MusicEvent(2, 3), TINY))
+        z = tuple(events_to_codes([MusicEvent(1, 2), MusicEvent(2, 3)], TINY))
         cs = ConstraintSet(z=z, b=(True, True))
         result = conditional_sample(model, cs, 32, seed=41, horizon=4 * TINY.actions)
         assert result.survived
         for s in result.samples:
             assert satisfies(s, cs)
             codes = [int(c) for c in s]
-            events_to_symbols(codes_to_events(codes, TINY), TINY)  # raises if invalid
+            codes_to_symbols(events_to_codes(codes_to_events(codes, TINY), TINY), TINY)  # or raises
 
     def test_prefix_history_conditions_the_walk(self, model):
         prefix = tuple(events_to_codes([MusicEvent(0, 1)], TINY))
-        z = (encode_event(MusicEvent(2, 2), TINY),)
+        z = tuple(events_to_codes([MusicEvent(2, 2)], TINY))
         cs = ConstraintSet(z=z, b=(False,))
         result = conditional_sample(model, cs, 8, seed=42,
                                     horizon=3 * TINY.actions, initial_history=prefix)
