@@ -10,10 +10,10 @@ i+1, observed index = required event, horizon N), and the laws are compared.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from operator import add
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -76,18 +76,15 @@ def enumerate_conditional(model: GridModel, observed: Iterable[int]) -> dict[tup
     observed = sorted(set(observed))
     if observed and not 0 <= observed[0] <= observed[-1] < model.n:
         raise ValueError(f"observed indices out of range for n={model.n}")
-    table = {}
-    total = 0.0
-    for bits in itertools.product((0, 1), repeat=model.n):
-        if any(bits[j] == 0 for j in observed):
-            continue
-        p = chain_probability(model, bits)
-        if p > 0:
-            table[bits] = p
-            total += p
+    table = {(): 1.0}  # each consistent prefix's probability, grown a cell at a time
+    for i in range(model.n):
+        table = {bits + (v,): p * (q if v else 1.0 - q)
+                 for bits, p in table.items() for q in (_occupied(model, bits),)
+                 for v in ((1,) if i in observed else (0, 1))}
+    total = reduce(add, table.values(), 0.0)  # left to right (sum() compensates from 3.12)
     if total == 0:
         raise ValueError("conditioning event has probability zero under this model")
-    return {bits: p / total for bits, p in table.items()}
+    return {bits: p / total for bits, p in table.items() if p > 0}
 
 
 @dataclass(frozen=True)

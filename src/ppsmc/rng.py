@@ -24,6 +24,8 @@ the others, so the lanes of many runs share one call.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 # kind tags for the packed key
@@ -35,18 +37,19 @@ _MAX_BARRIERS = 1 << 16
 _MAX_PARTICLES = 1 << 32
 _MAX_COUNTERS = 1 << 64
 _SEED_MASK = (1 << 64) - 1
+_seed_word = np.frompyfunc(lambda s: operator.index(s) & _SEED_MASK, 1, 1)  # numpy's ints too
 
 
 def stream(seed: int, kind: int, barrier: int, particle: int = 0) -> np.random.Generator:
     """A fresh ``Generator(Philox(key=k))`` for one (kind, barrier, particle)
     slot of a run, k = (seed mod 2**64, kind << 48 | barrier << 32 | particle)."""
-    key = np.array([seed & _SEED_MASK, _key(kind, barrier, particle)], dtype=np.uint64)
+    key = np.array([seed_words(seed), _key(kind, barrier, particle)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
 def run_seed(seed: int, run_index: int) -> int:
     """Derive a fresh 64-bit master seed for one run of a multi-run command."""
-    ss = np.random.SeedSequence([seed & _SEED_MASK, run_index])
+    ss = np.random.SeedSequence([int(seed_words(seed)), run_index])
     return int(ss.generate_state(1, np.uint64)[0])
 
 
@@ -109,11 +112,11 @@ def _key(kind: int, barrier, lanes) -> np.ndarray:
 
 
 def seed_words(seed) -> np.ndarray:
-    """Each seed mod 2**64, the first key word of its streams, as ``stream()``
-    reduces it: an integer array wraps, any other seed is reduced as Python ints."""
+    """Each integer seed mod 2**64, the first key word of its streams: an integer
+    array wraps, any other seed (numpy's integers too) is reduced as Python ints."""
     if isinstance(seed, np.ndarray) and seed.dtype.kind in "iu":
         return seed.astype(np.uint64, copy=False)
-    return np.array(np.array(seed, dtype=object) & _SEED_MASK, dtype=np.uint64)
+    return np.array(_seed_word(np.array(seed, dtype=object)), dtype=np.uint64)
 
 
 def block(seed, kind: int, barrier, lanes, counter=1) -> np.ndarray:

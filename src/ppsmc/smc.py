@@ -223,9 +223,7 @@ def _exact_systematic_indices(weights: list[float], u: float) -> tuple[int, ...]
 # keys per Philox block call (~0.12 ms with a few keys, ~1 ms with 4,096, on 2 cores):
 # the first blocks of several barriers are drawn at once
 _BLOCK_KEYS = 4096
-# gaps a renewal lane draws one at a time before it draws runs of them,
-# each as long as all before it, up to _MAX_RUN gaps per step in all
-_SINGLE_STEPS = 4
+# the most gaps a step draws in all when renewal lanes draw runs of gaps
 _MAX_RUN = 1 << 16
 # paths a batch of runs walks together (at least one run): a walk's peak memory grows
 # with its paths, about 1 KB each on the grid, and past a few thousand no faster
@@ -252,9 +250,9 @@ class _Walk:
     A model whose ``advance`` is ``RenewalModel``'s keeps its first state, so
     its walk proposes a chunk of barriers as rows (barrier, lane): those
     whose first blocks are drawn together, while the runs' sizes stay those
-    of the first.  A chunk ends before the first barrier with a failing row.  After
-    ``_SINGLE_STEPS`` gaps such a row draws runs of gaps if its law keeps
-    the quantile ``draws``, so a million events take a few dozen steps.
+    of the first.  A chunk ends before the first barrier with a failing row.  Once it
+    has drawn a gap such a row draws runs of gaps, each as long as all before it,
+    if its law keeps the quantile ``draws``, so a million events take a few dozen steps.
 
     A level is stored as its free times (those short of the barrier; in the
     open tail, those at or below the horizon) in lane order, and where each
@@ -364,7 +362,7 @@ class _Walk:
             groups = [(self.table[s], a, b)
                       for s, a, b in zip(s_act[bounds[:-1]].tolist(), bounds, bounds[1:])]
             count = 1  # gaps each row draws this step
-            if self.runs and drawn >= _SINGLE_STEPS:
+            if self.runs and drawn:
                 count = min(drawn, max(1, _MAX_RUN // len(active)), models.MAX_EVENTS - drawn)
             u_act = self._uniforms(u, active, at[active], count if self.runs else
                                    max(law.draw_width for law, _, _ in groups), i, n)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 
@@ -78,6 +79,64 @@ class TestEnumerateConditional:
         model = GridModel(n=30, g=lambda bits: 0.5)
         with pytest.raises(ValueError):
             enumerate_conditional(model, observed=[0])
+
+    @staticmethod
+    def brute_force(model, observed) -> dict:
+        """The law from every consistent vector's ``chain_probability``, its
+        positive entries normalized by their total added in vector order."""
+        table = {bits: chain_probability(model, bits)
+                 for bits in itertools.product((0, 1), repeat=model.n)
+                 if all(bits[j] for j in observed)}
+        table = {bits: p for bits, p in table.items() if p > 0}
+        total = 0.0
+        for p in table.values():
+            total += p
+        if total == 0:
+            raise ValueError("conditioning event has probability zero under this model")
+        return {bits: p / total for bits, p in table.items()}
+
+    @staticmethod
+    def outcome(law, model, observed):
+        try:
+            return list(law(model, observed).items())
+        except ValueError as error:
+            return str(error)
+
+    def test_equals_the_brute_force_law_bit_for_bit(self):
+        """On random tables of g, some of whose cells are certain, impossible
+        or all but impossible, the table grown prefix by prefix holds the
+        probabilities of every vector, in the same order, to the last bit."""
+        rng = np.random.default_rng(6203)
+        raised = 0
+        for _ in range(300):
+            n = int(rng.integers(1, 11))
+            special = rng.choice([0.0, 1.0, 1e-200, np.nan], size=2 ** n - 1,
+                                 p=[0.15, 0.15, 0.1, 0.6])
+            values = np.where(np.isnan(special), rng.random(2 ** n - 1), special).tolist()
+            prefixes = [bits for i in range(n) for bits in itertools.product((0, 1), repeat=i)]
+            model = GridModel(n, dict(zip(prefixes, values)).__getitem__)
+            observed = sorted({int(j) for j in rng.integers(0, n, rng.integers(0, 3))})
+            exact = self.outcome(self.brute_force, model, observed)
+            raised += isinstance(exact, str)
+            assert self.outcome(enumerate_conditional, model, observed) == exact
+        assert 0 < raised < 300
+
+    @pytest.mark.parametrize("n, observed, calls", [(8, [4], 143), (5, [], 31), (6, [0, 5], 32)])
+    def test_g_is_called_once_per_consistent_prefix(self, n, observed, calls):
+        """sum over i < n of 2**(i - the observed cells below i) calls; a walk
+        over every vector would make 1,024 at 8 cells with cell 4 observed."""
+        seen = []
+        model = GridModel(n, lambda bits: seen.append(bits) or 0.5)
+        enumerate_conditional(model, observed)
+        assert len(seen) == len(set(seen)) == calls
+        assert calls == sum(2 ** (i - sum(j < i for j in observed)) for i in range(n))
+
+    def test_an_invalid_g_is_named_at_its_shortest_prefix(self):
+        """g is -0.5 after (1, 1) and 1.5 after (1, 0): the prefix (1, 1) is
+        extended before any longer prefix that ends in (1, 0)."""
+        model = GridModel(4, lambda bits: {(1, 1): -0.5, (1, 0): 1.5}.get(bits[-2:], 0.0))
+        with pytest.raises(ValueError, match=r"^g returned -0\.5, not a probability$"):
+            enumerate_conditional(model, observed=[1])
 
 
 class TestGridGapAdapter:

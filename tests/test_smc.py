@@ -11,13 +11,14 @@ import pytest
 from exact import order2_grid
 
 from ppsmc import models, rng, smc
-from ppsmc.beam import beam_search_sample
+from ppsmc.beam import beam_search_runs, beam_search_sample
 from ppsmc.models import (PoissonProcessModel, RenewalModel, UniformGap, UniformRenewalModel,
                           WeibullRenewalModel, barrier_weight,
                           propose_segment, sample_restricted, step_log_probabilities)
 from ppsmc.music.files import read_constraint_file, write_constraint_file
+from ppsmc.oracle import observed_constraints
 from ppsmc.rng import KIND_PROPOSAL, block, doubles, run_seed, stream
-from ppsmc.smc import (ConstraintSet, conditional_sample,
+from ppsmc.smc import (ConstraintSet, conditional_runs, conditional_sample,
                        effective_sample_size, satisfies, systematic_indices)
 
 
@@ -591,6 +592,37 @@ class TestSeedStreams:
         th.join()
         assert len(results) == 2 and all(r.survived for r in results)
         assert built == []
+
+    # (numpy seed, the Python int or ints it stands for)
+    NUMPY_SEEDS = [(np.int64(-3), -3), (np.uint64(2 ** 64 - 1), 2 ** 64 - 1), (np.int8(-1), -1),
+                   (np.int64(2 ** 62), 2 ** 62), (np.arange(3), [0, 1, 2]),
+                   (np.array([-3, 2 ** 62]), [-3, 2 ** 62]),
+                   ([np.int64(-7), 2 ** 70, np.uint32(9)], [-7, 2 ** 70, 9])]
+
+    def test_numpy_integer_seeds_are_their_python_ints(self):
+        """numpy's integer scalars, integer arrays and lists mixing them with
+        ints past 64 bits give the key words of the same Python ints, in
+        ``stream``, ``run_seed``, ``block`` and a filter's seed; a seed that
+        is no integer, numpy's float too, is refused."""
+        for seed, ints in self.NUMPY_SEEDS:
+            assert rng.seed_words(seed).tobytes() == rng.seed_words(ints).tobytes()
+            assert block(seed, 1, 2, 3).tobytes() == block(ints, 1, 2, 3).tobytes()
+        for seed, ints in self.NUMPY_SEEDS[:4]:
+            assert stream(seed, 0, 1, 2).random(3).tolist() == \
+                stream(ints, 0, 1, 2).random(3).tolist()
+            assert run_seed(seed, 5) == run_seed(ints, 5)
+        model, cs = order2_grid(6), observed_constraints([2])
+        assert repr(conditional_sample(model, cs, 7, np.int64(-3), horizon=6)) == \
+            repr(conditional_sample(model, cs, 7, -3, horizon=6))
+        for seed in (1.5, [1, 1.5], np.float64(2.0)):
+            with pytest.raises(TypeError):
+                rng.seed_words(seed)
+
+    def test_a_seed_range_gives_the_runs_of_its_python_ints(self):
+        model, cs = order2_grid(6), observed_constraints([2])
+        for runs in (lambda seeds: conditional_runs(model, cs, 5, seeds, horizon=6),
+                     lambda seeds: beam_search_runs(model, cs, 2, 3, seeds, horizon=6)):
+            assert list(map(repr, runs(np.arange(3)))) == list(map(repr, runs([0, 1, 2])))
 
 
 class TestBlocks:
