@@ -12,6 +12,8 @@ import math
 import numbers
 import sys
 from collections import Counter
+from functools import reduce
+from operator import add
 from pathlib import Path
 
 from .beam import beam_search_runs
@@ -199,7 +201,7 @@ def cmd_logprob(args) -> int:
         times = _load_times(path, vocab)
         with in_file(path):
             steps = step_log_probabilities(model, times)
-        total = sum(steps, 0.0)
+        total = reduce(add, steps, 0.0)  # as log_probability adds them, left to right
         offending = next((i for i, lp in enumerate(steps) if lp == -math.inf), None)
         entries.append({"path": path, "num_events": len(times),
                         "log_prob": total if math.isfinite(total) else None,

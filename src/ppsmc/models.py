@@ -44,6 +44,8 @@ gap from the same uniforms, one ``random()`` at a time.
 from __future__ import annotations
 
 import math
+from functools import reduce
+from operator import add
 from typing import Sequence
 
 import numpy as np
@@ -211,10 +213,12 @@ class ExponentialGap(InterArrivalDistribution):
         return -np.fromiter(map(math.log1p, (-u).tolist()), float, u.size) / self.rate
 
     def weights(self, d, b_prev):
-        if b_prev:
-            return np.where(d >= 0, self.rate, 0.0)
-        exps = map(math.exp, (-self.rate * np.maximum(d, 0.0)).tolist())  # no overflow below 0
-        return np.where(d < 0, 0.0, self.rate * np.fromiter(exps, float, d.size))
+        """Each gap's ``barrier_weight``, ``b_prev`` one flag for all or one per gap."""
+        w, forced = np.where(d >= 0, self.rate, 0.0), ~np.broadcast_to(b_prev, d.shape)
+        clipped = np.maximum(d[forced], 0.0)  # no overflow below 0
+        exps = map(math.exp, (-self.rate * clipped).tolist())
+        w[forced] = np.where(d[forced] < 0, 0.0, self.rate * np.fromiter(exps, float))
+        return w
 
 
 class WeibullGap(InterArrivalDistribution):
@@ -397,5 +401,5 @@ def step_log_probabilities(model: SequenceModel, seq: Sequence[float],
 
 def log_probability(model: SequenceModel, seq: Sequence[float],
                     initial_history: Sequence[float] = ()) -> float:
-    """Total log probability of a sequence: sum of its step log densities."""
-    return sum(step_log_probabilities(model, seq, initial_history), 0.0)
+    """Total log probability of a sequence: its step log densities added left to right."""
+    return reduce(add, step_log_probabilities(model, seq, initial_history), 0.0)

@@ -166,9 +166,9 @@ def bits_from_times(times: Sequence[float], n: int) -> tuple:
 
 
 def total_variation(p: Mapping, q: Mapping) -> float:
-    """0.5 * sum over the union support of |p - q|."""
+    """0.5 * sum over the union support of |p - q|, added left to right."""
     keys = set(p) | set(q)
-    return 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)
+    return 0.5 * reduce(add, (abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys), 0.0)
 
 
 def normalize_counts(counts: Mapping) -> dict:

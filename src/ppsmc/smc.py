@@ -27,10 +27,11 @@ their Philox blocks (``rng.block``), the draws their ``stream()`` would
 give; the distinct (state, time) and (law, gap) pairs of a step or a
 barrier are advanced or valued in one ``advance_many`` or ``values_many``
 call; a fixed-law run proposes together the barriers whose first blocks
-are drawn together, and values each when the loop reaches it.  The walk
-owns the paths: they are stored as each barrier's segments plus the
-indices of the children kept (Jacob, Murray & Rubenthaler 2015, "Path
-storage in the particle filter"), and each sample is built once, at the end.
+are drawn together, and values them in one call of its law's own ``weights``
+if it has one.  The walk owns the paths: they are stored as each barrier's
+segments plus the indices of the children kept (Jacob, Murray & Rubenthaler
+2015, "Path storage in the particle filter"), and the samples are built
+once, at the end, a chunk of barriers at a time.
 The runs of many seeds are one walk (``conditional_runs``, and the beam's
 ``beam_search_runs``): their lanes are rows (run, lane), each run selects
 from its own slice, and each gets the bytes it gets alone.
@@ -253,12 +254,15 @@ class _Walk:
     of the first.  A chunk ends before the first barrier with a failing row.  Once it
     has drawn a gap such a row draws runs of gaps, each as long as all before it,
     if its law keeps the quantile ``draws``, so a million events take a few dozen steps.
+    The children all start at the barrier before them, whatever was kept, so a
+    law with its own ``weights`` values the chunk in one call; any other law is
+    valued at each barrier, lest a hazard raise before an earlier barrier's death.
 
-    A level is stored as its free times (those short of the barrier; in the
-    open tail, those at or below the horizon) in lane order, and where each
-    child's begin, one more entry for the end, plus the indices of the
-    children kept; the barrier itself, the z object, is put back when
-    ``paths`` builds the samples.
+    A chunk is stored as its free times (those short of the barrier; in the
+    open tail, those at or below the horizon) row by row, where each row's
+    begin, one more entry for the end, and each level's first row, plus the
+    indices of the children kept; the barrier itself, the z object, is put
+    back when ``paths`` builds the samples.
     """
 
     def __init__(self, model, law, seeds, horizon, score, width, start, constraints):
@@ -274,7 +278,7 @@ class _Walk:
         # each level's stop (its barrier, or the horizon for the open tail), flag and start
         self.stops, self.flags, self.starts = ((*constraints.z, horizon), (True, *constraints.b),
                                                (start, *constraints.z))
-        self.levels, self.lineage = [], []  # each level's times; its kept children
+        self.levels, self.lineage = {}, []  # each chunk's times, begins, levels; each level's kept
         self._ahead = 0, np.empty((0, len(self.sids), 4 * self.blocks))  # first level, blocks
         self.chunk = 0, 0, self.sizes  # the levels last walked together and their runs' sizes
 
@@ -307,18 +311,20 @@ class _Walk:
         first, end, sizes = self.chunk[:3]
         if not (first <= i < end and sizes == self.sizes):
             self._walk(i)
-        first, _, _, times, begin, pos, sids, logs = self.chunk
+        first, _, _, times, begin, pos, sids, logs, valued = self.chunk
         a = (i - first) * n  # the level's first row
-        self.levels.append((times, begin[a:a + n + 1]))
+        self.levels.setdefault(id(times), (times, begin, i, []))[3].append(a)
         self.level_sids = sids[a:a + n]
         values = None  # the tail's weights are not used
-        if self.score:  # add.at adds a lane's repeated entries in turn, as sum() does
+        if self.score:  # add.at adds a lane's repeated entries in turn, left to right
             values = self.folds.copy()
             rows, states, gaps, entries = logs
             span = slice(entries[a], entries[a + n])  # the level's lanes' entries
-            np.add.at(values, rows[span] - a, self._each(states[span], gaps[span]))
+            np.add.at(values, rows[span] - a,
+                      valued[span] if self.weights else self._each(states[span], gaps[span]))
         elif clip:
-            values = self._each(sids[a:a + n], z - pos[a:a + n], self.flags[i])
+            values = (valued[a:a + n] if self.weights
+                      else self._each(sids[a:a + n], z - pos[a:a + n], self.flags[i]))
         if not clip:
             self.lineage.append(np.arange(n))
             self.folds = values
@@ -410,15 +416,15 @@ class _Walk:
         _, values, begin = _by_row(times or [(np.empty(0, dtype=np.int64), np.empty(0))], len(pos))
         if self.score:
             logs = _by_row(logs or [(np.empty(0, dtype=np.int64),) * 3], len(pos))
-        self.chunk = i, upto, self.sizes, values, begin, pos, sids, logs
+        valued = None  # a fixed law's children, each valued as the loop would value it
+        if self.weights and (self.score or clip):
+            valued = (_log_densities(self.weights(logs[2], False)) if self.score
+                      else self.weights(stop - pos, free))
+        self.chunk = i, upto, self.sizes, values, begin, pos, sids, logs, valued
 
     def _each(self, sids: np.ndarray, gaps: np.ndarray, b_prev: bool | None = None) -> np.ndarray:
         """Each lane's log density (``b_prev`` None) or barrier weight of its gap, in state
-        ``sids``: by one call of a fixed law's own ``weights`` (the logs of its densities), else
-        by one ``values_many`` call over the distinct (state, gap) pairs."""
-        if self.weights:
-            w = self.weights(gaps, bool(b_prev))
-            return w if b_prev is not None else _log_densities(w)
+        ``sids``, by one ``values_many`` call over the distinct (state, gap) pairs."""
         return self._once(lambda laws, d: _hooks(laws).values_many(laws, d, b_prev),
                           sids, gaps, float)
 
@@ -458,21 +464,25 @@ class _Walk:
         is followed back through the kept indices of every level.  After an
         open tail no time lies past the horizon, history included (only a
         history without barriers can reach past it)."""
-        paths, picks = np.arange(len(self.lineage[-1])), []
-        for kept in reversed(self.lineage):  # a level's children are the paths kept before it
-            paths = kept[paths]
-            picks.insert(0, paths)
-        sizes = len(zs) + sum(begin[k + 1] - begin[k] for (_, begin), k in zip(self.levels, picks))
-        ends = np.cumsum(sizes)
+        picks = np.empty((len(self.lineage), len(self.lineage[-1])), dtype=np.int64)
+        paths = np.arange(picks.shape[1])
+        for i in reversed(range(len(picks))):  # a level's children are the paths kept before it
+            picks[i] = paths = self.lineage[i][paths]
+
+        def chunks() -> Iterator:  # each chunk's times and zs, each (level, path)'s start and count
+            for times, begin, i, firsts in self.levels.values():
+                rows = picks[i:i + len(firsts)] + np.array(firsts)[:, None]
+                yield times, zs[i:i + len(firsts)], begin[rows], begin[rows + 1] - begin[rows]
+
+        sizes = sum(n.sum(axis=0) for *_, n in chunks()) + len(zs)
+        out, ends = np.empty(sizes.sum(), dtype=object), np.cumsum(sizes)
         at = ends - sizes  # where each path's next time goes
-        out = np.empty(ends[-1], dtype=object)
-        for i, ((values, begin), k) in enumerate(zip(self.levels, picks)):
-            n = begin[k + 1] - begin[k]
-            out[_spans(at, n)] = values[_spans(begin[k], n)]
-            at = at + n
-            if i < len(zs):
-                out[at] = zs[i]
-                at = at + 1
+        for times, z, starts, n in chunks():  # a chunk at a time: the temporaries stay small
+            end = at + np.cumsum(n + bool(z), axis=0)  # each (level, path)'s end, past its z
+            got = times[_spans(starts.ravel(), n.ravel())]  # numbers, made objects as they go in
+            out[_spans((end - n - bool(z)).ravel(), n.ravel())] = got
+            out[end[:len(z)] - 1] = np.array(z, dtype=object)[:, None]  # the z objects themselves
+            at = end[-1]
         if self.flags[-1]:  # an open tail drops every time past the horizon
             history = models.trim_at_horizon(list(history), self.stops[-1])
         bounds, out = [0, *ends.tolist()], out.tolist()

@@ -9,7 +9,7 @@ from test_acceptance import TINY, tiny_music_model
 from test_golden import long_prefix
 
 from ppsmc.beam import beam_search_sample
-from ppsmc.models import (PoissonProcessModel, UniformRenewalModel,
+from ppsmc.models import (PoissonProcessModel, UniformRenewalModel, WeibullRenewalModel,
                           log_probability, propose_segment)
 from ppsmc.oracle import GridModel, observed_constraints
 from ppsmc.rng import KIND_PROPOSAL, stream
@@ -32,12 +32,19 @@ class TestBeamSearch:
         z = ((end + 2) * TINY.actions + 1, (end + 4) * TINY.actions + 3)
         music = (tiny_music_model(), ConstraintSet(z=z, b=(True, True)),
                  {"horizon": (end + 7) * TINY.actions, "initial_history": tuple(long_prefix(20))})
+        many = ConstraintSet(z=tuple(k / 100 for k in range(1, 100)), b=(True,) * 99)
         cases = [(PoissonProcessModel(rate=4.0), ConstraintSet(z=(0.5,), b=(True,)), {}),
                  music,
                  (PoissonProcessModel(rate=6.0),
-                  ConstraintSet(z=(0.25, 0.5, 0.75), b=(True, False, False)), {})]
+                  ConstraintSet(z=(0.25, 0.5, 0.75), b=(True, False, False)), {}),
+                 # scores that cross the walk's 40-barrier chunks, valued a chunk at a time
+                 (PoissonProcessModel(rate=30.0), many, {"b": 10, "f": 10}),
+                 # a fixed law without array weights, valued a barrier at a time
+                 (WeibullRenewalModel(shape=1.5, scale=0.1),
+                  ConstraintSet(z=(0.2, 0.4, 0.6, 0.8), b=(True, False, True, True)), {})]
         for model, cs, kwargs in cases:
-            result = beam_search_sample(model, cs, b=5, f=4, seed=3, **kwargs)
+            kwargs = {"b": 5, "f": 4, **kwargs}
+            result = beam_search_sample(model, cs, seed=3, **kwargs)
             prefix = kwargs.get("initial_history", ())
             assert result.survived
             assert len(result.log_probs) == len(result.samples)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -15,7 +16,8 @@ from test_acceptance import TINY, tiny_music_model
 
 from ppsmc import cli
 from ppsmc.cli import main
-from ppsmc.models import PoissonProcessModel, log_probability
+from ppsmc.models import (PoissonProcessModel, UniformRenewalModel, log_probability,
+                          step_log_probabilities)
 from ppsmc.music import files
 from ppsmc.music.encoding import MusicEvent, Vocabulary
 from ppsmc.music.files import read_events, write_constraint_file
@@ -264,6 +266,19 @@ class TestLogprobCommand:
         entry = read_json(report_path)["entries"][0]
         expected = log_probability(PoissonProcessModel(rate=3.0), tuple(times))
         assert entry["log_prob"] == pytest.approx(expected, rel=1e-12)
+
+    def test_total_adds_the_steps_left_to_right(self, tmp_path):
+        """Ten steps of log 5 add to 16.094379124341 left to right, as
+        ``log_probability`` adds them; a compensated sum gives ...003."""
+        times = [0.3 * k for k in range(1, 11)]
+        sample, report_path = tmp_path / "s.json", tmp_path / "report.json"
+        sample.write_text(json.dumps({"version": 1, "kind": "times", "times": times}))
+        main(["logprob", "--model", "uniform:low=0.2,high=0.4", "--out", str(report_path),
+              str(sample)])
+        steps = step_log_probabilities(UniformRenewalModel(0.2, 0.4), times)
+        assert steps == [math.log(5.0)] * 10 and math.fsum(steps) == 16.094379124341003
+        total = read_json(report_path)["entries"][0]["log_prob"]
+        assert total == 16.094379124341 == log_probability(UniformRenewalModel(0.2, 0.4), times)
 
     def test_impossible_step_is_flagged(self, tmp_path):
         sample = tmp_path / "s.json"

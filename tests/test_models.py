@@ -174,6 +174,19 @@ def test_weights_and_log_pdfs_are_each_scalar_bit_for_bit(law, b_prev):
         assert (weights[4], logs[4]) == (3.0 if b_prev else 0.0, -math.inf)
 
 
+@pytest.mark.parametrize("law", [ExponentialGap(rate=3.0), ExponentialGap(rate=0.7)],
+                         ids=["exp3", "exp0.7"])
+def test_weights_take_a_flag_per_gap(law):
+    """A chunk of barriers, free and forbidden, is valued in one call: gap k
+    weighs its ``barrier_weight`` under flag k, compared as bytes."""
+    d = np.concatenate([[-1.0, -0.0, 0.0, 300.0, math.inf, 300.0],
+                        np.random.default_rng(12).exponential(0.5, 2000)])
+    flags = np.concatenate([[True, False, True, False, False, True],
+                            np.random.default_rng(13).random(2000) < 0.5])
+    weights = [barrier_weight(law, x, f) for x, f in zip(d.tolist(), flags.tolist())]
+    assert law.weights(d, flags).tobytes() == np.array(weights, dtype=float).tobytes()
+
+
 class TestSampleRestricted:
     def test_poisson_count_is_poisson_distributed(self):
         """Events on [0, 1] of a rate-2 process: count ~ Poisson(2)."""
@@ -254,6 +267,13 @@ class TestLogProbability:
     def test_rejects_unsorted_times(self):
         with pytest.raises(ValueError):
             log_probability(PoissonProcessModel(rate=1.0), (0.5, 0.4))
+
+    def test_adds_its_steps_left_to_right(self, monkeypatch):
+        """As the walk folds a beam's scores, so the two agree bit for bit on
+        any Python: ten steps of 0.1 add to 0.9999999999999999, where the
+        compensated ``sum()`` of Python 3.12 and later gives 1.0."""
+        monkeypatch.setattr(models, "step_log_probabilities", lambda *args: [0.1] * 10)
+        assert log_probability(PoissonProcessModel(rate=1.0), (0.5,)) == 0.9999999999999999
 
     def test_matches_per_step_densities(self):
         # Independent recomputation: query each gap density directly.

@@ -273,6 +273,11 @@ class TestTotalVariation:
         p = {"a": 0.5, "b": 0.5}
         assert total_variation(p, p) == 0.0
 
+    def test_adds_left_to_right(self):
+        """Ten differences of 0.1 add to 0.9999999999999999 on any Python, not
+        to the 1.0 of the compensated ``sum()`` of Python 3.12 and later."""
+        assert total_variation({k: 0.1 for k in range(10)}, {}) == 0.5 * 0.9999999999999999
+
     def test_refuses_empty_counts(self):
         with pytest.raises(ValueError, match="^empty count table$"):
             normalize_counts({})

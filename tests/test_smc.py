@@ -160,6 +160,34 @@ class TestBarrierWeight:
         assert conditional_sample(model, cs, 200, 5, horizon=2.0).survived
         assert seen[1] == 1 and 1 < seen[0] < 200 and 1 < seen[2] < 200
 
+    @pytest.mark.parametrize("sampler, chunks, calls", [("beam", 4, 4), ("filter", 26, 25)])
+    def test_a_law_with_array_weights_is_valued_once_per_walked_chunk(self, monkeypatch,
+                                                                      sampler, chunks, calls):
+        """The exponential values every child of a walked chunk of barriers in
+        one ``weights`` call.  On 99 free barriers the beam (b = f = 10) walks
+        40 barriers a chunk, so 3 chunks and the open tail; the filter (S =
+        1000) walks 4 a chunk, so 25 chunks and a tail whose weights it never
+        uses."""
+        walks, valued = [], []
+        real_walk, real_weights = smc._Walk._walk, models.ExponentialGap.weights
+
+        def walk(self, i, upto=None):
+            walks.append(i)
+            return real_walk(self, i, upto)
+
+        def weights(self, d, b_prev):
+            valued.append(len(d))
+            return real_weights(self, d, b_prev)
+
+        monkeypatch.setattr(smc._Walk, "_walk", walk)
+        monkeypatch.setattr(models.ExponentialGap, "weights", weights)
+        model = PoissonProcessModel(rate=30.0)
+        cs = ConstraintSet(z=tuple(k / 100 for k in range(1, 100)), b=(True,) * 99)
+        result = (beam_search_sample(model, cs, 10, 10, 5) if sampler == "beam"
+                  else conditional_sample(model, cs, 1000, 5))
+        assert result.survived
+        assert (len(walks), len(valued)) == (chunks, calls)
+
 
 class TestSystematicResampling:
     def test_pointer_walk_on_frozen_weights(self):
