@@ -22,7 +22,8 @@ A piece is generated as a symbol stream over a vocabulary of A actions and
 s_max time shifts.  Canonical form: shifts never follow shifts, and within a
 tick actions strictly ascend.  The mask encodes exactly that — after a shift
 all shifts are forbidden; after action a' all actions <= a' are forbidden; at
-the very start nothing is forbidden.
+the very start nothing is forbidden.  ``codes_to_symbols`` unrolls any code
+sequence in one array pass; ``code_symbols`` is the one scalar step.
 """
 
 from __future__ import annotations
@@ -73,11 +74,6 @@ class Vocabulary:
         if not 1 <= dt <= self.s_max:
             raise ValueError(f"shift of {dt} ticks outside [1, {self.s_max}]")
         return self.actions + dt
-
-    def shift_amount(self, sym: int) -> int:
-        if not self.is_shift(sym):
-            raise ValueError(f"symbol {sym} is not a shift")
-        return sym - self.actions
 
 
 class MusicEvent(NamedTuple):
@@ -151,23 +147,22 @@ def code_symbols(code: int, last: int, vocab: Vocabulary) -> tuple[int, tuple[in
 
 
 def codes_to_symbols(codes, vocab: Vocabulary) -> list[int]:
-    """Canonical symbol stream of a code sequence (shift-then-action unrolling):
-    one array pass over an integer sequence, every check of ``code_symbols`` a
-    mask; any other input (a generator is 0-d) or a failed check steps code by
-    code, so that the first failed check raises its error."""
+    """Canonical symbol stream of a code sequence (shift-then-action unrolling)
+    in one array pass, each check of ``code_symbols`` a mask: in int64 if
+    ``np.asarray`` gives int64, else in Python ints.  The first code that fails
+    a check goes to ``code_symbols``, which raises its error."""
     e = np.asarray(codes)
-    if e.ndim == 1 and e.dtype.kind == "i":
-        t, a = np.divmod(e - 1, vocab.actions)  # a: the expanded action less 1
-        dt = np.diff(t, prepend=0)
-        # codes are compared, not subtracted, so that no difference overflows
-        if not ((e <= np.concatenate(([0], e[:-1]))) | (dt > vocab.s_max)).any():
-            step = np.column_stack((vocab.actions + dt, a + 1)).ravel()
-            return step[np.column_stack((dt > 0, np.ones_like(a, dtype=bool))).ravel()].tolist()
-    symbols, last = [], 0
-    for code in map(int, codes):
-        symbols.extend(code_symbols(code, last, vocab)[1])
-        last = code
-    return symbols
+    if e.ndim != 1 or e.dtype.kind != "i":  # codes past int64, floats, a generator (0-d)
+        e = np.array([int(c) for c in codes], dtype=object)
+    t, a = (e - 1) // vocab.actions, (e - 1) % vocab.actions  # a: the expanded action less 1
+    dt = np.diff(t, prepend=0)
+    # codes are compared, not subtracted, so that no difference overflows
+    bad = (e <= np.concatenate(([0], e[:-1]))) | (dt > vocab.s_max)
+    if bad.any():
+        i = bad.argmax()
+        code_symbols(int(e[i]), int(e[i - 1]) if i else 0, vocab)  # raises that check's error
+    step = np.column_stack((vocab.actions + dt, a + 1)).ravel()
+    return step[np.column_stack((dt > 0, np.ones_like(a, dtype=bool))).ravel()].tolist()
 
 
 def allowed_symbols(prev: int | None, vocab: Vocabulary) -> np.ndarray:

@@ -156,22 +156,18 @@ def read_events(path) -> tuple[list[MusicEvent], int]:
 
 
 def read_corpus(directory, vocab: Vocabulary) -> list[list[int]]:
-    """Symbol streams of every event file (*.jsonl) in a directory: each file
-    read by ``read_columns``, encoded in ``vocab`` and unrolled by
-    ``codes_to_symbols``.  A file's range errors in ``vocab`` and its tick gaps
-    over s_max come in line order, as stepping it event by event raises them."""
+    """Symbol streams of every event file (*.jsonl) in a directory, read by
+    ``read_columns``: its rows through its first tick gap over s_max, encoded in
+    ``vocab`` and unrolled by ``codes_to_symbols``, raise its errors in line order."""
     paths = sorted(Path(directory).glob("*.jsonl"))
     if not paths:
         raise ValueError(f"no event files (*.jsonl) found in {directory}")
     streams = []
     for p in paths:
         rows, _ = read_columns(p)
-        with in_file(p):
-            try:
-                codes = columns_to_codes(rows, vocab)
-            except ValueError:  # unless a tick gap comes first: encode up to the first one
-                gap = np.flatnonzero(np.diff(rows[:, 0], prepend=0) > vocab.s_max)[:1]
-                codes = columns_to_codes(rows[:int(gap[0]) + 1] if len(gap) else rows, vocab)
+        gaps = np.diff(rows[:, 0], prepend=0) > vocab.s_max
+        with in_file(p):  # an error in the rows kept comes first, and otherwise the gap's
+            codes = columns_to_codes(rows[:gaps.argmax() + 1] if gaps.any() else rows, vocab)
             streams.append(codes_to_symbols(codes, vocab))
     return streams
 

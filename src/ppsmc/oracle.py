@@ -166,8 +166,9 @@ def bits_from_times(times: Sequence[float], n: int) -> tuple:
 
 
 def total_variation(p: Mapping, q: Mapping) -> float:
-    """0.5 * sum over the union support of |p - q|, added left to right."""
-    keys = set(p) | set(q)
+    """0.5 * sum over the union support of |p - q|, added left to right over
+    ``p``'s keys in order and then ``q``'s not in ``p``, however keys hash."""
+    keys = dict.fromkeys([*p, *q])
     return 0.5 * reduce(add, (abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys), 0.0)
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from exact import codes_to_events, events_to_codes
 
+from ppsmc.music import encoding
 from ppsmc.music.encoding import (MusicEvent, Vocabulary, allowed_symbols, code_symbols,
                                   codes_to_columns, codes_to_symbols, columns_to_codes)
 
@@ -200,13 +201,33 @@ class TestSymbolStreams:
                 assert all(type(s) is int for s in got) if isinstance(got, list) else True
 
     def test_other_sequences_are_stepped(self):
-        """Codes past int64, floats and generators take the step loop."""
+        """Codes past int64, floats and generators are unrolled as Python ints,
+        and a code past int64 that fails a check raises ``code_symbols``' error."""
         with pytest.raises(ValueError) as exc:
             codes_to_symbols([2 ** 70], TINY)
         assert str(exc.value) == step_by_step([2 ** 70], TINY)
         assert codes_to_symbols([1.0, 6.0], TINY) == [1, TINY.shift_symbol(1), 2]
         assert codes_to_symbols((c for c in [1, 6]), TINY) == [1, TINY.shift_symbol(1), 2]
         assert codes_to_symbols([], TINY) == []
+
+    def test_no_code_is_stepped_unless_it_fails_a_check(self, monkeypatch):
+        """Every kind of sequence is unrolled in one array pass: ``code_symbols``
+        runs only to raise the first failed check's error, once."""
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return code_symbols(*args)
+
+        monkeypatch.setattr(encoding, "code_symbols", spy)
+        codes, shift = [1, 6, 7, 16], TINY.shift_symbol
+        for given in (np.array(codes, dtype=np.int64), codes, np.array(codes, dtype=object),
+                      (c for c in codes)):
+            assert codes_to_symbols(given, TINY) == [1, shift(1), 2, 3, shift(2), 4]
+        assert calls == []
+        with pytest.raises(ValueError, match="^times must strictly increase, got 6 after 7$"):
+            codes_to_symbols([1, 7, 6, 16], TINY)
+        assert calls == [(6, 7, TINY)]
 
 
 def step_by_step(codes, vocab: Vocabulary):
@@ -242,14 +263,11 @@ class TestVocabulary:
         assert TINY.size == 7
         assert TINY.is_action(4) and not TINY.is_action(5)
         assert TINY.is_shift(5) and TINY.is_shift(7)
-        assert TINY.shift_amount(TINY.shift_symbol(3)) == 3
 
     def test_rejects_a_shift_out_of_range(self):
         for dt in (0, TINY.s_max + 1):
             with pytest.raises(ValueError, match=rf"^shift of {dt} ticks outside \[1, 3\]$"):
                 TINY.shift_symbol(dt)
-        with pytest.raises(ValueError, match="^symbol 4 is not a shift$"):
-            TINY.shift_amount(4)
 
     def test_rejects_invalid_event_fields(self):
         with pytest.raises(ValueError, match=r"^invalid event \(-1, 1, part=0\)$"):

@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -277,6 +281,23 @@ class TestTotalVariation:
         """Ten differences of 0.1 add to 0.9999999999999999 on any Python, not
         to the 1.0 of the compensated ``sum()`` of Python 3.12 and later."""
         assert total_variation({k: 0.1 for k in range(10)}, {}) == 0.5 * 0.9999999999999999
+
+    def test_sum_is_the_same_under_every_hash_seed(self):
+        """String keys hash differently in each process; the sum follows the
+        masses' key order, so two hash seeds give one number."""
+        script = ("import random\n"
+                  "from ppsmc.oracle import total_variation\n"
+                  "rng = random.Random(5)\n"
+                  "p = {f'k{i}': rng.random() for i in range(50)}\n"
+                  "q = {f'k{i}': rng.random() for i in range(0, 50, 2)}\n"
+                  "print(repr(total_variation(p, q)))\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        reprs = {subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                                check=True, env={**os.environ, "PYTHONPATH": path,
+                                                 "PYTHONHASHSEED": seed}).stdout
+                 for seed in ("0", "1")}
+        assert len(reprs) == 1, reprs
 
     def test_refuses_empty_counts(self):
         with pytest.raises(ValueError, match="^empty count table$"):
