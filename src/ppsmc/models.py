@@ -23,7 +23,9 @@ is low + (high - low)·u, bit for bit what ``Generator.uniform`` draws.
 
 A path clipped at a required time weighs ``barrier_weight`` of its last gap
 (the hazard f(d)/P(gap >= d) in a free segment, the density f(d) in a
-forbidden one); the exponential's own ``weights`` gives it for many gaps at once.
+forbidden one), and a beam path scores each gap's ``log_pdf``, log f(d), which the
+exponential gives in closed form, finite where f underflows; its own ``weights``
+gives either for many gaps at once.
 The walk values and advances the distinct pairs of a step or a barrier in one
 call of the hooks ``values_many`` and ``advance_many``, which map the scalar
 rules unless a class gives its own, bit for bit the same.
@@ -75,6 +77,10 @@ class InterArrivalDistribution:
     def cdf(self, d):
         raise NotImplementedError
 
+    def log_pdf(self, d) -> float:
+        """log f(d), -inf where the density is 0."""
+        return math.log(p) if (p := self.pdf(d)) > 0 else -math.inf
+
     def survival(self, d):
         """P(gap >= d).  Default suits continuous laws; floored to avoid 0/0."""
         return max(1.0 - self.cdf(d), SURVIVAL_FLOOR)
@@ -113,10 +119,10 @@ class InterArrivalDistribution:
 
     @staticmethod
     def values_many(laws, gaps, b_prev: bool | None) -> list:
-        """Each law's ``barrier_weight`` at its gap, or ``_log_density`` when
+        """Each law's ``barrier_weight`` at its gap, or ``log_pdf`` when
         ``b_prev`` is None, in order; a law's own hook gives the same bits."""
-        f = _log_density if b_prev is None else lambda law, d: barrier_weight(law, d, b_prev)
-        return list(map(f, laws, gaps))
+        return [law.log_pdf(d) if b_prev is None else barrier_weight(law, d, b_prev)
+                for law, d in zip(laws, gaps)]
 
     def quantiles(self, u: np.ndarray) -> np.ndarray:
         """``quantile`` of each uniform in the 1-d array ``u``, bit for bit."""
@@ -192,6 +198,9 @@ class ExponentialGap(InterArrivalDistribution):
             return 0.0
         return self.rate * math.exp(-self.rate * d)
 
+    def log_pdf(self, d):  # closed form: finite where the pdf underflows
+        return -math.inf if d < 0 else math.log(self.rate) - self.rate * d
+
     def cdf(self, d):
         if d < 0:
             return 0.0
@@ -213,7 +222,9 @@ class ExponentialGap(InterArrivalDistribution):
         return -np.fromiter(map(math.log1p, (-u).tolist()), float, u.size) / self.rate
 
     def weights(self, d, b_prev):
-        """Each gap's ``barrier_weight``, ``b_prev`` one flag for all or one per gap."""
+        """Each gap's ``barrier_weight``, ``b_prev`` a flag or one per gap; ``log_pdf`` if None."""
+        if b_prev is None:
+            return np.where(d < 0, -math.inf, math.log(self.rate) - self.rate * d)
         w, forced = np.where(d >= 0, self.rate, 0.0), ~np.broadcast_to(b_prev, d.shape)
         clipped = np.maximum(d[forced], 0.0)  # no overflow below 0
         exps = map(math.exp, (-self.rate * clipped).tolist())
@@ -304,17 +315,6 @@ class UniformRenewalModel(RenewalModel):
         super().__init__(UniformGap(low, high))
 
 
-def _log_density(law: InterArrivalDistribution, d) -> float:
-    p = law.pdf(d)
-    return math.log(p) if p > 0 else -math.inf
-
-
-def _log_densities(p: np.ndarray) -> np.ndarray:
-    """``_log_density``'s rule on each density in ``p``, bit for bit: its log, or -inf at 0."""
-    logs = np.fromiter(map(math.log, np.where(p > 0, p, 1.0).tolist()), float, p.size)
-    return np.where(p > 0, logs, -math.inf)
-
-
 def propose_segment(model: SequenceModel, state, last: float, z: float,
                     b_prev: bool, rng, horizon: float = 1.0) -> tuple[list, float | None, object]:
     """Extend one path, in model state ``state`` with its last event at
@@ -394,7 +394,7 @@ def step_log_probabilities(model: SequenceModel, seq: Sequence[float],
         else:
             if out:
                 state = model.advance(state, last)
-            out.append(_log_density(state, t - last))
+            out.append(state.log_pdf(t - last))
         last = t
     return out
 

@@ -51,7 +51,7 @@ import numpy as np
 
 from . import models
 from .models import (InterArrivalDistribution, IterationLimitError, RenewalModel, SequenceModel,
-                     _log_densities, barrier_weight, history_end)  # barrier_weight: traced by name
+                     barrier_weight, history_end)  # barrier_weight: traced by name
 from .rng import KIND_PROPOSAL, KIND_RESAMPLE, block, doubles, seed_words
 
 
@@ -221,9 +221,9 @@ def _exact_systematic_indices(weights: list[float], u: float) -> tuple[int, ...]
     return tuple(out)
 
 
-# keys per Philox block call (~0.12 ms with a few keys, ~1 ms with 4,096, on 2 cores):
-# the first blocks of several barriers are drawn at once
-_BLOCK_KEYS = 4096
+# keys per Philox block call (~0.1 ms with a few keys, ~1.6 ms with 4,096, ~6.7 ms with
+# 16,384, on 2 Xeon cores): the first blocks of several barriers are drawn at once
+_BLOCK_KEYS = 16384
 # the most gaps a step draws in all when renewal lanes draw runs of gaps
 _MAX_RUN = 1 << 16
 # paths a batch of runs walks together (at least one run): a walk's peak memory grows
@@ -418,8 +418,7 @@ class _Walk:
             logs = _by_row(logs or [(np.empty(0, dtype=np.int64),) * 3], len(pos))
         valued = None  # a fixed law's children, each valued as the loop would value it
         if self.weights and (self.score or clip):
-            valued = (_log_densities(self.weights(logs[2], False)) if self.score
-                      else self.weights(stop - pos, free))
+            valued = self.weights(logs[2], None) if self.score else self.weights(stop - pos, free)
         self.chunk = i, upto, self.sizes, values, begin, pos, sids, logs, valued
 
     def _each(self, sids: np.ndarray, gaps: np.ndarray, b_prev: bool | None = None) -> np.ndarray:

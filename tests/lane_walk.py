@@ -18,7 +18,7 @@ import math
 from functools import partial
 
 from ppsmc import beam as beam_module
-from ppsmc.models import _log_density, barrier_weight, propose_segment, trim_at_horizon
+from ppsmc.models import barrier_weight, propose_segment, trim_at_horizon
 from ppsmc.rng import KIND_PROPOSAL, KIND_RESAMPLE, stream
 from ppsmc.smc import (BarrierDiagnostics, EnsembleResult, effective_sample_size,
                        systematic_indices)
@@ -33,7 +33,7 @@ def _segment(model, state, last, z, b_prev, rng, horizon, score):
     for k, t in enumerate(segment if score else ()):
         if k:
             state = model.advance(state, segment[k - 1])
-        steps.append(_log_density(state, t - (segment[k - 1] if k else last)))
+        steps.append(state.log_pdf(t - (segment[k - 1] if k else last)))
     return segment, gap, law, steps
 
 

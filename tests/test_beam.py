@@ -37,8 +37,9 @@ class TestBeamSearch:
                  music,
                  (PoissonProcessModel(rate=6.0),
                   ConstraintSet(z=(0.25, 0.5, 0.75), b=(True, False, False)), {}),
-                 # scores that cross the walk's 40-barrier chunks, valued a chunk at a time
-                 (PoissonProcessModel(rate=30.0), many, {"b": 10, "f": 10}),
+                 # scores that cross the walk's chunks (of smc._BLOCK_KEYS // 200 barriers
+                 # at 200 lanes, fewer than 99), valued a chunk at a time
+                 (PoissonProcessModel(rate=30.0), many, {"b": 20, "f": 10}),
                  # a fixed law without array weights, valued a barrier at a time
                  (WeibullRenewalModel(shape=1.5, scale=0.1),
                   ConstraintSet(z=(0.2, 0.4, 0.6, 0.8), b=(True, False, True, True)), {})]
@@ -51,6 +52,19 @@ class TestBeamSearch:
             for seq, lp in zip(result.samples, result.log_probs):
                 assert seq[:len(prefix)] == prefix
                 assert lp == log_probability(model, seq[len(prefix):], prefix)
+
+    def test_scores_stay_finite_where_the_density_underflows(self):
+        """Rate 3 with a forced gap of 300: its density 3·e^-900 underflows
+        to 0, but its log density log 3 - 900 is finite in closed form, so
+        the beam survives.  Each score is its sample's log probability bit
+        for bit, and n·log 3 - 3·t_n for n events up to t_n."""
+        model = PoissonProcessModel(rate=3.0)
+        cs = ConstraintSet(z=(0.5, 300.5), b=(False, True))
+        result = beam_search_sample(model, cs, 3, 3, 1, horizon=301.0)
+        assert result.survived and len(result.log_probs) == 3
+        for seq, lp in zip(result.samples, result.log_probs):
+            assert math.isfinite(lp) and lp == log_probability(model, seq)
+            assert lp == pytest.approx(len(seq) * math.log(3) - 3 * seq[-1], rel=1e-9, abs=0)
 
     @pytest.mark.parametrize("case", ["poisson", "music"])
     @pytest.mark.parametrize("seed", [1, 2, 3])

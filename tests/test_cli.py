@@ -245,6 +245,18 @@ class TestBeamCommand:
         result = read_json(out / "result.json")
         assert len(result["log_probs"]) == len(result["samples"]) >= 1
 
+    def test_a_gap_whose_density_underflows_is_scored(self, tmp_path):
+        """The forced gap of 300 at rate 3 has density 3·e^-900, 0.0 as a
+        float, but a finite log density, so the beam survives it."""
+        cs = tmp_path / "far.json"
+        cs.write_text(json.dumps({"z": [0.5, 300.5], "b": [False, True]}))
+        out = tmp_path / "out"
+        assert main(["beam", "--model", "poisson:rate=3", "--constraints", str(cs),
+                     "--horizon", "301", "--beam-b", "3", "--beam-f", "3", "--seed", "1",
+                     "--keep", "0", "--out", str(out)]) == 0
+        log_probs = read_json(out / "result.json")["log_probs"]
+        assert log_probs and all(isinstance(lp, float) for lp in log_probs)
+
 
 class TestLogprobCommand:
     def test_empty_sequence_scores_zero(self, tmp_path):
@@ -289,6 +301,16 @@ class TestLogprobCommand:
               str(report_path), str(sample)])
         entry = read_json(report_path)["entries"][0]
         assert entry["log_prob"] is None and entry["offending_step"] == 1
+
+    def test_a_step_whose_density_underflows_is_not_flagged(self, tmp_path):
+        """Only a true zero density is an offending step: 3·e^-900 underflows
+        to 0.0, but its log density log 3 - 900 is finite."""
+        sample, report_path = tmp_path / "s.json", tmp_path / "report.json"
+        sample.write_text(json.dumps({"version": 1, "kind": "times", "times": [0.5, 300.5]}))
+        assert main(["logprob", "--model", "poisson:rate=3", "--out", str(report_path),
+                     str(sample)]) == 0
+        entry = read_json(report_path)["entries"][0]
+        assert (entry["log_prob"], entry["offending_step"]) == (-899.3027754226637, None)
 
 
 class TestOracleCommand:

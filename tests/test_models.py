@@ -159,19 +159,29 @@ def test_quantiles_are_each_quantile_bit_for_bit(law):
                          ids=["exp3", "exp-int-rate", "exp0.7"])
 @pytest.mark.parametrize("b_prev", [True, False])
 def test_weights_and_log_pdfs_are_each_scalar_bit_for_bit(law, b_prev):
-    """The exponential's array ``weights``, and the log of each density the
-    walk takes from it (``_log_densities``), against the scalar rules.
-    Negative gaps, both zeros, gaps whose density underflows (rate 3 at 300
-    gives 0.0 and -inf) and seeded random gaps, compared as bytes."""
+    """The exponential's array ``weights``, and its array log densities
+    (``weights(d, None)``, what the walk scores with), against the scalar
+    rules.  Negative gaps, both zeros, gaps whose density underflows (rate 3
+    at 300 gives 0.0, and the log density log 3 - 900 in closed form) and
+    seeded random gaps, compared as bytes."""
     d = np.concatenate([[-1.0, -1e-300, -0.0, 0.0, 300.0, 1e6, math.inf],
                         np.random.default_rng(11).exponential(0.5, 2000)])
     weights = [barrier_weight(law, x, b_prev) for x in d.tolist()]
     assert law.weights(d, b_prev).tobytes() == np.array(weights, dtype=float).tobytes()
-    logs = [models._log_density(law, x) for x in d.tolist()]
-    logs_of_weights = models._log_densities(law.weights(d, False))
-    assert logs_of_weights.tobytes() == np.array(logs, dtype=float).tobytes()
+    logs = [law.log_pdf(x) for x in d.tolist()]
+    assert law.weights(d, None).tobytes() == np.array(logs, dtype=float).tobytes()
+    assert [logs[k] for k in (0, 1, 6)] == [-math.inf] * 3  # negative gaps, and d = inf
     if law.rate == 3:
-        assert (weights[4], logs[4]) == (3.0 if b_prev else 0.0, -math.inf)
+        assert (weights[4], logs[4]) == (3.0 if b_prev else 0.0, math.log(3) - 900.0)
+
+
+@pytest.mark.parametrize("law", [WeibullGap(shape=0.6, scale=2.0), WeibullGap(shape=1.5, scale=0.08),
+                                 UniformGap(0.02, 0.3)], ids=["weibull0.6", "weibull1.5", "uniform"])
+def test_a_law_without_a_closed_form_logs_its_pdf(law):
+    """The default ``log_pdf``: log f(d), or -inf where f is 0, bit for bit."""
+    for d in [-1.0, 0.0, 0.01, 0.02, 0.3, 0.5, 300.0]:
+        p = law.pdf(d)
+        assert law.log_pdf(d) == (math.log(p) if p > 0 else -math.inf)
 
 
 @pytest.mark.parametrize("law", [ExponentialGap(rate=3.0), ExponentialGap(rate=0.7)],

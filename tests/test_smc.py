@@ -160,14 +160,16 @@ class TestBarrierWeight:
         assert conditional_sample(model, cs, 200, 5, horizon=2.0).survived
         assert seen[1] == 1 and 1 < seen[0] < 200 and 1 < seen[2] < 200
 
-    @pytest.mark.parametrize("sampler, chunks, calls", [("beam", 4, 4), ("filter", 26, 25)])
+    @pytest.mark.parametrize("sampler, lanes", [("beam", 100), ("filter", 1000)])
     def test_a_law_with_array_weights_is_valued_once_per_walked_chunk(self, monkeypatch,
-                                                                      sampler, chunks, calls):
+                                                                      sampler, lanes):
         """The exponential values every child of a walked chunk of barriers in
-        one ``weights`` call.  On 99 free barriers the beam (b = f = 10) walks
-        40 barriers a chunk, so 3 chunks and the open tail; the filter (S =
-        1000) walks 4 a chunk, so 25 chunks and a tail whose weights it never
-        uses."""
+        one ``weights`` call.  A chunk is the barriers whose first blocks one
+        Philox call draws, ``_BLOCK_KEYS // lanes`` of them.  On 99 free
+        barriers the beam (b = f = 10, 100 lanes) walks its chunks and scores
+        the open tail; the filter (S = 1000) walks its chunks and a tail whose
+        weights it never uses.  At 16384 keys the beam walks all 99 barriers
+        at once and the filter 16 a chunk."""
         walks, valued = [], []
         real_walk, real_weights = smc._Walk._walk, models.ExponentialGap.weights
 
@@ -186,7 +188,8 @@ class TestBarrierWeight:
         result = (beam_search_sample(model, cs, 10, 10, 5) if sampler == "beam"
                   else conditional_sample(model, cs, 1000, 5))
         assert result.survived
-        assert (len(walks), len(valued)) == (chunks, calls)
+        chunks = -(-99 // max(1, smc._BLOCK_KEYS // lanes))  # ceil(99 / barriers per chunk)
+        assert (len(walks), len(valued)) == (chunks + 1, chunks + (sampler == "beam"))
 
 
 class TestSystematicResampling:
