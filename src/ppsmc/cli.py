@@ -23,7 +23,7 @@ from .music.adapter import UnrolledMusicModel
 from .music.encoding import Vocabulary, columns_to_codes
 from .music.files import (code_writer, extract_constraints, in_file, loads, read_columns,
                           read_constraint_file, read_corpus, read_events, read_parts,
-                          write_codes, write_constraint_file)
+                          write_constraint_file)
 from .music.midi import read_midi, write_midi
 from .music.ngram import NGramModel, train_ngram
 from .oracle import (GridModel, bits_from_times, enumerate_conditional, normalize_counts,
@@ -283,7 +283,7 @@ def cmd_convert(args) -> int:
     if args.to_events:
         events = read_midi(args.infile)
         vocab = Vocabulary(parts=max((ev.part for ev in events), default=0) + 1)
-        write_codes(args.out, columns_to_codes(events, vocab), vocab)
+        code_writer(vocab)(args.out, columns_to_codes(events, vocab))
     else:
         events, _ = read_events(args.infile)
         write_midi(args.out, events)

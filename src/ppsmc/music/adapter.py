@@ -141,10 +141,9 @@ class UnrolledMusicModel(SequenceModel):
     def __init__(self, step_model: NGramModel):
         self.step_model = step_model
         self.vocab = step_model.vocab
-        self._keep = max(step_model.order - 1, 1)
 
     def initial_state(self, history):
-        tail = tuple(codes_to_symbols(history, self.vocab)[-self._keep:])
+        tail = tuple(codes_to_symbols(history, self.vocab)[-self.step_model.keep:])
         if not tail:
             return _MusicGap(self.step_model, 0, 0, ())
         last = int(history[-1])
@@ -158,7 +157,7 @@ class UnrolledMusicModel(SequenceModel):
     def advance_many(self, states, times):
         """``advance`` of each pair, ``code_symbols``' checks and step inline; a
         pair that fails a check goes to ``code_symbols``, which raises its error."""
-        acts, s_max, keep, out = self.vocab.actions, self.vocab.s_max, self._keep, []
+        acts, s_max, keep, out = self.vocab.actions, self.vocab.s_max, self.step_model.keep, []
         for state, t in zip(states, times):
             code = int(t)
             tick, a = divmod(code - 1, acts)  # _split_code

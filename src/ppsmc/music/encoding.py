@@ -22,8 +22,10 @@ A piece is generated as a symbol stream over a vocabulary of A actions and
 s_max time shifts.  Canonical form: shifts never follow shifts, and within a
 tick actions strictly ascend.  The mask encodes exactly that — after a shift
 all shifts are forbidden; after action a' all actions <= a' are forbidden; at
-the very start nothing is forbidden.  ``codes_to_symbols`` unrolls any code
-sequence in one array pass; ``code_symbols`` is the one scalar step.
+the very start nothing is forbidden.  ``forbidden_symbols`` owns the mask as
+one slice, which ``allowed_symbols`` and the n-gram's tables apply.
+``codes_to_symbols`` unrolls any code sequence in one array pass;
+``code_symbols`` is the one scalar step.
 """
 
 from __future__ import annotations
@@ -165,19 +167,21 @@ def codes_to_symbols(codes, vocab: Vocabulary) -> list[int]:
     return step[np.column_stack((dt > 0, np.ones_like(a, dtype=bool))).ravel()].tolist()
 
 
-def allowed_symbols(prev: int | None, vocab: Vocabulary) -> np.ndarray:
-    """Boolean mask (index sym-1) of symbols permitted after ``prev``.
-
-    None (start of stream) permits everything.
-    """
-    mask = np.ones(vocab.size, dtype=bool)
+def forbidden_symbols(prev: int | None, vocab: Vocabulary) -> slice:
+    """The slice (index sym-1) of symbols forbidden after ``prev``: none at the
+    start (None), shifts after a shift, actions up to ``prev`` after an action.
+    Raises for a symbol outside the vocabulary."""
     if prev is None:
-        return mask
+        return slice(0, 0)
     if vocab.is_shift(prev):
-        mask[vocab.actions:] = False
-    elif vocab.is_action(prev):
-        mask[:prev] = False  # actions <= prev, i.e. indices 0..prev-1
-    else:
-        raise ValueError(f"symbol {prev} outside vocabulary of size {vocab.size}")
-    return mask
+        return slice(vocab.actions, vocab.size)
+    if vocab.is_action(prev):
+        return slice(0, prev)
+    raise ValueError(f"symbol {prev} outside vocabulary of size {vocab.size}")
 
+
+def allowed_symbols(prev: int | None, vocab: Vocabulary) -> np.ndarray:
+    """Boolean mask (index sym-1) of symbols permitted after ``prev``."""
+    mask = np.ones(vocab.size, dtype=bool)
+    mask[forbidden_symbols(prev, vocab)] = False
+    return mask

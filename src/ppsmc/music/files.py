@@ -29,8 +29,11 @@ FORMAT_VERSION = 1  # of event files and constraint files
 
 
 def code_writer(vocab: Vocabulary) -> Callable[[object, Sequence[int]], None]:
-    """``write_codes`` in ``vocab`` as ``write(path, codes)``, which formats
-    each distinct code's event line once, however many pieces it writes."""
+    """The event-file writer of pieces given as codes in ``vocab``:
+    ``write(path, codes)`` raises ValueError unless the codes strictly increase
+    from 0.  Each event line is the bytes ``json.dumps`` gives its ``t``, ``a``
+    and ``part`` with sorted keys, formatted once per distinct code, however
+    many pieces ``write`` writes."""
     header = json.dumps({"version": FORMAT_VERSION, "kind": "events",
                          "ppq": TICKS_PER_QUARTER, "parts": vocab.parts}, sort_keys=True)
     lines = {}  # each code's event line
@@ -47,17 +50,7 @@ def code_writer(vocab: Vocabulary) -> Callable[[object, Sequence[int]], None]:
     return write
 
 
-def write_codes(path, codes: Sequence[int], vocab: Vocabulary) -> None:
-    """Write the event file of a piece given as codes.
-
-    Raises ValueError unless the codes strictly increase from 0.  Each event
-    line is the bytes ``json.dumps`` gives its ``t``, ``a`` and ``part`` with
-    sorted keys.
-    """
-    code_writer(vocab)(path, codes)
-
-
-# an event line exactly as ``write_codes`` writes it, with values of at most 12
+# an event line exactly as ``code_writer`` writes it, with values of at most 12
 # digits, so that no valid event's code overflows int64, and an action from 1,
 # so that no such event is invalid; json reads any other
 _EVENT = r'\{"a": A, "part": N, "t": N\}'.replace("N", "(?:0|A)").replace("A", "[1-9][0-9]{0,11}")
@@ -117,7 +110,7 @@ def read_parts(path) -> int:
 
 def read_columns(path) -> tuple[np.ndarray, int]:
     """Read an event file: its (t, a, part) rows as an (n, 3) array and the
-    part count in its header.  A body in ``write_codes``' spelling is read by
+    part count in its header.  A body in ``code_writer``'s spelling is read by
     one regular expression and one ``np.fromstring``, as int64; any other line
     by line with ``loads``, as Python ints.  The rows are then checked as
     arrays: the first line's parse error or invalid event comes first, then

@@ -8,12 +8,11 @@ renormalize over the rest).
 A model builds each masked table (the PMF, its cumulative sum and its last
 symbol with mass) once per pair of what it depends on: the context's counts
 row (keyed by the context, or by ``None`` for every context the corpus never
-saw, since their rows are all empty) and the mask (keyed by ``prev``, or by
-the first shift symbol for every shift, since all shifts forbid the same
-symbols).  ``table`` maps the symbols a gap law ends with, and those and a
-shift, to their shared table in one lookup; its memo holds references only.
-The cumulative sum serves both the draws, which ``search`` finds in it, and
-the adapter's gap law, which reads its cdf off it.
+saw, since their rows are all empty) and the mask (keyed by the bounds of
+its ``forbidden_symbols`` slice, which all shifts share).  ``table`` maps the
+symbols a gap law ends with, and those and a shift, to their shared table in
+one lookup; its memo holds references only.  The cumulative sum serves both
+the draws, which ``search`` finds in it, and the adapter's cdf, read off it.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .encoding import Vocabulary, allowed_symbols
+from .encoding import Vocabulary, forbidden_symbols
 from .files import in_file, loads
 
 BOS = 0  # padding token for positions before the start; never emitted
@@ -50,6 +49,7 @@ class NGramModel:
             raise ValueError(f"alpha must be finite and >= 0, got {alpha!r}")
         self.vocab = vocab
         self.order = order
+        self.keep = max(order - 1, 1)  # the trailing symbols a table depends on
         self.alpha = float(alpha)
         self.counts = counts if counts is not None else {}
         self._pmfs: dict[tuple, tuple] = {}  # by (row, mask)
@@ -74,17 +74,12 @@ class NGramModel:
     def _masked(self, context: tuple, prev: int | None) -> tuple:
         context = tuple(context)
         row = context if context in self.counts else None  # unseen contexts' rows are empty
-        shifted = prev is not None and self.vocab.is_shift(prev)
-        shared = (row, self.vocab.actions + 1 if shifted else prev)
+        forbidden = forbidden_symbols(prev, self.vocab)
+        shared = (row, forbidden.start, forbidden.stop)
         entry = self._pmfs.get(shared)
         if entry is None:
             pmf = self.raw_pmf(context)
-            if shifted:  # the symbols ``allowed_symbols`` forbids, zeroed in place
-                pmf[self.vocab.actions:] = 0.0
-            elif prev is not None:
-                if not self.vocab.is_action(prev):
-                    allowed_symbols(prev, self.vocab)  # raises: a symbol outside the vocabulary
-                pmf[:prev] = 0.0
+            pmf[forbidden] = 0.0
             total = pmf.sum()
             if total == 0:
                 raise ValueError(f"no permitted symbol has positive probability after {prev} "
@@ -128,7 +123,7 @@ class NGramModel:
             raise ValueError(f"unsupported model file (kind={d.get('kind')!r}, "
                              f"version={d.get('version')!r})")
         for key in ("order", "a_max", "s_max", "parts"):
-            if not _is_int(d.get(key)):
+            if type(d.get(key)) is not int:
                 raise ValueError(f"model field {key!r} is missing or not an integer")
         alpha = d.get("alpha")
         if (not isinstance(alpha, (int, float)) or isinstance(alpha, bool)
@@ -137,7 +132,7 @@ class NGramModel:
         vocab = Vocabulary(a_max=d["a_max"], s_max=d["s_max"], parts=d["parts"])
         rows = d.get("counts")
         if not isinstance(rows, dict) or not all(
-                isinstance(row, dict) and all(_is_int(n) and n >= 0 for n in row.values())
+                isinstance(row, dict) and all(type(n) is int and n >= 0 for n in row.values())
                 for row in rows.values()):
             raise ValueError("model field 'counts' is missing or not an object of objects "
                              "of non-negative integers")
@@ -169,10 +164,6 @@ def search(table: tuple, u):
     which may round below 1, draws the last symbol with mass."""
     _, cum, last = table
     return np.minimum(cum.searchsorted(u, side="right"), last) + 1
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def train_ngram(symbol_seqs: Iterable[Sequence[int]], vocab: Vocabulary,

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -118,7 +118,7 @@ class EnsembleResult:
     survived: bool
     failed_barrier: int | None
     diagnostics: list
-    log_probs: list | None = field(default=None)  # filled by beam search
+    log_probs: list | None = None  # filled by beam search
 
 
 def _checked(weights: Sequence[float]) -> np.ndarray:

@@ -23,7 +23,7 @@ from pathlib import Path
 from ppsmc.models import history_end
 from ppsmc.music.encoding import (MusicEvent, Vocabulary, code_symbols, codes_to_columns,
                                   columns_to_codes)
-from ppsmc.music.files import loads, write_codes
+from ppsmc.music.files import code_writer, loads
 from ppsmc.oracle import (GridModel, bits_from_times, enumerate_conditional,
                           normalize_counts, observed_constraints, total_variation)
 
@@ -69,7 +69,7 @@ def codes_to_events(codes, vocab: Vocabulary) -> list[MusicEvent]:
 
 
 def write_events(path, events, vocab: Vocabulary) -> None:
-    write_codes(path, events_to_codes(events, vocab), vocab)
+    code_writer(vocab)(path, events_to_codes(events, vocab))
 
 
 def _code(event: MusicEvent, vocab: Vocabulary) -> int:

@@ -461,7 +461,7 @@ class TestTrainCommand:
         model = tmp_path / "model.json"
         assert main(["train", "--corpus", str(corpus), "--order", "2", "--alpha", "0.5",
                      "--s-max", "4", "--out", str(model), *parts]) == 0
-        assert made == []  # every file is in write_codes' spelling: no line goes through json
+        assert made == []  # every file is in code_writer's spelling: no line goes through json
         assert hashlib.sha256(model.read_bytes()).hexdigest() == self.DIGESTS[parts]
 
 

@@ -9,7 +9,9 @@ from exact import codes_to_events, events_to_codes
 
 from ppsmc.music import encoding
 from ppsmc.music.encoding import (MusicEvent, Vocabulary, allowed_symbols, code_symbols,
-                                  codes_to_columns, codes_to_symbols, columns_to_codes)
+                                  codes_to_columns, codes_to_symbols, columns_to_codes,
+                                  forbidden_symbols)
+from ppsmc.music.ngram import NGramModel
 
 VOCAB = Vocabulary()  # 256 note actions, shifts up to one whole note at 2400 ticks
 TINY = Vocabulary(a_max=4, s_max=3)
@@ -256,6 +258,25 @@ class TestCanonicalMask:
         allowed = allowed_symbols(2, TINY)
         np.testing.assert_array_equal(
             allowed, [False, False, True, True, True, True, True])
+
+    def test_mask_is_the_complement_of_the_forbidden_slice(self):
+        """One rule: at the start, after every action and after every shift,
+        ``allowed_symbols`` permits exactly what ``forbidden_symbols`` leaves."""
+        shifts = [TINY.shift_symbol(dt) for dt in range(1, TINY.s_max + 1)]
+        for prev in [None, *range(1, TINY.actions + 1), *shifts]:
+            forbidden = np.zeros(TINY.size, dtype=bool)
+            forbidden[forbidden_symbols(prev, TINY)] = True
+            np.testing.assert_array_equal(allowed_symbols(prev, TINY), ~forbidden)
+
+    @pytest.mark.parametrize("prev", [0, TINY.size + 1])
+    def test_a_symbol_outside_the_vocabulary_raises_one_message(self, prev):
+        """The mask and the n-gram's masked PMF refuse it with the same error."""
+        with pytest.raises(ValueError) as mask_error:
+            allowed_symbols(prev, TINY)
+        with pytest.raises(ValueError) as pmf_error:
+            NGramModel(TINY, 2, 1.0).masked_pmf((1,), prev)
+        assert str(pmf_error.value) == str(mask_error.value)
+        assert str(mask_error.value) == f"symbol {prev} outside vocabulary of size {TINY.size}"
 
 
 class TestVocabulary:

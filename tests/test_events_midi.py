@@ -13,8 +13,8 @@ from exact import (codes_to_events, events_to_codes, read_events_by_json, stream
 from ppsmc import cli
 from ppsmc.music import files
 from ppsmc.music.encoding import MusicEvent, Vocabulary
-from ppsmc.music.files import (extract_constraints, in_file, read_constraint_file, read_corpus,
-                               read_events, write_codes, write_constraint_file)
+from ppsmc.music.files import (code_writer, extract_constraints, in_file, read_constraint_file,
+                               read_corpus, read_events, write_constraint_file)
 from ppsmc.music.midi import read_midi, write_midi
 from ppsmc.music.ngram import train_ngram
 
@@ -73,7 +73,7 @@ class TestEventFiles:
         acts = vocab.actions  # codes at multiples of A are the last action of a tick
         codes = [1, 2, acts - 1, acts, acts + 1, 3 * acts, 3 * acts + 2, 7 * acts]
         path = tmp_path / "piece.jsonl"
-        write_codes(path, codes, vocab)
+        code_writer(vocab)(path, codes)
         assert read_events(path) == (codes_to_events(codes, vocab), vocab.parts)
 
     @pytest.mark.parametrize("codes, fault", [
@@ -85,7 +85,7 @@ class TestEventFiles:
         last, code = next((a, b) for a, b in zip([0, *codes], codes) if b <= a)
         with pytest.raises(ValueError, match=f"^times must strictly increase, "
                                              f"got {code} after {last}$"):
-            write_codes(tmp_path / "bad.jsonl", codes, VOCAB)
+            code_writer(VOCAB)(tmp_path / "bad.jsonl", codes)
 
     @pytest.mark.parametrize("sample, message", [
         ((5, 9, 7), "times must strictly increase, got 7 after 9"),
@@ -149,11 +149,11 @@ MUTATIONS = ["none", "swap", "tick-minus-1", "action-0", "action-over-a-max", "p
 
 
 def mutated_piece(rng, path, kind: str) -> None:
-    """A seeded piece in ``write_codes``' spelling, written to ``path`` with
+    """A seeded piece in ``code_writer``'s spelling, written to ``path`` with
     one fault of the given kind."""
     ticks = np.cumsum(rng.choice([0, 0, 1, 300, 1200], size=30))
-    write_codes(path, sorted({int(t) * WRITTEN.actions + int(rng.integers(1, 513))
-                              for t in ticks}), WRITTEN)
+    code_writer(WRITTEN)(path, sorted({int(t) * WRITTEN.actions + int(rng.integers(1, 513))
+                                       for t in ticks}))
     header, *lines = path.read_text().splitlines()
     events = [json.loads(line) for line in lines]
     k = int(rng.integers(1, len(events)))

@@ -4,7 +4,7 @@ Malformed constraint files, times files, event files, MIDI files, trained
 model files and grid specs must end in exit code 1 with an ``error:`` line on
 stderr, never in an uncaught exception; so must a model that cannot reach a
 barrier within the draw limit, a run count below one and an oracle threshold
-outside (0, 1].  Event lines in ``write_codes``' form, read without ``json``,
+outside (0, 1].  Event lines in ``code_writer``'s form, read without ``json``,
 must read as ``json`` reads them.  Inputs are mangled by a seeded
 ``numpy.random.default_rng``, as in acceptance criterion 4, so every run tries
 the same cases.
@@ -587,7 +587,7 @@ FULLWIDTH = str.maketrans("0123456789", "０１２３４５６７８９")
 
 
 def respell(rng, line: str) -> str:
-    """An event line in ``write_codes``' form, changed in one place."""
+    """An event line in ``code_writer``'s form, changed in one place."""
     items = [item.split(": ") for item in line[1:-1].split(", ")]
     item = pick(rng, items)
     how = int(rng.integers(9))
@@ -650,7 +650,7 @@ class TestEventFiles:
             assert_error_exit(code, capsys, f"trial {trial}: {lines}")
 
     def test_event_lines_read_as_json_reads_them(self, tmp_path):
-        """Lines in ``write_codes``' form, a few respelled: ``read_events``
+        """Lines in ``code_writer``'s form, a few respelled: ``read_events``
         returns what a reader parsing every line with ``json`` returns, or
         raises the same error, and ``read_parts`` reads its header alike."""
         rng = np.random.default_rng(1616)

@@ -175,8 +175,9 @@ def test_weights_and_log_pdfs_are_each_scalar_bit_for_bit(law, b_prev):
         assert (weights[4], logs[4]) == (3.0 if b_prev else 0.0, math.log(3) - 900.0)
 
 
-@pytest.mark.parametrize("law", [WeibullGap(shape=0.6, scale=2.0), WeibullGap(shape=1.5, scale=0.08),
-                                 UniformGap(0.02, 0.3)], ids=["weibull0.6", "weibull1.5", "uniform"])
+@pytest.mark.parametrize("law", [WeibullGap(shape=0.6, scale=2.0),
+                                 WeibullGap(shape=1.5, scale=0.08), UniformGap(0.02, 0.3)],
+                         ids=["weibull0.6", "weibull1.5", "uniform"])
 def test_a_law_without_a_closed_form_logs_its_pdf(law):
     """The default ``log_pdf``: log f(d), or -inf where f is 0, bit for bit."""
     for d in [-1.0, 0.0, 0.01, 0.02, 0.3, 0.5, 300.0]:
