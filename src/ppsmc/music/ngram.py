@@ -53,7 +53,7 @@ class NGramModel:
         self.alpha = float(alpha)
         self.counts = counts if counts is not None else {}
         self._pmfs: dict[tuple, tuple] = {}  # by (row, mask)
-        self._tables: dict[tuple, tuple] = {}  # by symbols: a tail, or a tail and a shift
+        self._tables: dict[tuple, tuple] = {}  # by the last `keep` symbols of a tail and shift
 
     def context_of(self, symbols: Sequence[int]) -> tuple:
         """Last order-1 symbols, BOS-padded on the left."""
@@ -91,7 +91,7 @@ class NGramModel:
 
     def table(self, tail: tuple, shift: int | None = None) -> tuple:
         """``_masked`` after the symbols ``tail``, then ``shift`` if given."""
-        key = tail if shift is None else (*tail, shift)
+        key = (tail if shift is None else (*tail, shift))[-self.keep:]
         entry = self._tables.get(key)
         if entry is None:
             entry = self._tables[key] = self._masked(self.context_of(key), key[-1] if key else None)

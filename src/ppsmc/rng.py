@@ -10,9 +10,9 @@ A counter-based generator needs only a key per stream (Salmon et al. 2011,
 numpy generator for one key, for code that wants a generator.
 
 ``block`` computes the same streams without a generator: it evaluates
-Philox4x64-10 for many keys and counters at once, in numpy uint64 buffers made
-once per call that hold a round's two 128-bit products as rows, each high word
-by a carry over 32-bit halves (a few keys go through Python ints instead).
+Philox4x64-10 for many keys and counters at once, in slices of numpy uint64
+scratch made once per call whose rows hold a round's two 128-bit products, each
+high word by a carry over 32-bit halves (a few keys go through Python ints instead).
 Block c of a key holds the 4 words ``stream()`` gives as its draws 4(c-1) to
 4c-1, since the generator encrypts counter 1 first.  ``doubles`` turns words
 into the doubles ``Generator.random()`` draws from them, (word >> 11)·2**-53.
@@ -58,6 +58,8 @@ def run_seed(seed: int, run_index: int) -> int:
 _M0, _M1, _W0, _W1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157, 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
 _PHILOX_ROUNDS = 10
 _FEW_KEYS = 20  # block() in Python ints up to here: below 20-24 keys numpy's call costs more
+_REPEAT_KEYS = 4096  # block() repeats its operands up to here: broadcasting costs 1.2-2x
+_SLICE_KEYS = 8192  # keys per slice, at least _REPEAT_KEYS: narrower slices ran slower
 # the numpy kernel's operands for the rows of a round's two products: the
 # multipliers, their 32-bit halves, the Weyl step, and the 32-bit mask and shift
 _ROUND = np.array([(_M0, _M1), (_M0 & 0xFFFFFFFF, _M1 & 0xFFFFFFFF), (_M0 >> 32, _M1 >> 32),
@@ -97,6 +99,8 @@ def _philox(k0: int, k1: int, x0: int) -> tuple[int, int, int, int]:
 
 def _coordinate(values, limit: int, what: str, low: int = 0) -> np.ndarray:
     a = np.asarray(values)  # an object array holds ints beyond 64 bits
+    if a.dtype.kind not in "iu" and not all(isinstance(v, int) for v in a.flat):
+        raise TypeError(f"{what} must be an integer, not {a.dtype}")
     if a.size and not (a.min() >= low and a.max() < limit):
         raise ValueError(f"{what} out of range ({low} to {limit - 1})")
     return a.astype(np.uint64)
@@ -134,25 +138,31 @@ def block(seed, kind: int, barrier, lanes, counter=1) -> np.ndarray:
     if x0.size <= _FEW_KEYS:
         words = list(map(_philox, k0.ravel().tolist(), k1.ravel().tolist(), x0.ravel().tolist()))
         return np.array(words, dtype=np.uint64).reshape(*x0.shape, 4)
-    # rows x = (x0, x2), y = (x3, x1) and the key k; operands n columns wide (a ufunc
-    # that broadcasts a column costs twice); round 1 has x1 = x2 = x3 = 0: one product
+    # rows x = (x0, x2), y = (x3, x1) and the key k, a slice of keys at a time;
+    # round 1 has x1 = x2 = x3 = 0: one product
     n = x0.size
-    m, m_lo, m_hi, w, low, shift = np.repeat(_ROUND, n, axis=2)
-    x, y, k, hi, a, t, s = np.zeros((7, 2, n), dtype=np.uint64)
-    c, k[0], k[1] = x0.ravel(), k0.ravel(), k1.ravel()
-    _mulhi(c, x[1], *(v[0] for v in (m_lo, m_hi, low, shift, a, t, s)))
-    np.bitwise_xor(x[1], k[1], out=x[1])
-    np.multiply(c, m[0], out=y[0])
-    x[0] = k[0]
-    for _ in range(1, _PHILOX_ROUNDS):  # (x0, x1, x2, x3) <- (hi1^x1^k0, lo1, hi0^x3^k1, lo0)
-        np.add(k, w, out=k)
-        _mulhi(x, hi, m_lo, m_hi, low, shift, a, t, s)
-        np.multiply(x, m, out=x)  # (lo0, lo1): the next y
-        np.bitwise_xor(hi, y, out=hi)
-        np.bitwise_xor(hi[1], k[0], out=y[0])
-        np.bitwise_xor(hi[0], k[1], out=y[1])
-        x, y = y, x
-    return np.stack((x[0], y[1], x[1], y[0]), axis=-1).reshape(*x0.shape, 4)
+    m, m_lo, m_hi, w, low, shift = np.repeat(_ROUND, n, axis=2) if n <= _REPEAT_KEYS else _ROUND
+    c, k0, k1 = x0.ravel(), k0.ravel(), k1.ravel()
+    words = np.empty((n, 4), dtype=np.uint64)
+    scratch = np.empty((7, 2, min(n, _SLICE_KEYS)), dtype=np.uint64)  # x, y, k, hi, a, t, s
+    for i in range(0, n, _SLICE_KEYS):
+        j = min(i + _SLICE_KEYS, n)
+        x, y, k, hi, a, t, s = scratch[..., :j - i]
+        k[0], k[1], y[1] = k0[i:j], k1[i:j], 0
+        _mulhi(c[i:j], x[1], *(v[0] for v in (m_lo, m_hi, low, shift, a, t, s)))
+        np.bitwise_xor(x[1], k[1], out=x[1])
+        np.multiply(c[i:j], m[0], out=y[0])
+        x[0] = k[0]
+        for _ in range(1, _PHILOX_ROUNDS):  # (x0, x1, x2, x3) <- (hi1^x1^k0, lo1, hi0^x3^k1, lo0)
+            np.add(k, w, out=k)
+            _mulhi(x, hi, m_lo, m_hi, low, shift, a, t, s)
+            np.multiply(x, m, out=x)  # (lo0, lo1): the next y
+            np.bitwise_xor(hi, y, out=hi)
+            np.bitwise_xor(hi[1], k[0], out=y[0])
+            np.bitwise_xor(hi[0], k[1], out=y[1])
+            x, y = y, x
+        np.stack((x[0], y[1], x[1], y[0]), axis=-1, out=words[i:j])
+    return words.reshape(*x0.shape, 4)
 
 
 def doubles(words: np.ndarray) -> np.ndarray:

@@ -221,8 +221,8 @@ def _exact_systematic_indices(weights: list[float], u: float) -> tuple[int, ...]
     return tuple(out)
 
 
-# keys per Philox block call (~0.1 ms with a few keys, ~1.6 ms with 4,096, ~6.7 ms with
-# 16,384, on 2 Xeon cores): the first blocks of several barriers are drawn at once
+# keys per Philox block call (~0.1 ms with a few keys, ~0.6-0.9 ms with 4,096, ~2-3 ms
+# with 16,384, on 2 Xeon cores): the first blocks of several barriers are drawn at once
 _BLOCK_KEYS = 16384
 # the most gaps a step draws in all when renewal lanes draw runs of gaps
 _MAX_RUN = 1 << 16

@@ -8,9 +8,11 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
+from ppsmc.beam import beam_search_sample
 from ppsmc.music.adapter import UnrolledMusicModel
 from ppsmc.music.encoding import Vocabulary, allowed_symbols
 from ppsmc.music.ngram import BOS, NGramModel, search, train_ngram
+from ppsmc.smc import ConstraintSet, conditional_sample
 
 TINY = Vocabulary(a_max=4, s_max=3)  # 7 symbols
 
@@ -158,6 +160,27 @@ class TestMaskedCache:
             assert ctx not in model.counts
             with pytest.raises(ValueError, match=rf"context \({ctx[0]}, {ctx[1]}\) unseen"):
                 model.masked_pmf(ctx, ctx[-1])
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_tables_are_built_once_per_trimmed_key(self, order, monkeypatch):
+        """A table depends on the last ``keep`` symbols of its tail and shift,
+        so a fresh model masks once per distinct trimmed key of a run."""
+        model = tiny_model(order=order)
+        masked, keys = [], set()
+        real_masked, real_table = model._masked, model.table
+
+        def table(tail, shift=None):
+            keys.add((tail if shift is None else (*tail, shift))[-model.keep:])
+            return real_table(tail, shift)
+        monkeypatch.setattr(model, "table", table)
+        monkeypatch.setattr(model, "_masked", lambda ctx, prev: masked.append(ctx) or
+                            real_masked(ctx, prev))
+        acts = TINY.actions
+        constraints = ConstraintSet(z=(4 * acts + 1, 5 * acts + 1), b=(True, True))
+        music = UnrolledMusicModel(model)
+        conditional_sample(music, constraints, 50, 3, horizon=6 * acts)
+        beam_search_sample(music, constraints, b=5, f=5, seed=3, horizon=6 * acts)
+        assert len(masked) == len(keys) > TINY.size
 
     def test_rejects_a_previous_symbol_outside_the_vocabulary(self):
         model = tiny_model()

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -710,6 +711,37 @@ class TestBlocks:
             raw = stream(-42, 0, 3, lane).bit_generator.random_raw(12)
             assert got.ravel().tolist() == raw.tolist()
 
+    @pytest.mark.parametrize("n", [rng._FEW_KEYS, rng._FEW_KEYS + 1, rng._REPEAT_KEYS,
+                                   rng._REPEAT_KEYS + 1, rng._SLICE_KEYS - 1, rng._SLICE_KEYS,
+                                   rng._SLICE_KEYS + 1, 2 * rng._SLICE_KEYS + 1])
+    def test_every_path_is_the_words_of_stream(self, n):
+        """Calls on either side of the Python-int, repeated-operand and slice
+        widths hold the raw words of their streams, on broadcast coordinates."""
+        r = next(d for d in (3, 2, 1) if n % d == 0)
+        g = np.random.default_rng(n)
+        seeds = 2 ** 63 + g.integers(0, 2 ** 63, size=(r, 1), dtype=np.uint64)
+        seeds[0, 0] = 2 ** 64 - 1
+        barriers = g.integers(0, 2 ** 16, size=(r, 1))
+        lanes, counters = g.integers(0, 2 ** 32, size=n // r), np.arange(n // r) % 3 + 1
+        words = block(seeds, 1, barriers, lanes, counters)
+        assert words.shape == (r, n // r, 4)
+        for i, (seed, barrier) in enumerate(zip(seeds[:, 0].tolist(), barriers[:, 0].tolist())):
+            for lane, c, got in zip(lanes.tolist(), counters.tolist(), words[i].tolist()):
+                raw = stream(seed, 1, barrier, lane).bit_generator.random_raw(4 * c)
+                assert got == raw[-4:].tolist()
+
+    def test_a_wide_call_holds_a_slice_of_scratch(self):
+        """Past the slice width, scratch does not grow with the keys: 65,536
+        keys peak under 6 MiB, of which the 4 words per key are 2 MiB."""
+        lanes = np.arange(1 << 16)
+        tracemalloc.start()
+        try:
+            block(7, 0, 3, lanes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2 ** 20
+
     def test_broadcasts_barriers_against_lanes(self):
         words = block(9, 0, np.arange(3)[:, None], np.array([0, 5, 2 ** 32 - 1]))
         assert words.shape == (3, 3, 4)
@@ -731,3 +763,11 @@ class TestBlocks:
     def test_rejects_counters_outside_one_block_word(self, counter):
         with pytest.raises(ValueError):
             block(1, 0, 0, 0, counter=counter)
+
+    def test_rejects_coordinates_that_are_not_integers(self):
+        """A float barrier, lane or counter raises, as a float seed does,
+        rather than truncating to another stream's key."""
+        for call in (lambda: stream(0, 0, 1.5), lambda: block(0, 0, 2, [0.9, 1.2]),
+                     lambda: block(0, 0, 0, 3, counter=1.7)):
+            with pytest.raises(TypeError):
+                call()
